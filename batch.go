@@ -45,36 +45,22 @@ func RunBatchContext(ctx context.Context, cfgs []Config) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertResults(out), nil
+	results := make([]Result, len(out))
+	for i, r := range out {
+		results[i] = fromFabricResult(r.Res, r.Events)
+	}
+	return results, nil
 }
 
 // lowerAll lowers every public config onto the internal fabric form.
 func lowerAll(cfgs []Config) ([]fabric.Config, error) {
 	specs := make([]fabric.Config, len(cfgs))
 	for i, c := range cfgs {
-		fc, err := c.toFabricConfig()
+		fc, err := lower(c, nil)
 		if err != nil {
 			return nil, err
 		}
 		specs[i] = fc
 	}
 	return specs, nil
-}
-
-// convertResults lifts the batch results back into the public form,
-// mirroring RunContext: Events is non-nil exactly when the config
-// enabled the event log.
-func convertResults(out []batch.Result) []Result {
-	results := make([]Result, len(out))
-	for i, r := range out {
-		res := fromFabricResult(r.Res)
-		if r.Events != nil {
-			res.Events = make([]string, len(r.Events))
-			for j, e := range r.Events {
-				res.Events[j] = e.String()
-			}
-		}
-		results[i] = res
-	}
-	return results
 }

@@ -13,6 +13,7 @@ package hetpnoc
 // EXPERIMENTS.md.
 
 import (
+	"context"
 	"testing"
 
 	"hetpnoc/internal/batch"
@@ -242,7 +243,7 @@ func BenchmarkAblation_WaveguideRestriction(b *testing.B) {
 	b.ReportAllocs()
 	var bwCost, areaSaving float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.WaveguideRestrictionAblation(benchOpts())
+		rows, err := experiments.WaveguideRestrictionAblation(context.Background(), benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +265,7 @@ func BenchmarkArchitectureComparison(b *testing.B) {
 	b.ReportAllocs()
 	var dhetGain float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.ArchitectureComparison(benchOpts(), traffic.BWSet1, traffic.Skewed{Level: 2})
+		rows, err := experiments.ArchitectureComparison(context.Background(), benchOpts(), traffic.BWSet1, traffic.Skewed{Level: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

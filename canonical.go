@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"hetpnoc/internal/fabric"
 )
 
 // This file defines the canonical encodings the serving layer is built
@@ -59,16 +61,16 @@ func (c Config) Normalized() Config {
 		c.Traffic.Permutation = ""
 	}
 	if c.LoadScale == 0 {
-		c.LoadScale = 1.0
+		c.LoadScale = fabric.DefaultLoadScale
 	}
 	if c.Cycles == 0 {
-		c.Cycles = 10000
+		c.Cycles = fabric.DefaultCycles
 	}
 	if c.WarmupCycles == 0 {
-		c.WarmupCycles = 1000
+		c.WarmupCycles = fabric.DefaultWarmupCycles
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = fabric.DefaultSeed
 	}
 	return c
 }
@@ -114,7 +116,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("hetpnoc: core %d: negative rate or demand", i)
 		}
 	}
-	fc, err := c.toFabricConfig()
+	fc, err := lower(c, nil)
 	if err != nil {
 		return err
 	}

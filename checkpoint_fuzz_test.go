@@ -42,7 +42,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 		snap := 1 + mod(snapAt, cfg.Cycles-1)
 
-		fc, err := cfg.toFabricConfig()
+		fc, err := lower(cfg, nil)
 		if err != nil {
 			t.Fatalf("clamped config rejected: %v\n%+v", err, cfg)
 		}

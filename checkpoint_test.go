@@ -81,16 +81,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	t.Helper()
-	fc, err := tc.cfg.toFabricConfig()
+	var remaps []TrafficRemap
+	if tc.remapAt > 0 {
+		remaps = []TrafficRemap{{AtCycle: int64(tc.remapAt), Traffic: UniformTraffic()}}
+	}
+	fc, err := lower(tc.cfg, remaps)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if tc.remapAt > 0 {
-		pattern, err := UniformTraffic().toPattern()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc.Remaps = append(fc.Remaps, fabric.Remap{At: sim.Cycle(tc.remapAt), Pattern: pattern})
 	}
 	fc = fc.WithDefaults()
 	if tc.snapAt <= 0 || tc.snapAt >= fc.Cycles {
@@ -171,7 +168,7 @@ func finishCanonical(t *testing.T, f *fabric.Fabric) ([]byte, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := fromFabricResult(res).CanonicalJSON()
+	enc, err := fromFabricResult(res, nil).CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"hetpnoc"
+	"hetpnoc/internal/fabric"
 )
 
 func main() {
@@ -33,10 +34,10 @@ func run(args []string) error {
 		archName   = fs.String("arch", "d-hetpnoc", "architecture: firefly, d-hetpnoc or torus-pnoc")
 		set        = fs.Int("set", 1, "bandwidth set: 1 (64 wavelengths), 2 (256) or 3 (512)")
 		trafName   = fs.String("traffic", "uniform", "traffic pattern: uniform, skewed1-3, hotspot1-4, realapp, transpose, bit-complement, bit-reverse, shuffle, neighbor")
-		load       = fs.Float64("load", 1.0, "offered-load scale")
-		cycles     = fs.Int("cycles", 10000, "simulated cycles")
-		warmup     = fs.Int("warmup", 1000, "warm-up (reset) cycles excluded from measurement")
-		seed       = fs.Uint64("seed", 1, "simulation seed")
+		load       = fs.Float64("load", fabric.DefaultLoadScale, "offered-load scale")
+		cycles     = fs.Int("cycles", fabric.DefaultCycles, "simulated cycles")
+		warmup     = fs.Int("warmup", fabric.DefaultWarmupCycles, "warm-up (reset) cycles excluded from measurement")
+		seed       = fs.Uint64("seed", fabric.DefaultSeed, "simulation seed")
 		conc       = fs.Bool("concentrated", false, "use Firefly-style concentrated intra-cluster switches")
 		prop       = fs.Bool("proportional", false, "use the demand-proportional DBA policy (d-hetpnoc only)")
 		jsonOut    = fs.Bool("json", false, "emit the result as JSON")

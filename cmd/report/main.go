@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,6 +28,7 @@ func main() {
 	}
 }
 
+//hetpnoc:ctxroot process entry point
 func run(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	var (
@@ -79,7 +81,7 @@ func run(args []string) error {
 	}
 
 	if *ablations {
-		ab, err := experiments.AllAblations(opts)
+		ab, err := experiments.AllAblations(context.Background(), opts)
 		if err != nil {
 			return err
 		}

@@ -19,6 +19,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -39,7 +40,9 @@ func main() {
 	}
 }
 
+//hetpnoc:ctxroot process entry point
 func run(args []string) error {
+	ctx := context.Background()
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
 		fig         = fs.String("fig", "", "figure to regenerate (1-1, 3-3, 3-5, 3-6, 3-7, 3-8, 3-10); empty = all")
@@ -47,9 +50,9 @@ func run(args []string) error {
 		ablations   = fs.Bool("ablations", false, "run the ablation studies (extensions beyond the paper)")
 		latency     = fs.Bool("latency", false, "print load-latency curves (extension)")
 		sensitivity = fs.Bool("sensitivity", false, "print the energy-model sensitivity study (extension)")
-		cycles      = fs.Int("cycles", 10000, "simulated cycles per run")
-		warmup      = fs.Int("warmup", 1000, "warm-up cycles per run")
-		seed        = fs.Uint64("seed", 1, "simulation seed")
+		cycles      = fs.Int("cycles", fabric.DefaultCycles, "simulated cycles per run")
+		warmup      = fs.Int("warmup", fabric.DefaultWarmupCycles, "warm-up cycles per run")
+		seed        = fs.Uint64("seed", fabric.DefaultSeed, "simulation seed")
 		quick       = fs.Bool("quick", false, "short runs (4000 cycles) for a fast pass")
 		parallel    = fs.Int("parallel", 0, "max concurrent simulations and figures (0 = GOMAXPROCS)")
 		csvDir      = fs.String("csv", "", "also write machine-readable CSV files into this directory")
@@ -96,13 +99,13 @@ func run(args []string) error {
 		add(func(w *bytes.Buffer) error { return printScaling(w, opts, fabric.Firefly, "3-10") })
 	}
 	if *ablations {
-		add(func(w *bytes.Buffer) error { return printAblations(w, opts) })
+		add(func(w *bytes.Buffer) error { return printAblations(ctx, w, opts) })
 	}
 	if *latency {
-		add(func(w *bytes.Buffer) error { return printLatencyCurves(w, opts) })
+		add(func(w *bytes.Buffer) error { return printLatencyCurves(ctx, w, opts) })
 	}
 	if *sensitivity {
-		add(func(w *bytes.Buffer) error { return printSensitivity(w, opts) })
+		add(func(w *bytes.Buffer) error { return printSensitivity(ctx, w, opts) })
 	}
 
 	return runFigures(figures, *parallel)
@@ -158,8 +161,8 @@ func runFigures(figures []func(*bytes.Buffer) error, parallel int) error {
 	return nil
 }
 
-func printSensitivity(w *bytes.Buffer, opts experiments.Options) error {
-	rows, err := experiments.EnergySensitivity(opts, nil)
+func printSensitivity(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
+	rows, err := experiments.EnergySensitivity(ctx, opts, nil)
 	if err != nil {
 		return err
 	}
@@ -173,11 +176,11 @@ func printSensitivity(w *bytes.Buffer, opts experiments.Options) error {
 	return nil
 }
 
-func printLatencyCurves(w *bytes.Buffer, opts experiments.Options) error {
+func printLatencyCurves(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
 	fmt.Fprintln(w, "== Load-latency curves (extension), BW set 1, skewed 2 ==")
 	fmt.Fprintf(w, "%-10s %6s %12s %14s %12s\n", "arch", "load", "offered", "delivered", "avg latency")
 	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
-		points, err := experiments.LoadLatencyCurve(opts, arch, traffic.Skewed{Level: 2}, traffic.BWSet1, nil)
+		points, err := experiments.LoadLatencyCurve(ctx, opts, arch, traffic.Skewed{Level: 2}, traffic.BWSet1, nil)
 		if err != nil {
 			return err
 		}
@@ -190,8 +193,8 @@ func printLatencyCurves(w *bytes.Buffer, opts experiments.Options) error {
 	return nil
 }
 
-func printAblations(w *bytes.Buffer, opts experiments.Options) error {
-	rows, err := experiments.AllAblations(opts)
+func printAblations(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
+	rows, err := experiments.AllAblations(ctx, opts)
 	if err != nil {
 		return err
 	}

@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 
+	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
@@ -212,31 +213,55 @@ func Run(cfg Config) (Result, error) {
 // microseconds. The simulation itself is unaffected by the polling — a
 // run that completes is bit-identical to Run's.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	fc, err := cfg.toFabricConfig()
+	return simulate(ctx, cfg, nil, 0, nil)
+}
+
+// simulate is the solo run path behind Run, RunContext and RunWithTrace:
+// lower, build one fabric, step it, finish, lift. The cycle budget is
+// stepped in windows of interval cycles with observe called at each
+// window boundary; a run nobody observes is a single window, so it costs
+// exactly one fabric.StepContext call.
+func simulate(ctx context.Context, cfg Config, remaps []TrafficRemap, interval int64, observe func(Snapshot)) (Result, error) {
+	fc, err := lower(cfg, remaps)
 	if err != nil {
 		return Result{}, err
 	}
+	// Defaulted here, not only inside New: the loop below needs the
+	// cycle budget the fabric will run with.
+	fc = fc.WithDefaults()
 	f, err := fabric.New(fc)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := f.RunContext(ctx)
+	window := fc.Cycles
+	if observe != nil && interval < int64(window) {
+		window = int(interval)
+	}
+	for done := 0; done < fc.Cycles; {
+		n := min(window, fc.Cycles-done)
+		if err := f.StepContext(ctx, n); err != nil {
+			return Result{}, err
+		}
+		done += n
+		if observe != nil && int64(done)%interval == 0 {
+			observe(snapshotOf(f, fc.Topology))
+		}
+	}
+	res, err := f.Finish()
 	if err != nil {
 		return Result{}, err
 	}
-	out := fromFabricResult(res)
+	var events []event.Event
 	if log := f.Events(); log != nil {
-		events := log.Events()
-		out.Events = make([]string, len(events))
-		for i, e := range events {
-			out.Events[i] = e.String()
-		}
+		events = log.Events()
 	}
-	return out, nil
+	return fromFabricResult(res, events), nil
 }
 
-// toFabricConfig lowers the public configuration onto the internal fabric.
-func (cfg Config) toFabricConfig() (fabric.Config, error) {
+// lower maps the public configuration, and any mid-run remaps, onto the
+// internal fabric configuration. Unset run parameters stay zero; the
+// fabric's WithDefaults fills them.
+func lower(cfg Config, remaps []TrafficRemap) (fabric.Config, error) {
 	arch := fabric.DHetPNoC
 	switch cfg.Architecture {
 	case 0, DHetPNoC:
@@ -269,7 +294,7 @@ func (cfg Config) toFabricConfig() (fabric.Config, error) {
 	if cfg.Concentrated {
 		intra = fabric.Concentrated
 	}
-	return fabric.Config{
+	fc := fabric.Config{
 		Arch:            arch,
 		Set:             set,
 		Pattern:         pattern,
@@ -280,7 +305,15 @@ func (cfg Config) toFabricConfig() (fabric.Config, error) {
 		IntraCluster:    intra,
 		EventCapacity:   cfg.EventCapacity,
 		ProportionalDBA: cfg.ProportionalDBA,
-	}, nil
+	}
+	for _, r := range remaps {
+		pattern, err := r.Traffic.toPattern()
+		if err != nil {
+			return fabric.Config{}, err
+		}
+		fc.Remaps = append(fc.Remaps, fabric.Remap{At: sim.Cycle(r.AtCycle), Pattern: pattern})
+	}
+	return fc, nil
 }
 
 // toPattern lowers the public traffic description.

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hetpnoc/internal/area"
+	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
 	"hetpnoc/internal/units"
@@ -29,26 +31,27 @@ type ablationCase struct {
 	areaMM2        units.SquareMillimeter
 }
 
-// runAblation executes the cases sequentially (they are few) and collects
-// rows.
-func runAblation(opts Options, cases []ablationCase) ([]AblationRow, error) {
+// runAblation executes the cases as one batch plan and collects one row
+// per case, in case order.
+func runAblation(ctx context.Context, opts Options, cases []ablationCase) ([]AblationRow, error) {
 	opts = opts.withDefaults()
-	rows := make([]AblationRow, 0, len(cases))
-	for _, c := range cases {
+	specs := make([]fabric.Config, len(cases))
+	for i, c := range cases {
 		cfg := c.cfg
 		cfg.Topology = opts.Topology
 		cfg.Cycles = opts.Cycles
 		cfg.WarmupCycles = opts.WarmupCycles
 		cfg.Seed = opts.Seed
-		f, err := fabric.New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s/%s: %w", c.study, c.variant, err)
-		}
-		res, err := f.Run()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s/%s: %w", c.study, c.variant, err)
-		}
-		rows = append(rows, AblationRow{
+		specs[i] = cfg
+	}
+	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ablation %s: %w", cases[0].study, err)
+	}
+	rows := make([]AblationRow, len(cases))
+	for i, c := range cases {
+		res := out[i].Res
+		rows[i] = AblationRow{
 			Study:              c.study,
 			Variant:            c.variant,
 			PeakBandwidthGbps:  res.Stats.DeliveredGbps,
@@ -56,7 +59,7 @@ func runAblation(opts Options, cases []ablationCase) ([]AblationRow, error) {
 			AvgLatencyCycles:   res.Stats.AvgLatencyCycles,
 			FairnessJain:       res.Stats.FairnessJain,
 			AreaMM2:            c.areaMM2,
-		})
+		}
 	}
 	return rows, nil
 }
@@ -65,7 +68,7 @@ func runAblation(opts Options, cases []ablationCase) ([]AblationRow, error) {
 // the next packet's reservation with the current packet's streaming
 // (DESIGN.md §4): without it, short packets on wide channels pay the
 // reservation round-trip between every transfer.
-func ReservationPipeliningAblation(opts Options) ([]AblationRow, error) {
+func ReservationPipeliningAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	base := fabric.Config{
 		Arch:    fabric.DHetPNoC,
 		Set:     traffic.BWSet3, // 8-flit packets: the worst case
@@ -73,7 +76,7 @@ func ReservationPipeliningAblation(opts Options) ([]AblationRow, error) {
 	}
 	off := base
 	off.DisableReservationPipelining = true
-	return runAblation(opts, []ablationCase{
+	return runAblation(ctx, opts, []ablationCase{
 		{study: "reservation-pipelining", variant: "pipelined", cfg: base},
 		{study: "reservation-pipelining", variant: "serialized", cfg: off},
 	})
@@ -82,7 +85,7 @@ func ReservationPipeliningAblation(opts Options) ([]AblationRow, error) {
 // AcquisitionChunkAblation sweeps the per-token-visit acquisition bound:
 // 1 converges slowest but most fairly; unlimited lets the first visitor
 // drain the pool (the starvation mode DESIGN.md §4 calls out).
-func AcquisitionChunkAblation(opts Options) ([]AblationRow, error) {
+func AcquisitionChunkAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	var cases []ablationCase
 	for _, chunk := range []int{1, 2, 4, 8, 64} {
 		cfg := fabric.Config{
@@ -97,13 +100,13 @@ func AcquisitionChunkAblation(opts Options) ([]AblationRow, error) {
 			cfg:     cfg,
 		})
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // ReservedMinimumAblation sweeps the per-cluster reserved wavelength count
 // (§3.2.1 guarantees at least 1): larger reserves improve worst-case
 // fairness but shrink the dynamically shareable pool.
-func ReservedMinimumAblation(opts Options) ([]AblationRow, error) {
+func ReservedMinimumAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	var cases []ablationCase
 	for _, reserve := range []int{1, 2, 4} {
 		cfg := fabric.Config{
@@ -118,12 +121,12 @@ func ReservedMinimumAblation(opts Options) ([]AblationRow, error) {
 			cfg:     cfg,
 		})
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // IntraClusterAblation compares the §3.1 all-to-all intra-cluster wiring
 // with Firefly's concentrated switch [20].
-func IntraClusterAblation(opts Options) ([]AblationRow, error) {
+func IntraClusterAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	var cases []ablationCase
 	for _, intra := range []fabric.IntraCluster{fabric.AllToAll, fabric.Concentrated} {
 		cfg := fabric.Config{
@@ -138,7 +141,7 @@ func IntraClusterAblation(opts Options) ([]AblationRow, error) {
 			cfg:     cfg,
 		})
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // WaveguideRestrictionAblation evaluates the thesis's Chapter 4 proposal:
@@ -146,7 +149,7 @@ func IntraClusterAblation(opts Options) ([]AblationRow, error) {
 // the number of modulators and de-modulators" at some bandwidth cost. Run
 // at bandwidth set 3 (8 waveguides), where the restriction actually
 // binds, and annotate each variant with its modulator area.
-func WaveguideRestrictionAblation(opts Options) ([]AblationRow, error) {
+func WaveguideRestrictionAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	areaCfg := area.DefaultConfig(traffic.BWSet3.TotalWavelengths)
 	var cases []ablationCase
 	for _, wgs := range []int{0, 2, 4} {
@@ -169,7 +172,7 @@ func WaveguideRestrictionAblation(opts Options) ([]AblationRow, error) {
 			areaMM2: mm2,
 		})
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // AllocationPolicyAblation compares the thesis's greedy §3.2.1 allocation
@@ -180,7 +183,7 @@ func WaveguideRestrictionAblation(opts Options) ([]AblationRow, error) {
 // acquisition chunk and with unbounded acquisition: chunking is the
 // greedy policy's crutch against first-come capture, while the
 // proportional policy's share bound makes it chunk-independent.
-func AllocationPolicyAblation(opts Options) ([]AblationRow, error) {
+func AllocationPolicyAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	var cases []ablationCase
 	for _, variant := range []struct {
 		name         string
@@ -204,7 +207,7 @@ func AllocationPolicyAblation(opts Options) ([]AblationRow, error) {
 			},
 		})
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // ArchitectureComparison runs all three modeled photonic NoCs — the
@@ -213,7 +216,7 @@ func AllocationPolicyAblation(opts Options) ([]AblationRow, error) {
 // full-DWDM provisioning gives it far more photonic hardware than the
 // budget-normalized crossbars; it is a protocol comparison, not an
 // equal-area one.
-func ArchitectureComparison(opts Options, set traffic.BandwidthSet, pattern traffic.Pattern) ([]AblationRow, error) {
+func ArchitectureComparison(ctx context.Context, opts Options, set traffic.BandwidthSet, pattern traffic.Pattern) ([]AblationRow, error) {
 	var cases []ablationCase
 	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC, fabric.TorusPNoC} {
 		cases = append(cases, ablationCase{
@@ -222,13 +225,13 @@ func ArchitectureComparison(opts Options, set traffic.BandwidthSet, pattern traf
 			cfg:     fabric.Config{Arch: arch, Set: set, Pattern: pattern},
 		})
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // BurstinessAblation measures how traffic burstiness (on/off sources at
 // the same average rate) degrades both architectures: bursts deepen
 // queues, so drops, latency and the congestion-energy term all grow.
-func BurstinessAblation(opts Options) ([]AblationRow, error) {
+func BurstinessAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
 	var cases []ablationCase
 	for _, factor := range []float64{1, 4, 16} {
 		var pattern traffic.Pattern = traffic.Skewed{Level: 2}
@@ -243,13 +246,13 @@ func BurstinessAblation(opts Options) ([]AblationRow, error) {
 			})
 		}
 	}
-	return runAblation(opts, cases)
+	return runAblation(ctx, opts, cases)
 }
 
 // AllAblations runs every ablation study.
-func AllAblations(opts Options) ([]AblationRow, error) {
+func AllAblations(ctx context.Context, opts Options) ([]AblationRow, error) {
 	var all []AblationRow
-	for _, run := range []func(Options) ([]AblationRow, error){
+	for _, run := range []func(context.Context, Options) ([]AblationRow, error){
 		ReservationPipeliningAblation,
 		AcquisitionChunkAblation,
 		ReservedMinimumAblation,
@@ -257,11 +260,11 @@ func AllAblations(opts Options) ([]AblationRow, error) {
 		WaveguideRestrictionAblation,
 		AllocationPolicyAblation,
 		BurstinessAblation,
-		func(o Options) ([]AblationRow, error) {
-			return ArchitectureComparison(o, traffic.BWSet1, traffic.Skewed{Level: 2})
+		func(ctx context.Context, o Options) ([]AblationRow, error) {
+			return ArchitectureComparison(ctx, o, traffic.BWSet1, traffic.Skewed{Level: 2})
 		},
 	} {
-		rows, err := run(opts)
+		rows, err := run(ctx, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"hetpnoc/internal/fabric"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestReservationPipeliningAblationDirection(t *testing.T) {
-	rows, err := ReservationPipeliningAblation(quickOpts())
+	rows, err := ReservationPipeliningAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestReservationPipeliningAblationDirection(t *testing.T) {
 }
 
 func TestAcquisitionChunkAblationAvoidsStarvation(t *testing.T) {
-	rows, err := AcquisitionChunkAblation(quickOpts())
+	rows, err := AcquisitionChunkAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestAcquisitionChunkAblationAvoidsStarvation(t *testing.T) {
 }
 
 func TestReservedMinimumAblationTradeoff(t *testing.T) {
-	rows, err := ReservedMinimumAblation(quickOpts())
+	rows, err := ReservedMinimumAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestReservedMinimumAblationTradeoff(t *testing.T) {
 }
 
 func TestWaveguideRestrictionAblationTradesAreaForBandwidth(t *testing.T) {
-	rows, err := WaveguideRestrictionAblation(quickOpts())
+	rows, err := WaveguideRestrictionAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestWaveguideRestrictionAblationTradesAreaForBandwidth(t *testing.T) {
 }
 
 func TestIntraClusterAblationRuns(t *testing.T) {
-	rows, err := IntraClusterAblation(quickOpts())
+	rows, err := IntraClusterAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestIntraClusterAblationRuns(t *testing.T) {
 }
 
 func TestArchitectureComparisonRuns(t *testing.T) {
-	rows, err := ArchitectureComparison(quickOpts(), traffic.BWSet1, traffic.Skewed{Level: 2})
+	rows, err := ArchitectureComparison(context.Background(), quickOpts(), traffic.BWSet1, traffic.Skewed{Level: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestArchitectureComparisonRuns(t *testing.T) {
 }
 
 func TestLoadLatencyCurveShape(t *testing.T) {
-	points, err := LoadLatencyCurve(quickOpts(), fabric.DHetPNoC, traffic.Uniform{},
+	points, err := LoadLatencyCurve(context.Background(), quickOpts(), fabric.DHetPNoC, traffic.Uniform{},
 		traffic.BWSet1, []float64{0.4, 1.0})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +148,7 @@ func TestLoadLatencyCurveShape(t *testing.T) {
 }
 
 func TestAllocationPolicyAblation(t *testing.T) {
-	rows, err := AllocationPolicyAblation(quickOpts())
+	rows, err := AllocationPolicyAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestAllocationPolicyAblation(t *testing.T) {
 }
 
 func TestBurstinessAblationDegradesLatency(t *testing.T) {
-	rows, err := BurstinessAblation(quickOpts())
+	rows, err := BurstinessAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestBurstinessAblationDegradesLatency(t *testing.T) {
 // bound prevents that, winning both service fairness and bandwidth in the
 // unbounded configuration.
 func TestProportionalFixesUnboundedGreedyStarvation(t *testing.T) {
-	rows, err := AllocationPolicyAblation(quickOpts())
+	rows, err := AllocationPolicyAblation(context.Background(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,16 +52,16 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Cycles == 0 {
-		o.Cycles = 10000
+		o.Cycles = fabric.DefaultCycles
 	}
 	if o.WarmupCycles == 0 {
-		o.WarmupCycles = 1000
+		o.WarmupCycles = fabric.DefaultWarmupCycles
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = fabric.DefaultSeed
 	}
 	if len(o.LoadScales) == 0 {
-		o.LoadScales = []float64{1.0}
+		o.LoadScales = []float64{fabric.DefaultLoadScale}
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -115,6 +115,18 @@ func pointConfig(opts Options, p Point, scale float64) fabric.Config {
 	}
 }
 
+// peakRow reports a point's load sweep — results[i] ran at scales[i] —
+// as the run that delivered the most bandwidth.
+func peakRow(p Point, scales []float64, results []batch.Result) Row {
+	peak := 0
+	for i := range scales {
+		if results[i].Res.Stats.DeliveredGbps > results[peak].Res.Stats.DeliveredGbps {
+			peak = i
+		}
+	}
+	return rowAtPeak(p, scales[peak], results[peak].Res)
+}
+
 // rowAtPeak shapes one run's result into the Row reported for its point.
 func rowAtPeak(p Point, scale float64, res fabric.Result) Row {
 	return Row{
@@ -134,6 +146,20 @@ func rowAtPeak(p Point, scale float64, res fabric.Result) Row {
 	}
 }
 
+// runPlan is how every runner in this package executes simulations: the
+// specs become one batch plan bounded by opts.Parallelism, specs sharing
+// a build prefix share one fabric, and the results come back in spec
+// order. Under ForkPristine each result is bit-identical to a solo
+// fabric.New + Run of its spec (the batch fork contract,
+// docs/BATCHING.md). opts must already be defaulted.
+func runPlan(ctx context.Context, opts Options, fork batch.ForkPoint, specs []fabric.Config) ([]batch.Result, error) {
+	plan, err := batch.NewPlan(specs, batch.Options{Workers: opts.Parallelism, Fork: fork})
+	if err != nil {
+		return nil, err
+	}
+	return plan.Run(ctx)
+}
+
 // RunMatrix executes every point, in parallel up to opts.Parallelism, and
 // returns rows in point order.
 //
@@ -147,20 +173,13 @@ func RunMatrix(opts Options, points []Point) ([]Row, error) {
 // first error returned is ctx's. The serving layer and long sweeps use
 // this to make whole matrices abortable.
 //
-// The matrix executes through the batch engine: every (point, load
-// scale) pair is one plan member, points sharing a build prefix share
-// one fabric (a load sweep builds one fabric per point instead of one
-// per scale), and internal/batch's work-stealing scheduler replaces the
-// per-point goroutine semaphore. Rows are bit-identical to running each
-// pair on its own fabric — the batch fork contract (docs/BATCHING.md).
+// Every (point, load scale) pair is one plan member, so a load sweep
+// builds one fabric per point instead of one per scale.
 func RunMatrixContext(ctx context.Context, opts Options, points []Point) ([]Row, error) {
 	opts = opts.withDefaults()
 	rows := make([]Row, len(points))
 	if len(points) == 0 {
 		return rows, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	scales := opts.LoadScales
@@ -170,23 +189,12 @@ func RunMatrixContext(ctx context.Context, opts Options, points []Point) ([]Row,
 			specs = append(specs, pointConfig(opts, p, scale))
 		}
 	}
-	plan, err := batch.NewPlan(specs, batch.Options{Workers: opts.Parallelism})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	out, err := plan.Run(ctx)
+	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	for pi, p := range points {
-		found := false
-		for si, scale := range scales {
-			res := out[pi*len(scales)+si].Res
-			if !found || res.Stats.DeliveredGbps > rows[pi].PeakBandwidthGbps {
-				found = true
-				rows[pi] = rowAtPeak(p, scale, res)
-			}
-		}
+		rows[pi] = peakRow(p, scales, out[pi*len(scales):])
 	}
 	return rows, nil
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
 	"hetpnoc/internal/units"
@@ -22,39 +24,32 @@ type LatencyPoint struct {
 // rises gently until the network saturates, then climbs steeply while
 // delivered bandwidth flattens. The thesis reports only the saturation
 // point ("peak bandwidth"); the full curve is an extension used by the
-// ablation analysis and the examples.
-func LoadLatencyCurve(opts Options, arch fabric.Arch, pattern traffic.Pattern,
+// ablation analysis and the examples. The loads differ only in offered
+// load, so the whole curve forks off one fabric build.
+func LoadLatencyCurve(ctx context.Context, opts Options, arch fabric.Arch, pattern traffic.Pattern,
 	set traffic.BandwidthSet, loads []float64) ([]LatencyPoint, error) {
 	opts = opts.withDefaults()
 	if len(loads) == 0 {
 		loads = []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
 	}
-	points := make([]LatencyPoint, 0, len(loads))
-	for _, load := range loads {
-		f, err := fabric.New(fabric.Config{
-			Topology:     opts.Topology,
-			Set:          set,
-			Arch:         arch,
-			Pattern:      pattern,
-			LoadScale:    load,
-			Cycles:       opts.Cycles,
-			WarmupCycles: opts.WarmupCycles,
-			Seed:         opts.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: latency curve at load %g: %w", load, err)
-		}
-		res, err := f.Run()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: latency curve at load %g: %w", load, err)
-		}
-		points = append(points, LatencyPoint{
+	specs := make([]fabric.Config, len(loads))
+	for i, load := range loads {
+		specs[i] = pointConfig(opts, Point{Set: set, Pattern: pattern, Arch: arch}, load)
+	}
+	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: latency curve: %w", err)
+	}
+	points := make([]LatencyPoint, len(loads))
+	for i, load := range loads {
+		res := out[i].Res
+		points[i] = LatencyPoint{
 			LoadScale:        load,
 			OfferedGbps:      res.OfferedGbps,
 			DeliveredGbps:    res.Stats.DeliveredGbps,
 			AvgLatencyCycles: res.Stats.AvgLatencyCycles,
 			MaxLatencyCycles: int64(res.Stats.MaxLatencyCycles),
-		})
+		}
 	}
 	return points, nil
 }

@@ -1,0 +1,248 @@
+package experiments
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/traffic"
+	"hetpnoc/internal/units"
+)
+
+// The runners in this package all execute through runPlan. These tests
+// hold them to the solo path: every row must equal the one computed here
+// from a fresh fabric.New + Run per case. The case tables below restate,
+// independently of the runners, which simulations each study consists
+// of.
+
+func referenceOpts() Options {
+	return Options{Cycles: 1500, WarmupCycles: 300, Seed: 3, Parallelism: 2}
+}
+
+// soloRun is the reference: one fabric per config, no batch engine.
+func soloRun(t *testing.T, opts Options, cfg fabric.Config) fabric.Result {
+	t.Helper()
+	cfg.Cycles = opts.Cycles
+	cfg.WarmupCycles = opts.WarmupCycles
+	cfg.Seed = opts.Seed
+	f, err := fabric.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func dhet(set traffic.BandwidthSet, pattern traffic.Pattern) fabric.Config {
+	return fabric.Config{Arch: fabric.DHetPNoC, Set: set, Pattern: pattern}
+}
+
+func TestAblationsMatchSoloRuns(t *testing.T) {
+	skewed := func(level int) traffic.Pattern { return traffic.Skewed{Level: level} }
+	with := func(cfg fabric.Config, edit func(*fabric.Config)) fabric.Config {
+		edit(&cfg)
+		return cfg
+	}
+	bursty := func(arch fabric.Arch, factor float64) fabric.Config {
+		return fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Bursty{Base: skewed(2), Factor: factor}}
+	}
+	plain := func(arch fabric.Arch) fabric.Config {
+		return fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: skewed(2)}
+	}
+
+	studies := []struct {
+		name  string
+		run   func(context.Context, Options) ([]AblationRow, error)
+		cases []fabric.Config
+	}{
+		{"reservation-pipelining", ReservationPipeliningAblation, []fabric.Config{
+			dhet(traffic.BWSet3, skewed(2)),
+			with(dhet(traffic.BWSet3, skewed(2)), func(c *fabric.Config) { c.DisableReservationPipelining = true }),
+		}},
+		{"acquisition-chunk", AcquisitionChunkAblation, []fabric.Config{
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 1 }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 2 }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 4 }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 8 }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 64 }),
+		}},
+		{"reserved-minimum", ReservedMinimumAblation, []fabric.Config{
+			with(dhet(traffic.BWSet1, skewed(3)), func(c *fabric.Config) { c.ReservedPerCluster = 1 }),
+			with(dhet(traffic.BWSet1, skewed(3)), func(c *fabric.Config) { c.ReservedPerCluster = 2 }),
+			with(dhet(traffic.BWSet1, skewed(3)), func(c *fabric.Config) { c.ReservedPerCluster = 4 }),
+		}},
+		{"intra-cluster", IntraClusterAblation, []fabric.Config{
+			with(dhet(traffic.BWSet1, skewed(2)), func(c *fabric.Config) { c.IntraCluster = fabric.AllToAll }),
+			with(dhet(traffic.BWSet1, skewed(2)), func(c *fabric.Config) { c.IntraCluster = fabric.Concentrated }),
+		}},
+		{"waveguide-restriction", WaveguideRestrictionAblation, []fabric.Config{
+			dhet(traffic.BWSet3, skewed(3)),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.WaveguidesPerCluster = 2 }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.WaveguidesPerCluster = 4 }),
+		}},
+		{"allocation-policy", AllocationPolicyAblation, []fabric.Config{
+			dhet(traffic.BWSet3, skewed(3)),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 512 }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.ProportionalDBA = true }),
+			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.ProportionalDBA, c.MaxAcquirePerVisit = true, 512 }),
+		}},
+		{"burstiness", BurstinessAblation, []fabric.Config{
+			plain(fabric.Firefly), plain(fabric.DHetPNoC),
+			bursty(fabric.Firefly, 4), bursty(fabric.DHetPNoC, 4),
+			bursty(fabric.Firefly, 16), bursty(fabric.DHetPNoC, 16),
+		}},
+		{"architecture", func(ctx context.Context, o Options) ([]AblationRow, error) {
+			return ArchitectureComparison(ctx, o, traffic.BWSet2, traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1})
+		}, []fabric.Config{
+			{Arch: fabric.Firefly, Set: traffic.BWSet2, Pattern: traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1}},
+			{Arch: fabric.DHetPNoC, Set: traffic.BWSet2, Pattern: traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1}},
+			{Arch: fabric.TorusPNoC, Set: traffic.BWSet2, Pattern: traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1}},
+		}},
+	}
+
+	opts := referenceOpts()
+	for _, study := range studies {
+		rows, err := study.run(context.Background(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", study.name, err)
+		}
+		if len(rows) != len(study.cases) {
+			t.Fatalf("%s: %d rows for %d cases", study.name, len(rows), len(study.cases))
+		}
+		for i, cfg := range study.cases {
+			res := soloRun(t, opts, cfg)
+			want := AblationRow{
+				Study:              study.name,
+				Variant:            rows[i].Variant, // labels are checked by the per-study tests
+				PeakBandwidthGbps:  res.Stats.DeliveredGbps,
+				EnergyPerMessagePJ: res.EnergyPerMessagePJ,
+				AvgLatencyCycles:   res.Stats.AvgLatencyCycles,
+				FairnessJain:       res.Stats.FairnessJain,
+				AreaMM2:            rows[i].AreaMM2, // analytic, not simulated
+			}
+			if rows[i] != want {
+				t.Errorf("%s case %d (%s) diverges from its solo run:\nplan: %+v\nsolo: %+v", study.name, i, rows[i].Variant, rows[i], want)
+			}
+		}
+	}
+}
+
+func TestLoadLatencyCurveMatchesSoloRuns(t *testing.T) {
+	opts := referenceOpts()
+	loads := []float64{0.3, 1.0, 1.4}
+	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC, fabric.TorusPNoC} {
+		points, err := LoadLatencyCurve(context.Background(), opts, arch, traffic.Skewed{Level: 2}, traffic.BWSet1, loads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, load := range loads {
+			res := soloRun(t, opts, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, LoadScale: load})
+			want := LatencyPoint{
+				LoadScale:        load,
+				OfferedGbps:      res.OfferedGbps,
+				DeliveredGbps:    res.Stats.DeliveredGbps,
+				AvgLatencyCycles: res.Stats.AvgLatencyCycles,
+				MaxLatencyCycles: int64(res.Stats.MaxLatencyCycles),
+			}
+			if points[i] != want {
+				t.Errorf("%s at load %g diverges from its solo run:\nplan: %+v\nsolo: %+v", arch, load, points[i], want)
+			}
+		}
+	}
+}
+
+func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
+	opts := referenceOpts()
+	scales := []float64{0.5, 3.0}
+	rows, err := EnergySensitivity(context.Background(), opts, scales)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []SensitivityRow
+	for _, param := range []string{"buffer-residency", "idle-detector"} {
+		for _, scale := range scales {
+			energy := photonic.DefaultEnergyParams()
+			if param == "buffer-residency" {
+				energy.BufferResidencyPJPerBitCycle = energy.BufferResidencyPJPerBitCycle.Times(scale)
+			} else {
+				energy.IdleDetectorPJPerWavelengthCycle = energy.IdleDetectorPJPerWavelengthCycle.Times(scale)
+			}
+			epm := func(arch fabric.Arch) units.Picojoule {
+				res := soloRun(t, opts, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Energy: energy})
+				return res.EnergyPerMessagePJ
+			}
+			ff, dh := epm(fabric.Firefly), epm(fabric.DHetPNoC)
+			want = append(want, SensitivityRow{
+				Parameter: param, Scale: scale,
+				FireflyEPMPJ: ff, DHetPNoCEPMPJ: dh,
+				DHetSavingPct: float64((1 - dh/ff) * 100),
+			})
+		}
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("sensitivity rows diverge from their solo runs:\nplan: %+v\nsolo: %+v", rows, want)
+	}
+}
+
+// TestRunnersHonorCancellation: every runner threads its context into the
+// cycle loop, so a run that would take hours returns the context's error
+// about one fabric.CancelCheckInterval after the deadline fires.
+func TestRunnersHonorCancellation(t *testing.T) {
+	endless := Options{Cycles: 1 << 30, WarmupCycles: 1000, Parallelism: 2}
+	type runner struct {
+		name string
+		run  func(context.Context) error
+	}
+	runners := []runner{
+		{"LoadLatencyCurve", func(ctx context.Context) error {
+			_, err := LoadLatencyCurve(ctx, endless, fabric.DHetPNoC, traffic.Uniform{}, traffic.BWSet1, nil)
+			return err
+		}},
+		{"EnergySensitivity", func(ctx context.Context) error {
+			_, err := EnergySensitivity(ctx, endless, nil)
+			return err
+		}},
+		{"ArchitectureComparison", func(ctx context.Context) error {
+			_, err := ArchitectureComparison(ctx, endless, traffic.BWSet1, traffic.Uniform{})
+			return err
+		}},
+	}
+	for name, ablation := range map[string]func(context.Context, Options) ([]AblationRow, error){
+		"ReservationPipeliningAblation": ReservationPipeliningAblation,
+		"AcquisitionChunkAblation":      AcquisitionChunkAblation,
+		"ReservedMinimumAblation":       ReservedMinimumAblation,
+		"IntraClusterAblation":          IntraClusterAblation,
+		"WaveguideRestrictionAblation":  WaveguideRestrictionAblation,
+		"AllocationPolicyAblation":      AllocationPolicyAblation,
+		"BurstinessAblation":            BurstinessAblation,
+		"AllAblations":                  AllAblations,
+	} {
+		ablation := ablation
+		runners = append(runners, runner{name, func(ctx context.Context) error {
+			_, err := ablation(ctx, endless)
+			return err
+		}})
+	}
+	for _, r := range runners {
+		name, run := r.name, r.run
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		err := run(ctx)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: want context.DeadlineExceeded, got %v", name, err)
+		}
+		// One check interval is well under a millisecond of stepping; the
+		// bound only has to separate "aborted" from "ran 2^30 cycles".
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("%s: returned %v after a 20ms deadline", name, took)
+		}
+	}
+}

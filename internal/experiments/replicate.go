@@ -95,36 +95,22 @@ func replicateRows(ctx context.Context, opts Options, p Point, seeds int) ([]Row
 	// Defaulted again defensively: the fork grouping below assumes the
 	// options carry the same warm-up the fabric will actually apply.
 	opts = opts.withDefaults()
-	specs := make([]fabric.Config, 0, len(opts.LoadScales)*seeds)
-	for _, scale := range opts.LoadScales {
-		for i := 0; i < seeds; i++ {
+	scales := opts.LoadScales
+	specs := make([]fabric.Config, 0, seeds*len(scales))
+	for i := 0; i < seeds; i++ {
+		for _, scale := range scales {
 			cfg := pointConfig(opts, p, scale)
 			cfg.Seed = opts.Seed + uint64(i)
 			specs = append(specs, cfg)
 		}
 	}
-	plan, err := batch.NewPlan(specs, batch.Options{
-		Workers: opts.Parallelism,
-		Fork:    batch.ForkWarmup,
-	})
+	out, err := runPlan(ctx, opts, batch.ForkWarmup, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s/%s: %w", p.Set.Name, p.Pattern.Name(), p.Arch, err)
 	}
-	out, err := plan.Run(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s/%s/%s: %w", p.Set.Name, p.Pattern.Name(), p.Arch, err)
-	}
-
 	rows := make([]Row, seeds)
-	found := make([]bool, seeds)
-	for si, scale := range opts.LoadScales {
-		for i := 0; i < seeds; i++ {
-			res := out[si*seeds+i].Res
-			if !found[i] || res.Stats.DeliveredGbps > rows[i].PeakBandwidthGbps {
-				found[i] = true
-				rows[i] = rowAtPeak(p, scale, res)
-			}
-		}
+	for i := range rows {
+		rows[i] = peakRow(p, scales, out[i*len(scales):])
 	}
 	return rows, nil
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/traffic"
@@ -29,34 +31,15 @@ type SensitivityRow struct {
 // message under skewed traffic) should not depend on our calibration;
 // this experiment demonstrates that, quantifying EXPERIMENTS.md's
 // deviation discussion.
-func EnergySensitivity(opts Options, scales []float64) ([]SensitivityRow, error) {
+func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]SensitivityRow, error) {
 	opts = opts.withDefaults()
 	if len(scales) == 0 {
 		scales = []float64{0.25, 0.5, 1.0, 2.0, 4.0}
 	}
 
-	run := func(arch fabric.Arch, energy photonic.EnergyParams) (units.Picojoule, error) {
-		f, err := fabric.New(fabric.Config{
-			Topology:     opts.Topology,
-			Set:          traffic.BWSet1,
-			Arch:         arch,
-			Pattern:      traffic.Skewed{Level: 2},
-			Cycles:       opts.Cycles,
-			WarmupCycles: opts.WarmupCycles,
-			Seed:         opts.Seed,
-			Energy:       energy,
-		})
-		if err != nil {
-			return 0, err
-		}
-		res, err := f.Run()
-		if err != nil {
-			return 0, err
-		}
-		return res.EnergyPerMessagePJ, nil
-	}
-
+	// Two specs per row, Firefly then d-HetPNoC, in row order.
 	var rows []SensitivityRow
+	var specs []fabric.Config
 	for _, param := range []string{"buffer-residency", "idle-detector"} {
 		for _, scale := range scales {
 			if scale <= 0 {
@@ -69,22 +52,23 @@ func EnergySensitivity(opts Options, scales []float64) ([]SensitivityRow, error)
 			case "idle-detector":
 				energy.IdleDetectorPJPerWavelengthCycle = energy.IdleDetectorPJPerWavelengthCycle.Times(scale)
 			}
-			ff, err := run(fabric.Firefly, energy)
-			if err != nil {
-				return nil, err
+			for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
+				cfg := pointConfig(opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: arch}, fabric.DefaultLoadScale)
+				cfg.Energy = energy
+				specs = append(specs, cfg)
 			}
-			dh, err := run(fabric.DHetPNoC, energy)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, SensitivityRow{
-				Parameter:     param,
-				Scale:         scale,
-				FireflyEPMPJ:  ff,
-				DHetPNoCEPMPJ: dh,
-				DHetSavingPct: float64((1 - dh/ff) * 100),
-			})
+			rows = append(rows, SensitivityRow{Parameter: param, Scale: scale})
 		}
+	}
+	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: energy sensitivity: %w", err)
+	}
+	for i := range rows {
+		ff, dh := out[2*i].Res.EnergyPerMessagePJ, out[2*i+1].Res.EnergyPerMessagePJ
+		rows[i].FireflyEPMPJ = ff
+		rows[i].DHetPNoCEPMPJ = dh
+		rows[i].DHetSavingPct = float64((1 - dh/ff) * 100)
 	}
 	return rows, nil
 }

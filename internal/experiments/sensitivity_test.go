@@ -1,12 +1,15 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestEPMConclusionRobustToCalibration: the Figure 3-4 sign — d-HetPNoC
 // dissipates less per message under skewed traffic — must hold across a
 // 16x range of the calibrated congestion-energy constant.
 func TestEPMConclusionRobustToCalibration(t *testing.T) {
-	rows, err := EnergySensitivity(quickOpts(), []float64{0.25, 1.0, 4.0})
+	rows, err := EnergySensitivity(context.Background(), quickOpts(), []float64{0.25, 1.0, 4.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func TestEPMConclusionRobustToCalibration(t *testing.T) {
 // congestion term amplifies the saving (Firefly's queues are deeper), so
 // the saving must be monotone in the buffer-residency scale.
 func TestSensitivitySavingGrowsWithCongestionWeight(t *testing.T) {
-	rows, err := EnergySensitivity(quickOpts(), []float64{0.5, 2.0})
+	rows, err := EnergySensitivity(context.Background(), quickOpts(), []float64{0.5, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func TestSensitivitySavingGrowsWithCongestionWeight(t *testing.T) {
 }
 
 func TestSensitivityValidation(t *testing.T) {
-	if _, err := EnergySensitivity(quickOpts(), []float64{-1}); err == nil {
+	if _, err := EnergySensitivity(context.Background(), quickOpts(), []float64{-1}); err == nil {
 		t.Fatal("negative scale accepted")
 	}
 }

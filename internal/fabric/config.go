@@ -150,6 +150,17 @@ type Config struct {
 	Remaps []Remap
 }
 
+// The Table 3-3 run defaults. Every layer that fills an unset run
+// parameter — WithDefaults here, hetpnoc.Config.Normalized,
+// experiments.Options and the CLI flag defaults — reads these, so the
+// layers cannot disagree about what an omitted field selects.
+const (
+	DefaultCycles       = 10000
+	DefaultWarmupCycles = 1000
+	DefaultSeed         = 1
+	DefaultLoadScale    = 1.0
+)
+
 // WithDefaults returns the config with unset fields filled from Table 3-3
 // and the implementation defaults documented in DESIGN.md.
 func (c Config) WithDefaults() Config {
@@ -166,16 +177,16 @@ func (c Config) WithDefaults() Config {
 		c.Pattern = traffic.Uniform{}
 	}
 	if c.LoadScale == 0 {
-		c.LoadScale = 1.0
+		c.LoadScale = DefaultLoadScale
 	}
 	if c.Cycles == 0 {
-		c.Cycles = 10000
+		c.Cycles = DefaultCycles
 	}
 	if c.WarmupCycles == 0 {
-		c.WarmupCycles = 1000
+		c.WarmupCycles = DefaultWarmupCycles
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = DefaultSeed
 	}
 	if c.VCsPerPort == 0 {
 		c.VCsPerPort = 16

@@ -73,12 +73,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RunResponse{
-		Key:       out.Key.String(),
-		Cached:    out.Cached,
-		Coalesced: out.Coalesced,
-		Result:    out.Result,
-	})
+	writeJSON(w, http.StatusOK, runResponse(out))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -101,14 +96,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSweep partitions the points by batch prefix (Config.NormalizedPrefix)
-// and executes each partition as one unit of work, with at most Workers
-// concurrent units. Partitions of two or more points go through
-// SubmitBatch — one fabric build per partition, every point forked off
-// it — while singletons take the ordinary Submit path and keep its
-// coalescing with concurrent /v1/run traffic. Singletons hitting pool
-// backpressure back off and retry until the request context expires —
-// a sweep is one logical request, so a transiently full queue should
-// stretch it, not shred it.
+// and submits each partition as one pool job through SubmitBatch — one
+// fabric build per partition, every point forked off it; a singleton
+// partition is an ordinary run and coalesces with concurrent /v1/run
+// traffic. At most Workers partitions of one sweep are outstanding at a
+// time. A partition hitting pool backpressure backs off and retries
+// until the request context expires — a sweep is one logical request,
+// so a transiently full queue should stretch it, not shred it.
 func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunResponse, error) {
 	groups, err := groupByPrefix(configs)
 	if err != nil {
@@ -139,30 +133,21 @@ func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunR
 // runSweepGroup executes one prefix partition and writes each member's
 // response into its original slot.
 func (s *Server) runSweepGroup(ctx context.Context, configs []hetpnoc.Config, members []int, points []RunResponse) error {
-	if len(members) == 1 {
-		i := members[0]
-		out, err := s.submitWithRetry(ctx, configs[i])
-		if err != nil {
-			return err
-		}
-		points[i] = sweepPoint(out)
-		return nil
-	}
 	cfgs := make([]hetpnoc.Config, len(members))
 	for mi, i := range members {
 		cfgs[mi] = configs[i]
 	}
-	outs, err := s.SubmitBatch(ctx, cfgs)
+	outs, err := s.submitWithRetry(ctx, cfgs)
 	if err != nil {
 		return err
 	}
 	for mi, i := range members {
-		points[i] = sweepPoint(outs[mi])
+		points[i] = runResponse(outs[mi])
 	}
 	return nil
 }
 
-func sweepPoint(out Outcome) RunResponse {
+func runResponse(out Outcome) RunResponse {
 	return RunResponse{
 		Key:       out.Key.String(),
 		Cached:    out.Cached,
@@ -193,19 +178,19 @@ func groupByPrefix(configs []hetpnoc.Config) ([][]int, error) {
 	return groups, nil
 }
 
-// submitWithRetry retries ErrBusy with the server's backoff hint until
-// ctx gives up.
-func (s *Server) submitWithRetry(ctx context.Context, cfg hetpnoc.Config) (Outcome, error) {
+// submitWithRetry is SubmitBatch retrying ErrBusy with the server's
+// backoff hint until ctx gives up.
+func (s *Server) submitWithRetry(ctx context.Context, cfgs []hetpnoc.Config) ([]Outcome, error) {
 	for {
-		out, err := s.Submit(ctx, cfg)
+		outs, err := s.SubmitBatch(ctx, cfgs)
 		if !errors.Is(err, ErrBusy) {
-			return out, err
+			return outs, err
 		}
 		t := time.NewTimer(s.cfg.RetryAfter)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return Outcome{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-t.C:
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"hetpnoc"
 	"hetpnoc/internal/testutil/leakcheck"
 )
 
@@ -288,4 +289,158 @@ func TestSoakSaturation429(t *testing.T) {
 	stop2()
 	<-done1
 	<-done2
+}
+
+// TestSoakConcurrentSweepsStayInPool: sweep partitions are pool jobs.
+// Four concurrent multi-point sweeps against a one-worker, one-slot
+// server must never run more than one simulation at a time, must see the
+// full pool as ErrBusy and ride it out by retrying, and must still
+// return, point for point, the bytes of a standalone run.
+func TestSoakConcurrentSweepsStayInPool(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		sweeps = 4
+		points = 4 // per sweep: 2 load scales x 2 seeds, one partition
+	)
+	s := New(Config{Workers: 1, QueueDepth: 1, RetryAfter: 5 * time.Millisecond})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+
+	// Watch the pool for the whole test.
+	stopWatch := make(chan struct{})
+	peak := make(chan int64, 1)
+	watching := true
+	stopWatching := func() int64 {
+		watching = false
+		close(stopWatch)
+		return <-peak
+	}
+	defer func() {
+		if watching {
+			stopWatching()
+		}
+	}()
+	go func() {
+		var max int64
+		for {
+			select {
+			case <-stopWatch:
+				peak <- max
+				return
+			default:
+			}
+			if n := s.Metrics().InFlight; n > max {
+				max = n
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+
+	// Pin the only worker so the sweeps arrive at a full pool.
+	pinCtx, unpin := context.WithCancel(context.Background())
+	pinned := make(chan struct{})
+	go func() {
+		defer close(pinned)
+		_, err := s.Submit(pinCtx, hetpnoc.Config{Cycles: 2_000_000, Seed: 99})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("pinning run: want context.Canceled, got %v", err)
+		}
+	}()
+	defer func() {
+		unpin()
+		<-pinned
+	}()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Metrics().InFlight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("pinning run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	bodies := make([][]byte, sweeps)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for k := 0; k < sweeps; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			req := fmt.Sprintf(`{"base":{"cycles":2000,"warmupCycles":1000},"seeds":[%d,%d],"loadScales":[0.5,1]}`,
+				10*k+1, 10*k+2)
+			resp, err := ts.Client().Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Errorf("sweep %d: %v", k, err)
+				return
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("sweep %d: status %d, read error %v: %s", k, resp.StatusCode, err, data)
+				return
+			}
+			bodies[k] = data
+		}(k)
+	}
+	// One sweep takes the queue slot; the other three must be refused.
+	for s.Metrics().Rejected < sweeps-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweeps were not refused by the full pool: %+v", s.Metrics())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unpin()
+	<-pinned
+	wg.Wait()
+	if max := stopWatching(); max > 1 {
+		t.Errorf("observed %d simulations in flight on a one-worker server", max)
+	}
+
+	for k, body := range bodies {
+		if body == nil {
+			continue // already reported
+		}
+		var sr SweepResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatalf("sweep %d: %v", k, err)
+		}
+		if len(sr.Points) != points {
+			t.Fatalf("sweep %d returned %d points, want %d", k, len(sr.Points), points)
+		}
+		for i, p := range sr.Points {
+			// Expansion order: load scales outermost, seeds innermost.
+			cfg := hetpnoc.Config{
+				Cycles: 2000, WarmupCycles: 1000,
+				LoadScale: []float64{0.5, 1}[i/2],
+				Seed:      uint64(10*k + 1 + i%2),
+			}
+			want, err := hetpnoc.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := p.Result.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := want.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(a) != string(b) {
+				t.Errorf("sweep %d point %d diverges from the standalone run:\nsweep: %s\nsolo:  %s", k, i, a, b)
+			}
+			if !p.Batched {
+				t.Errorf("sweep %d point %d did not run in its partition's batch: %+v", k, i, p)
+			}
+		}
+	}
+	if m := s.Metrics(); m.BatchedRuns != sweeps*points {
+		t.Errorf("metrics report %d batched runs, want %d", m.BatchedRuns, sweeps*points)
+	}
 }

@@ -85,17 +85,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one admitted simulation and the set of requests subscribed
-// to its outcome. The job context is refcounted: it is canceled only
-// when every subscriber has gone away (or the job timeout fires), so one
-// impatient client cannot abort a simulation another still wants.
+// flight is one admitted pool job and the set of requests subscribed to
+// its outcome: a single simulation, or a sweep partition whose configs
+// share one fabric build. cfgs, keys and res are index-aligned. The job
+// context is refcounted: it is canceled only when every subscriber has
+// gone away (or the job timeout fires), so one impatient client cannot
+// abort a simulation another still wants.
 type flight struct {
-	cfg    hetpnoc.Config
-	key    cache.Key
+	cfgs   []hetpnoc.Config
+	keys   []cache.Key
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
-	res    hetpnoc.Result
+	res    []hetpnoc.Result
 	err    error
 
 	subs int //hetpnoc:guardedby Server.mu
@@ -114,7 +116,7 @@ type flight struct {
 //
 //hetpnoc:lockorder Server.mu Cache.mu cache Get/Put may run under the server lock, never the reverse
 //hetpnoc:lockorder Server.mu scheduler.mu the batch scheduler locks only inside plan.Run, entered with no server lock held
-//hetpnoc:lockorder Cache.mu scheduler.mu cache calls complete before a sweep batch runs; the scheduler never calls back into serve
+//hetpnoc:lockorder Cache.mu scheduler.mu cache calls bracket a flight's run, never overlap it; the scheduler never calls back into serve
 type Server struct {
 	cfg   Config
 	cache *cache.Cache
@@ -174,8 +176,8 @@ type Outcome struct {
 	// simulation instead of starting its own.
 	Coalesced bool
 	// Batched reports the simulation ran inside a shared-prefix batch
-	// (SubmitBatch): it forked off a fabric built once for the whole
-	// group instead of paying its own build.
+	// (SubmitBatch with two or more misses): it forked off a fabric
+	// built once for the whole group instead of paying its own build.
 	Batched bool
 }
 
@@ -183,152 +185,140 @@ type Outcome struct {
 // the cache and identical in-flight runs. It blocks until the result is
 // available, ctx is done, or admission fails with ErrBusy/ErrDraining.
 func (s *Server) Submit(ctx context.Context, cfg hetpnoc.Config) (Outcome, error) {
-	cfg = cfg.Normalized()
-	if err := cfg.Validate(); err != nil {
-		return Outcome{}, err
+	cfg, out, err := s.resolve(cfg)
+	if err != nil || out.Cached {
+		return out, err
 	}
-	if s.cfg.MaxCycles > 0 && cfg.Cycles > s.cfg.MaxCycles {
-		return Outcome{}, fmt.Errorf("serve: %d cycles exceeds the per-request limit of %d", cfg.Cycles, s.cfg.MaxCycles)
-	}
-	canonical, err := cfg.CanonicalJSON()
+	fl, joined, err := s.admit([]hetpnoc.Config{cfg}, []cache.Key{out.Key})
 	if err != nil {
 		return Outcome{}, err
 	}
-	key := cache.KeyOf(canonical)
-	if res, ok := s.cache.Get(key); ok {
-		return Outcome{Result: res, Key: key, Cached: true}, nil
-	}
-
-	fl, joined, err := s.admit(cfg, key)
-	if err != nil {
+	if err := s.await(ctx, fl); err != nil {
 		return Outcome{}, err
 	}
-	select {
-	case <-fl.done:
-		if fl.err != nil {
-			return Outcome{}, fl.err
-		}
-		return Outcome{Result: fl.res, Key: key, Coalesced: joined}, nil
-	case <-ctx.Done():
-		s.unsubscribe(fl)
-		return Outcome{}, ctx.Err()
-	}
+	out.Result, out.Coalesced = fl.res[0], joined
+	return out, nil
 }
 
 // SubmitBatch executes a set of configs sharing a batch prefix (equal
-// Config.NormalizedPrefix — the sweep handler groups by it) in one
-// batched pass: cache hits are served directly, duplicates within the
-// batch coalesce onto one run, and the remaining misses go through
-// hetpnoc.RunBatchContext, which builds the shared fabric once and
-// forks every member off a pristine checkpoint. Each result is
-// byte-identical to Submit's for the same config and is published to
-// the cache. The batch runs on the calling goroutine — the sweep
-// handler provides the pool bounding — under the server's job timeout
-// and lifetime, canceled when either ctx or the server gives up.
+// Config.NormalizedPrefix — the sweep handler groups by it) as one pool
+// job: cache hits are served directly, duplicates within the batch
+// coalesce onto one run, and the remaining misses are admitted through
+// the same bounded queue as Submit — so a full pool answers ErrBusy —
+// and run by one worker, which builds the shared fabric once and forks
+// every member off a pristine checkpoint. Each result is byte-identical
+// to Submit's for the same config and is published to the cache. A batch
+// left with a single miss is an ordinary Submit of that config.
 func (s *Server) SubmitBatch(ctx context.Context, cfgs []hetpnoc.Config) ([]Outcome, error) {
-	if s.Draining() {
-		return nil, ErrDraining
-	}
 	outs := make([]Outcome, len(cfgs))
-	// first maps a content key to the index of the first miss carrying
-	// it: later duplicates coalesce onto that run instead of re-entering
-	// the batch.
-	first := make(map[cache.Key]int)
-	var misses []int
+	// slot maps a missed content key to its position in the flight;
+	// duplicates of it read the same slot instead of running again.
+	slot := make(map[cache.Key]int)
+	var run []hetpnoc.Config
+	var keys []cache.Key
 	for i, cfg := range cfgs {
-		cfg = cfg.Normalized()
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		if s.cfg.MaxCycles > 0 && cfg.Cycles > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("serve: %d cycles exceeds the per-request limit of %d", cfg.Cycles, s.cfg.MaxCycles)
-		}
-		canonical, err := cfg.CanonicalJSON()
+		cfg, out, err := s.resolve(cfg)
 		if err != nil {
 			return nil, err
 		}
-		key := cache.KeyOf(canonical)
-		outs[i] = Outcome{Key: key}
-		cfgs[i] = cfg
-		if res, ok := s.cache.Get(key); ok {
-			outs[i].Result, outs[i].Cached = res, true
+		outs[i] = out
+		if out.Cached {
 			continue
 		}
-		if _, dup := first[key]; dup {
-			outs[i].Coalesced, outs[i].Batched = true, true
+		if _, dup := slot[out.Key]; dup {
+			outs[i].Coalesced = true
 			continue
 		}
-		first[key] = i
-		misses = append(misses, i)
+		slot[out.Key] = len(run)
+		run = append(run, cfg)
+		keys = append(keys, out.Key)
 	}
-	if len(misses) == 0 {
+	if len(run) == 0 {
 		return outs, nil
 	}
-
-	jobCtx, cancel := s.jobContext()
-	defer cancel()
-	stop := context.AfterFunc(ctx, cancel)
-	defer stop()
-
-	run := make([]hetpnoc.Config, len(misses))
-	for mi, i := range misses {
-		run[mi] = cfgs[i]
-	}
-	s.inFlight.Add(1)
-	results, err := hetpnoc.RunBatchContext(jobCtx, run)
-	s.inFlight.Add(-1)
+	fl, joined, err := s.admit(run, keys)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			s.canceled.Add(1)
-			return nil, ctxErr
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			s.canceled.Add(1)
-			return nil, err
-		}
-		s.failed.Add(1)
-		return nil, fmt.Errorf("%w: %v", ErrSimulation, err)
+		return nil, err
 	}
-	for mi, i := range misses {
-		s.cache.Put(outs[i].Key, results[mi])
-		s.completed.Add(1)
-		s.batched.Add(1)
-		s.cyclesSimulated.Add(int64(cfgs[i].Cycles))
-		outs[i].Result, outs[i].Batched = results[mi], true
+	if err := s.await(ctx, fl); err != nil {
+		return nil, err
 	}
-	// Duplicates read their result through the first carrier of the key.
+	batched := len(fl.cfgs) > 1
 	for i := range outs {
-		if outs[i].Coalesced {
-			outs[i].Result = outs[first[outs[i].Key]].Result
+		if outs[i].Cached {
+			continue
 		}
+		outs[i].Result = fl.res[slot[outs[i].Key]]
+		outs[i].Batched = batched
+		outs[i].Coalesced = outs[i].Coalesced || joined
 	}
 	return outs, nil
 }
 
-// admit registers the caller on an existing identical flight or creates
-// and enqueues a new one. joined reports the former.
-func (s *Server) admit(cfg hetpnoc.Config, key cache.Key) (fl *flight, joined bool, err error) {
+// resolve is the front half of every submission: normalize, validate,
+// apply the cycle limit, derive the content key and consult the cache.
+// It returns the normalized config and an Outcome carrying the key and,
+// on a cache hit, the result.
+func (s *Server) resolve(cfg hetpnoc.Config) (hetpnoc.Config, Outcome, error) {
+	cfg = cfg.Normalized()
+	if err := cfg.Validate(); err != nil {
+		return cfg, Outcome{}, err
+	}
+	if s.cfg.MaxCycles > 0 && cfg.Cycles > s.cfg.MaxCycles {
+		return cfg, Outcome{}, fmt.Errorf("serve: %d cycles exceeds the per-request limit of %d", cfg.Cycles, s.cfg.MaxCycles)
+	}
+	canonical, err := cfg.CanonicalJSON()
+	if err != nil {
+		return cfg, Outcome{}, err
+	}
+	out := Outcome{Key: cache.KeyOf(canonical)}
+	out.Result, out.Cached = s.cache.Get(out.Key)
+	return cfg, out, nil
+}
+
+// admit enqueues a new flight for cfgs without blocking, or — for a
+// single config — subscribes the caller to an identical flight already
+// in the pool. joined reports the latter. Only single-config flights are
+// registered for coalescing.
+func (s *Server) admit(cfgs []hetpnoc.Config, keys []cache.Key) (fl *flight, joined bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	if fl, ok := s.pending[key]; ok {
-		fl.subs++
-		s.coalesced.Add(1)
-		return fl, true, nil
+	solo := len(keys) == 1
+	if solo {
+		if fl, ok := s.pending[keys[0]]; ok {
+			fl.subs++
+			s.coalesced.Add(1)
+			return fl, true, nil
+		}
 	}
 	jobCtx, cancel := s.jobContext()
-	fl = &flight{cfg: cfg, key: key, ctx: jobCtx, cancel: cancel, done: make(chan struct{}), subs: 1}
+	fl = &flight{cfgs: cfgs, keys: keys, ctx: jobCtx, cancel: cancel, done: make(chan struct{}), subs: 1}
 	select {
 	case s.queue <- fl:
 		s.queued.Add(1)
-		s.pending[key] = fl
+		if solo {
+			s.pending[keys[0]] = fl
+		}
 		return fl, false, nil
 	default:
 		cancel()
 		s.rejected.Add(1)
 		return nil, false, ErrBusy
+	}
+}
+
+// await blocks until fl completes or ctx gives up, returning the
+// flight's error or ctx's.
+func (s *Server) await(ctx context.Context, fl *flight) error {
+	select {
+	case <-fl.done:
+		return fl.err
+	case <-ctx.Done():
+		s.unsubscribe(fl)
+		return ctx.Err()
 	}
 }
 
@@ -362,7 +352,9 @@ func (s *Server) worker() {
 	}
 }
 
-// runFlight executes one admitted simulation and publishes its outcome.
+// runFlight executes one admitted flight and publishes its outcome: a
+// single config takes the solo run path, a partition the batch engine.
+// This is the one place results are cached and the run counters move.
 func (s *Server) runFlight(fl *flight) {
 	if err := fl.ctx.Err(); err != nil {
 		// Every subscriber left (or the timeout fired) while the job
@@ -372,19 +364,30 @@ func (s *Server) runFlight(fl *flight) {
 		s.finish(fl)
 		return
 	}
+	batched := len(fl.cfgs) > 1
 	s.inFlight.Add(1)
-	res, err := hetpnoc.RunContext(fl.ctx, fl.cfg)
+	if batched {
+		fl.res, fl.err = hetpnoc.RunBatchContext(fl.ctx, fl.cfgs)
+	} else {
+		var res hetpnoc.Result
+		res, fl.err = hetpnoc.RunContext(fl.ctx, fl.cfgs[0])
+		fl.res = []hetpnoc.Result{res}
+	}
 	s.inFlight.Add(-1)
-	fl.res, fl.err = res, err
 	switch {
-	case err == nil:
-		s.cache.Put(fl.key, res)
-		s.completed.Add(1)
-		s.cyclesSimulated.Add(int64(fl.cfg.Cycles))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case fl.err == nil:
+		for i, res := range fl.res {
+			s.cache.Put(fl.keys[i], res)
+			s.cyclesSimulated.Add(int64(fl.cfgs[i].Cycles))
+		}
+		s.completed.Add(int64(len(fl.res)))
+		if batched {
+			s.batched.Add(int64(len(fl.res)))
+		}
+	case errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded):
 		s.canceled.Add(1)
 	default:
-		fl.err = fmt.Errorf("%w: %v", ErrSimulation, err)
+		fl.err = fmt.Errorf("%w: %v", ErrSimulation, fl.err)
 		s.failed.Add(1)
 	}
 	s.finish(fl)
@@ -395,7 +398,11 @@ func (s *Server) runFlight(fl *flight) {
 // afterwards starts fresh instead of adopting a dead flight.
 func (s *Server) finish(fl *flight) {
 	s.mu.Lock()
-	delete(s.pending, fl.key)
+	// Partition flights are never registered, and their first key may
+	// be pending as someone else's single run.
+	if s.pending[fl.keys[0]] == fl {
+		delete(s.pending, fl.keys[0])
+	}
 	s.mu.Unlock()
 	fl.cancel()
 	close(fl.done)

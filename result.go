@@ -2,6 +2,7 @@ package hetpnoc
 
 import (
 	"hetpnoc/internal/area"
+	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/gpgpu"
 	"hetpnoc/internal/units"
@@ -69,9 +70,12 @@ type Result struct {
 	Events []string
 }
 
-// fromFabricResult flattens the internal result into the public one.
-func fromFabricResult(r fabric.Result) Result {
-	return Result{
+// fromFabricResult lifts a finished run into the public Result. events
+// is the run's retained event log, nil exactly when the config left the
+// log off — Result.Events is then nil too, and non-nil (possibly empty)
+// otherwise.
+func fromFabricResult(r fabric.Result, events []event.Event) Result {
+	out := Result{
 		Architecture:         r.Arch,
 		Traffic:              r.Pattern,
 		BandwidthSet:         r.Set,
@@ -101,6 +105,13 @@ func fromFabricResult(r fabric.Result) Result {
 		TorusPathsSetUp:      r.TorusPathsSetUp,
 		TorusSetupsBlocked:   r.TorusSetupsBlocked,
 	}
+	if events != nil {
+		out.Events = make([]string, len(events))
+		for i, e := range events {
+			out.Events[i] = e.String()
+		}
+	}
+	return out
 }
 
 // AreaEstimate is the analytic electro-optic area model of §3.4.3 for one

@@ -1,10 +1,10 @@
 package hetpnoc
 
 import (
+	"context"
 	"fmt"
 
 	"hetpnoc/internal/fabric"
-	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 )
 
@@ -35,40 +35,17 @@ type TrafficRemap struct {
 // RunWithTrace simulates cfg like Run, optionally applying remaps, and
 // invokes observe with a snapshot every interval cycles. Use it to watch
 // the dynamic bandwidth allocation converge and react to task changes.
+// It is the same run as Run in every other respect: with no remaps the
+// Result is byte-identical to Run's (the observer only reads), and
+// Result.Events carries the event log when cfg.EventCapacity is set.
+// It takes no context, so like Run it always runs to completion.
+//
+//hetpnoc:ctxroot synchronous public entry point, shares RunContext's run path
 func RunWithTrace(cfg Config, remaps []TrafficRemap, interval int64, observe func(Snapshot)) (Result, error) {
 	if interval <= 0 {
 		return Result{}, fmt.Errorf("hetpnoc: trace interval must be positive, got %d", interval)
 	}
-	fc, err := cfg.toFabricConfig()
-	if err != nil {
-		return Result{}, err
-	}
-	for _, r := range remaps {
-		pattern, err := r.Traffic.toPattern()
-		if err != nil {
-			return Result{}, err
-		}
-		fc.Remaps = append(fc.Remaps, fabric.Remap{At: sim.Cycle(r.AtCycle), Pattern: pattern})
-	}
-
-	f, err := fabric.New(fc)
-	if err != nil {
-		return Result{}, err
-	}
-	fc = fc.WithDefaults()
-	for i := 0; i < fc.Cycles; i++ {
-		if err := f.Step(); err != nil {
-			return Result{}, err
-		}
-		if observe != nil && int64(f.Now())%interval == 0 {
-			observe(snapshotOf(f, fc.Topology))
-		}
-	}
-	res, err := f.Finish()
-	if err != nil {
-		return Result{}, err
-	}
-	return fromFabricResult(res), nil
+	return simulate(context.Background(), cfg, remaps, interval, observe)
 }
 
 // snapshotOf captures the observable state of a running fabric.

@@ -1,0 +1,119 @@
+package hetpnoc
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+
+	"hetpnoc/internal/fabric"
+)
+
+// TestRunWithTraceCarriesEvents: Config.EventCapacity promises the log in
+// Result.Events on every run path, the traced one included.
+func TestRunWithTraceCarriesEvents(t *testing.T) {
+	cfg := Config{
+		Architecture:  DHetPNoC,
+		Traffic:       SkewedTraffic(2),
+		Cycles:        2500,
+		WarmupCycles:  500,
+		EventCapacity: 256,
+	}
+	traced, err := RunWithTrace(cfg, nil, 500, func(Snapshot) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traced.Events) == 0 {
+		t.Fatal("RunWithTrace dropped the event log")
+	}
+	solo, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traced.Events, solo.Events) {
+		t.Fatal("traced run's event log differs from Run's")
+	}
+}
+
+// TestRunWithTraceMatchesRun: without remaps the traced run is Run — the
+// observer only reads — whatever the observation interval, on every
+// architecture.
+func TestRunWithTraceMatchesRun(t *testing.T) {
+	for _, arch := range []Architecture{Firefly, DHetPNoC, TorusPNoC} {
+		cfg := Config{Architecture: arch, Traffic: SkewedTraffic(3), Cycles: 2500, WarmupCycles: 500, Seed: 7}
+		solo, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solo.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name     string
+			interval int64
+			observe  func(Snapshot)
+		}{
+			{"nil observer", 1, nil},
+			{"every cycle", 1, func(Snapshot) {}},
+			{"non-divisor interval", 700, func(Snapshot) {}},
+			{"interval beyond the run", 1 << 40, func(Snapshot) {}},
+		} {
+			traced, err := RunWithTrace(cfg, nil, tc.interval, tc.observe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := traced.CanonicalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: traced result diverges from Run:\ntraced: %s\nrun:    %s", arch, tc.name, got, want)
+			}
+		}
+	}
+}
+
+// TestRunWithTraceSnapshotCadence: the observer fires exactly at the
+// positive multiples of interval within the run, including the final
+// cycle when it is one.
+func TestRunWithTraceSnapshotCadence(t *testing.T) {
+	cfg := Config{Cycles: 2000, WarmupCycles: 500}
+	for _, tc := range []struct {
+		interval int64
+		want     []int64
+	}{
+		{500, []int64{500, 1000, 1500, 2000}},
+		{700, []int64{700, 1400}},
+		{2000, []int64{2000}},
+		{2001, nil},
+	} {
+		var got []int64
+		if _, err := RunWithTrace(cfg, nil, tc.interval, func(s Snapshot) { got = append(got, s.Cycle) }); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("interval %d: snapshots at cycles %v, want %v", tc.interval, got, tc.want)
+		}
+	}
+}
+
+// TestNormalizedDefaultsMatchFabric: the public Normalized pass and the
+// fabric's WithDefaults fill every field they share from the same table,
+// so a zero Config and a zero fabric.Config select the same run.
+func TestNormalizedDefaultsMatchFabric(t *testing.T) {
+	lowered, err := lower(Config{}.Normalized(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fabric.Config{}.WithDefaults()
+	// Before the fabric's own defaulting pass: what Normalized chose.
+	if lowered.LoadScale != want.LoadScale || lowered.Cycles != want.Cycles ||
+		lowered.WarmupCycles != want.WarmupCycles || lowered.Seed != want.Seed {
+		t.Errorf("Normalized run parameters (load %g, cycles %d, warm-up %d, seed %d) disagree with fabric defaults (load %g, cycles %d, warm-up %d, seed %d)",
+			lowered.LoadScale, lowered.Cycles, lowered.WarmupCycles, lowered.Seed,
+			want.LoadScale, want.Cycles, want.WarmupCycles, want.Seed)
+	}
+	if got := lowered.WithDefaults(); !reflect.DeepEqual(got, want) {
+		t.Errorf("zero Config lowers to\n%+v\nbut the fabric's zero value defaults to\n%+v", got, want)
+	}
+}
