@@ -3,15 +3,12 @@
 #   make check   — build, vet, lint (hetpnoclint), full test suite, a
 #                  race-enabled run of everything, and bench-check (the
 #                  CI gate)
-#   make lint    — run the analyzer suite (cmd/hetpnoclint, see
+#   make lint    — run the 12-analyzer suite (cmd/hetpnoclint, see
 #                  docs/ANALYSIS.md)
 #   make lint-fix — apply the suite's machine-applicable fixes in place
 #                  (run `make lint-dry` first to preview)
 #   make test    — fast test pass only
 #   make fuzz-smoke — 10s-per-target native fuzz pass (CI smoke gate)
-#   make bench   — perf snapshot: writes BENCH_<date>.json via cmd/benchjson
-#   make bench-compare — fresh run diffed against the newest committed
-#                  BENCH_*.json; exits nonzero on a >20% throughput loss
 #   make bench-check — vet, test and smoke-run the bench/ module (the
 #                  BENCHMARK.json load generator), which root `go test
 #                  ./...` cannot see
@@ -20,7 +17,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench bench-compare bench-check sweep
+.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check sweep
 
 check: build vet lint test race bench-check
 
@@ -31,13 +28,14 @@ vet:
 	$(GO) vet ./...
 
 # hetpnoclint enforces the simulator's determinism, hot-path,
-# concurrency-safety and API-stability invariants: the per-package
-# analyzers (detrand, maprange, hotpathalloc, globalstate, lockguard,
-# ctxflow, errsink), the whole-program layer (hotpathreach, dettaint,
-# lockorder), the compiler-evidence layer (allocproof, snapcover), the
-# value-flow layer (unitsafe, seedflow), the concurrency-protocol
-# layer (goleak, chanown, wgsync) and apistable; any undirected
-# violation exits non-zero. See docs/ANALYSIS.md.
+# lock-discipline and API-stability invariants with 12 analyzers: the
+# per-package ones (maprange, globalstate, lockguard, ctxflow, errsink),
+# the whole-program layer (hotpathreach, dettaint, lockorder), the
+# compiler-evidence layer (allocproof, snapcover), the value-flow layer
+# (unitsafe) and apistable; any undirected violation exits non-zero.
+# Goroutine lifetime, channel and WaitGroup discipline are dynamic
+# gates: `make race` plus the leakcheck-armed tests. See
+# docs/ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/hetpnoclint ./...
 
@@ -78,12 +76,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequestDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPlan$$' -fuzztime $(FUZZTIME) ./internal/batch
-
-bench:
-	./scripts/bench.sh
-
-bench-compare:
-	./scripts/bench.sh compare
 
 # bench/ is its own module (hetpnoc/bench, replace hetpnoc => ../) and
 # compiles against internal/fabric, internal/batch and internal/serve by

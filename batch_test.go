@@ -108,10 +108,36 @@ func TestBatchEquivalenceDedupes(t *testing.T) {
 	}
 }
 
-// TestBatchSweep256Builds pins the benchmark corpus's shape: the
-// 256-point sweep of BenchmarkBatchSweep256 must collapse onto exactly
-// 8 fabric builds (2 architectures × 2 bandwidth sets × 2 patterns),
-// each carrying its 32 seed/load variants.
+// sweep256Configs builds a 256-point sweep: a cross-product of 8 build
+// prefixes (2 architectures × 2 bandwidth sets × 2 traffic patterns)
+// fanned out over 8 seeds and 4 load scales.
+func sweep256Configs() []Config {
+	var cfgs []Config
+	for _, arch := range []Architecture{DHetPNoC, Firefly} {
+		for _, set := range []int{1, 2} {
+			for _, tr := range []Traffic{{Kind: UniformRandom}, {Kind: SkewedKind, SkewLevel: 2}} {
+				for seed := uint64(1); seed <= 8; seed++ {
+					for _, load := range []float64{0.5, 1, 1.5, 2} {
+						cfgs = append(cfgs, Config{
+							Architecture: arch,
+							BandwidthSet: set,
+							Traffic:      tr,
+							LoadScale:    load,
+							Cycles:       600,
+							WarmupCycles: 150,
+							Seed:         seed,
+						})
+					}
+				}
+			}
+		}
+	}
+	return cfgs
+}
+
+// TestBatchSweep256Builds pins the sweep's shape: the batch engine must
+// collapse the 256 points onto exactly 8 fabric builds, each carrying
+// its 32 seed/load variants.
 func TestBatchSweep256Builds(t *testing.T) {
 	cfgs := sweep256Configs()
 	if len(cfgs) != 256 {

@@ -16,7 +16,6 @@ import (
 	"context"
 	"testing"
 
-	"hetpnoc/internal/batch"
 	"hetpnoc/internal/experiments"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
@@ -276,107 +275,4 @@ func BenchmarkArchitectureComparison(b *testing.B) {
 		dhetGain = float64((byVariant["d-hetpnoc"].PeakBandwidthGbps/byVariant["firefly"].PeakBandwidthGbps - 1) * 100)
 	}
 	b.ReportMetric(dhetGain, "dhet-over-firefly-%")
-}
-
-// sweep256Configs builds the batching benchmark corpus: a 256-point
-// cross-product of 8 build prefixes (2 architectures × 2 bandwidth sets
-// × 2 traffic patterns) fanned out over 8 seeds and 4 load scales. The
-// batch engine must collapse it onto 8 fabric builds
-// (TestBatchSweep256Builds pins the count).
-func sweep256Configs() []Config {
-	var cfgs []Config
-	for _, arch := range []Architecture{DHetPNoC, Firefly} {
-		for _, set := range []int{1, 2} {
-			for _, tr := range []Traffic{{Kind: UniformRandom}, {Kind: SkewedKind, SkewLevel: 2}} {
-				for seed := uint64(1); seed <= 8; seed++ {
-					for _, load := range []float64{0.5, 1, 1.5, 2} {
-						cfgs = append(cfgs, Config{
-							Architecture: arch,
-							BandwidthSet: set,
-							Traffic:      tr,
-							LoadScale:    load,
-							Cycles:       600,
-							WarmupCycles: 150,
-							Seed:         seed,
-						})
-					}
-				}
-			}
-		}
-	}
-	return cfgs
-}
-
-// BenchmarkBatchSweep256 runs the 256-point sweep through the batch
-// engine: 8 fabric builds, every other point forked off a pristine
-// checkpoint, groups spread over GOMAXPROCS workers. Compare against
-// BenchmarkSequentialSweep256 — the same points run naively — for the
-// batching speedup; results are byte-identical (TestBatchEquivalence).
-func BenchmarkBatchSweep256(b *testing.B) {
-	cfgs := sweep256Configs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := RunBatch(cfgs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != len(cfgs) {
-			b.Fatalf("got %d results for %d configs", len(res), len(cfgs))
-		}
-	}
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(plan.Stats().Groups), "fabric-builds")
-	b.ReportMetric(float64(len(cfgs)), "points")
-}
-
-// BenchmarkSequentialSweep256 is the baseline the batch engine is
-// measured against: the same 256 points, each paying its own fabric
-// build and full run, one after another.
-func BenchmarkSequentialSweep256(b *testing.B) {
-	cfgs := sweep256Configs()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var injected int64
-		for _, cfg := range cfgs {
-			res, err := Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			injected += res.PacketsInjected
-		}
-		if injected == 0 {
-			b.Fatal("no packets injected across the whole sweep")
-		}
-	}
-	b.ReportMetric(float64(len(cfgs)), "fabric-builds")
-	b.ReportMetric(float64(len(cfgs)), "points")
-}
-
-// BenchmarkSimulationThroughput measures raw simulator speed: cycles per
-// second for one d-HetPNoC run at bandwidth set 1 under skewed 2 traffic.
-func BenchmarkSimulationThroughput(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			Architecture: DHetPNoC,
-			BandwidthSet: 1,
-			Traffic:      SkewedTraffic(2),
-			Cycles:       2000,
-			WarmupCycles: 400,
-			Seed:         uint64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.PacketsDelivered == 0 {
-			b.Fatal("no packets delivered")
-		}
-	}
 }

@@ -22,10 +22,9 @@
 //
 // The suite loads and type-checks the module once; per-package
 // analyzers then run over each package, and the whole-program analyzers
-// (hotpathreach, allocproof, snapcover, dettaint, lockorder, unitsafe,
-// seedflow, goleak, chanown, wgsync) run once over all packages,
-// sharing a single memoized call graph, hot-path BFS, value-flow layer
-// and concurrency-protocol layer (internal/analysis/conc). allocproof additionally shells out one evidence build
+// (hotpathreach, allocproof, snapcover, dettaint, lockorder, unitsafe)
+// run once over all packages, sharing a single memoized call graph and
+// hot-path BFS. allocproof additionally shells out one evidence build
 // (go build -gcflags='-m=2 -d=ssa/check_bce'); -gcobsout writes its
 // parsed escape/bounds-check report as JSON for the CI artifact.
 //
@@ -47,34 +46,26 @@ import (
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/allocproof"
 	"hetpnoc/internal/analysis/apistable"
-	"hetpnoc/internal/analysis/chanown"
 	"hetpnoc/internal/analysis/ctxflow"
-	"hetpnoc/internal/analysis/detrand"
 	"hetpnoc/internal/analysis/dettaint"
 	"hetpnoc/internal/analysis/errsink"
 	"hetpnoc/internal/analysis/fix"
 	"hetpnoc/internal/analysis/gcobs"
 	"hetpnoc/internal/analysis/globalstate"
-	"hetpnoc/internal/analysis/goleak"
-	"hetpnoc/internal/analysis/hotpathalloc"
 	"hetpnoc/internal/analysis/hotpathreach"
 	"hetpnoc/internal/analysis/load"
 	"hetpnoc/internal/analysis/lockguard"
 	"hetpnoc/internal/analysis/lockorder"
 	"hetpnoc/internal/analysis/maprange"
-	"hetpnoc/internal/analysis/seedflow"
 	"hetpnoc/internal/analysis/snapcover"
 	"hetpnoc/internal/analysis/unitsafe"
-	"hetpnoc/internal/analysis/wgsync"
 )
 
 // analyzers is the hetpnoclint suite, in reporting order: the
 // per-package analyzers first, then the whole-program layer, with
 // apistable last (it only gates exported API goldens).
 var analyzers = []*analysis.Analyzer{
-	detrand.Analyzer,
 	maprange.Analyzer,
-	hotpathalloc.Analyzer,
 	globalstate.Analyzer,
 	lockguard.Analyzer,
 	ctxflow.Analyzer,
@@ -85,10 +76,6 @@ var analyzers = []*analysis.Analyzer{
 	dettaint.Analyzer,
 	lockorder.Analyzer,
 	unitsafe.Analyzer,
-	seedflow.Analyzer,
-	goleak.Analyzer,
-	chanown.Analyzer,
-	wgsync.Analyzer,
 	apistable.Analyzer,
 }
 

@@ -160,30 +160,6 @@ func (c *Core) Snapshot() *CoreSnap { return &CoreSnap{ticks: c.ticks} }
 
 func (c *Core) Restore(s *CoreSnap) { c.ticks = s.ticks }
 `)
-	// seedflow bait: a Fabric type in the fabric package whose consumer
-	// reseeds on only one branch before running. The methods return
-	// nothing so errsink stays out of the way, and Fabric has no capture
-	// method so snapcover never adopts it as a subject.
-	write("internal/fabric/fork.go", `package fabric
-
-type Checkpoint struct{ state int }
-
-type Fabric struct{ rng int }
-
-func (f *Fabric) Restore(cp *Checkpoint) { f.rng = cp.state }
-
-func (f *Fabric) Reseed(seed int) { f.rng = seed }
-
-func (f *Fabric) Run(cycles int) { f.rng += cycles }
-
-func Fork(f *Fabric, cp *Checkpoint, fresh bool) {
-	f.Restore(cp)
-	if fresh {
-		f.Reseed(1)
-	}
-	f.Run(10)
-}
-`)
 	// unitsafe bait: a mini units package defining two domains, and a
 	// consumer that launders one into the other and adds them.
 	write("internal/units/units.go", `package units
@@ -202,47 +178,6 @@ func Mix(db units.DB, mw units.MilliWatt) float64 {
 
 func Launder(mw units.MilliWatt) units.DB {
 	return units.DB(float64(mw))
-}
-`)
-	// Concurrency-protocol bait: Spin leaks a forever-goroutine
-	// (goleak), Give closes a channel it received and Twice closes one
-	// twice (chanown), Race calls Add inside the goroutine it accounts
-	// for (wgsync). tick() keeps every body side-effect-free without a
-	// package-level var that would wake globalstate.
-	write("internal/pool/pool.go", `package pool
-
-import "sync"
-
-func tick() {}
-
-func Spin() {
-	go func() {
-		for {
-			tick()
-		}
-	}()
-}
-
-func Give(ch chan int) {
-	close(ch)
-}
-
-func Twice() {
-	ch := make(chan int)
-	close(ch)
-	close(ch)
-}
-
-func Race() {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		wg.Add(1)
-		defer wg.Done()
-		defer wg.Done()
-		tick()
-	}()
-	wg.Wait()
 }
 `)
 	// Stale API golden: lists one symbol that no longer exists, knows
@@ -269,28 +204,26 @@ func Race() {
 		}
 	}
 	want := map[string]int{
-		"detrand":      2, // math/rand import + time.Now call
 		"maprange":     1, // undirected range over m
 		"globalstate":  1, // package-level var hits
-		"hotpathalloc": 1, // fmt.Sprintf in a hotpath function
 		"ctxflow":      2, // Step() with ctx in scope + context.Background mint
 		"errsink":      2, // Step() dropped error in Use and in Drop
 		"lockguard":    1, // Counter.n written without Counter.mu
-		"hotpathreach": 1, // fabric.Step -> helper.Label reaches fmt.Sprintf
-		"dettaint":     1, // fabric.Sync calls helper.Jitter (taints to time.Now)
+		"hotpathreach": 2, // fmt.Sprintf in root sim.Hot + fabric.Step -> helper.Label reaches fmt.Sprintf
+		"dettaint":     3, // math/rand import + time.Now call in sim + fabric.Sync calls helper.Jitter (taints to time.Now)
 		"lockorder":    1, // helper.Both nests Reg.mu and Log.mu undeclared
 		"snapcover":    2, // Core.Snapshot misses drift, Core.Restore misses drift
 		"unitsafe":     2, // laundered dB+mW add, mW-to-dB laundering cast
-		"seedflow":     1, // Fork runs with Reseed missing on one branch
-		"goleak":       1, // Spin's goroutine loops forever, unjoined
-		"chanown":      2, // Give closes a parameter, Twice double-closes
-		"wgsync":       1, // Race calls Add inside the spawned goroutine
 		"apistable":    1, // Gone removed relative to the golden
 	}
 	for a, n := range want {
 		if got[a] != n {
 			t.Errorf("analyzer %s reported %d diagnostics, want %d", a, got[a], n)
 		}
+	}
+	// Every registered analyzer has bait: want plus allocproof below.
+	if len(want)+1 != len(analyzers) {
+		t.Errorf("bait covers %d analyzers, the suite has %d", len(want)+1, len(analyzers))
 	}
 	// allocproof counts come from the live compiler's -m=2 output, which
 	// shifts with toolchain version (inlining attribution, moved/escape
@@ -317,7 +250,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("empty -only selected %d analyzers, want the full suite of %d", len(full), len(analyzers))
 	}
 
-	active, err := selectAnalyzers("seedflow, detrand ,unitsafe")
+	active, err := selectAnalyzers("unitsafe, maprange ,dettaint")
 	if err != nil {
 		t.Fatalf("subset -only: %v", err)
 	}
@@ -325,9 +258,9 @@ func TestSelectAnalyzers(t *testing.T) {
 	for i, a := range active {
 		gotNames[i] = a.Name
 	}
-	// Suite order, not flag order: detrand runs first, apistable would
+	// Suite order, not flag order: maprange runs first, apistable would
 	// still run last if selected.
-	wantNames := []string{"detrand", "unitsafe", "seedflow"}
+	wantNames := []string{"maprange", "dettaint", "unitsafe"}
 	if len(gotNames) != len(wantNames) {
 		t.Fatalf("selected %v, want %v", gotNames, wantNames)
 	}
@@ -337,8 +270,12 @@ func TestSelectAnalyzers(t *testing.T) {
 		}
 	}
 
-	if _, err := selectAnalyzers("detrand,nosuch"); err == nil {
-		t.Error("unknown analyzer name accepted, want error")
+	// Names of analyzers folded into dettaint/hotpathreach or removed
+	// are unknown like any other typo.
+	for _, name := range []string{"maprange,nosuch", "detrand", "hotpathalloc", "goleak"} {
+		if _, err := selectAnalyzers(name); err == nil {
+			t.Errorf("-only %s accepted, want an unknown-analyzer error", name)
+		}
 	}
 }
 

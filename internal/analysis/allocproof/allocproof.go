@@ -1,5 +1,5 @@
 // Package allocproof upgrades hot-path allocation enforcement from
-// heuristic to compiler evidence. Where hotpathalloc pattern-matches
+// heuristic to compiler evidence. Where hotpathreach pattern-matches
 // syntax that usually allocates, this analyzer consumes the compiler's
 // own escape-analysis and bounds-check diagnostics (internal/analysis/
 // gcobs) and reports, for every function reachable from a
@@ -21,7 +21,7 @@
 //
 // When the compiler proves an escape on a line the heuristic analyzer
 // did not flag, the diagnostic says so — each such disagreement is a
-// candidate new hotpathalloc rule.
+// candidate new hotpathreach.Check rule.
 package allocproof
 
 import (
@@ -35,7 +35,6 @@ import (
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/callgraph"
 	"hetpnoc/internal/analysis/gcobs"
-	"hetpnoc/internal/analysis/hotpathalloc"
 	"hetpnoc/internal/analysis/hotpathreach"
 )
 
@@ -176,7 +175,7 @@ func (h *hotFunc) build() {
 	})
 
 	// The heuristic analyzer's view of the same body, for disagreement
-	// flagging: run hotpathalloc.Check with an intercepted reporter.
+	// flagging: run hotpathreach.Check with an intercepted reporter.
 	h.heuristicLines = make(map[int]bool)
 	pass := h.mp.PassFor(h.n.Unit)
 	pass.Report = func(d analysis.Diagnostic) {
@@ -184,7 +183,7 @@ func (h *hotFunc) build() {
 			h.heuristicLines[f.Line(d.Pos)] = true
 		}
 	}
-	hotpathalloc.Check(pass, h.n.Decl)
+	hotpathreach.Check(pass, h.n.Decl)
 }
 
 // checkEscape reports a compiler-proven heap allocation, unless the line
@@ -202,7 +201,7 @@ func (h *hotFunc) checkEscape(fact gcobs.Fact, chain string) {
 	}
 	msg := fmt.Sprintf("compiler-proven heap allocation on the hot path: %s (hot path: %s)", fact.Text, chain)
 	if !h.heuristicLines[fact.Line] {
-		msg += " [hotpathalloc heuristics missed this]"
+		msg += " [hotpathreach heuristics missed this]"
 	}
 	h.mp.Reportf(pos, msg,
 		"restructure to reuse a preallocated buffer, or sever a deliberate slow path with //hetpnoc:coldcall <why>")

@@ -14,7 +14,10 @@ import (
 // must be reported, while panic-argument spans, coldcall-covered lines
 // and bounds checks outside occupancy scan loops stay silent.
 func TestAllocproof(t *testing.T) {
-	testdata := analysistest.TestData()
+	testdata, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
 	file := filepath.Join(testdata, "src", "ap", "hot", "hot.go")
 	report := &gcobs.Report{
 		Dir:     filepath.Join(testdata, "src", "ap", "hot"),

@@ -31,9 +31,9 @@ type Analyzer struct {
 	Run func(*Pass) error
 
 	// RunModule, when set, applies the analyzer once to the whole
-	// module instead of package-by-package. The three whole-program
-	// analyzers (hotpathreach, dettaint, lockorder) need every package
-	// at once to build and traverse the call graph.
+	// module instead of package-by-package. The whole-program analyzers
+	// (hotpathreach, dettaint, lockorder, ...) need every package at
+	// once to build and traverse the call graph.
 	RunModule func(*ModulePass) error
 }
 
@@ -139,8 +139,8 @@ func (mp *ModulePass) Reportf(pos token.Pos, msg, suggestion string) {
 }
 
 // PassFor builds a per-package Pass over unit u that shares mp's
-// reporter, so a module analyzer can reuse intraprocedural checkers
-// (hotpathreach reuses hotpathalloc's body checks this way).
+// reporter, so a module analyzer can run intraprocedural checkers
+// (hotpathreach's body checks, dettaint's map-range check).
 func (mp *ModulePass) PassFor(u *PackageUnit) *Pass {
 	return &Pass{
 		Analyzer:  mp.Analyzer,

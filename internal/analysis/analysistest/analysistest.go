@@ -35,16 +35,6 @@ import (
 	"hetpnoc/internal/analysis"
 )
 
-// TestData returns the absolute path of the calling test's testdata
-// directory.
-func TestData() string {
-	dir, err := filepath.Abs("testdata")
-	if err != nil {
-		panic(err)
-	}
-	return dir
-}
-
 // Shared across Run calls: srcimporter re-type-checks the standard
 // library per instance, so all fixture packages in a test binary share
 // one instance (and therefore one FileSet).

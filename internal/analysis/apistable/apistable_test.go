@@ -9,10 +9,6 @@ import (
 	"hetpnoc/internal/analysis/apistable"
 )
 
-func TestApistable(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), apistable.Analyzer, "apfix")
-}
-
 // TestUpdateRoundTrip checks -update semantics: Update writes a golden
 // that the very next plain run accepts without diagnostics.
 func TestUpdateRoundTrip(t *testing.T) {

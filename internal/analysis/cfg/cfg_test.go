@@ -568,7 +568,7 @@ func F() {
 }
 
 func TestDeferredKillInSpawnLoop(t *testing.T) {
-	// The wgsync shape: a deferred kill (defer wg.Done / defer unlock)
+	// The spawn-loop shape: a deferred kill (defer wg.Done / defer unlock)
 	// must not consume the fact on the loop path or at the join point.
 	probes := factsAt(t, `package p
 func F(n int) {

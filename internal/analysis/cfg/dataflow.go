@@ -128,8 +128,8 @@ func (g *Graph) ForwardMust(entry FactSet, transfer func(n ast.Node, facts FactS
 // facts holding at each block's entry on at least one path from the
 // function entry: the meet is union, so a fact survives a join point
 // when any incoming path carries it. It is the dual of ForwardMust —
-// seedflow asks "can a stale RNG state reach this Run call on *some*
-// path?", where a must-analysis would only see the paths all agreeing.
+// vflow asks "can this definition reach this use on *some* path?",
+// where a must-analysis would only see the paths all agreeing.
 //
 // Termination: per block, the entry set only ever grows, and the fact
 // universe is bounded by what transfer generates from the function's

@@ -1,27 +1,28 @@
-// Package dettaint propagates nondeterminism through the call graph.
-// detrand polices direct use of wall-clock time and unseeded randomness
-// inside simulator packages, but says nothing about a sim package
-// calling a helper (internal/stats, internal/topology, ...) that reads
-// time.Now three frames down — the entropy still reaches simulator
-// state, just laundered through module code detrand never inspects.
+// Package dettaint forbids nondeterminism in the simulator core, both
+// used directly and laundered through the call graph. Two runs with the
+// same seed must be bit-identical (internal/sim package doc), so all
+// randomness must flow through sim.RNG and all time through sim.Clock /
+// sim.Cycle. Tooling packages (cmd/*, internal/report, examples) are
+// exempt — until a simulator package calls into them.
 //
-// This analyzer computes, for every module function, whether its
-// execution can observe a nondeterminism source:
+// Direct use, inside simulator packages: an import of math/rand,
+// math/rand/v2 or crypto/rand, any reference to a wall-clock member of
+// package time, and testing/quick's unseeded driver are reported where
+// they stand.
 //
-//   - calls into the standard library's entropy and wall-clock APIs
-//     (detrand's time/rand tables, plus testing/quick's unseeded
-//     driver, which detrand does not cover);
+// Laundered use: for every module function the analyzer computes
+// whether its execution can observe a nondeterminism source:
+//
+//   - calls into the same standard-library entropy and wall-clock APIs;
 //   - range statements over maps in non-sim module packages without an
 //     //hetpnoc:orderfree justification (maprange already covers sim
 //     packages).
 //
 // Taint propagates caller-ward over all call-graph edges until
 // fixpoint. A call from a simulator-package function to a tainted
-// helper is an error; the diagnostic carries the taint chain from the
-// call site down to the intrinsic source. Direct calls from sim
-// functions to sources outside detrand's tables (testing/quick.Check)
-// are reported too, so the two analyzers cover the source set exactly
-// once between them.
+// helper (internal/stats, internal/topology, ...) is an error; the
+// diagnostic carries the taint chain from the call site down to the
+// intrinsic source.
 //
 // //hetpnoc:detsafe <why> on a function's doc comment declares that
 // its nondeterminism never reaches simulator state — the canonical case
@@ -45,46 +46,57 @@ import (
 // Analyzer is the dettaint check.
 var Analyzer = &analysis.Analyzer{
 	Name: "dettaint",
-	Doc: "forbid calls from simulator packages to transitively nondeterministic module functions\n\n" +
-		"Interprocedural companion to detrand: taint from wall-clock time,\n" +
-		"unseeded randomness, testing/quick and order-sensitive map ranges\n" +
-		"propagates up the call graph; a sim-package call to a tainted\n" +
+	Doc: "forbid nondeterminism sources in simulator packages, direct or through module helpers\n\n" +
+		"Simulator state may only advance from seeded sim.RNG draws and the\n" +
+		"sim.Cycle clock. math/rand, crypto/rand, wall-clock time and\n" +
+		"testing/quick are reported where a simulator package uses them;\n" +
+		"taint from the same sources and from order-sensitive map ranges\n" +
+		"propagates up the call graph, and a sim-package call to a tainted\n" +
 		"helper is reported with the full taint chain. Declare deliberate\n" +
 		"sampling with //hetpnoc:detsafe <why>.",
 	RunModule: run,
 }
 
-// sourceHint matches one external *types.Func against the
-// nondeterminism-source tables, returning a display name and whether it
-// is already covered by detrand inside sim packages (and therefore not
-// re-reported there).
-func sourceHint(f *types.Func) (name string, detrandCovered, ok bool) {
-	pkg := f.Pkg()
-	if pkg == nil {
-		return "", false, false
-	}
-	switch pkg.Path() {
-	case "time":
-		if _, bad := forbiddenTime[f.Name()]; bad {
-			return "time." + f.Name(), true, true
-		}
-	case "math/rand", "math/rand/v2", "crypto/rand":
-		return pkg.Path() + "." + f.Name(), true, true
-	case "testing/quick":
-		// quick.Check / quick.CheckEqual draw from an unseeded
-		// rand.Source unless a Config supplies one.
-		if strings.HasPrefix(f.Name(), "Check") {
-			return "testing/quick." + f.Name(), false, true
-		}
-	}
-	return "", false, false
+// forbiddenImports are packages whose mere presence in a simulator
+// package is a violation: every API they export is a nondeterminism
+// source (or, for crypto/rand, an entropy source the simulator must
+// never need).
+var forbiddenImports = map[string]string{
+	"math/rand":    "use the run-owned *sim.RNG instead",
+	"math/rand/v2": "use the run-owned *sim.RNG instead",
+	"crypto/rand":  "the simulator must not consume OS entropy",
 }
 
-// forbiddenTime mirrors detrand's wall-clock member table.
-var forbiddenTime = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "AfterFunc": true, "Tick": true,
-	"NewTimer": true, "NewTicker": true,
+// forbiddenTime are the wall-clock members of package time. Types and
+// constants (time.Duration, time.Second) remain usable for reporting
+// physical quantities; anything that reads or waits on the host clock
+// does not.
+var forbiddenTime = map[string]string{
+	"Now":       "derive timestamps from the sim.Cycle counter",
+	"Since":     "subtract sim.Cycle values instead",
+	"Until":     "subtract sim.Cycle values instead",
+	"Sleep":     "schedule future work on the sim.TimerWheel",
+	"After":     "schedule future work on the sim.TimerWheel",
+	"AfterFunc": "schedule future work on the sim.TimerWheel",
+	"Tick":      "schedule recurring work on the sim.TimerWheel",
+	"NewTimer":  "schedule future work on the sim.TimerWheel",
+	"NewTicker": "schedule recurring work on the sim.TimerWheel",
+}
+
+// isSource reports whether member name of the package at path is a
+// nondeterminism source: anything in a forbidden import, a wall-clock
+// member of time, or testing/quick's Check drivers, which draw from an
+// unseeded rand.Source unless a Config supplies one.
+func isSource(path, name string) bool {
+	switch path {
+	case "time":
+		_, bad := forbiddenTime[name]
+		return bad
+	case "testing/quick":
+		return strings.HasPrefix(name, "Check")
+	}
+	_, bad := forbiddenImports[path]
+	return bad
 }
 
 // taint records how a function first became tainted: either an
@@ -144,26 +156,23 @@ func run(mp *analysis.ModulePass) error {
 		}
 	}
 
-	// Report sim-package violations.
+	// Report sim-package violations: direct uses first, then calls to
+	// tainted helpers outside the sim core. Tainted sim-package callees
+	// hold their own report at the source, so re-reporting every caller
+	// would be noise.
+	for _, u := range mp.Pkgs {
+		if isSim(u) {
+			reportDirect(mp, u)
+		}
+	}
 	for _, n := range g.Sorted {
-		if !analysis.IsSimPackage(strings.TrimSuffix(n.Unit.Path, "_test")) || detsafe[n] {
+		if !isSim(n.Unit) || detsafe[n] {
 			continue
 		}
-		// Direct calls to sources detrand does not cover.
-		for _, ext := range n.External {
-			if name, covered, ok := sourceHint(ext.Func); ok && !covered {
-				mp.Reportf(ext.Pos,
-					fmt.Sprintf("%s draws unseeded randomness in a simulator package, which breaks run reproducibility", name),
-					"seed the source explicitly, or annotate the function //hetpnoc:detsafe <why>")
-			}
-		}
-		// Calls to tainted helpers outside the sim core. Tainted
-		// sim-package callees hold their own detrand/dettaint report at
-		// the source, so re-reporting every caller would be noise.
 		for _, e := range n.Out {
 			callee := e.Callee
 			t, bad := taints[callee]
-			if !bad || analysis.IsSimPackage(strings.TrimSuffix(callee.Unit.Path, "_test")) {
+			if !bad || isSim(callee.Unit) {
 				continue
 			}
 			mp.Reportf(e.Pos(),
@@ -175,16 +184,72 @@ func run(mp *analysis.ModulePass) error {
 	return nil
 }
 
-// intrinsic returns n's own-body taint, or nil: an external call into
-// the source tables, or an unjustified range over a map in a non-sim
-// package.
+// isSim reports whether unit u (or, for an external test package, the
+// package it tests) is part of the simulator core.
+func isSim(u *analysis.PackageUnit) bool {
+	return analysis.IsSimPackage(strings.TrimSuffix(u.Path, "_test"))
+}
+
+// reportDirect reports the nondeterminism sources simulator package u
+// uses itself: forbidden imports at the import, wall-clock and
+// testing/quick members at each reference outside a detsafe function.
+func reportDirect(mp *analysis.ModulePass, u *analysis.PackageUnit) {
+	pass := mp.PassFor(u)
+	for _, file := range u.Files {
+		for _, imp := range file.Imports {
+			// The path literal is always a valid quoted string once
+			// the file type-checks.
+			path := imp.Path.Value[1 : len(imp.Path.Value)-1]
+			if hint, ok := forbiddenImports[path]; ok {
+				mp.Reportf(imp.Pos(),
+					fmt.Sprintf("import of %s is forbidden in simulator packages: %s", path, hint),
+					"thread a *sim.RNG (seeded from the run config) through the component")
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if fd, ok := n.(*ast.FuncDecl); ok {
+				_, safe := analysis.FuncDirective(fd, analysis.DirectiveDetsafe)
+				return !safe
+			}
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			ident, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			pn := pass.PkgNameOf(ident)
+			if pn == nil {
+				return true
+			}
+			// Members of a forbidden import are not listed here: the
+			// import line already carries their report.
+			switch path, name := pn.Imported().Path(), sel.Sel.Name; {
+			case path == "time" && isSource(path, name):
+				mp.Reportf(sel.Pos(),
+					fmt.Sprintf("time.%s reads the wall clock, which breaks run reproducibility: %s", name, forbiddenTime[name]),
+					"express the quantity in sim.Cycle ticks")
+			case path == "testing/quick" && isSource(path, name):
+				mp.Reportf(sel.Pos(),
+					fmt.Sprintf("%s.%s draws unseeded randomness in a simulator package, which breaks run reproducibility", path, name),
+					"seed the source explicitly, or annotate the function //hetpnoc:detsafe <why>")
+			}
+			return true
+		})
+	}
+}
+
+// intrinsic returns n's own-body taint, or nil: an external call to a
+// nondeterminism source, or an unjustified range over a map in a
+// non-sim package.
 func intrinsic(mp *analysis.ModulePass, dirs *analysis.DirectiveCache, n *callgraph.Node) *taint {
 	for _, ext := range n.External {
-		if name, _, ok := sourceHint(ext.Func); ok {
-			return &taint{source: name, pos: ext.Pos}
+		if pkg := ext.Func.Pkg(); pkg != nil && isSource(pkg.Path(), ext.Func.Name()) {
+			return &taint{source: pkg.Path() + "." + ext.Func.Name(), pos: ext.Pos}
 		}
 	}
-	if !analysis.IsSimPackage(strings.TrimSuffix(n.Unit.Path, "_test")) {
+	if !isSim(n.Unit) {
 		if pos, ok := unorderedMapRange(mp, dirs, n); ok {
 			return &taint{source: "range over map", pos: pos}
 		}

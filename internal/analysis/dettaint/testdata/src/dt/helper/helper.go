@@ -1,6 +1,6 @@
-// Package helper is tooling-side code: detrand and maprange ignore it,
-// so nondeterminism here only matters when a simulator package calls
-// in — which dettaint decides.
+// Package helper is tooling-side code: direct-use reports and maprange
+// ignore it, so nondeterminism here only matters when a simulator
+// package calls in — which the taint pass decides.
 package helper
 
 import (

@@ -1,10 +1,11 @@
 // Package sim exercises dettaint from the simulator side: calls into
-// transitively nondeterministic helpers are errors, sources detrand
-// already polices are not re-reported, and //hetpnoc:detsafe contains
-// deliberate sampling.
+// transitively nondeterministic helpers are errors, a source used
+// directly is reported once where it stands (not again at its callers),
+// and //hetpnoc:detsafe contains deliberate sampling.
 package sim
 
 import (
+	mrand "math/rand" // want `import of math/rand is forbidden in simulator packages`
 	"testing/quick"
 	"time"
 
@@ -35,9 +36,14 @@ func SafeProp() {
 //hetpnoc:detsafe
 func BadDetsafe() {} // want `//hetpnoc:detsafe needs a justification`
 
-// wall is detrand's finding, not dettaint's: no report here.
-func wall() time.Duration { return time.Since(time.Time{}) }
+// wall is reported at the source, exactly once: the direct use is not
+// also a taint-chain finding.
+func wall() time.Duration { return time.Since(time.Time{}) } // want `time\.Since reads the wall clock`
 
-// Outer calls a tainted sim-package function; the taint source already
-// carries detrand's report, so dettaint stays silent on this edge.
-func Outer() { _ = wall() }
+// stamp mixes a forbidden import with a direct clock read: the import
+// line carries the math/rand report, the call site only time.Now's.
+func stamp() int64 { return time.Now().UnixNano() + mrand.Int63() } // want `time\.Now reads the wall clock`
+
+// Outer calls tainted sim-package functions; each source already
+// carries its own report, so these edges stay silent.
+func Outer() { _, _ = wall(), stamp() }

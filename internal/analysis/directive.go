@@ -16,7 +16,7 @@ const (
 	DirectiveOrderfree = "orderfree"
 
 	// DirectiveHotpath marks a function that must not allocate in steady
-	// state; hotpathalloc checks its body.
+	// state; hotpathreach checks its body and everything it reaches.
 	DirectiveHotpath = "hotpath"
 
 	// DirectiveImmutable marks a package-level var that is a write-once
@@ -62,27 +62,6 @@ const (
 	// table stored in different units, a dimensionless ratio built by
 	// hand). Requires a justification.
 	DirectiveUnitcast = "unitcast"
-
-	// DirectiveSharedseed marks a fabric run that deliberately keeps a
-	// restored checkpoint's RNG state (exact-replay tests, determinism
-	// oracles); seedflow otherwise requires Reseed between Restore and
-	// Run/RunContext/StepContext on every path. Requires a
-	// justification.
-	DirectiveSharedseed = "sharedseed"
-
-	// DirectiveDaemon marks a go statement that deliberately spawns a
-	// process-lifetime goroutine — one with no exit signal, no join and
-	// no bounded loop (a metrics pump, a signal listener). goleak skips
-	// the spawn and wgsync skips its Add-dominates check. Requires a
-	// justification.
-	DirectiveDaemon = "daemon"
-
-	// DirectiveChanxfer marks a close (or send) site where channel
-	// ownership was deliberately handed off — closing a channel received
-	// as a parameter, or closing from a type that is not the sending
-	// owner. chanown otherwise requires every send and close of a
-	// channel to act for one owner. Requires a justification.
-	DirectiveChanxfer = "chanxfer"
 
 	// DirectiveLockorder declares the acquisition order of two mutexes:
 	// //hetpnoc:lockorder <outer> <inner> <why> states that <outer> may

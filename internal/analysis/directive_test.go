@@ -214,7 +214,7 @@ func TestIsSimPackage(t *testing.T) {
 		"hetpnoc/internal/fabric": true,
 		"internal/torus":          true,
 		"simfix/internal/packet":  true,
-		"hetpnoc/cmd/benchjson":   false,
+		"hetpnoc/cmd/hetpnocsim":  false,
 		"hetpnoc/internal/report": false,
 		"hetpnoc/internal/simx":   false,
 		"hetpnoc":                 false,

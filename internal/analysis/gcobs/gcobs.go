@@ -4,7 +4,7 @@
 //	go build -gcflags='-m=2 -d=ssa/check_bce' <patterns>
 //
 // and parses the resulting escape-analysis and bounds-check-elimination
-// diagnostics into position-keyed facts. Where the hotpathalloc analyzer
+// diagnostics into position-keyed facts. Where the hotpathreach analyzer
 // pattern-matches syntax that usually allocates, these facts are what the
 // compiler actually decided: a value "escapes to heap" is a heap
 // allocation at that site no matter how innocent the syntax looks, and a

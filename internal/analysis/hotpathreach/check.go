@@ -1,9 +1,17 @@
-// Package hotpathalloc guards the simulator's zero-allocation cycle
-// loop. Functions marked //hetpnoc:hotpath in their doc comment
-// (Fabric.Step, router arbitration, packet pool operations) are the
-// steady-state inner loop; BENCH_*.json records 0 allocs/op for them,
-// and this analyzer keeps that true by flagging the constructs that
-// would quietly reintroduce per-cycle garbage:
+package hotpathreach
+
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+
+	"hetpnoc/internal/analysis"
+)
+
+// Check applies the hot-path allocation rules to one function body,
+// reporting through pass. It flags the constructs that would quietly
+// reintroduce per-cycle garbage:
 //
 //   - append whose result is not reassigned to the slice it extends
 //     (the amortized-reuse idiom `x = append(x[:0], ...)` is exempt);
@@ -17,46 +25,9 @@
 //     checked at call arguments, assignments, var declarations,
 //     explicit conversions and returns.
 //
-// The analyzer is opt-in per function and therefore runs in every
-// package, simulator or not.
-package hotpathalloc
-
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-
-	"hetpnoc/internal/analysis"
-)
-
-// Analyzer is the hotpathalloc check.
-var Analyzer = &analysis.Analyzer{
-	Name: "hotpathalloc",
-	Doc: "flag allocation-causing constructs in //hetpnoc:hotpath functions\n\n" +
-		"Hot-path functions must stay at 0 allocs/op in steady state; this\n" +
-		"check flags appends without amortized reuse, fmt formatting,\n" +
-		"capturing closures, string concatenation and interface boxing.",
-	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !analysis.HasHotpath(fd) {
-				continue
-			}
-			Check(pass, fd)
-		}
-	}
-	return nil
-}
-
-// Check applies the hot-path allocation rules to one function body,
-// reporting through pass. hotpathreach reuses it for functions that are
-// hot by reachability rather than by annotation, wrapping pass.Report
-// to append the root→callee call chain.
+// run applies it to every hot function; allocproof re-runs it with an
+// intercepted reporter to tell which compiler-proven allocations the
+// heuristics already flag.
 func Check(pass *analysis.Pass, fd *ast.FuncDecl) {
 	// Appends already in the amortized-reuse form `x = append(x, ...)`
 	// (or `x = append(x[:0], ...)`): the backing array survives across

@@ -1,13 +1,16 @@
-// Package hotpathreach extends hotpathalloc across the call graph:
-// every module function reachable from a //hetpnoc:hotpath root
-// inherits the zero-allocation rules without needing its own
-// annotation. The intraprocedural analyzer sees only annotated bodies,
-// so an allocation hidden one call deep — Fabric.Step calling an
-// unannotated helper that appends into a fresh slice — used to escape
-// the gate entirely; this analyzer closes that hole.
+// Package hotpathreach guards the simulator's zero-allocation cycle
+// loop. Functions marked //hetpnoc:hotpath in their doc comment
+// (Fabric.Step, router arbitration, packet pool operations) are the
+// steady-state inner loop, and every module function reachable from
+// such a root is as hot as the root itself: an allocation hidden one
+// call deep — Fabric.Step calling an unannotated helper that appends
+// into a fresh slice — costs the same per-cycle garbage. This analyzer
+// walks the call graph from every annotated root and applies the
+// allocation rules of Check to the roots and to everything they reach.
 //
-// Each diagnostic carries the shortest root→callee call chain, so a
-// report reads like a stack trace ending at the allocation site.
+// A diagnostic in a reached function carries the shortest root→callee
+// call chain, so it reads like a stack trace ending at the allocation
+// site.
 //
 // Deliberate slow-path exits (error formatting, one-shot warm-up work)
 // are cut with a justified directive, at either granularity:
@@ -40,17 +43,19 @@ package hotpathreach
 import (
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/callgraph"
-	"hetpnoc/internal/analysis/hotpathalloc"
 )
 
 // Analyzer is the hotpathreach check.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotpathreach",
-	Doc: "apply hot-path allocation rules to every function reachable from a //hetpnoc:hotpath root\n\n" +
-		"The cycle loop's callees are as hot as the loop itself; this\n" +
+	Doc: "flag allocation-causing constructs in //hetpnoc:hotpath functions and everything they reach\n\n" +
+		"Hot-path functions must stay at 0 allocs/op in steady state, and\n" +
+		"the cycle loop's callees are as hot as the loop itself; this\n" +
 		"whole-program pass walks the call graph from every annotated root\n" +
-		"and runs hotpathalloc's checks on each reachable module function,\n" +
-		"reporting violations with the full root→callee call chain.\n" +
+		"and flags appends without amortized reuse, fmt formatting,\n" +
+		"capturing closures, string concatenation and interface boxing in\n" +
+		"each root and each reachable module function, the latter with the\n" +
+		"full root→callee call chain.\n" +
 		"Sever deliberate slow-path calls with //hetpnoc:coldcall <why>,\n" +
 		"at the call site or in the callee's doc comment.",
 	RunModule: run,
@@ -172,21 +177,22 @@ func run(mp *analysis.ModulePass) error {
 			"//hetpnoc:coldcall <why this call never runs in steady state>")
 	}
 
-	// Check every reached function that is not itself annotated (those
-	// are hotpathalloc's job), chain appended to each diagnostic.
+	// Check every hot function; below a root, each diagnostic gains the
+	// call chain that makes the function hot.
 	for _, n := range g.Sorted {
 		v, reached := reach.Parent[n]
-		if !reached || v.Via == nil {
+		if !reached {
 			continue
 		}
-		chain := reach.ChainOf(n)
 		pass := mp.PassFor(n.Unit)
-		inner := pass.Report
-		pass.Report = func(d analysis.Diagnostic) {
-			d.Message += " (hot path: " + chain + ")"
-			inner(d)
+		if v.Via != nil {
+			chain := reach.ChainOf(n)
+			pass.Report = func(d analysis.Diagnostic) {
+				d.Message += " (hot path: " + chain + ")"
+				mp.Report(d)
+			}
 		}
-		hotpathalloc.Check(pass, n.Decl)
+		Check(pass, n.Decl)
 	}
 	return nil
 }

@@ -1,6 +1,6 @@
 // Fixture: allocation-causing constructs inside //hetpnoc:hotpath
 // functions are flagged; amortized reuse, cold error paths and
-// unannotated functions are not.
+// unannotated functions no root reaches are not.
 package hot
 
 import "fmt"
@@ -63,4 +63,5 @@ func Unchecked(n int) string {
 
 func sink(v interface{}) { _ = v }
 
-func itoa(n int) string { return fmt.Sprint(n) }
+// itoa is unannotated but reached from Leaky.
+func itoa(n int) string { return fmt.Sprint(n) } // want `fmt\.Sprint formats \(and boxes its operands\) on a hot path \(hot path: hot\.Engine\.Leaky -> hot\.itoa\)`

@@ -9,12 +9,12 @@ import (
 	"reach/helper"
 )
 
-// Step is the annotated root. Its own body is hotpathalloc's job, so
-// hotpathreach must not re-report the fmt call below.
+// Step is the annotated root. Its own body is checked too, without a
+// call chain.
 //
 //hetpnoc:hotpath
 func Step(vals []int) {
-	_ = fmt.Sprintf("cycle %d", len(vals))
+	_ = fmt.Sprintf("cycle %d", len(vals)) // want `fmt\.Sprintf formats \(and boxes its operands\) on a hot path$`
 	tick(vals)
 	_ = helper.Sum(vals)
 	//hetpnoc:coldcall diagnostics only run on invariant violation

@@ -9,15 +9,8 @@ import (
 	"testing"
 
 	"hetpnoc/internal/analysis"
-	"hetpnoc/internal/analysis/analysistest"
 	"hetpnoc/internal/analysis/lockorder"
 )
-
-func TestLockorder(t *testing.T) {
-	analysistest.RunModule(t, analysistest.TestData(), lockorder.Analyzer,
-		"lo/serve", "lo/pair",
-	)
-}
 
 // TestMalformedDeclaration covers the grammar errors, which report at
 // the directive comment itself — a position want comments cannot

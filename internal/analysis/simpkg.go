@@ -3,7 +3,7 @@ package analysis
 import "strings"
 
 // SimPackages are the package-path suffixes that form the deterministic
-// simulator core. detrand, maprange and globalstate apply only inside
+// simulator core. dettaint, maprange and globalstate report only inside
 // these packages; tooling (cmd/*, internal/report, examples) is free to
 // use wall-clock time, global flags and unordered iteration.
 var simPackages = []string{

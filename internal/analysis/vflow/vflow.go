@@ -5,9 +5,9 @@
 // definition reaches a use when it survives along at least one path)
 // over the internal/analysis/cfg control-flow graph.
 //
-// The provenance consumers (unitsafe's laundering-cast detection,
-// seedflow's fabric-variable canonicalization) only ever act on defs
-// they can fully explain, so the layer is deliberately conservative:
+// The provenance consumer (unitsafe's laundering-cast detection) only
+// ever acts on defs it can fully explain, so the layer is deliberately
+// conservative:
 // a definition whose right-hand side cannot be paired one-to-one with
 // its variable — tuple assignments, compound ops (+=), zero-value
 // declarations, range variables — is recorded as opaque (RHS nil), and
@@ -75,8 +75,7 @@ type Module struct {
 }
 
 // FromPass returns the module's value-flow cache, memoized in mp.Cache
-// (when the driver provides one) so unitsafe and seedflow share one
-// build per function.
+// (when the driver provides one) so each function body is built once.
 func FromPass(mp *analysis.ModulePass) *Module {
 	const key = "vflow"
 	if m, ok := mp.Cache[key].(*Module); ok {
@@ -371,10 +370,9 @@ func unparen(e ast.Expr) ast.Expr {
 }
 
 // PkgLastSegment returns the final path segment of a package path with
-// any loader "_test" suffix stripped — the vocabulary unitsafe and
-// seedflow use to recognize the units, sim and fabric packages by
-// position rather than by hard-coded module path (fixture packages
-// reuse the same suffixes).
+// any loader "_test" suffix stripped — the vocabulary unitsafe uses to
+// recognize the units and sim packages by position rather than by
+// hard-coded module path (fixture packages reuse the same suffixes).
 func PkgLastSegment(path string) string {
 	path = strings.TrimSuffix(path, "_test")
 	if i := strings.LastIndexByte(path, '/'); i >= 0 {

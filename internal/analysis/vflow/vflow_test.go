@@ -384,7 +384,7 @@ func F(in chan int) chan int {
 	return ch
 }`)
 	// The spawned literal rebinds ch at an unknown time; every def of
-	// ch must go opaque so chanown never trusts a stale alias chain.
+	// ch must go opaque so no consumer trusts a stale alias chain.
 	defs := fi.DefsOf(useAt(t, fset, f, info, "ch", 5))
 	if got := rhsStrings(defs); len(got) != 1 || got[0] != "?" {
 		t.Fatalf("defs of go-closure-assigned ch = %v, want [?]", got)

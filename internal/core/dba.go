@@ -299,9 +299,6 @@ func (a *Allocator) TransitCycles() int { return a.transitCycles }
 // Rotations returns how many full token rotations have completed.
 func (a *Allocator) Rotations() int64 { return a.rotations }
 
-// TokenHolder returns the cluster the token is at or travelling toward.
-func (a *Allocator) TokenHolder() topology.ClusterID { return topology.ClusterID(a.pos) }
-
 // DropToken injects a control-waveguide fault: the circulating token is
 // lost. Allocation freezes (every cluster keeps what it holds, including
 // its reserved minimum) until the regeneration timeout elapses and
@@ -566,14 +563,6 @@ func (a *Allocator) SelectForPacket(src, dst topology.ClusterID) []photonic.Wave
 		want = have
 	}
 	return a.ids[src][:want]
-}
-
-// CurrentTable returns a copy of cluster c's current table, for
-// diagnostics and the dbatrace example.
-func (a *Allocator) CurrentTable(c topology.ClusterID) []int {
-	out := make([]int, a.clusters)
-	copy(out, a.current[c])
-	return out
 }
 
 // RequestTable returns a copy of cluster c's request table.

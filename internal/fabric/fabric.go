@@ -410,9 +410,6 @@ func (f *Fabric) Now() sim.Cycle { return f.now }
 // DBA returns the dynamic allocator, or nil for the Firefly baseline.
 func (f *Fabric) DBA() *core.Allocator { return f.dba }
 
-// Assignment returns the workload mapping currently in force.
-func (f *Fabric) Assignment() traffic.Assignment { return f.assignment }
-
 // Step simulates one cycle. Each phase visits only the components on its
 // active set; a skipped component's tick is provably a no-op (empty
 // ports, idle engines, zero-rate sources), so the result is bit-identical

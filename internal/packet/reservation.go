@@ -5,26 +5,7 @@ import (
 	"math/bits"
 
 	"hetpnoc/internal/photonic"
-	"hetpnoc/internal/topology"
 )
-
-// Reservation is the control message a source photonic router broadcasts
-// on its dedicated reservation waveguide before streaming a packet
-// (§3.3.1). In the baseline Firefly it carries the destination ID and the
-// packet size; d-HetPNoC piggybacks the identifiers of the wavelengths the
-// packet will use, so the destination can gate exactly those demodulators.
-type Reservation struct {
-	Src topology.ClusterID
-	Dst topology.ClusterID
-
-	// PacketFlits is the duration field: how many flits will follow.
-	PacketFlits int
-
-	// Wavelengths are the data wavelengths the transfer will use. Empty
-	// for the Firefly baseline (the channel assignment is static, so the
-	// destination already knows which demodulators to gate).
-	Wavelengths []photonic.WavelengthID
-}
 
 // bitsFor returns the minimum field width that can represent values in
 // [0, n). bitsFor(1) is 0: a field with a single possible value needs no

@@ -129,14 +129,8 @@ func NewLedger(params EnergyParams) *Ledger {
 	return &Ledger{params: params}
 }
 
-// Params returns the energy parameters in force.
-func (l *Ledger) Params() EnergyParams { return l.params }
-
 // StartMeasurement begins counting energy toward the reported totals.
 func (l *Ledger) StartMeasurement() { l.measuring = true }
-
-// Measuring reports whether the ledger is past warm-up.
-func (l *Ledger) Measuring() bool { return l.measuring }
 
 // Add charges pj picojoules to component c.
 func (l *Ledger) Add(c EnergyComponent, pj units.Picojoule) {

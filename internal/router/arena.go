@@ -149,14 +149,6 @@ func (a *Arena) Reserve(ports, vcs int) {
 	}
 }
 
-// Ports returns the number of ports carved from the arena.
-func (a *Arena) Ports() int { return len(a.vcBase) }
-
-// Port returns the view of port id.
-func (a *Arena) Port(id int) *Port {
-	return &Port{a: a, id: int32(id)}
-}
-
 // push appends a flit entry to VC g's ring, growing it toward depth.
 //
 //hetpnoc:hotpath

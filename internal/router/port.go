@@ -72,9 +72,6 @@ func NewPort(vcCount, depth int, ledger *photonic.Ledger, occupancy *int64) (*Po
 	return a.NewPort(vcCount, depth)
 }
 
-// Arena returns the backing arena of the port.
-func (p *Port) Arena() *Arena { return p.a }
-
 // SetWake installs fn to run on every empty-to-non-empty transition of the
 // port. The fabric wires it to its activity tracking so components with
 // freshly arrived work re-enter the per-cycle schedule.
@@ -111,9 +108,6 @@ type VC struct {
 
 // Len returns the number of buffered flits.
 func (v VC) Len() int { return int(v.a.hot[v.g].count) }
-
-// Free returns the remaining buffer slots.
-func (v VC) Free() int { return v.a.depthOfVC(v.g) - int(v.a.hot[v.g].count) }
 
 // AllocVC claims a free, empty VC for a new packet and returns its index.
 // It reports false when every VC is busy — the §1.4 condition under which

@@ -27,9 +27,6 @@ type Output struct {
 	rr    int
 }
 
-// Dst returns the downstream port this output feeds.
-func (o *Output) Dst() *Port { return o.dst }
-
 // MaxOutputs bounds a router's output count so the set of outputs with
 // contenders fits one bitmask word.
 const MaxOutputs = 64
@@ -159,9 +156,6 @@ func New(name string, inputs []*Port, inWidths []int, route RouteFunc, ledger *p
 	return r, nil
 }
 
-// Name returns the router's diagnostic name.
-func (r *Router) Name() string { return r.name }
-
 // Input returns input port i.
 func (r *Router) Input(i int) *Port { return r.inputs[i] }
 
@@ -202,9 +196,6 @@ func (r *Router) AddOutput(dst *Port, width int, chargeLink bool) (int, error) {
 	dst.a.watchers[dst.id] = append(dst.a.watchers[dst.id], r)
 	return len(r.outputs) - 1, nil
 }
-
-// Output returns output o.
-func (r *Router) Output(o int) *Output { return r.outputs[o] }
 
 // Outputs returns the number of attached outputs.
 func (r *Router) Outputs() int { return len(r.outputs) }

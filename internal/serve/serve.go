@@ -442,12 +442,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// RetryAfter returns the configured backoff hint for ErrBusy.
-func (s *Server) RetryAfter() time.Duration { return s.cfg.RetryAfter }
-
-// MaxCycles returns the per-request cycle limit (0 = unlimited).
-func (s *Server) MaxCycles() int { return s.cfg.MaxCycles }
-
 // Metrics is the /metricsz read-out.
 type Metrics struct {
 	Workers       int `json:"workers"`

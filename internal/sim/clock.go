@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Cycle is a simulation clock tick. Cycle 0 is the first cycle of a run.
 type Cycle int64
 
@@ -21,11 +19,6 @@ func DefaultClock() Clock {
 // PeriodSeconds returns the duration of one cycle in seconds.
 func (c Clock) PeriodSeconds() float64 {
 	return 1.0 / c.FrequencyHz
-}
-
-// Period returns the duration of one cycle.
-func (c Clock) Period() time.Duration {
-	return time.Duration(float64(time.Second) / c.FrequencyHz)
 }
 
 // Seconds returns the wall-clock time spanned by n cycles.

@@ -9,13 +9,11 @@
 // The allowlist covers goroutines whose lifetime the test does not
 // own: the runtime's own workers, testing harness goroutines, signal
 // handling, and net/http's pooled connections (their keep-alive timers
-// outlive a handler by design). Tests add their own deliberate daemons
-// with Allow.
+// outlive a handler by design).
 //
-// This is the dynamic half of the goroutine-lifetime story: goleak
-// proves spawn sites can terminate statically; leakcheck catches the
-// paths the static analysis cannot see actually failing to exit under
-// -race in the serve, batch, and sweep suites.
+// This is the goroutine-lifetime gate: a package that adds a go
+// statement arms Check in its tests (docs/ANALYSIS.md), as the serve,
+// batch, sweep and hetpnocd suites do under -race.
 package leakcheck
 
 import (
@@ -41,37 +39,18 @@ var defaultAllow = []string{
 	"runtime.goexit",
 }
 
-// Option adjusts one Check call.
-type Option func(*config)
-
-type config struct {
-	allow    []string
-	deadline time.Duration
-}
-
-// Allow exempts goroutines whose dump contains substr — for a test
-// that deliberately starts a process-lifetime daemon.
-func Allow(substr string) Option {
-	return func(c *config) { c.allow = append(c.allow, substr) }
-}
-
-// Within overrides the retry deadline for slow teardowns.
-func Within(d time.Duration) Option {
-	return func(c *config) { c.deadline = d }
-}
+// deadline is how long Check's cleanup keeps retrying before it
+// declares a goroutine leaked.
+const deadline = 5 * time.Second
 
 // Check arms the leak detector for the current test. Call it first in
 // the test body; the verification runs from t.Cleanup, after the body
 // and its own cleanups finish.
-func Check(t testing.TB, opts ...Option) {
+func Check(t testing.TB) {
 	t.Helper()
-	cfg := &config{allow: defaultAllow, deadline: 5 * time.Second}
-	for _, opt := range opts {
-		opt(cfg)
-	}
 	before := snapshot()
 	t.Cleanup(func() {
-		leaked := verify(before, cfg.allow, cfg.deadline)
+		leaked := verify(before, defaultAllow, deadline)
 		for _, stack := range leaked {
 			t.Errorf("leaked goroutine:\n%s", stack)
 		}
