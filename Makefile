@@ -56,11 +56,11 @@ lint-update:
 test:
 	$(GO) test ./...
 
-# The race gate covers the whole module: internal/experiments spawns the
-# simulation goroutines, and cmd/sweep dispatches whole figures
-# concurrently since the -parallel flag landed. A full -race pass takes
-# a few minutes; race-quick keeps the old goroutine-bearing subset for
-# tight loops.
+# The race gate covers the whole module: internal/batch spawns the
+# simulation goroutines every experiments runner, cmd/sweep figure and
+# /v1/sweep partition executes on. A full -race pass takes a few
+# minutes; race-quick keeps the goroutine-bearing subset for tight
+# loops.
 race:
 	$(GO) test -race ./...
 

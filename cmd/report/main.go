@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"hetpnoc/internal/experiments"
+	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/report"
 	"hetpnoc/internal/traffic"
 )
@@ -35,7 +36,7 @@ func run(args []string) error {
 		out       = fs.String("o", "report.html", "output file")
 		quick     = fs.Bool("quick", false, "short runs (4000 cycles)")
 		ablations = fs.Bool("ablations", false, "include the ablation studies (slower)")
-		seed      = fs.Uint64("seed", 1, "simulation seed")
+		seed      = fs.Uint64("seed", fabric.DefaultSeed, "simulation seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -12,9 +12,8 @@
 //	sweep -tables       # the input tables (3-1..3-5)
 //
 // Simulation figures honour -cycles/-warmup/-seed; -quick shrinks runs for
-// a fast smoke pass. -parallel bounds concurrent simulations and, when
-// several figures are selected, runs whole figures concurrently too (each
-// buffers its output so tables still print in figure order).
+// a fast smoke pass. -parallel bounds concurrent simulations; figures run
+// one after another, each as one batch plan.
 package main
 
 import (
@@ -24,8 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"hetpnoc/internal/experiments"
 	"hetpnoc/internal/fabric"
@@ -54,7 +51,7 @@ func run(args []string) error {
 		warmup      = fs.Int("warmup", fabric.DefaultWarmupCycles, "warm-up cycles per run")
 		seed        = fs.Uint64("seed", fabric.DefaultSeed, "simulation seed")
 		quick       = fs.Bool("quick", false, "short runs (4000 cycles) for a fast pass")
-		parallel    = fs.Int("parallel", 0, "max concurrent simulations and figures (0 = GOMAXPROCS)")
+		parallel    = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		csvDir      = fs.String("csv", "", "also write machine-readable CSV files into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -108,52 +105,20 @@ func run(args []string) error {
 		add(func(w *bytes.Buffer) error { return printSensitivity(ctx, w, opts) })
 	}
 
-	return runFigures(figures, *parallel)
+	return runFigures(figures)
 }
 
-// runFigures executes every figure, concurrently up to parallel when more
-// than one is selected. Every figure writes into its own buffer — an
-// in-memory sink that cannot fail, so table rendering needs no
-// per-line error handling — and the buffers are flushed to stdout in
-// figure order so the report reads the same regardless of parallelism.
-func runFigures(figures []func(*bytes.Buffer) error, parallel int) error {
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if len(figures) <= 1 || parallel == 1 {
-		for _, fn := range figures {
-			var buf bytes.Buffer
-			err := fn(&buf)
-			if _, werr := os.Stdout.Write(buf.Bytes()); werr != nil {
-				return werr
-			}
-			if err != nil {
-				return err
-			}
+// runFigures executes the figures in order. Every figure writes into its
+// own buffer — an in-memory sink that cannot fail, so table rendering
+// needs no per-line error handling — which is flushed to stdout before a
+// failure is reported, so a failing figure still shows what it printed.
+func runFigures(figures []func(*bytes.Buffer) error) error {
+	for _, fn := range figures {
+		var buf bytes.Buffer
+		err := fn(&buf)
+		if _, werr := os.Stdout.Write(buf.Bytes()); werr != nil {
+			return werr
 		}
-		return nil
-	}
-
-	bufs := make([]bytes.Buffer, len(figures))
-	errs := make([]error, len(figures))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, fn := range figures {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, fn func(*bytes.Buffer) error) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(&bufs[i])
-		}(i, fn)
-	}
-	wg.Wait()
-	for i := range figures {
-		if _, err := os.Stdout.Write(bufs[i].Bytes()); err != nil {
-			return err
-		}
-	}
-	for _, err := range errs {
 		if err != nil {
 			return err
 		}

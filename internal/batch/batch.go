@@ -3,48 +3,25 @@
 // Every real consumer of the simulator — parameter sweeps, replicated
 // runs, the differential oracles — runs N simulations that differ only
 // in seed or offered load, and naively pays N fabric builds (~430 µs +
-// ~1 MB each) plus N warm-ups. A Plan deduplicates its job list by
-// configuration prefix (topology, photonic model, architecture, traffic
-// pattern and every other build-time parameter are shared; seed and load
-// scale vary), builds ONE fabric per unique prefix, checkpoints it at
-// the fork point, and runs every member by Restore + SetLoadScale +
-// Reseed on that shared fabric — cache-hot stepping, no rebuilds.
+// ~1 MB each). A Plan deduplicates its job list by configuration prefix
+// (topology, photonic model, architecture, traffic pattern and every
+// other build-time parameter are shared; seed and load scale vary),
+// builds ONE fabric per unique prefix, checkpoints it at cycle 0, and
+// runs every member by Restore + SetLoadScale + Reseed on that shared
+// fabric — cache-hot stepping, no rebuilds.
 //
-// Two fork points are offered, with different equivalence contracts:
-//
-//   - ForkPristine (the default) checkpoints the fabric at cycle 0,
-//     before any stepping. Each member then replays its entire run —
-//     warm-up included — under its own seed and load. The result is
-//     byte-identical to building a fresh fabric per member
-//     (TestBatchEquivalence): only the build is amortized.
-//
-//   - ForkWarmup steps the shared fabric through the warm-up under the
-//     group's base seed (its first member's), checkpoints at the warm-up
-//     boundary, and forks each member there. Members pay only the
-//     measurement window, so build AND warm-up are amortized — but the
-//     contract is the replicated-run semantic: every replica shares the
-//     base seed's warm prefix and diverges where measurement starts,
-//     bit-identical to warming a fresh fabric at the base seed and
-//     reseeding it at the same boundary (TestWarmForkEquivalence,
-//     experiments.TestReplicatedForkBitIdentical). Because warm-up
-//     traffic depends on the offered load, load scale is part of the
-//     prefix in this mode: members of one group differ only in seed.
+// The contract is one sentence: every member is byte-identical to a
+// solo run of its config. Each member replays its entire run — reset
+// window included — under its own seed and load, so only the build is
+// amortized and batching is purely a performance choice
+// (TestBatchEquivalence, TestPristineForkMatchesSolo).
 //
 // A checkpoint only restores onto the fabric it was taken from, so the
-// members of one group run sequentially on their shared fabric; the
-// work-stealing scheduler in Run spreads the groups across
-// Options.Workers goroutines. Results land by member index, so the
-// output is independent of worker count and of how groups are stolen —
-// the partition-independence property test holds this at worker counts
-// 1, 2 and GOMAXPROCS.
-//
-// The remaining cycle count of a fork is always derived from the
-// checkpoint's own cycle (Checkpoint.Cycle), never re-derived from the
-// warm-up configuration: when a caller's options and the fabric's
-// applied defaults disagree (the caller left WarmupCycles zero and the
-// fabric defaulted it), deriving from configuration would re-step the
-// warm-up inside every member — the latent double-warm-up this package
-// fixes for experiments.RunReplicated.
+// members of one group run sequentially on their shared fabric; Run's
+// workers claim whole groups off one shared cursor. Results land by
+// member index, so the output is independent of worker count and of
+// which worker claims which group — the partition-independence property
+// test holds this at worker counts 1, 2 and GOMAXPROCS.
 package batch
 
 import (
@@ -53,54 +30,19 @@ import (
 
 	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
-	"hetpnoc/internal/sim"
 )
 
-// ForkPoint selects where members fork off their group's shared fabric.
-type ForkPoint int
-
-// Fork points.
-const (
-	// ForkPristine forks at cycle 0: members replay warm-up themselves
-	// and are byte-identical to independent per-config runs. Seed and
-	// load scale may vary within a group.
-	ForkPristine ForkPoint = iota + 1
-	// ForkWarmup forks at the warm-up boundary: members share the base
-	// seed's warm prefix and pay only the measurement window. Only the
-	// seed may vary within a group.
-	ForkWarmup
-)
-
-// String returns the fork-point name.
-func (fp ForkPoint) String() string {
-	switch fp {
-	case ForkPristine:
-		return "pristine"
-	case ForkWarmup:
-		return "warmup"
-	default:
-		return "unknown"
-	}
-}
-
-// Options parameterizes a Plan. The zero value forks pristine with
-// GOMAXPROCS workers.
+// Options parameterizes a Plan. The zero value runs GOMAXPROCS workers.
 type Options struct {
 	// Workers bounds the goroutines executing groups (default
 	// GOMAXPROCS, capped at the group count — extra workers would only
 	// idle).
 	Workers int
-
-	// Fork selects the fork point (default ForkPristine).
-	Fork ForkPoint
 }
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Fork == 0 {
-		o.Fork = ForkPristine
 	}
 	return o
 }
@@ -108,8 +50,7 @@ func (o Options) withDefaults() Options {
 // Result is one member's outcome.
 type Result struct {
 	// Res is the member's simulation result, identical to what a
-	// standalone fabric run under the member's config would report (see
-	// the package contract for the two fork points).
+	// standalone fabric run under the member's config would report.
 	Res fabric.Result
 
 	// Events holds the member's retained protocol events when the
@@ -117,11 +58,6 @@ type Result struct {
 	// Present-but-empty logs yield a non-nil empty slice, mirroring the
 	// standalone run.
 	Events []event.Event
-
-	// ForkCycle is the cycle boundary this member forked at: 0 for
-	// ForkPristine, the warm-up boundary for ForkWarmup. Regression
-	// tests pin it to prove members never re-step the shared prefix.
-	ForkCycle sim.Cycle
 }
 
 // Stats describes a plan's shape after prefix deduplication.

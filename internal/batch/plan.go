@@ -22,8 +22,7 @@ type Plan struct {
 
 // group is one shared-prefix partition. members holds spec indices in
 // submission order; members[0] is the base: its full config builds the
-// group's fabric, and under ForkWarmup its seed drives the shared warm
-// prefix.
+// group's fabric.
 type group struct {
 	members []int
 }
@@ -48,7 +47,7 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 		placed := false
 		for gi := range p.groups {
 			base := p.specs[p.groups[gi].members[0]]
-			if sharablePrefix(base, p.specs[i], opts.Fork) {
+			if sharablePrefix(base, p.specs[i]) {
 				p.groups[gi].members = append(p.groups[gi].members, i)
 				placed = true
 				break
@@ -65,9 +64,8 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 // fabric build. Everything that shapes the build — topology, bandwidth
 // set, architecture, traffic pattern, router provisioning, energy
 // model, DBA parameters, scheduled remaps — must match; only the fields
-// the fork sequence re-applies may differ: the seed always, the load
-// scale only when forking pristine (warm-up traffic depends on it).
-func sharablePrefix(a, b fabric.Config, fork ForkPoint) bool {
+// the fork sequence re-applies may differ: the seed and the load scale.
+func sharablePrefix(a, b fabric.Config) bool {
 	if !patternsEqual(a.Pattern, b.Pattern) {
 		return false
 	}
@@ -81,9 +79,7 @@ func sharablePrefix(a, b fabric.Config, fork ForkPoint) bool {
 	a.Pattern, b.Pattern = nil, nil
 	a.Remaps, b.Remaps = nil, nil
 	a.Seed, b.Seed = 0, 0
-	if fork == ForkPristine {
-		a.LoadScale, b.LoadScale = 0, 0
-	}
+	a.LoadScale, b.LoadScale = 0, 0
 	return reflect.DeepEqual(a, b)
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // spec builds a minimal valid member config; the fabric defaults fill
-// the rest identically for every call, so two specs share a pristine
+// the rest identically for every call, so two specs share a build
 // prefix exactly when their explicit fields (beyond seed and load) do.
 func spec(seed uint64, load float64) fabric.Config {
 	return fabric.Config{
@@ -39,30 +39,15 @@ func TestPlanGroupsBySharedPrefix(t *testing.T) {
 	longer.Cycles = 900
 
 	specs := []fabric.Config{
-		spec(1, 1), spec(2, 1), spec(1, 2), spec(9, 0.5), // one pristine prefix
+		spec(1, 1), spec(2, 1), spec(1, 2), spec(9, 0.5), // one build prefix
 		bursty,  // pattern splits
 		firefly, // architecture splits
 		longer,  // cycle count splits
 	}
-	p := mustPlan(t, specs, Options{Fork: ForkPristine})
+	p := mustPlan(t, specs, Options{})
 	st := p.Stats()
 	if st.Members != len(specs) || st.Groups != 4 || st.LargestGroup != 4 {
-		t.Errorf("pristine stats = %+v, want 7 members in 4 groups, largest 4", st)
-	}
-}
-
-func TestWarmForkLoadSplitsPrefix(t *testing.T) {
-	// Warm-up traffic depends on the offered load, so under ForkWarmup
-	// two loads may not share a warm prefix — only seeds may vary.
-	specs := []fabric.Config{spec(1, 1), spec(2, 1), spec(1, 2), spec(2, 2)}
-	p := mustPlan(t, specs, Options{Fork: ForkWarmup})
-	if st := p.Stats(); st.Groups != 2 || st.LargestGroup != 2 {
-		t.Errorf("warm-fork stats = %+v, want 2 groups of 2", st)
-	}
-	// The same specs share one fabric when forking pristine.
-	p = mustPlan(t, specs, Options{Fork: ForkPristine})
-	if st := p.Stats(); st.Groups != 1 || st.LargestGroup != 4 {
-		t.Errorf("pristine stats = %+v, want 1 group of 4", st)
+		t.Errorf("stats = %+v, want 7 members in 4 groups, largest 4", st)
 	}
 }
 
@@ -111,16 +96,12 @@ func TestPlanRejectsEmptyAndInvalid(t *testing.T) {
 // inputs drive the config fields the prefix comparison masks or splits
 // on.
 func FuzzBatchPlan(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3}, true)
-	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x41}, false)
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, true)
-	f.Fuzz(func(t *testing.T, raw []byte, warm bool) {
+	f.Add([]byte{0, 1, 2, 3})
+	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x41})
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 || len(raw) > 32 {
 			t.Skip()
-		}
-		fork := ForkPristine
-		if warm {
-			fork = ForkWarmup
 		}
 		specs := make([]fabric.Config, len(raw))
 		for i, b := range raw {
@@ -139,7 +120,7 @@ func FuzzBatchPlan(f *testing.F) {
 			}
 			specs[i] = s
 		}
-		p, err := NewPlan(specs, Options{Fork: fork})
+		p, err := NewPlan(specs, Options{})
 		if err != nil {
 			t.Fatalf("NewPlan: %v", err)
 		}
@@ -154,7 +135,7 @@ func FuzzBatchPlan(f *testing.F) {
 					t.Fatalf("member %d appears in two groups", mi)
 				}
 				seen[mi] = true
-				if !sharablePrefix(base, p.specs[mi], fork) {
+				if !sharablePrefix(base, p.specs[mi]) {
 					t.Fatalf("member %d grouped with a base it may not share a fabric with", mi)
 				}
 			}
@@ -164,7 +145,7 @@ func FuzzBatchPlan(f *testing.F) {
 		}
 		// Grouping is pure: replanning the same inputs yields the same
 		// partition (no map iteration or shared mutable state involved).
-		q, err := NewPlan(specs, Options{Fork: fork})
+		q, err := NewPlan(specs, Options{})
 		if err != nil {
 			t.Fatalf("NewPlan (replay): %v", err)
 		}

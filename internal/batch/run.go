@@ -2,29 +2,30 @@ package batch
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 
 	"hetpnoc/internal/fabric"
 )
 
 // Run executes every member and returns results aligned with the plan's
-// spec order. Groups are spread over Options.Workers goroutines by a
-// work-stealing scheduler; within a group the members run sequentially
-// on the shared fabric (a checkpoint only restores onto the fabric it
-// was taken from). The caller's ctx is threaded through every
+// spec order. Options.Workers goroutines claim groups off one shared
+// cursor; within a group the members run sequentially on the shared
+// fabric (a checkpoint only restores onto the fabric it was taken
+// from). The caller's ctx is threaded through every
 // fabric.StepContext, so cancellation aborts the in-flight members
-// within one fabric.CancelCheckInterval and the workers drain cleanly;
-// the first error (ctx's, if it fired) is returned. A Plan may be Run
-// again after a cancellation — each Run builds fresh fabrics — and
-// reproduces its results byte-identically.
+// within one fabric.CancelCheckInterval and the workers drain cleanly.
+// Run returns ctx's error if it fired, otherwise the failure of the
+// lowest-indexed group that genuinely failed. A Plan may be Run again
+// after a cancellation — each Run builds fresh fabrics — and reproduces
+// its results byte-identically.
 func (p *Plan) Run(ctx context.Context) ([]Result, error) {
-	workers := p.opts.Workers
-	if workers > len(p.groups) {
-		workers = len(p.groups)
-	}
+	workers := min(p.opts.Workers, len(p.groups))
 	results := make([]Result, len(p.specs))
+	// One slot per group, written only by the worker that claimed it.
+	errs := make([]error, len(p.groups))
 
-	sched := newScheduler(len(p.groups), workers)
 	// runCtx lets the first failing worker pull the others off their
 	// fabrics at the next cancellation check instead of letting them
 	// finish doomed work.
@@ -32,35 +33,24 @@ func (p *Plan) Run(ctx context.Context) ([]Result, error) {
 	defer cancelRun()
 
 	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-		firstIdx int //hetpnoc:guardedby errMu
+		wg     sync.WaitGroup
+		cursor atomic.Int64 // groups claimed so far
 	)
-	fail := func(gi int, err error) {
-		errMu.Lock()
-		if firstErr == nil || gi < firstIdx {
-			firstErr, firstIdx = err, gi
-		}
-		errMu.Unlock()
-		cancelRun()
-	}
-
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
+	for range workers {
+		go func() {
 			defer wg.Done()
-			for {
-				gi, ok := sched.next(w)
-				if !ok || runCtx.Err() != nil {
+			for runCtx.Err() == nil {
+				gi := int(cursor.Add(1)) - 1
+				if gi >= len(p.groups) {
 					return
 				}
-				if err := p.runGroup(runCtx, p.groups[gi], results); err != nil {
-					fail(gi, err)
+				if errs[gi] = p.runGroup(runCtx, p.groups[gi], results); errs[gi] != nil {
+					cancelRun()
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -69,30 +59,27 @@ func (p *Plan) Run(ctx context.Context) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		// With the caller's ctx live, a context.Canceled can only be the
+		// echo of cancelRun above — a group pulled off its fabric because
+		// another one failed. Skip it: the failure that fired cancelRun
+		// sits in its own slot.
+		if err != nil && !errors.Is(err, context.Canceled) {
+			return nil, err
+		}
 	}
 	return results, nil
 }
 
-// runGroup builds the group's shared fabric, checkpoints it at the fork
-// point, and forks every member off the checkpoint.
+// runGroup builds the group's shared fabric, checkpoints it before any
+// stepping, and replays every member's whole run off the checkpoint.
 func (p *Plan) runGroup(ctx context.Context, g group, results []Result) error {
 	base := p.specs[g.members[0]]
 	f, err := fabric.New(base)
 	if err != nil {
 		return memberError(g.members[0], base, err)
 	}
-	if p.opts.Fork == ForkWarmup {
-		if err := f.StepContext(ctx, base.WarmupCycles); err != nil {
-			return memberError(g.members[0], base, err)
-		}
-	}
 	cp := f.Checkpoint()
-	forkCycle := cp.Cycle()
 
 	for _, mi := range g.members {
 		if err := ctx.Err(); err != nil {
@@ -108,65 +95,18 @@ func (p *Plan) runGroup(ctx context.Context, g group, results []Result) error {
 		if err := f.Reseed(spec.Seed); err != nil {
 			return memberError(mi, spec, err)
 		}
-		// The remaining cycles come from the checkpoint's own cycle, not
-		// from the warm-up configuration: re-deriving them would re-step
-		// the shared prefix whenever the two disagree (the double-warm-up
-		// regression pinned by TestWarmForkNeverRestepsWarmup).
-		if err := f.StepContext(ctx, spec.Cycles-int(forkCycle)); err != nil {
+		if err := f.StepContext(ctx, spec.Cycles); err != nil {
 			return memberError(mi, spec, err)
 		}
 		res, err := f.Finish()
 		if err != nil {
 			return memberError(mi, spec, err)
 		}
-		out := Result{Res: res, ForkCycle: forkCycle}
+		out := Result{Res: res}
 		if log := f.Events(); log != nil {
 			out.Events = log.Events()
 		}
 		results[mi] = out
 	}
 	return nil
-}
-
-// scheduler deals the group indices round-robin into per-worker queues;
-// a worker drains its own queue back-to-front and steals from the
-// front of the longest victim when empty. Stealing only changes which
-// worker runs a group, never a member's result slot, so the output is
-// schedule-independent.
-type scheduler struct {
-	mu     sync.Mutex
-	queues [][]int //hetpnoc:guardedby mu
-}
-
-func newScheduler(groups, workers int) *scheduler {
-	queues := make([][]int, workers)
-	for gi := 0; gi < groups; gi++ {
-		queues[gi%workers] = append(queues[gi%workers], gi)
-	}
-	return &scheduler{queues: queues}
-}
-
-// next returns the next group index for worker w, stealing if w's own
-// queue is empty; ok is false when every queue is drained.
-func (s *scheduler) next(w int) (gi int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.queues[w]; len(q) > 0 {
-		gi = q[len(q)-1]
-		s.queues[w] = q[:len(q)-1]
-		return gi, true
-	}
-	victim, best := -1, 0
-	for v := range s.queues {
-		if n := len(s.queues[v]); n > best {
-			victim, best = v, n
-		}
-	}
-	if victim < 0 {
-		return 0, false
-	}
-	q := s.queues[victim]
-	gi = q[0]
-	s.queues[victim] = q[1:]
-	return gi, true
 }

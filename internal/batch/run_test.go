@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,7 +18,7 @@ import (
 )
 
 // soloRun executes one member config on its own fresh fabric — the
-// reference the pristine fork must match byte-for-byte.
+// reference every plan member must match byte-for-byte.
 func soloRun(t *testing.T, cfg fabric.Config) (fabric.Result, []event.Event) {
 	t.Helper()
 	f, err := fabric.New(cfg.WithDefaults())
@@ -66,7 +68,7 @@ func TestPristineForkMatchesSolo(t *testing.T) {
 	specs := []fabric.Config{
 		remapped(1, 1), remapped(5, 1), remapped(1, 2), remapped(5, 0.75),
 	}
-	p := mustPlan(t, specs, Options{Fork: ForkPristine})
+	p := mustPlan(t, specs, Options{})
 	if st := p.Stats(); st.Groups != 1 {
 		t.Fatalf("plan built %d groups, want 1 (seeds and loads vary freely, remap schedules match)", st.Groups)
 	}
@@ -76,9 +78,6 @@ func TestPristineForkMatchesSolo(t *testing.T) {
 	}
 	for i, s := range specs {
 		wantRes, wantEvents := soloRun(t, s)
-		if out[i].ForkCycle != 0 {
-			t.Errorf("member %d forked at cycle %d, want 0 (pristine)", i, out[i].ForkCycle)
-		}
 		if got, want := resultJSON(t, out[i].Res), resultJSON(t, wantRes); !bytes.Equal(got, want) {
 			t.Errorf("member %d diverges from solo run:\nbatch: %s\nsolo:  %s", i, got, want)
 		}
@@ -88,103 +87,44 @@ func TestPristineForkMatchesSolo(t *testing.T) {
 	}
 }
 
-// warmReference reproduces the documented replicated-run contract for
-// one member: build at the base config, warm under the base seed,
-// reseed at the boundary, pay only the measurement window.
-func warmReference(t *testing.T, base fabric.Config, seed uint64) (fabric.Result, []event.Event) {
+// sameAtEveryWorkerCount runs specs at worker counts 1, 2 and
+// GOMAXPROCS and reports whether every member's bytes agree.
+func sameAtEveryWorkerCount(t *testing.T, specs []fabric.Config) bool {
 	t.Helper()
-	base = base.WithDefaults()
-	f, err := fabric.New(base)
-	if err != nil {
-		t.Fatalf("reference fabric.New: %v", err)
-	}
-	if err := f.StepContext(context.Background(), base.WarmupCycles); err != nil {
-		t.Fatalf("reference warm-up: %v", err)
-	}
-	if err := f.Reseed(seed); err != nil {
-		t.Fatalf("reference reseed: %v", err)
-	}
-	if err := f.StepContext(context.Background(), base.Cycles-base.WarmupCycles); err != nil {
-		t.Fatalf("reference measurement: %v", err)
-	}
-	res, err := f.Finish()
-	if err != nil {
-		t.Fatalf("reference finish: %v", err)
-	}
-	return res, f.Events().Events()
-}
-
-// TestWarmForkEquivalence: forking at the warm-up boundary is
-// bit-identical to warming a fresh fabric under the base seed and
-// reseeding it at the same boundary. A remap scheduled inside the
-// measurement window checks the post-fork reconfiguration path too.
-func TestWarmForkEquivalence(t *testing.T) {
-	mk := func(seed uint64) fabric.Config {
-		s := spec(seed, 1)
-		s.EventCapacity = 256
-		s.Remaps = []fabric.Remap{{At: 400, Pattern: traffic.Skewed{Level: 2}}}
-		return s
-	}
-	specs := []fabric.Config{mk(1), mk(2), mk(3)}
-	p := mustPlan(t, specs, Options{Fork: ForkWarmup})
-	if st := p.Stats(); st.Groups != 1 {
-		t.Fatalf("plan built %d groups, want 1", st.Groups)
-	}
-	out, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, s := range specs {
-		wantRes, wantEvents := warmReference(t, specs[0], s.Seed)
-		if got, want := resultJSON(t, out[i].Res), resultJSON(t, wantRes); !bytes.Equal(got, want) {
-			t.Errorf("member %d diverges from the warm-fork reference:\nbatch: %s\nref:   %s", i, got, want)
+	var ref [][]byte
+	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		p, err := NewPlan(specs, Options{Workers: workers})
+		if err != nil {
+			t.Logf("NewPlan: %v", err)
+			return false
 		}
-		if !eventsEqual(out[i].Events, wantEvents) {
-			t.Errorf("member %d event log diverges", i)
+		out, err := p.Run(context.Background())
+		if err != nil {
+			t.Logf("Run: %v", err)
+			return false
+		}
+		enc := make([][]byte, len(out))
+		for i := range out {
+			enc[i] = resultJSON(t, out[i].Res)
+		}
+		if ref == nil {
+			ref = enc
+			continue
+		}
+		for i := range enc {
+			if !bytes.Equal(enc[i], ref[i]) {
+				t.Logf("member %d differs between %d workers and 1", i, workers)
+				return false
+			}
 		}
 	}
-}
-
-// TestWarmForkNeverRestepsWarmup pins the double-warm-up regression: a
-// caller that leaves WarmupCycles zero gets the fabric's default (1000)
-// applied at build time, and the fork must happen exactly there — the
-// members' remaining cycle count comes from the checkpoint's own cycle,
-// never re-derived from the caller's (un-defaulted) options. Before the
-// batch engine, experiments.replicateRows computed the measurement
-// window from caller options and re-stepped the whole warm-up inside
-// every replica.
-func TestWarmForkNeverRestepsWarmup(t *testing.T) {
-	mk := func(seed uint64) fabric.Config {
-		return fabric.Config{
-			Pattern: traffic.Uniform{},
-			Cycles:  2000,
-			// WarmupCycles deliberately zero: the fabric defaults it.
-			Seed: seed,
-		}
-	}
-	specs := []fabric.Config{mk(1), mk(2)}
-	p := mustPlan(t, specs, Options{Fork: ForkWarmup})
-	out, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	wantFork := fabric.Config{}.WithDefaults().WarmupCycles
-	for i := range out {
-		if int(out[i].ForkCycle) != wantFork {
-			t.Errorf("member %d forked at cycle %d, want the defaulted warm-up boundary %d", i, out[i].ForkCycle, wantFork)
-		}
-		wantRes, _ := warmReference(t, specs[0], specs[i].Seed)
-		if got, want := resultJSON(t, out[i].Res), resultJSON(t, wantRes); !bytes.Equal(got, want) {
-			t.Errorf("member %d diverges from the single-warm-up reference", i)
-		}
-	}
+	return true
 }
 
 // TestPartitionIndependence is the scheduling-invariance property: for
 // random sub-batches of a mixed corpus, the results are byte-identical
-// at worker counts 1, 2 and GOMAXPROCS — partitioning work over more
-// workers (and the stealing it causes) may never change any member's
-// bytes.
+// at worker counts 1, 2 and GOMAXPROCS — which worker claims which
+// group may never change any member's bytes.
 func TestPartitionIndependence(t *testing.T) {
 	corpus := []fabric.Config{
 		spec(1, 1), spec(2, 1), spec(1, 2), spec(3, 0.5),
@@ -196,51 +136,39 @@ func TestPartitionIndependence(t *testing.T) {
 	skewed.Pattern = traffic.Skewed{Level: 2}
 	corpus = append(corpus, firefly, skewed)
 
-	property := func(mask uint8, warm bool) bool {
+	property := func(mask uint8) bool {
 		var specs []fabric.Config
 		for i, s := range corpus {
 			if mask&(1<<i) != 0 {
 				specs = append(specs, s)
 			}
 		}
-		if len(specs) == 0 {
-			return true
-		}
-		fork := ForkPristine
-		if warm {
-			fork = ForkWarmup
-		}
-		var ref [][]byte
-		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			p, err := NewPlan(specs, Options{Workers: workers, Fork: fork})
-			if err != nil {
-				t.Logf("NewPlan: %v", err)
-				return false
-			}
-			out, err := p.Run(context.Background())
-			if err != nil {
-				t.Logf("Run: %v", err)
-				return false
-			}
-			enc := make([][]byte, len(out))
-			for i := range out {
-				enc[i] = resultJSON(t, out[i].Res)
-			}
-			if ref == nil {
-				ref = enc
-				continue
-			}
-			for i := range enc {
-				if !bytes.Equal(enc[i], ref[i]) {
-					t.Logf("member %d differs between worker counts", i)
-					return false
-				}
-			}
-		}
-		return true
+		return len(specs) == 0 || sameAtEveryWorkerCount(t, specs)
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+
+	// Uneven groups of 1, 1, 5 and 9 members, interleaved in submission
+	// order: the case where the order groups are claimed in decides which
+	// worker ends up with the long ones.
+	longer := spec(7, 1)
+	longer.Cycles = 900
+	uneven := []fabric.Config{skewed}
+	for i := 0; i < 9; i++ {
+		s := spec(uint64(i+1), 1+float64(i%3)/2)
+		uneven = append(uneven, s)
+		if i < 5 {
+			s.Arch = fabric.Firefly
+			uneven = append(uneven, s)
+		}
+	}
+	uneven = append(uneven, longer)
+	if st := mustPlan(t, uneven, Options{}).Stats(); st.Groups != 4 || st.LargestGroup != 9 || st.Members != 16 {
+		t.Fatalf("uneven corpus stats = %+v, want 16 members in 4 groups, largest 9", st)
+	}
+	if !sameAtEveryWorkerCount(t, uneven) {
+		t.Error("uneven groups: results depend on the worker count")
 	}
 }
 
@@ -259,7 +187,7 @@ func TestRunCancellationDrains(t *testing.T) {
 	}
 	specs := []fabric.Config{long(1), long(2), long(3), long(4)}
 
-	p := mustPlan(t, specs, Options{Workers: 2, Fork: ForkPristine})
+	p := mustPlan(t, specs, Options{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	start := time.Now()
@@ -304,5 +232,27 @@ func TestRunCancellationDrains(t *testing.T) {
 		if !bytes.Equal(resultJSON(t, got[i].Res), resultJSON(t, want[i].Res)) {
 			t.Errorf("member %d of the resubmitted plan diverges from the reference", i)
 		}
+	}
+}
+
+// TestRunReportsRootCause: when a group fails, Run pulls the other
+// workers off their fabrics through its own cancellation — and the
+// context.Canceled those groups return must never be the reported
+// error, lower group index or not. Group 0 is long enough to still be
+// stepping when group 1 fails at build time.
+func TestRunReportsRootCause(t *testing.T) {
+	leakcheck.Check(t)
+	long := spec(1, 1)
+	long.Pattern = traffic.Skewed{Level: 3}
+	long.Cycles = 200_000
+	broken := spec(1, 1)
+	broken.Pattern = traffic.Skewed{Level: 9} // passes Validate, fails in fabric.New
+	p := mustPlan(t, []fabric.Config{long, broken}, Options{Workers: 2})
+	_, err := p.Run(context.Background())
+	if err == nil {
+		t.Fatal("Run succeeded, want the build failure of member 1")
+	}
+	if errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "member 1") {
+		t.Errorf("Run returned %q, want member 1's build failure, not the cancellation it caused", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hetpnoc/internal/area"
-	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
 	"hetpnoc/internal/units"
@@ -44,7 +43,7 @@ func runAblation(ctx context.Context, opts Options, cases []ablationCase) ([]Abl
 		cfg.Seed = opts.Seed
 		specs[i] = cfg
 	}
-	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	out, err := runPlan(ctx, opts, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ablation %s: %w", cases[0].study, err)
 	}

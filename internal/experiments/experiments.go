@@ -149,11 +149,11 @@ func rowAtPeak(p Point, scale float64, res fabric.Result) Row {
 // runPlan is how every runner in this package executes simulations: the
 // specs become one batch plan bounded by opts.Parallelism, specs sharing
 // a build prefix share one fabric, and the results come back in spec
-// order. Under ForkPristine each result is bit-identical to a solo
-// fabric.New + Run of its spec (the batch fork contract,
-// docs/BATCHING.md). opts must already be defaulted.
-func runPlan(ctx context.Context, opts Options, fork batch.ForkPoint, specs []fabric.Config) ([]batch.Result, error) {
-	plan, err := batch.NewPlan(specs, batch.Options{Workers: opts.Parallelism, Fork: fork})
+// order. Each result is bit-identical to a solo fabric.New + Run of its
+// spec (the batch contract, docs/BATCHING.md). opts must already be
+// defaulted.
+func runPlan(ctx context.Context, opts Options, specs []fabric.Config) ([]batch.Result, error) {
+	plan, err := batch.NewPlan(specs, batch.Options{Workers: opts.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,7 @@ func RunMatrixContext(ctx context.Context, opts Options, points []Point) ([]Row,
 			specs = append(specs, pointConfig(opts, p, scale))
 		}
 	}
-	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	out, err := runPlan(ctx, opts, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -2,20 +2,9 @@ package experiments
 
 import (
 	"encoding/csv"
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
-
-	"hetpnoc/internal/units"
 )
-
-// WriteRowsJSON serializes matrix rows as indented JSON.
-func WriteRowsJSON(w io.Writer, rows []Row) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
-}
 
 // WriteRowsCSV serializes matrix rows as CSV with a header, for plotting
 // the figures with external tools.
@@ -50,104 +39,6 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 	return cw.Error()
 }
 
-// WriteAblationsCSV serializes ablation rows as CSV with a header.
-func WriteAblationsCSV(w io.Writer, rows []AblationRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"study", "variant", "peakBandwidthGbps", "energyPerMessagePJ", "avgLatencyCycles", "areaMM2"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		record := []string{
-			r.Study, r.Variant,
-			formatFloat(float64(r.PeakBandwidthGbps)),
-			formatFloat(float64(r.EnergyPerMessagePJ)),
-			formatFloat(r.AvgLatencyCycles),
-			formatFloat(float64(r.AreaMM2)),
-		}
-		if err := cw.Write(record); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteLatencyCSV serializes a load-latency curve as CSV with a header.
-func WriteLatencyCSV(w io.Writer, points []LatencyPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"loadScale", "offeredGbps", "deliveredGbps", "avgLatencyCycles", "maxLatencyCycles"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		record := []string{
-			formatFloat(p.LoadScale),
-			formatFloat(float64(p.OfferedGbps)),
-			formatFloat(float64(p.DeliveredGbps)),
-			formatFloat(p.AvgLatencyCycles),
-			strconv.FormatInt(p.MaxLatencyCycles, 10),
-		}
-		if err := cw.Write(record); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// ParseRowsCSV reads back rows written by WriteRowsCSV — round-trip
-// support for archiving experiment outputs.
-func ParseRowsCSV(r io.Reader) ([]Row, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("experiments: empty CSV")
-	}
-	rows := make([]Row, 0, len(records)-1)
-	for i, rec := range records[1:] {
-		if len(rec) != 12 {
-			return nil, fmt.Errorf("experiments: record %d has %d fields, want 12", i+1, len(rec))
-		}
-		var row Row
-		row.Set, row.Pattern, row.Arch = rec[0], rec[1], rec[2]
-		floats := []struct {
-			idx int
-			set func(float64)
-		}{
-			{3, func(v float64) { row.AtLoad = v }},
-			{4, func(v float64) { row.PeakBandwidthGbps = units.Gbps(v) }},
-			{5, func(v float64) { row.PerCoreGbps = units.Gbps(v) }},
-			{6, func(v float64) { row.EnergyPerMessagePJ = units.Picojoule(v) }},
-			{7, func(v float64) { row.OfferedGbps = units.Gbps(v) }},
-			{11, func(v float64) { row.AvgLatencyCycles = v }},
-		}
-		for _, f := range floats {
-			v, err := strconv.ParseFloat(rec[f.idx], 64)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: record %d field %d: %w", i+1, f.idx, err)
-			}
-			f.set(v)
-		}
-		ints := []struct {
-			idx int
-			dst *int64
-		}{
-			{8, &row.PacketsDelivered}, {9, &row.PacketsDropped}, {10, &row.Retransmissions},
-		}
-		for _, f := range ints {
-			v, err := strconv.ParseInt(rec[f.idx], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: record %d field %d: %w", i+1, f.idx, err)
-			}
-			*f.dst = v
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
 	"hetpnoc/internal/units"
@@ -36,7 +35,7 @@ func LoadLatencyCurve(ctx context.Context, opts Options, arch fabric.Arch, patte
 	for i, load := range loads {
 		specs[i] = pointConfig(opts, Point{Set: set, Pattern: pattern, Arch: arch}, load)
 	}
-	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	out, err := runPlan(ctx, opts, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: latency curve: %w", err)
 	}

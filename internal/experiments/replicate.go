@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 )
 
@@ -40,13 +39,10 @@ func RunReplicated(opts Options, p Point, seeds int) (Replicated, error) {
 // every replicate's fabric, so canceling aborts the whole replication at
 // the next cancellation check instead of leaking seeds.
 //
-// Replicas fork from one warmed-up prefix per load scale: the fabric is
-// built and warmed once at opts.Seed, checkpointed at the warm-up
-// boundary, and each replica restores the checkpoint and reseeds with
-// opts.Seed+i before paying only the measurement window — the FabricBuild
-// and warm-up cost is amortized across all seeds, and the forked runs
-// are bit-identical to warming a fresh fabric and reseeding it at the
-// same boundary (TestReplicatedForkBitIdentical).
+// Every (seed, load scale) pair is one member of a single batch plan, so
+// replica i is byte-identical to a solo run at opts.Seed+i
+// (TestReplicasMatchSoloRuns) and the whole replication builds one
+// fabric.
 func RunReplicatedContext(ctx context.Context, opts Options, p Point, seeds int) (Replicated, error) {
 	if seeds < 2 {
 		return Replicated{}, fmt.Errorf("experiments: replication needs >= 2 seeds, got %d", seeds)
@@ -82,19 +78,9 @@ func RunReplicatedContext(ctx context.Context, opts Options, p Point, seeds int)
 }
 
 // replicateRows produces one best-over-the-load-sweep Row per seed,
-// running all (scale, seed) pairs through one warm-fork batch plan.
-// Each load scale forms one plan group: its replicas share the prefix
-// generated by opts.Seed (the group's first member), diverge at the
-// warm-up boundary — exactly where measurement starts — and pay only
-// the measurement window, so the measured windows are independent
-// draws over a common warm state. The fork point is the checkpoint's
-// own cycle, never re-derived from the caller's options: replicas can
-// no longer re-step the warm-up when the two disagree (the
-// double-warm-up regression pinned by TestReplicateNoDoubleWarmup).
+// running all (seed, scale) pairs through one batch plan. opts must
+// already be defaulted.
 func replicateRows(ctx context.Context, opts Options, p Point, seeds int) ([]Row, error) {
-	// Defaulted again defensively: the fork grouping below assumes the
-	// options carry the same warm-up the fabric will actually apply.
-	opts = opts.withDefaults()
 	scales := opts.LoadScales
 	specs := make([]fabric.Config, 0, seeds*len(scales))
 	for i := 0; i < seeds; i++ {
@@ -104,7 +90,7 @@ func replicateRows(ctx context.Context, opts Options, p Point, seeds int) ([]Row
 			specs = append(specs, cfg)
 		}
 	}
-	out, err := runPlan(ctx, opts, batch.ForkWarmup, specs)
+	out, err := runPlan(ctx, opts, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s/%s/%s: %w", p.Set.Name, p.Pattern.Name(), p.Arch, err)
 	}

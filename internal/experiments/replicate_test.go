@@ -31,92 +31,51 @@ func TestRunReplicatedValidation(t *testing.T) {
 	}
 }
 
-// TestReplicatedForkBitIdentical is the golden check for checkpoint-
-// forked replication: each replica forked from the shared warmed-up
-// checkpoint must match, field for field, a reference run that builds a
-// fresh fabric, warms it from scratch at the base seed, reseeds at the
-// same boundary and runs the measurement window — and re-running the
-// forked path must reproduce itself exactly.
-func TestReplicatedForkBitIdentical(t *testing.T) {
-	opts := quickOpts().withDefaults()
+// TestReplicasMatchSoloRuns holds replication to the one batch contract:
+// replica i is the best-over-the-load-sweep row of solo runs at
+// opts.Seed+i, each written out here as fabric.New + StepContext +
+// Finish on its own fresh fabric.
+func TestReplicasMatchSoloRuns(t *testing.T) {
+	opts := quickOpts()
+	opts.LoadScales = []float64{0.5, 1.0}
+	opts = opts.withDefaults()
 	p := Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC}
 	const seeds = 3
 	ctx := context.Background()
 
-	forked, err := replicateRows(ctx, opts, p, seeds)
+	rows, err := replicateRows(ctx, opts, p, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(forked) != seeds {
-		t.Fatalf("got %d rows, want %d", len(forked), seeds)
+	if len(rows) != seeds {
+		t.Fatalf("got %d rows, want %d", len(rows), seeds)
 	}
-
-	scale := opts.LoadScales[0]
 	for i := 0; i < seeds; i++ {
-		f, err := fabric.New(pointConfig(opts, p, scale))
-		if err != nil {
-			t.Fatal(err)
+		var want Row
+		for _, scale := range opts.LoadScales {
+			cfg := pointConfig(opts, p, scale)
+			cfg.Seed = opts.Seed + uint64(i)
+			f, err := fabric.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.StepContext(ctx, opts.Cycles); err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Seed != cfg.Seed {
+				t.Fatalf("solo run reports seed %d, want %d", res.Seed, cfg.Seed)
+			}
+			if row := rowAtPeak(p, scale, res); row.PeakBandwidthGbps > want.PeakBandwidthGbps {
+				want = row
+			}
 		}
-		if err := f.StepContext(ctx, opts.WarmupCycles); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(rows[i], want) {
+			t.Fatalf("replica %d diverged from the solo runs at seed %d:\nreplica: %+v\nsolo:    %+v", i, opts.Seed+uint64(i), rows[i], want)
 		}
-		if err := f.Reseed(opts.Seed + uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.StepContext(ctx, opts.Cycles-opts.WarmupCycles); err != nil {
-			t.Fatal(err)
-		}
-		res, err := f.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Seed != opts.Seed+uint64(i) {
-			t.Fatalf("replica %d result reports seed %d, want %d", i, res.Seed, opts.Seed+uint64(i))
-		}
-		want := rowAtPeak(p, scale, res)
-		if !reflect.DeepEqual(forked[i], want) {
-			t.Fatalf("forked replica %d diverged from the fresh-fabric reference:\nforked: %+v\nfresh:  %+v", i, forked[i], want)
-		}
-	}
-
-	again, err := replicateRows(ctx, opts, p, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(forked, again) {
-		t.Fatal("re-running the forked replication did not reproduce itself")
-	}
-}
-
-// TestReplicateNoDoubleWarmup pins the double-warm-up regression at the
-// experiments layer: options relying on the defaults (WarmupCycles left
-// zero) and options spelling the same values explicitly must replicate
-// identically. Before the batch engine, the measurement window was
-// derived from the caller's options while the warm-up came from the
-// fabric's defaults — whenever the two defaulting layers disagreed, the
-// replicas silently re-stepped the warm-up after the fork. The fork
-// point is now the checkpoint's own cycle, so the two spellings cannot
-// diverge.
-func TestReplicateNoDoubleWarmup(t *testing.T) {
-	p := Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}
-	const seeds = 2
-	ctx := context.Background()
-
-	implicit, err := replicateRows(ctx, Options{Cycles: 2500}, p, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	explicit, err := replicateRows(ctx, Options{
-		Cycles:       2500,
-		WarmupCycles: 1000,
-		Seed:         1,
-		LoadScales:   []float64{1.0},
-	}, p, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(implicit, explicit) {
-		t.Fatalf("implicit and explicit default options replicate differently:\nimplicit: %+v\nexplicit: %+v", implicit, explicit)
 	}
 }
 

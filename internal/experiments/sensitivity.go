@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/traffic"
@@ -60,7 +59,7 @@ func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]S
 			rows = append(rows, SensitivityRow{Parameter: param, Scale: scale})
 		}
 	}
-	out, err := runPlan(ctx, opts, batch.ForkPristine, specs)
+	out, err := runPlan(ctx, opts, specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: energy sensitivity: %w", err)
 	}

@@ -91,14 +91,6 @@ type packetCapture struct {
 	val packet.Packet
 }
 
-// Cycle returns the cycle boundary the checkpoint was taken at — the
-// explicit fork point. Forking engines must derive the remaining cycle
-// count from it (cfg.Cycles - int(cp.Cycle())) instead of re-deriving it
-// from the warm-up configuration: the two disagree whenever the caller's
-// options and the fabric's applied defaults were filled independently,
-// which is exactly the latent double-warm-up the batch engine fixes.
-func (cp *Checkpoint) Cycle() sim.Cycle { return cp.now }
-
 // Checkpoint captures the fabric's complete mutable state at the current
 // cycle boundary. The fabric is untouched: taking a checkpoint never
 // perturbs the run.

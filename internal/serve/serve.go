@@ -115,8 +115,6 @@ type flight struct {
 // the server.
 //
 //hetpnoc:lockorder Server.mu Cache.mu cache Get/Put may run under the server lock, never the reverse
-//hetpnoc:lockorder Server.mu scheduler.mu the batch scheduler locks only inside plan.Run, entered with no server lock held
-//hetpnoc:lockorder Cache.mu scheduler.mu cache calls bracket a flight's run, never overlap it; the scheduler never calls back into serve
 type Server struct {
 	cfg   Config
 	cache *cache.Cache
