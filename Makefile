@@ -12,12 +12,14 @@
 #   make bench-check — vet, test and smoke-run the bench/ module (the
 #                  BENCHMARK.json load generator), which root `go test
 #                  ./...` cannot see
+#   make bench-smoke — compile and run the router/fabric microbenchmarks
+#                  at 200 iterations each (CI keeps them from rotting)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check sweep
+.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check bench-smoke sweep
 
 check: build vet lint test race bench-check
 
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequestDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPlan$$' -fuzztime $(FUZZTIME) ./internal/batch
+	$(GO) test -run '^$$' -fuzz '^FuzzRouterTabledEquivalence$$' -fuzztime $(FUZZTIME) ./internal/router
 
 # bench/ is its own module (hetpnoc/bench, replace hetpnoc => ../) and
 # compiles against internal/fabric, internal/batch and internal/serve by
@@ -85,6 +88,12 @@ fuzz-smoke:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -smoke
+
+# The kernel microbenchmarks are only ever run by hand; a fixed, tiny
+# iteration count on every push keeps them compiling and running (their
+# set-up code included) without pretending to measure anything.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep' -benchtime 200x ./internal/router ./internal/fabric
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

@@ -19,6 +19,10 @@ type checkpointCase struct {
 	// checkpoint, so the restore must replay the remap (new sources from
 	// the restored RNG) identically.
 	remapAt int64
+	// wantBlocked requires the checkpoint to land while some router holds
+	// a header waiting on a VC-exhausted output, so the byte-equality
+	// after Restore covers the routers' rebuilt waiting-header masks.
+	wantBlocked bool
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -38,8 +42,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				Seed:          7,
 				EventCapacity: 128,
 			},
-			snapAt:  1200,
-			remapAt: 2000,
+			snapAt:      1200,
+			remapAt:     2000,
+			wantBlocked: true,
 		},
 		{
 			// Checkpoint inside the warm-up window: the measurement
@@ -104,6 +109,10 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	f := buildFabric(t, fc)
 	stepN(t, f, tc.snapAt)
 	cp := f.Checkpoint()
+	blocked := f.BlockedHeaders()
+	if tc.wantBlocked && blocked == 0 {
+		t.Fatalf("no header waits on a VC-exhausted output at cycle %d; the case no longer exercises the blocked-header state", tc.snapAt)
+	}
 	stepN(t, f, fc.Cycles-tc.snapAt)
 	gotJSON, gotEvents := finishCanonical(t, f)
 	if !bytes.Equal(refJSON, gotJSON) {
@@ -120,6 +129,9 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	}
 	if got, want := f.Now(), sim.Cycle(tc.snapAt); got != want {
 		t.Fatalf("restored fabric at cycle %d, checkpoint was at %d", got, want)
+	}
+	if got := f.BlockedHeaders(); got != blocked {
+		t.Fatalf("restored fabric has %d blocked headers, checkpoint was taken with %d", got, blocked)
 	}
 	stepN(t, f, fc.Cycles-tc.snapAt)
 	redoJSON, redoEvents := finishCanonical(t, f)

@@ -608,6 +608,17 @@ func (f *Fabric) DeliveredPackets() int64 {
 // Totals returns the un-gated whole-run packet counters.
 func (f *Fabric) Totals() Totals { return f.totals }
 
+// BlockedHeaders returns how many router input VCs hold a header waiting
+// on an output whose downstream port has run out of VCs — the §1.4
+// congestion state — for tests and diagnostics.
+func (f *Fabric) BlockedHeaders() int {
+	n := 0
+	for _, r := range f.routers {
+		n += r.BlockedHeaders()
+	}
+	return n
+}
+
 // LivePackets returns the packets currently in flight anywhere in the
 // fabric: source queues, router buffers, photonic channels and pending
 // retransmission timers.

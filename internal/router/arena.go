@@ -66,9 +66,12 @@ type Arena struct {
 	// persistent contender masks. watchers lists the routers feeding the
 	// port (those with it as an output destination): draining the port
 	// can unblock their arbitration, so pops wake them from quiescence.
-	consumer []*Router   //hetpnoc:nosnap router wiring, fixed at build; Restore rebuilds their live masks
+	// routers lists every router arbitrating ports of this arena, once
+	// each, in construction order.
+	consumer []*Router   //hetpnoc:nosnap router wiring, fixed at build
 	consBase []int32     //hetpnoc:nosnap router wiring, fixed at build
 	watchers [][]*Router //hetpnoc:nosnap router wiring, fixed at build
+	routers  []*Router   //hetpnoc:nosnap router wiring, fixed at build; Restore rebuilds their live masks
 
 	// Per-VC state, indexed by the global VC index g = vcBase[port]+vc.
 	hot   []vcHot
@@ -282,18 +285,7 @@ func (a *Arena) Restore(s *ArenaSnapshot) error {
 	}
 	// Ownership state just changed wholesale; the persistent contender
 	// masks of every consuming router must be rebuilt to match.
-	var done []*Router
-outer:
-	for _, r := range a.consumer {
-		if r == nil {
-			continue
-		}
-		for _, d := range done {
-			if d == r {
-				continue outer
-			}
-		}
-		done = append(done, r)
+	for _, r := range a.routers {
 		r.rebuildLive()
 	}
 	return nil

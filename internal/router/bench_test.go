@@ -69,11 +69,22 @@ func BenchmarkRouterTickStreaming(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	pkt := &packet.Packet{ID: 1, Flits: 1 << 30, FlitBits: 32}
-	vc, ok := in.AllocVC(pkt.ID)
+	vc, ok := in.AllocVC(streamID)
 	if !ok {
 		b.Fatal("no VC")
 	}
+	pumpStream(b, r, in, vc, out, 0)
+}
+
+// streamID is the packet ID of the streaming benchmarks' endless packet.
+const streamID packet.ID = 1 << 20
+
+// pumpStream is the timed loop of the streaming benchmarks: the endless
+// packet streamID is kept primed in input VC vc, which the caller claimed
+// for it; r ticks once per iteration, and downstream VC outVC — the one
+// the stream's header will be granted — is kept drained.
+func pumpStream(b *testing.B, r *Router, in *Port, vc int, out *Port, outVC int) {
+	pkt := &packet.Packet{ID: streamID, Flits: 1 << 30, FlitBits: 32}
 	seq := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -96,9 +107,70 @@ func BenchmarkRouterTickStreaming(b *testing.B) {
 			b.Fatal(err)
 		}
 		for out.BufferedFlits() > 32 {
-			if _, err := out.Pop(0); err != nil {
+			if _, err := out.Pop(outVC); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+}
+
+// BenchmarkRouterTickBlocked measures the congested case: a tabled
+// 5-input router whose single output feeds a port with every VC owned.
+// One routed stream keeps flowing through it while the other 79 input VCs
+// each hold a header waiting for a downstream VC that never frees, so the
+// number reported is what a Tick pays for waiters on top of one grant.
+func BenchmarkRouterTickBlocked(b *testing.B) {
+	ledger := photonic.NewLedger(photonic.DefaultEnergyParams())
+	var occ int64
+	arena, err := NewArena(ledger, &occ)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inputs := make([]*Port, 5)
+	widths := make([]int, 5)
+	for i := range inputs {
+		if inputs[i], err = arena.NewPort(16, 64); err != nil {
+			b.Fatal(err)
+		}
+		widths[i] = 2
+	}
+	r, err := New("bench", inputs, widths, func(packet.Flit) int { return 0 }, ledger)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.SetRouteTable([]int16{0})
+	out, err := arena.NewPort(16, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := r.AddOutput(out, 2, true); err != nil {
+		b.Fatal(err)
+	}
+	// Strangers own all but the last downstream VC; the stream's header
+	// takes that one on the first eligible Tick.
+	id := packet.ID(1)
+	for v := 0; v < out.VCCount()-1; v++ {
+		if _, ok := out.AllocVC(id); !ok {
+			b.Fatal("no downstream VC")
+		}
+		id++
+	}
+	// The stream claims the first input VC — first in round-robin order, so
+	// its header wins the free downstream VC — and every other input VC
+	// holds a waiting header.
+	streamVC, ok := inputs[0].AllocVC(streamID)
+	if !ok {
+		b.Fatal("no VC")
+	}
+	for _, in := range inputs {
+		for in.FreeVCs() > 0 {
+			pkt := &packet.Packet{ID: id, Flits: 4, FlitBits: 32}
+			id++
+			vc, _ := in.AllocVC(pkt.ID)
+			if err := in.Enqueue(vc, packet.FlitAt(pkt, 0), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pumpStream(b, r, inputs[0], streamVC, out, out.VCCount()-1)
 }

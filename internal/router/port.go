@@ -209,9 +209,7 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 			// fixed until its tail departs: enter it into the router's
 			// persistent contender mask for that output.
 			if cons != nil && d >= 0 {
-				idx := int(a.consBase[p.id]) + i
-				cons.liveMask[int(d)*cons.maskWords+(idx>>6)] |= 1 << (uint(idx) & 63)
-				cons.liveAny |= 1 << uint(d)
+				cons.addContender(int(d), int(a.consBase[p.id])+i)
 			}
 		}
 	}
@@ -320,8 +318,7 @@ func (p *Port) Pop(i int) (packet.Flit, error) {
 	if f.Type.IsTail() {
 		if d := h.dstOut; d >= 0 {
 			if r := a.consumer[p.id]; r != nil {
-				idx := int(a.consBase[p.id]) + i
-				r.liveMask[int(d)*r.maskWords+(idx>>6)] &^= 1 << (uint(idx) & 63)
+				r.dropContender(int(d), int(a.consBase[p.id])+i)
 			}
 		}
 		a.owner[g] = 0
@@ -366,8 +363,7 @@ func (p *Port) ReleaseOwner(i int) {
 	a.owner[g] = 0
 	if d := h.dstOut; d >= 0 {
 		if r := a.consumer[p.id]; r != nil {
-			idx := int(a.consBase[p.id]) + i
-			r.liveMask[int(d)*r.maskWords+(idx>>6)] &^= 1 << (uint(idx) & 63)
+			r.dropContender(int(d), int(a.consBase[p.id])+i)
 		}
 	}
 	*h = vcHot{dstOut: -1}

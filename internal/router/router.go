@@ -18,13 +18,17 @@ const PipelineDelay sim.Cycle = 2
 // RouteFunc maps a flit to the index of the output it must leave through.
 type RouteFunc func(f packet.Flit) int
 
-// Output is one router output: the downstream input port it feeds, the
-// number of flits it can transfer per cycle (its datapath width), and its
-// round-robin arbitration state.
-type Output struct {
-	dst   *Port
-	width int
-	rr    int
+// output is one router output, stored by value in Router.outputs so
+// arbitration reads it without a pointer chase: the downstream input
+// port it feeds (a view, copied), the number of flits it can transfer per
+// cycle (its datapath width), its round-robin cursor, and whether
+// forwarding through it dissipates wire-link energy — internal hops
+// inside the photonic router (to the transmit engine) cross no chip wire.
+type output struct {
+	dst    Port
+	width  int32
+	rr     int32
+	charge bool
 }
 
 // MaxOutputs bounds a router's output count so the set of outputs with
@@ -48,14 +52,9 @@ type Router struct {
 	inputs  []*Port
 	inPort  []int32
 	inWidth []int
-	outputs []*Output
+	outputs []output
 	route   RouteFunc
 	ledger  *photonic.Ledger
-
-	// chargeLink controls whether forwarding charges wire-link energy;
-	// internal hops inside the photonic router (to the transmit engine)
-	// cross no chip wire.
-	chargeLink []bool
 
 	// cand maps a flat arbitration-scan index to its packed (global
 	// arena VC, input port, VC) triple, precomputed so a scan visit is
@@ -81,7 +80,18 @@ type Router struct {
 	// those ownership transitions (maintained by Port.Enqueue/Pop/
 	// ReleaseOwner through the arena's consumer registry), and Tick seeds
 	// its scratch with one copy instead of re-walking every buffered VC.
-	liveMask []uint64
+	//
+	// hdrMask is the subset of liveMask whose header has not been
+	// forwarded yet (set with the live bit at header enqueue, cleared when
+	// Tick locks the path, and with the live bit). Those are exactly the
+	// candidates that need a downstream VC, so when the downstream port
+	// has none free Tick drops them from the scratch wholesale instead of
+	// visiting each one to hear the same refusal.
+	//
+	// outMask, liveMask and hdrMask share the stride and are carved from
+	// one allocation (see growMasks).
+	liveMask []uint64 //hetpnoc:nosnap derived from arena ownership state, rebuilt by rebuildLive
+	hdrMask  []uint64 //hetpnoc:nosnap derived from arena ownership state, rebuilt by rebuildLive
 	tabled   bool
 	// liveAny is a lazy per-output summary of liveMask: bit o is set
 	// whenever output o might have a contender. Ownership transitions set
@@ -153,7 +163,40 @@ func New(name string, inputs []*Port, inWidths []int, route RouteFunc, ledger *p
 	}
 	r.maskWords = (total + 63) / 64
 	r.budget = make([]int32, len(inputs))
+	// A switch has about as many outputs as inputs; sizing for that makes
+	// the output table and the mask slab one allocation each for every
+	// router the fabric builds. AddOutput grows both if a rig needs more.
+	r.outputs = make([]output, 0, len(inputs))
+	r.growMasks(len(inputs))
+	arena.routers = append(arena.routers, r)
 	return r, nil
+}
+
+// growMasks re-carves outMask, liveMask and hdrMask from one fresh slab
+// with room for outs outputs, keeping the persistent masks' contents.
+func (r *Router) growMasks(outs int) {
+	n := outs * r.maskWords
+	slab := make([]uint64, 3*n)
+	copy(slab[n:2*n], r.liveMask)
+	copy(slab[2*n:], r.hdrMask)
+	r.outMask, r.liveMask, r.hdrMask = slab[:n:n], slab[n:2*n:2*n], slab[2*n:]
+}
+
+// addContender enters flat candidate idx into output o's persistent
+// masks as a waiting header: its packet's header has just been buffered.
+func (r *Router) addContender(o, idx int) {
+	k, bit := o*r.maskWords+(idx>>6), uint64(1)<<(uint(idx)&63)
+	r.liveMask[k] |= bit
+	r.hdrMask[k] |= bit
+	r.liveAny |= 1 << uint(o)
+}
+
+// dropContender removes flat candidate idx from output o's persistent
+// masks: its packet's tail has left the input VC, or the VC was released.
+func (r *Router) dropContender(o, idx int) {
+	k, bit := o*r.maskWords+(idx>>6), uint64(1)<<(uint(idx)&63)
+	r.liveMask[k] &^= bit
+	r.hdrMask[k] &^= bit
 }
 
 // Input returns input port i.
@@ -189,10 +232,10 @@ func (r *Router) AddOutput(dst *Port, width int, chargeLink bool) (int, error) {
 	if len(r.outputs) >= MaxOutputs {
 		return 0, fmt.Errorf("router %s: output count exceeds bitmask capacity %d", r.name, MaxOutputs)
 	}
-	r.outputs = append(r.outputs, &Output{dst: dst, width: width})
-	r.chargeLink = append(r.chargeLink, chargeLink)
-	r.outMask = append(r.outMask, make([]uint64, r.maskWords)...)
-	r.liveMask = append(r.liveMask, make([]uint64, r.maskWords)...)
+	r.outputs = append(r.outputs, output{dst: *dst, width: int32(width), charge: chargeLink})
+	if need := len(r.outputs) * r.maskWords; need > len(r.outMask) {
+		r.growMasks(2 * len(r.outputs))
+	}
 	dst.a.watchers[dst.id] = append(dst.a.watchers[dst.id], r)
 	return len(r.outputs) - 1, nil
 }
@@ -226,44 +269,9 @@ func (r *Router) Tick(now sim.Cycle) error {
 		}
 		r.quiet = false
 	}
-	// Index-guard note: the scans below decode indices from bitmask bits
-	// and packed candidate descriptors, relations the compiler cannot see
-	// through, so every decoded index is checked once with an unsigned
-	// compare against the slice it drives. The guards are dead by
-	// construction (masks, candidates and arena views are sized together
-	// at build), but they anchor bounds-check elimination for every access
-	// they dominate.
-	a := r.arena
-	nw := r.maskWords
-	outMask := r.outMask
-	liveMask := r.liveMask
 	var nonEmpty uint64 // bit o set: output o has at least one contender
 	if r.tabled {
-		// Fast path: the persistent masks already bin every owned VC by
-		// its fixed route; one copy seeds the scratch. Extra bits — VCs
-		// that are momentarily empty or whose head is still too young —
-		// are exactly the candidates the reference scan visits and skips
-		// with no side effect, and the scan below kills them on first
-		// visit.
-		for la := r.liveAny; la != 0; la &= la - 1 {
-			o := bits.TrailingZeros64(la)
-			base := o * nw
-			var any uint64
-			for j := 0; j < nw; j++ {
-				k := base + j
-				if uint(k) >= uint(len(liveMask)) || uint(k) >= uint(len(outMask)) {
-					continue
-				}
-				w := liveMask[k]
-				outMask[k] = w
-				any |= w
-			}
-			if any != 0 {
-				nonEmpty |= 1 << uint(o)
-			} else {
-				r.liveAny &^= 1 << uint(o)
-			}
-		}
+		nonEmpty = r.seedScratch()
 	} else {
 		nonEmpty = r.buildScratch(now)
 	}
@@ -275,6 +283,17 @@ func (r *Router) Tick(now sim.Cycle) error {
 		return nil
 	}
 
+	// Index-guard note: the scans below decode indices from bitmask bits
+	// and packed candidate descriptors, relations the compiler cannot see
+	// through, so every decoded index is checked once with an unsigned
+	// compare against the slice it drives. The guards are dead by
+	// construction (masks, candidates and arena views are sized together
+	// at build), but they anchor bounds-check elimination for every access
+	// they dominate.
+	a := r.arena
+	nw := r.maskWords
+	outMask, hdrMask := r.outMask, r.hdrMask
+	outputs := r.outputs
 	// Per-cycle dequeue budget per input port (switch constraint).
 	budget := r.budget
 	copy(budget, r.widths32)
@@ -287,20 +306,20 @@ func (r *Router) Tick(now sim.Cycle) error {
 	bufs, heads := a.bufs, a.head
 	owner, fbits := a.owner, a.fbits
 	inputs := r.inputs
-	outputs := r.outputs
-	chargeLink := r.chargeLink
 	for ne := nonEmpty; ne != 0; ne &= ne - 1 {
 		o := bits.TrailingZeros64(ne)
-		if uint(o) >= uint(len(outputs)) || uint(o) >= uint(len(chargeLink)) {
+		if uint(o) >= uint(len(outputs)) {
 			continue
 		}
-		out := outputs[o]
+		out := &outputs[o]
 		base := o * nw
 		end := base + nw
-		if base < 0 || end < base || end > len(outMask) {
+		if base < 0 || end < base || end > len(outMask) || end > len(hdrMask) {
 			continue
 		}
 		mask := outMask[base:end]
+		hdr := hdrMask[base:end]
+		width := int(out.width)
 		granted := 0
 		// The reference scan evaluates position (out.rr + scan) mod
 		// candidates for scan = 0..candidates-1, reading out.rr live — a
@@ -315,8 +334,8 @@ func (r *Router) Tick(now sim.Cycle) error {
 		// never freed while this router runs), and in the reference a
 		// rejected visit has no side effects, so skipping the revisit
 		// leaves the position sequence of every other candidate intact.
-		for scan := 0; scan < candidates && granted < out.width; scan++ {
-			t := out.rr + scan
+		for scan := 0; scan < candidates && granted < width; scan++ {
+			t := int(out.rr) + scan
 			if t >= candidates {
 				t -= candidates
 			}
@@ -339,7 +358,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 				break
 			}
 			wi := idx >> 6
-			if uint(idx) >= uint(len(cand)) || uint(wi) >= uint(len(mask)) {
+			if uint(idx) >= uint(len(cand)) || uint(wi) >= uint(len(mask)) || uint(wi) >= uint(len(hdr)) {
 				continue
 			}
 			bit := uint64(1) << (uint(idx) & 63)
@@ -386,10 +405,18 @@ func (r *Router) Tick(now sim.Cycle) error {
 				}
 				dstVC, ok := out.dst.AllocVC(owner[g])
 				if !ok {
-					// No free downstream VC; the packet retries next cycle.
-					mask[wi] &^= bit
+					// No free downstream VC, and none can free up before
+					// this Tick returns: every header still waiting at
+					// this output (this one included) would get the same
+					// answer, so drop them all; they retry next cycle.
+					for j := range mask {
+						if j < len(hdr) {
+							mask[j] &^= hdr[j]
+						}
+					}
 					continue
 				}
+				hdr[wi] &^= bit
 				h.flags |= vcRouted
 				h.outPort = int16(o)
 				h.outVC = int8(dstVC)
@@ -413,13 +440,13 @@ func (r *Router) Tick(now sim.Cycle) error {
 			}
 			flitBits := float64(fbits[g])
 			r.ledger.AddRouterTraversal(flitBits)
-			if chargeLink[o] {
+			if out.charge {
 				r.ledger.AddWireLink(flitBits)
 			}
 			budget[in]--
 			granted++
 			anyGrant = true
-			out.rr = (int(idx) + 1) % candidates
+			out.rr = int32((idx + 1) % candidates)
 		}
 	}
 	if !anyGrant && r.tabled {
@@ -433,6 +460,61 @@ func (r *Router) Tick(now sim.Cycle) error {
 	return nil
 }
 
+// seedScratch seeds the per-output scratch masks of a tabled router from
+// its persistent masks and returns the bitmask of outputs with at least
+// one contender. The persistent masks already bin every owned VC by its
+// fixed route, so one copy per live output does it. Extra bits — VCs that
+// are momentarily empty or whose head is still too young — are exactly
+// the candidates the reference scan visits and skips with no side effect,
+// and Tick's scan kills them on first visit.
+//
+// Waiting headers are the exception worth filtering here: when the
+// output's downstream port has no free VC, every one of them would be
+// visited only to fail AllocVC, and no VC can free up before this Tick
+// returns. Seeding without them is the same outcome; an output left with
+// nothing else contributes no visits, and a router with only such outputs
+// goes quiet until the downstream port's Pop/ReleaseOwner wakes it.
+func (r *Router) seedScratch() uint64 {
+	nw := r.maskWords
+	outMask, liveMask, hdrMask := r.outMask, r.liveMask, r.hdrMask
+	outputs := r.outputs
+	var nonEmpty uint64
+	// As in Tick, each decoded index is guarded once with a dead-by-
+	// construction unsigned compare so the accesses it dominates carry no
+	// bounds checks.
+	for la := r.liveAny; la != 0; la &= la - 1 {
+		o := bits.TrailingZeros64(la)
+		if uint(o) >= uint(len(outputs)) {
+			continue
+		}
+		dst := &outputs[o].dst
+		free := dst.a.freeMask
+		var strip uint64 // all ones: drop waiting headers from the seed
+		if id := int(dst.id); uint(id) < uint(len(free)) && free[id] == 0 {
+			strip = ^uint64(0)
+		}
+		base := o * nw
+		var live, any uint64
+		for j := 0; j < nw; j++ {
+			k := base + j
+			if uint(k) >= uint(len(liveMask)) || uint(k) >= uint(len(hdrMask)) || uint(k) >= uint(len(outMask)) {
+				continue
+			}
+			w := liveMask[k]
+			live |= w
+			w &^= hdrMask[k] & strip
+			outMask[k] = w
+			any |= w
+		}
+		if any != 0 {
+			nonEmpty |= 1 << uint(o)
+		} else if live == 0 {
+			r.liveAny &^= 1 << uint(o)
+		}
+	}
+	return nonEmpty
+}
+
 // buildScratch seeds the per-output scratch masks by walking every
 // buffered VC — the slow path for routers without route tables, where a
 // head's target output is unknown until the routing function runs. It
@@ -441,6 +523,10 @@ func (r *Router) buildScratch(now sim.Cycle) uint64 {
 	a := r.arena
 	nw := r.maskWords
 	outMask := r.outMask
+	// The slab may have room for more outputs than are attached.
+	if used := len(r.outputs) * nw; uint(used) < uint(len(outMask)) {
+		outMask = outMask[:used]
+	}
 	for i := range outMask {
 		outMask[i] = 0
 	}
@@ -513,6 +599,7 @@ func (r *Router) buildScratch(now sim.Cycle) uint64 {
 func (r *Router) rebuildLive() {
 	for i := range r.liveMask {
 		r.liveMask[i] = 0
+		r.hdrMask[i] = 0
 	}
 	r.liveAny = 0
 	r.quiet = false
@@ -535,8 +622,10 @@ func (r *Router) rebuildLive() {
 				d = int(h.outPort)
 			}
 			idx := base + v
-			r.liveMask[d*nw+(idx>>6)] |= 1 << (uint(idx) & 63)
-			r.liveAny |= 1 << uint(d)
+			r.addContender(d, idx)
+			if h.flags&vcRouted != 0 {
+				r.hdrMask[d*nw+(idx>>6)] &^= 1 << (uint(idx) & 63)
+			}
 		}
 	}
 }
@@ -544,8 +633,8 @@ func (r *Router) rebuildLive() {
 // RRState appends the round-robin cursor of every output to dst, for
 // checkpointing; SetRRState restores them.
 func (r *Router) RRState(dst []int) []int {
-	for _, out := range r.outputs {
-		dst = append(dst, out.rr)
+	for i := range r.outputs {
+		dst = append(dst, int(r.outputs[i].rr))
 	}
 	return dst
 }
@@ -553,11 +642,28 @@ func (r *Router) RRState(dst []int) []int {
 // SetRRState restores cursors previously captured by RRState and returns
 // the unconsumed tail of src.
 func (r *Router) SetRRState(src []int) []int {
-	for _, out := range r.outputs {
-		out.rr = src[0]
+	for i := range r.outputs {
+		r.outputs[i].rr = int32(src[0])
 		src = src[1:]
 	}
 	return src
+}
+
+// BlockedHeaders returns how many input VCs hold a header waiting at an
+// output whose downstream port has no free VC, for tests and diagnostics.
+// It is read from the persistent masks, so it is zero on an untabled
+// router.
+func (r *Router) BlockedHeaders() int {
+	n := 0
+	for o := range r.outputs {
+		if r.outputs[o].dst.FreeVCs() != 0 {
+			continue
+		}
+		for _, w := range r.hdrMask[o*r.maskWords : (o+1)*r.maskWords] {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
 }
 
 // BufferedFlits returns the flits buffered across all input ports, for

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"testing"
 
 	"hetpnoc/internal/packet"
@@ -206,35 +207,163 @@ func TestRouterBackpressure(t *testing.T) {
 	}
 }
 
+// blockedRig is one router with a 4-VC input feeding a single width-1
+// output whose downstream port has only 2 VCs, so two packets in flight
+// exhaust it and every further header must wait.
+type blockedRig struct {
+	r       *Router
+	in, out *Port
+	occ     int64
+}
+
+func newBlockedRig(t *testing.T, tabled bool) *blockedRig {
+	t.Helper()
+	g := &blockedRig{}
+	ledger := photonic.NewLedger(photonic.DefaultEnergyParams())
+	arena, err := NewArena(ledger, &g.occ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.in, err = arena.NewPort(4, 16); err != nil {
+		t.Fatal(err)
+	}
+	if g.out, err = arena.NewPort(2, 16); err != nil {
+		t.Fatal(err)
+	}
+	if g.r, err = New("blocked", []*Port{g.in}, []int{2}, func(packet.Flit) int { return 0 }, ledger); err != nil {
+		t.Fatal(err)
+	}
+	if tabled {
+		g.r.SetRouteTable([]int16{0})
+	}
+	if _, err := g.r.AddOutput(g.out, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestRouterVCExhaustionBlocksHeader: with every downstream VC owned, a
-// new header waits rather than forwarding.
+// new header waits rather than forwarding, a stream already routed through
+// the same output keeps flowing, and the header is granted on the first
+// Tick after a downstream VC frees — by a tail pop or by ReleaseOwner. A
+// tabled router must do all of that on the same cycles as the untabled
+// one, and must do the waiting for free: no visit of the blocked header,
+// and quiescent until something can change the answer.
 func TestRouterVCExhaustionBlocksHeader(t *testing.T) {
-	f := newTestFabric(t, 2, 16)
-	// Two long packets claim both downstream VCs.
-	a := &packet.Packet{ID: 1, Flits: 2, FlitBits: 32, DstCluster: 0}
-	b := &packet.Packet{ID: 2, Flits: 2, FlitBits: 32, DstCluster: 2}
-	f.inject(t, a, 0)
-	f.inject(t, b, 0)
-	f.run(t, 0, 10)
-
-	// Both delivered but NOT drained: their downstream VCs stay owned
-	// until the tails are popped, so a third packet cannot allocate.
-	c := &packet.Packet{ID: 3, Flits: 2, FlitBits: 32, DstCluster: 4}
-	f.inject(t, c, 10)
-	f.run(t, 10, 20)
-	if got := f.out[0].BufferedFlits(); got != 4 {
-		t.Fatalf("downstream holds %d flits, want only the first two packets (4)", got)
-	}
-
-	// Drain packet a fully; its VC frees and packet c proceeds.
-	for i := 0; i < 2; i++ {
-		if _, err := f.out[0].Pop(0); err != nil {
-			t.Fatal(err)
+	script := func(t *testing.T, tabled bool) []string {
+		g := newBlockedRig(t, tabled)
+		var trace []string
+		tick := func(from, to sim.Cycle) {
+			t.Helper()
+			for now := from; now < to; now++ {
+				if err := g.r.Tick(now); err != nil {
+					t.Fatal(err)
+				}
+				trace = append(trace, fmt.Sprintf("%d: in=%d out=%d owners=[%d %d] rr=%v",
+					now, g.in.BufferedFlits(), g.out.BufferedFlits(), g.out.Owner(0), g.out.Owner(1), g.r.RRState(nil)))
+			}
 		}
+		enqueue := func(vc int, pkt *packet.Packet, from, to int, now sim.Cycle) {
+			t.Helper()
+			for i := from; i < to; i++ {
+				if err := g.in.Enqueue(vc, packet.FlitAt(pkt, i), now); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		alloc := func(pkt *packet.Packet) int {
+			t.Helper()
+			vc, ok := g.in.AllocVC(pkt.ID)
+			if !ok {
+				t.Fatal("no free input VC")
+			}
+			return vc
+		}
+		// blockedForFree asserts, on the tabled router, that the last Tick
+		// visited nothing: it went quiet with no age-in wake-up recorded,
+		// which a visit of a still-young header would have set.
+		blockedForFree := func(when string) {
+			t.Helper()
+			if tabled && !(g.r.quiet && g.r.wakeAt == quietForever) {
+				t.Fatalf("%s: router with only blocked headers is not quiescent (quiet=%v wakeAt=%d)", when, g.r.quiet, g.r.wakeAt)
+			}
+		}
+
+		// A short packet and the head of a long stream claim both
+		// downstream VCs; nothing is drained.
+		short := &packet.Packet{ID: 1, Flits: 3, FlitBits: 32}
+		stream := &packet.Packet{ID: 2, Flits: 10, FlitBits: 32}
+		enqueue(alloc(short), short, 0, 3, 0)
+		streamVC := alloc(stream)
+		enqueue(streamVC, stream, 0, 3, 0)
+		tick(0, 10)
+		if got := g.out.BufferedFlits(); got != 6 || g.out.FreeVCs() != 0 {
+			t.Fatalf("downstream holds %d flits with %d free VCs, want 6 and 0", got, g.out.FreeVCs())
+		}
+
+		// A third packet arrives: its header cannot allocate.
+		waiter := &packet.Packet{ID: 3, Flits: 2, FlitBits: 32}
+		waiterVC := alloc(waiter)
+		enqueue(waiterVC, waiter, 0, 2, 10)
+		tick(10, 11)
+		blockedForFree("young blocked header")
+		tick(11, 15)
+		blockedForFree("aged blocked header")
+		if got := g.out.BufferedFlits(); got != 6 {
+			t.Fatalf("downstream holds %d flits, want only the first two packets' 6", got)
+		}
+
+		// The routed stream still flows through the exhausted output, one
+		// flit per cycle once aged, while the header keeps waiting.
+		enqueue(streamVC, stream, 3, 5, 15)
+		tick(15, 17)
+		if got := g.out.BufferedFlits(); got != 6 {
+			t.Fatalf("stream flit forwarded before its pipeline delay (%d downstream)", got)
+		}
+		tick(17, 18)
+		if got := g.out.BufferedFlits(); got != 7 {
+			t.Fatalf("routed stream stalled behind a blocked header (%d downstream, want 7)", got)
+		}
+		tick(18, 20)
+		blockedForFree("after the stream ran dry")
+		if got, w := g.out.BufferedFlits(), g.in.VC(waiterVC).Len(); got != 8 || w != 2 {
+			t.Fatalf("downstream holds %d flits and the waiter %d, want 8 and 2", got, w)
+		}
+
+		// Drain the short packet; its tail frees VC 0 and the very next
+		// Tick grants the waiting header.
+		for i := 0; i < 3; i++ {
+			if _, err := g.out.Pop(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tick(20, 21)
+		if g.out.Owner(0) != waiter.ID || g.out.VC(0).Len() != 1 {
+			t.Fatalf("header not granted on the Tick after the tail pop (owner %d, %d flits)", g.out.Owner(0), g.out.VC(0).Len())
+		}
+		tick(21, 25)
+
+		// Same again, but the downstream VC is freed by ReleaseOwner.
+		second := &packet.Packet{ID: 4, Flits: 1, FlitBits: 32}
+		enqueue(alloc(second), second, 0, 1, 25)
+		tick(25, 30)
+		blockedForFree("second blocked header")
+		if g.out.Owner(0) != waiter.ID || g.out.BufferedFlits() != 7 {
+			t.Fatalf("second header did not wait (owner %d, %d downstream)", g.out.Owner(0), g.out.BufferedFlits())
+		}
+		g.out.ReleaseOwner(0)
+		tick(30, 31)
+		if g.out.Owner(0) != second.ID || g.out.VC(0).Len() != 1 {
+			t.Fatalf("header not granted on the Tick after ReleaseOwner (owner %d, %d flits)", g.out.Owner(0), g.out.VC(0).Len())
+		}
+		return trace
 	}
-	f.run(t, 20, 30)
-	if got := f.out[0].BufferedFlits(); got != 4 {
-		t.Fatalf("third packet did not proceed after VC freed (%d flits)", got)
+	untabled := script(t, false)
+	tabled := script(t, true)
+	for i := range untabled {
+		if tabled[i] != untabled[i] {
+			t.Fatalf("tabled router departs from the untabled one:\n  tabled   %s\n  untabled %s", tabled[i], untabled[i])
+		}
 	}
 }
 
