@@ -78,7 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequestDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPlan$$' -fuzztime $(FUZZTIME) ./internal/batch
-	$(GO) test -run '^$$' -fuzz '^FuzzRouterTabledEquivalence$$' -fuzztime $(FUZZTIME) ./internal/router
+	$(GO) test -run '^$$' -fuzz '^FuzzRouterReferenceEquivalence$$' -fuzztime $(FUZZTIME) ./internal/router
 
 # bench/ is its own module (hetpnoc/bench, replace hetpnoc => ../) and
 # compiles against internal/fabric, internal/batch and internal/serve by

@@ -1,7 +1,6 @@
 // Package experiments reproduces every table and figure of the thesis's
 // evaluation (§3.4). Each experiment is a typed runner that returns the
-// same rows or series the paper plots; cmd/sweep prints them and
-// bench_test.go wraps each in a benchmark.
+// same rows or series the paper plots; cmd/sweep prints them.
 //
 // Experiment index (see DESIGN.md §3 for the full mapping):
 //

@@ -97,19 +97,13 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 	}
 	c.txPort = txPort
 
-	// peerSlot(i, j) is the port index on switch i used for peer j.
+	// peerSlot(i, j) is the port index on switch i used for peer j != i:
+	// peers take slots 1..K-1 in ascending order, skipping i itself.
 	peerSlot := func(i, j int) int {
-		slot := 1
-		for p := 0; p < k; p++ {
-			if p == i {
-				continue
-			}
-			if p == j {
-				return slot
-			}
-			slot++
+		if j < i {
+			return j + 1
 		}
-		panic("fabric: peerSlot called with i == j")
+		return j
 	}
 
 	for i := 0; i < k; i++ {
@@ -135,22 +129,6 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Precomputed route table, identical to the routing closure above:
-		// headers cache their output at enqueue time so arbitration never
-		// re-runs the route on the hot path.
-		tab := make([]int16, topo.Cores())
-		for dst := range tab {
-			d := topology.CoreID(dst)
-			switch {
-			case d == core:
-				tab[dst] = 0
-			case topo.ClusterOf(d) == cl:
-				tab[dst] = int16(peerSlot(localIdx, topo.LocalIndex(d)))
-			default:
-				tab[dst] = int16(k)
-			}
-		}
-		sw.SetRouteTable(tab)
 
 		ejectPort, err := newPort()
 		if err != nil {
@@ -192,16 +170,6 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	prTab := make([]int16, topo.Cores())
-	for dst := range prTab {
-		d := topology.CoreID(dst)
-		if topo.ClusterOf(d) == cl {
-			prTab[dst] = int16(topo.LocalIndex(d))
-		} else {
-			prTab[dst] = int16(k)
-		}
-	}
-	pr.SetRouteTable(prTab)
 	for i := 0; i < k; i++ {
 		if _, err := pr.AddOutput(switchInputs[i][k], toPRWidth, true); err != nil {
 			return nil, err
@@ -268,16 +236,6 @@ func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	swTab := make([]int16, topo.Cores())
-	for dst := range swTab {
-		d := topology.CoreID(dst)
-		if topo.ClusterOf(d) == cl {
-			swTab[dst] = int16(topo.LocalIndex(d))
-		} else {
-			swTab[dst] = int16(k)
-		}
-	}
-	sw.SetRouteTable(swTab)
 	for i := 0; i < k; i++ {
 		ejectPort, err := newPort()
 		if err != nil {
@@ -307,15 +265,6 @@ func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	prTab := make([]int16, topo.Cores())
-	for dst := range prTab {
-		if topo.ClusterOf(topology.CoreID(dst)) == cl {
-			prTab[dst] = 0
-		} else {
-			prTab[dst] = 1
-		}
-	}
-	pr.SetRouteTable(prTab)
 	if _, err := pr.AddOutput(swInputs[k], 2*toPRWidth, true); err != nil {
 		return nil, err
 	}

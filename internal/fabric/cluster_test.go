@@ -1,9 +1,13 @@
 package fabric
 
 import (
+	"math/bits"
 	"testing"
 
 	"hetpnoc/internal/packet"
+	"hetpnoc/internal/router"
+	"hetpnoc/internal/sim"
+	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -123,6 +127,84 @@ func TestPeerLinksCarryTraffic(t *testing.T) {
 	for cl, tx := range f.txs {
 		if tx.BusyCycles() != 0 {
 			t.Fatalf("cluster %d photonic channel busy for an intra-cluster packet", cl)
+		}
+	}
+}
+
+// TestRoutesMatchWiring walks every routing decision against the wiring
+// it indexes into. In both intra-cluster modes, a one-flit packet buffered
+// at any core's inject port must surface — carried there by nothing but
+// the cluster's routers, each following its routing function's output to
+// whatever port is attached at that index — at the destination core's
+// eject port when the destination is in the cluster, and at the cluster's
+// transmit port when it is not; and one delivered into the photonic
+// router's receive input must surface at its destination's eject port.
+// No path inside a cluster is longer than two routers, so a detour through
+// a wrong switch that a later hop corrects fails too.
+func TestRoutesMatchWiring(t *testing.T) {
+	for _, intra := range []IntraCluster{AllToAll, Concentrated} {
+		f := buildTestFabric(t, intra)
+		topo := f.cfg.Topology
+		now := sim.Cycle(0)
+		var ids packet.ID
+		for _, c := range f.clusters {
+			routers := append([]*router.Router{c.photonic}, c.switches...)
+			terminals := []*router.Port{c.txPort}
+			for _, core := range topo.CoresOf(c.id) {
+				terminals = append(terminals, f.cores[core].ejectPort)
+			}
+			// walk buffers a packet for dst at from, ticks the cluster's
+			// routers until it reaches a terminal port, and removes it.
+			walk := func(from *router.Port, dst topology.CoreID) *router.Port {
+				t.Helper()
+				ids++
+				pkt := &packet.Packet{ID: ids, Dst: dst, DstCluster: topo.ClusterOf(dst), Flits: 1, FlitBits: 32}
+				vc, ok := from.AllocVC(pkt.ID)
+				if !ok {
+					t.Fatal("no free VC on an idle fabric")
+				}
+				if err := from.Enqueue(vc, packet.FlitAt(pkt, 0), now); err != nil {
+					t.Fatal(err)
+				}
+				for deadline := now + 2*router.PipelineDelay + 1; now < deadline; now++ {
+					for _, r := range routers {
+						if err := r.Tick(now); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, p := range terminals {
+						if p.BufferedFlits() == 0 {
+							continue
+						}
+						if _, err := p.Pop(bits.TrailingZeros64(p.OccupiedMask())); err != nil {
+							t.Fatal(err)
+						}
+						if f.occupancy != 0 {
+							t.Fatalf("%d flits left behind by a one-flit packet", f.occupancy)
+						}
+						return p
+					}
+				}
+				t.Fatalf("%v: packet for core %d is not out of cluster %d's routers after two hops", intra, dst, c.id)
+				return nil
+			}
+			for dst := topology.CoreID(0); int(dst) < topo.Cores(); dst++ {
+				local := topo.ClusterOf(dst) == c.id
+				want, name := c.txPort, "the transmit port"
+				if local {
+					want, name = f.cores[dst].ejectPort, "its eject port"
+				}
+				for _, src := range topo.CoresOf(c.id) {
+					if got := walk(f.cores[src].injectPort, dst); got != want {
+						t.Fatalf("%v: core %d -> core %d did not reach %s", intra, src, dst, name)
+					}
+				}
+				if local {
+					if got := walk(c.rxInputPort(topo.ClusterSize(), intra), dst); got != want {
+						t.Fatalf("%v: received packet for core %d did not reach %s", intra, dst, name)
+					}
+				}
+			}
 		}
 	}
 }

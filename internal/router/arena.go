@@ -18,7 +18,7 @@ const MaxVCDepth = 1 << 15
 
 // vcHot flag bits.
 const (
-	vcRouted  = 1 << 0 // header forwarded; outPort/outVC lock the path
+	vcRouted  = 1 << 0 // header forwarded; dstOut/outVC lock the path
 	vcHeadHdr = 1 << 1 // the head flit is a header
 )
 
@@ -30,16 +30,15 @@ const (
 type vcHot struct {
 	headEnq sim.Cycle // enqueue cycle of the head flit (valid when count > 0)
 	count   int16     // buffered flits
-	outPort int16     // locked output (valid when vcRouted)
-	dstOut  int16     // cached route of the occupying packet, -1 unknown
+	dstOut  int16     // output of the occupying packet, -1 until its header is buffered
 	outVC   int8      // locked downstream VC (valid when vcRouted)
 	flags   uint8     // vcRouted | vcHeadHdr
 }
 
 // Arena is the struct-of-arrays backing store for every Port in a
 // fabric: all per-port and per-VC state lives in flat contiguous slices
-// indexed by port id and by global VC index (vcBase[port]+vc). Port and
-// VC are thin views over an arena, so the object API survives while the
+// indexed by port id and by global VC index (vcBase[port]+vc). Port is a
+// thin view over an arena, so the object API survives while the
 // per-cycle kernels walk scalar slices and bitmasks instead of chasing
 // per-object pointers.
 //
@@ -50,16 +49,15 @@ type Arena struct {
 	ledger    *photonic.Ledger
 	occupancy *int64 // shared fabric-wide buffered-flit counter
 
-	// Per-port state, indexed by port id. vcBase/vcCnt/depth/routeTab/
-	// wake are fixed after build; buffered and the masks are hot.
+	// Per-port state, indexed by port id. vcBase/vcCnt/depth/wake are
+	// fixed after build; buffered and the masks are hot.
 	vcBase   []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
 	vcCnt    []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
 	depth    []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
 	buffered []int32
-	occMask  []uint64  // bit v set: VC v holds at least one flit
-	freeMask []uint64  // bit v set: VC v is unowned and empty (allocatable)
-	routeTab [][]int16 //hetpnoc:nosnap route tables, installed once by SetRouteTable at build
-	wake     []func()  //hetpnoc:nosnap wake callbacks, wired once by SetWake at build
+	occMask  []uint64 // bit v set: VC v holds at least one flit
+	freeMask []uint64 // bit v set: VC v is unowned and empty (allocatable)
+	wake     []func() //hetpnoc:nosnap wake callbacks, wired once by SetWake at build
 	// consumer/consBase identify the router arbitrating each port (nil
 	// for engine-drained ports) and the port's flat candidate base in
 	// that router, so ownership transitions can maintain the router's
@@ -111,7 +109,6 @@ func (a *Arena) NewPort(vcCount, depth int) (*Port, error) {
 	a.buffered = append(a.buffered, 0)
 	a.occMask = append(a.occMask, 0)
 	a.freeMask = append(a.freeMask, ^uint64(0)>>(64-uint(vcCount)))
-	a.routeTab = append(a.routeTab, nil)
 	a.wake = append(a.wake, nil)
 	a.consumer = append(a.consumer, nil)
 	a.consBase = append(a.consBase, 0)
@@ -137,7 +134,6 @@ func (a *Arena) Reserve(ports, vcs int) {
 		a.buffered = append(make([]int32, 0, ports), a.buffered...)
 		a.occMask = append(make([]uint64, 0, ports), a.occMask...)
 		a.freeMask = append(make([]uint64, 0, ports), a.freeMask...)
-		a.routeTab = append(make([][]int16, 0, ports), a.routeTab...)
 		a.wake = append(make([]func(), 0, ports), a.wake...)
 		a.consumer = append(make([]*Router, 0, ports), a.consumer...)
 		a.consBase = append(make([]int32, 0, ports), a.consBase...)

@@ -114,8 +114,8 @@ func pumpStream(b *testing.B, r *Router, in *Port, vc int, out *Port, outVC int)
 	}
 }
 
-// BenchmarkRouterTickBlocked measures the congested case: a tabled
-// 5-input router whose single output feeds a port with every VC owned.
+// BenchmarkRouterTickBlocked measures the congested case: a 5-input
+// router whose single output feeds a port with every VC owned.
 // One routed stream keeps flowing through it while the other 79 input VCs
 // each hold a header waiting for a downstream VC that never frees, so the
 // number reported is what a Tick pays for waiters on top of one grant.
@@ -138,7 +138,6 @@ func BenchmarkRouterTickBlocked(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.SetRouteTable([]int16{0})
 	out, err := arena.NewPort(16, 64)
 	if err != nil {
 		b.Fatal(err)

@@ -10,25 +10,115 @@ import (
 	"hetpnoc/internal/topology"
 )
 
-// eqRoutes maps a destination core to the output it leaves through; the
-// tabled rig installs it with SetRouteTable, the untabled rig reads it from
-// its routing function.
+// eqRoutes maps a destination core to the output it leaves through.
 var eqRoutes = []int16{0, 1, 2, 1, 0, 2}
 
-// eqRig is one 3-input/3-output router whose downstream ports are short
+func eqRoute(f packet.Flit) int { return int(eqRoutes[f.Packet.Dst]) }
+
+// refRouter is the reference the kernel's comments cite: the 3-stage
+// wormhole arbitration written as a plain walk over port objects. Per
+// output in index order it visits positions (rr+scan) mod candidates with
+// rr read live, asks the routing function at every header visit, and keeps
+// its own per-VC path locks. It touches ports only through Head, AllocVC,
+// Space, Pop and Enqueue and has no masks, no quiescence and no cached
+// route, so it shares no arbitration code with Router.Tick.
+type refRouter struct {
+	in     []*Port
+	widths []int
+	outs   []refOutput
+	route  RouteFunc
+	ledger *photonic.Ledger
+	locks  [][]refLock // [input][vc]
+}
+
+type refOutput struct {
+	dst    *Port
+	width  int
+	rr     int
+	charge bool
+}
+
+// refLock is the path a forwarded header locked for the rest of its packet.
+type refLock struct {
+	routed  bool
+	out, vc int
+}
+
+func (r *refRouter) tick(now sim.Cycle) error {
+	candidates := 0
+	for _, in := range r.in {
+		candidates += in.VCCount()
+	}
+	budget := append([]int(nil), r.widths...)
+	for o := range r.outs {
+		out := &r.outs[o]
+		for scan, granted := 0, 0; scan < candidates && granted < out.width; scan++ {
+			t := (out.rr + scan) % candidates
+			in, vc := 0, t
+			for vc >= r.in[in].VCCount() {
+				vc -= r.in[in].VCCount()
+				in++
+			}
+			if budget[in] == 0 {
+				continue
+			}
+			fl, enq, ok := r.in[in].Head(vc)
+			if !ok || now-enq < PipelineDelay {
+				continue
+			}
+			lock := &r.locks[in][vc]
+			if fl.Type.IsHeader() && !lock.routed {
+				if r.route(fl) != o {
+					continue
+				}
+				dstVC, ok := out.dst.AllocVC(fl.Packet.ID)
+				if !ok {
+					continue
+				}
+				*lock = refLock{routed: true, out: o, vc: dstVC}
+			} else if !lock.routed || lock.out != o {
+				continue
+			}
+			if out.dst.Space(lock.vc) == 0 {
+				continue
+			}
+			popped, err := r.in[in].Pop(vc)
+			if err != nil {
+				return err
+			}
+			if err := out.dst.Enqueue(lock.vc, popped, now); err != nil {
+				return err
+			}
+			r.ledger.AddRouterTraversal(float64(popped.Bits()))
+			if out.charge {
+				r.ledger.AddWireLink(float64(popped.Bits()))
+			}
+			if popped.Type.IsTail() {
+				*lock = refLock{}
+			}
+			budget[in]--
+			granted++
+			out.rr = (t + 1) % candidates
+		}
+	}
+	return nil
+}
+
+// eqRig is one 3-input/3-output switch whose downstream ports are short
 // of VCs (1, 2 and 3 of them) and of buffer space, so headers wait on VC
 // exhaustion and routed streams stall on backpressure. The third
 // downstream port lives in its own arena, like the standalone ports of
-// the small rigs.
+// the small rigs. The ports are arbitrated either by a Router or by a
+// refRouter.
 type eqRig struct {
-	r      *Router
-	in     []*Port
-	out    []*Port
-	ledger *photonic.Ledger
-	occ    int64
+	in, out []*Port
+	tick    func(sim.Cycle) error
+	rr      func() []int
+	ledger  *photonic.Ledger
+	occ     int64
 }
 
-func newEqRig(t testing.TB, tabled bool) *eqRig {
+func newEqRig(t testing.TB, reference bool) *eqRig {
 	t.Helper()
 	g := &eqRig{ledger: photonic.NewLedger(photonic.DefaultEnergyParams())}
 	g.ledger.StartMeasurement()
@@ -51,32 +141,37 @@ func newEqRig(t testing.TB, tabled bool) *eqRig {
 		port(arena.NewPort(2, 2)),
 		port(NewPort(3, 8, g.ledger, &g.occ)),
 	}
-	route := func(f packet.Flit) int { return int(eqRoutes[f.Packet.Dst]) }
-	g.r, err = New("eq", g.in, []int{2, 1, 2}, route, g.ledger)
+	inWidths, outWidths := []int{2, 1, 2}, []int{1, 2, 2}
+	if reference {
+		ref := &refRouter{in: g.in, widths: inWidths, route: eqRoute, ledger: g.ledger}
+		for _, in := range g.in {
+			ref.locks = append(ref.locks, make([]refLock, in.VCCount()))
+		}
+		for o, width := range outWidths {
+			ref.outs = append(ref.outs, refOutput{dst: g.out[o], width: width, charge: o != 1})
+		}
+		g.tick = ref.tick
+		g.rr = func() []int {
+			var rr []int
+			for _, out := range ref.outs {
+				rr = append(rr, out.rr)
+			}
+			return rr
+		}
+		return g
+	}
+	r, err := New("eq", g.in, inWidths, eqRoute, g.ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tabled {
-		g.r.SetRouteTable(eqRoutes)
-	}
-	for o, width := range []int{1, 2, 2} {
-		if _, err := g.r.AddOutput(g.out[o], width, o != 1); err != nil {
+	for o, width := range outWidths {
+		if _, err := r.AddOutput(g.out[o], width, o != 1); err != nil {
 			t.Fatal(err)
 		}
 	}
+	g.tick = r.Tick
+	g.rr = func() []int { return r.RRState(nil) }
 	return g
-}
-
-// upstream reports whether any input VC still belongs to packet id.
-func (g *eqRig) upstream(id packet.ID) bool {
-	for _, in := range g.in {
-		for vc := 0; vc < in.VCCount(); vc++ {
-			if in.Owner(vc) == id {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // run drives the rig for the given cycles with a workload drawn from
@@ -124,7 +219,7 @@ func (g *eqRig) run(seed uint64, cycles int) ([]string, error) {
 		}
 		feeds = kept
 
-		if err := g.r.Tick(now); err != nil {
+		if err := g.tick(now); err != nil {
 			return records, err
 		}
 
@@ -133,7 +228,7 @@ func (g *eqRig) run(seed uint64, cycles int) ([]string, error) {
 		p := drainP[(int(now)/48)%len(drainP)]
 		for o, out := range g.out {
 			for vc := 0; vc < out.VCCount(); vc++ {
-				if out.VC(vc).Len() == 0 || !rng.Bernoulli(p) {
+				if out.Len(vc) == 0 || !rng.Bernoulli(p) {
 					continue
 				}
 				fl, err := out.Pop(vc)
@@ -141,33 +236,6 @@ func (g *eqRig) run(seed uint64, cycles int) ([]string, error) {
 					return records, err
 				}
 				popped = append(popped, fmt.Sprintf("%d.%d:%d/%d", o, vc, fl.Packet.ID, fl.Seq))
-			}
-		}
-		// Now and then the receiver discards the rest of a packet that
-		// has fully left the router, freeing the downstream VC without a
-		// tail pop ...
-		if rng.Bernoulli(0.05) {
-			out := g.out[rng.Intn(len(g.out))]
-			vc := rng.Intn(out.VCCount())
-			if id := out.Owner(vc); id != 0 && !g.upstream(id) {
-				out.ReleaseOwner(vc)
-			}
-		}
-		// ... and a sender gives up on a packet whose header is still
-		// waiting in the router.
-		if rng.Bernoulli(0.03) {
-			i := rng.Intn(len(g.in))
-			in := g.in[i]
-			vc := rng.Intn(in.VCCount())
-			if in.Owner(vc) != 0 && in.a.hot[in.a.vcBase[in.id]+int32(vc)].flags&vcRouted == 0 {
-				in.ReleaseOwner(vc)
-				kept := feeds[:0]
-				for _, f := range feeds {
-					if f.in != i || f.vc != vc {
-						kept = append(kept, f)
-					}
-				}
-				feeds = kept
 			}
 		}
 
@@ -183,47 +251,47 @@ func (g *eqRig) run(seed uint64, cycles int) ([]string, error) {
 			}
 		}
 		records = append(records, fmt.Sprintf("popped=%v rr=%v buffered=%v owners=%v occ=%d ledger=%v",
-			popped, g.r.RRState(nil), buffered, owners, g.occ, g.ledger.Snapshot()))
+			popped, g.rr(), buffered, owners, g.occ, g.ledger.Snapshot()))
 	}
 	return records, nil
 }
 
-// checkTabledEquivalence runs the same seeded workload through a tabled
-// and an untabled rig and fails at the first cycle whose records differ.
-// The untabled router rebuilds its scratch from the buffers every Tick
-// and visits every contender; it is the oracle for the tabled router's
-// persistent masks, its quiescence and its waiting-header filter.
-func checkTabledEquivalence(t testing.TB, seed uint64, cycles int) {
+// checkReferenceEquivalence runs the same seeded workload through the
+// kernel and the reference scan and fails at the first cycle whose records
+// differ. The reference visits every candidate at every output on every
+// cycle; it is the oracle for the kernel's enqueue-time routes, persistent
+// masks, quiescence and waiting-header filter.
+func checkReferenceEquivalence(t testing.TB, seed uint64, cycles int) {
 	t.Helper()
-	want, err := newEqRig(t, false).run(seed, cycles)
+	want, err := newEqRig(t, true).run(seed, cycles)
 	if err != nil {
-		t.Fatalf("seed %d: untabled rig: %v", seed, err)
+		t.Fatalf("seed %d: reference rig: %v", seed, err)
 	}
-	got, err := newEqRig(t, true).run(seed, cycles)
+	got, err := newEqRig(t, false).run(seed, cycles)
 	if err != nil {
-		t.Fatalf("seed %d: tabled rig: %v", seed, err)
+		t.Fatalf("seed %d: kernel rig: %v", seed, err)
 	}
 	for c := range want {
 		if got[c] != want[c] {
-			t.Fatalf("seed %d: tabled and untabled routers diverge at cycle %d:\n  tabled   %s\n  untabled %s",
+			t.Fatalf("seed %d: Router.Tick and the reference scan diverge at cycle %d:\n  kernel    %s\n  reference %s",
 				seed, c, got[c], want[c])
 		}
 	}
 }
 
-// TestRouterTabledEquivalence: a router with a route table makes exactly
-// the grants of one without, cycle for cycle, while downstream ports run
-// out of VCs, drain at random and drop packets.
-func TestRouterTabledEquivalence(t *testing.T) {
+// TestRouterReferenceEquivalence: Router.Tick makes exactly the grants of
+// the reference scan, cycle for cycle, while downstream ports run out of
+// VCs and drain at random.
+func TestRouterReferenceEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
-		checkTabledEquivalence(t, seed, 600)
+		checkReferenceEquivalence(t, seed, 600)
 	}
 }
 
-func FuzzRouterTabledEquivalence(f *testing.F) {
+func FuzzRouterReferenceEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint16(600))
 	f.Add(uint64(0x9e3779b97f4a7c15), uint16(150))
 	f.Fuzz(func(t *testing.T, seed uint64, cycles uint16) {
-		checkTabledEquivalence(t, seed, int(cycles)%1024)
+		checkReferenceEquivalence(t, seed, int(cycles)%1024)
 	})
 }

@@ -5,8 +5,8 @@
 // Table 3-3 configures them with 16 VCs per port and a 64-flit buffer per
 // VC.
 //
-// All port and VC state lives in a struct-of-arrays Arena; Port and VC
-// are index views over it. The per-cycle kernels (Router.Tick, the
+// All port and VC state lives in a struct-of-arrays Arena; Port is an
+// index view over it. The per-cycle kernels (Router.Tick, the
 // fabric's inject/eject pumps, the photonic engines) therefore touch
 // flat scalar slices and per-port bitmasks instead of per-object heaps.
 package router
@@ -77,12 +77,6 @@ func NewPort(vcCount, depth int, ledger *photonic.Ledger, occupancy *int64) (*Po
 // freshly arrived work re-enter the per-cycle schedule.
 func (p *Port) SetWake(fn func()) { p.a.wake[p.id] = fn }
 
-// SetRouteTable installs the per-destination-core route table of the
-// router consuming this port. With a table in place, the port caches the
-// head packet's output at header-enqueue time, so arbitration never
-// re-runs the routing function on the hot path.
-func (p *Port) SetRouteTable(tab []int16) { p.a.routeTab[p.id] = tab }
-
 // VCCount returns the number of virtual channels.
 func (p *Port) VCCount() int {
 	vcCnt := p.a.vcCnt
@@ -93,21 +87,8 @@ func (p *Port) VCCount() int {
 	return int(vcCnt[id])
 }
 
-// VC returns the view of channel i.
-func (p *Port) VC(i int) VC {
-	return VC{a: p.a, g: p.a.vcBase[p.id] + int32(i)}
-}
-
-// VC is the view of one virtual channel: a FIFO flit buffer plus the
-// wormhole state that binds it to a packet and, once the header has been
-// routed, to a downstream (output port, VC) pair.
-type VC struct {
-	a *Arena
-	g int32
-}
-
-// Len returns the number of buffered flits.
-func (v VC) Len() int { return int(v.a.hot[v.g].count) }
+// Len returns the number of flits buffered in VC i.
+func (p *Port) Len(i int) int { return int(p.a.hot[p.a.vcBase[p.id]+int32(i)].count) }
 
 // AllocVC claims a free, empty VC for a new packet and returns its index.
 // It reports false when every VC is busy — the §1.4 condition under which
@@ -167,8 +148,11 @@ func (p *Port) Space(i int) int {
 }
 
 // Enqueue buffers a flit into VC i at cycle now, charging the buffer-write
-// energy. It reports an error when the VC is full or not owned by the
-// flit's packet — both are fabric bugs, not runtime conditions.
+// energy. A header buffered into a router's input also fixes the packet's
+// output: the router's RouteFunc is asked here, once, and the VC contends
+// at that output until the packet's tail is popped. It reports an error
+// when the VC is full, not owned by the flit's packet, or routed outside
+// the router's outputs — all fabric bugs, not runtime conditions.
 //
 //hetpnoc:hotpath
 func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
@@ -185,6 +169,15 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 		return fmt.Errorf("router: flit sequence %d exceeds packed-entry capacity %d", f.Seq, maxFlitSeq)
 	}
 	isHdr := f.Type.IsHeader()
+	cons := a.consumer[p.id]
+	if isHdr && cons != nil {
+		d := cons.route(f)
+		if uint(d) >= uint(len(cons.outputs)) {
+			return fmt.Errorf("router %s: route %d outside %d outputs", cons.name, d, len(cons.outputs))
+		}
+		h.dstOut = int16(d)
+		cons.addContender(d, int(a.consBase[p.id])+i)
+	}
 	if h.count == 0 {
 		a.occMask[p.id] |= 1 << uint(i)
 		a.fbits[g] = int32(f.Packet.FlitBits)
@@ -197,21 +190,8 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	}
 	// A fresh flit can flip the consuming router's arbitration outcome,
 	// so end its quiescent period (see Router.Tick).
-	cons := a.consumer[p.id]
 	if cons != nil {
 		cons.quiet = false
-	}
-	if isHdr {
-		if tab := a.routeTab[p.id]; tab != nil {
-			d := tab[f.Packet.Dst]
-			h.dstOut = d
-			// The packet's route through the consuming router is now
-			// fixed until its tail departs: enter it into the router's
-			// persistent contender mask for that output.
-			if cons != nil && d >= 0 {
-				cons.addContender(int(d), int(a.consBase[p.id])+i)
-			}
-		}
 	}
 	a.push(g, mkEntry(f, now))
 	*a.occupancy++
@@ -316,10 +296,8 @@ func (p *Port) Pop(i int) (packet.Flit, error) {
 		}
 	}
 	if f.Type.IsTail() {
-		if d := h.dstOut; d >= 0 {
-			if r := a.consumer[p.id]; r != nil {
-				r.dropContender(int(d), int(a.consBase[p.id])+i)
-			}
+		if d := h.dstOut; d >= 0 { // set only on a router's input
+			a.consumer[p.id].dropContender(int(d), int(a.consBase[p.id])+i)
 		}
 		a.owner[g] = 0
 		h.flags &^= vcRouted
@@ -344,30 +322,4 @@ func (p *Port) BufferedFlits() int {
 		return 0 // unreachable: ids are assigned by Reserve; the guard anchors BCE
 	}
 	return int(buffered[id])
-}
-
-// ReleaseOwner force-frees VC i. The receive engine uses it when a packet
-// is dropped mid-window and its partial contents discarded.
-func (p *Port) ReleaseOwner(i int) {
-	a := p.a
-	g := a.vcBase[p.id] + int32(i)
-	h := &a.hot[g]
-	n := int32(h.count)
-	// Discarded slots stay in place (see Pop); resetting head with
-	// count 0 leaves no live entries.
-	a.head[g] = 0
-	*a.occupancy -= int64(n)
-	a.buffered[p.id] -= n
-	a.occMask[p.id] &^= 1 << uint(i)
-	a.freeMask[p.id] |= 1 << uint(i)
-	a.owner[g] = 0
-	if d := h.dstOut; d >= 0 {
-		if r := a.consumer[p.id]; r != nil {
-			r.dropContender(int(d), int(a.consBase[p.id])+i)
-		}
-	}
-	*h = vcHot{dstOut: -1}
-	for _, w := range a.watchers[p.id] {
-		w.quiet = false
-	}
 }

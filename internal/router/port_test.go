@@ -115,24 +115,6 @@ func TestPortPopEmpty(t *testing.T) {
 	}
 }
 
-func TestPortReleaseOwner(t *testing.T) {
-	p, _, occ := newTestPort(t, 1, 8)
-	pkt := testPacket(9, 4)
-	vc, _ := p.AllocVC(pkt.ID)
-	for i := 0; i < 3; i++ {
-		if err := p.Enqueue(vc, packet.FlitAt(pkt, i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.ReleaseOwner(vc)
-	if *occ != 0 {
-		t.Fatalf("occupancy = %d after release, want 0", *occ)
-	}
-	if p.FreeVCs() != 1 {
-		t.Fatal("VC not freed by ReleaseOwner")
-	}
-}
-
 func TestPortBufferEnergyCharged(t *testing.T) {
 	p, ledger, _ := newTestPort(t, 1, 8)
 	pkt := testPacket(10, 2)

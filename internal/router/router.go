@@ -15,7 +15,13 @@ import (
 // single-cycle link transfer this gives the canonical 3-cycle hop.
 const PipelineDelay sim.Cycle = 2
 
-// RouteFunc maps a flit to the index of the output it must leave through.
+// RouteFunc maps a header flit to the index of the output its packet
+// leaves through. It must be a pure function of the packet: the router
+// asks once, when the header is buffered (Port.Enqueue), and holds the
+// packet to that answer until its tail departs. An answer outside the
+// attached outputs fails that Enqueue, so the router must be fully wired —
+// inputs registered by New, every output attached — before traffic is
+// buffered.
 type RouteFunc func(f packet.Flit) int
 
 // output is one router output, stored by value in Router.outputs so
@@ -51,7 +57,6 @@ type Router struct {
 	arena   *Arena
 	inputs  []*Port
 	inPort  []int32
-	inWidth []int
 	outputs []output
 	route   RouteFunc
 	ledger  *photonic.Ledger
@@ -73,13 +78,13 @@ type Router struct {
 	budget   []int32
 	widths32 []int32
 
-	// liveMask is the persistent counterpart of outMask, valid when every
-	// input carries a route table (tabled): bit set while an input VC is
-	// owned by a packet routed to that output. Because a packet's route is
-	// fixed from header enqueue to tail pop, the masks change only on
-	// those ownership transitions (maintained by Port.Enqueue/Pop/
-	// ReleaseOwner through the arena's consumer registry), and Tick seeds
-	// its scratch with one copy instead of re-walking every buffered VC.
+	// liveMask is the persistent counterpart of outMask: bit set while an
+	// input VC is owned by a packet routed to that output. Because a
+	// packet's route is fixed from header enqueue to tail pop, the masks
+	// change only on those ownership transitions (maintained by
+	// Port.Enqueue/Pop through the arena's consumer registry), and Tick
+	// seeds its scratch with one copy instead of re-walking every buffered
+	// VC.
 	//
 	// hdrMask is the subset of liveMask whose header has not been
 	// forwarded yet (set with the live bit at header enqueue, cleared when
@@ -92,7 +97,6 @@ type Router struct {
 	// one allocation (see growMasks).
 	liveMask []uint64 //hetpnoc:nosnap derived from arena ownership state, rebuilt by rebuildLive
 	hdrMask  []uint64 //hetpnoc:nosnap derived from arena ownership state, rebuilt by rebuildLive
-	tabled   bool
 	// liveAny is a lazy per-output summary of liveMask: bit o is set
 	// whenever output o might have a contender. Ownership transitions set
 	// it eagerly; Tick clears it when a copy finds the output's words all
@@ -102,14 +106,14 @@ type Router struct {
 	// Quiescence: a Tick that grants nothing is a pure function — it
 	// changes no round-robin cursor, charges no energy and moves no flit —
 	// so its outcome repeats until an external event can flip a rejection.
-	// After a grantless tabled Tick the router records quiet=true and the
+	// After a grantless Tick the router records quiet=true and the
 	// earliest cycle a too-young head becomes eligible (wakeAt); Ticks
 	// before then return immediately. Every event that can change the
 	// outcome clears the flag: a flit arriving at an input (Port.Enqueue
 	// via the consumer registry), a downstream port draining or freeing a
-	// VC (Port.Pop/ReleaseOwner via the watcher registry), and aging
-	// (wakeAt). Blocked routers in a congested fabric thus cost two loads
-	// per cycle instead of a full scan-and-kill pass.
+	// VC (Port.Pop via the watcher registry), and aging (wakeAt). Blocked
+	// routers in a congested fabric thus cost two loads per cycle instead
+	// of a full scan-and-kill pass.
 	quiet  bool
 	wakeAt sim.Cycle
 }
@@ -142,7 +146,7 @@ func New(name string, inputs []*Port, inWidths []int, route RouteFunc, ledger *p
 			return nil, fmt.Errorf("router %s: input %d belongs to a different arena", name, i)
 		}
 	}
-	r := &Router{name: name, arena: arena, inputs: inputs, inWidth: inWidths, route: route, ledger: ledger}
+	r := &Router{name: name, arena: arena, inputs: inputs, route: route, ledger: ledger}
 	total := 0
 	for _, in := range inputs {
 		total += in.VCCount()
@@ -192,7 +196,7 @@ func (r *Router) addContender(o, idx int) {
 }
 
 // dropContender removes flat candidate idx from output o's persistent
-// masks: its packet's tail has left the input VC, or the VC was released.
+// masks: its packet's tail has left the input VC.
 func (r *Router) dropContender(o, idx int) {
 	k, bit := o*r.maskWords+(idx>>6), uint64(1)<<(uint(idx)&63)
 	r.liveMask[k] &^= bit
@@ -204,20 +208,6 @@ func (r *Router) Input(i int) *Port { return r.inputs[i] }
 
 // Inputs returns the number of input ports.
 func (r *Router) Inputs() int { return len(r.inputs) }
-
-// SetRouteTable installs a per-destination-core route table equivalent to
-// the routing function: tab[dst] is the output index a header destined
-// for core dst leaves through. The table is propagated to every input
-// port so routes are computed once at header-enqueue time; arbitration
-// then reads the cached output instead of calling the routing function,
-// and the persistent per-output contender masks replace the per-Tick
-// eligibility walk. It must be called before any traffic is buffered.
-func (r *Router) SetRouteTable(tab []int16) {
-	for _, in := range r.inputs {
-		in.SetRouteTable(tab)
-	}
-	r.tabled = tab != nil
-}
 
 // AddOutput attaches the next output, feeding dst with the given per-cycle
 // flit width, and returns its index. chargeLink selects whether forwarding
@@ -245,18 +235,19 @@ func (r *Router) Outputs() int { return len(r.outputs) }
 
 // Tick performs one cycle of output arbitration: for every output, up to
 // `width` eligible flits are moved from input VCs to the downstream port.
-// Headers perform routing and downstream VC allocation; body and tail
-// flits follow the path their header locked.
+// Headers, whose output was resolved when they were buffered, claim a
+// downstream VC; body and tail flits follow the path their header locked.
 //
-// The kernel is bit-identical to the reference object-walking scan: it
-// snapshots the eligible candidates once (a VC empty at snapshot time
-// cannot produce an eligible flit later this cycle, and an ineligible
-// head only gets younger when popped), then replays the reference
-// position sequence t = (out.rr + scan) mod candidates per output,
-// jumping over ineligible runs with next-set-bit scans. Candidates are
-// pre-binned into per-output masks by their cached route (visits of
-// candidates targeting another output have no side effects in the
-// reference), so each output only walks its own contenders.
+// The kernel is bit-identical to the reference object-walking scan
+// (refRouter in equivalence_test.go, held to it cycle for cycle): it
+// snapshots the candidates once (a VC empty at snapshot time cannot
+// produce an eligible flit later this cycle, and an ineligible head only
+// gets younger when popped), then replays the reference position sequence
+// t = (out.rr + scan) mod candidates per output, jumping over
+// non-contenders with next-set-bit scans. Candidates are binned into
+// per-output masks by their route (visits of candidates targeting another
+// output have no side effects in the reference), so each output only
+// walks its own contenders.
 //
 //hetpnoc:hotpath
 func (r *Router) Tick(now sim.Cycle) error {
@@ -269,17 +260,10 @@ func (r *Router) Tick(now sim.Cycle) error {
 		}
 		r.quiet = false
 	}
-	var nonEmpty uint64 // bit o set: output o has at least one contender
-	if r.tabled {
-		nonEmpty = r.seedScratch()
-	} else {
-		nonEmpty = r.buildScratch(now)
-	}
+	nonEmpty := r.seedScratch() // bit o set: output o has at least one contender
 	if nonEmpty == 0 {
-		if r.tabled {
-			r.quiet = true
-			r.wakeAt = quietForever
-		}
+		r.quiet = true
+		r.wakeAt = quietForever
 		return nil
 	}
 
@@ -303,7 +287,6 @@ func (r *Router) Tick(now sim.Cycle) error {
 	cand := r.cand
 	candidates := len(cand)
 	hot := a.hot
-	bufs, heads := a.bufs, a.head
 	owner, fbits := a.owner, a.fbits
 	inputs := r.inputs
 	for ne := nonEmpty; ne != 0; ne &= ne - 1 {
@@ -365,8 +348,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 			c := cand[idx]
 			g := int(c.g)
 			in := int(c.in)
-			if uint(g) >= uint(len(hot)) || uint(g) >= uint(len(bufs)) ||
-				uint(g) >= uint(len(heads)) || uint(g) >= uint(len(owner)) ||
+			if uint(g) >= uint(len(hot)) || uint(g) >= uint(len(owner)) ||
 				uint(g) >= uint(len(fbits)) ||
 				uint(in) >= uint(len(inputs)) || uint(in) >= uint(len(budget)) {
 				continue
@@ -389,20 +371,11 @@ func (r *Router) Tick(now sim.Cycle) error {
 				continue
 			}
 
-			if h.flags&(vcHeadHdr|vcRouted) == vcHeadHdr {
-				if dst := h.dstOut; dst >= 0 {
-					if int(dst) != o {
-						mask[wi] &^= bit
-						continue
-					}
-				} else {
-					buf := bufs[g]
-					hd := int(heads[g])
-					if uint(hd) >= uint(len(buf)) || r.route(buf[hd].flit()) != o {
-						mask[wi] &^= bit
-						continue
-					}
-				}
+			// A bit in this output's mask means the VC's packet is routed
+			// here (dstOut == o from header enqueue to tail pop). Until
+			// its header has been forwarded the header is the head flit,
+			// and only the downstream VC remains to be settled.
+			if h.flags&vcRouted == 0 {
 				dstVC, ok := out.dst.AllocVC(owner[g])
 				if !ok {
 					// No free downstream VC, and none can free up before
@@ -418,11 +391,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 				}
 				hdr[wi] &^= bit
 				h.flags |= vcRouted
-				h.outPort = int16(o)
 				h.outVC = int8(dstVC)
-			} else if h.flags&vcRouted == 0 || int(h.outPort) != o {
-				mask[wi] &^= bit
-				continue
 			}
 
 			dstVC := int(h.outVC)
@@ -449,20 +418,20 @@ func (r *Router) Tick(now sim.Cycle) error {
 			out.rr = int32((idx + 1) % candidates)
 		}
 	}
-	if !anyGrant && r.tabled {
-		// Grantless and tabled: every rejection this cycle was either
-		// age-bound (covered by wakeAt) or waits on an external event that
-		// clears r.quiet — an input arrival or a downstream drain. Until
-		// one of those fires, skip the scan outright.
+	if !anyGrant {
+		// Grantless: every rejection this cycle was either age-bound
+		// (covered by wakeAt) or waits on an external event that clears
+		// r.quiet — an input arrival or a downstream drain. Until one of
+		// those fires, skip the scan outright.
 		r.quiet = true
 		r.wakeAt = minReady
 	}
 	return nil
 }
 
-// seedScratch seeds the per-output scratch masks of a tabled router from
-// its persistent masks and returns the bitmask of outputs with at least
-// one contender. The persistent masks already bin every owned VC by its
+// seedScratch seeds the per-output scratch masks from the persistent
+// masks and returns the bitmask of outputs with at least one contender.
+// The persistent masks already bin every owned VC by its
 // fixed route, so one copy per live output does it. Extra bits — VCs that
 // are momentarily empty or whose head is still too young — are exactly
 // the candidates the reference scan visits and skips with no side effect,
@@ -473,7 +442,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 // visited only to fail AllocVC, and no VC can free up before this Tick
 // returns. Seeding without them is the same outcome; an output left with
 // nothing else contributes no visits, and a router with only such outputs
-// goes quiet until the downstream port's Pop/ReleaseOwner wakes it.
+// goes quiet until a Pop on the downstream port wakes it.
 func (r *Router) seedScratch() uint64 {
 	nw := r.maskWords
 	outMask, liveMask, hdrMask := r.outMask, r.liveMask, r.hdrMask
@@ -515,85 +484,6 @@ func (r *Router) seedScratch() uint64 {
 	return nonEmpty
 }
 
-// buildScratch seeds the per-output scratch masks by walking every
-// buffered VC — the slow path for routers without route tables, where a
-// head's target output is unknown until the routing function runs. It
-// returns the bitmask of outputs with at least one contender.
-func (r *Router) buildScratch(now sim.Cycle) uint64 {
-	a := r.arena
-	nw := r.maskWords
-	outMask := r.outMask
-	// The slab may have room for more outputs than are attached.
-	if used := len(r.outputs) * nw; uint(used) < uint(len(outMask)) {
-		outMask = outMask[:used]
-	}
-	for i := range outMask {
-		outMask[i] = 0
-	}
-	var nonEmpty uint64
-	// As in Tick, each decoded index is guarded once with a dead-by-
-	// construction unsigned compare so the accesses it dominates carry no
-	// bounds checks.
-	hot := a.hot
-	buffered, vcBase, occMask := a.buffered, a.vcBase, a.occMask
-	candBase := r.candBase
-	outs := len(r.outputs)
-	for i, p := range r.inPort {
-		pi := int(p)
-		if uint(pi) >= uint(len(buffered)) || uint(pi) >= uint(len(vcBase)) ||
-			uint(pi) >= uint(len(occMask)) || uint(i) >= uint(len(candBase)) {
-			continue
-		}
-		if buffered[pi] == 0 {
-			continue
-		}
-		base := candBase[i]
-		gBase := int(vcBase[pi])
-		for w := occMask[pi]; w != 0; w &= w - 1 {
-			v := bits.TrailingZeros64(w)
-			g := gBase + v
-			if uint(g) >= uint(len(hot)) {
-				continue
-			}
-			h := &hot[g]
-			if now-h.headEnq < PipelineDelay {
-				continue
-			}
-			idx := base + v
-			bit := uint64(1) << (uint(idx) & 63)
-			word := idx >> 6
-			switch {
-			case h.flags&vcRouted != 0:
-				if k := int(h.outPort)*nw + word; uint(k) < uint(len(outMask)) {
-					outMask[k] |= bit
-				}
-				nonEmpty |= 1 << uint(h.outPort)
-			case h.flags&vcHeadHdr != 0:
-				if d := h.dstOut; d >= 0 {
-					if k := int(d)*nw + word; uint(k) < uint(len(outMask)) {
-						outMask[k] |= bit
-					}
-					nonEmpty |= 1 << uint(d)
-				} else {
-					// The target is unknown until the routing function
-					// runs at visit time, so the candidate contends at
-					// every output.
-					for o := 0; o < outs; o++ {
-						if k := o*nw + word; uint(k) < uint(len(outMask)) {
-							outMask[k] |= bit
-						}
-					}
-					nonEmpty |= 1<<uint(outs) - 1
-				}
-			default:
-				// A body-flit head in an unrouted VC can never move this
-				// cycle; the reference scan skips it at every output.
-			}
-		}
-	}
-	return nonEmpty
-}
-
 // rebuildLive recomputes the persistent contender masks from the arena's
 // ownership state, after a Restore rewrote it wholesale.
 func (r *Router) rebuildLive() {
@@ -616,10 +506,7 @@ func (r *Router) rebuildLive() {
 			h := &a.hot[g]
 			d := int(h.dstOut)
 			if d < 0 {
-				if h.flags&vcRouted == 0 {
-					continue
-				}
-				d = int(h.outPort)
+				continue // claimed, header not buffered yet
 			}
 			idx := base + v
 			r.addContender(d, idx)
@@ -651,8 +538,6 @@ func (r *Router) SetRRState(src []int) []int {
 
 // BlockedHeaders returns how many input VCs hold a header waiting at an
 // output whose downstream port has no free VC, for tests and diagnostics.
-// It is read from the persistent masks, so it is zero on an untabled
-// router.
 func (r *Router) BlockedHeaders() int {
 	n := 0
 	for o := range r.outputs {

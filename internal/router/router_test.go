@@ -1,7 +1,6 @@
 package router
 
 import (
-	"fmt"
 	"testing"
 
 	"hetpnoc/internal/packet"
@@ -167,7 +166,7 @@ func TestWormholeNoInterleaving(t *testing.T) {
 	for vc := 0; vc < f.out[0].VCCount(); vc++ {
 		var owner packet.ID
 		seq := 0
-		for f.out[0].VC(vc).Len() > 0 {
+		for f.out[0].Len(vc) > 0 {
 			fl, err := f.out[0].Pop(vc)
 			if err != nil {
 				t.Fatal(err)
@@ -216,7 +215,7 @@ type blockedRig struct {
 	occ     int64
 }
 
-func newBlockedRig(t *testing.T, tabled bool) *blockedRig {
+func newBlockedRig(t *testing.T) *blockedRig {
 	t.Helper()
 	g := &blockedRig{}
 	ledger := photonic.NewLedger(photonic.DefaultEnergyParams())
@@ -233,9 +232,6 @@ func newBlockedRig(t *testing.T, tabled bool) *blockedRig {
 	if g.r, err = New("blocked", []*Port{g.in}, []int{2}, func(packet.Flit) int { return 0 }, ledger); err != nil {
 		t.Fatal(err)
 	}
-	if tabled {
-		g.r.SetRouteTable([]int16{0})
-	}
 	if _, err := g.r.AddOutput(g.out, 1, true); err != nil {
 		t.Fatal(err)
 	}
@@ -245,125 +241,156 @@ func newBlockedRig(t *testing.T, tabled bool) *blockedRig {
 // TestRouterVCExhaustionBlocksHeader: with every downstream VC owned, a
 // new header waits rather than forwarding, a stream already routed through
 // the same output keeps flowing, and the header is granted on the first
-// Tick after a downstream VC frees — by a tail pop or by ReleaseOwner. A
-// tabled router must do all of that on the same cycles as the untabled
-// one, and must do the waiting for free: no visit of the blocked header,
-// and quiescent until something can change the answer.
+// Tick after a tail pop frees a downstream VC. The router must do the
+// waiting for free: no visit of the blocked header, and quiescent until
+// something can change the answer.
 func TestRouterVCExhaustionBlocksHeader(t *testing.T) {
-	script := func(t *testing.T, tabled bool) []string {
-		g := newBlockedRig(t, tabled)
-		var trace []string
-		tick := func(from, to sim.Cycle) {
-			t.Helper()
-			for now := from; now < to; now++ {
-				if err := g.r.Tick(now); err != nil {
-					t.Fatal(err)
-				}
-				trace = append(trace, fmt.Sprintf("%d: in=%d out=%d owners=[%d %d] rr=%v",
-					now, g.in.BufferedFlits(), g.out.BufferedFlits(), g.out.Owner(0), g.out.Owner(1), g.r.RRState(nil)))
-			}
-		}
-		enqueue := func(vc int, pkt *packet.Packet, from, to int, now sim.Cycle) {
-			t.Helper()
-			for i := from; i < to; i++ {
-				if err := g.in.Enqueue(vc, packet.FlitAt(pkt, i), now); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		alloc := func(pkt *packet.Packet) int {
-			t.Helper()
-			vc, ok := g.in.AllocVC(pkt.ID)
-			if !ok {
-				t.Fatal("no free input VC")
-			}
-			return vc
-		}
-		// blockedForFree asserts, on the tabled router, that the last Tick
-		// visited nothing: it went quiet with no age-in wake-up recorded,
-		// which a visit of a still-young header would have set.
-		blockedForFree := func(when string) {
-			t.Helper()
-			if tabled && !(g.r.quiet && g.r.wakeAt == quietForever) {
-				t.Fatalf("%s: router with only blocked headers is not quiescent (quiet=%v wakeAt=%d)", when, g.r.quiet, g.r.wakeAt)
-			}
-		}
-
-		// A short packet and the head of a long stream claim both
-		// downstream VCs; nothing is drained.
-		short := &packet.Packet{ID: 1, Flits: 3, FlitBits: 32}
-		stream := &packet.Packet{ID: 2, Flits: 10, FlitBits: 32}
-		enqueue(alloc(short), short, 0, 3, 0)
-		streamVC := alloc(stream)
-		enqueue(streamVC, stream, 0, 3, 0)
-		tick(0, 10)
-		if got := g.out.BufferedFlits(); got != 6 || g.out.FreeVCs() != 0 {
-			t.Fatalf("downstream holds %d flits with %d free VCs, want 6 and 0", got, g.out.FreeVCs())
-		}
-
-		// A third packet arrives: its header cannot allocate.
-		waiter := &packet.Packet{ID: 3, Flits: 2, FlitBits: 32}
-		waiterVC := alloc(waiter)
-		enqueue(waiterVC, waiter, 0, 2, 10)
-		tick(10, 11)
-		blockedForFree("young blocked header")
-		tick(11, 15)
-		blockedForFree("aged blocked header")
-		if got := g.out.BufferedFlits(); got != 6 {
-			t.Fatalf("downstream holds %d flits, want only the first two packets' 6", got)
-		}
-
-		// The routed stream still flows through the exhausted output, one
-		// flit per cycle once aged, while the header keeps waiting.
-		enqueue(streamVC, stream, 3, 5, 15)
-		tick(15, 17)
-		if got := g.out.BufferedFlits(); got != 6 {
-			t.Fatalf("stream flit forwarded before its pipeline delay (%d downstream)", got)
-		}
-		tick(17, 18)
-		if got := g.out.BufferedFlits(); got != 7 {
-			t.Fatalf("routed stream stalled behind a blocked header (%d downstream, want 7)", got)
-		}
-		tick(18, 20)
-		blockedForFree("after the stream ran dry")
-		if got, w := g.out.BufferedFlits(), g.in.VC(waiterVC).Len(); got != 8 || w != 2 {
-			t.Fatalf("downstream holds %d flits and the waiter %d, want 8 and 2", got, w)
-		}
-
-		// Drain the short packet; its tail frees VC 0 and the very next
-		// Tick grants the waiting header.
-		for i := 0; i < 3; i++ {
-			if _, err := g.out.Pop(0); err != nil {
+	g := newBlockedRig(t)
+	tick := func(from, to sim.Cycle) {
+		t.Helper()
+		for now := from; now < to; now++ {
+			if err := g.r.Tick(now); err != nil {
 				t.Fatal(err)
 			}
 		}
-		tick(20, 21)
-		if g.out.Owner(0) != waiter.ID || g.out.VC(0).Len() != 1 {
-			t.Fatalf("header not granted on the Tick after the tail pop (owner %d, %d flits)", g.out.Owner(0), g.out.VC(0).Len())
-		}
-		tick(21, 25)
-
-		// Same again, but the downstream VC is freed by ReleaseOwner.
-		second := &packet.Packet{ID: 4, Flits: 1, FlitBits: 32}
-		enqueue(alloc(second), second, 0, 1, 25)
-		tick(25, 30)
-		blockedForFree("second blocked header")
-		if g.out.Owner(0) != waiter.ID || g.out.BufferedFlits() != 7 {
-			t.Fatalf("second header did not wait (owner %d, %d downstream)", g.out.Owner(0), g.out.BufferedFlits())
-		}
-		g.out.ReleaseOwner(0)
-		tick(30, 31)
-		if g.out.Owner(0) != second.ID || g.out.VC(0).Len() != 1 {
-			t.Fatalf("header not granted on the Tick after ReleaseOwner (owner %d, %d flits)", g.out.Owner(0), g.out.VC(0).Len())
-		}
-		return trace
 	}
-	untabled := script(t, false)
-	tabled := script(t, true)
-	for i := range untabled {
-		if tabled[i] != untabled[i] {
-			t.Fatalf("tabled router departs from the untabled one:\n  tabled   %s\n  untabled %s", tabled[i], untabled[i])
+	enqueue := func(vc int, pkt *packet.Packet, from, to int, now sim.Cycle) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := g.in.Enqueue(vc, packet.FlitAt(pkt, i), now); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	alloc := func(pkt *packet.Packet) int {
+		t.Helper()
+		vc, ok := g.in.AllocVC(pkt.ID)
+		if !ok {
+			t.Fatal("no free input VC")
+		}
+		return vc
+	}
+	// blockedForFree asserts that the last Tick visited nothing: the router
+	// went quiet with no age-in wake-up recorded, which a visit of a
+	// still-young header would have set.
+	blockedForFree := func(when string) {
+		t.Helper()
+		if !(g.r.quiet && g.r.wakeAt == quietForever) {
+			t.Fatalf("%s: router with only blocked headers is not quiescent (quiet=%v wakeAt=%d)", when, g.r.quiet, g.r.wakeAt)
+		}
+	}
+
+	// A short packet and the head of a long stream claim both downstream
+	// VCs; nothing is drained.
+	short := &packet.Packet{ID: 1, Flits: 3, FlitBits: 32}
+	stream := &packet.Packet{ID: 2, Flits: 10, FlitBits: 32}
+	enqueue(alloc(short), short, 0, 3, 0)
+	streamVC := alloc(stream)
+	enqueue(streamVC, stream, 0, 3, 0)
+	tick(0, 10)
+	if got := g.out.BufferedFlits(); got != 6 || g.out.FreeVCs() != 0 {
+		t.Fatalf("downstream holds %d flits with %d free VCs, want 6 and 0", got, g.out.FreeVCs())
+	}
+
+	// A third packet arrives: its header cannot allocate.
+	waiter := &packet.Packet{ID: 3, Flits: 2, FlitBits: 32}
+	waiterVC := alloc(waiter)
+	enqueue(waiterVC, waiter, 0, 2, 10)
+	tick(10, 11)
+	blockedForFree("young blocked header")
+	tick(11, 15)
+	blockedForFree("aged blocked header")
+	if got := g.out.BufferedFlits(); got != 6 {
+		t.Fatalf("downstream holds %d flits, want only the first two packets' 6", got)
+	}
+
+	// The routed stream still flows through the exhausted output, one flit
+	// per cycle once aged, while the header keeps waiting.
+	enqueue(streamVC, stream, 3, 5, 15)
+	tick(15, 17)
+	if got := g.out.BufferedFlits(); got != 6 {
+		t.Fatalf("stream flit forwarded before its pipeline delay (%d downstream)", got)
+	}
+	tick(17, 18)
+	if got := g.out.BufferedFlits(); got != 7 {
+		t.Fatalf("routed stream stalled behind a blocked header (%d downstream, want 7)", got)
+	}
+	tick(18, 20)
+	blockedForFree("after the stream ran dry")
+	if got, w := g.out.BufferedFlits(), g.in.Len(waiterVC); got != 8 || w != 2 {
+		t.Fatalf("downstream holds %d flits and the waiter %d, want 8 and 2", got, w)
+	}
+
+	// Drain the short packet; its tail frees VC 0 and the very next Tick
+	// grants the waiting header.
+	for i := 0; i < 3; i++ {
+		if _, err := g.out.Pop(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick(20, 21)
+	if g.out.Owner(0) != waiter.ID || g.out.Len(0) != 1 {
+		t.Fatalf("header not granted on the Tick after the tail pop (owner %d, %d flits)", g.out.Owner(0), g.out.Len(0))
+	}
+}
+
+// TestRouteOutOfRangeIsAnError: a routing function that answers outside
+// the attached outputs fails the header's Enqueue, naming the router, and
+// buffers nothing; the same goes for traffic buffered before the outputs
+// are attached.
+func TestRouteOutOfRangeIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		route   int
+		outputs int
+		want    string
+	}{
+		{"past the last output", 2, 2, "router bad: route 2 outside 2 outputs"},
+		{"negative", -1, 2, "router bad: route -1 outside 2 outputs"},
+		{"before any output is attached", 0, 0, "router bad: route 0 outside 0 outputs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ledger := photonic.NewLedger(photonic.DefaultEnergyParams())
+			var occ int64
+			arena, err := NewArena(ledger, &occ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := arena.NewPort(2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := New("bad", []*Port{in}, []int{1}, func(packet.Flit) int { return tc.route }, ledger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for o := 0; o < tc.outputs; o++ {
+				out, err := arena.NewPort(2, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := r.AddOutput(out, 1, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pkt := &packet.Packet{ID: 1, Flits: 2, FlitBits: 32}
+			vc, ok := in.AllocVC(pkt.ID)
+			if !ok {
+				t.Fatal("no free input VC")
+			}
+			err = in.Enqueue(vc, packet.FlitAt(pkt, 0), 0)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Enqueue error = %v, want %q", err, tc.want)
+			}
+			if in.BufferedFlits() != 0 || occ != 0 || r.BlockedHeaders() != 0 {
+				t.Fatalf("refused header left state behind: %d buffered, occupancy %d", in.BufferedFlits(), occ)
+			}
+			for now := sim.Cycle(0); now < 4; now++ {
+				if err := r.Tick(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -386,7 +413,7 @@ func TestRouterRoundRobinFairness(t *testing.T) {
 	// Count per-packet arrivals.
 	counts := make(map[packet.ID]int)
 	for vc := 0; vc < f.out[0].VCCount(); vc++ {
-		for f.out[0].VC(vc).Len() > 0 {
+		for f.out[0].Len(vc) > 0 {
 			fl, err := f.out[0].Pop(vc)
 			if err != nil {
 				t.Fatal(err)

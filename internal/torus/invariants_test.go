@@ -93,7 +93,7 @@ func TestTorusInvariantsUnderRandomTraffic(t *testing.T) {
 			// Drain destinations so receive VCs recycle.
 			for node := 0; node < 16; node++ {
 				for vc := 0; vc < r.rxPort[node].VCCount(); vc++ {
-					for r.rxPort[node].VC(vc).Len() > 0 {
+					for r.rxPort[node].Len(vc) > 0 {
 						if _, err := r.rxPort[node].Pop(vc); err != nil {
 							return false
 						}
