@@ -3,7 +3,7 @@
 #   make check   — build, vet, lint (hetpnoclint), full test suite, a
 #                  race-enabled run of everything, and bench-check (the
 #                  CI gate)
-#   make lint    — run the 12-analyzer suite (cmd/hetpnoclint, see
+#   make lint    — run the 9-analyzer suite (cmd/hetpnoclint, see
 #                  docs/ANALYSIS.md)
 #   make lint-fix — apply the suite's machine-applicable fixes in place
 #                  (run `make lint-dry` first to preview)
@@ -30,14 +30,13 @@ vet:
 	$(GO) vet ./...
 
 # hetpnoclint enforces the simulator's determinism, hot-path,
-# lock-discipline and API-stability invariants with 12 analyzers: the
-# per-package ones (maprange, globalstate, lockguard, ctxflow, errsink),
-# the whole-program layer (hotpathreach, dettaint, lockorder), the
-# compiler-evidence layer (allocproof, snapcover), the value-flow layer
-# (unitsafe) and apistable; any undirected violation exits non-zero.
-# Goroutine lifetime, channel and WaitGroup discipline are dynamic
-# gates: `make race` plus the leakcheck-armed tests. See
-# docs/ANALYSIS.md.
+# checkpoint-coverage and API-stability invariants with 9 analyzers: the
+# per-package ones (maprange, globalstate, ctxflow, errsink), the
+# whole-program layer (hotpathreach, dettaint), the compiler-evidence
+# layer (allocproof, snapcover) and apistable; any undirected violation
+# exits non-zero. Lock discipline, goroutine lifetime, channel and
+# WaitGroup discipline are dynamic gates: `make race` plus the
+# leakcheck-armed tests. See docs/ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/hetpnoclint ./...
 
@@ -62,7 +61,7 @@ test:
 # simulation goroutines every experiments runner, cmd/sweep figure and
 # /v1/sweep partition executes on. A full -race pass takes a few
 # minutes; race-quick keeps the goroutine-bearing subset for tight
-# loops.
+# loops. `race` is also the only lock-discipline gate (docs/ANALYSIS.md).
 race:
 	$(GO) test -race ./...
 

@@ -1,7 +1,7 @@
-// Command hetpnoclint runs the repo's determinism, hot-path,
-// concurrency-safety and API-stability analyzers (internal/analysis/...)
-// over module packages and fails on any undirected violation.
-// `make lint` wires it into the tier-1 gate.
+// Command hetpnoclint runs the repo's nine determinism, hot-path,
+// checkpoint-coverage, context/error-flow and API-stability analyzers
+// (internal/analysis/...) over module packages and fails on any
+// undirected violation. `make lint` wires it into the tier-1 gate.
 //
 // Usage:
 //
@@ -22,9 +22,9 @@
 //
 // The suite loads and type-checks the module once; per-package
 // analyzers then run over each package, and the whole-program analyzers
-// (hotpathreach, allocproof, snapcover, dettaint, lockorder, unitsafe)
-// run once over all packages, sharing a single memoized call graph and
-// hot-path BFS. allocproof additionally shells out one evidence build
+// (hotpathreach, allocproof, snapcover, dettaint) run once over all
+// packages, sharing a single memoized call graph and hot-path BFS.
+// allocproof additionally shells out one evidence build
 // (go build -gcflags='-m=2 -d=ssa/check_bce'); -gcobsout writes its
 // parsed escape/bounds-check report as JSON for the CI artifact.
 //
@@ -54,11 +54,8 @@ import (
 	"hetpnoc/internal/analysis/globalstate"
 	"hetpnoc/internal/analysis/hotpathreach"
 	"hetpnoc/internal/analysis/load"
-	"hetpnoc/internal/analysis/lockguard"
-	"hetpnoc/internal/analysis/lockorder"
 	"hetpnoc/internal/analysis/maprange"
 	"hetpnoc/internal/analysis/snapcover"
-	"hetpnoc/internal/analysis/unitsafe"
 )
 
 // analyzers is the hetpnoclint suite, in reporting order: the
@@ -67,15 +64,12 @@ import (
 var analyzers = []*analysis.Analyzer{
 	maprange.Analyzer,
 	globalstate.Analyzer,
-	lockguard.Analyzer,
 	ctxflow.Analyzer,
 	errsink.Analyzer,
 	hotpathreach.Analyzer,
 	allocproof.Analyzer,
 	snapcover.Analyzer,
 	dettaint.Analyzer,
-	lockorder.Analyzer,
-	unitsafe.Analyzer,
 	apistable.Analyzer,
 }
 

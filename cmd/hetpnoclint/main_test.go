@@ -80,50 +80,24 @@ func Drop() {
 	Step()
 }
 `)
-	write("internal/sim/guard.go", `package sim
-
-import "sync"
-
-type Counter struct {
-	mu sync.Mutex
-	n  int //hetpnoc:guardedby mu
-}
-
-func (c *Counter) Bump() {
-	c.n++
-}
-`)
 	// Whole-program layer bait. helper is a non-sim package whose
 	// Jitter launders time.Now; fabric is a sim package (suffix match)
 	// that calls it, and whose hotpath root reaches helper.Label's
-	// fmt.Sprintf two frames down. Both nests two mutexes with no
-	// declared order. Neither package has an API golden, so apistable
-	// ignores the exported surface here. fabric also carries the
-	// compiler-evidence bait (Esc's local moved to the heap on a hot
-	// path) and the snapshot-coverage bait (Core's Snapshot/Restore
-	// both miss the mutable drift field).
+	// fmt.Sprintf two frames down. Neither package has an API golden,
+	// so apistable ignores the exported surface here. fabric also
+	// carries the compiler-evidence bait (Esc's local moved to the heap
+	// on a hot path) and the snapshot-coverage bait (Core's
+	// Snapshot/Restore both miss the mutable drift field).
 	write("internal/helper/helper.go", `package helper
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
 func Jitter() int64 { return time.Now().UnixNano() }
 
 func Label(n int) string { return fmt.Sprintf("h%d", n) }
-
-type Reg struct{ mu sync.Mutex }
-
-type Log struct{ mu sync.Mutex }
-
-func Both(r *Reg, l *Log) {
-	r.mu.Lock()
-	l.mu.Lock()
-	l.mu.Unlock()
-	r.mu.Unlock()
-}
 `)
 	write("internal/fabric/fabric.go", `package fabric
 
@@ -160,31 +134,9 @@ func (c *Core) Snapshot() *CoreSnap { return &CoreSnap{ticks: c.ticks} }
 
 func (c *Core) Restore(s *CoreSnap) { c.ticks = s.ticks }
 `)
-	// unitsafe bait: a mini units package defining two domains, and a
-	// consumer that launders one into the other and adds them.
-	write("internal/units/units.go", `package units
-
-type DB float64
-
-type MilliWatt float64
-`)
-	write("internal/power/power.go", `package power
-
-import "badmod/internal/units"
-
-func Mix(db units.DB, mw units.MilliWatt) float64 {
-	return float64(db) + float64(mw)
-}
-
-func Launder(mw units.MilliWatt) units.DB {
-	return units.DB(float64(mw))
-}
-`)
 	// Stale API golden: lists one symbol that no longer exists, knows
 	// the rest.
-	write("internal/sim/testdata/api/sim.golden", "Counter\ttype struct\n"+
-		"Counter.Bump\tmethod func()\n"+
-		"Draw\tfunc func(m map[string]int) int64\n"+
+	write("internal/sim/testdata/api/sim.golden", "Draw\tfunc func(m map[string]int) int64\n"+
 		"Drop\tfunc func()\n"+
 		"Gone\tfunc func()\n"+
 		"Hot\tfunc func(n int) string\n"+
@@ -208,12 +160,9 @@ func Launder(mw units.MilliWatt) units.DB {
 		"globalstate":  1, // package-level var hits
 		"ctxflow":      2, // Step() with ctx in scope + context.Background mint
 		"errsink":      2, // Step() dropped error in Use and in Drop
-		"lockguard":    1, // Counter.n written without Counter.mu
 		"hotpathreach": 2, // fmt.Sprintf in root sim.Hot + fabric.Step -> helper.Label reaches fmt.Sprintf
 		"dettaint":     3, // math/rand import + time.Now call in sim + fabric.Sync calls helper.Jitter (taints to time.Now)
-		"lockorder":    1, // helper.Both nests Reg.mu and Log.mu undeclared
 		"snapcover":    2, // Core.Snapshot misses drift, Core.Restore misses drift
-		"unitsafe":     2, // laundered dB+mW add, mW-to-dB laundering cast
 		"apistable":    1, // Gone removed relative to the golden
 	}
 	for a, n := range want {
@@ -250,7 +199,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("empty -only selected %d analyzers, want the full suite of %d", len(full), len(analyzers))
 	}
 
-	active, err := selectAnalyzers("unitsafe, maprange ,dettaint")
+	active, err := selectAnalyzers("snapcover, maprange ,dettaint")
 	if err != nil {
 		t.Fatalf("subset -only: %v", err)
 	}
@@ -260,7 +209,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	}
 	// Suite order, not flag order: maprange runs first, apistable would
 	// still run last if selected.
-	wantNames := []string{"maprange", "dettaint", "unitsafe"}
+	wantNames := []string{"maprange", "snapcover", "dettaint"}
 	if len(gotNames) != len(wantNames) {
 		t.Fatalf("selected %v, want %v", gotNames, wantNames)
 	}
@@ -272,7 +221,7 @@ func TestSelectAnalyzers(t *testing.T) {
 
 	// Names of analyzers folded into dettaint/hotpathreach or removed
 	// are unknown like any other typo.
-	for _, name := range []string{"maprange,nosuch", "detrand", "hotpathalloc", "goleak"} {
+	for _, name := range []string{"maprange,nosuch", "detrand", "hotpathalloc", "goleak", "lockguard", "lockorder", "unitsafe"} {
 		if _, err := selectAnalyzers(name); err == nil {
 			t.Errorf("-only %s accepted, want an unknown-analyzer error", name)
 		}

@@ -1,6 +1,6 @@
 // Package callgraph builds a whole-program call graph over the
 // module's type-checked packages, the substrate for the interprocedural
-// hetpnoclint analyzers (hotpathreach, dettaint, lockorder). The loader
+// hetpnoclint analyzers (hotpathreach, allocproof, dettaint). The loader
 // type-checks every module package into one FileSet with shared object
 // identity, so a *types.Func is the same pointer whether reached from
 // its defining package or through an importer — nodes key on it

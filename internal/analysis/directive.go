@@ -8,8 +8,7 @@ import (
 
 // The simulator's lint directives. A directive is a //hetpnoc:<name>
 // comment; most additionally require an argument after the name — a
-// justification or a mutex name — so every suppression records why it is
-// safe (or what it is tied to).
+// justification — so every suppression records why it is safe.
 const (
 	// DirectiveOrderfree marks a range-over-map statement whose body is
 	// insensitive to iteration order.
@@ -23,19 +22,10 @@ const (
 	// constant table (Go has no const for composite values).
 	DirectiveImmutable = "immutable"
 
-	// DirectiveGuardedBy marks a struct field as protected by a mutex:
-	// //hetpnoc:guardedby mu names a sibling field, Server.mu names a
-	// field of another struct. lockguard checks every access.
-	DirectiveGuardedBy = "guardedby"
-
 	// DirectiveCtxRoot marks a function that legitimately mints a fresh
 	// context (process entry points, compatibility wrappers); ctxflow
 	// flags context.Background/TODO everywhere else.
 	DirectiveCtxRoot = "ctxroot"
-
-	// DirectiveLocked marks a function whose contract is "caller holds
-	// <mu>"; lockguard seeds the named locks as held at entry.
-	DirectiveLocked = "locked"
 
 	// DirectiveColdcall marks a call site inside hot-path-reachable
 	// code as a deliberate slow-path exit (error formatting, one-shot
@@ -55,20 +45,6 @@ const (
 	// (and checkpointed) by another component. snapcover skips the field
 	// on both the capture and restore side. Requires a justification.
 	DirectiveNosnap = "nosnap"
-
-	// DirectiveUnitcast marks a deliberate cross-domain unit conversion
-	// or unit-mixing expression that unitsafe would otherwise flag — a
-	// value leaving the typed-quantity system on purpose (a calibration
-	// table stored in different units, a dimensionless ratio built by
-	// hand). Requires a justification.
-	DirectiveUnitcast = "unitcast"
-
-	// DirectiveLockorder declares the acquisition order of two mutexes:
-	// //hetpnoc:lockorder <outer> <inner> <why> states that <outer> may
-	// be held while <inner> is acquired, never the reverse. lockorder
-	// feeds declared edges into its deadlock graph and requires a
-	// declaration for every lock pair that shares a call tree.
-	DirectiveLockorder = "lockorder"
 )
 
 const directivePrefix = "//hetpnoc:"
@@ -76,14 +52,12 @@ const directivePrefix = "//hetpnoc:"
 // Directive is one parsed //hetpnoc: comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "orderfree", "hotpath", "guardedby"
-	// Arg is the text after the name, trimmed: a justification
-	// (orderfree, immutable, ctxroot) or a mutex name (guardedby,
-	// locked).
+	Name string // e.g. "orderfree", "hotpath", "nosnap"
+	// Arg is the text after the name, trimmed: the justification.
 	Arg string
 
 	// Trailing reports that the comment follows code on its own line
-	// (`x int //hetpnoc:guardedby mu`). A trailing directive covers only
+	// (`x int //hetpnoc:nosnap derived`). A trailing directive covers only
 	// that line — it never leaks onto the declaration below it the way
 	// an own-line comment covers the line underneath.
 	Trailing bool
@@ -152,30 +126,7 @@ func ParseDirectives(fset *token.FileSet, file *ast.File) *Directives {
 // above it (a directive trailing the *previous* declaration does not
 // leak down). The bool reports whether one was found.
 func (d *Directives) Covering(n ast.Node, name string) (Directive, bool) {
-	if all := d.CoveringAll(n, name); len(all) > 0 {
-		return all[0], true
-	}
-	return Directive{}, false
-}
-
-// CoveringAll returns every directive named name covering node n, same
-// placement rules as Covering. Fields and functions may stack several
-// directives of one kind (e.g. two //hetpnoc:locked lines for a function
-// whose caller holds two mutexes).
-func (d *Directives) CoveringAll(n ast.Node, name string) []Directive {
-	line := d.fset.Position(n.Pos()).Line
-	var out []Directive
-	for _, dir := range d.byLine[line] {
-		if dir.Name == name {
-			out = append(out, dir)
-		}
-	}
-	for _, dir := range d.byLine[line-1] {
-		if dir.Name == name && !dir.Trailing {
-			out = append(out, dir)
-		}
-	}
-	return out
+	return d.CoveringLine(d.fset.Position(n.Pos()).Line, name)
 }
 
 // CoveringLine is Covering keyed by source line instead of node: a
@@ -226,42 +177,15 @@ func (dc *DirectiveCache) For(unit *PackageUnit, pos token.Pos) *Directives {
 	return nil
 }
 
-// FileDirectives returns every //hetpnoc: directive in file, in source
-// order, regardless of placement. lockorder collects its module-wide
-// //hetpnoc:lockorder declarations this way.
-func FileDirectives(file *ast.File) []Directive {
-	var out []Directive
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if dir, ok := parseDirective(c.Pos(), c.Text); ok {
-				out = append(out, dir)
-			}
-		}
-	}
-	return out
-}
-
-// FuncDirectives returns every //hetpnoc: directive in fn's doc comment,
-// in source order. A declaration can stack multiple directives — e.g.
-// //hetpnoc:hotpath above //hetpnoc:locked mu.
-func FuncDirectives(fn *ast.FuncDecl) []Directive {
-	if fn.Doc == nil {
-		return nil
-	}
-	var out []Directive
-	for _, c := range fn.Doc.List {
-		if dir, ok := parseDirective(c.Pos(), c.Text); ok {
-			out = append(out, dir)
-		}
-	}
-	return out
-}
-
 // FuncDirective returns the first directive named name in fn's doc
-// comment. The bool reports whether one was found.
+// comment; a declaration can stack several (//hetpnoc:hotpath above
+// //hetpnoc:ctxroot). The bool reports whether one was found.
 func FuncDirective(fn *ast.FuncDecl, name string) (Directive, bool) {
-	for _, dir := range FuncDirectives(fn) {
-		if dir.Name == name {
+	if fn.Doc == nil {
+		return Directive{}, false
+	}
+	for _, c := range fn.Doc.List {
+		if dir, ok := parseDirective(c.Pos(), c.Text); ok && dir.Name == name {
 			return dir, true
 		}
 	}

@@ -73,34 +73,21 @@ func parse(t *testing.T, src string) (*token.FileSet, *ast.File) {
 }
 
 func TestFuncDirectivesStacked(t *testing.T) {
-	// One declaration carrying several directives: all must surface, in
-	// source order, and each must be findable by name.
+	// One declaration carrying several directives: each must be findable
+	// by name, and of two with the same name the first wins.
 	_, f := parse(t, `package p
 
 //hetpnoc:hotpath
-//hetpnoc:locked mu
-//hetpnoc:locked Server.mu
+//hetpnoc:detsafe samples inputs only
+//hetpnoc:detsafe duplicate
 func F() {}
 `)
 	fn := f.Decls[0].(*ast.FuncDecl)
-	all := FuncDirectives(fn)
-	if len(all) != 3 {
-		t.Fatalf("got %d directives, want 3: %+v", len(all), all)
-	}
 	if !HasHotpath(fn) {
 		t.Error("stacked decl should still report hotpath")
 	}
-	var locked []string
-	for _, d := range all {
-		if d.Name == DirectiveLocked {
-			locked = append(locked, d.Arg)
-		}
-	}
-	if len(locked) != 2 || locked[0] != "mu" || locked[1] != "Server.mu" {
-		t.Errorf("locked args = %v, want [mu Server.mu]", locked)
-	}
-	if d, ok := FuncDirective(fn, DirectiveLocked); !ok || d.Arg != "mu" {
-		t.Errorf("FuncDirective(locked) = %+v, %v; want first (mu)", d, ok)
+	if d, ok := FuncDirective(fn, DirectiveDetsafe); !ok || d.Arg != "samples inputs only" {
+		t.Errorf("FuncDirective(detsafe) = %+v, %v; want the first", d, ok)
 	}
 	if _, ok := FuncDirective(fn, DirectiveCtxRoot); ok {
 		t.Error("ctxroot should not be found on F")
@@ -141,28 +128,26 @@ func TestDirectiveTrailingSameLine(t *testing.T) {
 	fset, f := parse(t, `package p
 
 type S struct {
-	n int //hetpnoc:guardedby mu
-	mu int
+	n int //hetpnoc:nosnap derived
+	m int
 }
 `)
 	dirs := ParseDirectives(fset, f)
 	st := f.Decls[0].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type.(*ast.StructType)
 	field := st.Fields.List[0]
-	d, ok := dirs.Covering(field, DirectiveGuardedBy)
-	if !ok || d.Arg != "mu" {
-		t.Errorf("guardedby on trailing comment: ok=%v arg=%q, want mu", ok, d.Arg)
+	d, ok := dirs.Covering(field, DirectiveNosnap)
+	if !ok || d.Arg != "derived" {
+		t.Errorf("nosnap on trailing comment: ok=%v arg=%q, want derived", ok, d.Arg)
 	}
-	// The directive trails field n; it must not leak down onto mu via
+	// The directive trails field n; it must not leak down onto m via
 	// the line-above rule.
-	if _, ok := dirs.Covering(st.Fields.List[1], DirectiveGuardedBy); ok {
+	if _, ok := dirs.Covering(st.Fields.List[1], DirectiveNosnap); ok {
 		t.Error("trailing directive on field n leaked onto the next field")
 	}
 }
 
 func TestDirectiveSameLineMultiple(t *testing.T) {
-	// Two directive comments on one line (block-comment form cannot
-	// occur for //, but a trailing directive after a leading one on the
-	// same source line can, via CoveringAll).
+	// Two own-line directives stacked above one statement.
 	fset, f := parse(t, `package p
 
 func Body(m map[int]int) {
@@ -182,9 +167,8 @@ func Body(m map[int]int) {
 	})
 	// Only the directive directly above (line-1) covers; the one two
 	// lines up does not.
-	all := dirs.CoveringAll(rs, DirectiveOrderfree)
-	if len(all) != 1 || all[0].Arg != "duplicate" {
-		t.Errorf("CoveringAll = %+v, want the adjacent directive only", all)
+	if d, ok := dirs.Covering(rs, DirectiveOrderfree); !ok || d.Arg != "duplicate" {
+		t.Errorf("Covering = %+v, %v; want the adjacent directive only", d, ok)
 	}
 }
 

@@ -13,11 +13,8 @@ import (
 	"hetpnoc/internal/analysis/errsink"
 	"hetpnoc/internal/analysis/globalstate"
 	"hetpnoc/internal/analysis/hotpathreach"
-	"hetpnoc/internal/analysis/lockguard"
-	"hetpnoc/internal/analysis/lockorder"
 	"hetpnoc/internal/analysis/maprange"
 	"hetpnoc/internal/analysis/snapcover"
-	"hetpnoc/internal/analysis/unitsafe"
 )
 
 // fixtures lists, per analyzer, the fixture packages under its own
@@ -31,7 +28,6 @@ var fixtures = []struct {
 }{
 	{maprange.Analyzer, []string{"mfix/internal/fabric", "mfix/internal/report"}},
 	{globalstate.Analyzer, []string{"gfix/internal/router"}},
-	{lockguard.Analyzer, []string{"lgfix"}},
 	{ctxflow.Analyzer, []string{"cxfix"}},
 	{errsink.Analyzer, []string{"eefix"}},
 	{hotpathreach.Analyzer, []string{"reach/hot"}},
@@ -39,8 +35,6 @@ var fixtures = []struct {
 	{snapcover.Analyzer, []string{"snap/sim"}},
 	{dettaint.Analyzer, []string{"dt/internal/sim"}},
 	{dettaint.Analyzer, []string{"simfix/internal/sim", "simfix/cmd/tool"}},
-	{lockorder.Analyzer, []string{"lo/serve", "lo/pair"}},
-	{unitsafe.Analyzer, []string{"us/power"}},
 	{apistable.Analyzer, []string{"apfix"}},
 }
 

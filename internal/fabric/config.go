@@ -75,7 +75,8 @@ func (t IntraCluster) String() string {
 
 // Remap schedules a mid-run change of the task mapping: at cycle At the
 // workload is re-assigned from Pattern and every core re-reports its
-// demand table, exercising the DBA reconfiguration path (§3.2).
+// demand table, exercising the DBA reconfiguration path (§3.2). At must
+// lie inside the run: 0 <= At < Cycles.
 type Remap struct {
 	At      sim.Cycle
 	Pattern traffic.Pattern
@@ -255,6 +256,9 @@ func (c Config) Validate() error {
 	for _, r := range c.Remaps {
 		if r.Pattern == nil {
 			return fmt.Errorf("fabric: remap at cycle %d has no pattern", r.At)
+		}
+		if r.At < 0 || r.At >= sim.Cycle(c.Cycles) {
+			return fmt.Errorf("fabric: remap at cycle %d is outside the run's %d cycles", r.At, c.Cycles)
 		}
 	}
 	return nil

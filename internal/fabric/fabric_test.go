@@ -54,6 +54,8 @@ func TestConfigValidation(t *testing.T) {
 		{"zero eject", func(c *Config) { c.EjectWidth = -1 }},
 		{"bad intra", func(c *Config) { c.IntraCluster = 99 }},
 		{"remap without pattern", func(c *Config) { c.Remaps = []Remap{{At: 100}} }},
+		{"remap before the run", func(c *Config) { c.Remaps = []Remap{{At: -1, Pattern: traffic.Uniform{}}} }},
+		{"remap past the run", func(c *Config) { c.Remaps = []Remap{{At: sim.Cycle(c.Cycles), Pattern: traffic.Uniform{}}} }},
 	}
 	for _, tt := range tests {
 		cfg := base

@@ -29,13 +29,13 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int // immutable after New
 
-	//hetpnoc:guardedby mu
+	// guarded by mu
 	ll *list.List // front = most recently used
-	//hetpnoc:guardedby mu
+	// guarded by mu
 	entries map[Key]*list.Element
 
-	hits   int64 //hetpnoc:guardedby mu
-	misses int64 //hetpnoc:guardedby mu
+	hits   int64 // guarded by mu
+	misses int64 // guarded by mu
 }
 
 type entry struct {

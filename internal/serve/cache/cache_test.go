@@ -105,9 +105,15 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := keyFor((g + i) % 24)
-				if i%3 == 0 {
+				switch {
+				case i%3 == 0:
 					c.Put(k, resFor(i))
-				} else {
+				case i%7 == 0:
+					// Stats reads every counter Get and Put write.
+					if st := c.Stats(); st.Entries > 8 {
+						t.Errorf("cache grew past capacity: %d entries", st.Entries)
+					}
+				default:
 					c.Get(k)
 				}
 			}

@@ -444,3 +444,60 @@ func TestSoakConcurrentSweepsStayInPool(t *testing.T) {
 		t.Errorf("metrics report %d batched runs, want %d", m.BatchedRuns, sweeps*points)
 	}
 }
+
+// TestSoakCloseDuringSubmit closes the server while clients are still
+// submitting, which no other test does: admit reads draining and sends
+// on the queue that Close flips and closes, so under -race this is the
+// gate on Close's critical section. Every submission must end in a
+// result, ErrBusy or ErrDraining — never a send on the closed queue —
+// and the pool must be gone afterwards.
+func TestSoakCloseDuringSubmit(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		clients = 16
+		shared  = 4 // seeds every client asks for, so duplicates coalesce or hit the cache
+	)
+	s := New(Config{Workers: 2, QueueDepth: 4})
+	defer closeServer(t, s) // idempotent; releases the clients if waitFor gives up
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			// Odd iterations use a seed nobody else does: those can never
+			// be served from the cache, so every client keeps reaching
+			// admit until it is told the server is draining.
+			for i := 0; ; i++ {
+				seed := uint64(i/2%shared + 1)
+				if i%2 == 1 {
+					seed = uint64(1000*(c+1) + i)
+				}
+				out, err := s.Submit(context.Background(), smallCfg(seed))
+				switch {
+				case err == nil:
+					if out.Result.PacketsDelivered == 0 {
+						t.Errorf("client %d: submission %d (key %s) returned an empty result", c, i, out.Key)
+						return
+					}
+				case errors.Is(err, ErrBusy):
+					time.Sleep(time.Millisecond)
+				case errors.Is(err, ErrDraining):
+					return
+				default:
+					t.Errorf("client %d: submission %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+
+	// Close once the pool is demonstrably busy, with submissions in
+	// every stage: queued, running, coalesced and cached.
+	waitFor(t, "the pool to get busy", func() bool { return s.Metrics().Completed >= shared })
+	closeServer(t, s)
+	wg.Wait()
+	if m := s.Metrics(); m.InFlight != 0 || m.QueueDepth != 0 {
+		t.Errorf("after drain: in flight %d, queued %d", m.InFlight, m.QueueDepth)
+	}
+}

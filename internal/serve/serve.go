@@ -100,21 +100,14 @@ type flight struct {
 	res    []hetpnoc.Result
 	err    error
 
-	subs int //hetpnoc:guardedby Server.mu
+	subs int // guarded by Server.mu
 }
 
 // Server executes simulation requests on a bounded worker pool with
 // result caching and request coalescing.
 //
-// Lock-order policy: Submit's call tree touches both the server mutex
-// (admission, coalescing) and the cache's internal mutex (Get/Put).
-// Today the two critical sections never nest — cache calls happen
-// before admit and after the worker finishes — but the declared order
-// below is the contract any future nesting must follow: the server
-// lock is the outer one, so cache methods must never call back into
-// the server.
-//
-//hetpnoc:lockorder Server.mu Cache.mu cache Get/Put may run under the server lock, never the reverse
+// Submit's call tree takes both the server mutex and the cache's
+// internal mutex: the two critical sections never nest; keep it so.
 type Server struct {
 	cfg   Config
 	cache *cache.Cache
@@ -126,8 +119,8 @@ type Server struct {
 	wg         sync.WaitGroup
 
 	mu       sync.Mutex
-	pending  map[cache.Key]*flight //hetpnoc:guardedby mu
-	draining bool                  //hetpnoc:guardedby mu
+	pending  map[cache.Key]*flight // guarded by mu
+	draining bool                  // guarded by mu
 
 	inFlight        atomic.Int64
 	queued          atomic.Int64

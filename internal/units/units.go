@@ -3,15 +3,15 @@
 // reuses sim.Cycle for clock ticks), so arithmetic inside one unit
 // domain is value-preserving — JSON encoding, comparisons and float
 // operations are bit-identical to the bare float64 they replace — while
-// the compiler and the unitsafe analyzer reject arithmetic that mixes
-// domains (a dB figure added to a milliwatt figure, a cycle count mixed
-// with wall-clock time).
+// the compiler rejects arithmetic that mixes domains (a dB figure added
+// to a milliwatt figure, a cycle count mixed with wall-clock time).
 //
 // Conversions between domains are deliberate: they happen only through
 // the blessed helpers below, which encode the paper's actual formulas
 // (dBm-to-milliwatt launch power, cycles-to-seconds at the modeled
-// clock). Anywhere else, converting one unit type into another is a
-// unitsafe finding unless annotated //hetpnoc:unitcast with a reason.
+// clock). The compiler is the gate: mixed arithmetic does not build, and
+// an explicit cast from one unit type to another has to be written out,
+// where review can see it.
 package units
 
 import (

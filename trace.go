@@ -27,6 +27,8 @@ type Snapshot struct {
 // TrafficRemap changes the workload mid-run: at cycle AtCycle the task
 // mapping switches to Traffic and every core re-reports its demand table,
 // triggering DBA reconfiguration on the following token rotations (§3.2).
+// AtCycle must lie inside the run, 0 <= AtCycle < Cycles; anything else is
+// a configuration error.
 type TrafficRemap struct {
 	AtCycle int64
 	Traffic Traffic

@@ -2,7 +2,9 @@ package hetpnoc
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetpnoc/internal/fabric"
@@ -93,6 +95,34 @@ func TestRunWithTraceSnapshotCadence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("interval %d: snapshots at cycles %v, want %v", tc.interval, got, tc.want)
+		}
+	}
+}
+
+// TestRunWithTraceRejectsRemapOutsideRun: a remap before cycle 0 used to
+// fire at cycle 0 and one at or past the last cycle never fired, both
+// with a nil error; each is now refused with an error naming the cycle.
+// The first and last cycles of the run stay legal.
+func TestRunWithTraceRejectsRemapOutsideRun(t *testing.T) {
+	cfg := Config{Cycles: 2000, WarmupCycles: 500}
+	for _, tc := range []struct {
+		at int64
+		ok bool
+	}{
+		{-5, false},
+		{0, true},
+		{1999, true},
+		{2000, false},
+		{1 << 40, false},
+	} {
+		_, err := RunWithTrace(cfg, []TrafficRemap{{AtCycle: tc.at, Traffic: SkewedTraffic(3)}}, 1000, nil)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("remap at cycle %d refused: %v", tc.at, err)
+		case !tc.ok && err == nil:
+			t.Errorf("remap at cycle %d of a %d-cycle run accepted", tc.at, cfg.Cycles)
+		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("cycle %d ", tc.at)):
+			t.Errorf("remap at cycle %d: error %q does not name the cycle", tc.at, err)
 		}
 	}
 }
