@@ -2,8 +2,10 @@ package hetpnoc
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/sim"
 )
@@ -23,14 +25,46 @@ type checkpointCase struct {
 	// a header waiting on a VC-exhausted output, so the byte-equality
 	// after Restore covers the routers' rebuilt waiting-header masks.
 	wantBlocked bool
+	// tweak, when set, adjusts the lowered fabric.Config for knobs the
+	// public Config does not expose.
+	tweak func(*fabric.Config)
+	// wantRetx requires the checkpoint to land while dropped packets wait
+	// out their back-off, and the remap to fall on the very cycle one of
+	// them re-enters its source queue, so the byte-equality after Restore
+	// covers the retransmission queue, the remap cursor and a cycle on
+	// which both fire.
+	wantRetx bool
+}
+
+// dropStormCase is the drop-heavy operating point of fabric's
+// "hotspot-drops" golden rows: two VCs per port and half of all traffic
+// aimed at one cluster, a few hundred RX drops per run. The first packet
+// dropped after cycle 2000 is dropped at 2029 and retried at 2093.
+var dropStormCase = checkpointCase{
+	name: "dhetpnoc-dropstorm",
+	cfg: Config{
+		Architecture:  DHetPNoC,
+		BandwidthSet:  1,
+		Traffic:       HotspotTraffic(0.5, 3),
+		LoadScale:     1.5,
+		Cycles:        6000,
+		WarmupCycles:  1000,
+		Seed:          11,
+		EventCapacity: 1 << 15,
+	},
+	tweak:    func(fc *fabric.Config) { fc.VCsPerPort = 2 },
+	snapAt:   2080,
+	remapAt:  2093,
+	wantRetx: true,
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	cases := []checkpointCase{
 		{
 			// The proposed architecture under its stressed workload:
-			// token DBA, selected-wavelength gating, RX drops and
-			// retransmission timers all live across the checkpoint.
+			// token DBA, selected-wavelength gating and headers blocked
+			// on VC-exhausted outputs live across the checkpoint. (The
+			// run drops nothing; dhetpnoc-dropstorm covers that path.)
 			name: "dhetpnoc-skewed",
 			cfg: Config{
 				Architecture:  DHetPNoC,
@@ -75,6 +109,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			},
 			snapAt: 1300,
 		},
+		dropStormCase,
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -84,7 +119,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
+// lowered returns the fabric configuration of tc, remap and tweak applied.
+func (tc checkpointCase) lowered(t *testing.T) fabric.Config {
 	t.Helper()
 	var remaps []TrafficRemap
 	if tc.remapAt > 0 {
@@ -94,14 +130,31 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if tc.tweak != nil {
+		tc.tweak(&fc)
+	}
 	fc = fc.WithDefaults()
 	if tc.snapAt <= 0 || tc.snapAt >= fc.Cycles {
 		t.Fatalf("snapshot cycle %d outside run of %d cycles", tc.snapAt, fc.Cycles)
 	}
+	return fc
+}
+
+func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
+	t.Helper()
+	fc := tc.lowered(t)
 
 	// Reference: an uninterrupted run.
 	ref := buildFabric(t, fc)
 	stepN(t, ref, fc.Cycles)
+	if tc.wantRetx {
+		dropAt := sim.Cycle(tc.remapAt) - sim.Cycle(fc.RetryBackoffCycles)
+		if !slices.ContainsFunc(ref.Events().Events(), func(e event.Event) bool {
+			return e.Kind == event.Retransmit && e.Cycle == dropAt
+		}) {
+			t.Fatalf("no packet was dropped at cycle %d, so none is retried on the remap's cycle %d; the case no longer fires a remap and a retransmission together", dropAt, tc.remapAt)
+		}
+	}
 	refJSON, refEvents := finishCanonical(t, ref)
 
 	// Same run with a checkpoint taken mid-way: taking it must not
@@ -112,6 +165,10 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	blocked := f.BlockedHeaders()
 	if tc.wantBlocked && blocked == 0 {
 		t.Fatalf("no header waits on a VC-exhausted output at cycle %d; the case no longer exercises the blocked-header state", tc.snapAt)
+	}
+	pending := f.PendingRetransmits()
+	if tc.wantRetx && pending == 0 {
+		t.Fatalf("no retransmission is pending at cycle %d; the case no longer exercises the retransmission queue", tc.snapAt)
 	}
 	stepN(t, f, fc.Cycles-tc.snapAt)
 	gotJSON, gotEvents := finishCanonical(t, f)
@@ -133,6 +190,9 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	if got := f.BlockedHeaders(); got != blocked {
 		t.Fatalf("restored fabric has %d blocked headers, checkpoint was taken with %d", got, blocked)
 	}
+	if got := f.PendingRetransmits(); got != pending {
+		t.Fatalf("restored fabric has %d pending retransmissions, checkpoint was taken with %d", got, pending)
+	}
 	stepN(t, f, fc.Cycles-tc.snapAt)
 	redoJSON, redoEvents := finishCanonical(t, f)
 	if !bytes.Equal(refJSON, redoJSON) {
@@ -151,6 +211,41 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	againJSON, _ := finishCanonical(t, f)
 	if !bytes.Equal(refJSON, againJSON) {
 		t.Fatal("second restore from the same checkpoint diverged")
+	}
+}
+
+// TestCheckpointRestoreChain runs the drop-storm case in 500-cycle legs,
+// each stepped once as a throwaway that dirties every piece of state,
+// rewound, and stepped again for real: the chain of restores must end
+// byte-identical to one straight run.
+func TestCheckpointRestoreChain(t *testing.T) {
+	fc := dropStormCase.lowered(t)
+
+	ref := buildFabric(t, fc)
+	stepN(t, ref, fc.Cycles)
+	refJSON, refEvents := finishCanonical(t, ref)
+
+	const leg = 500
+	f := buildFabric(t, fc)
+	sawPending := false
+	for done := 0; done < fc.Cycles; done += leg {
+		cp := f.Checkpoint()
+		sawPending = sawPending || f.PendingRetransmits() > 0
+		stepN(t, f, leg)
+		if err := f.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		stepN(t, f, leg)
+	}
+	if !sawPending {
+		t.Fatal("no checkpoint of the chain held a pending retransmission")
+	}
+	gotJSON, gotEvents := finishCanonical(t, f)
+	if !bytes.Equal(refJSON, gotJSON) {
+		t.Fatalf("restore chain diverged from the straight run:\nref: %s\ngot: %s", refJSON, gotJSON)
+	}
+	if refEvents != gotEvents {
+		t.Fatal("restore chain's event log diverged from the straight run's")
 	}
 }
 

@@ -75,12 +75,12 @@ var forbiddenTime = map[string]string{
 	"Now":       "derive timestamps from the sim.Cycle counter",
 	"Since":     "subtract sim.Cycle values instead",
 	"Until":     "subtract sim.Cycle values instead",
-	"Sleep":     "schedule future work on the sim.TimerWheel",
-	"After":     "schedule future work on the sim.TimerWheel",
-	"AfterFunc": "schedule future work on the sim.TimerWheel",
-	"Tick":      "schedule recurring work on the sim.TimerWheel",
-	"NewTimer":  "schedule future work on the sim.TimerWheel",
-	"NewTicker": "schedule recurring work on the sim.TimerWheel",
+	"Sleep":     "keep future work as state keyed by its due sim.Cycle and fire it from the step loop",
+	"After":     "keep future work as state keyed by its due sim.Cycle and fire it from the step loop",
+	"AfterFunc": "keep future work as state keyed by its due sim.Cycle and fire it from the step loop",
+	"Tick":      "derive recurring work from the sim.Cycle counter in the step loop",
+	"NewTimer":  "keep future work as state keyed by its due sim.Cycle and fire it from the step loop",
+	"NewTicker": "derive recurring work from the sim.Cycle counter in the step loop",
 }
 
 // isSource reports whether member name of the package at path is a

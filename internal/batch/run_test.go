@@ -256,3 +256,17 @@ func TestRunReportsRootCause(t *testing.T) {
 		t.Errorf("Run returned %q, want member 1's build failure, not the cancellation it caused", err)
 	}
 }
+
+// TestRunSurfacesRemapFailure: a member whose remap cannot be assigned
+// when it fires fails the plan with the member, the cycle and the cause.
+func TestRunSurfacesRemapFailure(t *testing.T) {
+	leakcheck.Check(t)
+	bad := spec(1, 1)
+	short := traffic.Fixed{Assignment: traffic.Assignment{Name: "short", Cores: make([]traffic.CoreProfile, 3)}}
+	bad.Remaps = []fabric.Remap{{At: 300, Pattern: short}}
+	p := mustPlan(t, []fabric.Config{spec(1, 1), bad}, Options{Workers: 1})
+	_, err := p.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "member 1") || !strings.Contains(err.Error(), "cycle 300: remap: traffic: fixed assignment has 3 cores") {
+		t.Fatalf("Run returned %v, want member 1's remap failure at cycle 300", err)
+	}
+}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"testing"
 
 	"hetpnoc/internal/topology"
@@ -23,13 +24,20 @@ var bandwidthSets = []struct {
 // what follows measures steady state.
 func warmSaturated(tb testing.TB, set traffic.BandwidthSet, level, warm int) *Fabric {
 	tb.Helper()
-	f, err := New(Config{
+	return warmed(tb, Config{
 		Arch:    DHetPNoC,
 		Set:     set,
 		Pattern: traffic.Skewed{Level: level},
-		Cycles:  1 << 30, // stepped manually
 		Seed:    1,
-	})
+	}, warm)
+}
+
+// warmed builds cfg with an open-ended cycle budget (the caller steps it
+// manually) and steps it warm cycles.
+func warmed(tb testing.TB, cfg Config, warm int) *Fabric {
+	tb.Helper()
+	cfg.Cycles = 1 << 30
+	f, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -44,19 +52,39 @@ func warmSaturated(tb testing.TB, set traffic.BandwidthSet, level, warm int) *Fa
 // BenchmarkFabricStep measures one cycle of the full 64-core chip under
 // saturated skewed traffic — the simulator's end-to-end hot path — once
 // per photonic provisioning point, so the perf trajectory covers all
-// three bandwidth sets.
+// three bandwidth sets. Drops is the same loop at the drop-storm
+// operating point of the "hotspot-drops" golden rows, where roughly one
+// cycle in eleven drops a packet at a receiver and queues its
+// retransmission: the 0 allocs/op covers that path too.
 func BenchmarkFabricStep(b *testing.B) {
 	for _, tc := range bandwidthSets {
 		b.Run(tc.name, func(b *testing.B) {
-			f := warmSaturated(b, tc.set, 2, 2000)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSteps(b, warmSaturated(b, tc.set, 2, 2000))
 		})
+	}
+	b.Run("Drops", func(b *testing.B) {
+		f := warmed(b, dropStormConfig(DHetPNoC), 6000)
+		// allocs/op rounds down, and a drop is one cycle in eleven: count
+		// the mallocs per dropped packet as well.
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		before := f.Totals().DroppedRX
+		benchSteps(b, f)
+		runtime.ReadMemStats(&m1)
+		if drops := float64(f.Totals().DroppedRX - before); drops > 0 {
+			b.ReportMetric(drops/float64(b.N), "drops/op")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/drops, "allocs/drop")
+		}
+	})
+}
+
+func benchSteps(b *testing.B, f *Fabric) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"hetpnoc/internal/event"
 	"hetpnoc/internal/packet"
 	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
@@ -325,7 +326,8 @@ func (cs *coreState) pumpInject(now sim.Cycle) error {
 // young is dropped from the local mask: no enqueue can happen during the
 // drain, so neither condition can clear within this call, and reference
 // visits of such VCs have no side effects.
-func (cs *coreState) drainEject(now sim.Cycle, ejectWidth int, onFlit func(packet.Flit), onPacket func(*packet.Packet)) error {
+func (f *Fabric) drainEject(cs *coreState, now sim.Cycle) error {
+	ejectWidth := f.cfg.EjectWidth
 	p := cs.ejectPort
 	m := p.OccupiedMask()
 	if m == 0 {
@@ -369,9 +371,9 @@ func (cs *coreState) drainEject(now sim.Cycle, ejectWidth int, onFlit func(packe
 			return err
 		}
 		drained++
-		onFlit(popped)
+		f.collector.OnDeliverFlit(popped.Bits(), int(popped.Packet.SrcCluster))
 		if popped.Type.IsTail() {
-			onPacket(popped.Packet)
+			f.deliver(popped.Packet, now)
 			cs.ejectRR = idx + 1
 			if cs.ejectRR == n {
 				cs.ejectRR = 0
@@ -384,4 +386,15 @@ func (cs *coreState) drainEject(now sim.Cycle, ejectWidth int, onFlit func(packe
 		// packet granularity
 	}
 	return nil
+}
+
+// deliver retires a packet whose tail flit has just been consumed by its
+// destination core.
+func (f *Fabric) deliver(p *packet.Packet, now sim.Cycle) {
+	f.totals.Delivered++
+	f.collector.OnDeliverPacket(p.Born, now)
+	f.events.AppendInts(now, event.PacketDelivered, int(p.DstCluster), int64(p.ID),
+		"core %d, latency %d cycles", int64(p.Dst), int64(now-p.Born))
+	// The tail was the last live reference: recycle the struct.
+	f.pool.Put(p)
 }

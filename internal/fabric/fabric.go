@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"hetpnoc/internal/core"
 	"hetpnoc/internal/event"
@@ -26,7 +28,6 @@ type Fabric struct {
 
 	ledger    *photonic.Ledger
 	occupancy int64
-	timers    *sim.TimerWheel
 	rng       *sim.RNG
 	collector *stats.Collector
 	events    *event.Log
@@ -60,10 +61,11 @@ type Fabric struct {
 	//hetpnoc:nosnap derived from the restored sources; Restore rebuilds it
 	genList []*coreState
 
-	// Ejection callbacks, hoisted out of Step so the per-core drain loop
-	// does not allocate two closures per core per cycle.
-	onEjectFlit   func(packet.Flit)    //hetpnoc:nosnap wiring closure, bound once at build
-	onEjectPacket func(*packet.Packet) //hetpnoc:nosnap wiring closure, bound once at build
+	// remaps is cfg.Remaps in firing order: a copy sorted by cycle, ties
+	// kept in configuration order. fabricState.nextRemap walks it.
+	//
+	//hetpnoc:nosnap build product, never written after New; the nextRemap cursor is the state
+	remaps []Remap
 
 	// pool recycles packet structs once their tail is consumed or the
 	// packet is lost; sources draw from it when generating.
@@ -109,7 +111,6 @@ func New(cfg Config) (*Fabric, error) {
 		clock:     clock,
 		bundle:    bundle,
 		ledger:    photonic.NewLedger(cfg.Energy),
-		timers:    sim.NewTimerWheel(),
 		rng:       sim.NewRNG(cfg.Seed),
 		collector: stats.NewCollector(clock),
 		seed:      cfg.Seed,
@@ -267,17 +268,6 @@ func New(cfg Config) (*Fabric, error) {
 		i := i
 		f.clusters[i].txPort.SetWake(func() { f.txActive.Set(i) })
 	}
-	f.onEjectFlit = func(fl packet.Flit) {
-		f.collector.OnDeliverFlit(fl.Bits(), int(fl.Packet.SrcCluster))
-	}
-	f.onEjectPacket = func(p *packet.Packet) {
-		f.totals.Delivered++
-		f.collector.OnDeliverPacket(p.Born, f.now)
-		f.events.AppendInts(f.now, event.PacketDelivered, int(p.DstCluster), int64(p.ID),
-			"core %d, latency %d cycles", int64(p.Dst), int64(f.now-p.Born))
-		// The tail was the last live reference: recycle the struct.
-		f.pool.Put(p)
-	}
 
 	// Initial workload mapping.
 	assignment, err := cfg.Pattern.Assign(cfg.Topology, cfg.Set, f.rng.Split())
@@ -288,18 +278,9 @@ func New(cfg Config) (*Fabric, error) {
 		return nil, err
 	}
 
-	// Scheduled task remaps.
-	for _, remap := range cfg.Remaps {
-		pattern := remap.Pattern
-		f.timers.Schedule(remap.At, func(at sim.Cycle) {
-			a, err := pattern.Assign(cfg.Topology, cfg.Set, f.rng.Split())
-			if err != nil {
-				return // validated in Config.Validate; patterns are static
-			}
-			_ = f.applyAssignment(a)
-			f.events.Appendf(at, event.TaskRemap, -1, 0, "workload -> %s", pattern.Name())
-		})
-	}
+	// Scheduled task remaps, in the order fireDue will reach them.
+	f.remaps = slices.Clone(cfg.Remaps)
+	slices.SortStableFunc(f.remaps, func(a, b Remap) int { return cmp.Compare(a.At, b.At) })
 	return f, nil
 }
 
@@ -372,6 +353,8 @@ const maxFiniteLoadScale = 1 << 40
 // handleDrop is the TX engines' drop callback: the receiver had no free
 // VC, the packet's flits were discarded, and the source must retransmit
 // after a back-off (§1.4), up to the retry budget.
+//
+//hetpnoc:hotpath
 func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 	f.totals.DroppedRX++
 	f.collector.OnDropRX()
@@ -385,20 +368,52 @@ func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 	f.collector.OnRetransmit()
 	f.events.AppendInts(now, event.Retransmit, int(p.SrcCluster), int64(p.ID),
 		"attempt %d, back-off %d cycles", int64(p.Attempt), int64(f.cfg.RetryBackoffCycles))
-	f.addRetxPending(p)
-	f.timers.Schedule(now+sim.Cycle(f.cfg.RetryBackoffCycles), func(at sim.Cycle) {
-		f.removeRetxPending(p)
-		retry := traffic.RetransmitFrom(&f.pool, p, at, &f.pktIDs)
+	f.retx = append(f.retx, retransmit{due: now + sim.Cycle(f.cfg.RetryBackoffCycles), pkt: p})
+}
+
+// fireDue runs the work scheduled for cycle now: task remaps first, then
+// the retransmissions whose back-off has expired, oldest drop first.
+// Remaps lead because they are scheduled at build, ahead of any drop; a
+// remap whose pattern cannot be assigned fails the step.
+func (f *Fabric) fireDue(now sim.Cycle) error {
+	for ; f.nextRemap < len(f.remaps) && f.remaps[f.nextRemap].At <= now; f.nextRemap++ {
+		//hetpnoc:coldcall a task remap rebuilds every source and demand table; a run schedules a handful
+		if err := f.remap(f.remaps[f.nextRemap].Pattern, now); err != nil {
+			return fmt.Errorf("remap: %w", err)
+		}
+	}
+	fired := 0
+	for ; fired < len(f.retx) && f.retx[fired].due <= now; fired++ {
+		p := f.retx[fired].pkt
+		retry := traffic.RetransmitFrom(&f.pool, p, now, &f.pktIDs)
 		// Retransmissions bypass the source-queue limit: the message is
 		// already committed and must not be silently shed.
 		f.enqueueAtSource(retry.Src, retry)
 		f.pool.Put(p) // the old attempt is fully copied out
-	})
+	}
+	if fired > 0 {
+		f.retx = slices.Delete(f.retx, 0, fired) // zeroes the vacated tail
+	}
+	return nil
+}
+
+// remap re-assigns the workload from pattern (§3.2): new sources drawn
+// from the run RNG and a fresh demand table for every core.
+func (f *Fabric) remap(pattern traffic.Pattern, now sim.Cycle) error {
+	a, err := pattern.Assign(f.cfg.Topology, f.cfg.Set, f.rng.Split())
+	if err != nil {
+		return err
+	}
+	if err := f.applyAssignment(a); err != nil {
+		return err
+	}
+	f.events.Appendf(now, event.TaskRemap, -1, 0, "workload -> %s", pattern.Name())
+	return nil
 }
 
 // enqueueAtSource appends p to core c's source queue and registers the
-// core on the injection active set. Every out-of-band insertion (retry
-// timers, tests) must go through it so the core is not skipped.
+// core on the injection active set. Every out-of-band insertion
+// (retransmissions, tests) must go through it so the core is not skipped.
 func (f *Fabric) enqueueAtSource(c topology.CoreID, p *packet.Packet) {
 	f.cores[c].queue.Push(p)
 	f.injActive.Set(int(c))
@@ -423,7 +438,9 @@ func (f *Fabric) Step() error {
 		f.collector.StartMeasurement(now)
 	}
 
-	f.timers.Fire(now)
+	if err := f.fireDue(now); err != nil {
+		return fmt.Errorf("cycle %d: %w", now, err)
+	}
 	f.alloc.Tick(now)
 
 	// Traffic generation into the bounded source queues.
@@ -526,7 +543,7 @@ func (f *Fabric) Step() error {
 				continue
 			}
 			cs := &cores[i]
-			if err := cs.drainEject(now, f.cfg.EjectWidth, f.onEjectFlit, f.onEjectPacket); err != nil {
+			if err := f.drainEject(cs, now); err != nil {
 				return fmt.Errorf("cycle %d: %w", now, err)
 			}
 			if cs.ejectPort.BufferedFlits() == 0 {
@@ -619,9 +636,14 @@ func (f *Fabric) BlockedHeaders() int {
 	return n
 }
 
+// PendingRetransmits returns how many dropped packets are waiting out
+// their back-off before re-entering their source queue, for tests and
+// diagnostics.
+func (f *Fabric) PendingRetransmits() int { return len(f.retx) }
+
 // LivePackets returns the packets currently in flight anywhere in the
 // fabric: source queues, router buffers, photonic channels and pending
-// retransmission timers.
+// retransmissions.
 func (f *Fabric) LivePackets() int64 { return f.pool.Live() }
 
 // AllocatedOf returns the wavelengths currently owned by cluster c.

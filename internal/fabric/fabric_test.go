@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -259,6 +260,32 @@ func TestRemapReshapesAllocation(t *testing.T) {
 	}
 	if uniform {
 		t.Fatalf("allocation %v still uniform after remap to skewed 3", res.AllocatedWavelengths)
+	}
+}
+
+// TestRemapFailureFailsStep: a remap whose pattern cannot be assigned when
+// it fires — Config.Validate cannot see inside a pattern — stops the run
+// with the cycle and the cause instead of being skipped in silence.
+func TestRemapFailureFailsStep(t *testing.T) {
+	short := traffic.Fixed{Assignment: traffic.Assignment{Name: "short", Cores: make([]traffic.CoreProfile, 3)}}
+	f, err := New(Config{
+		Pattern: traffic.Uniform{},
+		Remaps:  []Remap{{At: 300, Pattern: short}},
+		Cycles:  2000, WarmupCycles: 100, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = f.StepContext(context.Background(), 2000)
+	const want = "cycle 300: remap: traffic: fixed assignment has 3 cores, topology has 64"
+	if err == nil || err.Error() != want {
+		t.Fatalf("StepContext returned %v, want %q", err, want)
+	}
+	if f.Now() != 300 {
+		t.Fatalf("fabric stopped at cycle %d, want 300", f.Now())
+	}
+	if err := f.Step(); err == nil || err.Error() != want {
+		t.Fatalf("stepping again returned %v, want the same failure", err)
 	}
 }
 

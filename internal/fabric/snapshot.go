@@ -49,10 +49,10 @@ type Checkpoint struct {
 	injActive    sim.Bitset
 	ejectActive  sim.Bitset
 
-	cores       []coreCheckpoint
-	retxPending []*packet.Packet
+	cores     []coreCheckpoint
+	nextRemap int
+	retx      []retransmit
 
-	timers    *sim.TimerWheelSnapshot
 	pool      *packet.PoolSnapshot
 	collector *stats.CollectorSnapshot
 	ledger    photonic.LedgerSnapshot
@@ -66,8 +66,8 @@ type Checkpoint struct {
 	// time. Packet structs are pooled and rewritten in place after the
 	// snapshot, but the pool never frees them, so restoring writes each
 	// saved value back through its original pointer — every reference
-	// held by rings, queues, engines, circuits and timer closures then
-	// reads the checkpointed contents again.
+	// held by rings, queues, engines, circuits and the retransmission
+	// queue then reads the checkpointed contents again.
 	packets []packetCapture
 }
 
@@ -112,9 +112,9 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 		injActive:    f.injActive.Clone(),
 		ejectActive:  f.ejectActive.Clone(),
 
-		retxPending: append([]*packet.Packet(nil), f.retxPending...),
+		nextRemap: f.nextRemap,
+		retx:      append([]retransmit(nil), f.retx...),
 
-		timers:    f.timers.Snapshot(),
 		pool:      f.pool.Snapshot(),
 		collector: f.collector.Snapshot(),
 		ledger:    f.ledger.Snapshot(),
@@ -169,7 +169,9 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 	if f.torus != nil {
 		live = f.torus.Packets(live)
 	}
-	live = append(live, f.retxPending...)
+	for _, r := range f.retx {
+		live = append(live, r.pkt)
+	}
 	cp.packets = make([]packetCapture, len(live))
 	for i, p := range live {
 		cp.packets[i] = packetCapture{ptr: p, val: *p}
@@ -213,12 +215,10 @@ func (f *Fabric) Restore(cp *Checkpoint) error {
 		cs.inNext = saved.inNext
 		cs.ejectRR = saved.ejectRR
 	}
-	for i := len(cp.retxPending); i < len(f.retxPending); i++ {
-		f.retxPending[i] = nil
-	}
-	f.retxPending = append(f.retxPending[:0], cp.retxPending...)
+	f.nextRemap = cp.nextRemap
+	clear(f.retx)
+	f.retx = append(f.retx[:0], cp.retx...)
 
-	f.timers.Restore(cp.timers)
 	f.pool.Restore(cp.pool)
 	f.collector.Restore(cp.collector)
 	f.ledger.Restore(cp.ledger)

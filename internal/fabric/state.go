@@ -32,28 +32,19 @@ type fabricState struct {
 	injActive    sim.Bitset
 	ejectActive  sim.Bitset
 
-	// retxPending tracks packets whose retransmission back-off timer is
-	// armed. The timer wheel stores closures, which a checkpoint cannot
-	// introspect, so the drop handler records the captured packet here
-	// and the timer removes it on fire; snapshots then know exactly
-	// which packets are alive inside timers.
-	retxPending []*packet.Packet
+	// nextRemap indexes the first entry of Fabric.remaps that has not
+	// fired yet.
+	nextRemap int
+
+	// retx holds the dropped packets waiting out their retransmission
+	// back-off (§1.4), oldest drop first. The back-off is one constant,
+	// so due cycles never decrease along the queue.
+	retx []retransmit
 }
 
-// addRetxPending records p as captured by an armed retransmission timer.
-func (s *fabricState) addRetxPending(p *packet.Packet) {
-	s.retxPending = append(s.retxPending, p)
-}
-
-// removeRetxPending drops p from the pending-retransmission list,
-// preserving order so snapshots of the list stay deterministic.
-func (s *fabricState) removeRetxPending(p *packet.Packet) {
-	for i, q := range s.retxPending {
-		if q == p {
-			copy(s.retxPending[i:], s.retxPending[i+1:])
-			s.retxPending[len(s.retxPending)-1] = nil
-			s.retxPending = s.retxPending[:len(s.retxPending)-1]
-			return
-		}
-	}
+// retransmit is one dropped packet and the cycle its next attempt
+// re-enters the source queue.
+type retransmit struct {
+	due sim.Cycle
+	pkt *packet.Packet
 }

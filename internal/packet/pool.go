@@ -59,7 +59,7 @@ func (pl *Pool) Put(p *Packet) {
 
 // Live returns the number of packets drawn from the pool and not yet
 // returned — exactly the packets somewhere in the fabric: source queues,
-// router buffers, photonic channels, or retry timers.
+// router buffers, photonic channels, or the retransmission queue.
 func (pl *Pool) Live() int64 {
 	if pl == nil {
 		return 0

@@ -501,3 +501,97 @@ func TestSoakCloseDuringSubmit(t *testing.T) {
 		t.Errorf("after drain: in flight %d, queued %d", m.InFlight, m.QueueDepth)
 	}
 }
+
+// TestPanickingJobFailsOnlyItsFlight: a run that panics inside a worker
+// fails that flight — the request that started it and the two coalesced
+// onto it — with ErrSimulation naming the cache key, is counted on
+// /metricsz, and leaves the one-worker pool at strength: the next request
+// is simulated, and the server drains with no goroutine lost.
+func TestPanickingJobFailsOnlyItsFlight(t *testing.T) {
+	leakcheck.Check(t)
+	const poisonSeed, waiters = 666, 3
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	release := make(chan struct{})
+	s.run = func(ctx context.Context, cfgs []hetpnoc.Config) ([]hetpnoc.Result, error) {
+		if cfgs[0].Seed == poisonSeed {
+			<-release
+			panic("index out of range [64] with length 64")
+		}
+		return runConfigs(ctx, cfgs)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+
+	poison := hetpnoc.Config{Cycles: 1200, WarmupCycles: 1000, Seed: poisonSeed}
+	_, resolved, err := s.resolve(poison)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := s.Submit(context.Background(), poison)
+			errs <- err
+		}()
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Metrics().Coalesced != waiters-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiters never coalesced: %+v", s.Metrics())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < waiters; i++ {
+		err := <-errs
+		if !errors.Is(err, ErrSimulation) || !strings.Contains(err.Error(), resolved.Key.String()) ||
+			!strings.Contains(err.Error(), "index out of range") {
+			t.Fatalf("waiter %d got %v, want ErrSimulation naming run %s and the panic", i, err, resolved.Key)
+		}
+	}
+
+	// The only worker survived: a healthy request is simulated, over HTTP.
+	resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"cycles":1200,"warmupCycles":1000,"seed":43}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after the panic answered %d, want 200", resp.StatusCode)
+	}
+	// The poisoned config is not cached: asking again runs (and fails) again,
+	// as a 500.
+	resp, err = ts.Client().Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"cycles":1200,"warmupCycles":1000,"seed":%d}`, poisonSeed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("poisoned run answered %d, want 500", resp.StatusCode)
+	}
+
+	resp, err = ts.Client().Get(ts.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Metrics
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Panicked != 2 || m.Failed != 2 || m.Completed != 1 || m.InFlight != 0 {
+		t.Fatalf("metricsz = %+v, want 2 panicked, 2 failed, 1 completed, none in flight", m)
+	}
+}

@@ -113,6 +113,10 @@ type Server struct {
 	cache *cache.Cache
 	queue chan *flight
 
+	// run simulates one flight's configs (runConfigs); tests swap it to
+	// inject faults into an admitted job.
+	run func(context.Context, []hetpnoc.Config) ([]hetpnoc.Result, error)
+
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	started    time.Time
@@ -127,6 +131,7 @@ type Server struct {
 	completed       atomic.Int64
 	canceled        atomic.Int64
 	failed          atomic.Int64
+	panicked        atomic.Int64
 	rejected        atomic.Int64
 	coalesced       atomic.Int64
 	batched         atomic.Int64
@@ -144,6 +149,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		cache:      cache.New(cfg.CacheCapacity),
 		queue:      make(chan *flight, cfg.QueueDepth),
+		run:        runConfigs,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		started:    time.Now(),
@@ -343,8 +349,7 @@ func (s *Server) worker() {
 	}
 }
 
-// runFlight executes one admitted flight and publishes its outcome: a
-// single config takes the solo run path, a partition the batch engine.
+// runFlight executes one admitted flight and publishes its outcome.
 // This is the one place results are cached and the run counters move.
 func (s *Server) runFlight(fl *flight) {
 	if err := fl.ctx.Err(); err != nil {
@@ -355,15 +360,8 @@ func (s *Server) runFlight(fl *flight) {
 		s.finish(fl)
 		return
 	}
-	batched := len(fl.cfgs) > 1
 	s.inFlight.Add(1)
-	if batched {
-		fl.res, fl.err = hetpnoc.RunBatchContext(fl.ctx, fl.cfgs)
-	} else {
-		var res hetpnoc.Result
-		res, fl.err = hetpnoc.RunContext(fl.ctx, fl.cfgs[0])
-		fl.res = []hetpnoc.Result{res}
-	}
+	fl.res, fl.err = s.runRecovered(fl)
 	s.inFlight.Add(-1)
 	switch {
 	case fl.err == nil:
@@ -372,7 +370,7 @@ func (s *Server) runFlight(fl *flight) {
 			s.cyclesSimulated.Add(int64(fl.cfgs[i].Cycles))
 		}
 		s.completed.Add(int64(len(fl.res)))
-		if batched {
+		if len(fl.cfgs) > 1 {
 			s.batched.Add(int64(len(fl.res)))
 		}
 	case errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded):
@@ -382,6 +380,30 @@ func (s *Server) runFlight(fl *flight) {
 		s.failed.Add(1)
 	}
 	s.finish(fl)
+}
+
+// runRecovered runs fl's configs and turns a panic below it into the
+// flight's error, named by the flight's first cache key: a bug one
+// config trips fails that job and the requests coalesced onto it, and
+// the worker goes back to the queue.
+func (s *Server) runRecovered(fl *flight) (res []hetpnoc.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked.Add(1)
+			res, err = nil, fmt.Errorf("run %s panicked: %v", fl.keys[0], r)
+		}
+	}()
+	return s.run(fl.ctx, fl.cfgs)
+}
+
+// runConfigs simulates one flight: a single config takes the solo run
+// path, a partition the batch engine.
+func runConfigs(ctx context.Context, cfgs []hetpnoc.Config) ([]hetpnoc.Result, error) {
+	if len(cfgs) > 1 {
+		return hetpnoc.RunBatchContext(ctx, cfgs)
+	}
+	res, err := hetpnoc.RunContext(ctx, cfgs[0])
+	return []hetpnoc.Result{res}, err
 }
 
 // finish retires fl from the pending set and wakes its subscribers. The
@@ -444,6 +466,9 @@ type Metrics struct {
 	Completed int64 `json:"completed"`
 	Canceled  int64 `json:"canceled"`
 	Failed    int64 `json:"failed"`
+	// Panicked counts the failed runs that ended in a recovered panic
+	// rather than a returned error.
+	Panicked  int64 `json:"panicked"`
 	Rejected  int64 `json:"rejected"`
 	Coalesced int64 `json:"coalesced"`
 	// BatchedRuns counts simulations executed through the shared-prefix
@@ -473,6 +498,7 @@ func (s *Server) Metrics() Metrics {
 		Completed:       s.completed.Load(),
 		Canceled:        s.canceled.Load(),
 		Failed:          s.failed.Load(),
+		Panicked:        s.panicked.Load(),
 		Rejected:        s.rejected.Load(),
 		Coalesced:       s.coalesced.Load(),
 		BatchedRuns:     s.batched.Load(),

@@ -1,7 +1,9 @@
 // Package sim provides the deterministic building blocks of the
 // cycle-accurate simulator: a seeded pseudo-random number generator, a
-// cycle clock, and a timer wheel for scheduling future work (retransmit
-// back-off, task remaps).
+// cycle clock, and the bitsets behind the fabric's activity scheduling.
+// Future work (retransmission back-off, task remaps) is not scheduled
+// here: the fabric keeps it as plain state keyed by sim.Cycle and fires
+// it at the top of each step.
 //
 // Determinism is a hard requirement for a NoC simulator: two runs with the
 // same seed and configuration must produce bit-identical statistics, so
