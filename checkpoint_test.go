@@ -82,7 +82,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		},
 		{
 			// Checkpoint inside the warm-up window: the measurement
-			// transition must replay after the restore.
+			// transition must replay after the restore. Firefly's
+			// channels run in lockstep here; at 430 each streams one
+			// packet and holds the next one's receive window open.
 			name: "firefly-uniform-prewarmup",
 			cfg: Config{
 				Architecture: Firefly,
@@ -93,19 +95,20 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				WarmupCycles: 800,
 				Seed:         3,
 			},
-			snapAt: 400,
+			snapAt: 430,
 		},
 		{
 			// Circuit-switched baseline: link ownership and in-flight
 			// path state cross the checkpoint.
 			name: "torus-uniform",
 			cfg: Config{
-				Architecture: TorusPNoC,
-				Traffic:      UniformTraffic(),
-				LoadScale:    1.5,
-				Cycles:       2500,
-				WarmupCycles: 500,
-				Seed:         11,
+				Architecture:  TorusPNoC,
+				Traffic:       UniformTraffic(),
+				LoadScale:     1.5,
+				Cycles:        2500,
+				WarmupCycles:  500,
+				Seed:          11,
+				EventCapacity: 1 << 12,
 			},
 			snapAt: 1300,
 		},
@@ -143,6 +146,7 @@ func (tc checkpointCase) lowered(t *testing.T) fabric.Config {
 func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	t.Helper()
 	fc := tc.lowered(t)
+	requireTransfersAcross(t, fc, sim.Cycle(tc.snapAt))
 
 	// Reference: an uninterrupted run.
 	ref := buildFabric(t, fc)
@@ -246,6 +250,50 @@ func TestCheckpointRestoreChain(t *testing.T) {
 	}
 	if refEvents != gotEvents {
 		t.Fatal("restore chain's event log diverged from the straight run's")
+	}
+}
+
+// requireTransfersAcross runs fc once with an event log that evicts
+// nothing and requires the checkpoint cycle to cut through both stages of
+// the photonic pipeline: a packet that began streaming before the
+// checkpoint and arrives (or is dropped) after it, so an open receive
+// window crosses the checkpoint, and a packet whose reservation (crossbar)
+// or circuit setup (torus) went out before the checkpoint and which starts
+// streaming after it. The byte-equality after Restore then covers both.
+func requireTransfersAcross(t *testing.T, fc fabric.Config, at sim.Cycle) {
+	t.Helper()
+	fc.EventCapacity = 1 << 14
+	f := buildFabric(t, fc)
+	stepN(t, f, fc.Cycles)
+	if n := f.Events().Evicted(); n > 0 {
+		t.Fatalf("the guard's event log evicted %d events; raise its capacity", n)
+	}
+	// A blocked torus setup also logs ReservationSent; the retry that
+	// succeeds overwrites it, so reservedAt holds the one that led to the
+	// stream.
+	reservedAt := map[int64]sim.Cycle{}
+	startedAt := map[int64]sim.Cycle{}
+	var streaming, reserved int
+	for _, e := range f.Events().Events() {
+		switch e.Kind {
+		case event.ReservationSent:
+			reservedAt[e.Packet] = e.Cycle
+		case event.StreamStarted:
+			startedAt[e.Packet] = e.Cycle
+			if r, ok := reservedAt[e.Packet]; ok && r < at && e.Cycle >= at {
+				reserved++
+			}
+		case event.PacketArrived, event.PacketDropped:
+			if s, ok := startedAt[e.Packet]; ok && s < at && e.Cycle >= at {
+				streaming++
+			}
+		}
+	}
+	if streaming == 0 {
+		t.Fatalf("no packet streams across cycle %d; the case no longer checkpoints an open receive window", at)
+	}
+	if reserved == 0 {
+		t.Fatalf("no reservation or circuit setup is in flight across cycle %d; the case no longer checkpoints one", at)
 	}
 }
 
