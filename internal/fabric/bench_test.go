@@ -148,6 +148,36 @@ func BenchmarkFabricStepIdle(b *testing.B) {
 	}
 }
 
+// checkpointSink keeps the compiler from discarding the measured call.
+var checkpointSink *Checkpoint
+
+// BenchmarkFabricCheckpoint measures capturing the drop-storm run at
+// cycle 2080, where every kind of in-flight state is live: streaming
+// transfers, reservations with open receive windows, blocked headers and
+// retransmissions waiting out their back-off.
+func BenchmarkFabricCheckpoint(b *testing.B) {
+	f := warmed(b, dropStormConfig(DHetPNoC), 2080)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		checkpointSink = f.Checkpoint()
+	}
+}
+
+// BenchmarkFabricRestore measures rewinding onto that checkpoint — what
+// the batch engine pays once per forked member.
+func BenchmarkFabricRestore(b *testing.B) {
+	f := warmed(b, dropStormConfig(DHetPNoC), 2080)
+	cp := f.Checkpoint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Restore(cp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFabricBuild measures constructing the whole chip (80 routers,
 // 16 crossbar engine pairs, 64 sources).
 func BenchmarkFabricBuild(b *testing.B) {

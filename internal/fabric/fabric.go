@@ -196,7 +196,7 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		f.clusters = append(f.clusters, built)
 		rxPort := built.rxInputPort(cfg.Topology.ClusterSize(), cfg.IntraCluster)
-		f.rxs[cl] = xbar.NewRX(topology.ClusterID(cl), rxPort, bundle, f.ledger)
+		f.rxs[cl] = xbar.NewRX(rxPort, f.ledger)
 	}
 	for _, c := range f.clusters {
 		f.routers = append(f.routers, c.switches...)
@@ -372,9 +372,20 @@ func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 }
 
 // fireDue runs the work scheduled for cycle now: task remaps first, then
-// the retransmissions whose back-off has expired, oldest drop first.
-// Remaps lead because they are scheduled at build, ahead of any drop; a
+// the retransmissions whose back-off has expired, oldest drop first. A
 // remap whose pattern cannot be assigned fails the step.
+//
+// Which arm leads on a cycle both fire is a convention, not a behaviour:
+// the arms touch disjoint state, so swapping them produces the same
+// result and event-log bytes and no test can pin the order. A remap draws
+// from f.rng and replaces the sources, demand tables, genList and
+// assignment, and logs TaskRemap; a retransmission draws from f.pktIDs
+// and the packet pool, pushes onto a source queue, sets injActive and
+// logs nothing (its Retransmit event went out when the packet dropped).
+// The new sources hold &f.pktIDs but only draw from it in Tick, after
+// fireDue has returned. An edit that makes one arm touch the other's
+// state — a retransmission that logs, a remap that flushes queues — makes
+// the order observable and must pin it with a test.
 func (f *Fabric) fireDue(now sim.Cycle) error {
 	for ; f.nextRemap < len(f.remaps) && f.remaps[f.nextRemap].At <= now; f.nextRemap++ {
 		//hetpnoc:coldcall a task remap rebuilds every source and demand table; a run schedules a handful

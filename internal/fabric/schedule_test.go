@@ -9,6 +9,13 @@ import (
 	"hetpnoc/internal/traffic"
 )
 
+// What these tests leave unpinned on purpose: whether a remap or a
+// retransmission goes first on a cycle both fire. fireDue's two arms touch
+// disjoint state (see its comment), so either order yields the same
+// result and event-log bytes; the root package's dhetpnoc-dropstorm
+// checkpoint case fires both on cycle 2093 and is byte-identical with the
+// arms swapped.
+
 // TestRemapsFireInCycleOrder: remaps fire on their own cycle, earliest
 // first however Config.Remaps lists them, and remaps sharing a cycle fire
 // in configuration order (the last one listed is the mapping that stays).

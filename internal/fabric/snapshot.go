@@ -58,8 +58,8 @@ type Checkpoint struct {
 	ledger    photonic.LedgerSnapshot
 	events    *event.LogSnapshot
 	dba       *core.AllocatorSnapshot
-	txs       []*xbar.TXSnapshot
-	rxs       []*xbar.RXSnapshot
+	txs       []xbar.TXSnapshot
+	rxs       []xbar.RXSnapshot
 	torus     *torus.NetworkSnapshot
 
 	// packets captures the contents of every packet live at checkpoint
@@ -140,11 +140,11 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 	if f.dba != nil {
 		cp.dba = f.dba.Snapshot()
 	}
-	cp.txs = make([]*xbar.TXSnapshot, len(f.txs))
+	cp.txs = make([]xbar.TXSnapshot, len(f.txs))
 	for i, tx := range f.txs {
 		cp.txs[i] = tx.Snapshot()
 	}
-	cp.rxs = make([]*xbar.RXSnapshot, len(f.rxs))
+	cp.rxs = make([]xbar.RXSnapshot, len(f.rxs))
 	for i, rx := range f.rxs {
 		cp.rxs[i] = rx.Snapshot()
 	}

@@ -75,51 +75,6 @@ func TestWavelengthIDOrdering(t *testing.T) {
 	}
 }
 
-func TestDetectorBankGating(t *testing.T) {
-	b, err := NewBundle(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bank := NewDetectorBank(b)
-	ids := []WavelengthID{{0, 1}, {0, 2}, {0, 3}}
-
-	bank.Power(ids, true)
-	if got := bank.PoweredCount(); got != 3 {
-		t.Fatalf("PoweredCount = %d, want 3", got)
-	}
-	// Powering an already-powered row is idempotent: overlapping windows
-	// must not double-count.
-	bank.Power(ids[:2], true)
-	if got := bank.PoweredCount(); got != 3 {
-		t.Fatalf("PoweredCount after re-power = %d, want 3", got)
-	}
-	if !bank.IsPowered(WavelengthID{0, 2}) {
-		t.Fatal("row 2 should be powered")
-	}
-	bank.Power(ids, false)
-	if got := bank.PoweredCount(); got != 0 {
-		t.Fatalf("PoweredCount after gating off = %d, want 0", got)
-	}
-	// Gating off an already-off row is a no-op.
-	bank.Power(ids, false)
-	if got := bank.PoweredCount(); got != 0 {
-		t.Fatalf("PoweredCount = %d, want 0", got)
-	}
-}
-
-func TestLaser(t *testing.T) {
-	l, err := NewLaser(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := l.TotalPowerMW(); got != 96 {
-		t.Fatalf("64-wavelength laser power = %g mW, want 96", got)
-	}
-	if _, err := NewLaser(0); err == nil {
-		t.Fatal("NewLaser(0) succeeded")
-	}
-}
-
 func TestLedgerWarmupGating(t *testing.T) {
 	l := NewLedger(DefaultEnergyParams())
 	l.AddPhotonicTransmit(1000)

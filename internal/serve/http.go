@@ -57,10 +57,26 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+// readBody reads a request body of at most maxBodyBytes. When it cannot,
+// it has already answered — 413 for a body over the bound, 400 for one
+// that failed to arrive — and reports false.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err)
+		return nil, false
+	}
+	return body, true
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	cfg, err := DecodeRunRequest(body)
@@ -77,9 +93,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	configs, err := DecodeSweepRequest(body)

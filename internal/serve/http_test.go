@@ -84,6 +84,30 @@ func TestHTTPRunRejectsBadBodies(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBodyIs413: a body one byte over maxBodyBytes answers
+// 413 on both endpoints, whatever it would have decoded to; a well-formed
+// body of exactly maxBodyBytes is still served.
+func TestHTTPOversizedBodyIs413(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/run", `{"cycles":1200,"warmupCycles":1000}`},
+		{"/v1/sweep", `{"base":{"cycles":1200,"warmupCycles":1000},"seeds":[1]}`},
+	} {
+		atLimit := tc.body + strings.Repeat(" ", maxBodyBytes-len(tc.body))
+		if resp, data := postJSON(t, ts.URL+tc.path, atLimit); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: %d-byte body: status %d, want 200: %s", tc.path, len(atLimit), resp.StatusCode, data)
+		}
+		resp, data := postJSON(t, ts.URL+tc.path, atLimit+" ")
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d-byte body: status %d, want 413", tc.path, len(atLimit)+1, resp.StatusCode)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
+			t.Errorf("%s: 413 body is not an error document: %s", tc.path, data)
+		}
+	}
+}
+
 func TestHTTPSweepEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", `{

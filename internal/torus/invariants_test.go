@@ -15,8 +15,12 @@ import (
 // one outstanding circuit as source.
 func (n *Network) checkInvariants() error {
 	activePaths := make(map[*path]bool)
-	for src, p := range n.active {
-		if p == nil {
+	for src := range n.active {
+		p := &n.active[src]
+		if p.pkt == nil {
+			if p.links != nil {
+				return errf("idle slot %d still lists links", src)
+			}
 			continue
 		}
 		if p.src != src {

@@ -5,29 +5,15 @@ import (
 
 	"hetpnoc/internal/packet"
 	"hetpnoc/internal/sim"
-	"hetpnoc/internal/xbar"
 )
 
-// pathSnapshot is a checkpoint of one circuit in flight. The link list
-// is shared with the live path — Route builds it once and never mutates
-// it afterwards.
-type pathSnapshot struct {
-	src, dst int
-	pkt      *packet.Packet
-	vc       int
-	links    []linkID
-	turns    int
-	state    phase
-	readyAt  sim.Cycle
-	window   *xbar.WindowSnapshot
-	credit   float64
-}
-
-// NetworkSnapshot is a checkpoint of the torus transport: the active
+// NetworkSnapshot is a checkpoint of the torus transport: the per-node
 // circuits (from which the link ownership map is rebuilt), the per-node
-// retry and arbitration state, and the counters.
+// retry and arbitration state, and the counters. A circuit is a plain
+// value; its link list is shared with the live path — Route builds it
+// once and never mutates it afterwards.
 type NetworkSnapshot struct {
-	active  []*pathSnapshot
+	active  []path
 	retryAt []sim.Cycle
 	rr      []int
 
@@ -38,32 +24,14 @@ type NetworkSnapshot struct {
 
 // Snapshot copies the network's mutable state.
 func (n *Network) Snapshot() *NetworkSnapshot {
-	s := &NetworkSnapshot{
-		active:        make([]*pathSnapshot, len(n.active)),
+	return &NetworkSnapshot{
+		active:        append([]path(nil), n.active...),
 		retryAt:       append([]sim.Cycle(nil), n.retryAt...),
 		rr:            append([]int(nil), n.rr...),
 		pathsSetUp:    n.pathsSetUp,
 		setupsBlocked: n.setupsBlocked,
 		packetsSent:   n.packetsSent,
 	}
-	for src, p := range n.active {
-		if p == nil {
-			continue
-		}
-		s.active[src] = &pathSnapshot{
-			src:     p.src,
-			dst:     p.dst,
-			pkt:     p.pkt,
-			vc:      p.vc,
-			links:   p.links,
-			turns:   p.turns,
-			state:   p.state,
-			readyAt: p.readyAt,
-			window:  p.window.Snapshot(),
-			credit:  p.credit,
-		}
-	}
-	return s
 }
 
 // Restore rewinds the network to a snapshot, rebuilding the link
@@ -81,24 +49,9 @@ func (n *Network) Restore(s *NetworkSnapshot) error {
 	for l := range n.linkOwner {
 		delete(n.linkOwner, l)
 	}
-	for src, ps := range s.active {
-		if ps == nil {
-			n.active[src] = nil
-			continue
-		}
-		p := &path{
-			src:     ps.src,
-			dst:     ps.dst,
-			pkt:     ps.pkt,
-			vc:      ps.vc,
-			links:   ps.links,
-			turns:   ps.turns,
-			state:   ps.state,
-			readyAt: ps.readyAt,
-			window:  xbar.RestoreWindow(ps.window, n.rxs),
-			credit:  ps.credit,
-		}
-		n.active[src] = p
+	copy(n.active, s.active)
+	for src := range n.active {
+		p := &n.active[src]
 		for _, l := range p.links {
 			n.linkOwner[l] = p
 		}
@@ -109,9 +62,9 @@ func (n *Network) Restore(s *NetworkSnapshot) error {
 // Packets appends the packets held by active circuits to dst, for the
 // fabric checkpoint's packet capture.
 func (n *Network) Packets(dst []*packet.Packet) []*packet.Packet {
-	for _, p := range n.active {
-		if p != nil {
-			dst = append(dst, p.pkt)
+	for src := range n.active {
+		if p := n.active[src].pkt; p != nil {
+			dst = append(dst, p)
 		}
 	}
 	return dst

@@ -100,7 +100,8 @@ const (
 	phaseStreaming
 )
 
-// path is one circuit in flight.
+// path is a source node's circuit in flight; the zero path (nil pkt) is a
+// node with none.
 type path struct {
 	src, dst int
 	pkt      *packet.Packet
@@ -110,7 +111,7 @@ type path struct {
 	state    phase
 	// readyAt is when streaming may begin (setup + ack round trip).
 	readyAt sim.Cycle
-	window  *xbar.Window
+	window  xbar.Window
 	credit  float64
 }
 
@@ -125,8 +126,8 @@ type Network struct {
 	ledger *photonic.Ledger
 	onDrop xbar.DropHandler
 
-	linkOwner map[linkID]*path //hetpnoc:nosnap derived: RestoreNetwork rebuilds it from the restored circuits
-	active    []*path          // per source node, nil when idle
+	linkOwner map[linkID]*path //hetpnoc:nosnap derived: Restore rebuilds it from the restored circuits
+	active    []path           // per source node, sized at build; linkOwner points into it
 	retryAt   []sim.Cycle
 	rr        []int
 
@@ -165,7 +166,7 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 		ledger:    ledger,
 		onDrop:    onDrop,
 		linkOwner: make(map[linkID]*path),
-		active:    make([]*path, cfg.Nodes),
+		active:    make([]path, cfg.Nodes),
 		retryAt:   make([]sim.Cycle, cfg.Nodes),
 		rr:        make([]int, cfg.Nodes),
 		band:      band,
@@ -245,8 +246,8 @@ func mod(a, m int) int {
 // path setup; established circuits stream flits.
 func (n *Network) Tick(now sim.Cycle) error {
 	for src := range n.active {
-		p := n.active[src]
-		if p == nil {
+		p := &n.active[src]
+		if p.pkt == nil {
 			n.trySetup(src, now)
 			continue
 		}
@@ -309,8 +310,8 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 				return
 			}
 		}
-		//hetpnoc:coldcall circuit establishment, amortized over the whole packet the circuit streams
-		p := &path{
+		p := &n.active[src]
+		*p = path{
 			src:   src,
 			dst:   dst,
 			pkt:   flit.Packet,
@@ -324,7 +325,6 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 		for _, l := range links {
 			n.linkOwner[l] = p
 		}
-		n.active[src] = p
 		n.pathsSetUp++
 		n.cfg.Events.AppendInts(now, event.ReservationSent, src, int64(flit.Packet.ID),
 			"torus setup to %d, %d hops, %d turns", int64(dst), int64(len(links)), int64(turns))
@@ -374,7 +374,6 @@ func (n *Network) stream(p *path, now sim.Cycle) error {
 
 // teardown releases the circuit after the tail flit.
 func (n *Network) teardown(p *path, now sim.Cycle) {
-	p.window.End()
 	n.packetsSent++
 	if p.window.Dropped() {
 		n.cfg.Events.AppendInts(now, event.PacketDropped, p.dst, int64(p.pkt.ID),
@@ -389,6 +388,5 @@ func (n *Network) teardown(p *path, now sim.Cycle) {
 	for _, l := range p.links {
 		delete(n.linkOwner, l)
 	}
-	p.window.Release()
-	n.active[p.src] = nil
+	*p = path{}
 }

@@ -16,6 +16,7 @@ import (
 // receive engines.
 type rig struct {
 	net    *Network
+	arena  *router.Arena // backs every port of the rig
 	tx     []*router.Port
 	rxPort []*router.Port
 	ledger *photonic.Ledger
@@ -30,19 +31,23 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	r := &rig{ledger: photonic.NewLedger(photonic.DefaultEnergyParams())}
+	r.arena, err = router.NewArena(r.ledger, &r.occ)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rxs := make([]*xbar.RX, 16)
 	for i := 0; i < 16; i++ {
-		txp, err := router.NewPort(16, 64, r.ledger, &r.occ)
+		txp, err := r.arena.NewPort(16, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxp, err := router.NewPort(16, 64, r.ledger, &r.occ)
+		rxp, err := r.arena.NewPort(16, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.tx = append(r.tx, txp)
 		r.rxPort = append(r.rxPort, rxp)
-		rxs[i] = xbar.NewRX(topology.ClusterID(i), rxp, bundle, r.ledger)
+		rxs[i] = xbar.NewRX(rxp, r.ledger)
 	}
 	net, err := New(Config{
 		Nodes:              16,
@@ -225,7 +230,7 @@ func TestTorusConfigValidation(t *testing.T) {
 	rxs := make([]*xbar.RX, 16)
 	for i := range ports {
 		ports[i] = port
-		rxs[i] = xbar.NewRX(topology.ClusterID(i), port, bundle, ledger)
+		rxs[i] = xbar.NewRX(port, ledger)
 	}
 	good := Config{Nodes: 16, Bundle: bundle, ClockHz: 2.5e9, SetupHopCycles: 4, RetryBackoffCycles: 16, MaxFlits: 64}
 

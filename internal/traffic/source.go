@@ -161,16 +161,11 @@ func (s *Source) SetState(st SourceState) {
 	s.rng.SetState(st.RNG)
 }
 
-// Retransmit builds a fresh attempt of a dropped packet, preserving its
-// logical message identity and birth cycle (§1.4: "the source will have to
-// retransmit").
-func Retransmit(p *packet.Packet, now sim.Cycle, packetIDs *packet.ID) *packet.Packet {
-	return RetransmitFrom(nil, p, now, packetIDs)
-}
-
-// RetransmitFrom is Retransmit drawing the new attempt from pool (which
-// may be nil). The original p is still intact afterwards; the caller
-// decides when to recycle it.
+// RetransmitFrom builds a fresh attempt of a dropped packet, preserving
+// its logical message identity and birth cycle (§1.4: "the source will
+// have to retransmit"). The new attempt is drawn from pool (which may be
+// nil). The original p is still intact afterwards; the caller decides
+// when to recycle it.
 func RetransmitFrom(pool *packet.Pool, p *packet.Packet, now sim.Cycle, packetIDs *packet.ID) *packet.Packet {
 	*packetIDs++
 	retry := pool.Get()

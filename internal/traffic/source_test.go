@@ -113,7 +113,7 @@ func TestRetransmitPreservesMessage(t *testing.T) {
 	for i := 0; orig == nil; i++ {
 		orig = src.Tick(sim.Cycle(i), topo)
 	}
-	retry := Retransmit(orig, 500, pkts)
+	retry := RetransmitFrom(nil, orig, 500, pkts)
 	if retry.Message != orig.Message {
 		t.Fatal("retransmission changed the message identity")
 	}

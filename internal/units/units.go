@@ -84,9 +84,6 @@ func (v DB) Times(n float64) DB { return v * DB(n) }
 // length.
 func (r DBPerCm) Over(length Centimeter) DB { return DB(float64(r) * float64(length)) }
 
-// Times scales a power by a dimensionless count (wavelengths, rings).
-func (v MilliWatt) Times(n float64) MilliWatt { return v * MilliWatt(n) }
-
 // Times scales an energy by a dimensionless count (bits, bit-cycles).
 func (v Picojoule) Times(n float64) Picojoule { return v * Picojoule(n) }
 

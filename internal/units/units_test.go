@@ -48,9 +48,6 @@ func TestScalingHelpersMatchRawOps(t *testing.T) {
 	if got, want := float64(DBPerCm(1.5).Over(4)), 1.5*4.0; got != want {
 		t.Errorf("DBPerCm.Over = %g, want %g", got, want)
 	}
-	if got, want := float64(MilliWatt(1.5).Times(64)), 1.5*64.0; got != want {
-		t.Errorf("MilliWatt.Times = %g, want %g", got, want)
-	}
 	if got, want := float64(Picojoule(0.078125).Times(544)), 0.078125*544.0; got != want {
 		t.Errorf("Picojoule.Times = %g, want %g", got, want)
 	}

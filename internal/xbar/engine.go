@@ -33,32 +33,24 @@ const (
 // retransmission (§1.4).
 type DropHandler func(p *packet.Packet, now sim.Cycle)
 
-// RX is the receive side of one cluster's photonic router: the detector
-// bank and the photonic input port feeding the router's ejection paths.
+// RX is the receive side of one cluster's photonic router: the gated
+// demodulator rows and the photonic input port feeding the router's
+// ejection paths. Which rows are powered is a property of the open
+// receive windows (each charges its own rows every cycle it is held), so
+// the engine itself keeps only the drop counters.
 type RX struct {
-	cluster   topology.ClusterID
-	port      *router.Port
-	detectors *photonic.DetectorBank
-	ledger    *photonic.Ledger
+	port   *router.Port
+	ledger *photonic.Ledger
 
 	// counters
 	packetsDropped int64
 	flitsDiscarded int64
-
-	// free recycles closed Window structs so steady-state streaming
-	// allocates nothing per packet.
-	free []*Window //hetpnoc:nosnap allocation free-list; its windows are closed, dead state
 }
 
-// NewRX builds the receive engine for cluster, delivering into port (the
+// NewRX builds a cluster's receive engine, delivering into port (the
 // photonic input port of the cluster's photonic router).
-func NewRX(cluster topology.ClusterID, port *router.Port, bundle photonic.WaveguideBundle, ledger *photonic.Ledger) *RX {
-	return &RX{
-		cluster:   cluster,
-		port:      port,
-		detectors: photonic.NewDetectorBank(bundle),
-		ledger:    ledger,
-	}
+func NewRX(port *router.Port, ledger *photonic.Ledger) *RX {
+	return &RX{port: port, ledger: ledger}
 }
 
 // PacketsDropped returns the number of packets dropped for lack of a free
@@ -68,14 +60,14 @@ func (rx *RX) PacketsDropped() int64 { return rx.packetsDropped }
 // FlitsDiscarded returns the flits thrown away for dropped packets.
 func (rx *RX) FlitsDiscarded() int64 { return rx.flitsDiscarded }
 
-// Detectors exposes the detector bank (tests and energy accounting).
-func (rx *RX) Detectors() *photonic.DetectorBank { return rx.detectors }
-
 // Window is an open receive reservation: the destination has gated its
 // demodulators and, unless dropped, holds a VC for the incoming packet.
+// It is a plain value owned by whichever transfer it belongs to; the zero
+// Window is closed, and closing one is assigning the zero value. Nothing
+// has to be released: a dropped packet never held a VC, and otherwise the
+// VC drains through the router and frees itself when the tail departs.
 type Window struct {
 	rx      *RX
-	pkt     *packet.Packet
 	vc      int
 	power   []photonic.WavelengthID
 	dropped bool
@@ -84,6 +76,9 @@ type Window struct {
 // Dropped reports whether the packet was refused for lack of a free VC.
 func (w *Window) Dropped() bool { return w.dropped }
 
+// open reports whether Begin has opened the window.
+func (w *Window) open() bool { return w.rx != nil }
+
 // Begin opens a receive window: the destination gates the demodulators for
 // power and, when a VC is free, holds it for the incoming packet. When
 // every VC of the photonic input port is busy, the window is marked
@@ -91,16 +86,8 @@ func (w *Window) Dropped() bool { return w.dropped }
 // know), but the flits are discarded and the source must retransmit.
 // Exported so other inter-cluster transports (the torus baseline) can
 // reuse the receive engine.
-func (rx *RX) Begin(p *packet.Packet, power []photonic.WavelengthID) *Window {
-	var w *Window
-	if n := len(rx.free); n > 0 {
-		w, rx.free[n-1] = rx.free[n-1], nil
-		rx.free = rx.free[:n-1]
-		*w = Window{rx: rx, pkt: p, power: power}
-	} else {
-		//hetpnoc:coldcall free-list miss; windows recycle via Release, so warm streaming never allocates
-		w = newWindow(rx, p, power)
-	}
+func (rx *RX) Begin(p *packet.Packet, power []photonic.WavelengthID) Window {
+	w := Window{rx: rx, power: power}
 	vc, ok := rx.port.AllocVC(p.ID)
 	if !ok {
 		w.dropped = true
@@ -108,17 +95,7 @@ func (rx *RX) Begin(p *packet.Packet, power []photonic.WavelengthID) *Window {
 	} else {
 		w.vc = vc
 	}
-	rx.detectors.Power(power, true)
 	return w
-}
-
-// newWindow is Begin's allocation fallback for a drained free list; once
-// the first few windows cycle through Release, Begin always recycles.
-//
-//hetpnoc:coldcall free-list-miss fallback, cold after warm-up
-//go:noinline
-func newWindow(rx *RX, p *packet.Packet, power []photonic.WavelengthID) *Window {
-	return &Window{rx: rx, pkt: p, power: power}
 }
 
 // Deliver accepts one flit off the channel into the window.
@@ -131,37 +108,23 @@ func (w *Window) Deliver(f packet.Flit, now sim.Cycle) error {
 	return w.rx.port.Enqueue(w.vc, f, now)
 }
 
-// End closes the window, un-gating the demodulators. If the packet was
-// dropped the VC was never held; otherwise the VC drains through the
-// router and frees itself when the tail departs.
-func (w *Window) End() {
-	w.rx.detectors.Power(w.power, false)
-}
-
-// HoldCost charges one cycle of powered demodulator rows.
+// HoldCost charges one cycle of powered demodulator rows. The owner calls
+// it every cycle it holds the window; un-gating the rows is no longer
+// calling it.
 func (w *Window) HoldCost() {
 	w.rx.ledger.AddIdleDetector(float64(len(w.power)))
-}
-
-// Release returns an ended window to its receiver's free list. The
-// caller must drop every reference first: the receiver's next Begin may
-// hand the same struct out again.
-func (w *Window) Release() {
-	rx := w.rx
-	*w = Window{}
-	rx.free = append(rx.free, w)
 }
 
 // pending is a reservation in flight for the next packet: broadcast on the
 // reservation waveguide while the current packet is still streaming, so the
 // channel can switch packets back-to-back (the reservation channel and the
-// data channel are separate waveguides).
+// data channel are separate waveguides). pkt is nil when there is none.
 type pending struct {
 	pkt     *packet.Packet
 	vc      int
 	use     []photonic.WavelengthID
 	resLeft int
-	window  *Window
+	window  Window
 }
 
 // TXConfig carries the static parameters of a transmit engine.
@@ -203,13 +166,11 @@ type TX struct {
 	vcIdx   int
 	current *packet.Packet
 	use     []photonic.WavelengthID
-	window  *Window
+	window  Window
 	credit  float64
 
-	// next reservation in flight, if any; spare recycles the struct so
-	// admitting a packet allocates nothing in steady state.
-	next  *pending
-	spare *pending //hetpnoc:nosnap allocation recycling slot; holds only a dead reservation struct
+	// next reservation in flight; next.pkt is nil when there is none.
+	next pending
 
 	rr int
 
@@ -250,7 +211,7 @@ func (tx *TX) BusyCycles() int64 { return tx.busyCycles }
 // reservation in flight, or flits waiting in the transmit port. When it
 // is false, Tick is a no-op and the fabric may skip the engine entirely.
 func (tx *TX) Busy() bool {
-	return tx.current != nil || tx.next != nil || tx.port.BufferedFlits() > 0
+	return tx.current != nil || tx.next.pkt != nil || tx.port.BufferedFlits() > 0
 }
 
 // Tick advances the engine one cycle. Reservation and data transfer use
@@ -261,7 +222,7 @@ func (tx *TX) Busy() bool {
 //hetpnoc:hotpath
 func (tx *TX) Tick(now sim.Cycle) error {
 	// Advance the in-flight reservation.
-	if tx.next != nil && tx.next.window == nil {
+	if tx.next.pkt != nil && !tx.next.window.open() {
 		tx.next.resLeft--
 		if tx.next.resLeft <= 0 {
 			power := tx.next.use
@@ -273,14 +234,13 @@ func (tx *TX) Tick(now sim.Cycle) error {
 	}
 
 	// Promote a completed reservation onto the idle data channel.
-	if tx.current == nil && tx.next != nil && tx.next.window != nil {
+	if tx.current == nil && tx.next.window.open() {
 		tx.current = tx.next.pkt
 		tx.vcIdx = tx.next.vc
 		tx.use = tx.next.use
 		tx.window = tx.next.window
 		tx.credit = 0
-		tx.next, tx.spare = nil, tx.next
-		*tx.spare = pending{}
+		tx.next = pending{}
 		tx.cfg.Events.AppendInts(now, event.StreamStarted, int(tx.cfg.Cluster), int64(tx.current.ID),
 			"to cluster %d on %d wavelengths", int64(tx.current.DstCluster), int64(len(tx.use)))
 	}
@@ -291,19 +251,19 @@ func (tx *TX) Tick(now sim.Cycle) error {
 		if err := tx.stream(now); err != nil {
 			return err
 		}
-	} else if tx.next != nil {
+	} else if tx.next.pkt != nil {
 		tx.busyCycles++
 	}
 
 	// A pending window that has not been promoted yet still holds its
 	// destination demodulators powered.
-	if tx.next != nil && tx.next.window != nil {
+	if tx.next.window.open() {
 		tx.next.window.HoldCost()
 	}
 
 	// Admit the next reservation (only once the channel is idle when the
 	// ablation study disables reservation pipelining).
-	if tx.next == nil && (!tx.cfg.DisablePipelining || tx.current == nil) {
+	if tx.next.pkt == nil && (!tx.cfg.DisablePipelining || tx.current == nil) {
 		tx.admitNext(now)
 	}
 	return nil
@@ -350,20 +310,12 @@ func (tx *TX) admitNext(now sim.Cycle) {
 			idBits := float64(packet.DestinationIDBits(tx.cfg.Clusters))
 			tx.ledger.AddDemodulation(idBits*float64(tx.cfg.Clusters-1) + resBits)
 
-			np := tx.spare
-			if np == nil {
-				//hetpnoc:coldcall spare-miss fallback: one pending struct per TX recycles forever after
-				np = newPending()
-			} else {
-				tx.spare = nil
-			}
-			*np = pending{
+			tx.next = pending{
 				pkt:     flit.Packet,
 				vc:      vc,
 				use:     use,
 				resLeft: cycles + tx.cfg.PropagationCycles,
 			}
-			tx.next = np
 			tx.reservations++
 			tx.cfg.Events.AppendInts(now, event.ReservationSent, int(tx.cfg.Cluster), int64(flit.Packet.ID),
 				"to cluster %d, %d ids, %d cycles", int64(flit.Packet.DstCluster), int64(ids), int64(cycles))
@@ -371,13 +323,6 @@ func (tx *TX) admitNext(now sim.Cycle) {
 		}
 	}
 }
-
-// newPending is admitNext's allocation fallback when the recycling slot
-// is empty — at most once per TX in steady state.
-//
-//hetpnoc:coldcall spare-miss fallback, at most one live reservation per TX
-//go:noinline
-func newPending() *pending { return new(pending) }
 
 // stream moves flits of the current packet onto the channel as bandwidth
 // credit accrues: k allocated wavelengths earn k x (rate/clock) bits per
@@ -419,10 +364,9 @@ func (tx *TX) stream(now sim.Cycle) error {
 	return nil
 }
 
-// finish closes the transfer: detectors off, drop notification if the
-// receiver had refused the packet, channel back to idle.
+// finish closes the transfer: receive window closed, drop notification
+// if the receiver had refused the packet, channel back to idle.
 func (tx *TX) finish(now sim.Cycle) {
-	tx.window.End()
 	tx.packetsSent++
 	if tx.window.dropped {
 		tx.cfg.Events.AppendInts(now, event.PacketDropped, int(tx.current.DstCluster), int64(tx.current.ID),
@@ -434,8 +378,7 @@ func (tx *TX) finish(now sim.Cycle) {
 		tx.cfg.Events.AppendInts(now, event.PacketArrived, int(tx.current.DstCluster), int64(tx.current.ID),
 			"from cluster %d", int64(tx.cfg.Cluster))
 	}
-	tx.window.Release()
-	tx.window = nil
+	tx.window = Window{}
 	tx.current = nil
 	tx.use = nil
 }

@@ -39,6 +39,7 @@ func TestSelectiveGatingPowersFewerDetectors(t *testing.T) {
 		topo := topology.Default()
 		bundle := mustBundle(t, 128) // 8 wavelengths per cluster
 		ledger := photonic.NewLedger(photonic.DefaultEnergyParams())
+		ledger.StartMeasurement()
 		var occ int64
 		txPort, err := router.NewPort(16, 64, ledger, &occ)
 		if err != nil {
@@ -55,7 +56,7 @@ func TestSelectiveGatingPowersFewerDetectors(t *testing.T) {
 		alloc := &narrowAllocator{inner: static, narrow: 2}
 		rxs := make([]*RX, topo.Clusters())
 		for cl := range rxs {
-			rxs[cl] = NewRX(topology.ClusterID(cl), rxPort, bundle, ledger)
+			rxs[cl] = NewRX(rxPort, ledger)
 		}
 		tx, err := NewTX(TXConfig{
 			Cluster: 0, Clusters: topo.Clusters(), MaxFlits: 64, Bundle: bundle,
@@ -77,12 +78,11 @@ func TestSelectiveGatingPowersFewerDetectors(t *testing.T) {
 		}
 		maxPowered := 0
 		for now := sim.Cycle(0); now < 300; now++ {
+			before := ledger.Total(photonic.EnergyIdleDetector)
 			if err := tx.Tick(now); err != nil {
 				t.Fatal(err)
 			}
-			if n := rxs[1].Detectors().PoweredCount(); n > maxPowered {
-				maxPowered = n
-			}
+			maxPowered = max(maxPowered, poweredRows(ledger, before))
 		}
 		return maxPowered
 	}

@@ -1,150 +1,37 @@
 package xbar
 
-import (
-	"hetpnoc/internal/packet"
-	"hetpnoc/internal/photonic"
-)
+import "hetpnoc/internal/packet"
 
-// WindowSnapshot is a checkpoint of one open receive window. The
-// wavelength list is shared with the live window: allocation ID caches
-// are replaced, never mutated in place, so the captured view stays
-// valid. The packet pointer is restored by content elsewhere (the fabric
-// checkpoint's packet capture).
-type WindowSnapshot struct {
-	cluster int
-	pkt     *packet.Packet
-	vc      int
-	power   []photonic.WavelengthID
-	dropped bool
-}
-
-// Snapshot captures the window's state; a nil window snapshots to nil.
-func (w *Window) Snapshot() *WindowSnapshot {
-	if w == nil {
-		return nil
-	}
-	return &WindowSnapshot{
-		cluster: int(w.rx.cluster),
-		pkt:     w.pkt,
-		vc:      w.vc,
-		power:   w.power,
-		dropped: w.dropped,
-	}
-}
-
-// RestoreWindow materializes a window from a snapshot against the given
-// per-cluster receive engines (nil for a nil snapshot). The detector
-// gating the window implies is restored separately via the RX snapshot.
-func RestoreWindow(s *WindowSnapshot, rxs []*RX) *Window {
-	if s == nil {
-		return nil
-	}
-	return &Window{
-		rx:      rxs[s.cluster],
-		pkt:     s.pkt,
-		vc:      s.vc,
-		power:   s.power,
-		dropped: s.dropped,
-	}
-}
-
-// RXSnapshot is a checkpoint of a receive engine: its drop counters and
-// the detector bank's gating state.
+// RXSnapshot is a checkpoint of a receive engine. The engine owns no
+// pointers — only its build-time wiring and two counters — so a struct
+// copy is the whole checkpoint.
 type RXSnapshot struct {
-	packetsDropped int64
-	flitsDiscarded int64
-	detectors      *photonic.DetectorBankSnapshot
+	state RX
 }
 
-// Snapshot copies the receiver's mutable state.
-func (rx *RX) Snapshot() *RXSnapshot {
-	return &RXSnapshot{
-		packetsDropped: rx.packetsDropped,
-		flitsDiscarded: rx.flitsDiscarded,
-		detectors:      rx.detectors.Snapshot(),
-	}
-}
+// Snapshot copies the receiver's state.
+func (rx *RX) Snapshot() RXSnapshot { return RXSnapshot{state: *rx} }
 
 // Restore rewinds the receiver to a snapshot.
-func (rx *RX) Restore(s *RXSnapshot) {
-	rx.packetsDropped = s.packetsDropped
-	rx.flitsDiscarded = s.flitsDiscarded
-	rx.detectors.Restore(s.detectors)
-}
+func (rx *RX) Restore(s RXSnapshot) { *rx = s.state }
 
-// pendingSnapshot is a checkpoint of an in-flight reservation.
-type pendingSnapshot struct {
-	pkt     *packet.Packet
-	vc      int
-	use     []photonic.WavelengthID
-	resLeft int
-	window  *WindowSnapshot
-}
-
-// TXSnapshot is a checkpoint of a transmit engine: the streaming
-// transfer, the in-flight reservation, and the counters.
+// TXSnapshot is a checkpoint of a transmit engine: the streaming transfer
+// and the in-flight reservation with their receive windows, and the
+// counters. Everything the engine points at is shared, never owned: the
+// build-time wiring, wavelength lists (allocation ID caches are replaced,
+// never mutated in place) and packets (restored by content through the
+// fabric checkpoint's packet capture). A struct copy is therefore the
+// whole checkpoint.
 type TXSnapshot struct {
-	vcIdx   int
-	current *packet.Packet
-	use     []photonic.WavelengthID
-	window  *WindowSnapshot
-	credit  float64
-	next    *pendingSnapshot
-	rr      int
-
-	packetsSent  int64
-	reservations int64
-	busyCycles   int64
+	state TX
 }
 
-// Snapshot copies the engine's mutable state.
-func (tx *TX) Snapshot() *TXSnapshot {
-	s := &TXSnapshot{
-		vcIdx:        tx.vcIdx,
-		current:      tx.current,
-		use:          tx.use,
-		window:       tx.window.Snapshot(),
-		credit:       tx.credit,
-		rr:           tx.rr,
-		packetsSent:  tx.packetsSent,
-		reservations: tx.reservations,
-		busyCycles:   tx.busyCycles,
-	}
-	if tx.next != nil {
-		s.next = &pendingSnapshot{
-			pkt:     tx.next.pkt,
-			vc:      tx.next.vc,
-			use:     tx.next.use,
-			resLeft: tx.next.resLeft,
-			window:  tx.next.window.Snapshot(),
-		}
-	}
-	return s
-}
+// Snapshot copies the engine's state.
+func (tx *TX) Snapshot() TXSnapshot { return TXSnapshot{state: *tx} }
 
 // Restore rewinds the engine to a snapshot, leaving the snapshot intact
 // for repeated restores.
-func (tx *TX) Restore(s *TXSnapshot) {
-	tx.vcIdx = s.vcIdx
-	tx.current = s.current
-	tx.use = s.use
-	tx.window = RestoreWindow(s.window, tx.rxs)
-	tx.credit = s.credit
-	tx.next = nil
-	if s.next != nil {
-		tx.next = &pending{
-			pkt:     s.next.pkt,
-			vc:      s.next.vc,
-			use:     s.next.use,
-			resLeft: s.next.resLeft,
-			window:  RestoreWindow(s.next.window, tx.rxs),
-		}
-	}
-	tx.rr = s.rr
-	tx.packetsSent = s.packetsSent
-	tx.reservations = s.reservations
-	tx.busyCycles = s.busyCycles
-}
+func (tx *TX) Restore(s TXSnapshot) { *tx = s.state }
 
 // Packets appends the packets the engine holds references to (the
 // streaming transfer and the reserved next packet) to dst, for the
@@ -153,7 +40,7 @@ func (tx *TX) Packets(dst []*packet.Packet) []*packet.Packet {
 	if tx.current != nil {
 		dst = append(dst, tx.current)
 	}
-	if tx.next != nil {
+	if tx.next.pkt != nil {
 		dst = append(dst, tx.next.pkt)
 	}
 	return dst

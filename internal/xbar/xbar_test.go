@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"math"
 	"testing"
 
 	"hetpnoc/internal/packet"
@@ -8,6 +9,7 @@ import (
 	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
+	"hetpnoc/internal/units"
 )
 
 func mustBundle(t *testing.T, total int) photonic.WaveguideBundle {
@@ -64,6 +66,7 @@ func TestStaticAllocatorValidation(t *testing.T) {
 // cluster 1, with direct access to the ports.
 type txRig struct {
 	tx      *TX
+	arena   *router.Arena // backs every port of the rig
 	txPort  *router.Port
 	rxPort  *router.Port
 	rx      *RX
@@ -80,11 +83,15 @@ func newTXRig(t *testing.T, gating GatingMode, rxVCs int) *txRig {
 	rig.ledger.StartMeasurement()
 
 	var err error
-	rig.txPort, err = router.NewPort(16, 64, rig.ledger, &rig.occ)
+	rig.arena, err = router.NewArena(rig.ledger, &rig.occ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rig.rxPort, err = router.NewPort(rxVCs, 64, rig.ledger, &rig.occ)
+	rig.txPort, err = rig.arena.NewPort(16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.rxPort, err = rig.arena.NewPort(rxVCs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +103,14 @@ func newTXRig(t *testing.T, gating GatingMode, rxVCs int) *txRig {
 	rxs := make([]*RX, topo.Clusters())
 	for cl := range rxs {
 		if cl == 1 {
-			rxs[cl] = NewRX(1, rig.rxPort, bundle, rig.ledger)
+			rxs[cl] = NewRX(rig.rxPort, rig.ledger)
 			continue
 		}
-		port, err := router.NewPort(2, 64, rig.ledger, &rig.occ)
+		port, err := rig.arena.NewPort(2, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rxs[cl] = NewRX(topology.ClusterID(cl), port, bundle, rig.ledger)
+		rxs[cl] = NewRX(port, rig.ledger)
 	}
 	rig.rx = rxs[1]
 
@@ -136,6 +143,14 @@ func (rig *txRig) enqueuePacket(t *testing.T, id packet.ID, flits int, now sim.C
 			t.Fatal(err)
 		}
 	}
+}
+
+// poweredRows converts the idle-detector energy charged to a measuring
+// ledger since before into demodulator rows held powered: the receive
+// windows charge their gated rows once per cycle they are held.
+func poweredRows(l *photonic.Ledger, before units.Picojoule) int {
+	perRow := photonic.DefaultEnergyParams().IdleDetectorPJPerWavelengthCycle
+	return int(math.Round(float64((l.Total(photonic.EnergyIdleDetector) - before) / perRow)))
 }
 
 func (rig *txRig) run(t *testing.T, from, to sim.Cycle) {
@@ -258,7 +273,7 @@ func TestTXSerializedReservation(t *testing.T) {
 		}
 		rxs := make([]*RX, topo.Clusters())
 		for cl := range rxs {
-			rxs[cl] = NewRX(topology.ClusterID(cl), rig.rxPort, bundle, rig.ledger)
+			rxs[cl] = NewRX(rig.rxPort, rig.ledger)
 		}
 		rig.tx, err = NewTX(TXConfig{
 			Cluster: 0, Clusters: topo.Clusters(), MaxFlits: 64, Bundle: bundle,
@@ -324,7 +339,7 @@ func TestRXDropWhenNoVC(t *testing.T) {
 	}
 }
 
-// TestDetectorGating: demodulators are powered only within the receive
+// TestDetectorGating: demodulator rows are charged only within the receive
 // window, and the gating mode controls how many.
 func TestDetectorGating(t *testing.T) {
 	for _, tt := range []struct {
@@ -337,20 +352,20 @@ func TestDetectorGating(t *testing.T) {
 		rig := newTXRig(t, tt.gating, 16)
 		rig.enqueuePacket(t, 1, 64, 0)
 
-		maxPowered := 0
+		maxPowered, last := 0, 0
 		for now := sim.Cycle(0); now < 200; now++ {
+			before := rig.ledger.Total(photonic.EnergyIdleDetector)
 			if err := rig.tx.Tick(now); err != nil {
 				t.Fatal(err)
 			}
-			if n := rig.rx.Detectors().PoweredCount(); n > maxPowered {
-				maxPowered = n
-			}
+			last = poweredRows(rig.ledger, before)
+			maxPowered = max(maxPowered, last)
 		}
 		if maxPowered != tt.want {
 			t.Fatalf("gating %v: max powered detectors = %d, want %d", tt.gating, maxPowered, tt.want)
 		}
-		if got := rig.rx.Detectors().PoweredCount(); got != 0 {
-			t.Fatalf("gating %v: %d detectors left powered after the window", tt.gating, got)
+		if last != 0 {
+			t.Fatalf("gating %v: %d detectors still charged after the window", tt.gating, last)
 		}
 	}
 }
@@ -370,7 +385,7 @@ func TestTXConfigValidation(t *testing.T) {
 	}
 	rxs := make([]*RX, 16)
 	for i := range rxs {
-		rxs[i] = NewRX(topology.ClusterID(i), port, bundle, ledger)
+		rxs[i] = NewRX(port, ledger)
 	}
 
 	bad := []TXConfig{
