@@ -108,7 +108,8 @@ func TestPeerLinksCarryTraffic(t *testing.T) {
 	// Craft a same-cluster packet and place it in core 0's queue.
 	f.pktIDs++
 	f.msgIDs++
-	pkt := &packet.Packet{
+	pkt := f.pool.Get()
+	*pkt = packet.Packet{
 		ID: f.pktIDs, Message: f.msgIDs,
 		Src: 0, Dst: 3, SrcCluster: 0, DstCluster: 0,
 		Flits: 8, FlitBits: 32, Attempt: 1,
@@ -158,7 +159,8 @@ func TestRoutesMatchWiring(t *testing.T) {
 			walk := func(from *router.Port, dst topology.CoreID) *router.Port {
 				t.Helper()
 				ids++
-				pkt := &packet.Packet{ID: ids, Dst: dst, DstCluster: topo.ClusterOf(dst), Flits: 1, FlitBits: 32}
+				pkt := f.pool.Get()
+				*pkt = packet.Packet{ID: ids, Dst: dst, DstCluster: topo.ClusterOf(dst), Flits: 1, FlitBits: 32}
 				vc, ok := from.AllocVC(pkt.ID)
 				if !ok {
 					t.Fatal("no free VC on an idle fabric")

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hetpnoc/internal/packet"
@@ -240,5 +241,59 @@ func TestBurstyValidation(t *testing.T) {
 		PickDest: func(*sim.RNG) topology.CoreID { return 10 }}
 	if _, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, sim.NewRNG(1), &msgs, &pkts); err == nil {
 		t.Fatal("negative burstiness accepted")
+	}
+}
+
+// TestSourceCheckpointReplays: a source rewound to a mid-run checkpoint
+// (with the run-wide ID counters it draws from) generates the same
+// packets on the same cycles again, for a constant-rate and for a bursty
+// source, and a second rewind to the same checkpoint does so too.
+func TestSourceCheckpointReplays(t *testing.T) {
+	topo := topology.Default()
+	type emission struct {
+		cycle sim.Cycle
+		id    packet.ID
+		dst   topology.CoreID
+	}
+	for _, burstiness := range []float64{0, 4} {
+		var msgs packet.MessageID
+		var pkts packet.ID
+		profile := CoreProfile{
+			RateGbps:   100,
+			DemandGbps: 400,
+			Burstiness: burstiness,
+			PickDest: func(rng *sim.RNG) topology.CoreID {
+				return topo.CoreAt(5, rng.Intn(4))
+			},
+		}
+		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, sim.NewRNG(11), &msgs, &pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const start, window = 5000, 10000
+		record := func() []emission {
+			var out []emission
+			for now := sim.Cycle(start); now < start+window; now++ {
+				if p := src.Tick(now, topo); p != nil {
+					out = append(out, emission{now, p.ID, p.Dst})
+				}
+			}
+			return out
+		}
+		for now := sim.Cycle(0); now < start; now++ {
+			src.Tick(now, topo)
+		}
+		saved, savedMsgs, savedPkts := src.State(), msgs, pkts
+		want := record()
+		if len(want) < 100 {
+			t.Fatalf("burstiness %g: only %d packets in the window", burstiness, len(want))
+		}
+		for round := 0; round < 2; round++ {
+			src.SetState(saved)
+			msgs, pkts = savedMsgs, savedPkts
+			if got := record(); !slices.Equal(got, want) {
+				t.Fatalf("burstiness %g, replay %d diverged from the straight run", burstiness, round)
+			}
+		}
 	}
 }
