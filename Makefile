@@ -92,7 +92,7 @@ bench-check:
 # iteration count on every push keeps them compiling and running (their
 # set-up code included) without pretending to measure anything.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore' -benchtime 200x ./internal/router ./internal/fabric
+	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed' -benchtime 200x ./internal/router ./internal/fabric
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

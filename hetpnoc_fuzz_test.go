@@ -20,6 +20,10 @@ func FuzzConfigValidate(f *testing.F) {
 	// Hostile seeds: enum off the end, negative cycles, absurd load.
 	f.Add(99, -1, 42, -7, -0.5, "no-such-permutation", -3.0, 1e308, -1, -1, uint64(0), -1.0, 1e308, -5)
 
+	// A finite load scale past the fabric's bound: a batch fork always
+	// refused it, so Validate must too.
+	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1e13, 2000, 200, uint64(1), 0.0, 0.0, 0)
+
 	f.Fuzz(func(t *testing.T, arch, set, kind, skew int,
 		hotFrac float64, perm string, burst, load float64,
 		cycles, warmup int, seed uint64,

@@ -8,11 +8,9 @@
 //
 // A subject is a named struct type with a capture method (Snapshot,
 // Checkpoint, or State) and a matching restore (a Restore/SetState
-// method, or a package function Restore<Type> for snapshot types
-// materialized externally, like xbar.RestoreWindow). For each subject
-// the analyzer classifies every field — transitively through embedded
-// structs and same-package slice-of-struct state like the torus path
-// list — as:
+// method). For each subject the analyzer classifies every field —
+// transitively through embedded structs and same-package
+// slice-of-struct state like the torus path list — as:
 //
 //   - build-time: written only inside New*/new* constructors (or never
 //     written at all). Construction-fixed state needs no checkpoint.
@@ -261,30 +259,19 @@ func (c *checker) discover() {
 		if c.testFile(n.Decl.Pos()) {
 			continue
 		}
-		name := n.Func.Name()
-		if recv := n.Func.Type().(*types.Signature).Recv(); recv != nil {
-			named := namedOf(recv.Type())
-			if named == nil || !isStruct(named) {
-				continue
-			}
-			switch {
-			case captureNames[name]:
-				c.subjectFor(named).captures = append(c.subjectFor(named).captures, n)
-			case restoreNames[name]:
-				c.subjectFor(named).restores = append(c.subjectFor(named).restores, n)
-			}
+		recv := n.Func.Type().(*types.Signature).Recv()
+		if recv == nil {
 			continue
 		}
-		// Package function Restore<Type> restores externally-materialized
-		// snapshots (xbar.RestoreWindow).
-		if rest, ok := strings.CutPrefix(name, "Restore"); ok && rest != "" {
-			obj, ok2 := n.Unit.Pkg.Scope().Lookup(rest).(*types.TypeName)
-			if !ok2 {
-				continue
-			}
-			if named, ok3 := obj.Type().(*types.Named); ok3 && isStruct(named) {
-				c.subjectFor(named).restores = append(c.subjectFor(named).restores, n)
-			}
+		named := namedOf(recv.Type())
+		if named == nil || !isStruct(named) {
+			continue
+		}
+		switch name := n.Func.Name(); {
+		case captureNames[name]:
+			c.subjectFor(named).captures = append(c.subjectFor(named).captures, n)
+		case restoreNames[name]:
+			c.subjectFor(named).restores = append(c.subjectFor(named).restores, n)
 		}
 	}
 }
@@ -309,7 +296,7 @@ func (c *checker) check(s *subject) {
 				c.mp.Reportf(cap.Decl.Name.Pos(),
 					fmt.Sprintf("%s.%s has no restore counterpart: the snapshot can never be applied (missing-restore)",
 						s.typ.Obj().Name(), name),
-					"add a Restore method (or a Restore"+s.typ.Obj().Name()+" function) that re-applies every captured field")
+					"add a Restore method that re-applies every captured field")
 			}
 		}
 		return

@@ -178,6 +178,27 @@ func BenchmarkFabricRestore(b *testing.B) {
 	}
 }
 
+// BenchmarkFabricReseed measures the batch engine's whole fork sequence
+// off a pristine (cycle-0) checkpoint: Restore, SetLoadScale and Reseed,
+// which re-assigns the pattern and rebuilds all 64 sources.
+func BenchmarkFabricReseed(b *testing.B) {
+	f := warmed(b, dropStormConfig(DHetPNoC), 0)
+	cp := f.Checkpoint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Restore(cp); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.SetLoadScale(1 + float64(i%4)/4); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Reseed(uint64(i) + 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFabricBuild measures constructing the whole chip (80 routers,
 // 16 crossbar engine pairs, 64 sources).
 func BenchmarkFabricBuild(b *testing.B) {

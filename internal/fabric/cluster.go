@@ -28,7 +28,7 @@ const (
 // ejection port the core consumes from.
 type coreState struct {
 	id      topology.CoreID
-	source  *traffic.Source
+	source  traffic.Source
 	queue   packet.Queue
 	rejects int64
 

@@ -83,9 +83,6 @@ func TestEveryCoreHasPorts(t *testing.T) {
 			if cs.injectPort == nil || cs.ejectPort == nil {
 				t.Fatalf("%v: core %d missing ports", intra, c)
 			}
-			if cs.source == nil {
-				t.Fatalf("%v: core %d has no traffic source", intra, c)
-			}
 		}
 	}
 }

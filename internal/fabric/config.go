@@ -219,6 +219,20 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
+// maxLoadScale rejects +Inf and absurd scales that would overflow the
+// per-cycle injection probabilities.
+const maxLoadScale = 1 << 40
+
+// checkLoadScale is the one rule for an offered-load multiplier, shared
+// by Validate and SetLoadScale so a solo run and a batch fork refuse the
+// same scales. The negated form also refuses NaN.
+func checkLoadScale(scale float64) error {
+	if !(scale >= 0 && scale <= maxLoadScale) {
+		return fmt.Errorf("fabric: load scale %g out of range [0, 2^40]", scale)
+	}
+	return nil
+}
+
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	if err := c.Set.Validate(); err != nil {
@@ -230,8 +244,8 @@ func (c Config) Validate() error {
 	if c.Pattern == nil {
 		return fmt.Errorf("fabric: no traffic pattern")
 	}
-	if c.LoadScale < 0 {
-		return fmt.Errorf("fabric: negative load scale %g", c.LoadScale)
+	if err := checkLoadScale(c.LoadScale); err != nil {
+		return err
 	}
 	if c.Cycles <= 0 || c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
 		return fmt.Errorf("fabric: cycles %d / warm-up %d invalid", c.Cycles, c.WarmupCycles)

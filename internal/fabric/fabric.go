@@ -252,21 +252,16 @@ func New(cfg Config) (*Fabric, error) {
 	f.txActive = sim.NewBitset(len(f.txs))
 	f.injActive = sim.NewBitset(len(f.cores))
 	f.ejectActive = sim.NewBitset(len(f.cores))
-	for ri := range f.routers {
-		ri := ri
-		r := f.routers[ri]
-		wake := func() { f.routerActive.Set(ri) }
+	for ri, r := range f.routers {
 		for i := 0; i < r.Inputs(); i++ {
-			r.Input(i).SetWake(wake)
+			r.Input(i).WakeIn(&f.routerActive, ri)
 		}
 	}
 	for c := range f.cores {
-		c := c
-		f.cores[c].ejectPort.SetWake(func() { f.ejectActive.Set(c) })
+		f.cores[c].ejectPort.WakeIn(&f.ejectActive, c)
 	}
 	for i := range f.txs {
-		i := i
-		f.clusters[i].txPort.SetWake(func() { f.txActive.Set(i) })
+		f.clusters[i].txPort.WakeIn(&f.txActive, i)
 	}
 
 	// Initial workload mapping.
@@ -295,21 +290,25 @@ func (f *Fabric) applyAssignment(a traffic.Assignment) error {
 		coreID := topology.CoreID(c)
 		profile := a.Cores[c]
 		src, err := traffic.NewSource(coreID, profile, f.cfg.Set.Format, f.clock,
-			f.cfg.LoadScale, f.rng.Split(), &f.msgIDs, &f.pktIDs)
+			f.cfg.LoadScale, *f.rng.Split(), &f.pool, &f.msgIDs, &f.pktIDs)
 		if err != nil {
 			return err
 		}
 		f.cores[c].source = src
-		src.SetPool(&f.pool)
 		f.alloc.SetDemand(coreID, profile.DemandTable(f.cfg.Topology, f.cfg.Topology.ClusterOf(coreID)))
 	}
+	f.rebuildGenList()
+	return nil
+}
+
+// rebuildGenList derives genList from the installed sources.
+func (f *Fabric) rebuildGenList() {
 	f.genList = f.genList[:0]
 	for c := range f.cores {
 		if !f.cores[c].source.Idle() {
 			f.genList = append(f.genList, &f.cores[c])
 		}
 	}
-	return nil
 }
 
 // Reseed restarts the fabric's randomness from seed at the current cycle
@@ -339,16 +338,12 @@ func (f *Fabric) Reseed(seed uint64) error {
 // it, so forking across load scales never leaks one member's load into
 // the next.
 func (f *Fabric) SetLoadScale(scale float64) error {
-	if scale < 0 || scale != scale || scale > maxFiniteLoadScale {
-		return fmt.Errorf("fabric: load scale %g out of range", scale)
+	if err := checkLoadScale(scale); err != nil {
+		return err
 	}
 	f.cfg.LoadScale = scale
 	return nil
 }
-
-// maxFiniteLoadScale rejects +Inf and absurd scales that would overflow
-// the per-cycle injection probabilities.
-const maxFiniteLoadScale = 1 << 40
 
 // handleDrop is the TX engines' drop callback: the receiver had no free
 // VC, the packet's flits were discarded, and the source must retransmit

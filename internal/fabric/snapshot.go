@@ -22,9 +22,9 @@ import (
 // totals — which is what lets replicated or branching experiments skip
 // re-paying the warm-up (and the FabricBuild) of a shared prefix.
 //
-// The immutable build products (topology, wiring, route tables, wake
-// closures, energy parameters) are not saved: a checkpoint only
-// restores onto the fabric it was taken from.
+// The immutable build products (topology, wiring, route tables, energy
+// parameters) are not saved: a checkpoint only restores onto the fabric
+// it was taken from.
 type Checkpoint struct {
 	now        sim.Cycle
 	msgIDs     packet.MessageID
@@ -61,34 +61,19 @@ type Checkpoint struct {
 	txs       []xbar.TXSnapshot
 	rxs       []xbar.RXSnapshot
 	torus     *torus.NetworkSnapshot
-
-	// packets captures the contents of every packet live at checkpoint
-	// time. Packet structs are pooled and rewritten in place after the
-	// snapshot, but the pool never frees them, so restoring writes each
-	// saved value back through its original pointer — every reference
-	// held by rings, queues, engines, circuits and the retransmission
-	// queue then reads the checkpointed contents again.
-	packets []packetCapture
 }
 
 // coreCheckpoint is the per-core slice of a fabric checkpoint. The
-// source pointer is saved alongside its mutable state because a task
-// remap replaces sources wholesale; restoring re-installs the exact
-// generator (everything but SourceState is immutable post-construction).
+// source is a value, so the copy is the generator exactly as it stood,
+// whichever task remap installed it.
 type coreCheckpoint struct {
-	source      *traffic.Source
-	sourceState traffic.SourceState
-	queue       []*packet.Packet
-	rejects     int64
-	inFlight    *packet.Packet
-	inVC        int
-	inNext      int
-	ejectRR     int
-}
-
-type packetCapture struct {
-	ptr *packet.Packet
-	val packet.Packet
+	source   traffic.Source
+	queue    []*packet.Packet
+	rejects  int64
+	inFlight *packet.Packet
+	inVC     int
+	inNext   int
+	ejectRR  int
 }
 
 // Checkpoint captures the fabric's complete mutable state at the current
@@ -127,14 +112,13 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 	for c := range f.cores {
 		cs := &f.cores[c]
 		cp.cores[c] = coreCheckpoint{
-			source:      cs.source,
-			sourceState: cs.source.State(),
-			queue:       cs.queue.Snapshot(nil),
-			rejects:     cs.rejects,
-			inFlight:    cs.inFlight,
-			inVC:        cs.inVC,
-			inNext:      cs.inNext,
-			ejectRR:     cs.ejectRR,
+			source:   cs.source,
+			queue:    cs.queue.Snapshot(nil),
+			rejects:  cs.rejects,
+			inFlight: cs.inFlight,
+			inVC:     cs.inVC,
+			inNext:   cs.inNext,
+			ejectRR:  cs.ejectRR,
 		}
 	}
 	if f.dba != nil {
@@ -151,31 +135,6 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 	if f.torus != nil {
 		cp.torus = f.torus.Snapshot()
 	}
-
-	// Capture the contents of every live packet. Duplicates (a streaming
-	// packet appears in both its VC ring and its engine) are harmless:
-	// the same value is saved, and written back, twice.
-	var live []*packet.Packet
-	live = f.arena.Packets(live)
-	for c := range f.cores {
-		live = f.cores[c].queue.Snapshot(live)
-		if p := f.cores[c].inFlight; p != nil {
-			live = append(live, p)
-		}
-	}
-	for _, tx := range f.txs {
-		live = tx.Packets(live)
-	}
-	if f.torus != nil {
-		live = f.torus.Packets(live)
-	}
-	for _, r := range f.retx {
-		live = append(live, r.pkt)
-	}
-	cp.packets = make([]packetCapture, len(live))
-	for i, p := range live {
-		cp.packets[i] = packetCapture{ptr: p, val: *p}
-	}
 	return cp
 }
 
@@ -184,11 +143,6 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 // re-runs. Re-stepping after a restore is bit-identical to the original
 // continuation: TestCheckpointRoundTrip compares canonical results.
 func (f *Fabric) Restore(cp *Checkpoint) error {
-	// Packet contents first: everything below holds pointers whose
-	// referents must already read their checkpointed state.
-	for i := range cp.packets {
-		*cp.packets[i].ptr = cp.packets[i].val
-	}
 	if err := f.arena.Restore(cp.arena); err != nil {
 		return err
 	}
@@ -207,7 +161,6 @@ func (f *Fabric) Restore(cp *Checkpoint) error {
 	for c := range f.cores {
 		cs, saved := &f.cores[c], &cp.cores[c]
 		cs.source = saved.source
-		cs.source.SetState(saved.sourceState)
 		cs.queue.Restore(saved.queue)
 		cs.rejects = saved.rejects
 		cs.inFlight = saved.inFlight
@@ -249,13 +202,6 @@ func (f *Fabric) Restore(cp *Checkpoint) error {
 	f.seed = cp.seed
 	f.cfg = cp.cfg
 
-	// genList is derived state: rebuild it from the restored sources the
-	// same way applyAssignment does.
-	f.genList = f.genList[:0]
-	for c := range f.cores {
-		if !f.cores[c].source.Idle() {
-			f.genList = append(f.genList, &f.cores[c])
-		}
-	}
+	f.rebuildGenList()
 	return nil
 }

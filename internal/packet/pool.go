@@ -1,13 +1,28 @@
 package packet
 
-// Pool is a free-list of Packet structs. The simulator generates one
-// packet per transfer and drops the reference as soon as the tail flit is
-// consumed (or the packet is lost), so recycling the structs removes the
-// dominant steady-state allocation of the cycle loop. A nil *Pool is
-// valid and always allocates.
+// poolChunk is the number of packets the pool allocates at a time. It is
+// small enough that a short run over-allocates a few KiB at most and
+// large enough that a saturated one allocates a packet's storage once per
+// 64 packets of peak occupancy.
+const poolChunk = 64
+
+// Pool owns every packet a fabric moves. Packets live in fixed-size
+// chunks that are never moved or released, so a *Packet stays valid (and
+// stays the currency of rings, queues, engines and circuits) for the
+// pool's lifetime, and a checkpoint of the pool — slot contents, free
+// list, counters — is a checkpoint of every packet in flight. The
+// simulator generates one packet per transfer and retires it as soon as
+// the tail flit is consumed (or the packet is lost), so recycling the
+// slots removes the dominant steady-state allocation of the cycle loop.
+// The zero Pool is ready to use.
 //
 // The pool is not safe for concurrent use; each fabric owns its own.
 type Pool struct {
+	chunks []*[poolChunk]Packet
+	// used counts the slots handed out at least once, in chunk order:
+	// slot i is chunks[i/poolChunk][i%poolChunk].
+	used int
+	// free lists the used slots that were returned, last in first out.
 	free []*Packet
 
 	// gets and puts count every packet handed out and returned; their
@@ -18,39 +33,42 @@ type Pool struct {
 	puts int64
 }
 
-// Get returns a zeroed packet, reusing a recycled one when available.
+// Get returns a zeroed packet: the most recently recycled slot when
+// there is one, the next unused slot otherwise.
 //
 //hetpnoc:hotpath
 func (pl *Pool) Get() *Packet {
-	if pl == nil {
-		return newPacket()
-	}
 	pl.gets++
-	if len(pl.free) == 0 {
-		return newPacket()
+	var p *Packet
+	if n := len(pl.free) - 1; n >= 0 {
+		p = pl.free[n]
+		pl.free = pl.free[:n]
+	} else {
+		if pl.used == len(pl.chunks)*poolChunk {
+			pl.grow()
+		}
+		p = &pl.chunks[pl.used/poolChunk][pl.used%poolChunk]
+		pl.used++
 	}
-	n := len(pl.free) - 1
-	p := pl.free[n]
-	pl.free[n] = nil
-	pl.free = pl.free[:n]
 	*p = Packet{}
 	return p
 }
 
-// newPacket is Get's allocation fallback for a nil pool or a drained
-// free list. Splitting it out keeps the heap allocation off Get's fast
-// path: once the pool warms up, every Get recycles.
+// grow adds a chunk. Splitting it out keeps the heap allocation off
+// Get's fast path: once the pool warms up, every Get recycles.
 //
-//hetpnoc:coldcall pool-miss fallback; steady state recycles and never reaches it
+//hetpnoc:coldcall one chunk per 64 packets of peak occupancy; steady state recycles and never reaches it
 //go:noinline
-func newPacket() *Packet { return &Packet{} }
+func (pl *Pool) grow() { pl.chunks = append(pl.chunks, new([poolChunk]Packet)) }
 
-// Put recycles p. The caller must hold the only remaining reference:
-// after the next Get the struct is rewritten in place.
+// Put recycles p, which must be a slot of this pool — a packet made any
+// other way would sit outside the slab a checkpoint copies. The caller
+// must hold the only remaining reference: after the next Get the slot is
+// rewritten in place.
 //
 //hetpnoc:hotpath
 func (pl *Pool) Put(p *Packet) {
-	if pl == nil || p == nil {
+	if p == nil {
 		return
 	}
 	pl.puts++
@@ -60,43 +78,39 @@ func (pl *Pool) Put(p *Packet) {
 // Live returns the number of packets drawn from the pool and not yet
 // returned — exactly the packets somewhere in the fabric: source queues,
 // router buffers, photonic channels, or the retransmission queue.
-func (pl *Pool) Live() int64 {
-	if pl == nil {
-		return 0
-	}
-	return pl.gets - pl.puts
-}
+func (pl *Pool) Live() int64 { return pl.gets - pl.puts }
 
-// PoolSnapshot is a checkpoint of the free list and the conservation
-// counters. The free packets' contents are irrelevant (Get rewrites
-// them), so only the pointers are saved.
+// PoolSnapshot is a checkpoint of the pool: the contents of every used
+// slot, the free list and the conservation counters.
 type PoolSnapshot struct {
-	free []*Packet
-	gets int64
-	puts int64
+	slots []Packet
+	free  []*Packet
+	gets  int64
+	puts  int64
 }
 
 // Snapshot copies the pool's state.
 func (pl *Pool) Snapshot() *PoolSnapshot {
-	if pl == nil {
-		return nil
+	s := &PoolSnapshot{
+		slots: make([]Packet, pl.used),
+		free:  append([]*Packet(nil), pl.free...),
+		gets:  pl.gets,
+		puts:  pl.puts,
 	}
-	return &PoolSnapshot{
-		free: append([]*Packet(nil), pl.free...),
-		gets: pl.gets,
-		puts: pl.puts,
+	for i, c := range pl.chunks {
+		copy(s.slots[min(i*poolChunk, pl.used):], c[:])
 	}
+	return s
 }
 
-// Restore rewinds the pool to a snapshot. Packets handed out after the
-// snapshot was taken return to being free; packets freed since return to
-// being live (their contents are the fabric checkpoint's concern).
+// Restore rewinds the pool to a snapshot taken from it: every slot in
+// use then reads its saved contents through the pointers its holders
+// kept, and slots first used since are unused again — the chunks they
+// sit in stay, so the run that follows re-draws the same slots.
 func (pl *Pool) Restore(s *PoolSnapshot) {
-	if pl == nil || s == nil {
-		return
-	}
-	for i := len(s.free); i < len(pl.free); i++ {
-		pl.free[i] = nil
+	pl.used = len(s.slots)
+	for i, c := range pl.chunks {
+		copy(c[:], s.slots[min(i*poolChunk, pl.used):])
 	}
 	pl.free = append(pl.free[:0], s.free...)
 	pl.gets = s.gets

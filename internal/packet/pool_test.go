@@ -17,14 +17,6 @@ func TestPoolRecycles(t *testing.T) {
 	}
 }
 
-func TestPoolNilSafe(t *testing.T) {
-	var pl *Pool
-	if p := pl.Get(); p == nil {
-		t.Fatal("nil pool Get returned nil")
-	}
-	pl.Put(&Packet{}) // must not panic
-}
-
 func TestQueueFIFO(t *testing.T) {
 	var q Queue
 	if q.Len() != 0 || q.Head() != nil || q.Pop() != nil {
@@ -59,41 +51,61 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-// TestPoolSnapshotRestore: a restore rewinds the free list and the
-// conservation counters, so the Gets that follow hand out the same
-// packets as the run the snapshot was taken from; restoring twice proves
-// the snapshot does not alias the pool's own free list.
+// TestPoolSnapshotRestore: a restore rewinds the contents of every slot
+// in use, the free list and the conservation counters, and un-uses the
+// slots first drawn after the snapshot, so the Gets that follow hand out
+// the same slots as the run the snapshot was taken from. Restoring twice
+// proves the snapshot does not alias the pool's own storage.
 func TestPoolSnapshotRestore(t *testing.T) {
 	var pl Pool
-	pkts := make([]*Packet, 100)
+	pkts := make([]*Packet, poolChunk+poolChunk/2) // ends mid-chunk
 	for i := range pkts {
 		pkts[i] = pl.Get()
 		pkts[i].ID = ID(i + 1)
 	}
-	freed := 0
 	for i := 0; i < len(pkts); i += 3 {
 		pl.Put(pkts[i])
-		freed++
 	}
 	snap := pl.Snapshot()
 	live := pl.Live()
+	saved := make([]Packet, len(pkts))
+	for i, p := range pkts {
+		saved[i] = *p
+	}
 
-	// The straight run: drain the free list, then free other packets.
-	straight := make([]*Packet, freed)
+	// The straight run: drain the free list, run through the rest of the
+	// open chunk and well into a chunk the snapshot never saw.
+	straight := make([]*Packet, 2*poolChunk)
 	for i := range straight {
 		straight[i] = pl.Get()
 	}
+	if len(pl.chunks) != 3 {
+		t.Fatalf("straight run ended with %d chunks, want 3", len(pl.chunks))
+	}
 	for round := 0; round < 2; round++ {
-		for i := 1; i < len(pkts); i += 3 {
-			pl.Put(pkts[i])
+		for i, p := range pkts {
+			p.ID = -1
+			p.Flits = round
+			if i%3 == 1 {
+				pl.Put(p)
+			}
 		}
 		pl.Restore(snap)
 		if got := pl.Live(); got != live {
 			t.Fatalf("round %d: Live() = %d after restore, want %d", round, got, live)
 		}
+		for i, p := range pkts {
+			if *p != saved[i] {
+				t.Fatalf("round %d: slot %d reads %+v after restore, want %+v", round, i, *p, saved[i])
+			}
+		}
 		for i, want := range straight {
-			if got := pl.Get(); got != want {
-				t.Fatalf("round %d: Get %d returned a different packet than the straight run", round, i)
+			got := pl.Get()
+			if got != want {
+				t.Fatalf("round %d: Get %d returned a different slot than the straight run", round, i)
+			}
+			if *got != (Packet{}) {
+				t.Fatalf("round %d: Get %d returned a slot that is not zeroed: %+v", round, i, *got)
 			}
 		}
 	}

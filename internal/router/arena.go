@@ -35,6 +35,13 @@ type vcHot struct {
 	flags   uint8     // vcRouted | vcHeadHdr
 }
 
+// wakeBit is the bit a port sets when it goes from empty to non-empty;
+// the zero wakeBit wakes nothing.
+type wakeBit struct {
+	set *sim.Bitset
+	bit int32
+}
+
 // Arena is the struct-of-arrays backing store for every Port in a
 // fabric: all per-port and per-VC state lives in flat contiguous slices
 // indexed by port id and by global VC index (vcBase[port]+vc). Port is a
@@ -55,9 +62,9 @@ type Arena struct {
 	vcCnt    []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
 	depth    []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
 	buffered []int32
-	occMask  []uint64 // bit v set: VC v holds at least one flit
-	freeMask []uint64 // bit v set: VC v is unowned and empty (allocatable)
-	wake     []func() //hetpnoc:nosnap wake callbacks, wired once by SetWake at build
+	occMask  []uint64  // bit v set: VC v holds at least one flit
+	freeMask []uint64  // bit v set: VC v is unowned and empty (allocatable)
+	wake     []wakeBit //hetpnoc:nosnap wake targets, wired once by WakeIn at build
 	// consumer/consBase identify the router arbitrating each port (nil
 	// for engine-drained ports) and the port's flat candidate base in
 	// that router, so ownership transitions can maintain the router's
@@ -109,7 +116,7 @@ func (a *Arena) NewPort(vcCount, depth int) (*Port, error) {
 	a.buffered = append(a.buffered, 0)
 	a.occMask = append(a.occMask, 0)
 	a.freeMask = append(a.freeMask, ^uint64(0)>>(64-uint(vcCount)))
-	a.wake = append(a.wake, nil)
+	a.wake = append(a.wake, wakeBit{})
 	a.consumer = append(a.consumer, nil)
 	a.consBase = append(a.consBase, 0)
 	a.watchers = append(a.watchers, nil)
@@ -134,7 +141,7 @@ func (a *Arena) Reserve(ports, vcs int) {
 		a.buffered = append(make([]int32, 0, ports), a.buffered...)
 		a.occMask = append(make([]uint64, 0, ports), a.occMask...)
 		a.freeMask = append(make([]uint64, 0, ports), a.freeMask...)
-		a.wake = append(make([]func(), 0, ports), a.wake...)
+		a.wake = append(make([]wakeBit, 0, ports), a.wake...)
 		a.consumer = append(make([]*Router, 0, ports), a.consumer...)
 		a.consBase = append(make([]int32, 0, ports), a.consBase...)
 		a.watchers = append(make([][]*Router, 0, ports), a.watchers...)
@@ -285,21 +292,4 @@ func (a *Arena) Restore(s *ArenaSnapshot) error {
 		r.rebuildLive()
 	}
 	return nil
-}
-
-// Packets appends to dst every distinct packet referenced by buffered
-// flits, in deterministic (port, VC, ring) order. The fabric snapshot
-// uses it to enumerate in-flight packets whose contents must be saved.
-func (a *Arena) Packets(dst []*packet.Packet) []*packet.Packet {
-	for g := range a.bufs {
-		if a.hot[g].count == 0 {
-			continue
-		}
-		// All flits in a VC belong to the owning packet, so the head
-		// entry is enough.
-		if p := a.bufs[g][a.head[g]].pkt; p != nil {
-			dst = append(dst, p)
-		}
-	}
-	return dst
 }

@@ -72,10 +72,10 @@ func NewPort(vcCount, depth int, ledger *photonic.Ledger, occupancy *int64) (*Po
 	return a.NewPort(vcCount, depth)
 }
 
-// SetWake installs fn to run on every empty-to-non-empty transition of the
-// port. The fabric wires it to its activity tracking so components with
+// WakeIn makes every empty-to-non-empty transition of the port set bit in
+// set. The fabric points it at its activity tracking so components with
 // freshly arrived work re-enter the per-cycle schedule.
-func (p *Port) SetWake(fn func()) { p.a.wake[p.id] = fn }
+func (p *Port) WakeIn(set *sim.Bitset, bit int) { p.a.wake[p.id] = wakeBit{set: set, bit: int32(bit)} }
 
 // VCCount returns the number of virtual channels.
 func (p *Port) VCCount() int {
@@ -197,8 +197,8 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	*a.occupancy++
 	a.buffered[p.id]++
 	if a.buffered[p.id] == 1 {
-		if wake := a.wake[p.id]; wake != nil {
-			wake()
+		if w := a.wake[p.id]; w.set != nil {
+			w.set.Set(int(w.bit))
 		}
 	}
 	a.ledger.AddBufferAccess(float64(f.Bits()))

@@ -134,3 +134,26 @@ func TestSweepExpandInvalidPoint(t *testing.T) {
 		t.Fatal("sweep with an invalid bandwidth set accepted")
 	}
 }
+
+// TestAbsurdLoadScaleRefusedEverywhere: a load scale past the fabric's
+// bound is a configuration error on every path a config can take — a
+// batch forks through Fabric.SetLoadScale, which always refused it, so a
+// solo run that simulated it broke "every batch member is byte-identical
+// to a solo run".
+func TestAbsurdLoadScaleRefusedEverywhere(t *testing.T) {
+	cfg := hetpnoc.Config{LoadScale: 1e13, Cycles: 200, WarmupCycles: 20}
+	const want = "load scale 1e+13 out of range"
+	_, runErr := hetpnoc.Run(cfg)
+	_, batchErr := hetpnoc.RunBatch([]hetpnoc.Config{cfg})
+	_, decodeErr := DecodeRunRequest([]byte(`{"loadScale":1e13,"cycles":200,"warmupCycles":20}`))
+	for path, err := range map[string]error{
+		"Validate":         cfg.Validate(),
+		"Run":              runErr,
+		"RunBatch":         batchErr,
+		"DecodeRunRequest": decodeErr,
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one mentioning %q", path, err, want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package torus
 import (
 	"fmt"
 
-	"hetpnoc/internal/packet"
 	"hetpnoc/internal/sim"
 )
 
@@ -57,15 +56,4 @@ func (n *Network) Restore(s *NetworkSnapshot) error {
 		}
 	}
 	return nil
-}
-
-// Packets appends the packets held by active circuits to dst, for the
-// fabric checkpoint's packet capture.
-func (n *Network) Packets(dst []*packet.Packet) []*packet.Packet {
-	for src := range n.active {
-		if p := n.active[src].pkt; p != nil {
-			dst = append(dst, p)
-		}
-	}
-	return dst
 }

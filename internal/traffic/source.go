@@ -13,12 +13,16 @@ import (
 // and emits a packet whenever a full packet's worth has accrued, sampling
 // the destination from the profile. Generation is deterministic given the
 // RNG stream.
+//
+// A Source is a plain value that owns its RNG stream: everything it
+// mutates (credit, burst phase, RNG) is held by value and everything it
+// points at is shared with its owner, so assigning one Source to another
+// is a complete checkpoint or restore of it.
 type Source struct {
 	core    topology.CoreID
 	profile CoreProfile
 	format  packet.Format
-	clock   sim.Clock
-	rng     *sim.RNG
+	rng     sim.RNG
 
 	bitsPerCycle float64
 	credit       float64
@@ -33,39 +37,40 @@ type Source struct {
 	pOnToOff  float64
 	pOffToOn  float64
 
-	nextMessage *packet.MessageID //hetpnoc:nosnap run-wide ID counter owned and checkpointed by the fabric
-	nextPacket  *packet.ID        //hetpnoc:nosnap run-wide ID counter owned and checkpointed by the fabric
-
-	// pool, when set, recycles packet structs (nil allocates fresh).
-	pool *packet.Pool //hetpnoc:nosnap owned and checkpointed by the fabric; SetPool re-wires it
+	// The run-wide ID counters and the packet pool belong to the owner,
+	// which checkpoints them itself.
+	nextMessage *packet.MessageID
+	nextPacket  *packet.ID
+	pool        *packet.Pool
 }
 
-// NewSource builds a source for core with the given profile and framing.
-// messageIDs and packetIDs are shared run-wide counters so every packet in
-// a run gets a unique identity.
+// NewSource builds a source for core with the given profile and framing,
+// drawing its randomness from rng and its packets from pool. messageIDs
+// and packetIDs are shared run-wide counters so every packet in a run
+// gets a unique identity.
 func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, clock sim.Clock,
-	loadScale float64, rng *sim.RNG, messageIDs *packet.MessageID, packetIDs *packet.ID) (*Source, error) {
+	loadScale float64, rng sim.RNG, pool *packet.Pool, messageIDs *packet.MessageID, packetIDs *packet.ID) (Source, error) {
 	if err := format.Validate(); err != nil {
-		return nil, err
+		return Source{}, err
 	}
 	if loadScale < 0 {
-		return nil, fmt.Errorf("traffic: load scale must be non-negative, got %g", loadScale)
+		return Source{}, fmt.Errorf("traffic: load scale must be non-negative, got %g", loadScale)
 	}
 	if profile.RateGbps > 0 && profile.PickDest == nil {
-		return nil, fmt.Errorf("traffic: core %d has a rate but no destination sampler", core)
+		return Source{}, fmt.Errorf("traffic: core %d has a rate but no destination sampler", core)
 	}
 	if profile.Burstiness < 0 || profile.BurstCycles < 0 {
-		return nil, fmt.Errorf("traffic: core %d has negative burst parameters", core)
+		return Source{}, fmt.Errorf("traffic: core %d has negative burst parameters", core)
 	}
-	s := &Source{
+	s := Source{
 		core:         core,
 		profile:      profile,
 		format:       format,
-		clock:        clock,
 		rng:          rng,
 		bitsPerCycle: clock.GbpsToBitsPerCycle(profile.RateGbps * loadScale),
 		nextMessage:  messageIDs,
 		nextPacket:   packetIDs,
+		pool:         pool,
 	}
 	if profile.Burstiness > 1 && s.bitsPerCycle > 0 {
 		burstCycles := profile.BurstCycles
@@ -79,7 +84,7 @@ func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, 
 		s.burstRate = s.bitsPerCycle * profile.Burstiness
 		s.pOnToOff = 1 / float64(burstCycles)
 		s.pOffToOn = duty / ((1 - duty) * float64(burstCycles))
-		s.on = rng.Bernoulli(duty)
+		s.on = s.rng.Bernoulli(duty)
 	}
 	return s, nil
 }
@@ -92,11 +97,6 @@ func (s *Source) OfferedBitsPerCycle() float64 { return s.bitsPerCycle }
 // bursty state only exists for positive rates), so the fabric may skip
 // it without perturbing determinism.
 func (s *Source) Idle() bool { return s.bitsPerCycle == 0 }
-
-// SetPool installs a packet free-list; generated packets are drawn from
-// it instead of the heap. The owner must only recycle packets it has
-// fully retired.
-func (s *Source) SetPool(pool *packet.Pool) { s.pool = pool }
 
 // Tick advances one cycle and returns a newly generated packet, or nil.
 // At most one packet is generated per cycle; surplus credit carries over,
@@ -121,7 +121,7 @@ func (s *Source) Tick(now sim.Cycle, topo topology.Topology) *packet.Packet {
 	}
 	s.credit -= bits
 
-	dst := s.profile.PickDest(s.rng)
+	dst := s.profile.PickDest(&s.rng)
 	*s.nextMessage++
 	*s.nextPacket++
 	p := s.pool.Get()
@@ -141,31 +141,10 @@ func (s *Source) Tick(now sim.Cycle, topo topology.Topology) *packet.Packet {
 	return p
 }
 
-// SourceState is the source's full mutable state: everything else is
-// fixed at construction, so checkpointing a source is these three values.
-type SourceState struct {
-	Credit float64
-	On     bool
-	RNG    uint64
-}
-
-// State captures the source's mutable state for checkpointing.
-func (s *Source) State() SourceState {
-	return SourceState{Credit: s.credit, On: s.on, RNG: s.rng.State()}
-}
-
-// SetState rewinds the source to a state captured by State.
-func (s *Source) SetState(st SourceState) {
-	s.credit = st.Credit
-	s.on = st.On
-	s.rng.SetState(st.RNG)
-}
-
 // RetransmitFrom builds a fresh attempt of a dropped packet, preserving
 // its logical message identity and birth cycle (§1.4: "the source will
-// have to retransmit"). The new attempt is drawn from pool (which may be
-// nil). The original p is still intact afterwards; the caller decides
-// when to recycle it.
+// have to retransmit"). The new attempt is drawn from pool. The original
+// p is still intact afterwards; the caller decides when to recycle it.
 func RetransmitFrom(pool *packet.Pool, p *packet.Packet, now sim.Cycle, packetIDs *packet.ID) *packet.Packet {
 	*packetIDs++
 	retry := pool.Get()

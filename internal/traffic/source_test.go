@@ -22,11 +22,11 @@ func newTestSource(t *testing.T, rateGbps, loadScale float64) (*Source, *packet.
 			return topo.CoreAt(5, rng.Intn(4))
 		},
 	}
-	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), loadScale, sim.NewRNG(1), &msgs, &pkts)
+	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), loadScale, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return src, &msgs, &pkts
+	return &src, &msgs, &pkts
 }
 
 // TestSourceRateAccuracy: over a long window the generated bit rate
@@ -69,7 +69,7 @@ func TestSourceZeroRateGeneratesNothing(t *testing.T) {
 	topo := topology.Default()
 	var msgs packet.MessageID
 	var pkts packet.ID
-	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, sim.DefaultClock(), 1.0, sim.NewRNG(1), &msgs, &pkts)
+	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRetransmitPreservesMessage(t *testing.T) {
 	for i := 0; orig == nil; i++ {
 		orig = src.Tick(sim.Cycle(i), topo)
 	}
-	retry := RetransmitFrom(nil, orig, 500, pkts)
+	retry := RetransmitFrom(&packet.Pool{}, orig, 500, pkts)
 	if retry.Message != orig.Message {
 		t.Fatal("retransmission changed the message identity")
 	}
@@ -137,17 +137,17 @@ func TestNewSourceValidation(t *testing.T) {
 	var pkts packet.ID
 	clock := sim.DefaultClock()
 	// A rate without a destination sampler is a configuration bug.
-	_, err := NewSource(0, CoreProfile{RateGbps: 10}, BWSet1.Format, clock, 1.0, sim.NewRNG(1), &msgs, &pkts)
+	_, err := NewSource(0, CoreProfile{RateGbps: 10}, BWSet1.Format, clock, 1.0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("source with rate but no sampler accepted")
 	}
 	// Negative load scale.
-	_, err = NewSource(0, CoreProfile{}, BWSet1.Format, clock, -1, sim.NewRNG(1), &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{}, BWSet1.Format, clock, -1, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("negative load scale accepted")
 	}
 	// Bad format.
-	_, err = NewSource(0, CoreProfile{}, packet.Format{}, clock, 1, sim.NewRNG(1), &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{}, packet.Format{}, clock, 1, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("zero format accepted")
 	}
@@ -167,7 +167,7 @@ func TestBurstySourcePreservesAverageRate(t *testing.T) {
 			return topo.CoreAt(5, rng.Intn(4))
 		},
 	}
-	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, sim.NewRNG(3), &msgs, &pkts)
+	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(3), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 				return topo.CoreAt(5, rng.Intn(4))
 			},
 		}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, sim.NewRNG(7), &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(7), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,16 +239,17 @@ func TestBurstyValidation(t *testing.T) {
 	var pkts packet.ID
 	profile := CoreProfile{RateGbps: 10, Burstiness: -1,
 		PickDest: func(*sim.RNG) topology.CoreID { return 10 }}
-	if _, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, sim.NewRNG(1), &msgs, &pkts); err == nil {
+	if _, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts); err == nil {
 		t.Fatal("negative burstiness accepted")
 	}
 }
 
-// TestSourceCheckpointReplays: a source rewound to a mid-run checkpoint
-// (with the run-wide ID counters it draws from) generates the same
+// TestSourceCopyIsCheckpoint: a copy of a source taken mid-run is its
+// whole checkpoint. Assigned back (with the run-wide ID counters the
+// source draws from rewound beside it), the source generates the same
 // packets on the same cycles again, for a constant-rate and for a bursty
-// source, and a second rewind to the same checkpoint does so too.
-func TestSourceCheckpointReplays(t *testing.T) {
+// source, and a second assignment of the same copy does so too.
+func TestSourceCopyIsCheckpoint(t *testing.T) {
 	topo := topology.Default()
 	type emission struct {
 		cycle sim.Cycle
@@ -266,7 +267,7 @@ func TestSourceCheckpointReplays(t *testing.T) {
 				return topo.CoreAt(5, rng.Intn(4))
 			},
 		}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, sim.NewRNG(11), &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(11), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,13 +284,13 @@ func TestSourceCheckpointReplays(t *testing.T) {
 		for now := sim.Cycle(0); now < start; now++ {
 			src.Tick(now, topo)
 		}
-		saved, savedMsgs, savedPkts := src.State(), msgs, pkts
+		saved, savedMsgs, savedPkts := src, msgs, pkts
 		want := record()
 		if len(want) < 100 {
 			t.Fatalf("burstiness %g: only %d packets in the window", burstiness, len(want))
 		}
 		for round := 0; round < 2; round++ {
-			src.SetState(saved)
+			src = saved
 			msgs, pkts = savedMsgs, savedPkts
 			if got := record(); !slices.Equal(got, want) {
 				t.Fatalf("burstiness %g, replay %d diverged from the straight run", burstiness, round)

@@ -1,7 +1,5 @@
 package xbar
 
-import "hetpnoc/internal/packet"
-
 // RXSnapshot is a checkpoint of a receive engine. The engine owns no
 // pointers — only its build-time wiring and two counters — so a struct
 // copy is the whole checkpoint.
@@ -19,8 +17,8 @@ func (rx *RX) Restore(s RXSnapshot) { *rx = s.state }
 // and the in-flight reservation with their receive windows, and the
 // counters. Everything the engine points at is shared, never owned: the
 // build-time wiring, wavelength lists (allocation ID caches are replaced,
-// never mutated in place) and packets (restored by content through the
-// fabric checkpoint's packet capture). A struct copy is therefore the
+// never mutated in place) and packets (slots of the fabric's pool, whose
+// snapshot restores their contents). A struct copy is therefore the
 // whole checkpoint.
 type TXSnapshot struct {
 	state TX
@@ -32,16 +30,3 @@ func (tx *TX) Snapshot() TXSnapshot { return TXSnapshot{state: *tx} }
 // Restore rewinds the engine to a snapshot, leaving the snapshot intact
 // for repeated restores.
 func (tx *TX) Restore(s TXSnapshot) { *tx = s.state }
-
-// Packets appends the packets the engine holds references to (the
-// streaming transfer and the reserved next packet) to dst, for the
-// fabric checkpoint's packet capture.
-func (tx *TX) Packets(dst []*packet.Packet) []*packet.Packet {
-	if tx.current != nil {
-		dst = append(dst, tx.current)
-	}
-	if tx.next.pkt != nil {
-		dst = append(dst, tx.next.pkt)
-	}
-	return dst
-}
