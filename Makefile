@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPlan$$' -fuzztime $(FUZZTIME) ./internal/batch
 	$(GO) test -run '^$$' -fuzz '^FuzzRouterReferenceEquivalence$$' -fuzztime $(FUZZTIME) ./internal/router
+	$(GO) test -run '^$$' -fuzz '^FuzzCreditAdvance$$' -fuzztime $(FUZZTIME) ./internal/traffic
 
 # bench/ is its own module (hetpnoc/bench, replace hetpnoc => ../) and
 # compiles against internal/fabric, internal/batch and internal/serve by
@@ -91,6 +92,7 @@ bench-check:
 # The kernel microbenchmarks are only ever run by hand; a fixed, tiny
 # iteration count on every push keeps them compiling and running (their
 # set-up code included) without pretending to measure anything.
+# FabricStep also matches FabricStepContext and FabricStepIdle.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed' -benchtime 200x ./internal/router ./internal/fabric
 

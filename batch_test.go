@@ -12,7 +12,11 @@ import (
 // oracle: every architecture crossed with every bandwidth set, each
 // point fanned out over seeds and load scales so batching has prefixes
 // to deduplicate, with the event log enabled so the comparison covers
-// the protocol event stream and not just the aggregate counters.
+// the protocol event stream and not just the aggregate counters. The last
+// group alternates 5 % and 200 % load on one fabric: at 5 % the sources
+// emit once in 1,024 cycles and the run is mostly jumps, so each fork's
+// Restore → SetLoadScale → Reseed has to restart every source's
+// look-ahead from the fork cycle, in both directions.
 func equivalenceConfigs() []Config {
 	var cfgs []Config
 	for _, arch := range []Architecture{DHetPNoC, Firefly, TorusPNoC} {
@@ -31,6 +35,20 @@ func equivalenceConfigs() []Config {
 					})
 				}
 			}
+		}
+	}
+	for _, seed := range []uint64{1, 7} {
+		for _, load := range []float64{0.05, 2.0} {
+			cfgs = append(cfgs, Config{
+				Architecture:  DHetPNoC,
+				BandwidthSet:  3,
+				Traffic:       Traffic{Kind: UniformRandom},
+				LoadScale:     load,
+				Cycles:        3000,
+				WarmupCycles:  150,
+				Seed:          seed,
+				EventCapacity: 256,
+			})
 		}
 	}
 	return cfgs

@@ -48,16 +48,17 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 		fc = fc.WithDefaults()
 
-		// Reference: the uninterrupted run.
+		// Reference: the uninterrupted run, one Step at a time.
 		ref := buildFabric(t, fc)
 		stepN(t, ref, fc.Cycles)
 		refJSON, refEvents := finishCanonical(t, ref)
 
-		// Checkpointed run: taking the checkpoint must not perturb it.
+		// Checkpointed run, through StepContext and its jumps: taking the
+		// checkpoint must not perturb it.
 		g := buildFabric(t, fc)
-		stepN(t, g, snap)
+		runN(t, g, snap)
 		cp := g.Checkpoint()
-		stepN(t, g, fc.Cycles-snap)
+		runN(t, g, fc.Cycles-snap)
 		gotJSON, gotEvents := finishCanonical(t, g)
 		if !bytes.Equal(refJSON, gotJSON) {
 			t.Fatalf("checkpoint at cycle %d perturbed the run:\nref: %s\ngot: %s", snap, refJSON, gotJSON)
@@ -70,7 +71,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		if err := g.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
-		stepN(t, g, fc.Cycles-snap)
+		runN(t, g, fc.Cycles-snap)
 		redoJSON, redoEvents := finishCanonical(t, g)
 		if !bytes.Equal(refJSON, redoJSON) {
 			t.Fatalf("restored run diverged (checkpoint at %d):\nref: %s\ngot: %s", snap, refJSON, redoJSON)

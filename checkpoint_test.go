@@ -2,6 +2,7 @@ package hetpnoc
 
 import (
 	"bytes"
+	"context"
 	"slices"
 	"testing"
 
@@ -12,7 +13,10 @@ import (
 
 // checkpointCase drives one configuration three ways — uninterrupted,
 // checkpointed-but-uninterrupted, and restored-and-re-stepped — and
-// requires all three to produce byte-identical canonical results.
+// requires all three to produce byte-identical canonical results. The
+// uninterrupted run is stepped one Step at a time, the reference; the
+// other two go through StepContext as production runs do, so the equality
+// also holds the cycles StepContext jumps over to the reference.
 type checkpointCase struct {
 	name   string
 	cfg    Config
@@ -34,6 +38,31 @@ type checkpointCase struct {
 	// covers the retransmission queue, the remap cursor and a cycle on
 	// which both fire.
 	wantRetx bool
+	// wantIdle requires the checkpoint to land strictly inside a span of
+	// cycles StepContext jumps over, instead of across a transfer: what
+	// crosses it is every source's pending emission and the token.
+	wantIdle bool
+}
+
+// lightLoadCase is the run-lightload operating point of BENCHMARK.json:
+// all 64 sources emit in step every 1,024 cycles (first at 1023) and the
+// chip drains within a hundred, so cycle 2600 is mid-span; the remap at
+// 2800 falls due inside the same span.
+var lightLoadCase = checkpointCase{
+	name: "dhetpnoc-lightload",
+	cfg: Config{
+		Architecture:  DHetPNoC,
+		BandwidthSet:  3,
+		Traffic:       UniformTraffic(),
+		LoadScale:     0.05,
+		Cycles:        6000,
+		WarmupCycles:  1000,
+		Seed:          5,
+		EventCapacity: 1 << 12,
+	},
+	snapAt:   2600,
+	remapAt:  2800,
+	wantIdle: true,
 }
 
 // dropStormCase is the drop-heavy operating point of fabric's
@@ -113,6 +142,25 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			snapAt: 1300,
 		},
 		dropStormCase,
+		lightLoadCase,
+		{
+			// Light load, checkpoint inside the warm-up window and inside
+			// the span before anything has been emitted (the first
+			// packets leave at 8191): the jump must stop for the start of
+			// measurement again after the restore.
+			name: "firefly-lightload-prewarmup",
+			cfg: Config{
+				Architecture: Firefly,
+				BandwidthSet: 1,
+				Traffic:      UniformTraffic(),
+				LoadScale:    0.05,
+				Cycles:       9000,
+				WarmupCycles: 1000,
+				Seed:         3,
+			},
+			snapAt:   600,
+			wantIdle: true,
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -146,7 +194,13 @@ func (tc checkpointCase) lowered(t *testing.T) fabric.Config {
 func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	t.Helper()
 	fc := tc.lowered(t)
-	requireTransfersAcross(t, fc, sim.Cycle(tc.snapAt))
+	if tc.wantIdle {
+		if !idleAcross(t, fc, tc.snapAt) {
+			t.Fatalf("cycle %d is not strictly inside a span StepContext jumps over; the case no longer checkpoints one", tc.snapAt)
+		}
+	} else {
+		requireTransfersAcross(t, fc, sim.Cycle(tc.snapAt))
+	}
 
 	// Reference: an uninterrupted run.
 	ref := buildFabric(t, fc)
@@ -164,7 +218,7 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	// Same run with a checkpoint taken mid-way: taking it must not
 	// perturb anything.
 	f := buildFabric(t, fc)
-	stepN(t, f, tc.snapAt)
+	runN(t, f, tc.snapAt)
 	cp := f.Checkpoint()
 	blocked := f.BlockedHeaders()
 	if tc.wantBlocked && blocked == 0 {
@@ -174,7 +228,7 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	if tc.wantRetx && pending == 0 {
 		t.Fatalf("no retransmission is pending at cycle %d; the case no longer exercises the retransmission queue", tc.snapAt)
 	}
-	stepN(t, f, fc.Cycles-tc.snapAt)
+	runN(t, f, fc.Cycles-tc.snapAt)
 	gotJSON, gotEvents := finishCanonical(t, f)
 	if !bytes.Equal(refJSON, gotJSON) {
 		t.Fatalf("taking a checkpoint perturbed the run:\nref: %s\ngot: %s", refJSON, gotJSON)
@@ -197,7 +251,7 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	if got := f.PendingRetransmits(); got != pending {
 		t.Fatalf("restored fabric has %d pending retransmissions, checkpoint was taken with %d", got, pending)
 	}
-	stepN(t, f, fc.Cycles-tc.snapAt)
+	runN(t, f, fc.Cycles-tc.snapAt)
 	redoJSON, redoEvents := finishCanonical(t, f)
 	if !bytes.Equal(refJSON, redoJSON) {
 		t.Fatalf("restored run diverged from uninterrupted run:\nref: %s\ngot: %s", refJSON, redoJSON)
@@ -211,46 +265,68 @@ func checkpointRoundTrip(t *testing.T, tc checkpointCase) {
 	if err := f.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
-	stepN(t, f, fc.Cycles-tc.snapAt)
+	runN(t, f, fc.Cycles-tc.snapAt)
 	againJSON, _ := finishCanonical(t, f)
 	if !bytes.Equal(refJSON, againJSON) {
 		t.Fatal("second restore from the same checkpoint diverged")
 	}
 }
 
-// TestCheckpointRestoreChain runs the drop-storm case in 500-cycle legs,
-// each stepped once as a throwaway that dirties every piece of state,
-// rewound, and stepped again for real: the chain of restores must end
-// byte-identical to one straight run.
+// TestCheckpointRestoreChain runs a case in 500-cycle legs, each stepped
+// once as a throwaway that dirties every piece of state, rewound, and
+// stepped again for real: the chain of restores must end byte-identical
+// to one straight run, stepped one Step at a time. The drop-storm case
+// keeps retransmissions pending across checkpoints; in the light-load
+// case the checkpoints cut the spans StepContext jumps over.
 func TestCheckpointRestoreChain(t *testing.T) {
-	fc := dropStormCase.lowered(t)
-
-	ref := buildFabric(t, fc)
-	stepN(t, ref, fc.Cycles)
-	refJSON, refEvents := finishCanonical(t, ref)
-
 	const leg = 500
+	for _, tc := range []checkpointCase{dropStormCase, lightLoadCase} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := tc.lowered(t)
+
+			ref := buildFabric(t, fc)
+			stepN(t, ref, fc.Cycles)
+			refJSON, refEvents := finishCanonical(t, ref)
+
+			f := buildFabric(t, fc)
+			sawPending := false
+			for done := 0; done < fc.Cycles; done += leg {
+				cp := f.Checkpoint()
+				sawPending = sawPending || f.PendingRetransmits() > 0
+				runN(t, f, leg)
+				if err := f.Restore(cp); err != nil {
+					t.Fatal(err)
+				}
+				runN(t, f, leg)
+			}
+			if tc.wantRetx && !sawPending {
+				t.Fatal("no checkpoint of the chain held a pending retransmission")
+			}
+			if tc.wantIdle && !(idleAcross(t, fc, leg) && idleAcross(t, fc, 5*leg)) {
+				t.Fatal("the checkpoints at cycles 500 and 2500 are not both strictly inside a span StepContext jumps over")
+			}
+			gotJSON, gotEvents := finishCanonical(t, f)
+			if !bytes.Equal(refJSON, gotJSON) {
+				t.Fatalf("restore chain diverged from the straight run:\nref: %s\ngot: %s", refJSON, gotJSON)
+			}
+			if refEvents != gotEvents {
+				t.Fatal("restore chain's event log diverged from the straight run's")
+			}
+		})
+	}
+}
+
+// idleAcross reports whether cycle at of fc's run lies strictly inside a
+// span StepContext jumps over: stepped on their own, the cycle before it
+// and the cycle itself are both skipped.
+func idleAcross(t *testing.T, fc fabric.Config, at int) bool {
+	t.Helper()
 	f := buildFabric(t, fc)
-	sawPending := false
-	for done := 0; done < fc.Cycles; done += leg {
-		cp := f.Checkpoint()
-		sawPending = sawPending || f.PendingRetransmits() > 0
-		stepN(t, f, leg)
-		if err := f.Restore(cp); err != nil {
-			t.Fatal(err)
-		}
-		stepN(t, f, leg)
-	}
-	if !sawPending {
-		t.Fatal("no checkpoint of the chain held a pending retransmission")
-	}
-	gotJSON, gotEvents := finishCanonical(t, f)
-	if !bytes.Equal(refJSON, gotJSON) {
-		t.Fatalf("restore chain diverged from the straight run:\nref: %s\ngot: %s", refJSON, gotJSON)
-	}
-	if refEvents != gotEvents {
-		t.Fatal("restore chain's event log diverged from the straight run's")
-	}
+	runN(t, f, at-1)
+	before := f.SkippedCycles()
+	runN(t, f, 1)
+	runN(t, f, 1)
+	return f.SkippedCycles() == before+2
 }
 
 // requireTransfersAcross runs fc once with an event log that evicts
@@ -306,12 +382,22 @@ func buildFabric(t *testing.T, fc fabric.Config) *fabric.Fabric {
 	return f
 }
 
+// stepN advances f by cycles calls of Step, the reference.
 func stepN(t *testing.T, f *fabric.Fabric, cycles int) {
 	t.Helper()
 	for i := 0; i < cycles; i++ {
 		if err := f.Step(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// runN advances f by cycles the way production runs do, through
+// StepContext, which jumps over the cycles in which nothing can happen.
+func runN(t *testing.T, f *fabric.Fabric, cycles int) {
+	t.Helper()
+	if err := f.StepContext(context.Background(), cycles); err != nil {
+		t.Fatal(err)
 	}
 }
 

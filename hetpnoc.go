@@ -209,9 +209,10 @@ func Run(cfg Config) (Result, error) {
 
 // RunContext is Run honoring cancellation: the cycle loop polls ctx
 // every fabric.CancelCheckInterval cycles and aborts with ctx.Err() when
-// it fires, so a canceled simulation releases its worker within tens of
-// microseconds. The simulation itself is unaffected by the polling — a
-// run that completes is bit-identical to Run's.
+// it fires, so a canceled simulation releases its worker within ≤ 1,024
+// simulated cycles — ≈ 6 ms saturated, well under 1 ms at light load.
+// The simulation itself is unaffected by the polling — a run that
+// completes is bit-identical to Run's.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	return simulate(ctx, cfg, nil, 0, nil)
 }

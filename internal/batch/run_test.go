@@ -57,7 +57,10 @@ func eventsEqual(a, b []event.Event) bool {
 // including a remap scheduled AFTER the fork point, so the remap timer
 // re-arms correctly on every restore and draws the member's own RNG
 // stream — and requires byte-identical results and event logs against
-// per-config solo runs.
+// per-config solo runs. The second group forks between 5 % load, where
+// the sources rest for a thousand cycles and the run is mostly jumps, and
+// 200 %, where they never do: Reseed must restart every source's
+// look-ahead, and the fabric's, from the fork cycle.
 func TestPristineForkMatchesSolo(t *testing.T) {
 	remapped := func(seed uint64, load float64) fabric.Config {
 		s := spec(seed, load)
@@ -65,24 +68,36 @@ func TestPristineForkMatchesSolo(t *testing.T) {
 		s.Remaps = []fabric.Remap{{At: 300, Pattern: traffic.Skewed{Level: 2}}}
 		return s
 	}
-	specs := []fabric.Config{
-		remapped(1, 1), remapped(5, 1), remapped(1, 2), remapped(5, 0.75),
+	light := func(seed uint64, load float64) fabric.Config {
+		s := remapped(seed, load)
+		s.Set = traffic.BWSet3
+		s.Cycles = 3000
+		return s
 	}
-	p := mustPlan(t, specs, Options{})
-	if st := p.Stats(); st.Groups != 1 {
-		t.Fatalf("plan built %d groups, want 1 (seeds and loads vary freely, remap schedules match)", st.Groups)
-	}
-	out, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for i, s := range specs {
-		wantRes, wantEvents := soloRun(t, s)
-		if got, want := resultJSON(t, out[i].Res), resultJSON(t, wantRes); !bytes.Equal(got, want) {
-			t.Errorf("member %d diverges from solo run:\nbatch: %s\nsolo:  %s", i, got, want)
+	for _, group := range []struct {
+		name  string
+		specs []fabric.Config
+	}{
+		{"loaded", []fabric.Config{remapped(1, 1), remapped(5, 1), remapped(1, 2), remapped(5, 0.75)}},
+		{"light-heavy", []fabric.Config{light(1, 0.05), light(5, 2), light(5, 0.05), light(1, 2)}},
+	} {
+		name, specs := group.name, group.specs
+		p := mustPlan(t, specs, Options{})
+		if st := p.Stats(); st.Groups != 1 {
+			t.Fatalf("%s: plan built %d groups, want 1 (seeds and loads vary freely, remap schedules match)", name, st.Groups)
 		}
-		if !eventsEqual(out[i].Events, wantEvents) {
-			t.Errorf("member %d event log diverges (batch %d events, solo %d)", i, len(out[i].Events), len(wantEvents))
+		out, err := p.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		for i, s := range specs {
+			wantRes, wantEvents := soloRun(t, s)
+			if got, want := resultJSON(t, out[i].Res), resultJSON(t, wantRes); !bytes.Equal(got, want) {
+				t.Errorf("%s: member %d diverges from solo run:\nbatch: %s\nsolo:  %s", name, i, got, want)
+			}
+			if !eventsEqual(out[i].Events, wantEvents) {
+				t.Errorf("%s: member %d event log diverges (batch %d events, solo %d)", name, i, len(out[i].Events), len(wantEvents))
+			}
 		}
 	}
 }

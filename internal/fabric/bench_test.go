@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -88,6 +89,31 @@ func benchSteps(b *testing.B, f *Fabric) {
 	}
 }
 
+// BenchmarkFabricStepContext measures a cycle the way production runs
+// pay for it, through StepContext: at the run-lightload operating point,
+// where most cycles are jumped over (skipped/op is their share) and the
+// rest carry the sources' look-ahead, and at saturation, where nothing is
+// skipped and the idle test is pure overhead on top of
+// BenchmarkFabricStep/BW1.
+func BenchmarkFabricStepContext(b *testing.B) {
+	b.Run("Light", func(b *testing.B) {
+		benchStepContext(b, warmed(b, lightLoad(DHetPNoC, traffic.BWSet3), 2000))
+	})
+	b.Run("Saturated", func(b *testing.B) {
+		benchStepContext(b, warmSaturated(b, traffic.BWSet1, 2, 2000))
+	})
+}
+
+func benchStepContext(b *testing.B, f *Fabric) {
+	before := f.SkippedCycles()
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := f.StepContext(context.Background(), b.N); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(f.SkippedCycles()-before)/float64(b.N), "skipped/op")
+}
+
 // TestStepZeroAllocs is the tier-1 form of the benchmarks' "0 allocs/op":
 // at the saturated skewed-3 operating point a cycle averages less than
 // one heap allocation. What remains once the start-up transient is over
@@ -114,6 +140,32 @@ func TestStepZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	// Light load through StepContext: each span holds two rounds of
+	// emissions, so the 64 sources' look-ahead runs 128 times inside it,
+	// between jumps. VC rings reached for the first time still double now
+	// and then (7 allocations per span after 8,000 cycles, 2 after 50,000,
+	// however the cycles are stepped); a look-ahead or a jump that
+	// allocates adds at least 128.
+	t.Run("Light", func(t *testing.T) {
+		f := warmed(t, lightLoad(Firefly, traffic.BWSet3), 50000)
+		injected, skipped := f.Totals().Injected, f.SkippedCycles()
+		var stepErr error
+		avg := testing.AllocsPerRun(10, func() {
+			if err := f.StepContext(context.Background(), 2500); err != nil {
+				stepErr = err
+			}
+		})
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+		if f.Totals().Injected < injected+20*64 || f.SkippedCycles() == skipped {
+			t.Fatalf("the spans injected %d packets and skipped %d cycles; they no longer cover emissions and jumps",
+				f.Totals().Injected-injected, f.SkippedCycles()-skipped)
+		}
+		if avg >= 64 {
+			t.Fatalf("StepContext averages %.0f allocations per 2,500-cycle span at light load, want a handful", avg)
+		}
+	})
 }
 
 // BenchmarkFabricStepIdle measures one cycle of the chip with zero

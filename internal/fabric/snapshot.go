@@ -30,6 +30,7 @@ type Checkpoint struct {
 	msgIDs     packet.MessageID
 	pktIDs     packet.ID
 	totals     Totals
+	skipped    int64
 	assignment traffic.Assignment
 	rng        uint64
 	seed       uint64
@@ -85,6 +86,7 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 		msgIDs:     f.msgIDs,
 		pktIDs:     f.pktIDs,
 		totals:     f.totals,
+		skipped:    f.skipped,
 		assignment: f.assignment,
 		rng:        f.rng.State(),
 		seed:       f.seed,
@@ -197,6 +199,7 @@ func (f *Fabric) Restore(cp *Checkpoint) error {
 	f.msgIDs = cp.msgIDs
 	f.pktIDs = cp.pktIDs
 	f.totals = cp.totals
+	f.skipped = cp.skipped
 	f.assignment = cp.assignment
 	f.rng.SetState(cp.rng)
 	f.seed = cp.seed

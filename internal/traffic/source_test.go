@@ -22,7 +22,7 @@ func newTestSource(t *testing.T, rateGbps, loadScale float64) (*Source, *packet.
 			return topo.CoreAt(5, rng.Intn(4))
 		},
 	}
-	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), loadScale, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), loadScale, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSourceZeroRateGeneratesNothing(t *testing.T) {
 	topo := topology.Default()
 	var msgs packet.MessageID
 	var pkts packet.ID
-	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +137,17 @@ func TestNewSourceValidation(t *testing.T) {
 	var pkts packet.ID
 	clock := sim.DefaultClock()
 	// A rate without a destination sampler is a configuration bug.
-	_, err := NewSource(0, CoreProfile{RateGbps: 10}, BWSet1.Format, clock, 1.0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err := NewSource(0, CoreProfile{RateGbps: 10}, BWSet1.Format, clock, 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("source with rate but no sampler accepted")
 	}
 	// Negative load scale.
-	_, err = NewSource(0, CoreProfile{}, BWSet1.Format, clock, -1, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{}, BWSet1.Format, clock, -1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("negative load scale accepted")
 	}
 	// Bad format.
-	_, err = NewSource(0, CoreProfile{}, packet.Format{}, clock, 1, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{}, packet.Format{}, clock, 1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("zero format accepted")
 	}
@@ -167,7 +167,7 @@ func TestBurstySourcePreservesAverageRate(t *testing.T) {
 			return topo.CoreAt(5, rng.Intn(4))
 		},
 	}
-	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(3), &packet.Pool{}, &msgs, &pkts)
+	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(3), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 				return topo.CoreAt(5, rng.Intn(4))
 			},
 		}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(7), &packet.Pool{}, &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(7), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func TestBurstyValidation(t *testing.T) {
 	var pkts packet.ID
 	profile := CoreProfile{RateGbps: 10, Burstiness: -1,
 		PickDest: func(*sim.RNG) topology.CoreID { return 10 }}
-	if _, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts); err == nil {
+	if _, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts); err == nil {
 		t.Fatal("negative burstiness accepted")
 	}
 }
@@ -267,7 +267,7 @@ func TestSourceCopyIsCheckpoint(t *testing.T) {
 				return topo.CoreAt(5, rng.Intn(4))
 			},
 		}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, *sim.NewRNG(11), &packet.Pool{}, &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(11), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,5 +296,61 @@ func TestSourceCopyIsCheckpoint(t *testing.T) {
 				t.Fatalf("burstiness %g, replay %d diverged from the straight run", burstiness, round)
 			}
 		}
+	}
+}
+
+// TestSourceNextEmission: a constant-rate source names the cycle of its
+// next packet, counted from the cycle it was built for, emits on exactly
+// that cycle whether or not the Ticks before it are made, and moves on to
+// the next; a bursty source never names a cycle after the one it is at;
+// a source whose credit cannot reach a packet names none.
+func TestSourceNextEmission(t *testing.T) {
+	topo := topology.Default()
+	build := func(rateGbps, burstiness float64, start sim.Cycle) Source {
+		var msgs packet.MessageID
+		var pkts packet.ID
+		profile := CoreProfile{RateGbps: rateGbps, Burstiness: burstiness,
+			PickDest: func(*sim.RNG) topology.CoreID { return 10 }}
+		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, start, *sim.NewRNG(5), &packet.Pool{}, &msgs, &pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+
+	// 12.5 Gb/s is 5 bits per cycle, exact in binary: packet k of 2048
+	// bits leaves on the cycle the sum reaches 2048k.
+	const start = 1000
+	every, sparse := build(12.5, 0, start), build(12.5, 0, start)
+	for k := 1; k <= 5; k++ {
+		want := sim.Cycle(start + (2048*k+4)/5 - 1)
+		if got := every.NextEmission(); got != want {
+			t.Fatalf("packet %d: NextEmission() = %d, want %d", k, got, want)
+		}
+		for now := want - 50; now < want; now++ {
+			if every.Tick(now, topo) != nil {
+				t.Fatalf("packet %d left at cycle %d, before NextEmission", k, now)
+			}
+		}
+		a, b := every.Tick(want, topo), sparse.Tick(want, topo)
+		if a == nil || b == nil {
+			t.Fatalf("packet %d did not leave at cycle %d", k, want)
+		}
+		if a.Created != want || b.Created != want {
+			t.Fatalf("packet %d stamped %d and %d, want %d", k, a.Created, b.Created, want)
+		}
+	}
+
+	bursty := build(12.5, 4, start)
+	for now := sim.Cycle(start); now < start+5000; now++ {
+		bursty.Tick(now, topo)
+		if got := bursty.NextEmission(); got > now {
+			t.Fatalf("bursty source at cycle %d names cycle %d: its draws in between would be lost", now, got)
+		}
+	}
+
+	silent := build(0, 0, start)
+	if got := silent.NextEmission(); got != never {
+		t.Fatalf("zero-rate source names cycle %d", got)
 	}
 }

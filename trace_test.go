@@ -75,6 +75,69 @@ func TestRunWithTraceMatchesRun(t *testing.T) {
 	}
 }
 
+// TestTraceIntervalInvariance: how often a run is observed changes
+// neither the run nor what is seen. At intervals 1, 7 and 1000 the result
+// is Run's, byte for byte, and a cycle two intervals share shows the same
+// snapshot through both — at light load most of those cycles lie inside
+// a span the fabric jumps over, which the interval cuts in different
+// places, while the token keeps rotating and a remap falls due.
+func TestTraceIntervalInvariance(t *testing.T) {
+	light := Config{Architecture: DHetPNoC, BandwidthSet: 3, Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 6000, WarmupCycles: 1000, Seed: 5}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		remaps []TrafficRemap
+	}{
+		{"light load", light, nil},
+		{"light load, remapped", light, []TrafficRemap{{AtCycle: 3500, Traffic: SkewedTraffic(2)}}},
+		{"saturated", Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), Cycles: 3000, WarmupCycles: 500, Seed: 5}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			if tc.remaps == nil {
+				solo, err := Run(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, err = solo.CanonicalJSON(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen := map[int64]Snapshot{}
+			rotated := false
+			for _, interval := range []int64{1, 7, 1000} {
+				res, err := RunWithTrace(tc.cfg, tc.remaps, interval, func(s Snapshot) {
+					if first, ok := seen[s.Cycle]; !ok {
+						seen[s.Cycle] = s
+					} else if !reflect.DeepEqual(s, first) {
+						t.Errorf("cycle %d at interval %d shows %+v, an earlier interval showed %+v", s.Cycle, interval, s, first)
+					}
+					rotated = rotated || s.TokenRotations > 0
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := res.CanonicalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got // a run with remaps has no Run to match: the intervals must match each other
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("interval %d: result diverges:\ngot:  %s\nwant: %s", interval, got, want)
+				}
+				if res.PacketsDelivered == 0 {
+					t.Error("the run delivered nothing")
+				}
+			}
+			if !rotated {
+				t.Error("no snapshot saw the token complete a rotation")
+			}
+		})
+	}
+}
+
 // TestRunWithTraceSnapshotCadence: the observer fires exactly at the
 // positive multiples of interval within the run, including the final
 // cycle when it is one.
