@@ -12,8 +12,9 @@
 #   make bench-check — vet, test and smoke-run the bench/ module (the
 #                  BENCHMARK.json load generator), which root `go test
 #                  ./...` cannot see
-#   make bench-smoke — compile and run the router/fabric microbenchmarks
-#                  at 200 iterations each (CI keeps them from rotting)
+#   make bench-smoke — compile and run the router/fabric/batch
+#                  microbenchmarks at 200 iterations each (CI keeps them
+#                  from rotting)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPlan$$' -fuzztime $(FUZZTIME) ./internal/batch
 	$(GO) test -run '^$$' -fuzz '^FuzzRouterReferenceEquivalence$$' -fuzztime $(FUZZTIME) ./internal/router
+	$(GO) test -run '^$$' -fuzz '^FuzzVCReference$$' -fuzztime $(FUZZTIME) ./internal/router
 	$(GO) test -run '^$$' -fuzz '^FuzzCreditAdvance$$' -fuzztime $(FUZZTIME) ./internal/traffic
 
 # bench/ is its own module (hetpnoc/bench, replace hetpnoc => ../) and
@@ -92,9 +94,10 @@ bench-check:
 # The kernel microbenchmarks are only ever run by hand; a fixed, tiny
 # iteration count on every push keeps them compiling and running (their
 # set-up code included) without pretending to measure anything.
-# FabricStep also matches FabricStepContext and FabricStepIdle.
+# FabricStep also matches FabricStepContext and FabricStepIdle;
+# BatchMember is one forked member of the sweep corpus (internal/batch).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed' -benchtime 200x ./internal/router ./internal/fabric
+	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember' -benchtime 200x ./internal/router ./internal/fabric ./internal/batch
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

@@ -21,10 +21,10 @@
 // severs that one call site, while the same directive in a function's
 // doc comment
 //
-//	// growBuf doubles the ring capacity.
+//	// grow doubles the ring capacity.
 //	//
 //	//hetpnoc:coldcall amortized growth, not steady-state
-//	func (a *Arena) growBuf(...)
+//	func (q *Queue) grow()
 //
 // severs every edge into the function: it is a declared slow path no
 // matter who calls it.

@@ -2,13 +2,13 @@
 //
 // Every real consumer of the simulator — parameter sweeps, replicated
 // runs, the differential oracles — runs N simulations that differ only
-// in seed or offered load, and naively pays N fabric builds (~430 µs +
-// ~1 MB each). A Plan deduplicates its job list by configuration prefix
-// (topology, photonic model, architecture, traffic pattern and every
-// other build-time parameter are shared; seed and load scale vary),
-// builds ONE fabric per unique prefix, checkpoints it at cycle 0, and
-// runs every member by Restore + SetLoadScale + Reseed on that shared
-// fabric — cache-hot stepping, no rebuilds.
+// in seed or offered load, and naively pays N fabric builds (~350 µs,
+// 2,307 allocations and ~0.6 MB each). A Plan deduplicates its job list
+// by configuration prefix (topology, photonic model, architecture,
+// traffic pattern and every other build-time parameter are shared; seed
+// and load scale vary), builds ONE fabric per unique prefix, checkpoints
+// it at cycle 0, and runs every member by Restore + SetLoadScale + Reseed
+// on that shared fabric — cache-hot stepping, no rebuilds.
 //
 // The contract is one sentence: every member is byte-identical to a
 // solo run of its config. Each member replays its entire run — reset

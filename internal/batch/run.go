@@ -85,28 +85,35 @@ func (p *Plan) runGroup(ctx context.Context, g group, results []Result) error {
 		if err := ctx.Err(); err != nil {
 			return memberError(mi, p.specs[mi], err)
 		}
-		spec := p.specs[mi]
-		if err := f.Restore(cp); err != nil {
-			return memberError(mi, spec, err)
+		if results[mi], err = runMember(ctx, f, cp, p.specs[mi]); err != nil {
+			return memberError(mi, p.specs[mi], err)
 		}
-		if err := f.SetLoadScale(spec.LoadScale); err != nil {
-			return memberError(mi, spec, err)
-		}
-		if err := f.Reseed(spec.Seed); err != nil {
-			return memberError(mi, spec, err)
-		}
-		if err := f.StepContext(ctx, spec.Cycles); err != nil {
-			return memberError(mi, spec, err)
-		}
-		res, err := f.Finish()
-		if err != nil {
-			return memberError(mi, spec, err)
-		}
-		out := Result{Res: res}
-		if log := f.Events(); log != nil {
-			out.Events = log.Events()
-		}
-		results[mi] = out
 	}
 	return nil
+}
+
+// runMember is one fork: rewind f onto the group's cycle-0 checkpoint,
+// give it the member's load and seed, and run the member's whole budget.
+func runMember(ctx context.Context, f *fabric.Fabric, cp *fabric.Checkpoint, spec fabric.Config) (Result, error) {
+	if err := f.Restore(cp); err != nil {
+		return Result{}, err
+	}
+	if err := f.SetLoadScale(spec.LoadScale); err != nil {
+		return Result{}, err
+	}
+	if err := f.Reseed(spec.Seed); err != nil {
+		return Result{}, err
+	}
+	if err := f.StepContext(ctx, spec.Cycles); err != nil {
+		return Result{}, err
+	}
+	res, err := f.Finish()
+	if err != nil {
+		return Result{}, err
+	}
+	out := Result{Res: res}
+	if log := f.Events(); log != nil {
+		out.Events = log.Events()
+	}
+	return out, nil
 }

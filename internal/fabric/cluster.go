@@ -360,8 +360,7 @@ func (f *Fabric) drainEject(cs *coreState, now sim.Cycle) error {
 		if scan >= n {
 			break
 		}
-		enq, _, ok := p.HeadMeta(idx)
-		if !ok || now-enq < router.PipelineDelay {
+		if _, _, ok := p.HeadReady(idx, now); !ok {
 			m &^= 1 << uint(idx)
 			scan++
 			continue

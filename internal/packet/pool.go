@@ -8,7 +8,7 @@ const poolChunk = 64
 
 // Pool owns every packet a fabric moves. Packets live in fixed-size
 // chunks that are never moved or released, so a *Packet stays valid (and
-// stays the currency of rings, queues, engines and circuits) for the
+// stays the currency of VCs, queues, engines and circuits) for the
 // pool's lifetime, and a checkpoint of the pool — slot contents, free
 // list, counters — is a checkpoint of every packet in flight. The
 // simulator generates one packet per transfer and retires it as soon as

@@ -12,27 +12,58 @@ import (
 // occupancy and free-VC state each fit in one uint64 bitmask word.
 const MaxVCsPerPort = 64
 
-// MaxVCDepth bounds the per-VC buffer depth so the flit count fits the
-// packed descriptor's int16.
+// MaxVCDepth bounds the per-VC buffer depth so the flit counts fit the
+// descriptor's int16s.
 const MaxVCDepth = 1 << 15
 
-// vcHot flag bits.
+// The two age groups of vcHot are PipelineDelay written out, not a loop
+// over a configurable depth: both lines must compile.
 const (
-	vcRouted  = 1 << 0 // header forwarded; dstOut/outVC lock the path
-	vcHeadHdr = 1 << 1 // the head flit is a header
+	_ = uint(PipelineDelay - 2)
+	_ = uint(2 - PipelineDelay)
 )
 
-// vcHot is the packed per-VC descriptor read by the arbitration kernel:
-// everything eligibility and grant checks need, in 16 bytes, so four
-// adjacent VCs share one cache line instead of scattering across six
-// arrays. Ring indices, owners and flit storage stay in separate arrays
-// that only actual enqueues/dequeues touch.
+// vcHot is the per-VC descriptor, and all there is to a VC: a header
+// claims a VC and the tail releases it, so a VC only ever holds
+// consecutive flits of one packet and its contents are the packet, the
+// head flit's sequence number and a count. No flit is stored.
+//
+// Ages are kept just as coarsely as anyone asks: the only question is
+// whether the head has been buffered for PipelineDelay (2) cycles, so the
+// descriptor counts the buffered flits enqueued at the cycle of the most
+// recent enqueue (young0) and at the cycle before it (young1). Flits
+// leave from the old end, so young0+young1 <= count always holds; the
+// head is one of the young flits exactly when the sum equals count, and
+// every other flit is at least two cycles old whenever anyone looks.
+//
+// 32 bytes: two adjacent VCs share a cache line, and the arbitration
+// kernel, the engines' eligibility scans, Enqueue and Pop all work on
+// this one line per VC (owner and fbits stay in their own arrays).
 type vcHot struct {
-	headEnq sim.Cycle // enqueue cycle of the head flit (valid when count > 0)
-	count   int16     // buffered flits
-	dstOut  int16     // output of the occupying packet, -1 until its header is buffered
-	outVC   int8      // locked downstream VC (valid when vcRouted)
-	flags   uint8     // vcRouted | vcHeadHdr
+	pkt     *packet.Packet // occupying packet: set when a flit enters the empty VC, nil once its tail has left
+	lastEnq sim.Cycle      // cycle of the most recent enqueue
+	headSeq int32          // sequence number of the head flit (valid when count > 0)
+	count   int16          // buffered flits
+	young0  int16          // of those, enqueued at lastEnq
+	young1  int16          // of those, enqueued at lastEnq-1
+	dstOut  int16          // output of the occupying packet, -1 until its header is buffered
+	outVC   int8           // locked downstream VC (valid when routed)
+	routed  bool           // header forwarded; dstOut/outVC lock the path
+}
+
+// readyAt returns the cycle from which a non-empty VC's head flit has
+// spent PipelineDelay cycles in the buffer. It is exact while the head is
+// one of the young flits and a lower bound that no caller's now precedes
+// (lastEnq) once it is older.
+func (h *vcHot) readyAt() sim.Cycle {
+	switch {
+	case h.young0+h.young1 < h.count:
+		return h.lastEnq
+	case h.young1 > 0:
+		return h.lastEnq + 1
+	default:
+		return h.lastEnq + 2
+	}
 }
 
 // wakeBit is the bit a port sets when it goes from empty to non-empty;
@@ -80,10 +111,8 @@ type Arena struct {
 
 	// Per-VC state, indexed by the global VC index g = vcBase[port]+vc.
 	hot   []vcHot
-	head  []int32     // ring read index
 	owner []packet.ID // packet occupying the VC (0 when free)
 	fbits []int32     // flit size in bits of the buffered packet
-	bufs  [][]entry   // ring buffers, grown lazily toward depth
 }
 
 // NewArena returns an empty arena charging buffer energy to ledger and
@@ -122,10 +151,8 @@ func (a *Arena) NewPort(vcCount, depth int) (*Port, error) {
 	a.watchers = append(a.watchers, nil)
 	for v := 0; v < vcCount; v++ {
 		a.hot = append(a.hot, vcHot{dstOut: -1})
-		a.head = append(a.head, 0)
 		a.owner = append(a.owner, 0)
 		a.fbits = append(a.fbits, 0)
-		a.bufs = append(a.bufs, nil)
 	}
 	return &Port{a: a, id: id}, nil
 }
@@ -148,93 +175,41 @@ func (a *Arena) Reserve(ports, vcs int) {
 	}
 	if vcs > cap(a.hot) {
 		a.hot = append(make([]vcHot, 0, vcs), a.hot...)
-		a.head = append(make([]int32, 0, vcs), a.head...)
 		a.owner = append(make([]packet.ID, 0, vcs), a.owner...)
 		a.fbits = append(make([]int32, 0, vcs), a.fbits...)
-		a.bufs = append(make([][]entry, 0, vcs), a.bufs...)
 	}
 }
 
-// push appends a flit entry to VC g's ring, growing it toward depth.
-//
-//hetpnoc:hotpath
-func (a *Arena) push(g int32, e entry) {
-	buf := a.bufs[g]
-	if int(a.hot[g].count) == len(buf) {
-		buf = a.growBuf(g)
-	}
-	slot := int(a.head[g]) + int(a.hot[g].count)
-	if slot >= len(buf) {
-		slot -= len(buf)
-	}
-	buf[slot] = e
-	a.hot[g].count++
-}
-
-// growBuf doubles VC g's ring capacity (bounded by its port's depth),
-// linearizing the current contents at the front of the new buffer. It is
-// the deliberate cold exit of push: each ring grows O(log depth) times
-// per run and then steady-state traffic stops allocating.
-//
-//hetpnoc:coldcall amortized ring growth, O(log depth) times per run, never steady-state
-func (a *Arena) growBuf(g int32) []entry {
-	old := a.bufs[g]
-	depth := a.depthOfVC(g)
-	newCap := 2 * len(old)
-	if newCap < 8 {
-		newCap = 8
-	}
-	if newCap > depth {
-		newCap = depth
-	}
-	buf := make([]entry, newCap)
-	n := int(a.hot[g].count)
-	for i := 0; i < n; i++ {
-		slot := int(a.head[g]) + i
-		if slot >= len(old) {
-			slot -= len(old)
-		}
-		buf[i] = old[slot]
-	}
-	a.bufs[g] = buf
-	a.head[g] = 0
-	return buf
-}
-
-// depthOfVC returns the configured depth of the port owning VC g.
-func (a *Arena) depthOfVC(g int32) int {
-	// Ports are appended in order, so binary-search vcBase for the port
-	// whose range contains g. Only cold paths need this.
-	lo, hi := 0, len(a.vcBase)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.vcBase[mid] <= g {
-			lo = mid + 1
-		} else {
-			hi = mid
+// EachVC calls visit for every VC in port and VC order with the ID of
+// the packet owning it (0 when free), the flits it buffers and the packet
+// its descriptor names, for tests and diagnostics: an owned, non-empty VC
+// names its owner and a free one names nothing.
+func (a *Arena) EachVC(visit func(port, vc int, owner packet.ID, flits int, pkt *packet.Packet)) {
+	for p, base := range a.vcBase {
+		for v := 0; v < int(a.vcCnt[p]); v++ {
+			h := &a.hot[int(base)+v]
+			visit(p, v, a.owner[int(base)+v], int(h.count), h.pkt)
 		}
 	}
-	return int(a.depth[lo-1])
 }
 
 // ArenaSnapshot is a checkpoint of every mutable arena slice. Reusing
 // one snapshot across Snapshot calls avoids reallocating the backing
-// arrays.
+// arrays. The packet pointers in hot stay valid across a Restore because
+// the packet pool restores slot contents in place and never moves a
+// packet.
 type ArenaSnapshot struct {
 	occupancy int64
 	buffered  []int32
 	occMask   []uint64
 	freeMask  []uint64
 	hot       []vcHot
-	head      []int32
 	owner     []packet.ID
 	fbits     []int32
-	bufs      [][]entry
 }
 
 // Snapshot copies the arena's mutable state into s (allocating a fresh
-// snapshot when s is nil) and returns it. The copy is one copy call per
-// backing slice plus one per in-use VC ring.
+// snapshot when s is nil) and returns it: one copy per backing slice.
 func (a *Arena) Snapshot(s *ArenaSnapshot) *ArenaSnapshot {
 	if s == nil {
 		s = &ArenaSnapshot{}
@@ -244,23 +219,12 @@ func (a *Arena) Snapshot(s *ArenaSnapshot) *ArenaSnapshot {
 	s.occMask = append(s.occMask[:0], a.occMask...)
 	s.freeMask = append(s.freeMask[:0], a.freeMask...)
 	s.hot = append(s.hot[:0], a.hot...)
-	s.head = append(s.head[:0], a.head...)
 	s.owner = append(s.owner[:0], a.owner...)
 	s.fbits = append(s.fbits[:0], a.fbits...)
-	if cap(s.bufs) < len(a.bufs) {
-		s.bufs = make([][]entry, len(a.bufs))
-	}
-	s.bufs = s.bufs[:len(a.bufs)]
-	for g, buf := range a.bufs {
-		s.bufs[g] = append(s.bufs[g][:0], buf...)
-	}
 	return s
 }
 
-// Restore copies snapshot s back into the arena in place. Ring storage
-// already sized at snapshot time is reused; rings that grew since are
-// truncated back to the snapshot's length so stale packet references do
-// not outlive the restore.
+// Restore copies snapshot s back into the arena in place.
 func (a *Arena) Restore(s *ArenaSnapshot) error {
 	if len(s.hot) != len(a.hot) || len(s.buffered) != len(a.buffered) {
 		return fmt.Errorf("router: snapshot shape (%d ports, %d VCs) does not match arena (%d ports, %d VCs)",
@@ -271,21 +235,8 @@ func (a *Arena) Restore(s *ArenaSnapshot) error {
 	copy(a.occMask, s.occMask)
 	copy(a.freeMask, s.freeMask)
 	copy(a.hot, s.hot)
-	copy(a.head, s.head)
 	copy(a.owner, s.owner)
 	copy(a.fbits, s.fbits)
-	for g := range a.bufs {
-		want := s.bufs[g]
-		have := a.bufs[g]
-		if cap(have) < len(want) {
-			have = make([]entry, len(want))
-		}
-		n := copy(have[:cap(have)], want)
-		for i := n; i < len(have); i++ {
-			have[i] = entry{} // drop references the snapshot did not hold
-		}
-		a.bufs[g] = have[:len(want)]
-	}
 	// Ownership state just changed wholesale; the persistent contender
 	// masks of every consuming router must be rebuilt to match.
 	for _, r := range a.routers {

@@ -90,10 +90,10 @@ func TestChainConservesAndOrdersFlits(t *testing.T) {
 		drain := func(now sim.Cycle) bool {
 			for vc := 0; vc < f.sink.VCCount(); vc++ {
 				for {
-					fl, enq, ok := f.sink.Head(vc)
-					if !ok || now-enq < PipelineDelay {
+					if _, _, ready := f.sink.HeadReady(vc, now); !ready {
 						break
 					}
+					fl, _ := f.sink.head(vc)
 					if _, err := f.sink.Pop(vc); err != nil {
 						return false
 					}

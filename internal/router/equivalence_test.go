@@ -62,10 +62,10 @@ func (r *refRouter) tick(now sim.Cycle) error {
 			if budget[in] == 0 {
 				continue
 			}
-			fl, enq, ok := r.in[in].Head(vc)
-			if !ok || now-enq < PipelineDelay {
+			if _, _, ready := r.in[in].HeadReady(vc, now); !ready {
 				continue
 			}
+			fl, _ := r.in[in].head(vc)
 			lock := &r.locks[in][vc]
 			if fl.Type.IsHeader() && !lock.routed {
 				if r.route(fl) != o {

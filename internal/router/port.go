@@ -20,37 +20,6 @@ import (
 	"hetpnoc/internal/sim"
 )
 
-// entry is one buffered flit with its arrival cycle, packed into 16
-// bytes so ring traffic moves half the memory of the naive layout: the
-// packet pointer plus a word holding the enqueue cycle (low 48 bits, 281T
-// cycles), the flit sequence number (13 bits) and the flit type (3 bits).
-type entry struct {
-	pkt  *packet.Packet
-	meta uint64
-}
-
-const (
-	entryEnqBits = 48
-	entryEnqMask = 1<<entryEnqBits - 1
-	entrySeqBits = 13
-	maxFlitSeq   = 1 << entrySeqBits
-)
-
-func mkEntry(f packet.Flit, now sim.Cycle) entry {
-	return entry{pkt: f.Packet, meta: uint64(now)&entryEnqMask |
-		uint64(f.Seq)<<entryEnqBits | uint64(f.Type)<<(entryEnqBits+entrySeqBits)}
-}
-
-func (e entry) flit() packet.Flit {
-	return packet.Flit{
-		Packet: e.pkt,
-		Type:   packet.FlitType(e.meta >> (entryEnqBits + entrySeqBits)),
-		Seq:    int(e.meta >> entryEnqBits & (maxFlitSeq - 1)),
-	}
-}
-
-func (e entry) enqueued() sim.Cycle { return sim.Cycle(e.meta & entryEnqMask) }
-
 // Port is an input port: a bank of VCs carved out of an Arena. It is the
 // unit of connection in the fabric — router outputs, the photonic
 // transmit engine and the core ejection path all receive flits through a
@@ -122,8 +91,7 @@ func (p *Port) AllocVC(owner packet.ID) (int, bool) {
 func (p *Port) OccupiedMask() uint64 { return p.a.occMask[p.id] }
 
 // Owner returns the ID of the packet occupying VC i, or zero when the VC
-// is free. Every buffered flit of a VC belongs to its owner, so engines
-// can identify the head packet without reading the ring.
+// is free. Every buffered flit of a VC belongs to its owner.
 func (p *Port) Owner(i int) packet.ID {
 	return p.a.owner[p.a.vcBase[p.id]+int32(i)]
 }
@@ -154,6 +122,11 @@ func (p *Port) Space(i int) int {
 // when the VC is full, not owned by the flit's packet, or routed outside
 // the router's outputs — all fabric bugs, not runtime conditions.
 //
+// Only a flit entering an empty VC is looked at beyond its packet and
+// header bit: the flits behind it are taken to be the packet's next ones,
+// in order (a VC holds consecutive flits of one packet), and now must not
+// run backwards.
+//
 //hetpnoc:hotpath
 func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	a := p.a
@@ -164,9 +137,6 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	}
 	if a.owner[g] != f.Packet.ID {
 		return fmt.Errorf("router: VC %d owned by packet %d, got flit of packet %d", i, a.owner[g], f.Packet.ID)
-	}
-	if f.Seq >= maxFlitSeq {
-		return fmt.Errorf("router: flit sequence %d exceeds packed-entry capacity %d", f.Seq, maxFlitSeq)
 	}
 	isHdr := f.Type.IsHeader()
 	cons := a.consumer[p.id]
@@ -181,19 +151,24 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	if h.count == 0 {
 		a.occMask[p.id] |= 1 << uint(i)
 		a.fbits[g] = int32(f.Packet.FlitBits)
-		h.headEnq = now
-		if isHdr {
-			h.flags |= vcHeadHdr
-		} else {
-			h.flags &^= vcHeadHdr
-		}
+		h.pkt = f.Packet
+		h.headSeq = int32(f.Seq)
 	}
+	switch now - h.lastEnq {
+	case 0:
+		h.young0++
+	case 1:
+		h.young1, h.young0 = h.young0, 1
+	default:
+		h.young1, h.young0 = 0, 1
+	}
+	h.lastEnq = now
+	h.count++
 	// A fresh flit can flip the consuming router's arbitration outcome,
 	// so end its quiescent period (see Router.Tick).
 	if cons != nil {
 		cons.quiet = false
 	}
-	a.push(g, mkEntry(f, now))
 	*a.occupancy++
 	a.buffered[p.id]++
 	if a.buffered[p.id] == 1 {
@@ -205,53 +180,29 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	return nil
 }
 
-// Head returns the head flit of VC i and its enqueue cycle; ok is false
-// when the VC is empty.
+// HeadReady is the age test of the 3-stage pipeline, in one place: ok
+// reports whether VC i holds a head flit that has been buffered for
+// PipelineDelay cycles at cycle now, and is therefore eligible to leave.
+// pkt is the packet occupying the VC and isHeader whether the head flit
+// opens it; both are zero when ok is false. Everything comes from the
+// per-VC descriptor, so an eligibility scan stays on one cache line.
 //
 //hetpnoc:hotpath
-func (p *Port) Head(i int) (packet.Flit, sim.Cycle, bool) {
+func (p *Port) HeadReady(i int, now sim.Cycle) (pkt *packet.Packet, isHeader, ok bool) {
 	a := p.a
 	id := int(p.id)
 	if uint(id) >= uint(len(a.vcBase)) {
-		return packet.Flit{}, 0, false // unreachable: ids are assigned by Reserve; the guard anchors BCE
-	}
-	g := int(a.vcBase[id]) + i
-	if uint(g) >= uint(len(a.hot)) || uint(g) >= uint(len(a.bufs)) || uint(g) >= uint(len(a.head)) {
-		return packet.Flit{}, 0, false // unreachable: vcBase+i stays inside the arena's VC range
-	}
-	if a.hot[g].count == 0 {
-		return packet.Flit{}, 0, false
-	}
-	buf := a.bufs[g]
-	hd := int(a.head[g])
-	if uint(hd) >= uint(len(buf)) {
-		return packet.Flit{}, 0, false // unreachable: head always points inside the ring
-	}
-	e := buf[hd]
-	return e.flit(), e.enqueued(), true
-}
-
-// HeadMeta reports the head flit's enqueue cycle and whether it is a
-// header, without touching the ring storage: everything comes from the
-// packed per-VC descriptor, so eligibility scans stay on one cache line.
-// ok is false when the VC is empty.
-//
-//hetpnoc:hotpath
-func (p *Port) HeadMeta(i int) (enq sim.Cycle, isHeader, ok bool) {
-	a := p.a
-	id := int(p.id)
-	if uint(id) >= uint(len(a.vcBase)) {
-		return 0, false, false // unreachable: ids are assigned by Reserve; the guard anchors BCE
+		return nil, false, false // unreachable: ids are assigned by Reserve; the guard anchors BCE
 	}
 	g := int(a.vcBase[id]) + i
 	if uint(g) >= uint(len(a.hot)) {
-		return 0, false, false // unreachable: vcBase+i stays inside the arena's VC range
+		return nil, false, false // unreachable: vcBase+i stays inside the arena's VC range
 	}
 	h := &a.hot[g]
-	if h.count == 0 {
-		return 0, false, false
+	if h.count == 0 || now < h.readyAt() {
+		return nil, false, false
 	}
-	return h.headEnq, h.flags&vcHeadHdr != 0, true
+	return h.pkt, h.headSeq == 0, true
 }
 
 // Pop dequeues the head flit of VC i, charging the buffer-read energy and
@@ -265,18 +216,13 @@ func (p *Port) Pop(i int) (packet.Flit, error) {
 	if h.count == 0 {
 		return packet.Flit{}, fmt.Errorf("router: pop from empty VC %d", i)
 	}
-	buf := a.bufs[g]
-	hd := a.head[g]
-	// The departed slot is left in place rather than cleared: packets are
-	// pool-owned, so a stale ring reference only delays recycling by one
-	// ring lap and saves a store (plus its write barrier) per pop.
-	f := buf[hd].flit()
-	hd++
-	if int(hd) == len(buf) {
-		hd = 0
-	}
-	a.head[g] = hd
+	f := packet.FlitAt(h.pkt, int(h.headSeq))
+	h.headSeq++
 	h.count--
+	// Flits leave from the old end, so the young groups only shrink when
+	// a young head is popped (tests and probes do; no engine does).
+	h.young0 = min(h.young0, h.count)
+	h.young1 = min(h.young1, h.count-h.young0)
 	*a.occupancy--
 	a.buffered[p.id]--
 	// The cached per-VC flit size avoids dereferencing the packet just to
@@ -284,27 +230,17 @@ func (p *Port) Pop(i int) (packet.Flit, error) {
 	a.ledger.AddBufferAccess(float64(a.fbits[g]))
 	if h.count == 0 {
 		a.occMask[p.id] &^= 1 << uint(i)
-		h.headEnq = 0
-		h.flags &^= vcHeadHdr
-	} else {
-		e := buf[hd]
-		h.headEnq = e.enqueued()
-		if e.flit().Type.IsHeader() {
-			h.flags |= vcHeadHdr
-		} else {
-			h.flags &^= vcHeadHdr
-		}
 	}
 	if f.Type.IsTail() {
+		// A VC holds one packet, so a popped tail always empties it.
 		if d := h.dstOut; d >= 0 { // set only on a router's input
 			a.consumer[p.id].dropContender(int(d), int(a.consBase[p.id])+i)
 		}
 		a.owner[g] = 0
-		h.flags &^= vcRouted
+		h.pkt = nil
+		h.routed = false
 		h.dstOut = -1
-		if h.count == 0 {
-			a.freeMask[p.id] |= 1 << uint(i)
-		}
+		a.freeMask[p.id] |= 1 << uint(i)
 	}
 	// Draining this port frees buffer space (and, on tails, a VC), which
 	// can unblock any router feeding it: end their quiescent periods.

@@ -360,11 +360,11 @@ func (r *Router) Tick(now sim.Cycle) error {
 				mask[wi] &^= bit
 				continue
 			}
-			if now-h.headEnq < PipelineDelay {
+			if ready := h.readyAt(); now < ready {
 				// A too-young head is the one rejection that flips with
 				// time alone; record when it ages in so a grantless Tick
 				// knows how long its outcome is guaranteed to repeat.
-				if ready := h.headEnq + PipelineDelay; ready < minReady {
+				if ready < minReady {
 					minReady = ready
 				}
 				mask[wi] &^= bit
@@ -375,7 +375,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 			// here (dstOut == o from header enqueue to tail pop). Until
 			// its header has been forwarded the header is the head flit,
 			// and only the downstream VC remains to be settled.
-			if h.flags&vcRouted == 0 {
+			if !h.routed {
 				dstVC, ok := out.dst.AllocVC(owner[g])
 				if !ok {
 					// No free downstream VC, and none can free up before
@@ -390,7 +390,7 @@ func (r *Router) Tick(now sim.Cycle) error {
 					continue
 				}
 				hdr[wi] &^= bit
-				h.flags |= vcRouted
+				h.routed = true
 				h.outVC = int8(dstVC)
 			}
 
@@ -510,7 +510,7 @@ func (r *Router) rebuildLive() {
 			}
 			idx := base + v
 			r.addContender(d, idx)
-			if h.flags&vcRouted != 0 {
+			if h.routed {
 				r.hdrMask[d*nw+(idx>>6)] &^= 1 << (uint(idx) & 63)
 			}
 		}

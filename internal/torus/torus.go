@@ -284,13 +284,13 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 	vcs := port.VCCount()
 	for scan := 0; scan < vcs; scan++ {
 		vc := (n.rr[src] + scan) % vcs
-		flit, enq, ok := port.Head(vc)
-		if !ok || !flit.Type.IsHeader() || now-enq < router.PipelineDelay {
+		pkt, isHdr, ok := port.HeadReady(vc, now)
+		if !ok || !isHdr {
 			continue
 		}
 		n.rr[src] = (vc + 1) % vcs
 
-		dst := int(flit.Packet.DstCluster)
+		dst := int(pkt.DstCluster)
 		links, turns := n.Route(src, dst)
 
 		// The electronic setup packet costs one control-router
@@ -305,7 +305,7 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 				// release immediately in this atomic model).
 				n.setupsBlocked++
 				n.retryAt[src] = now + sim.Cycle(n.cfg.RetryBackoffCycles)
-				n.cfg.Events.AppendInts(now, event.ReservationSent, src, int64(flit.Packet.ID),
+				n.cfg.Events.AppendInts(now, event.ReservationSent, src, int64(pkt.ID),
 					"torus setup to %d BLOCKED at node %d dir %d", int64(dst), int64(l.node), int64(l.dir))
 				return
 			}
@@ -314,7 +314,7 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 		*p = path{
 			src:   src,
 			dst:   dst,
-			pkt:   flit.Packet,
+			pkt:   pkt,
 			vc:    vc,
 			links: links,
 			turns: turns,
@@ -326,7 +326,7 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 			n.linkOwner[l] = p
 		}
 		n.pathsSetUp++
-		n.cfg.Events.AppendInts(now, event.ReservationSent, src, int64(flit.Packet.ID),
+		n.cfg.Events.AppendInts(now, event.ReservationSent, src, int64(pkt.ID),
 			"torus setup to %d, %d hops, %d turns", int64(dst), int64(len(links)), int64(turns))
 		return
 	}
@@ -344,13 +344,13 @@ func (n *Network) stream(p *path, now sim.Cycle) error {
 
 	port := n.tx[p.src]
 	for p.credit >= flitBits {
-		flit, enq, ok := port.Head(p.vc)
-		if !ok || now-enq < router.PipelineDelay {
+		pkt, _, ok := port.HeadReady(p.vc, now)
+		if !ok {
 			return nil
 		}
-		if flit.Packet.ID != p.pkt.ID {
+		if pkt.ID != p.pkt.ID {
 			return fmt.Errorf("torus: node %d VC %d interleaved packets %d and %d",
-				p.src, p.vc, flit.Packet.ID, p.pkt.ID)
+				p.src, p.vc, pkt.ID, p.pkt.ID)
 		}
 		popped, err := port.Pop(p.vc)
 		if err != nil {

@@ -286,13 +286,12 @@ func (tx *TX) admitNext(now sim.Cycle) {
 	for _, part := range [2]uint64{hi, m &^ hi} {
 		for w := part; w != 0; w &= w - 1 {
 			vc := bits.TrailingZeros64(w)
-			enq, isHdr, ok := tx.port.HeadMeta(vc)
-			if !ok || !isHdr || now-enq < router.PipelineDelay {
+			pkt, isHdr, ok := tx.port.HeadReady(vc, now)
+			if !ok || !isHdr {
 				continue
 			}
-			flit, _, _ := tx.port.Head(vc)
 			tx.rr = (vc + 1) % tx.port.VCCount()
-			use := tx.alloc.SelectForPacket(tx.cfg.Cluster, flit.Packet.DstCluster)
+			use := tx.alloc.SelectForPacket(tx.cfg.Cluster, pkt.DstCluster)
 
 			// Size and charge the reservation flit. d-HetPNoC piggybacks
 			// the wavelength identifiers (§3.4.1.1); Firefly's static
@@ -311,14 +310,14 @@ func (tx *TX) admitNext(now sim.Cycle) {
 			tx.ledger.AddDemodulation(idBits*float64(tx.cfg.Clusters-1) + resBits)
 
 			tx.next = pending{
-				pkt:     flit.Packet,
+				pkt:     pkt,
 				vc:      vc,
 				use:     use,
 				resLeft: cycles + tx.cfg.PropagationCycles,
 			}
 			tx.reservations++
-			tx.cfg.Events.AppendInts(now, event.ReservationSent, int(tx.cfg.Cluster), int64(flit.Packet.ID),
-				"to cluster %d, %d ids, %d cycles", int64(flit.Packet.DstCluster), int64(ids), int64(cycles))
+			tx.cfg.Events.AppendInts(now, event.ReservationSent, int(tx.cfg.Cluster), int64(pkt.ID),
+				"to cluster %d, %d ids, %d cycles", int64(pkt.DstCluster), int64(ids), int64(cycles))
 			return
 		}
 	}
@@ -339,13 +338,13 @@ func (tx *TX) stream(now sim.Cycle) error {
 	tx.window.HoldCost()
 
 	for tx.credit >= flitBits {
-		enq, _, ok := tx.port.HeadMeta(tx.vcIdx)
-		if !ok || now-enq < router.PipelineDelay {
+		pkt, _, ok := tx.port.HeadReady(tx.vcIdx, now)
+		if !ok {
 			return nil // channel stalls waiting for flits from the electrical side
 		}
-		if id := tx.port.Owner(tx.vcIdx); id != tx.current.ID {
+		if pkt.ID != tx.current.ID {
 			return fmt.Errorf("xbar: cluster %d TX VC %d interleaved packet %d into packet %d",
-				tx.cfg.Cluster, tx.vcIdx, id, tx.current.ID)
+				tx.cfg.Cluster, tx.vcIdx, pkt.ID, tx.current.ID)
 		}
 		popped, err := tx.port.Pop(tx.vcIdx)
 		if err != nil {
