@@ -58,16 +58,20 @@ lint-update:
 test:
 	$(GO) test ./...
 
-# The race gate covers the whole module: internal/batch spawns the
-# simulation goroutines every experiments runner, cmd/sweep figure and
-# /v1/sweep partition executes on. A full -race pass takes a few
-# minutes; race-quick keeps the goroutine-bearing subset for tight
-# loops. `race` is also the only lock-discipline gate (docs/ANALYSIS.md).
+# The race gate covers the whole module: every run is an internal/batch
+# plan, which spawns its simulation goroutines — and re-raises their
+# panics on the caller — whenever it has more than one group: each
+# multi-group hetpnoc.RunBatch, every experiments runner, cmd/sweep
+# figure and hetpnocd sweep partition (a solo hetpnoc.Run runs on the
+# caller's goroutine). A full -race pass takes a few minutes; race-quick keeps
+# the goroutine-bearing subset (the root package, batch, experiments,
+# sweep, serve) for tight loops. `race` is also the only lock-discipline
+# gate (docs/ANALYSIS.md).
 race:
 	$(GO) test -race ./...
 
 race-quick:
-	$(GO) test -race ./internal/batch/... ./internal/experiments/... ./cmd/sweep/... ./internal/serve/...
+	$(GO) test -race . ./internal/batch/... ./internal/experiments/... ./cmd/sweep/... ./internal/serve/...
 
 # Short native-fuzzing pass over every fuzz target; `go test -fuzz`
 # accepts one package per invocation, hence one line per target. Seed

@@ -1,17 +1,12 @@
 package hetpnoc
 
-import (
-	"context"
-
-	"hetpnoc/internal/batch"
-	"hetpnoc/internal/fabric"
-)
+import "context"
 
 // RunBatch executes every config in one batched pass and returns the
 // results in config order. Configs that share a batch prefix (they
 // normalize identically except for Seed and LoadScale — see
-// Config.NormalizedPrefix) share one fabric build: the fabric is
-// checkpointed pristine and every member forks off it via
+// Config.NormalizedPrefix) share one fabric build: the first runs on it
+// and every other member forks off its pristine checkpoint via
 // restore-and-reseed instead of paying its own build. Each result is
 // byte-identical (Result.CanonicalJSON and the event log) to what
 // Run would return for that config alone — TestBatchEquivalence holds
@@ -30,37 +25,5 @@ func RunBatch(cfgs []Config) ([]Result, error) {
 // members within one cancellation-check interval and drains the batch
 // workers cleanly.
 func RunBatchContext(ctx context.Context, cfgs []Config) ([]Result, error) {
-	if len(cfgs) == 0 {
-		return []Result{}, nil
-	}
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
-	if err != nil {
-		return nil, err
-	}
-	out, err := plan.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(out))
-	for i, r := range out {
-		results[i] = fromFabricResult(r.Res, r.Events)
-	}
-	return results, nil
-}
-
-// lowerAll lowers every public config onto the internal fabric form.
-func lowerAll(cfgs []Config) ([]fabric.Config, error) {
-	specs := make([]fabric.Config, len(cfgs))
-	for i, c := range cfgs {
-		fc, err := lower(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		specs[i] = fc
-	}
-	return specs, nil
+	return run(ctx, cfgs, nil, 0, nil)
 }

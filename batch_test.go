@@ -2,10 +2,14 @@ package hetpnoc
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"hetpnoc/internal/batch"
+	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/testutil/leakcheck"
 )
 
 // equivalenceConfigs builds the differential corpus for the batch
@@ -54,12 +58,72 @@ func equivalenceConfigs() []Config {
 	return cfgs
 }
 
+// reference runs cfg without the plan every entry point now goes
+// through: lower, fabric.New, StepContext in windows of every cycles
+// with observe called between them, Finish, lift. It is the solo driver
+// the root package had before a run became a one-member plan, kept as the
+// oracle Run, RunBatch and RunWithTrace are held to.
+func reference(t testing.TB, cfg Config, every int64, observe func(Snapshot)) Result {
+	t.Helper()
+	fc, err := lower(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc = fc.WithDefaults()
+	f, err := fabric.New(fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := fc.Cycles
+	if observe != nil && every < int64(window) {
+		window = int(every)
+	}
+	for done := 0; done < fc.Cycles; {
+		n := min(window, fc.Cycles-done)
+		if err := f.StepContext(context.Background(), n); err != nil {
+			t.Fatal(err)
+		}
+		done += n
+		if observe != nil && int64(done)%every == 0 {
+			observe(snapshotOf(f))
+		}
+	}
+	res, err := f.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fromFabricResult(res)
+}
+
+// canonical encodes r, failing the test on error.
+func canonical(t testing.TB, r Result) []byte {
+	t.Helper()
+	b, err := r.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// lowerAll lowers cfgs the way run does, for tests that inspect the plan.
+func lowerAll(t *testing.T, cfgs []Config) []fabric.Config {
+	t.Helper()
+	specs := make([]fabric.Config, len(cfgs))
+	for i, c := range cfgs {
+		var err error
+		if specs[i], err = lower(c, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return specs
+}
+
 // TestBatchEquivalence is the batch engine's differential oracle: for
-// every config in the corpus, the batched result must be byte-identical
-// — canonical Result encoding and the formatted event log — to running
-// the config alone through Run. Batching must be purely a performance
-// choice; any divergence means the checkpoint-fork fast path leaked
-// state between members.
+// every config in the corpus, the batched result — and Run's, a
+// one-member plan — must be byte-identical, canonical Result encoding and
+// the formatted event log included, to the config run alone on its own
+// fabric. Batching must be purely a performance choice; any divergence
+// means the checkpoint-fork fast path leaked state between members.
 func TestBatchEquivalence(t *testing.T) {
 	cfgs := equivalenceConfigs()
 	batched, err := RunBatch(cfgs)
@@ -72,30 +136,22 @@ func TestBatchEquivalence(t *testing.T) {
 	for i, cfg := range cfgs {
 		name := fmt.Sprintf("config %d (%v/set%d/seed%d/load%g)",
 			i, cfg.Architecture, cfg.BandwidthSet, cfg.Seed, cfg.LoadScale)
-		solo, err := Run(cfg)
+		solo := reference(t, cfg, 0, nil)
+		run, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("%s: solo run: %v", name, err)
+			t.Fatalf("%s: Run: %v", name, err)
 		}
-		eb, err := batched[i].CanonicalJSON()
-		if err != nil {
-			t.Fatalf("%s: encode batched: %v", name, err)
-		}
-		es, err := solo.CanonicalJSON()
-		if err != nil {
-			t.Fatalf("%s: encode solo: %v", name, err)
-		}
-		if !bytes.Equal(eb, es) {
-			t.Errorf("%s: batched result diverges from solo run:\nbatched: %s\nsolo:    %s", name, eb, es)
-		}
-		if len(batched[i].Events) != len(solo.Events) {
-			t.Errorf("%s: batched logged %d events, solo %d", name, len(batched[i].Events), len(solo.Events))
-			continue
-		}
-		for j := range solo.Events {
-			if batched[i].Events[j] != solo.Events[j] {
-				t.Errorf("%s: event %d diverges:\nbatched: %s\nsolo:    %s", name, j, batched[i].Events[j], solo.Events[j])
-				break
+		want := canonical(t, solo)
+		for _, got := range []struct {
+			path string
+			res  Result
+		}{{"RunBatch", batched[i]}, {"Run", run}} {
+			if eb := canonical(t, got.res); !bytes.Equal(eb, want) {
+				t.Errorf("%s: %s diverges from the solo run:\n%s: %s\nsolo: %s", name, got.path, got.path, eb, want)
 			}
+		}
+		if len(solo.Events) == 0 {
+			t.Errorf("%s: logged no events; the event-log comparison is vacuous", name)
 		}
 		if batched[i].PacketsDelivered == 0 {
 			t.Errorf("%s: delivered nothing; the oracle is vacuous", name)
@@ -108,11 +164,7 @@ func TestBatchEquivalence(t *testing.T) {
 // architecture × set point must collapse onto one fabric build.
 func TestBatchEquivalenceDedupes(t *testing.T) {
 	cfgs := equivalenceConfigs()
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
+	plan, err := batch.NewPlan(lowerAll(t, cfgs), batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +213,79 @@ func TestBatchSweep256Builds(t *testing.T) {
 	if len(cfgs) != 256 {
 		t.Fatalf("corpus has %d points, want 256", len(cfgs))
 	}
-	specs, err := lowerAll(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := batch.NewPlan(specs, batch.Options{})
+	plan, err := batch.NewPlan(lowerAll(t, cfgs), batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := plan.Stats()
 	if st.Groups != 8 || st.LargestGroup != 32 {
 		t.Errorf("plan stats = %+v, want 8 groups of 32", st)
+	}
+}
+
+// TestCustomTrafficSharesABuild: custom traffic lowers to plain data, so
+// two custom configs that differ only in seed plan onto one build — as
+// their equal NormalizedPrefix already tells /v1/sweep — where a pattern
+// carrying per-config closures split them into two groups of one; and
+// each member is still byte-identical to its solo run.
+func TestCustomTrafficSharesABuild(t *testing.T) {
+	custom := func(seed uint64) Config {
+		specs := make([]CoreSpec, 64)
+		specs[0] = CoreSpec{RateGbps: 50, DemandGbps: 50, Dests: []int{1, 8, 9}}
+		specs[5] = CoreSpec{RateGbps: 20, Dests: []int{4, 6}} // cluster-local only: no demand
+		specs[12] = CoreSpec{RateGbps: 20}                    // every foreign core
+		return Config{Traffic: CustomTraffic(specs), Cycles: 1500, WarmupCycles: 300, Seed: seed, EventCapacity: 64}
+	}
+	cfgs := []Config{custom(1), custom(9)}
+	a, b := cfgs[0].NormalizedPrefix(), cfgs[1].NormalizedPrefix()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("the two configs no longer share a NormalizedPrefix; the case tests nothing")
+	}
+	plan, err := batch.NewPlan(lowerAll(t, cfgs), batch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := plan.Stats(); st.Groups != 1 {
+		t.Errorf("plan built %d groups for two custom configs differing only in seed, want 1", st.Groups)
+	}
+	batched, err := RunBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		if got, want := canonical(t, batched[i]), canonical(t, reference(t, cfg, 0, nil)); !bytes.Equal(got, want) {
+			t.Errorf("member %d diverges from its solo run:\nbatched: %s\nsolo:    %s", i, got, want)
+		}
+		if batched[i].PacketsDelivered == 0 {
+			t.Errorf("member %d delivered nothing", i)
+		}
+	}
+}
+
+// TestRunIsOneBuild: Run — and RunBatch of one config — is a one-member
+// plan, and a one-member plan pays one build and one run: no cycle-0
+// checkpoint, restore or reseed. Its allocations stay within a plan's
+// bookkeeping of the bare fabric path; forking the lone member off a
+// checkpoint costs ≈ 300 more.
+func TestRunIsOneBuild(t *testing.T) {
+	cfg := Config{Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 2000, WarmupCycles: 500}
+	bare := testing.AllocsPerRun(5, func() { reference(t, cfg, 0, nil) })
+	for _, entry := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error { _, err := Run(cfg); return err }},
+		{"RunBatch", func() error { _, err := RunBatch([]Config{cfg}); return err }},
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			if err := entry.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations, bare fabric path: %.0f", entry.name, got, bare)
+		if got > bare+16 {
+			t.Errorf("%s allocates %.0f objects, the bare fabric path %.0f: want at most 16 more", entry.name, got, bare)
+		}
 	}
 }
 
@@ -183,5 +297,34 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 	if len(res) != 0 {
 		t.Fatalf("RunBatch(nil) returned %d results", len(res))
+	}
+}
+
+// TestPanicBelowRunReachesCaller: every run now executes on a batch
+// plan, yet a panic inside it — an observer's here — still unwinds the
+// caller of RunWithTrace, and of a run whose members run on plan worker
+// goroutines, where the caller (hetpnocd's runRecovered) can recover it.
+func TestPanicBelowRunReachesCaller(t *testing.T) {
+	leakcheck.Check(t)
+	poisoned := func(Snapshot) { panic("observer poisoned") }
+	cfg := Config{Cycles: 1200, WarmupCycles: 1000}
+	skewed := cfg
+	skewed.Traffic = SkewedTraffic(2)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"RunWithTrace", func() { RunWithTrace(cfg, nil, 100, poisoned) }},
+		{"two groups", func() { run(context.Background(), []Config{cfg, skewed}, nil, 100, poisoned) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "observer poisoned" {
+					t.Errorf("%s: recovered %v, want the observer's panic", c.name, r)
+				}
+			}()
+			c.call()
+			t.Errorf("%s returned past a panicking observer", c.name)
+		}()
 	}
 }

@@ -409,7 +409,7 @@ func finishCanonical(t *testing.T, f *fabric.Fabric) ([]byte, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := fromFabricResult(res, nil).CanonicalJSON()
+	enc, err := fromFabricResult(res).CanonicalJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

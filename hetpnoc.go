@@ -31,7 +31,7 @@ import (
 	"context"
 	"fmt"
 
-	"hetpnoc/internal/event"
+	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
@@ -214,49 +214,51 @@ func Run(cfg Config) (Result, error) {
 // The simulation itself is unaffected by the polling — a run that
 // completes is bit-identical to Run's.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	return simulate(ctx, cfg, nil, 0, nil)
+	return first(run(ctx, []Config{cfg}, nil, 0, nil))
 }
 
-// simulate is the solo run path behind Run, RunContext and RunWithTrace:
-// lower, build one fabric, step it, finish, lift. The cycle budget is
-// stepped in windows of interval cycles with observe called at each
-// window boundary; a run nobody observes is a single window, so it costs
-// exactly one fabric.StepContext call.
-func simulate(ctx context.Context, cfg Config, remaps []TrafficRemap, interval int64, observe func(Snapshot)) (Result, error) {
-	fc, err := lower(cfg, remaps)
-	if err != nil {
-		return Result{}, err
+// run is the one execution path behind Run, RunContext, RunWithTrace and
+// RunBatch: lower every config (each with remaps scheduled), plan them —
+// a solo run is a one-member plan, one build and no checkpoint — run the
+// plan and lift the results. observe, when set, sees a snapshot of the
+// running fabric at every multiple of every cycles.
+func run(ctx context.Context, cfgs []Config, remaps []TrafficRemap, every int64, observe func(Snapshot)) ([]Result, error) {
+	if len(cfgs) == 0 {
+		return []Result{}, nil
 	}
-	// Defaulted here, not only inside New: the loop below needs the
-	// cycle budget the fabric will run with.
-	fc = fc.WithDefaults()
-	f, err := fabric.New(fc)
-	if err != nil {
-		return Result{}, err
-	}
-	window := fc.Cycles
-	if observe != nil && interval < int64(window) {
-		window = int(interval)
-	}
-	for done := 0; done < fc.Cycles; {
-		n := min(window, fc.Cycles-done)
-		if err := f.StepContext(ctx, n); err != nil {
-			return Result{}, err
-		}
-		done += n
-		if observe != nil && int64(done)%interval == 0 {
-			observe(snapshotOf(f, fc.Topology))
+	specs := make([]fabric.Config, len(cfgs))
+	for i, c := range cfgs {
+		var err error
+		if specs[i], err = lower(c, remaps); err != nil {
+			return nil, err
 		}
 	}
-	res, err := f.Finish()
+	opts := batch.Options{}
+	if observe != nil {
+		opts.Every = every
+		opts.Observe = func(_ int, f *fabric.Fabric) { observe(snapshotOf(f)) }
+	}
+	plan, err := batch.NewPlan(specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	out, err := plan.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]Result, len(out))
+	for i, r := range out {
+		results[i] = fromFabricResult(r)
+	}
+	return results, nil
+}
+
+// first returns the only result of a one-config run.
+func first(results []Result, err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var events []event.Event
-	if log := f.Events(); log != nil {
-		events = log.Events()
-	}
-	return fromFabricResult(res, events), nil
+	return results[0], nil
 }
 
 // lower maps the public configuration, and any mid-run remaps, onto the
@@ -371,23 +373,21 @@ func (t Traffic) basePattern() (traffic.Pattern, error) {
 	}
 }
 
-// customPattern converts CoreSpecs to a fixed internal assignment.
+// customPattern validates CoreSpecs and converts them to the internal
+// custom workload, which is plain data: two equal specs lower to equal
+// patterns, so configs differing only in seed or load share a build.
 func customPattern(specs []CoreSpec) (traffic.Pattern, error) {
 	topo := topology.Default()
 	if len(specs) != topo.Cores() {
 		return nil, fmt.Errorf("hetpnoc: custom traffic needs %d core specs, got %d", topo.Cores(), len(specs))
 	}
-	cores := make([]traffic.CoreProfile, len(specs))
+	cores := make([]traffic.CustomCore, len(specs))
 	for c, spec := range specs {
-		src := topo.ClusterOf(topology.CoreID(c))
-		demand := spec.DemandGbps
-		if demand == 0 {
-			demand = spec.RateGbps * float64(topo.ClusterSize())
+		core := traffic.CustomCore{RateGbps: spec.RateGbps, DemandGbps: spec.DemandGbps}
+		if core.DemandGbps == 0 {
+			core.DemandGbps = spec.RateGbps * float64(topo.ClusterSize())
 		}
-		profile := traffic.CoreProfile{RateGbps: spec.RateGbps, DemandGbps: demand}
 		if spec.RateGbps > 0 {
-			dests := make([]topology.CoreID, 0, len(spec.Dests))
-			demandClusters := make(map[topology.ClusterID]bool)
 			for _, d := range spec.Dests {
 				dst := topology.CoreID(d)
 				if !topo.ValidCore(dst) {
@@ -396,34 +396,10 @@ func customPattern(specs []CoreSpec) (traffic.Pattern, error) {
 				if dst == topology.CoreID(c) {
 					return nil, fmt.Errorf("hetpnoc: core %d cannot send to itself", c)
 				}
-				dests = append(dests, dst)
-				if topo.ClusterOf(dst) != src {
-					demandClusters[topo.ClusterOf(dst)] = true
-				}
-			}
-			if len(dests) > 0 {
-				profile.PickDest = func(rng *sim.RNG) topology.CoreID {
-					return dests[rng.Intn(len(dests))]
-				}
-				clusters := make([]topology.ClusterID, 0, len(demandClusters))
-				for cl := 0; cl < topo.Clusters(); cl++ {
-					if demandClusters[topology.ClusterID(cl)] {
-						clusters = append(clusters, topology.ClusterID(cl))
-					}
-				}
-				profile.DemandDests = clusters
-			} else {
-				profile.PickDest = func(rng *sim.RNG) topology.CoreID {
-					for {
-						dst := topology.CoreID(rng.Intn(topo.Cores()))
-						if topo.ClusterOf(dst) != src {
-							return dst
-						}
-					}
-				}
+				core.Dests = append(core.Dests, dst)
 			}
 		}
-		cores[c] = profile
+		cores[c] = core
 	}
-	return traffic.Fixed{Assignment: traffic.Assignment{Name: "custom", Cores: cores}}, nil
+	return traffic.Custom{Cores: cores}, nil
 }

@@ -6,9 +6,11 @@
 // 2,307 allocations and ~0.6 MB each). A Plan deduplicates its job list
 // by configuration prefix (topology, photonic model, architecture,
 // traffic pattern and every other build-time parameter are shared; seed
-// and load scale vary), builds ONE fabric per unique prefix, checkpoints
-// it at cycle 0, and runs every member by Restore + SetLoadScale + Reseed
-// on that shared fabric — cache-hot stepping, no rebuilds.
+// and load scale vary), builds ONE fabric per unique prefix, runs the
+// group's first member on that build, and runs every other member by
+// Restore + SetLoadScale + Reseed off the build's cycle-0 checkpoint —
+// cache-hot stepping, no rebuilds. A solo run is a one-member plan: one
+// build, one run, no checkpoint.
 //
 // The contract is one sentence: every member is byte-identical to a
 // solo run of its config. Each member replays its entire run — reset
@@ -28,16 +30,24 @@ import (
 	"fmt"
 	"runtime"
 
-	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 )
 
-// Options parameterizes a Plan. The zero value runs GOMAXPROCS workers.
+// Options parameterizes a Plan. The zero value runs GOMAXPROCS workers
+// and observes nothing.
 type Options struct {
 	// Workers bounds the goroutines executing groups (default
 	// GOMAXPROCS, capped at the group count — extra workers would only
-	// idle).
+	// idle). One worker is Run's caller itself.
 	Workers int
+
+	// Observe, when set, is called with a member's index and fabric at
+	// every positive multiple of Every cycles within the member's run:
+	// between StepContext windows, at a cycle boundary, on the goroutine
+	// running the member — Run's caller's in a one-worker plan. It must
+	// only read the fabric. Every must then be positive.
+	Observe func(member int, f *fabric.Fabric)
+	Every   int64
 }
 
 func (o Options) withDefaults() Options {
@@ -45,19 +55,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
-}
-
-// Result is one member's outcome.
-type Result struct {
-	// Res is the member's simulation result, identical to what a
-	// standalone fabric run under the member's config would report.
-	Res fabric.Result
-
-	// Events holds the member's retained protocol events when the
-	// config enabled the event log (EventCapacity > 0); nil otherwise.
-	// Present-but-empty logs yield a non-nil empty slice, mirroring the
-	// standalone run.
-	Events []event.Event
 }
 
 // Stats describes a plan's shape after prefix deduplication.
@@ -82,8 +79,14 @@ func (p *Plan) Stats() Stats {
 	return s
 }
 
-// memberError wraps a failure with the member it belongs to, so a
-// 256-point sweep failure names the offending point.
-func memberError(i int, cfg fabric.Config, err error) error {
+// memberError wraps a failure of member i with the member it belongs
+// to, so a 256-point sweep failure names the offending point. A
+// one-member plan is a solo run: its failure is the run's own, returned
+// as the fabric reported it.
+func (p *Plan) memberError(i int, err error) error {
+	if len(p.specs) == 1 {
+		return err
+	}
+	cfg := p.specs[i]
 	return fmt.Errorf("batch: member %d (%s/%s/%s): %w", i, cfg.Set.Name, cfg.Pattern.Name(), cfg.Arch, err)
 }

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
@@ -11,26 +12,35 @@ import (
 
 // forkRig builds the fabric of the heaviest point of the 256-point sweep
 // corpus — skewed-2 traffic at twice the nominal load, where congestion
-// reaches the most VCs and the packet pool grows furthest — with its
-// cycle-0 checkpoint, and runs the member twice, so the packet pool, the
-// source queues and every other amortised structure have peaked before
-// anything is measured.
-func forkRig(tb testing.TB) (*fabric.Fabric, *fabric.Checkpoint, fabric.Config) {
+// reaches the most VCs and the packet pool grows furthest — as the lone
+// member of a plan, with its cycle-0 checkpoint, and forks the member
+// twice, so the packet pool, the source queues and every other amortised
+// structure have peaked before anything is measured.
+func forkRig(tb testing.TB) (*Plan, *fabric.Fabric, *fabric.Checkpoint) {
 	tb.Helper()
 	cfg := spec(1, 2)
 	cfg.Pattern = traffic.Skewed{Level: 2}
-	cfg = cfg.WithDefaults()
-	f, err := fabric.New(cfg)
+	p := mustPlan(tb, []fabric.Config{cfg}, Options{})
+	f, err := fabric.New(p.specs[0])
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cp := f.Checkpoint()
 	for range 2 {
-		if _, err := runMember(context.Background(), f, cp, cfg); err != nil {
-			tb.Fatal(err)
-		}
+		forkMember(tb, p, f, cp)
 	}
-	return f, cp, cfg
+	return p, f, cp
+}
+
+// forkMember runs the plan's member 0 as a group's later members run:
+// forked off the checkpoint, not on a fresh build.
+func forkMember(tb testing.TB, p *Plan, f *fabric.Fabric, cp *fabric.Checkpoint) {
+	if err := fork(f, cp, p.specs[0]); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.runMember(context.Background(), 0, f); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // TestForkAllocatesNoBuffers: once a group's first member has run,
@@ -41,12 +51,10 @@ func forkRig(tb testing.TB) (*fabric.Fabric, *fabric.Checkpoint, fabric.Config) 
 // fork — the ring that doubled toward depth 64 cost this member 1,087
 // objects and 384 KiB — and fails this.
 func TestForkAllocatesNoBuffers(t *testing.T) {
-	f, cp, cfg := forkRig(t)
+	p, f, cp := forkRig(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := runMember(context.Background(), f, cp, cfg); err != nil {
-		t.Fatal(err)
-	}
+	forkMember(t, p, f, cp)
 	runtime.ReadMemStats(&after)
 	objects, kib := after.Mallocs-before.Mallocs, (after.TotalAlloc-before.TotalAlloc)/1024
 	t.Logf("one forked member: %d objects, %d KiB", objects, kib)
@@ -55,17 +63,52 @@ func TestForkAllocatesNoBuffers(t *testing.T) {
 	}
 }
 
+// TestOneMemberPlanIsOneBuild: a group's first member runs on the fabric
+// the group just built, so a one-member plan costs one fabric.New and one
+// run — no cycle-0 checkpoint, restore or reseed — plus the plan's own
+// bookkeeping; forking the member off its own cycle-0 checkpoint would
+// cost ≈ 300 allocations more. And whether a member runs on the build or forks off its
+// checkpoint, a k-member group's results are k solo runs.
+func TestOneMemberPlanIsOneBuild(t *testing.T) {
+	cfg := spec(3, 1)
+	bare := testing.AllocsPerRun(5, func() { soloRun(t, cfg) })
+	plan := testing.AllocsPerRun(5, func() {
+		if _, err := mustPlan(t, []fabric.Config{cfg}, Options{}).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one-member plan: %.0f allocations, fabric.New + RunContext: %.0f", plan, bare)
+	if plan > bare+16 {
+		t.Errorf("a one-member plan allocates %.0f objects, fabric.New + RunContext %.0f: want at most 16 more", plan, bare)
+	}
+
+	group := []fabric.Config{spec(3, 1), spec(4, 2), spec(5, 0.5)}
+	p := mustPlan(t, group, Options{})
+	if st := p.Stats(); st.Groups != 1 {
+		t.Fatalf("plan built %d groups, want 1", st.Groups)
+	}
+	out, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range group {
+		if got, want := resultJSON(t, out[i]), resultJSON(t, soloRun(t, s)); !bytes.Equal(got, want) {
+			t.Errorf("member %d diverges from its solo run:\nplan: %s\nsolo: %s", i, got, want)
+		}
+	}
+}
+
 // BenchmarkBatchMember measures one forked member of the sweep corpus end
 // to end — Restore, SetLoadScale, Reseed, 600 cycles, Finish — on a fabric
-// whose earlier members have already grown everything that grows.
+// whose earlier members have already grown everything that grows. It
+// times a group's later members, not the first, which runs on the fresh
+// build.
 func BenchmarkBatchMember(b *testing.B) {
-	f, cp, cfg := forkRig(b)
+	p, f, cp := forkRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i) + 2
-		if _, err := runMember(context.Background(), f, cp, cfg); err != nil {
-			b.Fatal(err)
-		}
+		p.specs[0].Seed = uint64(i) + 2
+		forkMember(b, p, f, cp)
 	}
 }

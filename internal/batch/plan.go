@@ -5,7 +5,6 @@ import (
 	"reflect"
 
 	"hetpnoc/internal/fabric"
-	"hetpnoc/internal/traffic"
 )
 
 // Plan is a deduplicated job list: the member configs in submission
@@ -34,14 +33,16 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("batch: empty plan")
 	}
+	if opts.Observe != nil && opts.Every <= 0 {
+		return nil, fmt.Errorf("batch: observer interval must be positive, got %d", opts.Every)
+	}
 	opts = opts.withDefaults()
 	p := &Plan{specs: make([]fabric.Config, len(specs)), opts: opts}
 	for i, spec := range specs {
-		spec = spec.WithDefaults()
-		if err := spec.Validate(); err != nil {
-			return nil, memberError(i, spec, err)
+		p.specs[i] = spec.WithDefaults()
+		if err := p.specs[i].Validate(); err != nil {
+			return nil, p.memberError(i, err)
 		}
-		p.specs[i] = spec
 	}
 	for i := range p.specs {
 		placed := false
@@ -65,48 +66,23 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 // set, architecture, traffic pattern, router provisioning, energy
 // model, DBA parameters, scheduled remaps — must match; only the fields
 // the fork sequence re-applies may differ: the seed and the load scale.
+//
+// With those two masked, deep structural equality covers every build
+// parameter, so a field added to fabric.Config is conservatively
+// prefix-splitting by default. Patterns
+// (the traffic and every remap's) compare by type and contents: one
+// carrying closures, like a traffic.Fixed assignment, never equals a
+// separately built one — a missed dedup is a lost optimization, a false
+// merge would be a wrong result. The public API's custom traffic is
+// traffic.Custom, plain data, so equal custom workloads do share.
 func sharablePrefix(a, b fabric.Config) bool {
-	if !patternsEqual(a.Pattern, b.Pattern) {
-		return false
+	if reflect.TypeOf(a.Pattern) != reflect.TypeOf(b.Pattern) {
+		return false // the cheap reject, ahead of DeepEqual's bookkeeping
 	}
-	if !remapsEqual(a.Remaps, b.Remaps) {
-		return false
-	}
-	// Mask the fields compared above and the legitimately-varying ones,
-	// then let deep structural equality cover every remaining build
-	// parameter — a field added to fabric.Config is conservatively
-	// prefix-splitting by default.
-	a.Pattern, b.Pattern = nil, nil
-	a.Remaps, b.Remaps = nil, nil
 	a.Seed, b.Seed = 0, 0
 	a.LoadScale, b.LoadScale = 0, 0
-	return reflect.DeepEqual(a, b)
-}
-
-// patternsEqual compares traffic patterns structurally. Patterns
-// carrying closures (custom fixed assignments) compare unequal unless
-// they are the same nil-free value, so configs whose equality cannot be
-// proven never share a fabric — a missed dedup is a lost optimization,
-// a false merge would be a wrong result.
-func patternsEqual(a, b traffic.Pattern) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	if reflect.TypeOf(a) != reflect.TypeOf(b) {
-		return false
+	if len(a.Remaps) == 0 && len(b.Remaps) == 0 {
+		a.Remaps, b.Remaps = nil, nil
 	}
 	return reflect.DeepEqual(a, b)
-}
-
-// remapsEqual compares scheduled remap lists element-wise.
-func remapsEqual(a, b []fabric.Remap) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].At != b[i].At || !patternsEqual(a[i].Pattern, b[i].Pattern) {
-			return false
-		}
-	}
-	return true
 }

@@ -21,7 +21,7 @@ func spec(seed uint64, load float64) fabric.Config {
 	}
 }
 
-func mustPlan(t *testing.T, specs []fabric.Config, opts Options) *Plan {
+func mustPlan(t testing.TB, specs []fabric.Config, opts Options) *Plan {
 	t.Helper()
 	p, err := NewPlan(specs, opts)
 	if err != nil {

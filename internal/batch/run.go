@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -17,12 +18,14 @@ import (
 // fabric.StepContext, so cancellation aborts the in-flight members
 // within one fabric.CancelCheckInterval and the workers drain cleanly.
 // Run returns ctx's error if it fired, otherwise the failure of the
-// lowest-indexed group that genuinely failed. A Plan may be Run again
-// after a cancellation — each Run builds fresh fabrics — and reproduces
-// its results byte-identically.
-func (p *Plan) Run(ctx context.Context) ([]Result, error) {
+// lowest-indexed group that genuinely failed. A panic or runtime.Goexit
+// below Run unwinds Run's caller as if it had stepped the fabric itself:
+// a one-worker plan runs on the caller's goroutine, and spawn re-raises
+// a worker's. A Plan may be Run again after a cancellation — each Run
+// builds fresh fabrics — and reproduces its results byte-identically.
+func (p *Plan) Run(ctx context.Context) ([]fabric.Result, error) {
 	workers := min(p.opts.Workers, len(p.groups))
-	results := make([]Result, len(p.specs))
+	results := make([]fabric.Result, len(p.specs))
 	// One slot per group, written only by the worker that claimed it.
 	errs := make([]error, len(p.groups))
 
@@ -32,27 +35,24 @@ func (p *Plan) Run(ctx context.Context) ([]Result, error) {
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
 
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64 // groups claimed so far
-	)
-	wg.Add(workers)
-	for range workers {
-		go func() {
-			defer wg.Done()
-			for runCtx.Err() == nil {
-				gi := int(cursor.Add(1)) - 1
-				if gi >= len(p.groups) {
-					return
-				}
-				if errs[gi] = p.runGroup(runCtx, p.groups[gi], results); errs[gi] != nil {
-					cancelRun()
-					return
-				}
+	var cursor atomic.Int64 // groups claimed so far
+	work := func() {
+		for runCtx.Err() == nil {
+			gi := int(cursor.Add(1)) - 1
+			if gi >= len(p.groups) {
+				return
 			}
-		}()
+			if errs[gi] = p.runGroup(runCtx, p.groups[gi], results); errs[gi] != nil {
+				cancelRun()
+				return
+			}
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		work()
+	} else {
+		spawn(workers, work, cancelRun)
+	}
 
 	// Report the caller's cancellation as such even when a worker
 	// dressed it in member context: the batch was aborted, not wrong.
@@ -71,49 +71,102 @@ func (p *Plan) Run(ctx context.Context) ([]Result, error) {
 	return results, nil
 }
 
-// runGroup builds the group's shared fabric, checkpoints it before any
-// stepping, and replays every member's whole run off the checkpoint.
-func (p *Plan) runGroup(ctx context.Context, g group, results []Result) error {
-	base := p.specs[g.members[0]]
-	f, err := fabric.New(base)
-	if err != nil {
-		return memberError(g.members[0], base, err)
+// spawn runs work on n goroutines and waits for them. The first panic or
+// runtime.Goexit to end one aborts the others and, once all have stopped,
+// is re-raised on the caller's goroutine.
+func spawn(n int, work, abort func()) {
+	var (
+		wg      sync.WaitGroup
+		once    sync.Once
+		escaped bool
+		value   any // nil for a Goexit: panic(nil) recovers as a *runtime.PanicNilError
+	)
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			returned := false
+			defer func() {
+				if !returned {
+					r := recover()
+					once.Do(func() { escaped, value = true, r })
+					abort()
+				}
+			}()
+			work()
+			returned = true
+		}()
 	}
-	cp := f.Checkpoint()
+	wg.Wait()
+	if escaped && value == nil {
+		runtime.Goexit()
+	} else if escaped {
+		panic(value)
+	}
+}
 
-	for _, mi := range g.members {
+// runGroup builds the group's shared fabric and runs every member on it.
+// The build is the first member's pristine state — its config built it,
+// and a fork off the cycle-0 checkpoint reproduces exactly that
+// (TestPristineForkMatchesSolo) — so the first member runs as built and
+// the checkpoint is taken only when a second member will fork off it.
+func (p *Plan) runGroup(ctx context.Context, g group, results []fabric.Result) error {
+	base := g.members[0]
+	f, err := fabric.New(p.specs[base])
+	if err != nil {
+		return p.memberError(base, err)
+	}
+	var cp *fabric.Checkpoint
+	if len(g.members) > 1 {
+		cp = f.Checkpoint()
+	}
+	for i, mi := range g.members {
 		if err := ctx.Err(); err != nil {
-			return memberError(mi, p.specs[mi], err)
+			return p.memberError(mi, err)
 		}
-		if results[mi], err = runMember(ctx, f, cp, p.specs[mi]); err != nil {
-			return memberError(mi, p.specs[mi], err)
+		if i > 0 {
+			if err := fork(f, cp, p.specs[mi]); err != nil {
+				return p.memberError(mi, err)
+			}
+		}
+		if results[mi], err = p.runMember(ctx, mi, f); err != nil {
+			return p.memberError(mi, err)
 		}
 	}
 	return nil
 }
 
-// runMember is one fork: rewind f onto the group's cycle-0 checkpoint,
-// give it the member's load and seed, and run the member's whole budget.
-func runMember(ctx context.Context, f *fabric.Fabric, cp *fabric.Checkpoint, spec fabric.Config) (Result, error) {
+// fork rewinds f onto the group's cycle-0 checkpoint and gives it the
+// member's load and seed.
+func fork(f *fabric.Fabric, cp *fabric.Checkpoint, spec fabric.Config) error {
 	if err := f.Restore(cp); err != nil {
-		return Result{}, err
+		return err
 	}
 	if err := f.SetLoadScale(spec.LoadScale); err != nil {
-		return Result{}, err
+		return err
 	}
-	if err := f.Reseed(spec.Seed); err != nil {
-		return Result{}, err
+	return f.Reseed(spec.Seed)
+}
+
+// runMember runs member mi's whole budget on f, which must hold the
+// member's pristine cycle-0 state. Without an observer the budget is one
+// StepContext call; with one, it is stepped in windows of Options.Every
+// cycles and the observer sees the fabric at each multiple of Every.
+func (p *Plan) runMember(ctx context.Context, mi int, f *fabric.Fabric) (fabric.Result, error) {
+	cycles, observe, every := p.specs[mi].Cycles, p.opts.Observe, p.opts.Every
+	window := cycles
+	if observe != nil && every < int64(window) {
+		window = int(every)
 	}
-	if err := f.StepContext(ctx, spec.Cycles); err != nil {
-		return Result{}, err
+	for done := 0; done < cycles; {
+		n := min(window, cycles-done)
+		if err := f.StepContext(ctx, n); err != nil {
+			return fabric.Result{}, err
+		}
+		done += n
+		if observe != nil && int64(done)%every == 0 {
+			observe(mi, f)
+		}
 	}
-	res, err := f.Finish()
-	if err != nil {
-		return Result{}, err
-	}
-	out := Result{Res: res}
-	if log := f.Events(); log != nil {
-		out.Events = log.Events()
-	}
-	return out, nil
+	return f.Finish()
 }

@@ -11,15 +11,15 @@ import (
 	"testing/quick"
 	"time"
 
-	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/testutil/leakcheck"
 	"hetpnoc/internal/traffic"
 )
 
 // soloRun executes one member config on its own fresh fabric — the
-// reference every plan member must match byte-for-byte.
-func soloRun(t *testing.T, cfg fabric.Config) (fabric.Result, []event.Event) {
+// reference every plan member must match byte-for-byte, event log
+// included.
+func soloRun(t testing.TB, cfg fabric.Config) fabric.Result {
 	t.Helper()
 	f, err := fabric.New(cfg.WithDefaults())
 	if err != nil {
@@ -29,28 +29,16 @@ func soloRun(t *testing.T, cfg fabric.Config) (fabric.Result, []event.Event) {
 	if err != nil {
 		t.Fatalf("solo run: %v", err)
 	}
-	return res, f.Events().Events()
+	return res
 }
 
-func resultJSON(t *testing.T, res fabric.Result) []byte {
+func resultJSON(t testing.TB, res fabric.Result) []byte {
 	t.Helper()
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal result: %v", err)
 	}
 	return b
-}
-
-func eventsEqual(a, b []event.Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].String() != b[i].String() {
-			return false
-		}
-	}
-	return true
 }
 
 // TestPristineForkMatchesSolo drives the engine at the fabric layer —
@@ -91,12 +79,12 @@ func TestPristineForkMatchesSolo(t *testing.T) {
 			t.Fatalf("%s: Run: %v", name, err)
 		}
 		for i, s := range specs {
-			wantRes, wantEvents := soloRun(t, s)
-			if got, want := resultJSON(t, out[i].Res), resultJSON(t, wantRes); !bytes.Equal(got, want) {
-				t.Errorf("%s: member %d diverges from solo run:\nbatch: %s\nsolo:  %s", name, i, got, want)
+			want := soloRun(t, s)
+			if len(want.Events) == 0 {
+				t.Fatalf("%s: member %d logged no events; the event-log comparison is vacuous", name, i)
 			}
-			if !eventsEqual(out[i].Events, wantEvents) {
-				t.Errorf("%s: member %d event log diverges (batch %d events, solo %d)", name, i, len(out[i].Events), len(wantEvents))
+			if got, want := resultJSON(t, out[i]), resultJSON(t, want); !bytes.Equal(got, want) {
+				t.Errorf("%s: member %d diverges from solo run (event log included):\nbatch: %s\nsolo:  %s", name, i, got, want)
 			}
 		}
 	}
@@ -120,7 +108,7 @@ func sameAtEveryWorkerCount(t *testing.T, specs []fabric.Config) bool {
 		}
 		enc := make([][]byte, len(out))
 		for i := range out {
-			enc[i] = resultJSON(t, out[i].Res)
+			enc[i] = resultJSON(t, out[i])
 		}
 		if ref == nil {
 			ref = enc
@@ -244,7 +232,7 @@ func TestRunCancellationDrains(t *testing.T) {
 		t.Fatalf("reference run: %v", err)
 	}
 	for i := range got {
-		if !bytes.Equal(resultJSON(t, got[i].Res), resultJSON(t, want[i].Res)) {
+		if !bytes.Equal(resultJSON(t, got[i]), resultJSON(t, want[i])) {
 			t.Errorf("member %d of the resubmitted plan diverges from the reference", i)
 		}
 	}
@@ -283,5 +271,80 @@ func TestRunSurfacesRemapFailure(t *testing.T) {
 	_, err := p.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "member 1") || !strings.Contains(err.Error(), "cycle 300: remap: traffic: fixed assignment has 3 cores") {
 		t.Fatalf("Run returned %v, want member 1's remap failure at cycle 300", err)
+	}
+}
+
+// TestPanicReachesRunsCaller: a panic below Run — here the observer's,
+// on member 1 of a two-group plan — surfaces on Run's caller with its own
+// value, whether the plan runs inline (one worker) or on worker
+// goroutines, and no worker outlives it. The caller, like hetpnocd's
+// runRecovered, can then recover it as if it had stepped the fabric.
+func TestPanicReachesRunsCaller(t *testing.T) {
+	leakcheck.Check(t)
+	skewed := spec(2, 1)
+	skewed.Pattern = traffic.Skewed{Level: 2}
+	specs := []fabric.Config{spec(1, 1), skewed}
+	for _, workers := range []int{1, 2} {
+		p := mustPlan(t, specs, Options{Workers: workers, Every: 100, Observe: func(member int, _ *fabric.Fabric) {
+			if member == 1 {
+				panic("observer poisoned")
+			}
+		}})
+		func() {
+			defer func() {
+				if r := recover(); r != "observer poisoned" {
+					t.Errorf("%d workers: recovered %v, want the observer's panic", workers, r)
+				}
+			}()
+			p.Run(context.Background())
+			t.Errorf("%d workers: Run returned past a panicking member", workers)
+		}()
+	}
+}
+
+// TestGoexitReachesRunsCaller: a runtime.Goexit below Run (t.Fatal in an
+// observer) ends Run's caller, at any worker count, instead of returning
+// a zero result with a nil error.
+func TestGoexitReachesRunsCaller(t *testing.T) {
+	leakcheck.Check(t)
+	skewed := spec(2, 1)
+	skewed.Pattern = traffic.Skewed{Level: 2}
+	specs := []fabric.Config{spec(1, 1), skewed}
+	for _, workers := range []int{1, 2} {
+		p := mustPlan(t, specs, Options{Workers: workers, Every: 100, Observe: func(member int, _ *fabric.Fabric) {
+			if member == 1 {
+				runtime.Goexit()
+			}
+		}})
+		returned := make(chan bool, 1)
+		go func() {
+			exited := true
+			defer func() { returned <- !exited }()
+			p.Run(context.Background())
+			exited = false
+		}()
+		if <-returned {
+			t.Errorf("%d workers: Run returned past a member's Goexit", workers)
+		}
+	}
+}
+
+// TestSoloFailureIsUnframed: a one-member plan is a solo run, so its
+// failure reads as the fabric reported it; only a plan with several
+// members names the member.
+func TestSoloFailureIsUnframed(t *testing.T) {
+	broken := spec(1, 1)
+	broken.Pattern = traffic.Skewed{Level: 9} // passes Validate, fails in fabric.New
+	_, want := fabric.New(broken.WithDefaults())
+	if want == nil {
+		t.Fatal("fabric.New accepted the broken config")
+	}
+	_, err := mustPlan(t, []fabric.Config{broken}, Options{}).Run(context.Background())
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("one-member plan failed with %v, want fabric.New's %v", err, want)
+	}
+	_, err = mustPlan(t, []fabric.Config{spec(1, 1), broken}, Options{Workers: 1}).Run(context.Background())
+	if err == nil || !strings.HasPrefix(err.Error(), "batch: member 1 ") {
+		t.Errorf("two-member plan failed with %v, want it framed as member 1's", err)
 	}
 }

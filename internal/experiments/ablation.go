@@ -49,7 +49,7 @@ func runAblation(ctx context.Context, opts Options, cases []ablationCase) ([]Abl
 	}
 	rows := make([]AblationRow, len(cases))
 	for i, c := range cases {
-		res := out[i].Res
+		res := out[i]
 		rows[i] = AblationRow{
 			Study:              c.study,
 			Variant:            c.variant,

@@ -116,14 +116,14 @@ func pointConfig(opts Options, p Point, scale float64) fabric.Config {
 
 // peakRow reports a point's load sweep — results[i] ran at scales[i] —
 // as the run that delivered the most bandwidth.
-func peakRow(p Point, scales []float64, results []batch.Result) Row {
+func peakRow(p Point, scales []float64, results []fabric.Result) Row {
 	peak := 0
 	for i := range scales {
-		if results[i].Res.Stats.DeliveredGbps > results[peak].Res.Stats.DeliveredGbps {
+		if results[i].Stats.DeliveredGbps > results[peak].Stats.DeliveredGbps {
 			peak = i
 		}
 	}
-	return rowAtPeak(p, scales[peak], results[peak].Res)
+	return rowAtPeak(p, scales[peak], results[peak])
 }
 
 // rowAtPeak shapes one run's result into the Row reported for its point.
@@ -151,7 +151,7 @@ func rowAtPeak(p Point, scale float64, res fabric.Result) Row {
 // order. Each result is bit-identical to a solo fabric.New + Run of its
 // spec (the batch contract, docs/BATCHING.md). opts must already be
 // defaulted.
-func runPlan(ctx context.Context, opts Options, specs []fabric.Config) ([]batch.Result, error) {
+func runPlan(ctx context.Context, opts Options, specs []fabric.Config) ([]fabric.Result, error) {
 	plan, err := batch.NewPlan(specs, batch.Options{Workers: opts.Parallelism})
 	if err != nil {
 		return nil, err

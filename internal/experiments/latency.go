@@ -41,7 +41,7 @@ func LoadLatencyCurve(ctx context.Context, opts Options, arch fabric.Arch, patte
 	}
 	points := make([]LatencyPoint, len(loads))
 	for i, load := range loads {
-		res := out[i].Res
+		res := out[i]
 		points[i] = LatencyPoint{
 			LoadScale:        load,
 			OfferedGbps:      res.OfferedGbps,

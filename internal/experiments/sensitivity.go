@@ -64,7 +64,7 @@ func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]S
 		return nil, fmt.Errorf("experiments: energy sensitivity: %w", err)
 	}
 	for i := range rows {
-		ff, dh := out[2*i].Res.EnergyPerMessagePJ, out[2*i+1].Res.EnergyPerMessagePJ
+		ff, dh := out[2*i].EnergyPerMessagePJ, out[2*i+1].EnergyPerMessagePJ
 		rows[i].FireflyEPMPJ = ff
 		rows[i].DHetPNoCEPMPJ = dh
 		rows[i].DHetSavingPct = float64((1 - dh/ff) * 100)

@@ -390,7 +390,6 @@ func (f *Fabric) drainEject(cs *coreState, now sim.Cycle) error {
 // deliver retires a packet whose tail flit has just been consumed by its
 // destination core.
 func (f *Fabric) deliver(p *packet.Packet, now sim.Cycle) {
-	f.totals.Delivered++
 	f.collector.OnDeliverPacket(p.Born, now)
 	f.events.AppendInts(now, event.PacketDelivered, int(p.DstCluster), int64(p.ID),
 		"core %d, latency %d cycles", int64(p.Dst), int64(now-p.Born))

@@ -83,28 +83,11 @@ type Fabric struct {
 	// pool recycles packet structs once their tail is consumed or the
 	// packet is lost; sources draw from it when generating.
 	pool packet.Pool
-
-	// totals are whole-run packet counters, never gated by the warm-up
-	// measurement window; the conservation property tests balance them
-	// against the pool's live count.
-	totals Totals
 }
 
-// Totals are un-gated whole-run packet counters (the warm-up window
-// included, unlike stats.Summary). At any instant the conservation
-// invariant Injected == Delivered + Lost + live packets holds, where the
-// live term is LivePackets: a packet that entered a source queue is in
-// exactly one of the delivered, lost or still-in-flight states.
-// Retransmission copies retire their predecessor atomically and so never
-// unbalance the equation.
-type Totals struct {
-	Injected      int64
-	Rejected      int64
-	Delivered     int64
-	DroppedRX     int64
-	Lost          int64
-	Retransmitted int64
-}
+// Totals are the collector's un-gated whole-run packet counters; the
+// conservation property tests balance them against LivePackets.
+type Totals = stats.Totals
 
 // New builds a fabric from cfg (after applying defaults and validation).
 func New(cfg Config) (*Fabric, error) {
@@ -369,15 +352,12 @@ func (f *Fabric) SetLoadScale(scale float64) error {
 //
 //hetpnoc:hotpath
 func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
-	f.totals.DroppedRX++
 	f.collector.OnDropRX()
 	if p.Attempt > f.cfg.MaxRetries {
-		f.totals.Lost++
 		f.collector.OnLost()
 		f.pool.Put(p)
 		return
 	}
-	f.totals.Retransmitted++
 	f.collector.OnRetransmit()
 	f.events.AppendInts(now, event.Retransmit, int(p.SrcCluster), int64(p.ID),
 		"attempt %d, back-off %d cycles", int64(p.Attempt), int64(f.cfg.RetryBackoffCycles))
@@ -584,14 +564,12 @@ func (f *Fabric) generate(now sim.Cycle) {
 		}
 		if cs.queue.Len() >= f.cfg.SourceQueueLimit {
 			cs.rejects++
-			f.totals.Rejected++
 			f.collector.OnReject()
 			f.pool.Put(p) // never escaped: safe to recycle immediately
 			continue
 		}
 		cs.queue.Push(p)
 		f.injActive.Set(int(cs.id))
-		f.totals.Injected++
 		f.collector.OnInject()
 	}
 	f.nextGen = next
@@ -702,7 +680,7 @@ func (f *Fabric) DeliveredPackets() int64 {
 }
 
 // Totals returns the un-gated whole-run packet counters.
-func (f *Fabric) Totals() Totals { return f.totals }
+func (f *Fabric) Totals() Totals { return f.collector.Totals() }
 
 // BlockedHeaders returns how many router input VCs hold a header waiting
 // on an output whose downstream port has run out of VCs — the §1.4

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"hetpnoc/internal/event"
 	"hetpnoc/internal/stats"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/units"
@@ -51,6 +52,10 @@ type Result struct {
 	// establishments and blocked setups (torus baseline only).
 	TorusPathsSetUp    int64
 	TorusSetupsBlocked int64
+
+	// Events is the retained protocol event log when Config.EventCapacity
+	// enabled it — non-nil, possibly empty — and nil otherwise.
+	Events []event.Event
 }
 
 // result assembles the Result after Run completes.
@@ -75,6 +80,7 @@ func (f *Fabric) result() Result {
 		EnergyPhotonicPJ:   f.ledger.PhotonicPJ(),
 		EnergyElectricalPJ: f.ledger.ElectricalPJ(),
 		EnergyBreakdownPJ:  make(map[string]units.Picojoule),
+		Events:             f.events.Events(),
 	}
 	//hetpnoc:orderfree fills a map from a map; insertion order is invisible in the result
 	for comp, pj := range f.ledger.Breakdown() {

@@ -29,7 +29,6 @@ type Checkpoint struct {
 	now        sim.Cycle
 	msgIDs     packet.MessageID
 	pktIDs     packet.ID
-	totals     Totals
 	skipped    int64
 	assignment traffic.Assignment
 	rng        uint64
@@ -85,7 +84,6 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 		now:        f.now,
 		msgIDs:     f.msgIDs,
 		pktIDs:     f.pktIDs,
-		totals:     f.totals,
 		skipped:    f.skipped,
 		assignment: f.assignment,
 		rng:        f.rng.State(),
@@ -198,7 +196,6 @@ func (f *Fabric) Restore(cp *Checkpoint) error {
 	f.now = cp.now
 	f.msgIDs = cp.msgIDs
 	f.pktIDs = cp.pktIDs
-	f.totals = cp.totals
 	f.skipped = cp.skipped
 	f.assignment = cp.assignment
 	f.rng.SetState(cp.rng)

@@ -506,7 +506,9 @@ func TestSoakCloseDuringSubmit(t *testing.T) {
 // fails that flight — the request that started it and the two coalesced
 // onto it — with ErrSimulation naming the cache key, is counted on
 // /metricsz, and leaves the one-worker pool at strength: the next request
-// is simulated, and the server drains with no goroutine lost.
+// is simulated, and the server drains with no goroutine lost. The panic
+// is raised below the batch plan, by a trace observer inside the
+// member's run, where the simulator's own would be.
 func TestPanickingJobFailsOnlyItsFlight(t *testing.T) {
 	leakcheck.Check(t)
 	const poisonSeed, waiters = 666, 3
@@ -514,10 +516,13 @@ func TestPanickingJobFailsOnlyItsFlight(t *testing.T) {
 	release := make(chan struct{})
 	s.run = func(ctx context.Context, cfgs []hetpnoc.Config) ([]hetpnoc.Result, error) {
 		if cfgs[0].Seed == poisonSeed {
-			<-release
-			panic("index out of range [64] with length 64")
+			res, err := hetpnoc.RunWithTrace(cfgs[0], nil, 100, func(hetpnoc.Snapshot) {
+				<-release
+				panic("index out of range [64] with length 64")
+			})
+			return []hetpnoc.Result{res}, err
 		}
-		return runConfigs(ctx, cfgs)
+		return hetpnoc.RunBatchContext(ctx, cfgs)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer func() {

@@ -113,8 +113,9 @@ type Server struct {
 	cache *cache.Cache
 	queue chan *flight
 
-	// run simulates one flight's configs (runConfigs); tests swap it to
-	// inject faults into an admitted job.
+	// run simulates one flight's configs — hetpnoc.RunBatchContext, for
+	// a single run and a sweep partition alike; tests swap it to inject
+	// faults into an admitted job.
 	run func(context.Context, []hetpnoc.Config) ([]hetpnoc.Result, error)
 
 	baseCtx    context.Context
@@ -149,7 +150,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		cache:      cache.New(cfg.CacheCapacity),
 		queue:      make(chan *flight, cfg.QueueDepth),
-		run:        runConfigs,
+		run:        hetpnoc.RunBatchContext,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		started:    time.Now(),
@@ -394,16 +395,6 @@ func (s *Server) runRecovered(fl *flight) (res []hetpnoc.Result, err error) {
 		}
 	}()
 	return s.run(fl.ctx, fl.cfgs)
-}
-
-// runConfigs simulates one flight: a single config takes the solo run
-// path, a partition the batch engine.
-func runConfigs(ctx context.Context, cfgs []hetpnoc.Config) ([]hetpnoc.Result, error) {
-	if len(cfgs) > 1 {
-		return hetpnoc.RunBatchContext(ctx, cfgs)
-	}
-	res, err := hetpnoc.RunContext(ctx, cfgs[0])
-	return []hetpnoc.Result{res}, err
 }
 
 // finish retires fl from the pending set and wakes its subscribers. The

@@ -23,12 +23,11 @@ type Collector struct {
 	startAt   sim.Cycle
 	endAt     sim.Cycle
 
-	packetsInjected  int64
-	packetsDelivered int64
-	packetsDroppedRX int64
-	packetsRejected  int64
-	packetsLost      int64
-	retransmissions  int64
+	// total counts packet events over the whole run; atStart latches it
+	// when the measured window opens, so the window's counts are the
+	// difference and the warm-up's are the latch.
+	total   Totals
+	atStart Totals
 
 	bitsDelivered  int64
 	flitsDelivered int64
@@ -39,8 +38,22 @@ type Collector struct {
 	latencies    []sim.Cycle
 
 	bitsPerCluster []int64
+}
 
-	warmupDelivered int64
+// Totals are un-gated whole-run packet counters (the warm-up window
+// included, unlike Summary). At any instant the conservation invariant
+// Injected == Delivered + Lost + live packets holds, where the live term
+// is the fabric's LivePackets: a packet that entered a source queue is in
+// exactly one of the delivered, lost or still-in-flight states.
+// Retransmission copies retire their predecessor atomically and so never
+// unbalance the equation.
+type Totals struct {
+	Injected      int64
+	Rejected      int64
+	Delivered     int64
+	DroppedRX     int64
+	Lost          int64
+	Retransmitted int64
 }
 
 // NewCollector returns a collector for the given clock.
@@ -57,6 +70,7 @@ func (c *Collector) SetClusterCount(n int) {
 func (c *Collector) StartMeasurement(now sim.Cycle) {
 	c.measuring = true
 	c.startAt = now
+	c.atStart = c.total
 }
 
 // Finish closes the measured window at cycle end (exclusive).
@@ -65,18 +79,10 @@ func (c *Collector) Finish(end sim.Cycle) {
 }
 
 // OnInject records a packet entering its source queue.
-func (c *Collector) OnInject() {
-	if c.measuring {
-		c.packetsInjected++
-	}
-}
+func (c *Collector) OnInject() { c.total.Injected++ }
 
 // OnReject records a packet refused at a full source queue.
-func (c *Collector) OnReject() {
-	if c.measuring {
-		c.packetsRejected++
-	}
-}
+func (c *Collector) OnReject() { c.total.Rejected++ }
 
 // OnDeliverFlit records bits of one flit ejected at its destination, on
 // behalf of the given source cluster (service fairness is about who got
@@ -95,11 +101,10 @@ func (c *Collector) OnDeliverFlit(bits int, srcCluster int) {
 // OnDeliverPacket records a complete packet arriving; born is the cycle
 // its logical message was first generated.
 func (c *Collector) OnDeliverPacket(born, now sim.Cycle) {
+	c.total.Delivered++
 	if !c.measuring {
-		c.warmupDelivered++
 		return
 	}
-	c.packetsDelivered++
 	lat := now - born
 	c.latencySum += float64(lat)
 	c.latencyCount++
@@ -110,28 +115,28 @@ func (c *Collector) OnDeliverPacket(born, now sim.Cycle) {
 }
 
 // OnDropRX records a packet refused at the photonic receive side.
-func (c *Collector) OnDropRX() {
-	if c.measuring {
-		c.packetsDroppedRX++
-	}
-}
+func (c *Collector) OnDropRX() { c.total.DroppedRX++ }
 
 // OnLost records a packet abandoned after exhausting its retries.
-func (c *Collector) OnLost() {
-	if c.measuring {
-		c.packetsLost++
-	}
-}
+func (c *Collector) OnLost() { c.total.Lost++ }
 
 // OnRetransmit records a retransmission attempt being scheduled.
-func (c *Collector) OnRetransmit() {
+func (c *Collector) OnRetransmit() { c.total.Retransmitted++ }
+
+// Totals returns the whole-run packet counters.
+func (c *Collector) Totals() Totals { return c.total }
+
+// warmup returns the counts the warm-up window accumulated: the latch once
+// measurement has started, everything so far before that.
+func (c *Collector) warmup() Totals {
 	if c.measuring {
-		c.retransmissions++
+		return c.atStart
 	}
+	return c.total
 }
 
 // Delivered returns the packets delivered so far in the measured window.
-func (c *Collector) Delivered() int64 { return c.packetsDelivered }
+func (c *Collector) Delivered() int64 { return c.total.Delivered - c.warmup().Delivered }
 
 // CollectorSnapshot is a checkpoint of the collector's accumulated
 // metrics.
@@ -194,19 +199,20 @@ type Summary struct {
 func (c *Collector) Summary() Summary {
 	cycles := c.endAt - c.startAt
 	seconds := units.CyclesToSeconds(cycles, units.ClockGHz(c.clock))
+	warm := c.warmup()
 	s := Summary{
 		MeasuredCycles:   cycles,
 		MeasuredSeconds:  seconds,
-		PacketsInjected:  c.packetsInjected,
-		PacketsDelivered: c.packetsDelivered,
-		PacketsDroppedRX: c.packetsDroppedRX,
-		PacketsRejected:  c.packetsRejected,
-		PacketsLost:      c.packetsLost,
-		Retransmissions:  c.retransmissions,
+		PacketsInjected:  c.total.Injected - warm.Injected,
+		PacketsDelivered: c.total.Delivered - warm.Delivered,
+		PacketsDroppedRX: c.total.DroppedRX - warm.DroppedRX,
+		PacketsRejected:  c.total.Rejected - warm.Rejected,
+		PacketsLost:      c.total.Lost - warm.Lost,
+		Retransmissions:  c.total.Retransmitted - warm.Retransmitted,
 		BitsDelivered:    c.bitsDelivered,
 		FlitsDelivered:   c.flitsDelivered,
 		MaxLatencyCycles: c.latencyMax,
-		WarmupDelivered:  c.warmupDelivered,
+		WarmupDelivered:  warm.Delivered,
 	}
 	if seconds > 0 {
 		s.DeliveredGbps = units.RateGbps(float64(c.bitsDelivered), seconds)

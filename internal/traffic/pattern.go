@@ -190,8 +190,51 @@ func (b Bursty) Assign(topo topology.Topology, set BandwidthSet, rng *sim.RNG) (
 	return a, nil
 }
 
-// Fixed wraps a pre-built assignment as a Pattern, for tests and custom
-// scenarios built through the public API.
+// Custom is a per-core workload given as data, the public API's custom
+// traffic. Unlike a Fixed assignment it holds no closure — Assign builds
+// the destination samplers — so two equal Custom patterns compare equal
+// and the batch engine can share one fabric build between them.
+type Custom struct {
+	Cores []CustomCore
+}
+
+// CustomCore is one core's share of a Custom workload.
+type CustomCore struct {
+	RateGbps   float64
+	DemandGbps float64
+	// Dests lists the destination cores, sampled uniformly; empty means
+	// every core outside the source's cluster.
+	Dests []topology.CoreID
+}
+
+// Name implements Pattern.
+func (Custom) Name() string { return "custom" }
+
+// Assign implements Pattern. A core with no rate gets no sampler; a core
+// with a destination list demands bandwidth only toward its destinations'
+// clusters (DemandTable skips the core's own and tolerates repeats).
+func (c Custom) Assign(topo topology.Topology, _ BandwidthSet, _ *sim.RNG) (Assignment, error) {
+	if len(c.Cores) != topo.Cores() {
+		return Assignment{}, fmt.Errorf("traffic: custom workload has %d cores, topology has %d", len(c.Cores), topo.Cores())
+	}
+	cores := make([]CoreProfile, len(c.Cores))
+	for i, cc := range c.Cores {
+		p := CoreProfile{RateGbps: cc.RateGbps, DemandGbps: cc.DemandGbps}
+		if dests := cc.Dests; cc.RateGbps > 0 && len(dests) > 0 {
+			p.PickDest = func(rng *sim.RNG) topology.CoreID { return dests[rng.Intn(len(dests))] }
+			p.DemandDests = make([]topology.ClusterID, len(dests))
+			for j, d := range dests {
+				p.DemandDests[j] = topo.ClusterOf(d)
+			}
+		} else if cc.RateGbps > 0 {
+			p.PickDest = uniformDest(topo, topo.ClusterOf(topology.CoreID(i)))
+		}
+		cores[i] = p
+	}
+	return Assignment{Name: "custom", Cores: cores}, nil
+}
+
+// Fixed wraps a pre-built assignment as a Pattern, for tests.
 type Fixed struct {
 	Assignment Assignment
 }

@@ -2,7 +2,6 @@ package hetpnoc
 
 import (
 	"hetpnoc/internal/area"
-	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/gpgpu"
 	"hetpnoc/internal/units"
@@ -70,11 +69,10 @@ type Result struct {
 	Events []string
 }
 
-// fromFabricResult lifts a finished run into the public Result. events
-// is the run's retained event log, nil exactly when the config left the
-// log off — Result.Events is then nil too, and non-nil (possibly empty)
-// otherwise.
-func fromFabricResult(r fabric.Result, events []event.Event) Result {
+// fromFabricResult lifts a finished run into the public Result.
+// Result.Events is nil exactly when the config left the event log off,
+// and non-nil (possibly empty) otherwise.
+func fromFabricResult(r fabric.Result) Result {
 	out := Result{
 		Architecture:         r.Arch,
 		Traffic:              r.Pattern,
@@ -105,9 +103,9 @@ func fromFabricResult(r fabric.Result, events []event.Event) Result {
 		TorusPathsSetUp:      r.TorusPathsSetUp,
 		TorusSetupsBlocked:   r.TorusSetupsBlocked,
 	}
-	if events != nil {
-		out.Events = make([]string, len(events))
-		for i, e := range events {
+	if r.Events != nil {
+		out.Events = make([]string, len(r.Events))
+		for i, e := range r.Events {
 			out.Events[i] = e.String()
 		}
 	}

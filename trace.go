@@ -40,18 +40,22 @@ type TrafficRemap struct {
 // It is the same run as Run in every other respect: with no remaps the
 // Result is byte-identical to Run's (the observer only reads), and
 // Result.Events carries the event log when cfg.EventCapacity is set.
-// It takes no context, so like Run it always runs to completion.
+// It takes no context, so like Run it always runs to completion. observe
+// is called on the goroutine stepping the run, one call at a time, while
+// RunWithTrace blocks.
 //
 //hetpnoc:ctxroot synchronous public entry point, shares RunContext's run path
 func RunWithTrace(cfg Config, remaps []TrafficRemap, interval int64, observe func(Snapshot)) (Result, error) {
 	if interval <= 0 {
 		return Result{}, fmt.Errorf("hetpnoc: trace interval must be positive, got %d", interval)
 	}
-	return simulate(context.Background(), cfg, remaps, interval, observe)
+	return first(run(context.Background(), []Config{cfg}, remaps, interval, observe))
 }
 
-// snapshotOf captures the observable state of a running fabric.
-func snapshotOf(f *fabric.Fabric, topo topology.Topology) Snapshot {
+// snapshotOf captures the observable state of a running fabric, which is
+// built on the default topology: lower never sets another.
+func snapshotOf(f *fabric.Fabric) Snapshot {
+	topo := topology.Default()
 	s := Snapshot{
 		Cycle:                int64(f.Now()),
 		AllocatedWavelengths: make([]int, topo.Clusters()),

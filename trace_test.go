@@ -38,38 +38,37 @@ func TestRunWithTraceCarriesEvents(t *testing.T) {
 
 // TestRunWithTraceMatchesRun: without remaps the traced run is Run — the
 // observer only reads — whatever the observation interval, on every
-// architecture.
+// architecture; and it shows the snapshots the fabric shows when stepped
+// by hand in the same windows.
 func TestRunWithTraceMatchesRun(t *testing.T) {
 	for _, arch := range []Architecture{Firefly, DHetPNoC, TorusPNoC} {
 		cfg := Config{Architecture: arch, Traffic: SkewedTraffic(3), Cycles: 2500, WarmupCycles: 500, Seed: 7}
-		solo, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := solo.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := canonical(t, reference(t, cfg, 0, nil))
 		for _, tc := range []struct {
 			name     string
 			interval int64
-			observe  func(Snapshot)
+			observed bool
 		}{
-			{"nil observer", 1, nil},
-			{"every cycle", 1, func(Snapshot) {}},
-			{"non-divisor interval", 700, func(Snapshot) {}},
-			{"interval beyond the run", 1 << 40, func(Snapshot) {}},
+			{"nil observer", 1, false},
+			{"every cycle", 1, true},
+			{"non-divisor interval", 700, true},
+			{"interval beyond the run", 1 << 40, true},
 		} {
-			traced, err := RunWithTrace(cfg, nil, tc.interval, tc.observe)
+			var seen, wantSeen []Snapshot
+			var observe func(Snapshot)
+			if tc.observed {
+				observe = func(s Snapshot) { seen = append(seen, s) }
+				reference(t, cfg, tc.interval, func(s Snapshot) { wantSeen = append(wantSeen, s) })
+			}
+			traced, err := RunWithTrace(cfg, nil, tc.interval, observe)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := traced.CanonicalJSON()
-			if err != nil {
-				t.Fatal(err)
+			if got := canonical(t, traced); !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: traced result diverges from the solo run:\ntraced: %s\nsolo:   %s", arch, tc.name, got, want)
 			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s, %s: traced result diverges from Run:\ntraced: %s\nrun:    %s", arch, tc.name, got, want)
+			if !reflect.DeepEqual(seen, wantSeen) {
+				t.Errorf("%s, %s: the observer saw %d snapshots, the hand-stepped fabric %d, or they differ", arch, tc.name, len(seen), len(wantSeen))
 			}
 		}
 	}
