@@ -12,9 +12,9 @@
 #   make bench-check — vet, test and smoke-run the bench/ module (the
 #                  BENCHMARK.json load generator), which root `go test
 #                  ./...` cannot see
-#   make bench-smoke — compile and run the router/fabric/batch
-#                  microbenchmarks at 200 iterations each (CI keeps them
-#                  from rotting)
+#   make bench-smoke — compile and run the router/fabric/batch/token
+#                  microbenchmarks and a shelved Run at 200 iterations
+#                  each (CI keeps them from rotting)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
@@ -99,9 +99,13 @@ bench-check:
 # iteration count on every push keeps them compiling and running (their
 # set-up code included) without pretending to measure anything.
 # FabricStep also matches FabricStepContext and FabricStepIdle;
-# BatchMember is one forked member of the sweep corpus (internal/batch).
+# BatchMember is one forked member of the sweep corpus (internal/batch);
+# TokenTick has a contended and a settled case (internal/core);
+# RunShelved is a whole light-load Run whose build prefix is on the
+# shelf of kept pristine builds (root package), and its allocs/op is the
+# cost of a repeated run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember' -benchtime 200x ./internal/router ./internal/fabric ./internal/batch
+	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember|TokenTick|RunShelved' -benchtime 200x . ./internal/router ./internal/fabric ./internal/batch ./internal/core
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

@@ -7,7 +7,9 @@ import "context"
 // normalize identically except for Seed and LoadScale — see
 // Config.NormalizedPrefix) share one fabric build: the first runs on it
 // and every other member forks off its pristine checkpoint via
-// restore-and-reseed instead of paying its own build. Each result is
+// restore-and-reseed instead of paying its own build. Builds are kept
+// across calls, so a prefix run before — by RunBatch, Run or any other
+// entry point — costs no build at all. Each result is
 // byte-identical (Result.CanonicalJSON and the event log) to what
 // Run would return for that config alone — TestBatchEquivalence holds
 // this across all three architectures and bandwidth sets — so batching

@@ -263,30 +263,103 @@ func TestCustomTrafficSharesABuild(t *testing.T) {
 }
 
 // TestRunIsOneBuild: Run — and RunBatch of one config — is a one-member
-// plan, and a one-member plan pays one build and one run: no cycle-0
-// checkpoint, restore or reseed. Its allocations stay within a plan's
-// bookkeeping of the bare fabric path; forking the lone member off a
-// checkpoint costs ≈ 300 more.
+// plan. The first sighting of a build prefix costs one build and one
+// cycle-0 checkpoint, which the shelf keeps: its allocations stay within
+// a plan's bookkeeping (planSlack) of the bare fabric path plus that
+// checkpoint. A repeat of the prefix under another seed forks the shelved
+// build — no fabric.New — and allocates at most BenchmarkFabricReseed's
+// 212 objects plus 16, the whole run and its result included.
 func TestRunIsOneBuild(t *testing.T) {
 	cfg := Config{Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 2000, WarmupCycles: 500}
-	bare := testing.AllocsPerRun(5, func() { reference(t, cfg, 0, nil) })
+	// The bare fabric path of a first sighting: lower, fabric.New, the
+	// cycle-0 checkpoint the shelf keeps, StepContext, Finish, lift.
+	bare := testing.AllocsPerRun(20, func() {
+		fc, err := lower(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc = fc.WithDefaults()
+		f, err := fabric.New(fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Checkpoint()
+		if err := f.StepContext(context.Background(), fc.Cycles); err != nil {
+			t.Fatal(err)
+		}
+		res, err := f.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFabricResult(res)
+	})
+
 	for _, entry := range []struct {
 		name string
-		run  func() error
+		run  func(Config) error
 	}{
-		{"Run", func() error { _, err := Run(cfg); return err }},
-		{"RunBatch", func() error { _, err := RunBatch([]Config{cfg}); return err }},
+		{"Run", func(c Config) error { _, err := Run(c); return err }},
+		{"RunBatch", func(c Config) error { _, err := RunBatch([]Config{c}); return err }},
 	} {
-		got := testing.AllocsPerRun(5, func() {
-			if err := entry.run(); err != nil {
+		got := costOf(t, func() {
+			first := cfg
+			first.Cycles += newPrefix() // a prefix field: a first sighting
+			if err := entry.run(first); err != nil {
 				t.Fatal(err)
 			}
-		})
-		t.Logf("%s: %.0f allocations, bare fabric path: %.0f", entry.name, got, bare)
-		if got > bare+16 {
-			t.Errorf("%s allocates %.0f objects, the bare fabric path %.0f: want at most 16 more", entry.name, got, bare)
+		}, 1, 0)
+		t.Logf("%s, first sighting: %.0f allocations, bare fabric path with its checkpoint %.0f", entry.name, got, bare)
+		if got > bare+planSlack {
+			t.Errorf("%s of a new prefix allocates %.0f objects, the bare fabric path with its checkpoint %.0f: want at most %d more", entry.name, got, bare, planSlack)
+		}
+
+		// Seed is not: each call after the first forks the shelved build.
+		repeat := cfg
+		got = costOf(t, func() {
+			repeat.Seed++
+			if err := entry.run(repeat); err != nil {
+				t.Fatal(err)
+			}
+		}, 0, 1)
+		t.Logf("%s, repeat: %.0f allocations", entry.name, got)
+		if got > 212+16 {
+			t.Errorf("%s of a shelved prefix allocates %.0f objects, want at most 212 + 16", entry.name, got)
 		}
 	}
+}
+
+// planSlack bounds a one-member plan's own allocations: the plan, its
+// slices, the claim loop's closure and a cancelable context, ≈ 10–12
+// measured, and a few more under -race, whose sync.Pool drops entries at
+// random. Forking the lone member off a checkpoint would cost ≈ 200 more.
+const planSlack = 24
+
+// sightings counts the prefixes newPrefix has handed out.
+var sightings int
+
+// newPrefix returns a number no earlier call returned, so a config that
+// adds it to a prefix field is the process's first sighting of its
+// prefix, under -count too.
+func newPrefix() int {
+	sightings++
+	return sightings
+}
+
+// costOf returns run's allocations per call, as testing.AllocsPerRun
+// counts them, and requires each measured call to cost builds fabric
+// builds and forks forks.
+func costOf(t *testing.T, run func(), builds, forks int64) float64 {
+	t.Helper()
+	run() // shelves the prefix the repeats take, and warms what warms
+	const calls = 20
+	b0, f0 := batch.Counters()
+	allocs := testing.AllocsPerRun(calls, run)
+	b1, f1 := batch.Counters()
+	// AllocsPerRun makes one warm-up call of its own.
+	if b1-b0 != (calls+1)*builds || f1-f0 != (calls+1)*forks {
+		t.Errorf("%d calls cost %d builds and %d forks, want %d and %d each", calls+1, b1-b0, f1-f0, builds, forks)
+	}
+	return allocs
 }
 
 // TestRunBatchEmpty: an empty batch is a no-op, not an error.

@@ -46,6 +46,23 @@ func serverConfig(workers, queue, cacheCap, maxCycles int, jobTimeout, retryAfte
 	}
 }
 
+// The connection deadlines. A client has readHeaderTimeout to send its
+// request line and headers, so one that trickles a partial header
+// (slowloris) cannot hold a goroutine and a file descriptor for ever; a
+// keep-alive connection with no request in flight is closed after
+// idleTimeout. Request bodies are bounded in size by the handlers and are
+// not on this clock, and no deadline covers a simulation.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the daemon's listener-side server: h at addr, with the
+// connection deadlines.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // run is the daemon body: flag parsing, server construction, signal
 // handling and graceful drain.
 //
@@ -68,7 +85,7 @@ func run(args []string) error {
 
 	logger := log.New(os.Stderr, "hetpnocd: ", log.LstdFlags)
 	srv := serve.New(serverConfig(*workers, *queue, *cacheCap, *maxCycles, *jobTimeout, *retryAfter))
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"io"
 	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -49,5 +51,46 @@ func TestRunDrainsPoolWhenListenFails(t *testing.T) {
 
 	if err := run([]string{"-addr", ln.Addr().String(), "-workers", "2", "-queue", "4"}); err == nil {
 		t.Fatal("run returned nil while the address was occupied")
+	}
+}
+
+// TestStalledHeaderIsCut: a client that sends half a request line and
+// stalls is disconnected once readHeaderTimeout passes, instead of holding
+// a connection goroutine and a file descriptor for ever. Without the
+// deadline the read below runs into the test's own, later one.
+func TestStalledHeaderIsCut(t *testing.T) {
+	leakcheck.Check(t)
+	srv := newHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != idleTimeout || readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatalf("server deadlines: header %v, idle %v; want %v and %v", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("POST /v1/ru")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("the stalled connection was still open after %v: %v", time.Since(start), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("the server hung up after %v, well before the %v header deadline", waited, readHeaderTimeout)
 	}
 }

@@ -219,8 +219,8 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 
 // run is the one execution path behind Run, RunContext, RunWithTrace and
 // RunBatch: lower every config (each with remaps scheduled), plan them —
-// a solo run is a one-member plan, one build and no checkpoint — run the
-// plan and lift the results. observe, when set, sees a snapshot of the
+// a solo run is a one-member plan, which forks a kept build of its
+// prefix or builds and keeps one — run the plan and lift the results. observe, when set, sees a snapshot of the
 // running fabric at every multiple of every cycles.
 func run(ctx context.Context, cfgs []Config, remaps []TrafficRemap, every int64, observe func(Snapshot)) ([]Result, error) {
 	if len(cfgs) == 0 {

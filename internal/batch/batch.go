@@ -1,22 +1,30 @@
 // Package batch executes many near-identical simulations in one pass.
 //
 // Every real consumer of the simulator — parameter sweeps, replicated
-// runs, the differential oracles — runs N simulations that differ only
-// in seed or offered load, and naively pays N fabric builds (~350 µs,
-// 2,307 allocations and ~0.6 MB each). A Plan deduplicates its job list
-// by configuration prefix (topology, photonic model, architecture,
-// traffic pattern and every other build-time parameter are shared; seed
-// and load scale vary), builds ONE fabric per unique prefix, runs the
-// group's first member on that build, and runs every other member by
-// Restore + SetLoadScale + Reseed off the build's cycle-0 checkpoint —
-// cache-hot stepping, no rebuilds. A solo run is a one-member plan: one
-// build, one run, no checkpoint.
+// runs, the differential oracles, a service answering misses — runs
+// simulations that differ only in seed or offered load, and naively pays
+// a fabric build for each (~350 µs, 2,307 allocations and ~0.6 MB). A
+// Plan deduplicates its job list by configuration prefix (topology,
+// photonic model, architecture, traffic pattern and every other
+// build-time parameter are shared; seed and load scale vary) and runs
+// each group of members on ONE fabric: every member but the one that
+// built it starts by Restore + SetLoadScale + Reseed off the build's
+// cycle-0 checkpoint (~45 µs, ~210 allocations) — cache-hot stepping, no
+// rebuilds.
 //
-// The contract is one sentence: every member is byte-identical to a
-// solo run of its config. Each member replays its entire run — reset
-// window included — under its own seed and load, so only the build is
-// amortized and batching is purely a performance choice
-// (TestBatchEquivalence, TestPristineForkMatchesSolo).
+// Builds outlive their plan. After a group finishes without error its
+// pristine build (fabric plus cycle-0 checkpoint) goes on a process-wide
+// shelf of shelfCapacity entries, and a later group of the same prefix,
+// in any plan of the process, takes it and forks every member, the first
+// included. A solo run is a one-member plan: its first sighting of a
+// prefix costs one build, one checkpoint and the run; a repeat costs one
+// fork and the run. Counters reports both counts.
+//
+// The contract is one sentence: every member is byte-identical to a solo
+// run of its config. Each member replays its entire run — reset window
+// included — under its own seed and load, so only the build is amortized
+// and batching is purely a performance choice (TestBatchEquivalence,
+// TestPristineForkMatchesSolo, TestShelfNeitherPoisonsNorAliases).
 //
 // A checkpoint only restores onto the fabric it was taken from, so the
 // members of one group run sequentially on their shared fabric; Run's
@@ -45,7 +53,9 @@ type Options struct {
 	// every positive multiple of Every cycles within the member's run:
 	// between StepContext windows, at a cycle boundary, on the goroutine
 	// running the member — Run's caller's in a one-worker plan. It must
-	// only read the fabric. Every must then be positive.
+	// only read the fabric, and not keep it past the call: the fabric
+	// runs other members and, from the shelf, other plans. Every must then
+	// be positive.
 	Observe func(member int, f *fabric.Fabric)
 	Every   int64
 }
@@ -62,7 +72,7 @@ type Stats struct {
 	// Members is the total job count.
 	Members int
 	// Groups is the number of unique prefixes — exactly the number of
-	// fabric builds Run performs.
+	// fabrics Run steps, each built or taken off the shelf.
 	Groups int
 	// LargestGroup is the biggest member count sharing one fabric.
 	LargestGroup int

@@ -10,9 +10,9 @@ import (
 // Plan is a deduplicated job list: the member configs in submission
 // order, partitioned into groups that share one fabric build. Build one
 // with NewPlan and execute it with Run; a Plan is immutable afterwards
-// and may be Run any number of times (each Run builds fresh fabrics, so
-// re-submitting a canceled plan is safe and reproduces results
-// byte-identically).
+// and may be Run any number of times (every member starts from a
+// pristine cycle-0 state, so re-submitting a canceled plan is safe and
+// reproduces results byte-identically).
 type Plan struct {
 	specs  []fabric.Config
 	groups []group
@@ -76,8 +76,11 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 // merge would be a wrong result. The public API's custom traffic is
 // traffic.Custom, plain data, so equal custom workloads do share.
 func sharablePrefix(a, b fabric.Config) bool {
-	if reflect.TypeOf(a.Pattern) != reflect.TypeOf(b.Pattern) {
-		return false // the cheap reject, ahead of DeepEqual's bookkeeping
+	if reflect.TypeOf(a.Pattern) != reflect.TypeOf(b.Pattern) || a.Arch != b.Arch ||
+		a.Set.Name != b.Set.Name || a.Cycles != b.Cycles || a.WarmupCycles != b.WarmupCycles {
+		// The cheap rejects, ahead of DeepEqual's bookkeeping (it boxes
+		// both configs): a shelf scan meets mostly other shapes.
+		return false
 	}
 	a.Seed, b.Seed = 0, 0
 	a.LoadScale, b.LoadScale = 0, 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,8 +22,10 @@ import (
 // lowest-indexed group that genuinely failed. A panic or runtime.Goexit
 // below Run unwinds Run's caller as if it had stepped the fabric itself:
 // a one-worker plan runs on the caller's goroutine, and spawn re-raises
-// a worker's. A Plan may be Run again after a cancellation — each Run
-// builds fresh fabrics — and reproduces its results byte-identically.
+// a worker's. A Plan may be Run again after a cancellation and
+// reproduces its results byte-identically: a cancelled group's fabric is
+// dropped, and every member starts from a pristine cycle-0 state whether
+// its group builds or takes a shelved build.
 func (p *Plan) Run(ctx context.Context) ([]fabric.Result, error) {
 	workers := min(p.opts.Workers, len(p.groups))
 	results := make([]fabric.Result, len(p.specs))
@@ -105,40 +108,51 @@ func spawn(n int, work, abort func()) {
 	}
 }
 
-// runGroup builds the group's shared fabric and runs every member on it.
-// The build is the first member's pristine state — its config built it,
-// and a fork off the cycle-0 checkpoint reproduces exactly that
-// (TestPristineForkMatchesSolo) — so the first member runs as built and
-// the checkpoint is taken only when a second member will fork off it.
+// runGroup runs every member of g on one fabric. When the shelf holds a
+// pristine build of g's prefix, it takes it and forks every member, the
+// first included, off its cycle-0 checkpoint. Otherwise it builds the
+// fabric from the first member's config and checkpoints it at cycle 0;
+// the build is the first member's pristine state — a fork off that
+// checkpoint reproduces exactly it (TestPristineForkMatchesSolo) — so
+// the first member runs as built. The build goes on the shelf only once
+// every member has finished without error; a group that fails, is
+// cancelled or panics drops its fabric.
 func (p *Plan) runGroup(ctx context.Context, g group, results []fabric.Result) error {
 	base := g.members[0]
-	f, err := fabric.New(p.specs[base])
-	if err != nil {
-		return p.memberError(base, err)
-	}
-	var cp *fabric.Checkpoint
-	if len(g.members) > 1 {
-		cp = f.Checkpoint()
+	pr, shelved := take(p.specs[base])
+	if !shelved {
+		f, err := fabric.New(p.specs[base])
+		if err != nil {
+			return p.memberError(base, err)
+		}
+		builds.Add(1)
+		pr = pristine{spec: p.specs[base], f: f, cp: f.Checkpoint()}
+		// The shelf outlives the caller's remap slice; the fabric holds
+		// its own sorted copy.
+		pr.spec.Remaps = slices.Clone(pr.spec.Remaps)
 	}
 	for i, mi := range g.members {
 		if err := ctx.Err(); err != nil {
 			return p.memberError(mi, err)
 		}
-		if i > 0 {
-			if err := fork(f, cp, p.specs[mi]); err != nil {
+		if shelved || i > 0 {
+			if err := fork(pr.f, pr.cp, p.specs[mi]); err != nil {
 				return p.memberError(mi, err)
 			}
 		}
-		if results[mi], err = p.runMember(ctx, mi, f); err != nil {
+		var err error
+		if results[mi], err = p.runMember(ctx, mi, pr.f); err != nil {
 			return p.memberError(mi, err)
 		}
 	}
+	shelve(pr)
 	return nil
 }
 
 // fork rewinds f onto the group's cycle-0 checkpoint and gives it the
 // member's load and seed.
 func fork(f *fabric.Fabric, cp *fabric.Checkpoint, spec fabric.Config) error {
+	forks.Add(1)
 	if err := f.Restore(cp); err != nil {
 		return err
 	}

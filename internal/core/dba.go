@@ -146,6 +146,25 @@ type Allocator struct {
 	// destination d after its last token visit.
 	current [][]int
 
+	// wants[c] is want(c), the greedy aim request[c] implies; SetDemand
+	// refreshes it, so a token visit reads it instead of scanning the row.
+	//
+	//hetpnoc:nosnap derived from request; Restore recomputes it
+	wants []int
+	// currentFor[c] is the allocation count current[c] was last derived
+	// from, or -1 once request[c] has changed since (SetDemand) or the
+	// tables were rewound (Restore). Request tables move only on a task
+	// remap (§3.2.1), so between remaps a visit that keeps its count finds
+	// current[c] already right and leaves it.
+	//
+	//hetpnoc:nosnap derived from request and acquired; Restore invalidates it
+	currentFor []int
+	// free counts the unowned slots within the budget, so a visit that
+	// wants more of an exhausted pool skips the slot scan.
+	//
+	//hetpnoc:nosnap derived from owner; Restore recounts it
+	free int
+
 	// Token circulation state.
 	pos           int
 	transitLeft   int
@@ -228,6 +247,8 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 		demand:        make([][][]int, clusters),
 		request:       make([][]int, clusters),
 		current:       make([][]int, clusters),
+		wants:         make([]int, clusters),
+		currentFor:    make([]int, clusters),
 	}
 	for s := range a.owner {
 		a.owner[s] = -1
@@ -259,6 +280,7 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 		return nil, fmt.Errorf("core: unknown allocation policy %d", cfg.Policy)
 	}
 	a.tokenDemand = make([]int, clusters)
+	a.resetDerived()
 
 	// Token sizing, Eq. (1): N_TW = N_W * lambda_W - N_lambdaR bits, one
 	// bit per dynamically allocatable wavelength. Transit time, Eq. (2):
@@ -341,6 +363,24 @@ func (a *Allocator) SetDemand(core topology.CoreID, demand []int) {
 		}
 		a.request[c][d] = maxDemand
 	}
+	a.wants[c] = a.want(c)
+	a.currentFor[c] = -1
+}
+
+// resetDerived recomputes every cluster's cached aim, marks every
+// current row stale and recounts the free pool, after the tables they
+// derive from were set wholesale (construction, Restore).
+func (a *Allocator) resetDerived() {
+	for c := range a.wants {
+		a.wants[c] = a.want(c)
+		a.currentFor[c] = -1
+	}
+	a.free = 0
+	for _, o := range a.owner[:a.cfg.TotalWavelengths] {
+		if o == -1 {
+			a.free++
+		}
+	}
 }
 
 // Tick implements xbar.Allocator: one cycle of token circulation. When the
@@ -382,9 +422,10 @@ func (a *Allocator) Tick(now sim.Cycle) {
 	}
 }
 
-// want returns the §3.2.1 greedy aim of cluster c: the highest request
+// want computes the §3.2.1 greedy aim of cluster c: the highest request
 // toward any destination, floored at the reserved minimum and capped at
-// the per-channel ceiling and the total budget.
+// the per-channel ceiling and the total budget. A visit reads it from
+// wants.
 func (a *Allocator) want(c int) int {
 	t := 0
 	for _, w := range a.request[c] {
@@ -410,7 +451,7 @@ func (a *Allocator) want(c int) int {
 // demand-proportional share of the dynamic pool (based on every router's
 // last-written demand).
 func (a *Allocator) target(c int) int {
-	want := a.want(c)
+	want := a.wants[c]
 	if a.cfg.Policy != PolicyProportional {
 		return want
 	}
@@ -457,11 +498,12 @@ func (a *Allocator) process(c int, now sim.Cycle) {
 		if limit := have + a.cfg.MaxAcquirePerVisit; target > limit {
 			target = limit
 		}
-		for slot := 0; slot < a.cfg.TotalWavelengths && have < target; slot++ {
+		for slot := 0; a.free > 0 && slot < a.cfg.TotalWavelengths && have < target; slot++ {
 			if a.owner[slot] != -1 || a.reservedOwner[slot] != -1 || !a.slotAllowed(slot, c) {
 				continue
 			}
 			a.owner[slot] = c
+			a.free--
 			a.acquired[c] = append(a.acquired[c], slot)
 			have++
 		}
@@ -474,17 +516,18 @@ func (a *Allocator) process(c int, now sim.Cycle) {
 				break
 			}
 			a.owner[last] = -1
+			a.free++
 			a.acquired[c] = a.acquired[c][:have-1]
 			have--
 		}
 	}
 
-	for d := 0; d < a.clusters; d++ {
-		cur := a.request[c][d]
-		if cur > have {
-			cur = have
+	if have != a.currentFor[c] {
+		current := a.current[c]
+		for d, req := range a.request[c] {
+			current[d] = min(req, have)
 		}
-		a.current[c][d] = cur
+		a.currentFor[c] = have
 	}
 	// The acquired list only changed if the count moved (a visit either
 	// appends or trims, never both), so an unchanged allocation keeps its
@@ -611,6 +654,9 @@ func (a *Allocator) CheckInvariants() error {
 	}
 	if total > a.cfg.TotalWavelengths {
 		return fmt.Errorf("core: %d wavelengths allocated, budget is %d", total, a.cfg.TotalWavelengths)
+	}
+	if a.free != a.cfg.TotalWavelengths-total {
+		return fmt.Errorf("core: free count %d, but %d of %d wavelengths are unowned", a.free, a.cfg.TotalWavelengths-total, a.cfg.TotalWavelengths)
 	}
 	for slot, owner := range a.owner {
 		if owner == -1 {

@@ -81,6 +81,7 @@ func (a *Allocator) Restore(s *AllocatorSnapshot) error {
 	a.lostForCycles = s.lostForCycles
 	a.losses = s.losses
 	a.regenerations = s.regenerations
+	a.resetDerived()
 	return nil
 }
 

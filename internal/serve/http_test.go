@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -267,6 +268,41 @@ func TestHTTPHealthzAndMetricsz(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining healthz status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestMetricszCountsForks: /metricsz reports the process's fabric builds
+// and forks, so an operator can see that a miss on a build prefix the
+// process has run before forks a kept build instead of building one.
+func TestMetricszCountsForks(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	metricsz := func() Metrics {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metricsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m Metrics
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for seed := 1; seed <= 2; seed++ {
+		before := metricsz()
+		resp, body := postJSON(t, ts.URL+"/v1/run", fmt.Sprintf(`{"cycles":1300,"warmupCycles":1000,"seed":%d}`, seed))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+		after := metricsz()
+		builds, forks := after.FabricBuilds-before.FabricBuilds, after.FabricForks-before.FabricForks
+		if seed == 2 && (builds != 0 || forks != 1) {
+			t.Errorf("a miss on a prefix run before cost %d builds and %d forks, want 0 and 1", builds, forks)
+		}
+		if builds+forks != 1 {
+			t.Errorf("seed %d: one run cost %d builds and %d forks, want one of either", seed, builds, forks)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"hetpnoc"
+	"hetpnoc/internal/batch"
 	"hetpnoc/internal/serve/cache"
 )
 
@@ -475,6 +476,13 @@ type Metrics struct {
 	CyclesSimulated int64   `json:"cyclesSimulated"`
 	CyclesPerSecond float64 `json:"cyclesPerSecond"`
 	UptimeSeconds   float64 `json:"uptimeSeconds"`
+
+	// FabricBuilds and FabricForks count, for the whole process, the
+	// fabrics built and the runs forked off a kept pristine build instead
+	// (internal/batch): a miss on a build prefix seen before costs a
+	// fork, not a build.
+	FabricBuilds int64 `json:"fabricBuilds"`
+	FabricForks  int64 `json:"fabricForks"`
 }
 
 // Metrics snapshots the server counters.
@@ -504,5 +512,6 @@ func (s *Server) Metrics() Metrics {
 	if uptime > 0 {
 		m.CyclesPerSecond = float64(m.CyclesSimulated) / uptime
 	}
+	m.FabricBuilds, m.FabricForks = batch.Counters()
 	return m
 }
