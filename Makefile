@@ -14,7 +14,8 @@
 #                  ./...` cannot see
 #   make bench-smoke — compile and run the router/fabric/batch/token
 #                  microbenchmarks and a shelved Run at 200 iterations
-#                  each (CI keeps them from rotting)
+#                  each, and the /v1/sweep benchmark at 3 (CI keeps them
+#                  from rotting)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
@@ -61,9 +62,9 @@ test:
 # The race gate covers the whole module: every run is an internal/batch
 # plan, which spawns its simulation goroutines — and re-raises their
 # panics on the caller — whenever it has more than one group: each
-# multi-group hetpnoc.RunBatch, every experiments runner, cmd/sweep
-# figure and hetpnocd sweep partition (a solo hetpnoc.Run runs on the
-# caller's goroutine). A full -race pass takes a few minutes; race-quick keeps
+# multi-group hetpnoc.RunBatch, every experiments runner and cmd/sweep
+# figure (a solo hetpnoc.Run runs on the caller's goroutine; hetpnocd
+# runs its pool jobs, sweep points included, on its worker goroutines). A full -race pass takes a few minutes; race-quick keeps
 # the goroutine-bearing subset (the root package, batch, experiments,
 # sweep, serve) for tight loops. `race` is also the only lock-discipline
 # gate (docs/ANALYSIS.md).
@@ -103,9 +104,12 @@ bench-check:
 # TokenTick has a contended and a settled case (internal/core);
 # RunShelved is a whole light-load Run whose build prefix is on the
 # shelf of kept pristine builds (root package), and its allocs/op is the
-# cost of a repeated run.
+# cost of a repeated run. HTTPSweep posts a 64-point one-prefix and a
+# 48-point six-prefix /v1/sweep (internal/serve) and reports builds/op and
+# forks/op; each iteration is ~0.1 s, hence its own iteration count.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember|TokenTick|RunShelved' -benchtime 200x . ./internal/router ./internal/fabric ./internal/batch ./internal/core
+	$(GO) test -run '^$$' -bench 'HTTPSweep' -benchtime 3x ./internal/serve
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

@@ -3,9 +3,9 @@ package hetpnoc
 import "context"
 
 // RunBatch executes every config in one batched pass and returns the
-// results in config order. Configs that share a batch prefix (they
-// normalize identically except for Seed and LoadScale — see
-// Config.NormalizedPrefix) share one fabric build: the first runs on it
+// results in config order. Configs that lower to the same fabric build
+// — they differ at most in Seed and LoadScale; internal/batch alone
+// decides what that means — share one build: the first runs on it
 // and every other member forks off its pristine checkpoint via
 // restore-and-reseed instead of paying its own build. Builds are kept
 // across calls, so a prefix run before — by RunBatch, Run or any other

@@ -75,21 +75,6 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// NormalizedPrefix returns the normalized config with the batch-varying
-// fields — Seed and LoadScale — cleared. Two configs with equal prefixes
-// select the same fabric build (same topology, photonic model,
-// architecture, traffic pattern, warm-up and cycle counts), so the batch
-// engine runs them on one shared fabric, forking each member via
-// checkpoint-restore and reseed instead of rebuilding; /v1/sweep groups
-// its points by this key. The returned value is a grouping key, not a
-// runnable config: its Seed and LoadScale are deliberately zero.
-func (c Config) NormalizedPrefix() Config {
-	c = c.Normalized()
-	c.Seed = 0
-	c.LoadScale = 0
-	return c
-}
-
 // Validate reports the first configuration error without building the
 // fabric, using the same lowering Run performs. A nil error means Run
 // will accept the config (it may still fail on resource exhaustion for

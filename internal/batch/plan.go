@@ -62,10 +62,14 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 }
 
 // sharablePrefix reports whether two defaulted configs may share one
-// fabric build. Everything that shapes the build — topology, bandwidth
-// set, architecture, traffic pattern, router provisioning, energy
-// model, DBA parameters, scheduled remaps — must match; only the fields
-// the fork sequence re-applies may differ: the seed and the load scale.
+// fabric build. It is the module's one definition of a build prefix:
+// NewPlan groups members by it and take matches shelved builds by it,
+// and no layer above decides what may share — the root package and
+// hetpnocd submit configs and let the plan find the sharing. Everything
+// that shapes the build — topology, bandwidth set, architecture, traffic
+// pattern, router provisioning, energy model, DBA parameters, scheduled
+// remaps — must match; only the fields the fork sequence re-applies may
+// differ: the seed and the load scale.
 //
 // With those two masked, deep structural equality covers every build
 // parameter, so a field added to fabric.Config is conservatively

@@ -24,13 +24,8 @@ type RunResponse struct {
 	// Cached reports the result came from the completed-run cache.
 	Cached bool `json:"cached"`
 	// Coalesced reports the request shared an identical in-flight run.
-	Coalesced bool `json:"coalesced"`
-	// Batched reports the run executed inside a shared-prefix batch:
-	// the sweep grouped it with other points selecting the same fabric
-	// build (Config.NormalizedPrefix) and it forked off the shared
-	// fabric instead of paying its own build.
-	Batched bool           `json:"batched,omitempty"`
-	Result  hetpnoc.Result `json:"result"`
+	Coalesced bool           `json:"coalesced"`
+	Result    hetpnoc.Result `json:"result"`
 }
 
 // SweepResponse is the /v1/sweep reply; points preserve request order.
@@ -110,31 +105,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SweepResponse{Points: points})
 }
 
-// runSweep partitions the points by batch prefix (Config.NormalizedPrefix)
-// and submits each partition as one pool job through SubmitBatch — one
-// fabric build per partition, every point forked off it; a singleton
-// partition is an ordinary run and coalesces with concurrent /v1/run
-// traffic. At most Workers partitions of one sweep are outstanding at a
-// time. A partition hitting pool backpressure backs off and retries
-// until the request context expires — a sweep is one logical request,
-// so a transiently full queue should stretch it, not shred it.
+// runSweep submits every point through Submit, exactly as a /v1/run of
+// that config: a point may be served from the cache or coalesce with an
+// identical run in flight, and a point whose build prefix the process
+// has run before forks the kept build (internal/batch). At most Workers
+// points of one sweep are outstanding at a time. A point hitting pool
+// backpressure backs off and retries until the request context expires —
+// a sweep is one logical request, so a transiently full queue should
+// stretch it, not shred it.
 func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunResponse, error) {
-	groups, err := groupByPrefix(configs)
-	if err != nil {
-		return nil, err
-	}
 	points := make([]RunResponse, len(configs))
-	errs := make([]error, len(groups))
+	errs := make([]error, len(configs))
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
-	for gi, members := range groups {
+	for i, cfg := range configs {
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(gi int, members []int) {
+		go func(i int, cfg hetpnoc.Config) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[gi] = s.runSweepGroup(ctx, configs, members, points)
-		}(gi, members)
+			out, err := s.submitWithRetry(ctx, cfg)
+			points[i], errs[i] = runResponse(out), err
+		}(i, cfg)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -145,67 +137,28 @@ func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunR
 	return points, nil
 }
 
-// runSweepGroup executes one prefix partition and writes each member's
-// response into its original slot.
-func (s *Server) runSweepGroup(ctx context.Context, configs []hetpnoc.Config, members []int, points []RunResponse) error {
-	cfgs := make([]hetpnoc.Config, len(members))
-	for mi, i := range members {
-		cfgs[mi] = configs[i]
-	}
-	outs, err := s.submitWithRetry(ctx, cfgs)
-	if err != nil {
-		return err
-	}
-	for mi, i := range members {
-		points[i] = runResponse(outs[mi])
-	}
-	return nil
-}
-
 func runResponse(out Outcome) RunResponse {
 	return RunResponse{
 		Key:       out.Key.String(),
 		Cached:    out.Cached,
 		Coalesced: out.Coalesced,
-		Batched:   out.Batched,
 		Result:    out.Result,
 	}
 }
 
-// groupByPrefix partitions the request indices by the canonical bytes of
-// each config's NormalizedPrefix, preserving request order within and
-// across groups (first-appearance order).
-func groupByPrefix(configs []hetpnoc.Config) ([][]int, error) {
-	var groups [][]int
-	byKey := make(map[string]int)
-	for i, cfg := range configs {
-		prefix, err := json.Marshal(cfg.NormalizedPrefix())
-		if err != nil {
-			return nil, err
-		}
-		if gi, ok := byKey[string(prefix)]; ok {
-			groups[gi] = append(groups[gi], i)
-			continue
-		}
-		byKey[string(prefix)] = len(groups)
-		groups = append(groups, []int{i})
-	}
-	return groups, nil
-}
-
-// submitWithRetry is SubmitBatch retrying ErrBusy with the server's
-// backoff hint until ctx gives up.
-func (s *Server) submitWithRetry(ctx context.Context, cfgs []hetpnoc.Config) ([]Outcome, error) {
+// submitWithRetry is Submit retrying ErrBusy with the server's backoff
+// hint until ctx gives up.
+func (s *Server) submitWithRetry(ctx context.Context, cfg hetpnoc.Config) (Outcome, error) {
 	for {
-		outs, err := s.SubmitBatch(ctx, cfgs)
+		out, err := s.Submit(ctx, cfg)
 		if !errors.Is(err, ErrBusy) {
-			return outs, err
+			return out, err
 		}
 		t := time.NewTimer(s.cfg.RetryAfter)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return nil, ctx.Err()
+			return Outcome{}, ctx.Err()
 		case <-t.C:
 		}
 	}

@@ -3,13 +3,17 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"hetpnoc"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -39,6 +43,21 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// getMetricsz reads the server's /metricsz counters.
+func getMetricsz(t *testing.T, url string) Metrics {
+	t.Helper()
+	resp, err := http.Get(url + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m Metrics
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestHTTPRunEndpoint(t *testing.T) {
@@ -138,16 +157,18 @@ func TestHTTPSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestHTTPSweepBatched exercises the shared-prefix fast path: a sweep
-// whose points differ only in seed and load scale forms one batch
-// partition, so every executed point reports batched=true and must
-// still be byte-identical to the standalone /v1/run result for the
-// same config. A point already in the result cache is served from it
-// instead of re-entering the batch.
-func TestHTTPSweepBatched(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
+// TestHTTPSweepForksTheKeptBuild: a sweep point is a run, so a sweep
+// whose points differ only in seed and load scale, after a /v1/run of the
+// same build prefix, builds no fabric: the primed point is served from
+// the cache and every other point forks the build the process kept. Each
+// forked point is byte-identical to the standalone /v1/run of its config.
+// One worker keeps the points sequential, so each takes the one kept
+// build in turn instead of a concurrent point building its own.
+func TestHTTPSweepForksTheKeptBuild(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
 
-	// Prime the cache with one of the sweep's points.
+	// Prime the cache, and the shelf of kept builds, with one of the
+	// sweep's points.
 	resp, body := postJSON(t, ts.URL+"/v1/run", `{"cycles":1200,"warmupCycles":1000,"seed":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prime status %d: %s", resp.StatusCode, body)
@@ -157,6 +178,7 @@ func TestHTTPSweepBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := getMetricsz(t, ts.URL)
 	resp, body = postJSON(t, ts.URL+"/v1/sweep", `{
 		"base": {"cycles": 1200, "warmupCycles": 1000},
 		"seeds": [1, 2, 3],
@@ -165,6 +187,10 @@ func TestHTTPSweepBatched(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
 	}
+	after := getMetricsz(t, ts.URL)
+	if builds, forks := after.FabricBuilds-before.FabricBuilds, after.FabricForks-before.FabricForks; builds != 0 || forks != 5 {
+		t.Errorf("the sweep cost %d builds and %d forks, want 0 and 5", builds, forks)
+	}
 	var sr SweepResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
@@ -172,28 +198,23 @@ func TestHTTPSweepBatched(t *testing.T) {
 	if len(sr.Points) != 6 {
 		t.Fatalf("sweep returned %d points, want 6", len(sr.Points))
 	}
-	var batched, cached int
+	cached := 0
 	for i, p := range sr.Points {
-		switch {
-		case p.Cached:
+		if p.Cached {
 			cached++
 			if p.Key != primed.Key {
 				t.Errorf("point %d cached under key %s, primed key was %s", i, p.Key, primed.Key)
 			}
-		case p.Batched:
-			batched++
-		default:
-			t.Errorf("point %d neither batched nor cached: %+v", i, p)
 		}
 		if p.Result.PacketsDelivered == 0 {
 			t.Errorf("point %d delivered an empty result", i)
 		}
 	}
-	if cached != 1 || batched != 5 {
-		t.Fatalf("got %d cached and %d batched points, want 1 and 5", cached, batched)
+	if cached != 1 {
+		t.Fatalf("got %d cached points, want 1", cached)
 	}
 
-	// A batched point's result matches the standalone run byte for byte.
+	// A forked point's result matches the standalone run byte for byte.
 	resp, body = postJSON(t, ts.URL+"/v1/run", `{"cycles":1200,"warmupCycles":1000,"seed":3,"loadScale":2}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("solo status %d: %s", resp.StatusCode, body)
@@ -203,27 +224,131 @@ func TestHTTPSweepBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !solo.Cached {
-		t.Error("batched sweep did not publish its results to the cache")
+		t.Error("the sweep did not publish its results to the cache")
 	}
+	want, err := hetpnoc.Run(hetpnoc.Config{Cycles: 1200, WarmupCycles: 1000, Seed: 3, LoadScale: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := want.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
 	for _, p := range sr.Points {
 		if p.Key != solo.Key {
 			continue
 		}
+		found = true
 		a, err := p.Result.CanonicalJSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := solo.Result.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
 		if string(a) != string(b) {
-			t.Errorf("batched point diverges from the standalone run:\nbatched: %s\nsolo:    %s", a, b)
+			t.Errorf("forked point diverges from hetpnoc.Run:\nsweep: %s\nsolo:  %s", a, b)
 		}
 	}
+	if !found {
+		t.Errorf("no sweep point has the standalone run's key %s", solo.Key)
+	}
+}
 
-	if m := s.Metrics(); m.BatchedRuns != 5 {
-		t.Errorf("metrics report %d batched runs, want 5", m.BatchedRuns)
+// TestHTTPSweepPointCoalescesWithRun: a sweep point is admitted like a
+// /v1/run, so a point identical to a run still in flight joins that
+// flight instead of simulating the config a second time.
+func TestHTTPSweepPointCoalescesWithRun(t *testing.T) {
+	const heldSeed = 7
+	s, ts := newTestServer(t, Config{Workers: 2})
+	release := make(chan struct{})
+	var heldRuns atomic.Int32
+	s.run = func(ctx context.Context, cfg hetpnoc.Config) (hetpnoc.Result, error) {
+		if cfg.Seed == heldSeed && heldRuns.Add(1) == 1 {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return hetpnoc.Result{}, ctx.Err()
+			}
+		}
+		return hetpnoc.RunContext(ctx, cfg)
+	}
+
+	runBody := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"cycles":1200,"warmupCycles":1000,"seed":%d}`, heldSeed)))
+		if err != nil {
+			t.Error(err)
+			runBody <- nil
+			return
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		runBody <- data
+	}()
+	waitFor(t, "the held run in flight", func() bool { return heldRuns.Load() == 1 })
+
+	sweepBody := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"base":{"cycles":1200,"warmupCycles":1000},"seeds":[%d,%d]}`, heldSeed, heldSeed+1)))
+		if err != nil {
+			t.Error(err)
+			sweepBody <- nil
+			return
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		sweepBody <- data
+	}()
+	// A sweep that runs the held config itself shows up as a second run.
+	waitFor(t, "the sweep point to join the held run", func() bool {
+		return s.Metrics().Coalesced == 1 || heldRuns.Load() > 1
+	})
+	close(release)
+
+	var run RunResponse
+	if err := json.Unmarshal(<-runBody, &run); err != nil {
+		t.Fatalf("run reply: %v", err)
+	}
+	var sr SweepResponse
+	if err := json.Unmarshal(<-sweepBody, &sr); err != nil || len(sr.Points) != 2 {
+		t.Fatalf("sweep reply: %v, %d points", err, len(sr.Points))
+	}
+	if p := sr.Points[0]; !p.Coalesced || p.Key != run.Key {
+		t.Errorf("the held config's sweep point: coalesced=%v key=%s, want coalesced onto run %s", p.Coalesced, p.Key, run.Key)
+	}
+	if n := heldRuns.Load(); n != 1 {
+		t.Errorf("the held config was simulated %d times, want 1", n)
+	}
+	a, _ := sr.Points[0].Result.CanonicalJSON()
+	b, _ := run.Result.CanonicalJSON()
+	if string(a) != string(b) {
+		t.Errorf("coalesced point diverges from the run it joined:\nsweep: %s\nrun:   %s", a, b)
+	}
+}
+
+// TestHTTPSweepUsesEveryWorker: the points of a one-prefix sweep are
+// separate pool jobs, so two of them run at once on a two-worker server.
+// The run seam is a two-party barrier: a point that waits out the timeout
+// alone fails the sweep.
+func TestHTTPSweepUsesEveryWorker(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	var entered atomic.Int32
+	both := make(chan struct{})
+	s.run = func(ctx context.Context, cfg hetpnoc.Config) (hetpnoc.Result, error) {
+		if entered.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+		case <-time.After(5 * time.Second):
+			return hetpnoc.Result{}, errors.New("no second point entered run within 5s")
+		}
+		return hetpnoc.RunContext(ctx, cfg)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", `{"base":{"cycles":1200,"warmupCycles":1000},"seeds":[21,22]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -276,26 +401,13 @@ func TestHTTPHealthzAndMetricsz(t *testing.T) {
 // process has run before forks a kept build instead of building one.
 func TestMetricszCountsForks(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	metricsz := func() Metrics {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metricsz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var m Metrics
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
 	for seed := 1; seed <= 2; seed++ {
-		before := metricsz()
+		before := getMetricsz(t, ts.URL)
 		resp, body := postJSON(t, ts.URL+"/v1/run", fmt.Sprintf(`{"cycles":1300,"warmupCycles":1000,"seed":%d}`, seed))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
 		}
-		after := metricsz()
+		after := getMetricsz(t, ts.URL)
 		builds, forks := after.FabricBuilds-before.FabricBuilds, after.FabricForks-before.FabricForks
 		if seed == 2 && (builds != 0 || forks != 1) {
 			t.Errorf("a miss on a prefix run before cost %d builds and %d forks, want 0 and 1", builds, forks)

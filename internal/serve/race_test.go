@@ -291,7 +291,7 @@ func TestSoakSaturation429(t *testing.T) {
 	<-done2
 }
 
-// TestSoakConcurrentSweepsStayInPool: sweep partitions are pool jobs.
+// TestSoakConcurrentSweepsStayInPool: sweep points are pool jobs.
 // Four concurrent multi-point sweeps against a one-worker, one-slot
 // server must never run more than one simulation at a time, must see the
 // full pool as ErrBusy and ride it out by retrying, and must still
@@ -300,7 +300,7 @@ func TestSoakConcurrentSweepsStayInPool(t *testing.T) {
 	leakcheck.Check(t)
 	const (
 		sweeps = 4
-		points = 4 // per sweep: 2 load scales x 2 seeds, one partition
+		points = 4 // per sweep: 2 load scales x 2 seeds, one build prefix
 	)
 	s := New(Config{Workers: 1, QueueDepth: 1, RetryAfter: 5 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
@@ -388,7 +388,8 @@ func TestSoakConcurrentSweepsStayInPool(t *testing.T) {
 			bodies[k] = data
 		}(k)
 	}
-	// One sweep takes the queue slot; the other three must be refused.
+	// One sweep's point takes the queue slot; the other three sweeps must
+	// be refused.
 	for s.Metrics().Rejected < sweeps-1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweeps were not refused by the full pool: %+v", s.Metrics())
@@ -435,13 +436,7 @@ func TestSoakConcurrentSweepsStayInPool(t *testing.T) {
 			if string(a) != string(b) {
 				t.Errorf("sweep %d point %d diverges from the standalone run:\nsweep: %s\nsolo:  %s", k, i, a, b)
 			}
-			if !p.Batched {
-				t.Errorf("sweep %d point %d did not run in its partition's batch: %+v", k, i, p)
-			}
 		}
-	}
-	if m := s.Metrics(); m.BatchedRuns != sweeps*points {
-		t.Errorf("metrics report %d batched runs, want %d", m.BatchedRuns, sweeps*points)
 	}
 }
 
@@ -514,15 +509,14 @@ func TestPanickingJobFailsOnlyItsFlight(t *testing.T) {
 	const poisonSeed, waiters = 666, 3
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	release := make(chan struct{})
-	s.run = func(ctx context.Context, cfgs []hetpnoc.Config) ([]hetpnoc.Result, error) {
-		if cfgs[0].Seed == poisonSeed {
-			res, err := hetpnoc.RunWithTrace(cfgs[0], nil, 100, func(hetpnoc.Snapshot) {
+	s.run = func(ctx context.Context, cfg hetpnoc.Config) (hetpnoc.Result, error) {
+		if cfg.Seed == poisonSeed {
+			return hetpnoc.RunWithTrace(cfg, nil, 100, func(hetpnoc.Snapshot) {
 				<-release
 				panic("index out of range [64] with length 64")
 			})
-			return []hetpnoc.Result{res}, err
 		}
-		return hetpnoc.RunBatchContext(ctx, cfgs)
+		return hetpnoc.RunContext(ctx, cfg)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer func() {

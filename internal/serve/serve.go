@@ -86,19 +86,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one admitted pool job and the set of requests subscribed to
-// its outcome: a single simulation, or a sweep partition whose configs
-// share one fabric build. cfgs, keys and res are index-aligned. The job
-// context is refcounted: it is canceled only when every subscriber has
-// gone away (or the job timeout fires), so one impatient client cannot
-// abort a simulation another still wants.
+// flight is one admitted simulation and the set of requests subscribed
+// to its outcome. The job context is refcounted: it is canceled only
+// when every subscriber has gone away (or the job timeout fires), so one
+// impatient client cannot abort a simulation another still wants.
 type flight struct {
-	cfgs   []hetpnoc.Config
-	keys   []cache.Key
+	cfg    hetpnoc.Config
+	key    cache.Key
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
-	res    []hetpnoc.Result
+	res    hetpnoc.Result
 	err    error
 
 	subs int // guarded by Server.mu
@@ -114,10 +112,9 @@ type Server struct {
 	cache *cache.Cache
 	queue chan *flight
 
-	// run simulates one flight's configs — hetpnoc.RunBatchContext, for
-	// a single run and a sweep partition alike; tests swap it to inject
-	// faults into an admitted job.
-	run func(context.Context, []hetpnoc.Config) ([]hetpnoc.Result, error)
+	// run simulates one flight's config — hetpnoc.RunContext; tests swap
+	// it to inject faults into an admitted job.
+	run func(context.Context, hetpnoc.Config) (hetpnoc.Result, error)
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -136,7 +133,6 @@ type Server struct {
 	panicked        atomic.Int64
 	rejected        atomic.Int64
 	coalesced       atomic.Int64
-	batched         atomic.Int64
 	cyclesSimulated atomic.Int64
 }
 
@@ -151,7 +147,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		cache:      cache.New(cfg.CacheCapacity),
 		queue:      make(chan *flight, cfg.QueueDepth),
-		run:        hetpnoc.RunBatchContext,
+		run:        hetpnoc.RunContext,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		started:    time.Now(),
@@ -174,84 +170,36 @@ type Outcome struct {
 	// Coalesced reports the request joined an identical in-flight
 	// simulation instead of starting its own.
 	Coalesced bool
-	// Batched reports the simulation ran inside a shared-prefix batch
-	// (SubmitBatch with two or more misses): it forked off a fabric
-	// built once for the whole group instead of paying its own build.
-	Batched bool
 }
 
 // Submit validates, normalizes and executes cfg, deduplicating against
 // the cache and identical in-flight runs. It blocks until the result is
 // available, ctx is done, or admission fails with ErrBusy/ErrDraining.
+// A miss whose ctx is already done is refused before admission, so a
+// departed client never holds a queue slot.
 func (s *Server) Submit(ctx context.Context, cfg hetpnoc.Config) (Outcome, error) {
 	cfg, out, err := s.resolve(cfg)
 	if err != nil || out.Cached {
 		return out, err
 	}
-	fl, joined, err := s.admit([]hetpnoc.Config{cfg}, []cache.Key{out.Key})
+	if err := ctx.Err(); err != nil {
+		return Outcome{}, err
+	}
+	fl, joined, err := s.admit(cfg, out.Key)
 	if err != nil {
 		return Outcome{}, err
 	}
-	if err := s.await(ctx, fl); err != nil {
-		return Outcome{}, err
+	select {
+	case <-fl.done:
+		if fl.err != nil {
+			return Outcome{}, fl.err
+		}
+	case <-ctx.Done():
+		s.unsubscribe(fl)
+		return Outcome{}, ctx.Err()
 	}
-	out.Result, out.Coalesced = fl.res[0], joined
+	out.Result, out.Coalesced = fl.res, joined
 	return out, nil
-}
-
-// SubmitBatch executes a set of configs sharing a batch prefix (equal
-// Config.NormalizedPrefix — the sweep handler groups by it) as one pool
-// job: cache hits are served directly, duplicates within the batch
-// coalesce onto one run, and the remaining misses are admitted through
-// the same bounded queue as Submit — so a full pool answers ErrBusy —
-// and run by one worker, which builds the shared fabric once and forks
-// every member off a pristine checkpoint. Each result is byte-identical
-// to Submit's for the same config and is published to the cache. A batch
-// left with a single miss is an ordinary Submit of that config.
-func (s *Server) SubmitBatch(ctx context.Context, cfgs []hetpnoc.Config) ([]Outcome, error) {
-	outs := make([]Outcome, len(cfgs))
-	// slot maps a missed content key to its position in the flight;
-	// duplicates of it read the same slot instead of running again.
-	slot := make(map[cache.Key]int)
-	var run []hetpnoc.Config
-	var keys []cache.Key
-	for i, cfg := range cfgs {
-		cfg, out, err := s.resolve(cfg)
-		if err != nil {
-			return nil, err
-		}
-		outs[i] = out
-		if out.Cached {
-			continue
-		}
-		if _, dup := slot[out.Key]; dup {
-			outs[i].Coalesced = true
-			continue
-		}
-		slot[out.Key] = len(run)
-		run = append(run, cfg)
-		keys = append(keys, out.Key)
-	}
-	if len(run) == 0 {
-		return outs, nil
-	}
-	fl, joined, err := s.admit(run, keys)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.await(ctx, fl); err != nil {
-		return nil, err
-	}
-	batched := len(fl.cfgs) > 1
-	for i := range outs {
-		if outs[i].Cached {
-			continue
-		}
-		outs[i].Result = fl.res[slot[outs[i].Key]]
-		outs[i].Batched = batched
-		outs[i].Coalesced = outs[i].Coalesced || joined
-	}
-	return outs, nil
 }
 
 // resolve is the front half of every submission: normalize, validate,
@@ -275,49 +223,31 @@ func (s *Server) resolve(cfg hetpnoc.Config) (hetpnoc.Config, Outcome, error) {
 	return cfg, out, nil
 }
 
-// admit enqueues a new flight for cfgs without blocking, or — for a
-// single config — subscribes the caller to an identical flight already
-// in the pool. joined reports the latter. Only single-config flights are
-// registered for coalescing.
-func (s *Server) admit(cfgs []hetpnoc.Config, keys []cache.Key) (fl *flight, joined bool, err error) {
+// admit enqueues a new flight for cfg without blocking, or subscribes
+// the caller to an identical flight already in the pool. joined reports
+// the latter.
+func (s *Server) admit(cfg hetpnoc.Config, key cache.Key) (fl *flight, joined bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, false, ErrDraining
 	}
-	solo := len(keys) == 1
-	if solo {
-		if fl, ok := s.pending[keys[0]]; ok {
-			fl.subs++
-			s.coalesced.Add(1)
-			return fl, true, nil
-		}
+	if fl, ok := s.pending[key]; ok {
+		fl.subs++
+		s.coalesced.Add(1)
+		return fl, true, nil
 	}
 	jobCtx, cancel := s.jobContext()
-	fl = &flight{cfgs: cfgs, keys: keys, ctx: jobCtx, cancel: cancel, done: make(chan struct{}), subs: 1}
+	fl = &flight{cfg: cfg, key: key, ctx: jobCtx, cancel: cancel, done: make(chan struct{}), subs: 1}
 	select {
 	case s.queue <- fl:
 		s.queued.Add(1)
-		if solo {
-			s.pending[keys[0]] = fl
-		}
+		s.pending[key] = fl
 		return fl, false, nil
 	default:
 		cancel()
 		s.rejected.Add(1)
 		return nil, false, ErrBusy
-	}
-}
-
-// await blocks until fl completes or ctx gives up, returning the
-// flight's error or ctx's.
-func (s *Server) await(ctx context.Context, fl *flight) error {
-	select {
-	case <-fl.done:
-		return fl.err
-	case <-ctx.Done():
-		s.unsubscribe(fl)
-		return ctx.Err()
 	}
 }
 
@@ -367,14 +297,9 @@ func (s *Server) runFlight(fl *flight) {
 	s.inFlight.Add(-1)
 	switch {
 	case fl.err == nil:
-		for i, res := range fl.res {
-			s.cache.Put(fl.keys[i], res)
-			s.cyclesSimulated.Add(int64(fl.cfgs[i].Cycles))
-		}
-		s.completed.Add(int64(len(fl.res)))
-		if len(fl.cfgs) > 1 {
-			s.batched.Add(int64(len(fl.res)))
-		}
+		s.cache.Put(fl.key, fl.res)
+		s.cyclesSimulated.Add(int64(fl.cfg.Cycles))
+		s.completed.Add(1)
 	case errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded):
 		s.canceled.Add(1)
 	default:
@@ -384,18 +309,18 @@ func (s *Server) runFlight(fl *flight) {
 	s.finish(fl)
 }
 
-// runRecovered runs fl's configs and turns a panic below it into the
-// flight's error, named by the flight's first cache key: a bug one
-// config trips fails that job and the requests coalesced onto it, and
-// the worker goes back to the queue.
-func (s *Server) runRecovered(fl *flight) (res []hetpnoc.Result, err error) {
+// runRecovered runs fl's config and turns a panic below it into the
+// flight's error, named by the flight's cache key: a bug one config
+// trips fails that job and the requests coalesced onto it, and the
+// worker goes back to the queue.
+func (s *Server) runRecovered(fl *flight) (res hetpnoc.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked.Add(1)
-			res, err = nil, fmt.Errorf("run %s panicked: %v", fl.keys[0], r)
+			res, err = hetpnoc.Result{}, fmt.Errorf("run %s panicked: %v", fl.key, r)
 		}
 	}()
-	return s.run(fl.ctx, fl.cfgs)
+	return s.run(fl.ctx, fl.cfg)
 }
 
 // finish retires fl from the pending set and wakes its subscribers. The
@@ -403,11 +328,7 @@ func (s *Server) runRecovered(fl *flight) (res []hetpnoc.Result, err error) {
 // afterwards starts fresh instead of adopting a dead flight.
 func (s *Server) finish(fl *flight) {
 	s.mu.Lock()
-	// Partition flights are never registered, and their first key may
-	// be pending as someone else's single run.
-	if s.pending[fl.keys[0]] == fl {
-		delete(s.pending, fl.keys[0])
-	}
+	delete(s.pending, fl.key)
 	s.mu.Unlock()
 	fl.cancel()
 	close(fl.done)
@@ -463,9 +384,6 @@ type Metrics struct {
 	Panicked  int64 `json:"panicked"`
 	Rejected  int64 `json:"rejected"`
 	Coalesced int64 `json:"coalesced"`
-	// BatchedRuns counts simulations executed through the shared-prefix
-	// batch path instead of as standalone pool jobs.
-	BatchedRuns int64 `json:"batchedRuns"`
 
 	CacheEntries  int     `json:"cacheEntries"`
 	CacheCapacity int     `json:"cacheCapacity"`
@@ -500,7 +418,6 @@ func (s *Server) Metrics() Metrics {
 		Panicked:        s.panicked.Load(),
 		Rejected:        s.rejected.Load(),
 		Coalesced:       s.coalesced.Load(),
-		BatchedRuns:     s.batched.Load(),
 		CacheEntries:    cs.Entries,
 		CacheCapacity:   cs.Capacity,
 		CacheHits:       cs.Hits,

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -36,7 +35,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func closeServer(t *testing.T, s *Server) {
+func closeServer(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -176,11 +175,6 @@ func TestSubmitBackpressure(t *testing.T) {
 	if m := s.Metrics(); m.Rejected != 1 {
 		t.Fatalf("rejected = %d, want 1", m.Rejected)
 	}
-	// A sweep partition is admitted through the same queue.
-	_, err = s.SubmitBatch(context.Background(), []hetpnoc.Config{smallCfg(53), smallCfg(54)})
-	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("saturated batch returned %v, want ErrBusy", err)
-	}
 	// But a duplicate of the queued config still coalesces — backpressure
 	// never applies to work already admitted.
 	dupCtx, dropDup := context.WithCancel(context.Background())
@@ -199,58 +193,49 @@ func TestSubmitBackpressure(t *testing.T) {
 	<-dupDone
 }
 
-// TestSubmitBatchOutcomes: one call mixing a cache hit, two misses and an
-// in-batch duplicate reports each correctly, agrees with Submit result
-// for result, and leaves the caller's slice as it found it.
-func TestSubmitBatchOutcomes(t *testing.T) {
-	s := New(Config{Workers: 1})
+// TestSubmitDoneContextTakesNoSlot: a miss submitted with a context that
+// is already done is refused before admission. It holds no queue slot,
+// so the points a departed sweep client still had to submit cannot push
+// anyone else into ErrBusy.
+func TestSubmitDoneContextTakesNoSlot(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer closeServer(t, s)
-	ctx := context.Background()
 
-	primed, err := s.Submit(ctx, smallCfg(60))
-	if err != nil {
-		t.Fatal(err)
+	pinCtx, unpin := context.WithCancel(context.Background())
+	pinned := make(chan struct{})
+	go func() {
+		defer close(pinned)
+		s.Submit(pinCtx, bigCfg(110))
+	}()
+	defer func() {
+		unpin()
+		<-pinned
+	}()
+	waitFor(t, "pinning run in flight", func() bool { return s.Metrics().InFlight == 1 })
+
+	gone, leave := context.WithCancel(context.Background())
+	leave()
+	if _, err := s.Submit(gone, smallCfg(111)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit with a done context returned %v, want context.Canceled", err)
 	}
-	loaded := smallCfg(61)
-	loaded.LoadScale = 0.5
-	cfgs := []hetpnoc.Config{smallCfg(60), smallCfg(61), loaded, smallCfg(61)}
-	before := append([]hetpnoc.Config(nil), cfgs...)
-	outs, err := s.SubmitBatch(ctx, cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cfgs, before) {
-		t.Errorf("SubmitBatch rewrote the caller's configs:\n%+v\nwas\n%+v", cfgs, before)
-	}
-	if !outs[0].Cached || outs[0].Key != primed.Key {
-		t.Errorf("primed point not served from the cache: %+v", outs[0])
-	}
-	for i := 1; i < len(outs); i++ {
-		if outs[i].Cached || !outs[i].Batched || outs[i].Coalesced != (i == 3) {
-			t.Errorf("point %d: cached=%v batched=%v coalesced=%v", i, outs[i].Cached, outs[i].Batched, outs[i].Coalesced)
-		}
-	}
-	if !reflect.DeepEqual(outs[3].Result, outs[1].Result) {
-		t.Error("in-batch duplicate carries a different result from its first occurrence")
-	}
-	solo, err := hetpnoc.Run(loaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(outs[2].Result, solo) {
-		t.Errorf("batched result diverges from hetpnoc.Run:\n%+v\n%+v", outs[2].Result, solo)
-	}
-	if m := s.Metrics(); m.Completed != 3 || m.BatchedRuns != 2 {
-		t.Errorf("completed=%d batched=%d, want 3 and 2", m.Completed, m.BatchedRuns)
+	if m := s.Metrics(); m.QueueDepth != 0 {
+		t.Fatalf("a done context left %d flights queued, want 0", m.QueueDepth)
 	}
 
-	// A batch with one miss left is an ordinary run.
-	outs, err = s.SubmitBatch(ctx, []hetpnoc.Config{smallCfg(60), smallCfg(62)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !outs[0].Cached || outs[1].Cached || outs[1].Batched {
-		t.Errorf("single-miss batch: %+v", outs)
+	// The one queue slot is still free: the next distinct miss is queued.
+	nextCtx, dropNext := context.WithCancel(context.Background())
+	nextDone := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(nextCtx, smallCfg(112))
+		nextDone <- err
+	}()
+	waitFor(t, "next miss queued or refused", func() bool {
+		m := s.Metrics()
+		return m.QueueDepth == 1 || m.Rejected > 0
+	})
+	dropNext()
+	if err := <-nextDone; !errors.Is(err, context.Canceled) {
+		t.Errorf("next distinct submit returned %v, want to be queued until its client left", err)
 	}
 }
 
