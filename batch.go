@@ -11,10 +11,10 @@ import "context"
 // across calls, so a prefix run before — by RunBatch, Run or any other
 // entry point — costs no build at all. Each result is
 // byte-identical (Result.CanonicalJSON and the event log) to what
-// Run would return for that config alone — TestBatchEquivalence holds
-// this across all three architectures and bandwidth sets — so batching
-// is purely a performance choice: a 256-point sweep stops paying 256
-// builds. docs/BATCHING.md documents the plan model and the
+// Run would return for that config alone — TestPathEquivalence holds
+// this on every scenario of its corpus, at 1, 2 and GOMAXPROCS workers —
+// so batching is purely a performance choice: a 256-point sweep stops
+// paying 256 builds. docs/BATCHING.md documents the plan model and the
 // determinism contract.
 //
 //hetpnoc:ctxroot synchronous public entry point, wraps RunBatchContext

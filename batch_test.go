@@ -1,98 +1,13 @@
 package hetpnoc
 
 import (
-	"bytes"
 	"context"
-	"fmt"
 	"testing"
 
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/testutil/leakcheck"
 )
-
-// equivalenceConfigs builds the differential corpus for the batch
-// oracle: every architecture crossed with every bandwidth set, each
-// point fanned out over seeds and load scales so batching has prefixes
-// to deduplicate, with the event log enabled so the comparison covers
-// the protocol event stream and not just the aggregate counters. The last
-// group alternates 5 % and 200 % load on one fabric: at 5 % the sources
-// emit once in 1,024 cycles and the run is mostly jumps, so each fork's
-// Restore → SetLoadScale → Reseed has to restart every source's
-// look-ahead from the fork cycle, in both directions.
-func equivalenceConfigs() []Config {
-	var cfgs []Config
-	for _, arch := range []Architecture{DHetPNoC, Firefly, TorusPNoC} {
-		for set := 1; set <= 3; set++ {
-			for _, seed := range []uint64{1, 7} {
-				for _, load := range []float64{1.0, 2.0} {
-					cfgs = append(cfgs, Config{
-						Architecture:  arch,
-						BandwidthSet:  set,
-						Traffic:       Traffic{Kind: UniformRandom},
-						LoadScale:     load,
-						Cycles:        600,
-						WarmupCycles:  150,
-						Seed:          seed,
-						EventCapacity: 256,
-					})
-				}
-			}
-		}
-	}
-	for _, seed := range []uint64{1, 7} {
-		for _, load := range []float64{0.05, 2.0} {
-			cfgs = append(cfgs, Config{
-				Architecture:  DHetPNoC,
-				BandwidthSet:  3,
-				Traffic:       Traffic{Kind: UniformRandom},
-				LoadScale:     load,
-				Cycles:        3000,
-				WarmupCycles:  150,
-				Seed:          seed,
-				EventCapacity: 256,
-			})
-		}
-	}
-	return cfgs
-}
-
-// reference runs cfg without the plan every entry point now goes
-// through: lower, fabric.New, StepContext in windows of every cycles
-// with observe called between them, Finish, lift. It is the solo driver
-// the root package had before a run became a one-member plan, kept as the
-// oracle Run, RunBatch and RunWithTrace are held to.
-func reference(t testing.TB, cfg Config, every int64, observe func(Snapshot)) Result {
-	t.Helper()
-	fc, err := lower(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc = fc.WithDefaults()
-	f, err := fabric.New(fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := fc.Cycles
-	if observe != nil && every < int64(window) {
-		window = int(every)
-	}
-	for done := 0; done < fc.Cycles; {
-		n := min(window, fc.Cycles-done)
-		if err := f.StepContext(context.Background(), n); err != nil {
-			t.Fatal(err)
-		}
-		done += n
-		if observe != nil && int64(done)%every == 0 {
-			observe(snapshotOf(f))
-		}
-	}
-	res, err := f.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fromFabricResult(res)
-}
 
 // canonical encodes r, failing the test on error.
 func canonical(t testing.TB, r Result) []byte {
@@ -115,66 +30,6 @@ func lowerAll(t *testing.T, cfgs []Config) []fabric.Config {
 		}
 	}
 	return specs
-}
-
-// TestBatchEquivalence is the batch engine's differential oracle: for
-// every config in the corpus, the batched result — and Run's, a
-// one-member plan — must be byte-identical, canonical Result encoding and
-// the formatted event log included, to the config run alone on its own
-// fabric. Batching must be purely a performance choice; any divergence
-// means the checkpoint-fork fast path leaked state between members.
-func TestBatchEquivalence(t *testing.T) {
-	cfgs := equivalenceConfigs()
-	batched, err := RunBatch(cfgs)
-	if err != nil {
-		t.Fatalf("RunBatch: %v", err)
-	}
-	if len(batched) != len(cfgs) {
-		t.Fatalf("RunBatch returned %d results for %d configs", len(batched), len(cfgs))
-	}
-	for i, cfg := range cfgs {
-		name := fmt.Sprintf("config %d (%v/set%d/seed%d/load%g)",
-			i, cfg.Architecture, cfg.BandwidthSet, cfg.Seed, cfg.LoadScale)
-		solo := reference(t, cfg, 0, nil)
-		run, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
-		}
-		want := canonical(t, solo)
-		for _, got := range []struct {
-			path string
-			res  Result
-		}{{"RunBatch", batched[i]}, {"Run", run}} {
-			if eb := canonical(t, got.res); !bytes.Equal(eb, want) {
-				t.Errorf("%s: %s diverges from the solo run:\n%s: %s\nsolo: %s", name, got.path, got.path, eb, want)
-			}
-		}
-		if len(solo.Events) == 0 {
-			t.Errorf("%s: logged no events; the event-log comparison is vacuous", name)
-		}
-		if batched[i].PacketsDelivered == 0 {
-			t.Errorf("%s: delivered nothing; the oracle is vacuous", name)
-		}
-	}
-}
-
-// TestBatchEquivalenceDedupes pins that the corpus above actually
-// exercises the fast path: the 4 seed/load variants of each
-// architecture × set point must collapse onto one fabric build.
-func TestBatchEquivalenceDedupes(t *testing.T) {
-	cfgs := equivalenceConfigs()
-	plan, err := batch.NewPlan(lowerAll(t, cfgs), batch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := plan.Stats()
-	wantGroups := len(cfgs) / 4 // 2 seeds × 2 loads per prefix
-	if st.Groups != wantGroups {
-		t.Errorf("plan built %d groups for %d members, want %d", st.Groups, st.Members, wantGroups)
-	}
-	if st.LargestGroup != 4 {
-		t.Errorf("largest group has %d members, want 4", st.LargestGroup)
-	}
 }
 
 // sweep256Configs builds a 256-point sweep: a cross-product of 8 build
@@ -225,7 +80,8 @@ func TestBatchSweep256Builds(t *testing.T) {
 // TestCustomTrafficSharesABuild: custom traffic lowers to plain data, so
 // two custom configs that differ only in seed plan onto one build, where
 // a pattern carrying per-config closures split them into two groups of
-// one; and each member is still byte-identical to its solo run.
+// one. (That a member of the group is its solo run is the custom row of
+// TestPathEquivalence.)
 func TestCustomTrafficSharesABuild(t *testing.T) {
 	custom := func(seed uint64) Config {
 		specs := make([]CoreSpec, 64)
@@ -234,25 +90,12 @@ func TestCustomTrafficSharesABuild(t *testing.T) {
 		specs[12] = CoreSpec{RateGbps: 20}                    // every foreign core
 		return Config{Traffic: CustomTraffic(specs), Cycles: 1500, WarmupCycles: 300, Seed: seed, EventCapacity: 64}
 	}
-	cfgs := []Config{custom(1), custom(9)}
-	plan, err := batch.NewPlan(lowerAll(t, cfgs), batch.Options{})
+	plan, err := batch.NewPlan(lowerAll(t, []Config{custom(1), custom(9)}), batch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := plan.Stats(); st.Groups != 1 {
 		t.Errorf("plan built %d groups for two custom configs differing only in seed, want 1", st.Groups)
-	}
-	batched, err := RunBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		if got, want := canonical(t, batched[i]), canonical(t, reference(t, cfg, 0, nil)); !bytes.Equal(got, want) {
-			t.Errorf("member %d diverges from its solo run:\nbatched: %s\nsolo:    %s", i, got, want)
-		}
-		if batched[i].PacketsDelivered == 0 {
-			t.Errorf("member %d delivered nothing", i)
-		}
 	}
 }
 

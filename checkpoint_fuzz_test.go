@@ -1,19 +1,11 @@
 package hetpnoc
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// FuzzCheckpointRestore fuzzes checkpoint fidelity over the valid
-// configuration space: for a random architecture, bandwidth set,
-// workload, load, run length and checkpoint cycle, a run that takes a
-// checkpoint must match the uncheckpointed reference byte-for-byte
-// (taking a checkpoint never perturbs), and restoring the checkpoint and
-// re-stepping the remainder must reproduce the same canonical result —
-// Result.CanonicalJSON and the event log compared exactly. Hostile
-// out-of-range inputs are FuzzConfigValidate's subject; here every
-// fuzzed value is folded into the valid envelope so each iteration
+// FuzzCheckpointRestore runs TestPathEquivalence's Checkpoint path on a
+// fuzzed scenario: a random architecture, bandwidth set, workload, load,
+// run length and checkpoint cycle, every value folded into the valid
+// envelope (hostile inputs are FuzzConfigValidate's), so each iteration
 // exercises the snapshot machinery, not Validate.
 func FuzzCheckpointRestore(f *testing.F) {
 	f.Add(0, 1, 2, 6, 500, 100, 200, uint64(7), true)
@@ -46,38 +38,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("clamped config rejected: %v\n%+v", err, cfg)
 		}
-		fc = fc.WithDefaults()
-
-		// Reference: the uninterrupted run, one Step at a time.
-		ref := buildFabric(t, fc)
-		stepN(t, ref, fc.Cycles)
-		refJSON, refEvents := finishCanonical(t, ref)
-
-		// Checkpointed run, through StepContext and its jumps: taking the
-		// checkpoint must not perturb it.
-		g := buildFabric(t, fc)
-		runN(t, g, snap)
-		cp := g.Checkpoint()
-		runN(t, g, fc.Cycles-snap)
-		gotJSON, gotEvents := finishCanonical(t, g)
-		if !bytes.Equal(refJSON, gotJSON) {
-			t.Fatalf("checkpoint at cycle %d perturbed the run:\nref: %s\ngot: %s", snap, refJSON, gotJSON)
-		}
-		if refEvents != gotEvents {
-			t.Fatalf("checkpoint at cycle %d perturbed the event log", snap)
-		}
-
-		// Restore and re-step: byte-identical to the uncheckpointed run.
-		if err := g.Restore(cp); err != nil {
-			t.Fatal(err)
-		}
-		runN(t, g, fc.Cycles-snap)
-		redoJSON, redoEvents := finishCanonical(t, g)
-		if !bytes.Equal(refJSON, redoJSON) {
-			t.Fatalf("restored run diverged (checkpoint at %d):\nref: %s\ngot: %s", snap, refJSON, redoJSON)
-		}
-		if refEvents != redoEvents {
-			t.Fatalf("restored run's event log diverged (checkpoint at %d)", snap)
-		}
+		sc := &scenario{fc: fc.WithDefaults(), cut: snap}
+		sc.same(t, "restored a second time", checkpointPath(t, sc))
 	})
 }

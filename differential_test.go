@@ -59,40 +59,6 @@ func TestFireflyDHetPNoCUniformDelivery(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicEncoding enforces the cache's core assumption:
-// two runs of the same config+seed produce byte-identical canonical
-// Result encodings. This is the end-to-end determinism guarantee — any
-// map-iteration, wall-clock, or math/rand leak into the simulation
-// breaks it.
-func TestRunDeterministicEncoding(t *testing.T) {
-	configs := []Config{
-		{Cycles: 3000, WarmupCycles: 500, Seed: 42},
-		{Architecture: Firefly, BandwidthSet: 2, Traffic: Traffic{Kind: SkewedKind, SkewLevel: 2}, Cycles: 3000, WarmupCycles: 500, Seed: 42},
-		{Architecture: TorusPNoC, BandwidthSet: 3, Traffic: Traffic{Kind: UniformRandom, Burstiness: 3}, LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 9},
-	}
-	for i, cfg := range configs {
-		a, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("config %d run 1: %v", i, err)
-		}
-		b, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("config %d run 2: %v", i, err)
-		}
-		ea, err := a.CanonicalJSON()
-		if err != nil {
-			t.Fatalf("config %d encode 1: %v", i, err)
-		}
-		eb, err := b.CanonicalJSON()
-		if err != nil {
-			t.Fatalf("config %d encode 2: %v", i, err)
-		}
-		if !bytes.Equal(ea, eb) {
-			t.Errorf("config %d: repeated runs encode differently:\n%s\n%s", i, ea, eb)
-		}
-	}
-}
-
 // TestNormalizedCanonicalJSONStable: a config spelled with explicit
 // defaults and one relying on zero values must share canonical bytes —
 // that is what lets the serving cache deduplicate them.

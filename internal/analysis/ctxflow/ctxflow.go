@@ -1,7 +1,7 @@
 // Package ctxflow enforces context threading: cancellation must flow
 // from the request edge into every long-running callee, because the
 // serving layer's whole backpressure story (docs/SERVING.md) rests on
-// Fabric.RunContext noticing a dead context within one check interval.
+// Fabric.StepContext noticing a dead context within one check interval.
 //
 // Two rules:
 //

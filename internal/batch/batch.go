@@ -23,15 +23,16 @@
 // The contract is one sentence: every member is byte-identical to a solo
 // run of its config. Each member replays its entire run — reset window
 // included — under its own seed and load, so only the build is amortized
-// and batching is purely a performance choice (TestBatchEquivalence,
-// TestPristineForkMatchesSolo, TestShelfNeitherPoisonsNorAliases).
+// and batching is purely a performance choice (the root package's
+// TestPathEquivalence, and TestShelfNeitherPoisonsNorAliases for builds
+// of failed groups).
 //
 // A checkpoint only restores onto the fabric it was taken from, so the
 // members of one group run sequentially on their shared fabric; Run's
 // workers claim whole groups off one shared cursor. Results land by
 // member index, so the output is independent of worker count and of
-// which worker claims which group — the partition-independence property
-// test holds this at worker counts 1, 2 and GOMAXPROCS.
+// which worker claims which group — TestPathEquivalence's Corpus paths
+// hold this at worker counts 1, 2 and GOMAXPROCS.
 package batch
 
 import (

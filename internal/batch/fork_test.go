@@ -1,7 +1,6 @@
 package batch
 
 import (
-	"bytes"
 	"context"
 	"runtime"
 	"testing"
@@ -61,95 +60,6 @@ func TestForkAllocatesNoBuffers(t *testing.T) {
 	if objects >= 260 || kib >= 25 {
 		t.Fatalf("a forked member allocated %d objects and %d KiB, want < 260 and < 25: something re-grows per fork", objects, kib)
 	}
-}
-
-// TestOneMemberPlanIsOneBuild: a group's first member runs on the fabric
-// the group just built, so a one-member plan of a new prefix costs one
-// fabric.New, the cycle-0 checkpoint the shelf keeps and one run — no
-// restore or reseed (≈ 200 allocations more) — plus the plan's
-// bookkeeping. Of a shelved prefix it costs one fork and the run, at most
-// BenchmarkFabricReseed's 212 allocations plus 16, and no build. And
-// whether a member runs on the build or forks off its checkpoint, a
-// k-member group's results are k solo runs.
-func TestOneMemberPlanIsOneBuild(t *testing.T) {
-	cfg := spec(3, 1)
-	bare := testing.AllocsPerRun(20, func() {
-		f, err := fabric.New(cfg.WithDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Checkpoint()
-		if _, err := f.RunContext(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	got := planCost(t, func() fabric.Config {
-		first := cfg
-		first.Cycles += newPrefix() // a prefix field: a first sighting
-		return first
-	}, 1, 0)
-	t.Logf("one-member plan of a new prefix: %.0f allocations, fabric.New + Checkpoint + RunContext: %.0f", got, bare)
-	// The plan, its slices, the claim loop's closure and a cancelable
-	// context are ≈ 10 allocations, a few more under -race, whose
-	// sync.Pool drops entries at random.
-	if got > bare+24 {
-		t.Errorf("a one-member plan of a new prefix allocates %.0f objects, fabric.New + Checkpoint + RunContext %.0f: want at most 24 more", got, bare)
-	}
-	repeat := cfg // Seed is not: each plan forks the shelved build
-	got = planCost(t, func() fabric.Config { repeat.Seed++; return repeat }, 0, 1)
-	t.Logf("one-member plan of a shelved prefix: %.0f allocations", got)
-	if got > 212+16 {
-		t.Errorf("a one-member plan of a shelved prefix allocates %.0f objects, want at most 212 + 16", got)
-	}
-
-	group := []fabric.Config{spec(3, 1), spec(4, 2), spec(5, 0.5)}
-	p := mustPlan(t, group, Options{})
-	if st := p.Stats(); st.Groups != 1 {
-		t.Fatalf("plan built %d groups, want 1", st.Groups)
-	}
-	out, err := p.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range group {
-		if got, want := resultJSON(t, out[i]), resultJSON(t, soloRun(t, s)); !bytes.Equal(got, want) {
-			t.Errorf("member %d diverges from its solo run:\nplan: %s\nsolo: %s", i, got, want)
-		}
-	}
-}
-
-// sightings counts the prefixes newPrefix has handed out.
-var sightings int
-
-// newPrefix returns a number no earlier call returned, so a config that
-// adds it to a prefix field is the process's first sighting of its
-// prefix, under -count too.
-func newPrefix() int {
-	sightings++
-	return sightings
-}
-
-// planCost returns the allocations of one one-member plan of next(), as
-// testing.AllocsPerRun counts them, and requires each plan to cost builds
-// fabric builds and forks forks.
-func planCost(t *testing.T, next func() fabric.Config, builds, forks int64) float64 {
-	t.Helper()
-	run := func() {
-		if _, err := mustPlan(t, []fabric.Config{next()}, Options{}).Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // shelves the prefix the repeats take, and warms what warms
-	const plans = 20
-	b0, f0 := Counters()
-	allocs := testing.AllocsPerRun(plans, run)
-	b1, f1 := Counters()
-	// AllocsPerRun makes one warm-up call of its own.
-	if b1-b0 != (plans+1)*builds || f1-f0 != (plans+1)*forks {
-		t.Errorf("%d plans cost %d builds and %d forks, want %d and %d each", plans+1, b1-b0, f1-f0, builds, forks)
-	}
-	return allocs
 }
 
 // BenchmarkBatchMember measures one forked member of the sweep corpus end

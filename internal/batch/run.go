@@ -113,10 +113,10 @@ func spawn(n int, work, abort func()) {
 // first included, off its cycle-0 checkpoint. Otherwise it builds the
 // fabric from the first member's config and checkpoints it at cycle 0;
 // the build is the first member's pristine state — a fork off that
-// checkpoint reproduces exactly it (TestPristineForkMatchesSolo) — so
-// the first member runs as built. The build goes on the shelf only once
-// every member has finished without error; a group that fails, is
-// cancelled or panics drops its fabric.
+// checkpoint reproduces exactly it (TestPathEquivalence's PristineFork
+// path) — so the first member runs as built. The build goes on the shelf
+// only once every member has finished without error; a group that fails,
+// is cancelled or panics drops its fabric.
 func (p *Plan) runGroup(ctx context.Context, g group, results []fabric.Result) error {
 	base := g.members[0]
 	pr, shelved := take(p.specs[base])

@@ -8,29 +8,12 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/testutil/leakcheck"
 	"hetpnoc/internal/traffic"
 )
-
-// soloRun executes one member config on its own fresh fabric — the
-// reference every plan member must match byte-for-byte, event log
-// included.
-func soloRun(t testing.TB, cfg fabric.Config) fabric.Result {
-	t.Helper()
-	f, err := fabric.New(cfg.WithDefaults())
-	if err != nil {
-		t.Fatalf("solo fabric.New: %v", err)
-	}
-	res, err := f.RunContext(context.Background())
-	if err != nil {
-		t.Fatalf("solo run: %v", err)
-	}
-	return res
-}
 
 func resultJSON(t testing.TB, res fabric.Result) []byte {
 	t.Helper()
@@ -39,140 +22,6 @@ func resultJSON(t testing.TB, res fabric.Result) []byte {
 		t.Fatalf("marshal result: %v", err)
 	}
 	return b
-}
-
-// TestPristineForkMatchesSolo drives the engine at the fabric layer —
-// including a remap scheduled AFTER the fork point, so the remap timer
-// re-arms correctly on every restore and draws the member's own RNG
-// stream — and requires byte-identical results and event logs against
-// per-config solo runs. The second group forks between 5 % load, where
-// the sources rest for a thousand cycles and the run is mostly jumps, and
-// 200 %, where they never do: Reseed must restart every source's
-// look-ahead, and the fabric's, from the fork cycle.
-func TestPristineForkMatchesSolo(t *testing.T) {
-	remapped := func(seed uint64, load float64) fabric.Config {
-		s := spec(seed, load)
-		s.EventCapacity = 256
-		s.Remaps = []fabric.Remap{{At: 300, Pattern: traffic.Skewed{Level: 2}}}
-		return s
-	}
-	light := func(seed uint64, load float64) fabric.Config {
-		s := remapped(seed, load)
-		s.Set = traffic.BWSet3
-		s.Cycles = 3000
-		return s
-	}
-	for _, group := range []struct {
-		name  string
-		specs []fabric.Config
-	}{
-		{"loaded", []fabric.Config{remapped(1, 1), remapped(5, 1), remapped(1, 2), remapped(5, 0.75)}},
-		{"light-heavy", []fabric.Config{light(1, 0.05), light(5, 2), light(5, 0.05), light(1, 2)}},
-	} {
-		name, specs := group.name, group.specs
-		p := mustPlan(t, specs, Options{})
-		if st := p.Stats(); st.Groups != 1 {
-			t.Fatalf("%s: plan built %d groups, want 1 (seeds and loads vary freely, remap schedules match)", name, st.Groups)
-		}
-		out, err := p.Run(context.Background())
-		if err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
-		}
-		for i, s := range specs {
-			want := soloRun(t, s)
-			if len(want.Events) == 0 {
-				t.Fatalf("%s: member %d logged no events; the event-log comparison is vacuous", name, i)
-			}
-			if got, want := resultJSON(t, out[i]), resultJSON(t, want); !bytes.Equal(got, want) {
-				t.Errorf("%s: member %d diverges from solo run (event log included):\nbatch: %s\nsolo:  %s", name, i, got, want)
-			}
-		}
-	}
-}
-
-// sameAtEveryWorkerCount runs specs at worker counts 1, 2 and
-// GOMAXPROCS and reports whether every member's bytes agree.
-func sameAtEveryWorkerCount(t *testing.T, specs []fabric.Config) bool {
-	t.Helper()
-	var ref [][]byte
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		p, err := NewPlan(specs, Options{Workers: workers})
-		if err != nil {
-			t.Logf("NewPlan: %v", err)
-			return false
-		}
-		out, err := p.Run(context.Background())
-		if err != nil {
-			t.Logf("Run: %v", err)
-			return false
-		}
-		enc := make([][]byte, len(out))
-		for i := range out {
-			enc[i] = resultJSON(t, out[i])
-		}
-		if ref == nil {
-			ref = enc
-			continue
-		}
-		for i := range enc {
-			if !bytes.Equal(enc[i], ref[i]) {
-				t.Logf("member %d differs between %d workers and 1", i, workers)
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestPartitionIndependence is the scheduling-invariance property: for
-// random sub-batches of a mixed corpus, the results are byte-identical
-// at worker counts 1, 2 and GOMAXPROCS — which worker claims which
-// group may never change any member's bytes.
-func TestPartitionIndependence(t *testing.T) {
-	corpus := []fabric.Config{
-		spec(1, 1), spec(2, 1), spec(1, 2), spec(3, 0.5),
-		spec(1, 1), // duplicate of corpus[0]: identical members must yield identical bytes
-	}
-	firefly := spec(2, 1)
-	firefly.Arch = fabric.Firefly
-	skewed := spec(4, 1)
-	skewed.Pattern = traffic.Skewed{Level: 2}
-	corpus = append(corpus, firefly, skewed)
-
-	property := func(mask uint8) bool {
-		var specs []fabric.Config
-		for i, s := range corpus {
-			if mask&(1<<i) != 0 {
-				specs = append(specs, s)
-			}
-		}
-		return len(specs) == 0 || sameAtEveryWorkerCount(t, specs)
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
-	}
-
-	// Uneven groups of 1, 1, 5 and 9 members, interleaved in submission
-	// order: the case where the order groups are claimed in decides which
-	// worker ends up with the long ones.
-	longer := spec(7, 1)
-	longer.Cycles = 900
-	uneven := []fabric.Config{skewed}
-	for i := 0; i < 9; i++ {
-		s := spec(uint64(i+1), 1+float64(i%3)/2)
-		uneven = append(uneven, s)
-		if i < 5 {
-			s.Arch = fabric.Firefly
-			uneven = append(uneven, s)
-		}
-	}
-	uneven = append(uneven, longer)
-	if st := mustPlan(t, uneven, Options{}).Stats(); st.Groups != 4 || st.LargestGroup != 9 || st.Members != 16 {
-		t.Fatalf("uneven corpus stats = %+v, want 16 members in 4 groups, largest 9", st)
-	}
-	if !sameAtEveryWorkerCount(t, uneven) {
-		t.Error("uneven groups: results depend on the worker count")
-	}
 }
 
 // TestRunCancellationDrains is the -race soak: canceling mid-batch

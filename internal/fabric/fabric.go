@@ -576,7 +576,7 @@ func (f *Fabric) generate(now sim.Cycle) {
 }
 
 // CancelCheckInterval is the number of cycles simulated between context
-// checks in StepContext/RunContext. The check lives outside Step, so the
+// checks in StepContext. The check lives outside Step, so the
 // zero-alloc hot path is untouched: cancellation latency is bounded by
 // one interval — ≤ 1,024 simulated cycles, ≈ 6 ms saturated and well
 // under 1 ms at light load — while the per-cycle cost of supporting it
@@ -651,20 +651,14 @@ func empty(b *sim.Bitset) bool {
 	return true
 }
 
-// RunContext simulates the configured number of cycles, honoring ctx
-// cancellation between cycle chunks, and returns the result.
-func (f *Fabric) RunContext(ctx context.Context) (Result, error) {
-	if err := f.StepContext(ctx, f.cfg.Cycles); err != nil {
+// Run simulates the configured number of cycles and returns the result.
+//
+//hetpnoc:ctxroot synchronous wrapper over StepContext for tests and CLI sweeps
+func (f *Fabric) Run() (Result, error) {
+	if err := f.StepContext(context.Background(), f.cfg.Cycles); err != nil {
 		return Result{}, err
 	}
 	return f.Finish()
-}
-
-// Run simulates the configured number of cycles and returns the result.
-//
-//hetpnoc:ctxroot synchronous wrapper over RunContext for tests and CLI sweeps
-func (f *Fabric) Run() (Result, error) {
-	return f.RunContext(context.Background())
 }
 
 // Finish closes the measurement window and assembles the result. Use it

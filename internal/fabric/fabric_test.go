@@ -67,8 +67,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestDeterminism: identical seeds give bit-identical results; different
-// seeds differ.
+// TestDeterminism: different seeds give different results. (That
+// identical seeds give bit-identical ones, however the run is driven, is
+// the root TestPathEquivalence's.)
 func TestDeterminism(t *testing.T) {
 	cfg := Config{
 		Arch:    DHetPNoC,
@@ -76,14 +77,6 @@ func TestDeterminism(t *testing.T) {
 		Cycles:  3000, WarmupCycles: 500, Seed: 77,
 	}
 	a := runConfig(t, cfg)
-	b := runConfig(t, cfg)
-	if a.Stats.BitsDelivered != b.Stats.BitsDelivered ||
-		a.Stats.PacketsDelivered != b.Stats.PacketsDelivered ||
-		a.EnergyTotalPJ != b.EnergyTotalPJ ||
-		a.Stats.AvgLatencyCycles != b.Stats.AvgLatencyCycles {
-		t.Fatalf("same seed, different results:\n%+v\n%+v", a.Stats, b.Stats)
-	}
-
 	cfg.Seed = 78
 	c := runConfig(t, cfg)
 	if a.Stats.BitsDelivered == c.Stats.BitsDelivered && a.EnergyTotalPJ == c.EnergyTotalPJ {

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -10,11 +11,9 @@ import (
 // goldenCase pins the headline Result fields of one short reference run.
 // The values were recorded from the pre-optimization simulator (PR 1) and
 // must never drift: performance work on the cycle loop is only acceptable
-// when the simulation stays bit-identical. Regenerate deliberately with
-//
-//	go run ./internal/fabric/goldengen
-//
-// and only commit new values alongside an intentional behaviour change.
+// when the simulation stays bit-identical. TestGoldenResults prints the
+// replacement goldenCases literal of every row that drifts; paste those
+// only alongside an intentional behaviour change.
 type goldenCase struct {
 	Arch    string
 	Pattern string
@@ -45,29 +44,6 @@ var goldenCases = []goldenCase{
 	{"d-hetpnoc", "hotspot-drops", 352, 358.944, 2189.2017045454545, 24825.702159090015, 425, 425, 0},
 }
 
-func goldenArch(t *testing.T, name string) Arch {
-	t.Helper()
-	for _, a := range []Arch{Firefly, DHetPNoC, TorusPNoC} {
-		if a.String() == name {
-			return a
-		}
-	}
-	t.Fatalf("unknown architecture %q", name)
-	return 0
-}
-
-func goldenPattern(t *testing.T, name string) traffic.Pattern {
-	t.Helper()
-	switch name {
-	case "uniform":
-		return traffic.Uniform{}
-	case "skewed2":
-		return traffic.Skewed{Level: 2}
-	}
-	t.Fatalf("unknown pattern %q", name)
-	return nil
-}
-
 // dropStormConfig is the drop-heavy operating point shared by the
 // "hotspot-drops" golden rows and BenchmarkFabricStep/Drops: two VCs per
 // port and half of all traffic aimed at one cluster at 1.5x load, so
@@ -88,24 +64,22 @@ func dropStormConfig(arch Arch) Config {
 
 func goldenConfig(t *testing.T, gc goldenCase) Config {
 	t.Helper()
-	arch := goldenArch(t, gc.Arch)
-	if gc.Pattern == "hotspot-drops" {
+	arch, archOK := map[string]Arch{Firefly.String(): Firefly, DHetPNoC.String(): DHetPNoC, TorusPNoC.String(): TorusPNoC}[gc.Arch]
+	pattern, patternOK := map[string]traffic.Pattern{"uniform": traffic.Uniform{}, "skewed2": traffic.Skewed{Level: 2}, "hotspot-drops": nil}[gc.Pattern]
+	switch {
+	case !archOK || !patternOK:
+		t.Fatalf("unknown golden row %s/%s", gc.Arch, gc.Pattern)
+	case pattern == nil:
 		return dropStormConfig(arch)
 	}
-	return Config{
-		Arch:         arch,
-		Set:          traffic.BWSet1,
-		Pattern:      goldenPattern(t, gc.Pattern),
-		Cycles:       3000,
-		WarmupCycles: 500,
-		Seed:         1,
-	}
+	return Config{Arch: arch, Set: traffic.BWSet1, Pattern: pattern, Cycles: 3000, WarmupCycles: 500, Seed: 1}
 }
 
 // TestGoldenResults asserts that every reference run still produces exactly
-// the recorded headline numbers. Floating-point fields are compared
-// bit-exactly (via shortest round-trip formatting), so even a reordering of
-// energy or latency accumulation fails the test.
+// the recorded headline numbers. Each run is printed as its goldenCases
+// literal, floating-point fields in shortest round-trip form, and compared
+// with its row's, so even a reordering of energy or latency accumulation
+// fails the test, which then prints the literal to paste.
 func TestGoldenResults(t *testing.T) {
 	for _, gc := range goldenCases {
 		gc := gc
@@ -119,31 +93,19 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range []struct {
-				field     string
-				got, want int64
-			}{
-				{"PacketsDelivered", res.Stats.PacketsDelivered, gc.PacketsDelivered},
-				{"PacketsDroppedRX", res.Stats.PacketsDroppedRX, gc.PacketsDroppedRX},
-				{"Retransmissions", res.Stats.Retransmissions, gc.Retransmissions},
-				{"PacketsLost", res.Stats.PacketsLost, gc.PacketsLost},
-			} {
-				if c.got != c.want {
-					t.Errorf("%s = %d, golden %d", c.field, c.got, c.want)
-				}
+			got := goldenRow(res.Arch, gc.Pattern, res.Stats.PacketsDelivered, float64(res.Stats.DeliveredGbps), res.Stats.AvgLatencyCycles,
+				float64(res.EnergyPerMessagePJ), res.Stats.PacketsDroppedRX, res.Stats.Retransmissions, res.Stats.PacketsLost)
+			want := goldenRow(gc.Arch, gc.Pattern, gc.PacketsDelivered, gc.DeliveredGbps, gc.AvgLatencyCycles,
+				gc.EPMpj, gc.PacketsDroppedRX, gc.Retransmissions, gc.PacketsLost)
+			if got != want {
+				t.Errorf("the run drifted from its golden row; for an intended change, replace\n\t%s\nin goldenCases with\n\t%s", want, got)
 			}
-			assertGoldenFloat(t, "DeliveredGbps", float64(res.Stats.DeliveredGbps), gc.DeliveredGbps)
-			assertGoldenFloat(t, "AvgLatencyCycles", res.Stats.AvgLatencyCycles, gc.AvgLatencyCycles)
-			assertGoldenFloat(t, "EnergyPerMessagePJ", float64(res.EnergyPerMessagePJ), gc.EPMpj)
 		})
 	}
 }
 
-func assertGoldenFloat(t *testing.T, field string, got, want float64) {
-	t.Helper()
-	if strconv.FormatFloat(got, 'g', -1, 64) != strconv.FormatFloat(want, 'g', -1, 64) {
-		t.Errorf("%s = %s, golden %s", field,
-			strconv.FormatFloat(got, 'g', -1, 64),
-			strconv.FormatFloat(want, 'g', -1, 64))
-	}
+// goldenRow formats one goldenCases literal.
+func goldenRow(arch, pattern string, delivered int64, gbps, latency, epm float64, droppedRX, retransmissions, lost int64) string {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	return fmt.Sprintf("{%q, %q, %d, %s, %s, %s, %d, %d, %d},", arch, pattern, delivered, g(gbps), g(latency), g(epm), droppedRX, retransmissions, lost)
 }

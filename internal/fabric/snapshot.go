@@ -141,7 +141,7 @@ func (f *Fabric) Checkpoint() *Checkpoint {
 // Restore rewinds the fabric to a checkpoint taken from it earlier. The
 // checkpoint stays intact, so one checkpoint can seed any number of
 // re-runs. Re-stepping after a restore is bit-identical to the original
-// continuation: TestCheckpointRoundTrip compares canonical results.
+// continuation: the root TestPathEquivalence's Checkpoint path.
 func (f *Fabric) Restore(cp *Checkpoint) error {
 	if err := f.arena.Restore(cp.arena); err != nil {
 		return err

@@ -261,11 +261,15 @@ func (s *Server) jobContext() (context.Context, context.CancelFunc) {
 }
 
 // unsubscribe removes one waiter from fl; the last one out cancels the
-// job so its worker (or queue slot) is reclaimed promptly.
+// job so its worker (or queue slot) is reclaimed promptly, and retires it
+// from pending so an identical request starts a live flight of its own.
 func (s *Server) unsubscribe(fl *flight) {
 	s.mu.Lock()
 	fl.subs--
 	last := fl.subs == 0
+	if last && s.pending[fl.key] == fl {
+		delete(s.pending, fl.key)
+	}
 	s.mu.Unlock()
 	if last {
 		fl.cancel()
@@ -323,12 +327,13 @@ func (s *Server) runRecovered(fl *flight) (res hetpnoc.Result, err error) {
 	return s.run(fl.ctx, fl.cfg)
 }
 
-// finish retires fl from the pending set and wakes its subscribers. The
-// delete happens before the done broadcast so a duplicate arriving
-// afterwards starts fresh instead of adopting a dead flight.
+// finish wakes fl's subscribers, first retiring fl from the pending set
+// unless unsubscribe already did (its key may then name a live flight).
 func (s *Server) finish(fl *flight) {
 	s.mu.Lock()
-	delete(s.pending, fl.key)
+	if s.pending[fl.key] == fl {
+		delete(s.pending, fl.key)
+	}
 	s.mu.Unlock()
 	fl.cancel()
 	close(fl.done)

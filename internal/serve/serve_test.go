@@ -239,6 +239,51 @@ func TestSubmitDoneContextTakesNoSlot(t *testing.T) {
 	}
 }
 
+// TestLiveRequestDoesNotAdoptAbandonedFlight: a flight whose last
+// subscriber left is cancelled but stays queued until a worker reaches
+// it. An identical request arriving in that window starts a live flight
+// of its own; joining the dead one would fail it with context.Canceled,
+// which /v1/run answers as 499 to a client that is still there.
+func TestLiveRequestDoesNotAdoptAbandonedFlight(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer closeServer(t, s)
+
+	pinCtx, unpin := context.WithCancel(context.Background())
+	pinned := make(chan struct{})
+	go func() {
+		defer close(pinned)
+		s.Submit(pinCtx, bigCfg(110))
+	}()
+	waitFor(t, "pinning run in flight", func() bool { return s.Metrics().InFlight == 1 })
+
+	aCtx, leaveA := context.WithCancel(context.Background())
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(aCtx, smallCfg(111))
+		aDone <- err
+	}()
+	waitFor(t, "A queued", func() bool { return s.Metrics().QueueDepth == 1 })
+	leaveA()
+	if err := <-aDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("A returned %v, want context.Canceled", err)
+	}
+
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), smallCfg(111))
+		bDone <- err
+	}()
+	waitFor(t, "B queued or joined", func() bool {
+		m := s.Metrics()
+		return m.QueueDepth == 2 || m.Coalesced > 0
+	})
+	unpin()
+	<-pinned
+	if err := <-bDone; err != nil {
+		t.Fatalf("B, whose client never left, returned %v", err)
+	}
+}
+
 func TestSubmitCancelReclaimsWorker(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer closeServer(t, s)
