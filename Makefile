@@ -13,9 +13,9 @@
 #                  BENCHMARK.json load generator), which root `go test
 #                  ./...` cannot see
 #   make bench-smoke — compile and run the router/fabric/batch/token
-#                  microbenchmarks and a shelved Run at 200 iterations
-#                  each, and the /v1/sweep benchmark at 3 (CI keeps them
-#                  from rotting)
+#                  microbenchmarks, a shelved Run and a /v1/run cache hit
+#                  at 200 iterations each, and the /v1/sweep benchmark at
+#                  3 (CI keeps them from rotting)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
@@ -107,8 +107,10 @@ bench-check:
 # cost of a repeated run. HTTPSweep posts a 64-point one-prefix and a
 # 48-point six-prefix /v1/sweep (internal/serve) and reports builds/op and
 # forks/op; each iteration is ~0.1 s, hence its own iteration count.
+# HTTPRunHit posts a cached config (internal/serve), once as the repeated
+# body the body index answers and once respelled, and reports allocs/op.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember|TokenTick|RunShelved' -benchtime 200x . ./internal/router ./internal/fabric ./internal/batch ./internal/core
+	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember|TokenTick|RunShelved|HTTPRunHit' -benchtime 200x . ./internal/router ./internal/fabric ./internal/batch ./internal/core ./internal/serve
 	$(GO) test -run '^$$' -bench 'HTTPSweep' -benchtime 3x ./internal/serve
 
 sweep:

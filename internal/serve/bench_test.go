@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -63,4 +64,61 @@ func BenchmarkHTTPSweep(b *testing.B) {
 			b.ReportMetric(float64(nowForks-forks)/float64(b.N), "forks/op")
 		})
 	}
+}
+
+// BenchmarkHTTPRunHit times one POST /v1/run of a config the server has
+// already simulated, over a keep-alive httptest connection. repeated-body
+// posts the bytes that warmed the entry, so the body index answers it;
+// respelled posts a new spelling of the same config each time (16 bytes
+// of trailing whitespace, spaces and newlines spelling out the iteration
+// number), so it takes the full decode, canonical encoding and
+// content-key lookup before the cached reply is written.
+func BenchmarkHTTPRunHit(b *testing.B) {
+	const body = `{"traffic":{"kind":"skewed","skewLevel":2},"cycles":1000,"warmupCycles":200,"seed":1}`
+	for _, bc := range []struct {
+		name    string
+		respell bool
+	}{{"repeated-body", false}, {"respelled", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(Config{Workers: 1})
+			ts := httptest.NewServer(s.Handler())
+			defer closeServer(b, s)
+			defer ts.Close()
+			client := ts.Client()
+			post := func(body string) []byte {
+				resp, err := client.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				data, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("status %d, read error %v: %s", resp.StatusCode, err, data)
+				}
+				return data
+			}
+			post(body)
+			want := post(body) // the cache-hit reply every iteration must carry
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next := body
+				if bc.respell {
+					next += respelling(i)
+				}
+				if got := post(next); !bytes.Equal(got, want) {
+					b.Fatalf("iteration %d: reply differs from the cache hit:\n got: %s\nwant: %s", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// respelling is the i-th of 65,536 distinct 16-byte whitespace runs.
+func respelling(i int) string {
+	var pad [16]byte
+	for bit := range pad {
+		pad[bit] = " \n"[i>>bit&1]
+	}
+	return string(pad[:])
 }

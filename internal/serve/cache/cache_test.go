@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -126,5 +127,78 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	if st.Hits+st.Misses == 0 {
 		t.Fatal("no lookups recorded")
+	}
+}
+
+// TestEntryRendersTheHitReply: an entry's JSON is the result's canonical
+// encoding, and its Reply the cache-hit envelope around exactly those
+// bytes.
+func TestEntryRendersTheHitReply(t *testing.T) {
+	c := New(2)
+	res := hetpnoc.Result{PacketsDelivered: 7, Events: []string{"alloc 1->8"}}
+	e, err := c.Add(keyFor(1), res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := res.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(e.JSON) != string(js) {
+		t.Errorf("entry JSON = %s, want %s", e.JSON, js)
+	}
+	want := `{"key":"` + keyFor(1).String() + `","cached":true,"coalesced":false,"result":` + string(js) + "}\n"
+	if string(e.Reply) != want {
+		t.Errorf("entry reply = %q, want %q", e.Reply, want)
+	}
+	if got, ok := c.Lookup(keyFor(1)); !ok || got != e {
+		t.Errorf("Lookup = (%p, %v), want the entry Add returned (%p)", got, ok, e)
+	}
+}
+
+func TestAddRefusesAnUnencodableResult(t *testing.T) {
+	c := New(2)
+	if _, err := c.Add(keyFor(1), hetpnoc.Result{FairnessJain: math.NaN()}); err == nil {
+		t.Fatal("a NaN result was rendered")
+	}
+	if _, ok := c.Get(keyFor(1)); ok {
+		t.Fatal("an unencodable result was stored")
+	}
+}
+
+// TestBodyIndex: a body is answered only while its entry lives, a lookup
+// through the index counts like a content-key hit, an index miss counts
+// nothing, and the index holds at most capacity records, least recently
+// used out first.
+func TestBodyIndex(t *testing.T) {
+	c := New(2)
+	body := func(i int) Key { return KeyOf([]byte(fmt.Sprintf("body-%d", i))) }
+	c.IndexBody(body(0), keyFor(0)) // no entry yet: not recorded
+	if _, ok := c.LookupBody(body(0)); ok {
+		t.Fatal("a body indexed before its entry existed was answered")
+	}
+	c.Put(keyFor(0), resFor(0))
+	c.Put(keyFor(1), resFor(1))
+	c.IndexBody(body(0), keyFor(0))
+	c.IndexBody(body(1), keyFor(0)) // a second spelling of entry 0
+	if e, ok := c.LookupBody(body(0)); !ok || e.Key != keyFor(0) {
+		t.Fatalf("LookupBody(body 0) = (%v, %v), want entry 0", e, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("after one index hit and two index misses: %+v, want 1 hit, 0 misses", st)
+	}
+	c.IndexBody(body(2), keyFor(1)) // full: evicts body 1, the least recently used record
+	if _, ok := c.LookupBody(body(1)); ok {
+		t.Fatal("the least recently used record survived")
+	}
+	if st := c.Stats(); st.IndexedBodies != 2 {
+		t.Fatalf("%d records, want the capacity 2", st.IndexedBodies)
+	}
+	c.Put(keyFor(2), resFor(2)) // evicts entry 1 (entry 0 was just used)
+	if _, ok := c.LookupBody(body(2)); ok {
+		t.Fatal("a body whose entry was evicted was answered")
+	}
+	if st := c.Stats(); st.IndexedBodies != 1 {
+		t.Fatalf("the stale record was kept: %d records, want 1", st.IndexedBodies)
 	}
 }

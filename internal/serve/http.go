@@ -11,13 +11,16 @@ import (
 	"time"
 
 	"hetpnoc"
+	"hetpnoc/internal/serve/cache"
 )
 
 // maxBodyBytes bounds request bodies; a full 64-core custom workload
 // fits in a few kilobytes, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
 
-// RunResponse is the /v1/run reply.
+// RunResponse is the /v1/run reply. The handlers never encode one: every
+// reply is written from the bytes its cache entry was rendered into
+// (cache.AppendReply), which are exactly this type's encoding/json form.
 type RunResponse struct {
 	// Key is the hex content address of the simulation.
 	Key string `json:"key"`
@@ -69,9 +72,18 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
+// handleRun answers a body it has served before from the body index —
+// one digest, one lookup, one write — and decodes and submits any other.
+// A body is indexed only once it has produced a result, so a body that
+// fails is never indexed and fails the same way every time.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
+		return
+	}
+	digest := cache.KeyOf(body)
+	if e, ok := s.cache.LookupBody(digest); ok {
+		writeReply(w, e.Reply)
 		return
 	}
 	cfg, err := DecodeRunRequest(body)
@@ -84,7 +96,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse(out))
+	s.cache.IndexBody(digest, out.Key)
+	writeReply(w, out.reply())
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -97,12 +110,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	points, err := s.runSweep(r.Context(), configs)
+	outs, err := s.runSweep(r.Context(), configs)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SweepResponse{Points: points})
+	// The bytes encoding/json writes for SweepResponse, from each
+	// point's rendered result.
+	reply := []byte(`{"points":[`)
+	for i, out := range outs {
+		if i > 0 {
+			reply = append(reply, ',')
+		}
+		reply = out.appendReply(reply)
+	}
+	writeReply(w, append(reply, "]}\n"...))
 }
 
 // runSweep submits every point through Submit, exactly as a /v1/run of
@@ -113,8 +135,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // backpressure backs off and retries until the request context expires —
 // a sweep is one logical request, so a transiently full queue should
 // stretch it, not shred it.
-func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunResponse, error) {
-	points := make([]RunResponse, len(configs))
+func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]Outcome, error) {
+	points := make([]Outcome, len(configs))
 	errs := make([]error, len(configs))
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
@@ -124,8 +146,7 @@ func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunR
 		go func(i int, cfg hetpnoc.Config) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out, err := s.submitWithRetry(ctx, cfg)
-			points[i], errs[i] = runResponse(out), err
+			points[i], errs[i] = s.submitWithRetry(ctx, cfg)
 		}(i, cfg)
 	}
 	wg.Wait()
@@ -137,13 +158,19 @@ func (s *Server) runSweep(ctx context.Context, configs []hetpnoc.Config) ([]RunR
 	return points, nil
 }
 
-func runResponse(out Outcome) RunResponse {
-	return RunResponse{
-		Key:       out.Key.String(),
-		Cached:    out.Cached,
-		Coalesced: out.Coalesced,
-		Result:    out.Result,
+// reply is out's /v1/run reply: a cache hit's stored bytes, or the
+// stored result in an envelope saying how it was obtained.
+func (out Outcome) reply() []byte {
+	if out.Cached {
+		return out.entry.Reply
 	}
+	return append(out.appendReply(make([]byte, 0, len(out.entry.Reply)+1)), '\n')
+}
+
+// appendReply appends out's RunResponse object, without a trailing
+// newline, to dst.
+func (out Outcome) appendReply(dst []byte) []byte {
+	return cache.AppendReply(dst, out.Key, out.Cached, out.Coalesced, out.entry.JSON)
 }
 
 // submitWithRetry is Submit retrying ErrBusy with the server's backoff
@@ -198,16 +225,25 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// retryAfterSeconds renders the hint in whole seconds, at least 1 (a
+// retryAfterSeconds renders the hint in whole seconds, rounded up so a
+// client never comes back before the server asked, and at least 1 (a
 // Retry-After of 0 invites an immediate stampede).
 func retryAfterSeconds(d time.Duration) int {
-	secs := int(d / time.Second)
+	secs := int((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
 	return secs
 }
 
+// writeReply writes a 200 JSON reply already rendered to bytes.
+func writeReply(w http.ResponseWriter, reply []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(reply)
+}
+
+// writeJSON encodes v as the reply: errors, /healthz and /metricsz.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

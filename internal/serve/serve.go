@@ -96,7 +96,7 @@ type flight struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
-	res    hetpnoc.Result
+	entry  *cache.Entry // the cached, rendered result, set when err is nil
 	err    error
 
 	subs int // guarded by Server.mu
@@ -170,6 +170,10 @@ type Outcome struct {
 	// Coalesced reports the request joined an identical in-flight
 	// simulation instead of starting its own.
 	Coalesced bool
+
+	// entry is the cache entry Result was read from: its rendered bytes
+	// are what the HTTP handlers reply with.
+	entry *cache.Entry
 }
 
 // Submit validates, normalizes and executes cfg, deduplicating against
@@ -198,7 +202,7 @@ func (s *Server) Submit(ctx context.Context, cfg hetpnoc.Config) (Outcome, error
 		s.unsubscribe(fl)
 		return Outcome{}, ctx.Err()
 	}
-	out.Result, out.Coalesced = fl.res, joined
+	out.Result, out.entry, out.Coalesced = fl.entry.Result, fl.entry, joined
 	return out, nil
 }
 
@@ -219,7 +223,9 @@ func (s *Server) resolve(cfg hetpnoc.Config) (hetpnoc.Config, Outcome, error) {
 		return cfg, Outcome{}, err
 	}
 	out := Outcome{Key: cache.KeyOf(canonical)}
-	out.Result, out.Cached = s.cache.Get(out.Key)
+	if out.entry, out.Cached = s.cache.Lookup(out.Key); out.Cached {
+		out.Result = out.entry.Result
+	}
 	return cfg, out, nil
 }
 
@@ -286,7 +292,8 @@ func (s *Server) worker() {
 }
 
 // runFlight executes one admitted flight and publishes its outcome.
-// This is the one place results are cached and the run counters move.
+// This is the one place results are cached — and rendered into their
+// reply bytes — and the run counters move.
 func (s *Server) runFlight(fl *flight) {
 	if err := fl.ctx.Err(); err != nil {
 		// Every subscriber left (or the timeout fired) while the job
@@ -297,19 +304,22 @@ func (s *Server) runFlight(fl *flight) {
 		return
 	}
 	s.inFlight.Add(1)
-	fl.res, fl.err = s.runRecovered(fl)
+	res, err := s.runRecovered(fl)
 	s.inFlight.Add(-1)
+	if err == nil {
+		fl.entry, err = s.cache.Add(fl.key, res)
+	}
 	switch {
-	case fl.err == nil:
-		s.cache.Put(fl.key, fl.res)
+	case err == nil:
 		s.cyclesSimulated.Add(int64(fl.cfg.Cycles))
 		s.completed.Add(1)
-	case errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded):
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.canceled.Add(1)
 	default:
-		fl.err = fmt.Errorf("%w: %v", ErrSimulation, fl.err)
+		err = fmt.Errorf("%w: %v", ErrSimulation, err)
 		s.failed.Add(1)
 	}
+	fl.err = err
 	s.finish(fl)
 }
 

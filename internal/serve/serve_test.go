@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -357,4 +359,24 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	}
 	// Close is idempotent.
 	closeServer(t, s)
+}
+
+// TestUnencodableResultFailsTheRun: a result encoding/json cannot write
+// (a NaN) cannot be rendered into a reply, so its run fails with
+// ErrSimulation — a 500 — and nothing is cached, where it used to be
+// answered 200 with an empty body.
+func TestUnencodableResultFailsTheRun(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.run = func(context.Context, hetpnoc.Config) (hetpnoc.Result, error) {
+		return hetpnoc.Result{FairnessJain: math.NaN()}, nil
+	}
+	if _, err := s.Submit(context.Background(), smallCfg(1)); !errors.Is(err, ErrSimulation) {
+		t.Fatalf("Submit = %v, want ErrSimulation", err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/run", `{"cycles":1200,"warmupCycles":1000,"seed":1}`); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", resp.StatusCode, body)
+	}
+	if m := s.Metrics(); m.Failed != 2 || m.CacheEntries != 0 {
+		t.Fatalf("failed %d, cache entries %d, want 2 and 0", m.Failed, m.CacheEntries)
+	}
 }
