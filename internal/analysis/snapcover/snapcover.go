@@ -14,6 +14,8 @@
 //
 //   - build-time: written only inside New*/new* constructors (or never
 //     written at all). Construction-fixed state needs no checkpoint.
+//     Taking a field's address counts as a write anywhere: the pointer
+//     outlives the constructor.
 //   - exempt: carries //hetpnoc:nosnap <why> on its declaration —
 //     derived caches rebuilt on restore, allocation free-lists, state
 //     owned and checkpointed by another component. The justification is
@@ -21,10 +23,17 @@
 //   - mutable: everything else. A mutable field must be referenced by
 //     the capture implementation and by the restore implementation
 //     (directly or in a same-package helper they call), or be covered
-//     wholesale by a *receiver copy (stats.Collector's `*c`).
+//     wholesale: by a *receiver copy, or — for the fields of an embedded
+//     struct — by copying that struct's value whole (the `state` every
+//     checkpointed component embeds: `s = a.state`, `*dst = *src` in a
+//     helper, `return tx.txState`). A field moved out of the embedded
+//     state is reported like any other uncovered field.
+//
+// A whole-value copy shares the slices the state owns; whether each is
+// then deep-copied is left to the dynamic checkpoint tests.
 //
 // Each diagnostic names the full missing-field path (e.g.
-// `Fabric.cores.rejects`); -fix scaffolds a reminder stanza into the
+// `Fabric.cores.inNext`); -fix scaffolds a reminder stanza into the
 // capture body so the missing field is impossible to overlook.
 //
 // Known limitation, by design: a field that is never reassigned but
@@ -213,6 +222,13 @@ func (c *checker) writeTargets(info *types.Info, nd ast.Node, buildTime bool) {
 		}
 	case *ast.IncDecStmt:
 		record(nd.X)
+	case *ast.UnaryExpr:
+		// &x.f hands out a pointer that outlives the statement, even a
+		// constructor's: whoever holds it may write the field (the
+		// fabric's ID counters, which its sources advance).
+		if nd.Op == token.AND {
+			c.markWritten(info, nd.X)
+		}
 	case *ast.RangeStmt:
 		if nd.Tok == token.ASSIGN {
 			record(nd.Key)
@@ -352,12 +368,15 @@ type cover struct {
 	set       map[*types.Var]bool
 	whole     bool
 	wholeElem map[*types.Var]bool
+	// wholeTypes holds the struct types whose value is copied whole: an
+	// operand of an assignment, a return or a variable declaration.
+	wholeTypes map[*types.Named]bool
 }
 
 // coverage unions the field objects referenced by fns and the
 // same-package helpers they call.
 func (c *checker) coverage(fns []*callgraph.Node) *cover {
-	cov := &cover{set: make(map[*types.Var]bool), wholeElem: make(map[*types.Var]bool)}
+	cov := &cover{set: make(map[*types.Var]bool), wholeElem: make(map[*types.Var]bool), wholeTypes: make(map[*types.Named]bool)}
 	visited := make(map[*callgraph.Node]bool)
 	var visit func(n *callgraph.Node, root bool)
 	visit = func(n *callgraph.Node, root bool) {
@@ -384,6 +403,13 @@ func (c *checker) coverage(fns []*callgraph.Node) *cover {
 				}
 			case *ast.CallExpr:
 				c.wholesaleElems(info, nd, cov)
+			case *ast.AssignStmt:
+				wholeValues(info, cov, nd.Lhs...)
+				wholeValues(info, cov, nd.Rhs...)
+			case *ast.ReturnStmt:
+				wholeValues(info, cov, nd.Results...)
+			case *ast.ValueSpec:
+				wholeValues(info, cov, nd.Values...)
 			case *ast.CompositeLit:
 				// Struct literal keys resolve through Uses as well, but
 				// be defensive: match unresolved keys by name.
@@ -431,6 +457,20 @@ func (c *checker) wholesaleElems(info *types.Info, call *ast.CallExpr, cov *cove
 	case b.Name() == "append" && call.Ellipsis.IsValid() && len(call.Args) == 2:
 		mark(call.Args[0])
 		mark(call.Args[1])
+	}
+}
+
+// wholeValues records the named struct types of the operands in es that
+// are struct values, not pointers: copying one copies every field.
+func wholeValues(info *types.Info, cov *cover, es ...ast.Expr) {
+	for _, e := range es {
+		tv, ok := info.Types[e]
+		if !ok {
+			continue
+		}
+		if n, ok := types.Unalias(tv.Type).(*types.Named); ok && isStruct(n) {
+			cov.wholeTypes[n] = true
+		}
 	}
 }
 
@@ -508,10 +548,11 @@ func (c *checker) walkFields(named *types.Named, path string, capCov, resCov *co
 		fpath := path + "." + f.Name()
 
 		// Embedded same-package struct: its fields are the subject's
-		// fields (the fabric's fabricState block).
+		// fields (a component's state), covered wholesale on a side
+		// that copies the struct's value whole.
 		if f.Embedded() {
 			if en := namedOf(f.Type()); en != nil && en.Obj().Pkg() == named.Obj().Pkg() && isStruct(en) {
-				c.walkFields(en, path, capCov, resCov, seen, missingCap, missingRes)
+				c.walkFields(en, path, capCov.wholeFor(en), resCov.wholeFor(en), seen, missingCap, missingRes)
 				continue
 			}
 		}
@@ -544,14 +585,23 @@ func (c *checker) walkFields(named *types.Named, path string, capCov, resCov *co
 		if capElems || resElems {
 			ecap, eres := capCov, resCov
 			if !capElems {
-				ecap = &cover{set: capCov.set, whole: true, wholeElem: capCov.wholeElem}
+				ecap = &cover{set: capCov.set, whole: true, wholeElem: capCov.wholeElem, wholeTypes: capCov.wholeTypes}
 			}
 			if !resElems {
-				eres = &cover{set: resCov.set, whole: true, wholeElem: resCov.wholeElem}
+				eres = &cover{set: resCov.set, whole: true, wholeElem: resCov.wholeElem, wholeTypes: resCov.wholeTypes}
 			}
 			c.walkFields(en, fpath, ecap, eres, seen, missingCap, missingRes)
 		}
 	}
+}
+
+// wholeFor returns the coverage of an embedded struct of type en: all of
+// its fields when this side copies an en value whole, cov otherwise.
+func (cov *cover) wholeFor(en *types.Named) *cover {
+	if !cov.wholeTypes[en] {
+		return cov
+	}
+	return &cover{set: cov.set, whole: true, wholeElem: cov.wholeElem, wholeTypes: cov.wholeTypes}
 }
 
 // exempt reports whether f carries //hetpnoc:nosnap, reporting a

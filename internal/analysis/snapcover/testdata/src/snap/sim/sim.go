@@ -122,3 +122,94 @@ func (r *Ring) Restore(s *RingSnap) {
 	copy(r.slots, s.slots)
 	r.head = s.head
 }
+
+// Machine keeps its checkpointed fields in an embedded state that its
+// pair copies whole, so ticks and log need no naming; stray sits outside
+// the state and is missed on both sides.
+type Machine struct {
+	//hetpnoc:nosnap derived from ticks, rebuilt by Restore
+	cache int
+	stray int
+	machineState
+}
+
+type machineState struct {
+	ticks int
+	log   []int
+}
+
+// Step makes every field mutable.
+func (m *Machine) Step() {
+	m.ticks++
+	m.log = append(m.log, m.ticks)
+	m.stray++
+	m.cache = m.ticks
+}
+
+// Snapshot copies the state whole, then its slice.
+func (m *Machine) Snapshot() machineState { // want `Machine\.Snapshot does not capture mutable field Machine\.stray`
+	s := m.machineState
+	s.log = append([]int(nil), m.log...)
+	return s
+}
+
+// Restore copies it back whole through a helper.
+func (m *Machine) Restore(s *machineState) { // want `Machine\.Restore does not restore mutable field Machine\.stray`
+	m.machineState.copyFrom(s)
+	m.cache = m.ticks
+}
+
+func (dst *machineState) copyFrom(src *machineState) {
+	keep := *dst
+	*dst = *src
+	dst.log = append(keep.log[:0], src.log...)
+}
+
+// Gauge embeds a state its pair never copies whole, so each field is
+// checked by name.
+type Gauge struct{ gaugeState }
+
+type gaugeState struct{ level, peak int }
+
+// Step makes both fields mutable.
+func (g *Gauge) Step() {
+	g.level++
+	g.peak++
+}
+
+// Snapshot names only level.
+func (g *Gauge) Snapshot() int { // want `Gauge\.Snapshot does not capture mutable field Gauge\.peak`
+	return g.level
+}
+
+// Restore names only level.
+func (g *Gauge) Restore(level int) { // want `Gauge\.Restore does not restore mutable field Gauge\.peak`
+	g.level = level
+}
+
+// Counters hands a pointer to next out at construction and the holder
+// advances it, so next is mutable though no method of Counters writes
+// it.
+type Counters struct {
+	next int
+	seen int
+}
+
+// NewCounters returns the counters and the pointer that advances next.
+func NewCounters() (*Counters, *int) {
+	c := &Counters{}
+	return c, &c.next
+}
+
+// See makes seen mutable.
+func (c *Counters) See() { c.seen++ }
+
+// Snapshot forgets next.
+func (c *Counters) Snapshot() int { // want `Counters\.Snapshot does not capture mutable field Counters\.next`
+	return c.seen
+}
+
+// Restore forgets next.
+func (c *Counters) Restore(seen int) { // want `Counters\.Restore does not restore mutable field Counters\.next`
+	c.seen = seen
+}

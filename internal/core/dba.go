@@ -126,25 +126,9 @@ type Allocator struct {
 	cfg      Config
 	clusters int
 
-	// owner[slot] is the cluster owning wavelength slot, or -1.
-	owner []int
 	// reservedOwner[slot] is the cluster the slot is permanently
 	// reserved for, or -1 for dynamically allocatable slots.
 	reservedOwner []int
-	// acquired[c] lists the slots cluster c owns, reserved slots first,
-	// then dynamic slots in acquisition order.
-	acquired [][]int
-	// ids[c] caches acquired[c] as WavelengthIDs.
-	ids [][]photonic.WavelengthID
-
-	// demand[c][i][d] is the wavelength demand core i of cluster c
-	// reports toward destination cluster d.
-	demand [][][]int
-	// request[c][d] = max_i demand[c][i][d] (§3.2.1).
-	request [][]int
-	// current[c][d] is the allocation the router recorded for
-	// destination d after its last token visit.
-	current [][]int
 
 	// wants[c] is want(c), the greedy aim request[c] implies; SetDemand
 	// refreshes it, so a token visit reads it instead of scanning the row.
@@ -165,23 +149,79 @@ type Allocator struct {
 	//hetpnoc:nosnap derived from owner; Restore recounts it
 	free int
 
-	// Token circulation state.
-	pos           int
-	transitLeft   int
+	// Token sizing and the fault-recovery timeout.
 	transitCycles int
 	tokenBits     int
-	rotations     int64
+	regenTimeout  int
 
-	// tokenDemand[c] is the demand value cluster c last wrote into the
-	// token's demand field (proportional policy only).
-	tokenDemand []int
+	state
+}
+
+// state is the allocator's checkpointed part: ownership, the per-cluster
+// tables and token circulation. The fixed-shape tables are flat, one row
+// per cluster (per core for demand) and one column per destination
+// cluster, so each copies whole.
+type state struct {
+	// Token circulation state, beside the token sizing above it.
+	pos         int
+	transitLeft int
+	rotations   int64
 
 	// Fault-injection and recovery state.
 	tokenLost     bool
 	lostForCycles int
-	regenTimeout  int
 	losses        int64
 	regenerations int64
+
+	// owner[slot] is the cluster owning wavelength slot, or -1.
+	owner []int
+	// acquired[c] lists the slots cluster c owns, reserved slots first,
+	// then dynamic slots in acquisition order.
+	acquired [][]int
+	// ids[c] caches acquired[c] as WavelengthIDs. The cache is replaced,
+	// never mutated in place (see process), so a copy of the row headers
+	// stays valid however far the run advances.
+	ids [][]photonic.WavelengthID
+
+	// demand row c*K+i is the wavelength demand core i of cluster c
+	// reports toward each destination cluster (K cores per cluster).
+	demand []int
+	// request row c is the per-destination maximum of cluster c's demand
+	// rows (§3.2.1).
+	request []int
+	// current row c is the allocation the router recorded for each
+	// destination after its last token visit.
+	current []int
+
+	// tokenDemand[c] is the demand value cluster c last wrote into the
+	// token's demand field (proportional policy only).
+	tokenDemand []int
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays. Only the acquired rows vary in length; each is
+// copied into the row it replaces.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.owner = append(keep.owner[:0], src.owner...)
+	dst.acquired = keep.acquired
+	if len(dst.acquired) != len(src.acquired) {
+		dst.acquired = make([][]int, len(src.acquired))
+	}
+	for c, row := range src.acquired {
+		dst.acquired[c] = append(dst.acquired[c][:0], row...)
+	}
+	dst.ids = append(keep.ids[:0], src.ids...)
+	dst.demand = append(keep.demand[:0], src.demand...)
+	dst.request = append(keep.request[:0], src.request...)
+	dst.current = append(keep.current[:0], src.current...)
+	dst.tokenDemand = append(keep.tokenDemand[:0], src.tokenDemand...)
+}
+
+// row returns row r of a flat per-destination table.
+func (a *Allocator) row(table []int, r int) []int {
+	return table[r*a.clusters : (r+1)*a.clusters]
 }
 
 var _ xbar.Allocator = (*Allocator)(nil)
@@ -240,27 +280,24 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	a := &Allocator{
 		cfg:           cfg,
 		clusters:      clusters,
-		owner:         make([]int, cfg.Bundle.Capacity()),
 		reservedOwner: make([]int, cfg.Bundle.Capacity()),
-		acquired:      make([][]int, clusters),
-		ids:           make([][]photonic.WavelengthID, clusters),
-		demand:        make([][][]int, clusters),
-		request:       make([][]int, clusters),
-		current:       make([][]int, clusters),
 		wants:         make([]int, clusters),
 		currentFor:    make([]int, clusters),
+		state: state{
+			owner:       make([]int, cfg.Bundle.Capacity()),
+			acquired:    make([][]int, clusters),
+			ids:         make([][]photonic.WavelengthID, clusters),
+			demand:      make([]int, clusters*cfg.Topology.ClusterSize()*clusters),
+			request:     make([]int, clusters*clusters),
+			current:     make([]int, clusters*clusters),
+			tokenDemand: make([]int, clusters),
+		},
 	}
 	for s := range a.owner {
 		a.owner[s] = -1
 		a.reservedOwner[s] = -1
 	}
 	for c := 0; c < clusters; c++ {
-		a.demand[c] = make([][]int, cfg.Topology.ClusterSize())
-		for i := range a.demand[c] {
-			a.demand[c][i] = make([]int, clusters)
-		}
-		a.request[c] = make([]int, clusters)
-		a.current[c] = make([]int, clusters)
 		for k := 0; k < cfg.ReservedPerCluster; k++ {
 			slot := a.reservedSlot(c, k)
 			if a.reservedOwner[slot] != -1 {
@@ -279,7 +316,6 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	if a.cfg.Policy != PolicyGreedy && a.cfg.Policy != PolicyProportional {
 		return nil, fmt.Errorf("core: unknown allocation policy %d", cfg.Policy)
 	}
-	a.tokenDemand = make([]int, clusters)
 	a.resetDerived()
 
 	// Token sizing, Eq. (1): N_TW = N_W * lambda_W - N_lambdaR bits, one
@@ -353,15 +389,16 @@ func (a *Allocator) SetDemand(core topology.CoreID, demand []int) {
 	if len(demand) != a.clusters {
 		panic(fmt.Sprintf("core: demand table has %d entries for %d clusters", len(demand), a.clusters))
 	}
-	copy(a.demand[c][i], demand)
-	for d := 0; d < a.clusters; d++ {
+	k := a.cfg.Topology.ClusterSize()
+	rows := a.demand[c*k*a.clusters : (c+1)*k*a.clusters] // cluster c's core rows
+	copy(rows[i*a.clusters:], demand)
+	request := a.row(a.request, c)
+	for d := range request {
 		maxDemand := 0
-		for _, row := range a.demand[c] {
-			if row[d] > maxDemand {
-				maxDemand = row[d]
-			}
+		for j := d; j < len(rows); j += a.clusters {
+			maxDemand = max(maxDemand, rows[j])
 		}
-		a.request[c][d] = maxDemand
+		request[d] = maxDemand
 	}
 	a.wants[c] = a.want(c)
 	a.currentFor[c] = -1
@@ -428,7 +465,7 @@ func (a *Allocator) Tick(now sim.Cycle) {
 // wants.
 func (a *Allocator) want(c int) int {
 	t := 0
-	for _, w := range a.request[c] {
+	for _, w := range a.row(a.request, c) {
 		if w > t {
 			t = w
 		}
@@ -523,8 +560,8 @@ func (a *Allocator) process(c int, now sim.Cycle) {
 	}
 
 	if have != a.currentFor[c] {
-		current := a.current[c]
-		for d, req := range a.request[c] {
+		current := a.row(a.current, c)
+		for d, req := range a.row(a.request, c) {
 			current[d] = min(req, have)
 		}
 		a.currentFor[c] = have
@@ -598,7 +635,7 @@ func (a *Allocator) AllocatedCount(c topology.ClusterID) int {
 // for the destination (§3.3.1). A packet toward a destination with no
 // recorded demand still gets the reserved minimum.
 func (a *Allocator) SelectForPacket(src, dst topology.ClusterID) []photonic.WavelengthID {
-	want := a.current[src][dst]
+	want := a.current[int(src)*a.clusters+int(dst)]
 	if want < a.cfg.ReservedPerCluster {
 		want = a.cfg.ReservedPerCluster
 	}
@@ -611,7 +648,7 @@ func (a *Allocator) SelectForPacket(src, dst topology.ClusterID) []photonic.Wave
 // RequestTable returns a copy of cluster c's request table.
 func (a *Allocator) RequestTable(c topology.ClusterID) []int {
 	out := make([]int, a.clusters)
-	copy(out, a.request[c])
+	copy(out, a.row(a.request, int(c)))
 	return out
 }
 

@@ -191,7 +191,8 @@ func TestSettledVisitsMatchReference(t *testing.T) {
 		}
 		sub, subLog := build(total, policy)
 		ref, refLog := build(total, policy)
-		var subSnap, refSnap *AllocatorSnapshot
+		var subSnap, refSnap AllocatorSnapshot
+		snapped := false
 
 		rng := sim.NewRNG(seed)
 		now := sim.Cycle(0)
@@ -226,14 +227,16 @@ func TestSettledVisitsMatchReference(t *testing.T) {
 					sub.DropToken()
 					ref.DropToken()
 				} else {
-					subSnap, refSnap = sub.Snapshot(), ref.Snapshot()
+					sub.Snapshot(&subSnap)
+					ref.Snapshot(&refSnap)
+					snapped = true
 				}
 			default:
-				if subSnap != nil {
-					if err := sub.Restore(subSnap); err != nil {
+				if snapped {
+					if err := sub.Restore(&subSnap); err != nil {
 						t.Fatal(err)
 					}
-					if err := ref.Restore(refSnap); err != nil {
+					if err := ref.Restore(&refSnap); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -267,7 +270,7 @@ func TestSettledVisitsMatchReference(t *testing.T) {
 // highest request, floored at the reserve and capped at the channel
 // ceiling and the budget.
 func referenceWant(a *Allocator, c int) int {
-	t := max(slices.Max(a.request[c]), a.cfg.ReservedPerCluster)
+	t := max(slices.Max(a.row(a.request, c)), a.cfg.ReservedPerCluster)
 	if a.cfg.MaxChannelWavelengths > 0 {
 		t = min(t, a.cfg.MaxChannelWavelengths)
 	}
@@ -299,9 +302,9 @@ func settledDiff(a, b *Allocator) string {
 	case a.rotations != b.rotations || a.pos != b.pos || a.tokenLost != b.tokenLost:
 		return "token position"
 	}
-	for c := range a.current {
-		if !slices.Equal(a.current[c], b.current[c]) {
-			return fmt.Sprintf("current[%d]: %v vs %v", c, a.current[c], b.current[c])
+	for c := range a.clusters {
+		if !slices.Equal(a.row(a.current, c), b.row(b.current, c)) {
+			return fmt.Sprintf("current[%d]: %v vs %v", c, a.row(a.current, c), b.row(b.current, c))
 		}
 	}
 	return ""

@@ -113,10 +113,25 @@ func (e Event) String() string {
 // Log is a bounded event ring. A nil *Log is valid and discards
 // everything, so instrumented components need no enablement checks.
 type Log struct {
+	state
+}
+
+// state is the log's checkpointed part: the retained events, the ring
+// cursor and the counters. The ring's capacity is the retention bound,
+// so a restore refills the live ring rather than adopting the saved one.
+type state struct {
 	ring    []Event
 	next    int
 	total   int64
 	dropped int64
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.ring = append(keep.ring[:0], src.ring...)
 }
 
 // NewLog returns a log retaining the most recent capacity events.
@@ -124,7 +139,7 @@ func NewLog(capacity int) (*Log, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("event: capacity must be positive, got %d", capacity)
 	}
-	return &Log{ring: make([]Event, 0, capacity)}, nil
+	return &Log{state{ring: make([]Event, 0, capacity)}}, nil
 }
 
 // Append records an event; the oldest event is evicted when full.
@@ -211,36 +226,23 @@ func (l *Log) Evicted() int64 {
 	return l.dropped
 }
 
-// LogSnapshot is a checkpoint of the log's retained events.
-type LogSnapshot struct {
-	ring    []Event
-	next    int
-	total   int64
-	dropped int64
-}
+// LogSnapshot is a checkpoint of the log: a copy of its state.
+type LogSnapshot = state
 
-// Snapshot copies the log's state; a nil log snapshots to nil.
-func (l *Log) Snapshot() *LogSnapshot {
-	if l == nil {
-		return nil
-	}
-	return &LogSnapshot{
-		ring:    append([]Event(nil), l.ring...),
-		next:    l.next,
-		total:   l.total,
-		dropped: l.dropped,
+// Snapshot copies the log's state into dst, reusing its ring; a nil
+// log leaves dst alone.
+func (l *Log) Snapshot(dst *LogSnapshot) {
+	if l != nil {
+		dst.copyFrom(&l.state)
 	}
 }
 
 // Restore rewinds the log to a snapshot, preserving the ring capacity.
 func (l *Log) Restore(s *LogSnapshot) {
-	if l == nil || s == nil {
+	if l == nil {
 		return
 	}
-	l.ring = append(l.ring[:0], s.ring...)
-	l.next = s.next
-	l.total = s.total
-	l.dropped = s.dropped
+	l.state.copyFrom(s)
 }
 
 // OfKind filters the retained events.

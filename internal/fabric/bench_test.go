@@ -163,6 +163,30 @@ func TestStepZeroAllocs(t *testing.T) {
 			t.Fatalf("StepContext averages %.0f allocations per 2,500-cycle span at light load, want 0", avg)
 		}
 	})
+	// Restoring a drop storm after it ran on: the live fabric's own
+	// storage takes the checkpoint back, whatever grew or shrank since.
+	t.Run("Restore", func(t *testing.T) {
+		f := warmed(t, dropStormConfig(DHetPNoC), 2080)
+		cp := f.Checkpoint()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		for round := range 3 {
+			for range 200 * (round + 1) {
+				if err := f.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&before)
+			err := f.Restore(cp)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("round %d: Fabric.Restore made %d allocations after the fabric ran on, want 0", round, n)
+			}
+		}
+	})
 }
 
 // BenchmarkFabricStepIdle measures one cycle of the chip with zero

@@ -27,18 +27,28 @@ const (
 // injection queue, the packet currently being fed into the switch, and the
 // ejection port the core consumes from.
 type coreState struct {
-	id      topology.CoreID
-	source  traffic.Source
-	queue   packet.Queue
-	rejects int64
+	id    topology.CoreID
+	queue packet.Queue
 
 	injectPort *router.Port //hetpnoc:nosnap topology: port view wired at build; port state lives in the arena
-	inFlight   *packet.Packet
-	inVC       int
-	inNext     int
+	ejectPort  *router.Port //hetpnoc:nosnap topology: port view wired at build; port state lives in the arena
 
-	ejectPort *router.Port //hetpnoc:nosnap topology: port view wired at build; port state lives in the arena
-	ejectRR   int
+	coreRun
+}
+
+// coreRun is a core's checkpointed part beside its queue. The source is
+// a value, so a copy is the generator exactly as it stood, whichever
+// task remap installed it.
+type coreRun struct {
+	source traffic.Source
+
+	// inFlight is the packet being fed into the switch: its VC and the
+	// sequence number of its next flit.
+	inFlight *packet.Packet
+	inVC     int
+	inNext   int
+
+	ejectRR int
 }
 
 // cluster groups the hardware of one cluster: the electrical switches, the

@@ -23,37 +23,31 @@ import (
 
 // Fabric is one fully-assembled chip ready to simulate.
 type Fabric struct {
-	cfg    Config
 	clock  sim.Clock
 	bundle photonic.WaveguideBundle
 
 	ledger    *photonic.Ledger
-	occupancy int64
-	rng       *sim.RNG
 	collector *stats.Collector
 	events    *event.Log
 
 	alloc xbar.Allocator
 	dba   *core.Allocator // nil for the Firefly baseline
 
+	// arena backs every Port in the fabric (switch inputs, photonic
+	// router inputs, transmit, receive and eject ports) with flat
+	// (port, vc)-indexed slices and per-port occupancy bitmasks.
+	arena *router.Arena
+
+	// cores is the per-core runtime, indexed by CoreID. Pointers into
+	// the slice stay valid for the fabric's lifetime: it is sized once
+	// at build and never reallocated.
+	cores []coreState
+
 	clusters []*cluster
 	routers  []*router.Router
 	txs      []*xbar.TX
 	torus    *torus.Network
 	rxs      []*xbar.RX
-
-	// fabricState holds the flat mutable simulation state: the shared
-	// port arena, the per-core runtimes and the activity bitsets.
-	fabricState
-
-	assignment traffic.Assignment
-	msgIDs     packet.MessageID
-	pktIDs     packet.ID
-	now        sim.Cycle
-
-	// seed is the seed the result reports. It starts as cfg.Seed and is
-	// replaced by Reseed when a restored checkpoint forks a replica.
-	seed uint64
 
 	// genList holds the cores whose traffic source can emit packets
 	// (rebuilt on every workload assignment); idle sources tick as pure
@@ -70,12 +64,8 @@ type Fabric struct {
 	//hetpnoc:nosnap derived from the restored sources; Restore rebuilds it with genList
 	nextGen sim.Cycle
 
-	// skipped counts the cycles StepContext advanced over without
-	// calling Step.
-	skipped int64
-
 	// remaps is cfg.Remaps in firing order: a copy sorted by cycle, ties
-	// kept in configuration order. fabricState.nextRemap walks it.
+	// kept in configuration order. state.nextRemap walks it.
 	//
 	//hetpnoc:nosnap build product, never written after New; the nextRemap cursor is the state
 	remaps []Remap
@@ -83,6 +73,8 @@ type Fabric struct {
 	// pool recycles packet structs once their tail is consumed or the
 	// packet is lost; sources draw from it when generating.
 	pool packet.Pool
+
+	state
 }
 
 // Totals are the collector's un-gated whole-run packet counters; the
@@ -103,13 +95,11 @@ func New(cfg Config) (*Fabric, error) {
 	clock := sim.DefaultClock()
 
 	f := &Fabric{
-		cfg:       cfg,
 		clock:     clock,
 		bundle:    bundle,
 		ledger:    photonic.NewLedger(cfg.Energy),
-		rng:       sim.NewRNG(cfg.Seed),
 		collector: stats.NewCollector(clock),
-		seed:      cfg.Seed,
+		state:     state{cfg: cfg, rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed},
 	}
 	f.collector.SetClusterCount(cfg.Topology.Clusters())
 	arena, err := router.NewArena(f.ledger, &f.occupancy)
@@ -322,7 +312,7 @@ const noCycle = sim.Cycle(math.MaxInt64)
 // re-running a fork reproduces it bit-identically.
 func (f *Fabric) Reseed(seed uint64) error {
 	f.seed = seed
-	f.rng.SetState(seed)
+	f.rng = *sim.NewRNG(seed)
 	a, err := f.cfg.Pattern.Assign(f.cfg.Topology, f.cfg.Set, f.rng.Split())
 	if err != nil {
 		return err
@@ -563,7 +553,6 @@ func (f *Fabric) generate(now sim.Cycle) {
 			continue
 		}
 		if cs.queue.Len() >= f.cfg.SourceQueueLimit {
-			cs.rejects++
 			f.collector.OnReject()
 			f.pool.Put(p) // never escaped: safe to recycle immediately
 			continue

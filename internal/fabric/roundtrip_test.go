@@ -1,0 +1,302 @@
+package fabric
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+
+	"hetpnoc/internal/traffic"
+)
+
+// roundTripCase is a fabric, a cut at which it is checkpointed, and the
+// run between the cut and the restore, which must move every piece of
+// state the case is there to cover (live checks that).
+type roundTripCase struct {
+	name string
+	cfg  Config
+	cut  int
+	// beforeCut runs just before the cut, once the fabric stands at
+	// cut-10.
+	beforeCut func(f *Fabric)
+	// ahead runs the fabric on from the cut and returns what of the
+	// state it failed to move.
+	ahead func(t *testing.T, f *Fabric, cp *Checkpoint) error
+}
+
+// roundTripCases: a drop storm with a small event ring and short source
+// queues (retransmissions, ring evictions, source-queue rejects, a
+// remap), the proportional policy
+// forked to another load and seed, a d-HetPNoC run whose token is lost
+// at the cut and lost and regenerated again before the restore, stepped
+// by StepContext so cycles are jumped, and the torus's circuits.
+func roundTripCases() []roundTripCase {
+	storm := dropStormConfig(DHetPNoC)
+	storm.EventCapacity = 64
+	storm.SourceQueueLimit = 2
+	storm.Remaps = []Remap{{At: 2093, Pattern: traffic.Uniform{}}}
+
+	proportional := Config{
+		Arch: DHetPNoC, Set: traffic.BWSet1, ProportionalDBA: true,
+		Pattern:      traffic.Skewed{Level: 3},
+		Remaps:       []Remap{{At: 1500, Pattern: traffic.Skewed{Level: 1}}},
+		WarmupCycles: 500, Seed: 13, EventCapacity: 256,
+	}
+
+	tokenLoss := lightLoad(DHetPNoC, traffic.BWSet1)
+
+	circuits := Config{Arch: TorusPNoC, Set: traffic.BWSet1, Pattern: traffic.Uniform{}, LoadScale: 1.5, Seed: 11, EventCapacity: 256}
+
+	return []roundTripCase{
+		{name: "drop-storm", cfg: storm, cut: 2080,
+			ahead: func(t *testing.T, f *Fabric, cp *Checkpoint) error {
+				rejected, evicted := f.Totals().Rejected, f.Events().Evicted()
+				if f.PendingRetransmits() == 0 {
+					return fmt.Errorf("no retransmission pending at the cut")
+				}
+				step(t, f, 400)
+				switch {
+				case f.Totals().Rejected == rejected:
+					return fmt.Errorf("no source-queue reject after the cut")
+				case f.Events().Evicted() == evicted:
+					return fmt.Errorf("no event evicted from the ring after the cut")
+				case f.assignment.Name == cp.assignment.Name:
+					return fmt.Errorf("the remap did not fire after the cut")
+				}
+				return nil
+			}},
+		{name: "proportional", cfg: proportional, cut: 1400,
+			ahead: func(t *testing.T, f *Fabric, cp *Checkpoint) error {
+				if err := f.SetLoadScale(0.8); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Reseed(99); err != nil {
+					t.Fatal(err)
+				}
+				step(t, f, 600)
+				if tokenDemand := func(cp *Checkpoint) reflect.Value { return field(reflect.ValueOf(cp), "dba", "tokenDemand") }; diffValues(tokenDemand(cp), tokenDemand(f.Checkpoint()), true, "") == "" {
+					return fmt.Errorf("the token's demand field did not change after the cut")
+				}
+				return nil
+			}},
+		{name: "token-loss", cfg: tokenLoss, cut: 2600,
+			beforeCut: func(f *Fabric) { f.DBA().DropToken() },
+			ahead: func(t *testing.T, f *Fabric, cp *Checkpoint) error {
+				if !f.DBA().TokenLost() {
+					return fmt.Errorf("the token is not lost at the cut")
+				}
+				skipped := f.SkippedCycles()
+				jump(t, f, 200)
+				f.DBA().DropToken()
+				jump(t, f, 3000)
+				switch {
+				case f.DBA().TokenLost() || f.DBA().TokenLosses() != 2 || f.DBA().TokenRegenerations() != 2:
+					return fmt.Errorf("want the token lost twice and regenerated twice, got lost=%v, %d losses, %d regenerations",
+						f.DBA().TokenLost(), f.DBA().TokenLosses(), f.DBA().TokenRegenerations())
+				case f.SkippedCycles() == skipped:
+					return fmt.Errorf("StepContext jumped no cycle after the cut")
+				}
+				return nil
+			}},
+		{name: "torus", cfg: circuits, cut: 1300,
+			ahead: func(t *testing.T, f *Fabric, cp *Checkpoint) error {
+				setUp := f.torus.PathsSetUp()
+				step(t, f, 400)
+				if f.torus.PathsSetUp() == setUp {
+					return fmt.Errorf("no circuit was set up after the cut")
+				}
+				return nil
+			}},
+	}
+}
+
+// TestCheckpointRoundTrip: a checkpoint taken at a cut, restored after
+// the fabric ran on and taken again, equals the first component by
+// component. A twin fabric run through the same steps shows that no run,
+// before the restore or after it, changes a checkpoint taken earlier —
+// the one restored or a later one — so no checkpoint shares storage with
+// the live fabric.
+func TestCheckpointRoundTrip(t *testing.T) {
+	for _, tc := range roundTripCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			cut := func() (*Fabric, *Checkpoint) {
+				f := warmed(t, tc.cfg, tc.cut-10)
+				if tc.beforeCut != nil {
+					tc.beforeCut(f)
+				}
+				jump(t, f, 10)
+				return f, f.Checkpoint()
+			}
+			f, cp := cut()
+			twin, twinCP := cut()
+			if err := tc.ahead(t, f, cp); err != nil {
+				t.Fatalf("the case no longer covers what it is for: %v", err)
+			}
+			if err := tc.ahead(t, twin, twinCP); err != nil {
+				t.Fatal(err)
+			}
+			later, twinLater := f.Checkpoint(), twin.Checkpoint()
+			if d := stateDiff(cp, later, true); d == "" {
+				t.Fatal("running on from the cut changed nothing a checkpoint holds")
+			}
+			if d := stateDiff(cp, twinCP, false); d != "" {
+				t.Fatalf("running on from the cut changed the checkpoint at %s", d)
+			}
+			if err := f.Restore(cp); err != nil {
+				t.Fatal(err)
+			}
+			again := f.Checkpoint()
+			if d := stateDiff(cp, again, true); d != "" {
+				t.Fatalf("the checkpoint after a restore differs from the one restored at %s", d)
+			}
+			step(t, f, 300)
+			if d := stateDiff(cp, twinCP, false); d != "" {
+				t.Fatalf("running on after the restore changed the checkpoint restored at %s", d)
+			}
+			if d := stateDiff(later, twinLater, false); d != "" {
+				t.Fatalf("running on after the restore changed a later checkpoint at %s", d)
+			}
+		})
+	}
+}
+
+// step runs f n cycles with Step.
+func step(t *testing.T, f *Fabric, n int) {
+	t.Helper()
+	for range n {
+		if err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// jump runs f n cycles with StepContext, which may jump idle cycles.
+func jump(t *testing.T, f *Fabric, n int) {
+	t.Helper()
+	if err := f.StepContext(context.Background(), n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// field follows names down from v, through pointers.
+func field(v reflect.Value, names ...string) reflect.Value {
+	for _, name := range names {
+		v = reflect.Indirect(v).FieldByName(name)
+	}
+	return v
+}
+
+// stateDiff names the first place checkpoints a and b differ, or returns
+// "". It is reflect.DeepEqual but for three rules. A func is compared by
+// its code pointer: a func value's captures are out of reflection's
+// reach, and a checkpoint copies the func value (a traffic profile's
+// PickDest closure), never rebuilds it. A nil slice equals an empty one,
+// since a copy need not keep the distinction. Floats are compared bit
+// for bit. Pointers are followed when a and b come from one fabric; the
+// checkpoints of twin fabrics point into different ones, so there only
+// the values the checkpoints hold themselves are compared.
+func stateDiff(a, b *Checkpoint, oneFabric bool) string {
+	return diffValues(reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem(), oneFabric, "cp")
+}
+
+// diffValues is stateDiff for any two values of one type.
+func diffValues(a, b reflect.Value, follow bool, path string) string {
+	return (&differ{follow: follow, seen: make(map[[2]uintptr]bool)}).diff(a, b, path)
+}
+
+type differ struct {
+	follow bool
+	seen   map[[2]uintptr]bool // pointer pairs under comparison: cycles end there
+}
+
+func (d *differ) diff(a, b reflect.Value, path string) string {
+	switch a.Kind() {
+	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
+		if a.Pointer() != b.Pointer() {
+			return path
+		}
+	case reflect.Pointer:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path
+			}
+			return ""
+		}
+		if !d.follow || a.Pointer() == b.Pointer() {
+			return ""
+		}
+		key := [2]uintptr{a.Pointer(), b.Pointer()}
+		if d.seen[key] {
+			return ""
+		}
+		d.seen[key] = true
+		return d.diff(a.Elem(), b.Elem(), "(*"+path+")")
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path
+			}
+			return ""
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			return path
+		}
+		return d.diff(a.Elem(), b.Elem(), path)
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if p := d.diff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (length %d, %d)", path, a.Len(), b.Len())
+		}
+		for i := range a.Len() {
+			if p := d.diff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); p != "" {
+				return p
+			}
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (size %d, %d)", path, a.Len(), b.Len())
+		}
+		for it := a.MapRange(); it.Next(); {
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() {
+				return fmt.Sprintf("%s[%v]", path, it.Key())
+			}
+			if p := d.diff(it.Value(), bv, fmt.Sprintf("%s[%v]", path, it.Key())); p != "" {
+				return p
+			}
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Sprintf("%s (%v, %v)", path, a.Bool(), b.Bool())
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf("%s (%d, %d)", path, a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf("%s (%d, %d)", path, a.Uint(), b.Uint())
+		}
+	case reflect.Float32, reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s (%v, %v)", path, a.Float(), b.Float())
+		}
+	case reflect.Complex64, reflect.Complex128:
+		if a.Complex() != b.Complex() {
+			return fmt.Sprintf("%s (%v, %v)", path, a.Complex(), b.Complex())
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			return fmt.Sprintf("%s (%q, %q)", path, a.String(), b.String())
+		}
+	default:
+		panic(fmt.Sprintf("stateDiff: %s has unhandled kind %s", path, a.Kind()))
+	}
+	return ""
+}

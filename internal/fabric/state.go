@@ -2,25 +2,42 @@ package fabric
 
 import (
 	"hetpnoc/internal/packet"
-	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
+	"hetpnoc/internal/traffic"
 )
 
-// fabricState is the flat per-cycle mutable simulation state, grouped so
-// checkpointing and the batched-replica engine can treat it as one unit.
-// Every port and VC of the fabric lives in the shared struct-of-arrays
-// arena; the activity bitsets drive the per-phase scheduling scans; the
-// core states are stored by value in one contiguous slice.
-type fabricState struct {
-	// arena backs every Port in the fabric (switch inputs, photonic
-	// router inputs, transmit, receive and eject ports) with flat
-	// (port, vc)-indexed slices and per-port occupancy bitmasks.
-	arena *router.Arena
+// state is the fabric's own checkpointed part: the clock, randomness and
+// ID counters, the workload, the activity bitsets and the pending work.
+// Everything else a checkpoint carries is a component's state (see
+// Checkpoint).
+type state struct {
+	// cfg is saved whole because SetLoadScale mutates it between a
+	// checkpoint and a restore (the batch engine's fork sequence);
+	// restoring copies it back so a restored fabric re-steps under the
+	// exact configuration it was checkpointed with. The shallow copy is
+	// sound: nothing mutates the Remaps slice contents after build.
+	cfg Config
 
-	// cores is the per-core runtime, indexed by CoreID. Pointers into
-	// the slice stay valid for the fabric's lifetime: it is sized once
-	// at build and never reallocated.
-	cores []coreState
+	now sim.Cycle
+	rng sim.RNG
+
+	// seed is the seed the result reports. It starts as cfg.Seed and is
+	// replaced by Reseed when a restored checkpoint forks a replica.
+	seed uint64
+
+	// assignment is the installed workload mapping. A remap replaces it
+	// whole and never mutates one in place, so a copy shares its tables.
+	assignment traffic.Assignment
+	msgIDs     packet.MessageID
+	pktIDs     packet.ID
+
+	// occupancy is the fabric-wide buffered-flit count the arena
+	// maintains through its pointer.
+	occupancy int64
+
+	// skipped counts the cycles StepContext advanced over without
+	// calling Step.
+	skipped int64
 
 	// Activity tracking: a component is on its active set exactly while
 	// it may have work, so idle cycles cost O(active) instead of
@@ -40,6 +57,20 @@ type fabricState struct {
 	// back-off (§1.4), oldest drop first. The back-off is one constant,
 	// so due cycles never decrease along the queue.
 	retx []retransmit
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays. The bitsets keep their own words, so the ports
+// holding pointers to them wake the restored sets.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.routerActive = keep.routerActive.Refill(src.routerActive)
+	dst.txActive = keep.txActive.Refill(src.txActive)
+	dst.injActive = keep.injActive.Refill(src.injActive)
+	dst.ejectActive = keep.ejectActive.Refill(src.ejectActive)
+	clear(keep.retx) // drop the packet pointers past the copy
+	dst.retx = append(keep.retx[:0], src.retx...)
 }
 
 // retransmit is one dropped packet and the cycle its next attempt

@@ -1,5 +1,7 @@
 package packet
 
+import "slices"
+
 // poolChunk is the number of packets the pool allocates at a time. It is
 // small enough that a short run over-allocates a few KiB at most and
 // large enough that a saturated one allocates a packet's storage once per
@@ -18,7 +20,17 @@ const poolChunk = 64
 //
 // The pool is not safe for concurrent use; each fabric owns its own.
 type Pool struct {
+	// chunks hold the packets. A checkpoint saves the contents of the
+	// used slots, never the chunks: growth only appends, so a restored
+	// pool finds every chunk it had.
 	chunks []*[poolChunk]Packet
+
+	state
+}
+
+// state is the pool's bookkeeping, checkpointed beside the slot
+// contents.
+type state struct {
 	// used counts the slots handed out at least once, in chunk order:
 	// slot i is chunks[i/poolChunk][i%poolChunk].
 	used int
@@ -31,6 +43,14 @@ type Pool struct {
 	// tests check (injected = delivered + lost + live).
 	gets int64
 	puts int64
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.free = append(keep.free[:0], src.free...)
 }
 
 // Get returns a zeroed packet: the most recently recycled slot when
@@ -80,41 +100,30 @@ func (pl *Pool) Put(p *Packet) {
 // router buffers, photonic channels, or the retransmission queue.
 func (pl *Pool) Live() int64 { return pl.gets - pl.puts }
 
-// PoolSnapshot is a checkpoint of the pool: the contents of every used
-// slot, the free list and the conservation counters.
-type PoolSnapshot struct {
-	slots []Packet
-	free  []*Packet
-	gets  int64
-	puts  int64
-}
+// PoolSnapshot is the pool's bookkeeping in a checkpoint; the slot
+// contents travel beside it (Snapshot, Restore).
+type PoolSnapshot = state
 
-// Snapshot copies the pool's state.
-func (pl *Pool) Snapshot() *PoolSnapshot {
-	s := &PoolSnapshot{
-		slots: make([]Packet, pl.used),
-		free:  append([]*Packet(nil), pl.free...),
-		gets:  pl.gets,
-		puts:  pl.puts,
+// Snapshot copies the pool's bookkeeping into dst and the contents of
+// every used slot into slots, reusing their arrays, and returns slots.
+func (pl *Pool) Snapshot(dst *PoolSnapshot, slots []Packet) []Packet {
+	dst.copyFrom(&pl.state)
+	slots = slices.Grow(slots[:0], pl.used)
+	for i := 0; i < pl.used; i += poolChunk {
+		slots = append(slots, pl.chunks[i/poolChunk][:min(poolChunk, pl.used-i)]...)
 	}
-	for i, c := range pl.chunks {
-		copy(s.slots[min(i*poolChunk, pl.used):], c[:])
-	}
-	return s
+	return slots
 }
 
 // Restore rewinds the pool to a snapshot taken from it: every slot in
 // use then reads its saved contents through the pointers its holders
 // kept, and slots first used since are unused again — the chunks they
 // sit in stay, so the run that follows re-draws the same slots.
-func (pl *Pool) Restore(s *PoolSnapshot) {
-	pl.used = len(s.slots)
+func (pl *Pool) Restore(s *PoolSnapshot, slots []Packet) {
+	pl.state.copyFrom(s)
 	for i, c := range pl.chunks {
-		copy(c[:], s.slots[min(i*poolChunk, pl.used):])
+		copy(c[:], slots[min(i*poolChunk, len(slots)):])
 	}
-	pl.free = append(pl.free[:0], s.free...)
-	pl.gets = s.gets
-	pl.puts = s.puts
 }
 
 // Queue is a FIFO of packets backed by a reusable ring, replacing the
@@ -187,15 +196,15 @@ func (q *Queue) Snapshot(dst []*Packet) []*Packet {
 // Restore replaces the queue's contents with ps (oldest first), reusing
 // the ring storage when it is large enough.
 func (q *Queue) Restore(ps []*Packet) {
-	if len(ps) > len(q.buf) {
-		q.buf = make([]*Packet, len(ps))
+	buf := q.buf
+	if len(ps) > len(buf) {
+		buf = make([]*Packet, len(ps))
 	}
-	for i := range q.buf {
-		q.buf[i] = nil
+	clear(buf)
+	*q = Queue{buf: buf}
+	for _, p := range ps {
+		q.Push(p)
 	}
-	copy(q.buf, ps)
-	q.head = 0
-	q.count = len(ps)
 }
 
 // grow doubles the ring capacity, linearizing the contents at the front.

@@ -66,7 +66,8 @@ func TestPoolSnapshotRestore(t *testing.T) {
 	for i := 0; i < len(pkts); i += 3 {
 		pl.Put(pkts[i])
 	}
-	snap := pl.Snapshot()
+	var snap PoolSnapshot
+	slots := pl.Snapshot(&snap, nil)
 	live := pl.Live()
 	saved := make([]Packet, len(pkts))
 	for i, p := range pkts {
@@ -90,7 +91,7 @@ func TestPoolSnapshotRestore(t *testing.T) {
 				pl.Put(p)
 			}
 		}
-		pl.Restore(snap)
+		pl.Restore(&snap, slots)
 		if got := pl.Live(); got != live {
 			t.Fatalf("round %d: Live() = %d after restore, want %d", round, got, live)
 		}

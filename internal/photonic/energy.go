@@ -118,7 +118,13 @@ func Components() []EnergyComponent {
 // warm-up phase (not counted toward reported totals) from the measurement
 // window, mirroring the thesis's 1,000 reset cycles.
 type Ledger struct {
-	params    EnergyParams
+	params EnergyParams
+	state
+}
+
+// state is the ledger's checkpointed part: the phase and the totals. It
+// is a plain value: copying it copies everything.
+type state struct {
 	measuring bool
 	totals    [numEnergyComponents]units.Picojoule
 }
@@ -140,23 +146,14 @@ func (l *Ledger) Add(c EnergyComponent, pj units.Picojoule) {
 	l.totals[c] += pj
 }
 
-// LedgerSnapshot is a checkpoint of the ledger's accumulated totals. It
-// is a plain value: copying it copies everything.
-type LedgerSnapshot struct {
-	measuring bool
-	totals    [numEnergyComponents]units.Picojoule
-}
+// LedgerSnapshot is a checkpoint of the ledger: a copy of its state.
+type LedgerSnapshot = state
 
-// Snapshot captures the ledger's mutable state.
-func (l *Ledger) Snapshot() LedgerSnapshot {
-	return LedgerSnapshot{measuring: l.measuring, totals: l.totals}
-}
+// Snapshot copies the ledger's state into dst.
+func (l *Ledger) Snapshot(dst *LedgerSnapshot) { *dst = l.state }
 
 // Restore rewinds the ledger to a snapshot.
-func (l *Ledger) Restore(s LedgerSnapshot) {
-	l.measuring = s.measuring
-	l.totals = s.totals
-}
+func (l *Ledger) Restore(s *LedgerSnapshot) { l.state = *s }
 
 // AddPhotonicTransmit charges the transmit-side photonic energy for bits
 // modulated onto the channel: laser launch, modulation and MRR tuning.

@@ -80,22 +80,23 @@ type wakeBit struct {
 // per-cycle kernels walk scalar slices and bitmasks instead of chasing
 // per-object pointers.
 //
-// The arena is also the unit of checkpointing: Snapshot/Restore copy the
-// mutable slices wholesale (one copy per backing array), which is what
-// lets replicated runs skip re-paying the full fabric build.
+// The arena is also the unit of checkpointing: its mutable slices are
+// its state, and Snapshot/Restore copy that wholesale (one copy per
+// backing array), which is what lets replicated runs skip re-paying the
+// full fabric build.
 type Arena struct {
-	ledger    *photonic.Ledger
-	occupancy *int64 // shared fabric-wide buffered-flit counter
+	ledger *photonic.Ledger
 
-	// Per-port state, indexed by port id. vcBase/vcCnt/depth/wake are
-	// fixed after build; buffered and the masks are hot.
-	vcBase   []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
-	vcCnt    []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
-	depth    []int32 //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
-	buffered []int32
-	occMask  []uint64  // bit v set: VC v holds at least one flit
-	freeMask []uint64  // bit v set: VC v is unowned and empty (allocatable)
-	wake     []wakeBit //hetpnoc:nosnap wake targets, wired once by WakeIn at build
+	// occupancy is the shared fabric-wide buffered-flit counter.
+	//
+	//hetpnoc:nosnap wiring to a counter its owner checkpoints (the fabric's state); the pointer is never reassigned
+	occupancy *int64
+
+	// Per-port wiring, indexed by port id, fixed after build.
+	vcBase []int32   //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
+	vcCnt  []int32   //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
+	depth  []int32   //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
+	wake   []wakeBit //hetpnoc:nosnap wake targets, wired once by WakeIn at build
 	// consumer/consBase identify the router arbitrating each port (nil
 	// for engine-drained ports) and the port's flat candidate base in
 	// that router, so ownership transitions can maintain the router's
@@ -109,10 +110,34 @@ type Arena struct {
 	watchers [][]*Router //hetpnoc:nosnap router wiring, fixed at build
 	routers  []*Router   //hetpnoc:nosnap router wiring, fixed at build; Restore rebuilds their live masks
 
+	state
+}
+
+// state is the arena's checkpointed part: the hot per-port counters and
+// masks and the per-VC slices.
+type state struct {
+	// Per-port state, indexed by port id.
+	buffered []int32
+	occMask  []uint64 // bit v set: VC v holds at least one flit
+	freeMask []uint64 // bit v set: VC v is unowned and empty (allocatable)
+
 	// Per-VC state, indexed by the global VC index g = vcBase[port]+vc.
 	hot   []vcHot
 	owner []packet.ID // packet occupying the VC (0 when free)
 	fbits []int32     // flit size in bits of the buffered packet
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.buffered = append(keep.buffered[:0], src.buffered...)
+	dst.occMask = append(keep.occMask[:0], src.occMask...)
+	dst.freeMask = append(keep.freeMask[:0], src.freeMask...)
+	dst.hot = append(keep.hot[:0], src.hot...)
+	dst.owner = append(keep.owner[:0], src.owner...)
+	dst.fbits = append(keep.fbits[:0], src.fbits...)
 }
 
 // NewArena returns an empty arena charging buffer energy to ledger and
@@ -193,36 +218,13 @@ func (a *Arena) EachVC(visit func(port, vc int, owner packet.ID, flits int, pkt 
 	}
 }
 
-// ArenaSnapshot is a checkpoint of every mutable arena slice. Reusing
-// one snapshot across Snapshot calls avoids reallocating the backing
-// arrays. The packet pointers in hot stay valid across a Restore because
-// the packet pool restores slot contents in place and never moves a
-// packet.
-type ArenaSnapshot struct {
-	occupancy int64
-	buffered  []int32
-	occMask   []uint64
-	freeMask  []uint64
-	hot       []vcHot
-	owner     []packet.ID
-	fbits     []int32
-}
+// ArenaSnapshot is a checkpoint of the arena: a copy of its state. The
+// packet pointers in hot stay valid across a Restore because the packet
+// pool restores slot contents in place and never moves a packet.
+type ArenaSnapshot = state
 
-// Snapshot copies the arena's mutable state into s (allocating a fresh
-// snapshot when s is nil) and returns it: one copy per backing slice.
-func (a *Arena) Snapshot(s *ArenaSnapshot) *ArenaSnapshot {
-	if s == nil {
-		s = &ArenaSnapshot{}
-	}
-	s.occupancy = *a.occupancy
-	s.buffered = append(s.buffered[:0], a.buffered...)
-	s.occMask = append(s.occMask[:0], a.occMask...)
-	s.freeMask = append(s.freeMask[:0], a.freeMask...)
-	s.hot = append(s.hot[:0], a.hot...)
-	s.owner = append(s.owner[:0], a.owner...)
-	s.fbits = append(s.fbits[:0], a.fbits...)
-	return s
-}
+// Snapshot copies the arena's state into dst, reusing its arrays.
+func (a *Arena) Snapshot(dst *ArenaSnapshot) { dst.copyFrom(&a.state) }
 
 // Restore copies snapshot s back into the arena in place.
 func (a *Arena) Restore(s *ArenaSnapshot) error {
@@ -230,13 +232,7 @@ func (a *Arena) Restore(s *ArenaSnapshot) error {
 		return fmt.Errorf("router: snapshot shape (%d ports, %d VCs) does not match arena (%d ports, %d VCs)",
 			len(s.buffered), len(s.hot), len(a.buffered), len(a.hot))
 	}
-	*a.occupancy = s.occupancy
-	copy(a.buffered, s.buffered)
-	copy(a.occMask, s.occMask)
-	copy(a.freeMask, s.freeMask)
-	copy(a.hot, s.hot)
-	copy(a.owner, s.owner)
-	copy(a.fbits, s.fbits)
+	a.state.copyFrom(s)
 	// Ownership state just changed wholesale; the persistent contender
 	// masks of every consuming router must be rebuilt to match.
 	for _, r := range a.routers {

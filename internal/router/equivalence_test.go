@@ -251,7 +251,7 @@ func (g *eqRig) run(seed uint64, cycles int) ([]string, error) {
 			}
 		}
 		records = append(records, fmt.Sprintf("popped=%v rr=%v buffered=%v owners=%v occ=%d ledger=%v",
-			popped, g.rr(), buffered, owners, g.occ, g.ledger.Snapshot()))
+			popped, g.rr(), buffered, owners, g.occ, ledgerState(g.ledger)))
 	}
 	return records, nil
 }
@@ -294,4 +294,10 @@ func FuzzRouterReferenceEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, cycles uint16) {
 		checkReferenceEquivalence(t, seed, int(cycles)%1024)
 	})
+}
+
+// ledgerState is l's checkpoint, for comparing ledgers.
+func ledgerState(l *photonic.Ledger) (s photonic.LedgerSnapshot) {
+	l.Snapshot(&s)
+	return s
 }

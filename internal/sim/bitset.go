@@ -39,18 +39,12 @@ func (b *Bitset) Count() int {
 	return n
 }
 
-// CopyFrom overwrites b's contents with src's. Both sets must have been
-// sized for the same universe; checkpoint restore relies on this being a
-// single word copy.
-func (b *Bitset) CopyFrom(src Bitset) {
-	copy(b.words, src.words)
-}
-
-// Clone returns an independent copy of the set.
-func (b *Bitset) Clone() Bitset {
-	words := make([]uint64, len(b.words))
-	copy(words, b.words)
-	return Bitset{words: words}
+// Refill returns a set holding src's bits in b's words, allocated when
+// b has too few: checkpointing copies a set into and out of its own
+// storage with it, so a restore into a set of the same size allocates
+// nothing and shares no words with the checkpoint.
+func (b Bitset) Refill(src Bitset) Bitset {
+	return Bitset{words: append(b.words[:0], src.words...)}
 }
 
 // NextSet returns the position of the first set bit at or after from in

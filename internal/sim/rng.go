@@ -58,10 +58,3 @@ func (r *RNG) Bernoulli(p float64) bool {
 func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
-
-// State returns the generator's internal state for checkpointing.
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState rewinds the generator to a state captured by State; the
-// subsequent draw sequence replays exactly.
-func (r *RNG) SetState(state uint64) { r.state = state }

@@ -18,7 +18,13 @@ import (
 // thesis's 1,000 reset cycles) are counted separately and excluded from
 // reported rates.
 type Collector struct {
-	clock     sim.Clock
+	clock sim.Clock
+	state
+}
+
+// state is the collector's checkpointed part: every metric it
+// accumulates.
+type state struct {
 	measuring bool
 	startAt   sim.Cycle
 	endAt     sim.Cycle
@@ -38,6 +44,15 @@ type Collector struct {
 	latencies    []sim.Cycle
 
 	bitsPerCluster []int64
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.latencies = append(keep.latencies[:0], src.latencies...)
+	dst.bitsPerCluster = append(keep.bitsPerCluster[:0], src.bitsPerCluster...)
 }
 
 // Totals are un-gated whole-run packet counters (the warm-up window
@@ -138,29 +153,16 @@ func (c *Collector) warmup() Totals {
 // Delivered returns the packets delivered so far in the measured window.
 func (c *Collector) Delivered() int64 { return c.total.Delivered - c.warmup().Delivered }
 
-// CollectorSnapshot is a checkpoint of the collector's accumulated
-// metrics.
-type CollectorSnapshot struct {
-	state Collector
-}
+// CollectorSnapshot is a checkpoint of the collector: a copy of its
+// state.
+type CollectorSnapshot = state
 
-// Snapshot deep-copies the collector's state.
-func (c *Collector) Snapshot() *CollectorSnapshot {
-	s := &CollectorSnapshot{state: *c}
-	s.state.latencies = append([]sim.Cycle(nil), c.latencies...)
-	s.state.bitsPerCluster = append([]int64(nil), c.bitsPerCluster...)
-	return s
-}
+// Snapshot copies the collector's state into dst, reusing its arrays.
+func (c *Collector) Snapshot(dst *CollectorSnapshot) { dst.copyFrom(&c.state) }
 
 // Restore rewinds the collector to a snapshot, leaving the snapshot
 // intact for repeated restores.
-func (c *Collector) Restore(s *CollectorSnapshot) {
-	latencies := append(c.latencies[:0], s.state.latencies...)
-	perCluster := append(c.bitsPerCluster[:0], s.state.bitsPerCluster...)
-	*c = s.state
-	c.latencies = latencies
-	c.bitsPerCluster = perCluster
-}
+func (c *Collector) Restore(s *CollectorSnapshot) { c.state.copyFrom(s) }
 
 // Summary is the collector's read-out.
 type Summary struct {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"hetpnoc/internal/packet"
+	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
 )
 
@@ -69,14 +71,22 @@ func TestNetworkSnapshotMidCircuit(t *testing.T) {
 		t.Fatalf("at cycle %d: %d paths set up, %d setups blocked, %d packets sent; want two circuits up, one setup blocked, none finished",
 			snapAt, r.net.PathsSetUp(), r.net.SetupsBlocked(), r.net.PacketsSent())
 	}
-	netSnap, arenaSnap, ledgerSnap := r.net.Snapshot(), r.arena.Snapshot(nil), r.ledger.Snapshot()
+	var (
+		netSnap    NetworkSnapshot
+		arenaSnap  router.ArenaSnapshot
+		ledgerSnap photonic.LedgerSnapshot
+	)
+	r.net.Snapshot(&netSnap)
+	r.arena.Snapshot(&arenaSnap)
+	r.ledger.Snapshot(&ledgerSnap)
+	occ := r.occ
 
 	check := func(what string, tail []arrival) {
 		t.Helper()
 		if got := slices.Concat(head, tail); !slices.Equal(got, want) {
 			t.Fatalf("%s: delivered flits diverge from the straight run:\ngot  %v\nwant %v", what, got, want)
 		}
-		if got, want := r.ledger.Snapshot(), straight.ledger.Snapshot(); got != want {
+		if got, want := ledgerState(r.ledger), ledgerState(straight.ledger); got != want {
 			t.Fatalf("%s: ledger %v, straight run %v", what, got, want)
 		}
 		if r.net.PathsSetUp() != straight.net.PathsSetUp() || r.net.SetupsBlocked() != straight.net.SetupsBlocked() || r.net.PacketsSent() != 3 {
@@ -87,11 +97,12 @@ func TestNetworkSnapshotMidCircuit(t *testing.T) {
 	check("taking the snapshot", r.runDraining(t, snapAt, idle))
 
 	for _, what := range []string{"first restore", "second restore"} {
-		r.ledger.Restore(ledgerSnap)
-		if err := r.arena.Restore(arenaSnap); err != nil {
+		r.ledger.Restore(&ledgerSnap)
+		if err := r.arena.Restore(&arenaSnap); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.net.Restore(netSnap); err != nil {
+		r.occ = occ
+		if err := r.net.Restore(&netSnap); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.net.checkInvariants(); err != nil {
@@ -102,4 +113,10 @@ func TestNetworkSnapshotMidCircuit(t *testing.T) {
 		}
 		check(what, r.runDraining(t, snapAt, idle))
 	}
+}
+
+// ledgerState is l's checkpoint, for comparing ledgers.
+func ledgerState(l *photonic.Ledger) (s photonic.LedgerSnapshot) {
+	l.Snapshot(&s)
+	return s
 }

@@ -127,18 +127,38 @@ type Network struct {
 	onDrop xbar.DropHandler
 
 	linkOwner map[linkID]*path //hetpnoc:nosnap derived: Restore rebuilds it from the restored circuits
-	active    []path           // per source node, sized at build; linkOwner points into it
-	retryAt   []sim.Cycle
-	rr        []int
 
 	// band is the full DWDM band of one link's waveguide, the gating set
 	// of every torus receive window. It never varies per path, so it is
 	// computed once here instead of allocating per established circuit.
 	band []photonic.WavelengthID //hetpnoc:nosnap immutable full-band table, computed once at build
 
+	state
+}
+
+// state is the network's checkpointed part: the per-node circuits (from
+// which the link ownership map is rebuilt), the per-node retry and
+// arbitration state, and the counters. A circuit is a plain value; its
+// link list is shared with the live path — Route builds it once and
+// never mutates it afterwards.
+type state struct {
+	active  []path // per source node, sized at build; linkOwner points into it
+	retryAt []sim.Cycle
+	rr      []int
+
 	pathsSetUp    int64
 	setupsBlocked int64
 	packetsSent   int64
+}
+
+// copyFrom makes dst a copy of src that shares no backing array with it,
+// reusing dst's arrays.
+func (dst *state) copyFrom(src *state) {
+	keep := *dst
+	*dst = *src
+	dst.active = append(keep.active[:0], src.active...)
+	dst.retryAt = append(keep.retryAt[:0], src.retryAt...)
+	dst.rr = append(keep.rr[:0], src.rr...)
 }
 
 // New builds the torus over the given per-cluster transmit ports and
@@ -166,10 +186,12 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 		ledger:    ledger,
 		onDrop:    onDrop,
 		linkOwner: make(map[linkID]*path),
-		active:    make([]path, cfg.Nodes),
-		retryAt:   make([]sim.Cycle, cfg.Nodes),
-		rr:        make([]int, cfg.Nodes),
 		band:      band,
+		state: state{
+			active:  make([]path, cfg.Nodes),
+			retryAt: make([]sim.Cycle, cfg.Nodes),
+			rr:      make([]int, cfg.Nodes),
+		},
 	}, nil
 }
 

@@ -42,7 +42,11 @@ type RX struct {
 	port   *router.Port
 	ledger *photonic.Ledger
 
-	// counters
+	rxState
+}
+
+// rxState is a receive engine's checkpointed part: its counters.
+type rxState struct {
 	packetsDropped int64
 	flitsDiscarded int64
 }
@@ -162,6 +166,16 @@ type TX struct {
 	ledger *photonic.Ledger
 	onDrop DropHandler
 
+	txState
+}
+
+// txState is a transmit engine's checkpointed part: the streaming
+// transfer and the in-flight reservation with their receive windows, and
+// the counters. Everything it points at is shared, never owned:
+// wavelength lists (allocation ID caches are replaced, never mutated in
+// place) and packets (slots of the fabric's pool, whose snapshot restores
+// their contents). A struct copy is therefore the whole checkpoint.
+type txState struct {
 	// current transfer being streamed, if any.
 	vcIdx   int
 	current *packet.Packet

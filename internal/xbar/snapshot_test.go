@@ -6,6 +6,7 @@ import (
 
 	"hetpnoc/internal/packet"
 	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
 )
 
@@ -65,15 +66,24 @@ func TestTXSnapshotMidStream(t *testing.T) {
 	if rows := poweredRows(rig.ledger, before); rows != 8 {
 		t.Fatalf("cycle %d holds %d demodulator rows powered, want 8: the streaming window's 4 plus the reserved packet's 4", snapAt-1, rows)
 	}
-	txSnap, rxSnap := rig.tx.Snapshot(), rig.rx.Snapshot()
-	arenaSnap, ledgerSnap := rig.arena.Snapshot(nil), rig.ledger.Snapshot()
+	var (
+		txSnap     TXSnapshot
+		rxSnap     RXSnapshot
+		arenaSnap  router.ArenaSnapshot
+		ledgerSnap photonic.LedgerSnapshot
+	)
+	rig.tx.Snapshot(&txSnap)
+	rig.rx.Snapshot(&rxSnap)
+	rig.arena.Snapshot(&arenaSnap)
+	rig.ledger.Snapshot(&ledgerSnap)
+	occ := rig.occ
 
 	check := func(what string, tail []arrival) {
 		t.Helper()
 		if got := slices.Concat(head, tail); !slices.Equal(got, want) {
 			t.Fatalf("%s: delivered flits diverge from the straight run:\ngot  %v\nwant %v", what, got, want)
 		}
-		if got, want := rig.ledger.Snapshot(), straight.ledger.Snapshot(); got != want {
+		if got, want := ledgerState(rig.ledger), ledgerState(straight.ledger); got != want {
 			t.Fatalf("%s: ledger %v, straight run %v", what, got, want)
 		}
 		if got, want := rig.tx.BusyCycles(), straight.tx.BusyCycles(); got != want {
@@ -90,12 +100,19 @@ func TestTXSnapshotMidStream(t *testing.T) {
 	check("taking the snapshot", rig.runDraining(t, snapAt, idle))
 
 	for _, what := range []string{"first restore", "second restore"} {
-		rig.ledger.Restore(ledgerSnap)
-		if err := rig.arena.Restore(arenaSnap); err != nil {
+		rig.ledger.Restore(&ledgerSnap)
+		if err := rig.arena.Restore(&arenaSnap); err != nil {
 			t.Fatal(err)
 		}
-		rig.rx.Restore(rxSnap)
-		rig.tx.Restore(txSnap)
+		rig.occ = occ
+		rig.rx.Restore(&rxSnap)
+		rig.tx.Restore(&txSnap)
 		check(what, rig.runDraining(t, snapAt, idle))
 	}
+}
+
+// ledgerState is l's checkpoint, for comparing ledgers.
+func ledgerState(l *photonic.Ledger) (s photonic.LedgerSnapshot) {
+	l.Snapshot(&s)
+	return s
 }

@@ -14,6 +14,7 @@ import (
 	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/sim"
+	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -87,6 +88,27 @@ func corpus(t *testing.T) []*scenario {
 				if !slices.ContainsFunc(fullLog(t, sc.fc), func(e event.Event) bool { return e.Kind == event.Retransmit && e.Cycle == dropAt }) {
 					t.Errorf("no packet dropped at cycle %d is retried on the remap's cycle", dropAt)
 				}
+			}},
+		// The proportional policy (the thesis's future work): skewed
+		// demand overflows the dynamic pool, so routers scale back to
+		// their token-recorded shares, and a remap re-skews it after the
+		// cut.
+		{name: "proportional", cfg: Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256},
+			remaps: []TrafficRemap{{AtCycle: 1800, Traffic: SkewedTraffic(1)}}, cut: 1400,
+			guard: func(t *testing.T, sc *scenario) {
+				greedy := sc.fc
+				greedy.ProportionalDBA = false
+				p, g := stepped(t, sc.fc, sc.cut).DBA(), stepped(t, greedy, sc.cut).DBA()
+				differ := 0
+				for c := range topology.ClusterID(sc.fc.Topology.Clusters()) {
+					if p.AllocatedCount(c) != g.AllocatedCount(c) {
+						differ++
+					}
+				}
+				if differ == 0 {
+					t.Errorf("at cycle %d every cluster holds what the greedy policy gives it: the proportional shares never bind", sc.cut)
+				}
+				requireTransfersAcross(t, sc.fc, sim.Cycle(sc.cut))
 			}},
 		{name: "bursty", cfg: Config{Traffic: Traffic{Kind: UniformRandom, Burstiness: 4}, LoadScale: 0.5, Cycles: 3000, WarmupCycles: 500, Seed: 2, EventCapacity: 256}, cut: 1300},
 		// Circuit switching: link ownership and path setups cross the cut.
