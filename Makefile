@@ -16,12 +16,14 @@
 #                  microbenchmarks, a shelved Run and a /v1/run cache hit
 #                  at 200 iterations each, and the /v1/sweep benchmark at
 #                  3 (CI keeps them from rotting)
+#   make fused   — fail on any fused multiply-add the arm64 compiler
+#                  emits in a module function (fused_test.go)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check bench-smoke sweep
+.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check bench-smoke fused sweep
 
 check: build vet lint test race bench-check
 
@@ -112,6 +114,15 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember|TokenTick|RunShelved|HTTPRunHit' -benchtime 200x . ./internal/router ./internal/fabric ./internal/batch ./internal/core ./internal/serve
 	$(GO) test -run '^$$' -bench 'HTTPSweep' -benchtime 3x ./internal/serve
+
+# A fused x*y + z rounds once, so the floats of a run — and the goldens —
+# would differ between amd64 and arm64. The build-tagged test
+# cross-compiles the module with -gcflags=-S and names every fused
+# instruction's function and line; the nightly workflow runs all four
+# fusing architectures (arm64, ppc64le, s390x, riscv64). -count=1: the
+# test reads the source through a child build the test cache cannot see.
+fused:
+	$(GO) test -tags fused -count=1 -run '^TestNoFusedMultiplyAdd$$/^arm64$$' .
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

@@ -67,9 +67,10 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 // and no layer above decides what may share — the root package and
 // hetpnocd submit configs and let the plan find the sharing. Everything
 // that shapes the build — topology, bandwidth set, architecture, traffic
-// pattern, router provisioning, energy model, DBA parameters, scheduled
-// remaps — must match; only the fields the fork sequence re-applies may
-// differ: the seed and the load scale.
+// pattern, router provisioning, DBA parameters, scheduled remaps — must
+// match; only the fields the fork sequence re-applies may differ: the
+// seed and the load scale. Energy constants are not in a config at all:
+// a run counts, and its counts are priced when the result is read.
 //
 // With those two masked, deep structural equality covers every build
 // parameter, so a field added to fabric.Config is conservatively

@@ -453,9 +453,9 @@ func (a *Allocator) Tick(now sim.Cycle) {
 	if a.cfg.Ledger != nil {
 		// The token's bits are modulated onto the control waveguide,
 		// propagate, and are detected by the next router.
-		bits := float64(a.tokenBits)
+		bits := int64(a.tokenBits)
 		a.cfg.Ledger.AddControlTransmit(bits)
-		a.cfg.Ledger.AddDemodulation(bits)
+		a.cfg.Ledger.Add(photonic.EnergyModulation, bits)
 	}
 }
 

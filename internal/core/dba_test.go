@@ -273,12 +273,12 @@ func TestTokenEnergyCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Tick(0) // one hop: 48 bits of control traffic
-	wantLaunch := 48 * 0.15
-	if got := float64(ledger.Total(photonic.EnergyLaunch)); got < wantLaunch-1e-9 || got > wantLaunch+1e-9 {
-		t.Fatalf("token launch energy = %g, want %g", got, wantLaunch)
+	counts := ledger.Counts()
+	if got := counts[photonic.EnergyLaunch]; got != 48 {
+		t.Fatalf("token launched %d bits, want 48", got)
 	}
-	if got := ledger.Total(photonic.EnergyTuning); got != 0 {
-		t.Fatalf("token charged tuning energy %g; control rings are statically tuned", got)
+	if got := counts[photonic.EnergyTuning]; got != 0 {
+		t.Fatalf("token charged %d bits of tuning; control rings are statically tuned", got)
 	}
 }
 

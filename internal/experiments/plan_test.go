@@ -158,13 +158,20 @@ func TestLoadLatencyCurveMatchesSoloRuns(t *testing.T) {
 	}
 }
 
+// TestEnergySensitivityMatchesSoloRuns: each row is the solo runs' ledger
+// counts priced at that row's constants, and a scale-1.0 row is the plain
+// Figure 3-4 point's EPM bit for bit.
 func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 	opts := referenceOpts()
-	scales := []float64{0.5, 3.0}
+	scales := []float64{0.5, 1.0, 3.0}
 	rows, err := EnergySensitivity(context.Background(), opts, scales)
 	if err != nil {
 		t.Fatal(err)
 	}
+	solo := func(arch fabric.Arch) fabric.Result {
+		return soloRun(t, opts, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}})
+	}
+	firefly, dhet := solo(fabric.Firefly), solo(fabric.DHetPNoC)
 	var want []SensitivityRow
 	for _, param := range []string{"buffer-residency", "idle-detector"} {
 		for _, scale := range scales {
@@ -174,11 +181,10 @@ func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 			} else {
 				energy.IdleDetectorPJPerWavelengthCycle = energy.IdleDetectorPJPerWavelengthCycle.Times(scale)
 			}
-			epm := func(arch fabric.Arch) units.Picojoule {
-				res := soloRun(t, opts, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Energy: energy})
-				return res.EnergyPerMessagePJ
+			epm := func(res fabric.Result) units.Picojoule {
+				return energy.Price(res.EnergyCounts).PerMessage(res.Stats.PacketsDelivered)
 			}
-			ff, dh := epm(fabric.Firefly), epm(fabric.DHetPNoC)
+			ff, dh := epm(firefly), epm(dhet)
 			want = append(want, SensitivityRow{
 				Parameter: param, Scale: scale,
 				FireflyEPMPJ: ff, DHetPNoCEPMPJ: dh,
@@ -188,6 +194,12 @@ func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows, want) {
 		t.Errorf("sensitivity rows diverge from their solo runs:\nplan: %+v\nsolo: %+v", rows, want)
+	}
+	for _, r := range rows {
+		if r.Scale == 1.0 && (r.FireflyEPMPJ != firefly.EnergyPerMessagePJ || r.DHetPNoCEPMPJ != dhet.EnergyPerMessagePJ) {
+			t.Errorf("%s x1.0 prices EPM at %v / %v, the plain point's is %v / %v", r.Parameter,
+				r.FireflyEPMPJ, r.DHetPNoCEPMPJ, firefly.EnergyPerMessagePJ, dhet.EnergyPerMessagePJ)
+		}
 	}
 }
 

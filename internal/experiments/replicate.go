@@ -113,7 +113,7 @@ func meanStd(xs []float64) (mean, std float64) {
 	var ss float64
 	for _, x := range xs {
 		d := x - mean
-		ss += d * d
+		ss += float64(d * d) // rounded: no fused multiply-add on any GOARCH
 	}
 	return mean, math.Sqrt(ss / float64(len(xs)-1))
 }

@@ -11,7 +11,6 @@ package fabric
 import (
 	"fmt"
 
-	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
@@ -120,8 +119,6 @@ type Config struct {
 
 	IntraCluster IntraCluster
 
-	Energy photonic.EnergyParams
-
 	// ReservedPerCluster is the DBA minimum guarantee (d-HetPNoC only).
 	ReservedPerCluster int
 
@@ -209,9 +206,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.IntraCluster == 0 {
 		c.IntraCluster = AllToAll
-	}
-	if c.Energy == (photonic.EnergyParams{}) {
-		c.Energy = photonic.DefaultEnergyParams()
 	}
 	if c.ReservedPerCluster == 0 {
 		c.ReservedPerCluster = 1

@@ -97,7 +97,7 @@ func New(cfg Config) (*Fabric, error) {
 	f := &Fabric{
 		clock:     clock,
 		bundle:    bundle,
-		ledger:    photonic.NewLedger(cfg.Energy),
+		ledger:    photonic.NewLedger(photonic.DefaultEnergyParams()),
 		collector: stats.NewCollector(clock),
 		state:     state{cfg: cfg, rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed},
 	}
@@ -532,11 +532,8 @@ func (f *Fabric) Step() error {
 	}
 
 	// Congestion-sensitive buffer retention energy, proportional to the
-	// bits held in SRAM this cycle. An empty fabric holds zero bits and
-	// would add exactly +0.0, so the call is skipped.
-	if f.occupancy != 0 {
-		f.ledger.AddBufferResidency(float64(f.occupancy) * float64(f.cfg.Set.Format.FlitBits))
-	}
+	// bits held in SRAM this cycle. An empty fabric charges nothing.
+	f.ledger.Add(photonic.EnergyBufferResidency, f.occupancy*int64(f.cfg.Set.Format.FlitBits))
 
 	f.now++
 	return nil

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/traffic"
 )
 
@@ -27,6 +28,11 @@ type goldenCase struct {
 	PacketsDroppedRX int64
 	Retransmissions  int64
 	PacketsLost      int64
+
+	// The ledger's exact counts, in photonic.Components order: integers
+	// that are the same on every GOARCH and catch a change in one
+	// component that the EPMpj sum could hide.
+	Counts [8]int64
 }
 
 // goldenCases covers all three architectures at bandwidth set 1, seed 1,
@@ -34,14 +40,14 @@ type goldenCase struct {
 // none of which drops a packet — and two drop-heavy rows ("hotspot-drops",
 // see goldenConfig) that keep the retransmission path under the same pin.
 var goldenCases = []goldenCase{
-	{"firefly", "uniform", 400, 795.072, 270.9575, 8819.472224999765, 0, 0, 0},
-	{"firefly", "skewed2", 269, 537.408, 692.5353159851301, 13624.46479553866, 0, 0, 0},
-	{"d-hetpnoc", "uniform", 400, 795.072, 270.9575, 8893.992224999693, 0, 0, 0},
-	{"d-hetpnoc", "skewed2", 372, 759.008, 402.73655913978496, 10406.69037634387, 0, 0, 0},
-	{"torus-pnoc", "uniform", 391, 799.104, 205.40153452685422, 8913.15686700745, 0, 0, 0},
-	{"torus-pnoc", "skewed2", 397, 822.528, 284.1007556675063, 9743.069231737909, 0, 0, 0},
-	{"firefly", "hotspot-drops", 304, 317.424, 2206.1875, 27631.193388156924, 462, 460, 2},
-	{"d-hetpnoc", "hotspot-drops", 352, 358.944, 2189.2017045454545, 24825.702159090015, 425, 425, 0},
+	{"firefly", "uniform", 400, 795.072, 270.9575, 8819.472225, 0, 0, 0, [8]int64{800048, 1624096, 795648, 9498816, 170430240, 3163008, 1581536, 281216}},
+	{"firefly", "skewed2", 269, 537.408, 692.5353159851301, 13624.464795539032, 0, 0, 0, [8]int64{540399, 1096938, 537440, 7747136, 649628608, 2629152, 1413920, 205212}},
+	{"d-hetpnoc", "uniform", 400, 795.072, 270.9575, 8893.992225, 0, 0, 0, [8]int64{929648, 1883296, 795648, 9498816, 170430240, 3163008, 1581536, 281216}},
+	{"d-hetpnoc", "skewed2", 372, 759.008, 402.73655913978496, 10406.690376344086, 0, 0, 0, [8]int64{896365, 1815590, 758944, 9691936, 325869984, 3269248, 1635840, 294852}},
+	{"torus-pnoc", "uniform", 391, 799.104, 205.40153452685422, 8913.156867007672, 0, 0, 0, [8]int64{801472, 1602944, 801472, 9531712, 130611136, 3184475, 1585952, 357184}},
+	{"torus-pnoc", "skewed2", 397, 822.528, 284.1007556675063, 9743.069231738036, 0, 0, 0, [8]int64{828928, 1657856, 828928, 10151168, 240118528, 3410837, 1700128, 279040}},
+	{"firefly", "hotspot-drops", 304, 317.424, 2206.1875, 27631.1933881579, 462, 460, 2, [8]int64{1593196, 3232712, 1584704, 13556448, 2259386912, 4504512, 2277632, 626440}},
+	{"d-hetpnoc", "hotspot-drops", 352, 358.944, 2189.2017045454545, 24825.70215909091, 425, 425, 0, [8]int64{1866633, 3780246, 1596192, 14170240, 2316403808, 4705088, 2383904, 628498}},
 }
 
 // dropStormConfig is the drop-heavy operating point shared by the
@@ -93,19 +99,25 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := goldenRow(res.Arch, gc.Pattern, res.Stats.PacketsDelivered, float64(res.Stats.DeliveredGbps), res.Stats.AvgLatencyCycles,
-				float64(res.EnergyPerMessagePJ), res.Stats.PacketsDroppedRX, res.Stats.Retransmissions, res.Stats.PacketsLost)
-			want := goldenRow(gc.Arch, gc.Pattern, gc.PacketsDelivered, gc.DeliveredGbps, gc.AvgLatencyCycles,
-				gc.EPMpj, gc.PacketsDroppedRX, gc.Retransmissions, gc.PacketsLost)
-			if got != want {
+			run := goldenCase{
+				Arch: res.Arch, Pattern: gc.Pattern,
+				PacketsDelivered: res.Stats.PacketsDelivered, DeliveredGbps: float64(res.Stats.DeliveredGbps),
+				AvgLatencyCycles: res.Stats.AvgLatencyCycles, EPMpj: float64(res.EnergyPerMessagePJ),
+				PacketsDroppedRX: res.Stats.PacketsDroppedRX, Retransmissions: res.Stats.Retransmissions, PacketsLost: res.Stats.PacketsLost,
+			}
+			for i, c := range photonic.Components() {
+				run.Counts[i] = res.EnergyCounts[c]
+			}
+			if got, want := run.literal(), gc.literal(); got != want {
 				t.Errorf("the run drifted from its golden row; for an intended change, replace\n\t%s\nin goldenCases with\n\t%s", want, got)
 			}
 		})
 	}
 }
 
-// goldenRow formats one goldenCases literal.
-func goldenRow(arch, pattern string, delivered int64, gbps, latency, epm float64, droppedRX, retransmissions, lost int64) string {
+// literal formats gc as its goldenCases line.
+func (gc goldenCase) literal() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return fmt.Sprintf("{%q, %q, %d, %s, %s, %s, %d, %d, %d},", arch, pattern, delivered, g(gbps), g(latency), g(epm), droppedRX, retransmissions, lost)
+	return fmt.Sprintf("{%q, %q, %d, %s, %s, %s, %d, %d, %d, %#v},", gc.Arch, gc.Pattern, gc.PacketsDelivered,
+		g(gc.DeliveredGbps), g(gc.AvgLatencyCycles), g(gc.EPMpj), gc.PacketsDroppedRX, gc.Retransmissions, gc.PacketsLost, gc.Counts)
 }

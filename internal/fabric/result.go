@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"hetpnoc/internal/event"
+	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/stats"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/units"
@@ -26,10 +27,16 @@ type Result struct {
 	// maximized over the load sweep).
 	PerCoreGbps units.Gbps
 
+	// EnergyCounts is the ledger's exact per-component tally of the
+	// measurement window; EnergyParams.Price re-prices it under any
+	// energy constants.
+	EnergyCounts photonic.Counts
+
 	// EnergyPerMessagePJ is the total dissipated energy divided by
 	// delivered packets — "the energy dissipated in transferring one
 	// packet completely from source to destination at network
-	// saturation" (§3.4.1.2).
+	// saturation" (§3.4.1.2). It and the other Energy*PJ fields are
+	// EnergyCounts priced at photonic.DefaultEnergyParams.
 	EnergyPerMessagePJ units.Picojoule
 
 	EnergyTotalPJ      units.Picojoule
@@ -67,6 +74,7 @@ func (f *Fabric) result() Result {
 		offered += f.clock.BitsPerCycleToGbps(cs.source.OfferedBitsPerCycle())
 	}
 
+	energy := f.ledger.Energy()
 	res := Result{
 		Arch:               f.cfg.Arch.String(),
 		Pattern:            f.cfg.Pattern.Name(),
@@ -76,18 +84,16 @@ func (f *Fabric) result() Result {
 		Seed:               f.seed,
 		Stats:              summary,
 		OfferedGbps:        units.Gbps(offered),
-		EnergyTotalPJ:      f.ledger.TotalPJ(),
-		EnergyPhotonicPJ:   f.ledger.PhotonicPJ(),
-		EnergyElectricalPJ: f.ledger.ElectricalPJ(),
+		EnergyCounts:       f.ledger.Counts(),
+		EnergyPerMessagePJ: energy.PerMessage(summary.PacketsDelivered),
+		EnergyTotalPJ:      energy.TotalPJ,
+		EnergyPhotonicPJ:   energy.PhotonicPJ,
+		EnergyElectricalPJ: energy.ElectricalPJ,
 		EnergyBreakdownPJ:  make(map[string]units.Picojoule),
 		Events:             f.events.Events(),
 	}
-	//hetpnoc:orderfree fills a map from a map; insertion order is invisible in the result
-	for comp, pj := range f.ledger.Breakdown() {
-		res.EnergyBreakdownPJ[comp.String()] = pj
-	}
-	if summary.PacketsDelivered > 0 {
-		res.EnergyPerMessagePJ = res.EnergyTotalPJ.Div(float64(summary.PacketsDelivered))
+	for _, comp := range photonic.Components() {
+		res.EnergyBreakdownPJ[comp.String()] = energy.ByComponent[comp]
 	}
 	res.PerCoreGbps = summary.DeliveredGbps.Div(float64(f.cfg.Topology.Cores()))
 

@@ -68,41 +68,27 @@ func DefaultEnergyParams() EnergyParams {
 // E_launch + E_modulation + E_tuning + E_buffer.
 type EnergyComponent int
 
-// Energy components tracked by the ledger.
+// Energy components tracked by the ledger, each with the unit it counts.
 const (
-	EnergyLaunch EnergyComponent = iota + 1
-	EnergyModulation
-	EnergyTuning
-	EnergyBuffer
-	EnergyBufferResidency
-	EnergyRouter
-	EnergyWireLink
-	EnergyIdleDetector
+	EnergyLaunch          EnergyComponent = iota + 1 // bits launched by the laser
+	EnergyModulation                                 // bits modulated, and bits demodulated
+	EnergyTuning                                     // data bits through thermally tuned rings
+	EnergyBuffer                                     // bits written to or read from a buffer
+	EnergyBufferResidency                            // bit-cycles held in buffers
+	EnergyRouter                                     // bits through a router crossbar
+	EnergyWireLink                                   // bits over an electrical link hop
+	EnergyIdleDetector                               // wavelength-cycles of powered detector rows
 	numEnergyComponents
 )
 
 // String returns the component name.
 func (c EnergyComponent) String() string {
-	switch c {
-	case EnergyLaunch:
-		return "launch"
-	case EnergyModulation:
-		return "modulation"
-	case EnergyTuning:
-		return "tuning"
-	case EnergyBuffer:
-		return "buffer"
-	case EnergyBufferResidency:
-		return "buffer-residency"
-	case EnergyRouter:
-		return "router"
-	case EnergyWireLink:
-		return "wire-link"
-	case EnergyIdleDetector:
-		return "idle-detector"
-	default:
+	if c < EnergyLaunch || c >= numEnergyComponents {
 		return "unknown"
 	}
+	return [...]string{EnergyLaunch: "launch", EnergyModulation: "modulation", EnergyTuning: "tuning",
+		EnergyBuffer: "buffer", EnergyBufferResidency: "buffer-residency", EnergyRouter: "router",
+		EnergyWireLink: "wire-link", EnergyIdleDetector: "idle-detector"}[c]
 }
 
 // Components lists every tracked component in declaration order.
@@ -114,36 +100,88 @@ func Components() []EnergyComponent {
 	return comps
 }
 
-// Ledger accumulates dissipated energy by component. It distinguishes a
-// warm-up phase (not counted toward reported totals) from the measurement
-// window, mirroring the thesis's 1,000 reset cycles.
+// Counts holds one exact integer per component, indexed by
+// EnergyComponent, in the component's unit. EnergyParams.Price turns
+// them into picojoules.
+type Counts [numEnergyComponents]int64
+
+// Energy is a Counts priced at one EnergyParams.
+type Energy struct {
+	TotalPJ units.Picojoule
+	// PhotonicPJ is the photonic share, Eq. (4): launch + modulation +
+	// tuning + the idle-detector rows.
+	PhotonicPJ units.Picojoule
+	// ElectricalPJ is the electrical share: routers, links, buffers.
+	ElectricalPJ units.Picojoule
+	// ByComponent is each component's energy, indexed like Counts.
+	ByComponent [numEnergyComponents]units.Picojoule
+}
+
+// Price returns the energy of n at these per-unit figures. Each component
+// is one product of its exact count and its figure, so a run can be
+// re-priced under other constants without re-simulating it.
+func (p EnergyParams) Price(n Counts) Energy {
+	perUnit := [numEnergyComponents]units.Picojoule{
+		EnergyLaunch:          p.LaunchPJPerBit,
+		EnergyModulation:      p.ModulationPJPerBit,
+		EnergyTuning:          p.TuningPJPerBit,
+		EnergyBuffer:          p.BufferPJPerBit,
+		EnergyBufferResidency: p.BufferResidencyPJPerBitCycle,
+		EnergyRouter:          p.RouterPJPerBit,
+		EnergyWireLink:        p.WireLinkPJPerBit,
+		EnergyIdleDetector:    p.IdleDetectorPJPerWavelengthCycle,
+	}
+	var e Energy
+	b := &e.ByComponent
+	for c, per := range perUnit {
+		b[c] = per.Times(float64(n[c])) // Times rounds: no product fuses into a sum
+		e.TotalPJ += b[c]
+	}
+	e.PhotonicPJ = b[EnergyLaunch] + b[EnergyModulation] + b[EnergyTuning] + b[EnergyIdleDetector]
+	e.ElectricalPJ = b[EnergyRouter] + b[EnergyWireLink] + b[EnergyBuffer] + b[EnergyBufferResidency]
+	return e
+}
+
+// PerMessage returns the total energy divided by delivered packets, or 0
+// when none was delivered.
+func (e Energy) PerMessage(delivered int64) units.Picojoule {
+	if delivered <= 0 {
+		return 0
+	}
+	return e.TotalPJ.Div(float64(delivered))
+}
+
+// Ledger counts the quantities that dissipate energy, by component. It
+// distinguishes a warm-up phase (not counted toward reported totals) from
+// the measurement window, mirroring the thesis's 1,000 reset cycles. No
+// charge touches a float: the price is applied when the ledger is read.
 type Ledger struct {
 	params EnergyParams
 	state
 }
 
-// state is the ledger's checkpointed part: the phase and the totals. It
+// state is the ledger's checkpointed part: the phase and the counts. It
 // is a plain value: copying it copies everything.
 type state struct {
 	measuring bool
-	totals    [numEnergyComponents]units.Picojoule
+	counts    Counts
 }
 
-// NewLedger returns a ledger using params; it starts in the warm-up
-// (non-measuring) phase.
+// NewLedger returns a ledger whose Energy is priced at params; it starts
+// in the warm-up (non-measuring) phase.
 func NewLedger(params EnergyParams) *Ledger {
 	return &Ledger{params: params}
 }
 
-// StartMeasurement begins counting energy toward the reported totals.
+// StartMeasurement begins counting toward the reported totals.
 func (l *Ledger) StartMeasurement() { l.measuring = true }
 
-// Add charges pj picojoules to component c.
-func (l *Ledger) Add(c EnergyComponent, pj units.Picojoule) {
-	if !l.measuring {
-		return
+// Add charges n units of component c (see the unit beside each
+// component).
+func (l *Ledger) Add(c EnergyComponent, n int64) {
+	if l.measuring {
+		l.counts[c] += n
 	}
-	l.totals[c] += pj
 }
 
 // LedgerSnapshot is a checkpoint of the ledger: a copy of its state.
@@ -157,82 +195,23 @@ func (l *Ledger) Restore(s *LedgerSnapshot) { l.state = *s }
 
 // AddPhotonicTransmit charges the transmit-side photonic energy for bits
 // modulated onto the channel: laser launch, modulation and MRR tuning.
-func (l *Ledger) AddPhotonicTransmit(bits float64) {
-	l.Add(EnergyLaunch, l.params.LaunchPJPerBit.Times(bits))
-	l.Add(EnergyModulation, l.params.ModulationPJPerBit.Times(bits))
-	l.Add(EnergyTuning, l.params.TuningPJPerBit.Times(bits))
-}
-
-// AddDemodulation charges receive-side demodulation for bits detected.
-func (l *Ledger) AddDemodulation(bits float64) {
-	l.Add(EnergyModulation, l.params.ModulationPJPerBit.Times(bits))
+func (l *Ledger) AddPhotonicTransmit(bits int64) {
+	l.Add(EnergyLaunch, bits)
+	l.Add(EnergyModulation, bits)
+	l.Add(EnergyTuning, bits)
 }
 
 // AddControlTransmit charges control-plane bits (reservation flits, the
 // DBA token) modulated onto an always-tuned control or reservation
 // waveguide: laser launch and modulation, but no per-bit thermal tuning —
 // the control rings hold a fixed resonance.
-func (l *Ledger) AddControlTransmit(bits float64) {
-	l.Add(EnergyLaunch, l.params.LaunchPJPerBit.Times(bits))
-	l.Add(EnergyModulation, l.params.ModulationPJPerBit.Times(bits))
+func (l *Ledger) AddControlTransmit(bits int64) {
+	l.Add(EnergyLaunch, bits)
+	l.Add(EnergyModulation, bits)
 }
 
-// AddBufferAccess charges one buffer write or read of bits.
-func (l *Ledger) AddBufferAccess(bits float64) {
-	l.Add(EnergyBuffer, l.params.BufferPJPerBit.Times(bits))
-}
+// Counts returns the counts charged so far.
+func (l *Ledger) Counts() Counts { return l.counts }
 
-// AddBufferResidency charges bitCycles bit-cycles of buffer retention.
-func (l *Ledger) AddBufferResidency(bitCycles float64) {
-	l.Add(EnergyBufferResidency, l.params.BufferResidencyPJPerBitCycle.Times(bitCycles))
-}
-
-// AddRouterTraversal charges one router crossbar traversal of bits.
-func (l *Ledger) AddRouterTraversal(bits float64) {
-	l.Add(EnergyRouter, l.params.RouterPJPerBit.Times(bits))
-}
-
-// AddWireLink charges one electrical link hop of bits.
-func (l *Ledger) AddWireLink(bits float64) {
-	l.Add(EnergyWireLink, l.params.WireLinkPJPerBit.Times(bits))
-}
-
-// AddIdleDetector charges wavelengthCycles of powered-but-gated detector
-// rows (the Firefly inefficiency).
-func (l *Ledger) AddIdleDetector(wavelengthCycles float64) {
-	l.Add(EnergyIdleDetector, l.params.IdleDetectorPJPerWavelengthCycle.Times(wavelengthCycles))
-}
-
-// Total returns the accumulated energy of component c in picojoules.
-func (l *Ledger) Total(c EnergyComponent) units.Picojoule { return l.totals[c] }
-
-// TotalPJ returns the total accumulated energy in picojoules.
-func (l *Ledger) TotalPJ() units.Picojoule {
-	var sum units.Picojoule
-	for _, v := range l.totals {
-		sum += v
-	}
-	return sum
-}
-
-// PhotonicPJ returns the photonic share, Eq. (4): launch + modulation +
-// tuning + photonic buffer terms.
-func (l *Ledger) PhotonicPJ() units.Picojoule {
-	return l.totals[EnergyLaunch] + l.totals[EnergyModulation] +
-		l.totals[EnergyTuning] + l.totals[EnergyIdleDetector]
-}
-
-// ElectricalPJ returns the electrical share: routers, links, buffers.
-func (l *Ledger) ElectricalPJ() units.Picojoule {
-	return l.totals[EnergyRouter] + l.totals[EnergyWireLink] +
-		l.totals[EnergyBuffer] + l.totals[EnergyBufferResidency]
-}
-
-// Breakdown returns a copy of the per-component totals.
-func (l *Ledger) Breakdown() map[EnergyComponent]units.Picojoule {
-	out := make(map[EnergyComponent]units.Picojoule, int(numEnergyComponents)-1)
-	for c := EnergyLaunch; c < numEnergyComponents; c++ {
-		out[c] = l.totals[c]
-	}
-	return out
-}
+// Energy returns the counts priced at the ledger's parameters.
+func (l *Ledger) Energy() Energy { return l.params.Price(l.counts) }

@@ -78,13 +78,13 @@ func TestWavelengthIDOrdering(t *testing.T) {
 func TestLedgerWarmupGating(t *testing.T) {
 	l := NewLedger(DefaultEnergyParams())
 	l.AddPhotonicTransmit(1000)
-	l.AddRouterTraversal(1000)
-	if got := l.TotalPJ(); got != 0 {
-		t.Fatalf("ledger counted %g pJ before measurement", got)
+	l.Add(EnergyRouter, 1000)
+	if got := l.Counts(); got != (Counts{}) {
+		t.Fatalf("ledger counted %v before measurement", got)
 	}
 	l.StartMeasurement()
 	l.AddPhotonicTransmit(1000)
-	if got := l.TotalPJ(); got == 0 {
+	if got := l.Energy().TotalPJ; got == 0 {
 		t.Fatal("ledger ignored post-measurement energy")
 	}
 }
@@ -95,46 +95,42 @@ func TestLedgerComponents(t *testing.T) {
 	l.StartMeasurement()
 
 	l.AddPhotonicTransmit(100)
-	wantLaunch := p.LaunchPJPerBit.Times(100)
-	wantMod := p.ModulationPJPerBit.Times(100)
-	wantTune := p.TuningPJPerBit.Times(100)
-	if got := l.Total(EnergyLaunch); got != wantLaunch {
-		t.Errorf("launch = %g, want %g", got, wantLaunch)
+	l.AddControlTransmit(100) // launch + modulation, but no tuning
+	l.Add(EnergyModulation, 50)
+	l.Add(EnergyBuffer, 200)
+	l.Add(EnergyBufferResidency, 400)
+	l.Add(EnergyRouter, 300)
+	l.Add(EnergyWireLink, 100)
+	l.Add(EnergyIdleDetector, 10)
+	want := Counts{
+		EnergyLaunch: 200, EnergyModulation: 250, EnergyTuning: 100,
+		EnergyBuffer: 200, EnergyBufferResidency: 400, EnergyRouter: 300,
+		EnergyWireLink: 100, EnergyIdleDetector: 10,
 	}
-	if got := l.Total(EnergyModulation); got != wantMod {
-		t.Errorf("modulation = %g, want %g", got, wantMod)
-	}
-	if got := l.Total(EnergyTuning); got != wantTune {
-		t.Errorf("tuning = %g, want %g", got, wantTune)
-	}
-
-	l.AddControlTransmit(100)
-	// Control transmit adds launch + modulation but no tuning.
-	if got := l.Total(EnergyTuning); got != wantTune {
-		t.Errorf("control transmit charged tuning: %g, want %g", got, wantTune)
-	}
-	if got := l.Total(EnergyLaunch); got != 2*wantLaunch {
-		t.Errorf("launch after control = %g, want %g", got, 2*wantLaunch)
+	if got := l.Counts(); got != want {
+		t.Fatalf("counts = %v, want %v", got, want)
 	}
 
-	l.AddDemodulation(50)
-	l.AddBufferAccess(200)
-	l.AddBufferResidency(400)
-	l.AddRouterTraversal(300)
-	l.AddWireLink(100)
-	l.AddIdleDetector(10)
-
+	e := l.Energy()
+	if e != p.Price(want) {
+		t.Fatalf("Energy() = %+v, Price = %+v", e, p.Price(want))
+	}
+	if got, want := e.ByComponent[EnergyLaunch], p.LaunchPJPerBit.Times(200); got != want {
+		t.Errorf("launch = %g, want %g", got, want)
+	}
+	if got, want := e.ByComponent[EnergyIdleDetector], p.IdleDetectorPJPerWavelengthCycle.Times(10); got != want {
+		t.Errorf("idle detector = %g, want %g", got, want)
+	}
 	// The grand total must equal the sum of the breakdown.
 	var sum units.Picojoule
-	for _, v := range l.Breakdown() {
+	for _, v := range e.ByComponent {
 		sum += v
 	}
-	if got := l.TotalPJ(); got != sum {
-		t.Fatalf("TotalPJ = %g, breakdown sums to %g", got, sum)
+	if e.TotalPJ != sum {
+		t.Fatalf("TotalPJ = %g, breakdown sums to %g", e.TotalPJ, sum)
 	}
-	if l.PhotonicPJ()+l.ElectricalPJ() != l.TotalPJ() {
-		t.Fatalf("photonic (%g) + electrical (%g) != total (%g)",
-			l.PhotonicPJ(), l.ElectricalPJ(), l.TotalPJ())
+	if e.PhotonicPJ+e.ElectricalPJ != e.TotalPJ {
+		t.Fatalf("photonic (%g) + electrical (%g) != total (%g)", e.PhotonicPJ, e.ElectricalPJ, e.TotalPJ)
 	}
 }
 

@@ -89,9 +89,9 @@ func (r *refRouter) tick(now sim.Cycle) error {
 			if err := out.dst.Enqueue(lock.vc, popped, now); err != nil {
 				return err
 			}
-			r.ledger.AddRouterTraversal(float64(popped.Bits()))
+			r.ledger.Add(photonic.EnergyRouter, int64(popped.Bits()))
 			if out.charge {
-				r.ledger.AddWireLink(float64(popped.Bits()))
+				r.ledger.Add(photonic.EnergyWireLink, int64(popped.Bits()))
 			}
 			if popped.Type.IsTail() {
 				*lock = refLock{}

@@ -176,7 +176,7 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 			w.set.Set(int(w.bit))
 		}
 	}
-	a.ledger.AddBufferAccess(float64(f.Bits()))
+	a.ledger.Add(photonic.EnergyBuffer, int64(f.Bits()))
 	return nil
 }
 
@@ -227,7 +227,7 @@ func (p *Port) Pop(i int) (packet.Flit, error) {
 	a.buffered[p.id]--
 	// The cached per-VC flit size avoids dereferencing the packet just to
 	// charge the read energy.
-	a.ledger.AddBufferAccess(float64(a.fbits[g]))
+	a.ledger.Add(photonic.EnergyBuffer, int64(a.fbits[g]))
 	if h.count == 0 {
 		a.occMask[p.id] &^= 1 << uint(i)
 	}

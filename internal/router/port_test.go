@@ -136,10 +136,9 @@ func TestPortBufferEnergyCharged(t *testing.T) {
 	if _, err := p.Pop(vc); err != nil {
 		t.Fatal(err)
 	}
-	// One write + one read of a 32-bit flit at 0.078125 pJ/bit.
-	want := 2 * 32 * 0.078125
-	if got := float64(ledger.Total(photonic.EnergyBuffer)); got != want {
-		t.Fatalf("buffer energy = %g pJ, want %g", got, want)
+	// One write + one read of a 32-bit flit.
+	if got, want := ledger.Counts()[photonic.EnergyBuffer], int64(2*32); got != want {
+		t.Fatalf("buffer accesses = %d bits, want %d", got, want)
 	}
 }
 

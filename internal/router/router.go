@@ -407,10 +407,10 @@ func (r *Router) Tick(now sim.Cycle) error {
 			if err := out.dst.Enqueue(dstVC, popped, now); err != nil {
 				return fmt.Errorf("router %s: %w", r.name, err)
 			}
-			flitBits := float64(fbits[g])
-			r.ledger.AddRouterTraversal(flitBits)
+			flitBits := int64(fbits[g])
+			r.ledger.Add(photonic.EnergyRouter, flitBits)
 			if out.charge {
-				r.ledger.AddWireLink(flitBits)
+				r.ledger.Add(photonic.EnergyWireLink, flitBits)
 			}
 			budget[in]--
 			granted++

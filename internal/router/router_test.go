@@ -433,13 +433,14 @@ func TestRouterEnergyAccounting(t *testing.T) {
 	f.inject(t, pkt, 0)
 	f.run(t, 0, 5)
 
-	// One traversal of 32 bits at 0.625 pJ/bit.
-	if got, want := float64(f.ledger.Total(photonic.EnergyRouter)), 32*0.625; got != want {
-		t.Fatalf("router energy = %g, want %g", got, want)
+	// One traversal of 32 bits.
+	counts := f.ledger.Counts()
+	if got, want := counts[photonic.EnergyRouter], int64(32); got != want {
+		t.Fatalf("router traversal = %d bits, want %d", got, want)
 	}
 	// Output 0 charges the wire link (chargeLink=true).
-	if got, want := float64(f.ledger.Total(photonic.EnergyWireLink)), 32*0.1; got != want {
-		t.Fatalf("wire energy = %g, want %g", got, want)
+	if got, want := counts[photonic.EnergyWireLink], int64(32); got != want {
+		t.Fatalf("wire link = %d bits, want %d", got, want)
 	}
 }
 

@@ -241,7 +241,7 @@ func JainIndex(xs []int64) float64 {
 	for _, x := range xs {
 		v := float64(x)
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v) // rounded: no fused multiply-add on any GOARCH
 	}
 	if sumSq == 0 {
 		return 0

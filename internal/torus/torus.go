@@ -317,8 +317,8 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 
 		// The electronic setup packet costs one control-router
 		// traversal per hop regardless of outcome.
-		setupBits := float64(packet.ReservationBits(n.cfg.Nodes, n.cfg.MaxFlits, n.cfg.Bundle, 0))
-		n.ledger.AddRouterTraversal(setupBits * float64(len(links)))
+		setupBits := packet.ReservationBits(n.cfg.Nodes, n.cfg.MaxFlits, n.cfg.Bundle, 0)
+		n.ledger.Add(photonic.EnergyRouter, int64(setupBits*len(links)))
 
 		for _, l := range links {
 			if n.linkOwner[l] != nil {
@@ -356,7 +356,8 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 
 // stream moves flits along the established circuit at the full link rate.
 func (n *Network) stream(p *path, now sim.Cycle) error {
-	perCycle := photonic.BitsPerCycle(n.cfg.ClockHz) * float64(n.cfg.Bundle.WavelengthsPerWaveguide)
+	// Rounded, so no GOARCH fuses it into the credit sums below.
+	perCycle := float64(photonic.BitsPerCycle(n.cfg.ClockHz) * float64(n.cfg.Bundle.WavelengthsPerWaveguide))
 	flitBits := float64(p.pkt.FlitBits)
 	p.credit += perCycle
 	if maxCredit := flitBits + perCycle; p.credit > maxCredit {
@@ -382,7 +383,7 @@ func (n *Network) stream(p *path, now sim.Cycle) error {
 		// Launch + modulation + tuning at the source; the PSE turns add
 		// no per-bit energy in this model, only path loss (see the link
 		// budget module).
-		n.ledger.AddPhotonicTransmit(flitBits)
+		n.ledger.AddPhotonicTransmit(int64(p.pkt.FlitBits))
 		if err := p.window.Deliver(popped, now); err != nil {
 			return err
 		}

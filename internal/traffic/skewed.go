@@ -99,7 +99,9 @@ func apportionClusters(clusters int, freq [4]float64, rates [4]float64) ([4]int,
 	var remainders [4]float64
 	assigned := 0
 	for i := range weights {
-		exact := weights[i] / total * float64(clusters)
+		// Rounded before int() and the remainder, so a fused
+		// multiply-subtract cannot move a cluster between counts.
+		exact := float64(weights[i] / total * float64(clusters))
 		counts[i] = int(exact)
 		remainders[i] = exact - float64(counts[i])
 		assigned += counts[i]

@@ -77,15 +77,18 @@ func (v GHz) String() string              { return fmt.Sprintf("%g %s", float64(
 func (v SquareMillimeter) String() string { return fmt.Sprintf("%g %s", float64(v), v.Unit()) }
 
 // Times scales a loss by a dimensionless element count (rings passed,
-// crossings traversed).
-func (v DB) Times(n float64) DB { return v * DB(n) }
+// crossings traversed). The explicit conversion rounds the product, so a
+// compiler cannot fuse it with a following addition (Go spec,
+// "Arithmetic operators"): a sum of Times is the same on every GOARCH.
+func (v DB) Times(n float64) DB { return DB(v * DB(n)) }
 
 // Over converts the loss rate into a loss over a path of the given
 // length.
 func (r DBPerCm) Over(length Centimeter) DB { return DB(float64(r) * float64(length)) }
 
-// Times scales an energy by a dimensionless count (bits, bit-cycles).
-func (v Picojoule) Times(n float64) Picojoule { return v * Picojoule(n) }
+// Times scales an energy by a dimensionless count (bits, bit-cycles),
+// rounding the product explicitly like DB.Times.
+func (v Picojoule) Times(n float64) Picojoule { return Picojoule(v * Picojoule(n)) }
 
 // Div divides an energy by a dimensionless count (packets delivered),
 // yielding a per-item energy in the same unit.

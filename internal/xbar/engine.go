@@ -104,7 +104,7 @@ func (rx *RX) Begin(p *packet.Packet, power []photonic.WavelengthID) Window {
 
 // Deliver accepts one flit off the channel into the window.
 func (w *Window) Deliver(f packet.Flit, now sim.Cycle) error {
-	w.rx.ledger.AddDemodulation(float64(f.Bits()))
+	w.rx.ledger.Add(photonic.EnergyModulation, int64(f.Bits()))
 	if w.dropped {
 		w.rx.flitsDiscarded++
 		return nil
@@ -116,7 +116,7 @@ func (w *Window) Deliver(f packet.Flit, now sim.Cycle) error {
 // it every cycle it holds the window; un-gating the rows is no longer
 // calling it.
 func (w *Window) HoldCost() {
-	w.rx.ledger.AddIdleDetector(float64(len(w.power)))
+	w.rx.ledger.Add(photonic.EnergyIdleDetector, int64(len(w.power)))
 }
 
 // pending is a reservation in flight for the next packet: broadcast on the
@@ -315,13 +315,13 @@ func (tx *TX) admitNext(now sim.Cycle) {
 				ids = len(use)
 			}
 			cycles := packet.ReservationCycles(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids, tx.cfg.ClockHz)
-			resBits := float64(packet.ReservationBits(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids))
+			resBits := int64(packet.ReservationBits(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids))
 			tx.ledger.AddControlTransmit(resBits)
 			// Every listening cluster decodes the destination-ID field of
 			// the broadcast; only the addressed destination demodulates
 			// the rest (R-SWMR reservation broadcast, §2.2.1).
-			idBits := float64(packet.DestinationIDBits(tx.cfg.Clusters))
-			tx.ledger.AddDemodulation(idBits*float64(tx.cfg.Clusters-1) + resBits)
+			idBits := int64(packet.DestinationIDBits(tx.cfg.Clusters))
+			tx.ledger.Add(photonic.EnergyModulation, idBits*int64(tx.cfg.Clusters-1)+resBits)
 
 			tx.next = pending{
 				pkt:     pkt,
@@ -341,7 +341,8 @@ func (tx *TX) admitNext(now sim.Cycle) {
 // credit accrues: k allocated wavelengths earn k x (rate/clock) bits per
 // cycle (5 bits per wavelength at the thesis's operating point).
 func (tx *TX) stream(now sim.Cycle) error {
-	perCycle := photonic.BitsPerCycle(tx.cfg.ClockHz) * float64(len(tx.use))
+	// Rounded, so no GOARCH fuses it into the credit sums below.
+	perCycle := float64(photonic.BitsPerCycle(tx.cfg.ClockHz) * float64(len(tx.use)))
 	flitBits := float64(tx.current.FlitBits)
 	tx.credit += perCycle
 	// Idle light slots are lost: credit cannot bank more than one cycle
@@ -365,7 +366,7 @@ func (tx *TX) stream(now sim.Cycle) error {
 			return err
 		}
 		tx.credit -= flitBits
-		tx.ledger.AddPhotonicTransmit(flitBits)
+		tx.ledger.AddPhotonicTransmit(int64(tx.current.FlitBits))
 		if err := tx.window.Deliver(popped, now); err != nil {
 			return err
 		}

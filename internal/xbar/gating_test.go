@@ -78,7 +78,7 @@ func TestSelectiveGatingPowersFewerDetectors(t *testing.T) {
 		}
 		maxPowered := 0
 		for now := sim.Cycle(0); now < 300; now++ {
-			before := ledger.Total(photonic.EnergyIdleDetector)
+			before := ledger.Counts()[photonic.EnergyIdleDetector]
 			if err := tx.Tick(now); err != nil {
 				t.Fatal(err)
 			}

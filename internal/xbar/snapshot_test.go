@@ -61,7 +61,7 @@ func TestTXSnapshotMidStream(t *testing.T) {
 
 	rig := load()
 	head := rig.runDraining(t, 0, snapAt-1)
-	before := rig.ledger.Total(photonic.EnergyIdleDetector)
+	before := rig.ledger.Counts()[photonic.EnergyIdleDetector]
 	head = append(head, rig.runDraining(t, snapAt-1, snapAt)...)
 	if rows := poweredRows(rig.ledger, before); rows != 8 {
 		t.Fatalf("cycle %d holds %d demodulator rows powered, want 8: the streaming window's 4 plus the reserved packet's 4", snapAt-1, rows)

@@ -1,7 +1,6 @@
 package xbar
 
 import (
-	"math"
 	"testing"
 
 	"hetpnoc/internal/packet"
@@ -9,7 +8,6 @@ import (
 	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
-	"hetpnoc/internal/units"
 )
 
 func mustBundle(t *testing.T, total int) photonic.WaveguideBundle {
@@ -145,12 +143,11 @@ func (rig *txRig) enqueuePacket(t *testing.T, id packet.ID, flits int, now sim.C
 	}
 }
 
-// poweredRows converts the idle-detector energy charged to a measuring
-// ledger since before into demodulator rows held powered: the receive
+// poweredRows returns the demodulator rows a measuring ledger was
+// charged for since its idle-detector count was before: the receive
 // windows charge their gated rows once per cycle they are held.
-func poweredRows(l *photonic.Ledger, before units.Picojoule) int {
-	perRow := photonic.DefaultEnergyParams().IdleDetectorPJPerWavelengthCycle
-	return int(math.Round(float64((l.Total(photonic.EnergyIdleDetector) - before) / perRow)))
+func poweredRows(l *photonic.Ledger, before int64) int {
+	return int(l.Counts()[photonic.EnergyIdleDetector] - before)
 }
 
 func (rig *txRig) run(t *testing.T, from, to sim.Cycle) {
@@ -354,7 +351,7 @@ func TestDetectorGating(t *testing.T) {
 
 		maxPowered, last := 0, 0
 		for now := sim.Cycle(0); now < 200; now++ {
-			before := rig.ledger.Total(photonic.EnergyIdleDetector)
+			before := rig.ledger.Counts()[photonic.EnergyIdleDetector]
 			if err := rig.tx.Tick(now); err != nil {
 				t.Fatal(err)
 			}
