@@ -14,8 +14,8 @@
 #                  ./...` cannot see
 #   make bench-smoke — compile and run the router/fabric/batch/token
 #                  microbenchmarks, a shelved Run and a /v1/run cache hit
-#                  at 200 iterations each, and the /v1/sweep benchmark at
-#                  3 (CI keeps them from rotting)
+#                  at 200 iterations each, and the /v1/sweep and probed
+#                  Run benchmarks at 3 (CI keeps them from rotting)
 #   make fused   — fail on any fused multiply-add the arm64 compiler
 #                  emits in a module function (fused_test.go)
 #   make sweep   — quick smoke sweep of every figure
@@ -111,9 +111,12 @@ bench-check:
 # forks/op; each iteration is ~0.1 s, hence its own iteration count.
 # HTTPRunHit posts a cached config (internal/serve), once as the repeated
 # body the body index answers and once respelled, and reports allocs/op.
+# RunProbed is a whole light and saturated Run with the probe off and
+# on (root package); a saturated run is ~0.1 s, hence 3 iterations.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'RouterTick|FabricStep|FabricCheckpoint|FabricRestore|FabricReseed|BatchMember|TokenTick|RunShelved|HTTPRunHit' -benchtime 200x . ./internal/router ./internal/fabric ./internal/batch ./internal/core ./internal/serve
 	$(GO) test -run '^$$' -bench 'HTTPSweep' -benchtime 3x ./internal/serve
+	$(GO) test -run '^$$' -bench 'RunProbed' -benchtime 3x .
 
 # A fused x*y + z rounds once, so the floats of a run — and the goldens —
 # would differ between amd64 and arm64. The build-tagged test

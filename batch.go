@@ -27,5 +27,5 @@ func RunBatch(cfgs []Config) ([]Result, error) {
 // members within one cancellation-check interval and drains the batch
 // workers cleanly.
 func RunBatchContext(ctx context.Context, cfgs []Config) ([]Result, error) {
-	return run(ctx, cfgs, nil, 0, nil)
+	return run(ctx, cfgs)
 }

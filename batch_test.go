@@ -6,7 +6,10 @@ import (
 
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/sim"
 	"hetpnoc/internal/testutil/leakcheck"
+	"hetpnoc/internal/topology"
+	"hetpnoc/internal/traffic"
 )
 
 // canonical encodes r, failing the test on error.
@@ -25,7 +28,7 @@ func lowerAll(t *testing.T, cfgs []Config) []fabric.Config {
 	specs := make([]fabric.Config, len(cfgs))
 	for i, c := range cfgs {
 		var err error
-		if specs[i], err = lower(c, nil); err != nil {
+		if specs[i], err = lower(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +114,7 @@ func TestRunIsOneBuild(t *testing.T) {
 	// The bare fabric path of a first sighting: lower, fabric.New, the
 	// cycle-0 checkpoint the shelf keeps, StepContext, Finish, lift.
 	bare := testing.AllocsPerRun(20, func() {
-		fc, err := lower(cfg, nil)
+		fc, err := lower(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,31 +213,43 @@ func TestRunBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestPanicBelowRunReachesCaller: every run now executes on a batch
-// plan, yet a panic inside it — an observer's here — still unwinds the
-// caller of RunWithTrace, and of a run whose members run on plan worker
+// TestPanicBelowRunReachesCaller: every run executes on a batch plan, yet
+// a panic inside it — a remap pattern's here, raised when the remap
+// fires — still unwinds the caller of a solo run, which the plan runs on
+// the caller's goroutine, and of a run whose members run on plan worker
 // goroutines, where the caller (hetpnocd's runRecovered) can recover it.
 func TestPanicBelowRunReachesCaller(t *testing.T) {
 	leakcheck.Check(t)
-	poisoned := func(Snapshot) { panic("observer poisoned") }
-	cfg := Config{Cycles: 1200, WarmupCycles: 1000}
-	skewed := cfg
-	skewed.Traffic = SkewedTraffic(2)
+	specs := lowerAll(t, []Config{{Cycles: 1200, WarmupCycles: 1000}, {Cycles: 1200, WarmupCycles: 1000, Traffic: SkewedTraffic(2)}})
+	specs[1].Remaps = []fabric.Remap{{At: 100, Pattern: poisonedRemap{}}}
 	for _, c := range []struct {
-		name string
-		call func()
+		name  string
+		specs []fabric.Config
 	}{
-		{"RunWithTrace", func() { RunWithTrace(cfg, nil, 100, poisoned) }},
-		{"two groups", func() { run(context.Background(), []Config{cfg, skewed}, nil, 100, poisoned) }},
+		{"solo", specs[1:]},
+		{"two groups", specs},
 	} {
 		func() {
 			defer func() {
-				if r := recover(); r != "observer poisoned" {
-					t.Errorf("%s: recovered %v, want the observer's panic", c.name, r)
+				if r := recover(); r != "remap poisoned" {
+					t.Errorf("%s: recovered %v, want the remap's panic", c.name, r)
 				}
 			}()
-			c.call()
-			t.Errorf("%s returned past a panicking observer", c.name)
+			plan, err := batch.NewPlan(c.specs, batch.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.Run(context.Background())
+			t.Errorf("%s returned past a panicking remap", c.name)
 		}()
 	}
+}
+
+// poisonedRemap is a remap pattern that panics when it fires.
+type poisonedRemap struct{}
+
+func (poisonedRemap) Name() string { return "poisoned" }
+
+func (poisonedRemap) Assign(topology.Topology, traffic.BandwidthSet, *sim.RNG) (traffic.Assignment, error) {
+	panic("remap poisoned")
 }

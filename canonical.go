@@ -2,8 +2,7 @@ package hetpnoc
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
+	"slices"
 
 	"hetpnoc/internal/fabric"
 )
@@ -20,7 +19,7 @@ import (
 // Run's behaviour exactly). Two configs that normalize identically
 // simulate identically; the serving cache keys on the normalized form so
 // an explicit `{"bandwidthSet": 1}` and an omitted one share a cache
-// entry.
+// entry. Each remap's traffic is normalized like the run's.
 func (c Config) Normalized() Config {
 	if c.Architecture == 0 {
 		c.Architecture = DHetPNoC
@@ -28,37 +27,10 @@ func (c Config) Normalized() Config {
 	if c.BandwidthSet == 0 {
 		c.BandwidthSet = 1
 	}
-	if c.Traffic.Kind == 0 {
-		c.Traffic.Kind = UniformRandom
-	}
-	// Burstiness at or below 1 leaves every source Markov-free, exactly
-	// as 0 does; collapse the representations.
-	if c.Traffic.Burstiness > 0 && c.Traffic.Burstiness <= 1 {
-		c.Traffic.Burstiness = 0
-	}
-	// Zero the traffic fields the selected kind never reads, so stray
-	// values cannot split cache entries for identical simulations.
-	switch c.Traffic.Kind {
-	case UniformRandom, RealApplication:
-		c.Traffic.SkewLevel = 0
-		c.Traffic.HotspotFraction = 0
-		c.Traffic.Permutation = ""
-		c.Traffic.Custom = nil
-	case SkewedKind:
-		c.Traffic.HotspotFraction = 0
-		c.Traffic.Permutation = ""
-		c.Traffic.Custom = nil
-	case SkewedHotspotKind:
-		c.Traffic.Permutation = ""
-		c.Traffic.Custom = nil
-	case PermutationKind:
-		c.Traffic.SkewLevel = 0
-		c.Traffic.HotspotFraction = 0
-		c.Traffic.Custom = nil
-	case CustomKind:
-		c.Traffic.SkewLevel = 0
-		c.Traffic.HotspotFraction = 0
-		c.Traffic.Permutation = ""
+	c.Traffic = c.Traffic.normalized()
+	c.Remaps = slices.Clone(c.Remaps)
+	for i := range c.Remaps {
+		c.Remaps[i].Traffic = c.Remaps[i].Traffic.normalized()
 	}
 	if c.LoadScale == 0 {
 		c.LoadScale = fabric.DefaultLoadScale
@@ -75,46 +47,48 @@ func (c Config) Normalized() Config {
 	return c
 }
 
+// normalized returns the traffic with its kind's default filled in and
+// only the fields that kind reads kept, so stray values cannot split
+// cache entries for identical simulations. An unknown kind, which no
+// run accepts, is left as it is.
+func (t Traffic) normalized() Traffic {
+	if t.Kind == 0 {
+		t.Kind = UniformRandom
+	}
+	// Burstiness at or below 1 leaves every source Markov-free, exactly
+	// as 0 does; collapse the representations.
+	if t.Burstiness > 0 && t.Burstiness <= 1 {
+		t.Burstiness = 0
+	}
+	n := Traffic{Kind: t.Kind, Burstiness: t.Burstiness}
+	switch t.Kind {
+	case UniformRandom, RealApplication:
+	case SkewedKind:
+		n.SkewLevel = t.SkewLevel
+	case SkewedHotspotKind:
+		n.SkewLevel, n.HotspotFraction = t.SkewLevel, t.HotspotFraction
+	case PermutationKind:
+		n.Permutation = t.Permutation
+	case CustomKind:
+		n.Custom = t.Custom
+	default:
+		return t
+	}
+	return n
+}
+
 // Validate reports the first configuration error without building the
-// fabric, using the same lowering Run performs. A nil error means Run
-// will accept the config (it may still fail on resource exhaustion for
-// extreme cycle counts). The fuzz suite holds this to a stronger
-// contract: Validate must return normally on any input, however hostile.
+// fabric: it is the lowering and the checks Run performs, remaps
+// included. A nil error means Run will accept the config (it may still
+// fail on resource exhaustion for extreme cycle counts). The fuzz suite
+// holds this to a stronger contract: Validate must return normally on
+// any input, however hostile.
 func (c Config) Validate() error {
-	if err := checkFinite("load scale", c.LoadScale); err != nil {
-		return err
-	}
-	if err := checkFinite("burstiness", c.Traffic.Burstiness); err != nil {
-		return err
-	}
-	if err := checkFinite("hotspot fraction", c.Traffic.HotspotFraction); err != nil {
-		return err
-	}
-	for i, spec := range c.Traffic.Custom {
-		if err := checkFinite(fmt.Sprintf("core %d rate", i), spec.RateGbps); err != nil {
-			return err
-		}
-		if err := checkFinite(fmt.Sprintf("core %d demand", i), spec.DemandGbps); err != nil {
-			return err
-		}
-		if spec.RateGbps < 0 || spec.DemandGbps < 0 {
-			return fmt.Errorf("hetpnoc: core %d: negative rate or demand", i)
-		}
-	}
-	fc, err := lower(c, nil)
+	fc, err := lower(c)
 	if err != nil {
 		return err
 	}
 	return fc.WithDefaults().Validate()
-}
-
-// checkFinite rejects the float values JSON cannot round-trip and the
-// simulator cannot meaningfully consume.
-func checkFinite(what string, v float64) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("hetpnoc: %s must be finite, got %g", what, v)
-	}
-	return nil
 }
 
 // CanonicalJSON returns the deterministic byte encoding of the

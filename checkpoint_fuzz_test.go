@@ -39,7 +39,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 		snap := 1 + mod(snapAt, cfg.Cycles-1)
 
-		fc, err := lower(cfg, nil)
+		fc, err := lower(cfg)
 		if err != nil {
 			t.Fatalf("clamped config rejected: %v\n%+v", err, cfg)
 		}

@@ -7,47 +7,59 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hetpnoc"
 )
 
 func main() {
-	fmt.Println("cycle | token rotations | wavelengths per cluster write channel")
-	fmt.Println("------+-----------------+--------------------------------------")
-
-	var last string
-	res, err := hetpnoc.RunWithTrace(
-		hetpnoc.Config{
-			Architecture: hetpnoc.DHetPNoC,
-			BandwidthSet: 1,
-			Traffic:      hetpnoc.UniformTraffic(),
-			Cycles:       8000,
-			WarmupCycles: 1000,
-			Seed:         1,
-		},
-		[]hetpnoc.TrafficRemap{
-			{AtCycle: 4000, Traffic: hetpnoc.SkewedTraffic(3)},
-		},
-		200, // observe every 200 cycles
-		func(s hetpnoc.Snapshot) {
-			line := fmt.Sprintf("%v", s.AllocatedWavelengths)
-			if line == last {
-				return // only print when the allocation changes
-			}
-			last = line
-			fmt.Printf("%5d | %15d | %s\n", s.Cycle, s.TokenRotations, line)
-		},
-	)
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	fmt.Printf("\nFinal allocation: %v\n", res.AllocatedWavelengths)
-	fmt.Printf("Delivered %.1f Gb/s across the remap; %d token rotations total.\n",
+// run simulates the remap with the probe on and writes the allocation
+// at every probe row where it changed, then the run's totals.
+func run(w io.Writer) error {
+	const every = 200 // probe every 200 cycles
+	res, err := hetpnoc.Run(hetpnoc.Config{
+		Architecture: hetpnoc.DHetPNoC,
+		BandwidthSet: 1,
+		Traffic:      hetpnoc.UniformTraffic(),
+		Cycles:       8000,
+		WarmupCycles: 1000,
+		Seed:         1,
+		Remaps:       []hetpnoc.TrafficRemap{{AtCycle: 4000, Traffic: hetpnoc.SkewedTraffic(3)}},
+		ProbeEvery:   every,
+	})
+	if err != nil {
+		return err
+	}
+
+	var b bytes.Buffer
+	fmt.Fprintln(&b, "cycle | token rotations | wavelengths per cluster write channel")
+	fmt.Fprintln(&b, "------+-----------------+--------------------------------------")
+	var last string
+	p := res.Probe
+	for i, rotations := range p.TokenRotations {
+		line := fmt.Sprintf("%v", p.AllocatedWavelengths[i*p.Clusters:(i+1)*p.Clusters])
+		if line == last {
+			continue // only print when the allocation changes
+		}
+		last = line
+		fmt.Fprintf(&b, "%5d | %15d | %s\n", (i+1)*every, rotations, line)
+	}
+
+	fmt.Fprintf(&b, "\nFinal allocation: %v\n", res.AllocatedWavelengths)
+	fmt.Fprintf(&b, "Delivered %.1f Gb/s across the remap; %d token rotations total.\n",
 		res.DeliveredGbps, res.TokenRotations)
-	fmt.Println("After the remap, the high-demand clusters (which want 8 wavelengths each)")
-	fmt.Println("split the contended pool fairly over successive token rotations, while")
-	fmt.Println("low-demand clusters fall back toward their reserved minimum of 1.")
+	fmt.Fprintln(&b, "After the remap, the high-demand clusters (which want 8 wavelengths each)")
+	fmt.Fprintln(&b, "split the contended pool fairly over successive token rotations, while")
+	fmt.Fprintln(&b, "low-demand clusters fall back toward their reserved minimum of 1.")
+	_, err = w.Write(b.Bytes())
+	return err
 }

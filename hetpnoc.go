@@ -30,6 +30,7 @@ package hetpnoc
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
@@ -197,6 +198,24 @@ type Config struct {
 	// Result.Events then carries the most recent events (reservations,
 	// drops, allocation changes, remaps) formatted one per line.
 	EventCapacity int
+
+	// Remaps change the workload mid-run. They fire in cycle order, ties
+	// in the order listed.
+	Remaps []TrafficRemap `json:",omitempty"`
+
+	// ProbeEvery, when positive, samples the run every ProbeEvery cycles;
+	// Result.Probe then carries the rows.
+	ProbeEvery int64 `json:",omitempty"`
+}
+
+// TrafficRemap changes the workload mid-run: at cycle AtCycle the task
+// mapping switches to Traffic and every core re-reports its demand table,
+// triggering DBA reconfiguration on the following token rotations (§3.2).
+// AtCycle must lie inside the run, 0 <= AtCycle < Cycles; anything else is
+// a configuration error.
+type TrafficRemap struct {
+	AtCycle int64
+	Traffic Traffic
 }
 
 // Run simulates the configured network for the configured cycles and
@@ -214,31 +233,25 @@ func Run(cfg Config) (Result, error) {
 // The simulation itself is unaffected by the polling — a run that
 // completes is bit-identical to Run's.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
-	return first(run(ctx, []Config{cfg}, nil, 0, nil))
+	return first(run(ctx, []Config{cfg}))
 }
 
-// run is the one execution path behind Run, RunContext, RunWithTrace and
-// RunBatch: lower every config (each with remaps scheduled), plan them —
-// a solo run is a one-member plan, which forks a kept build of its
-// prefix or builds and keeps one — run the plan and lift the results. observe, when set, sees a snapshot of the
-// running fabric at every multiple of every cycles.
-func run(ctx context.Context, cfgs []Config, remaps []TrafficRemap, every int64, observe func(Snapshot)) ([]Result, error) {
+// run is the one execution path behind Run, RunContext and RunBatch:
+// lower every config, plan them — a solo run is a one-member plan, which
+// forks a kept build of its prefix or builds and keeps one — run the
+// plan and lift the results.
+func run(ctx context.Context, cfgs []Config) ([]Result, error) {
 	if len(cfgs) == 0 {
 		return []Result{}, nil
 	}
 	specs := make([]fabric.Config, len(cfgs))
 	for i, c := range cfgs {
 		var err error
-		if specs[i], err = lower(c, remaps); err != nil {
+		if specs[i], err = lower(c); err != nil {
 			return nil, err
 		}
 	}
-	opts := batch.Options{}
-	if observe != nil {
-		opts.Every = every
-		opts.Observe = func(_ int, f *fabric.Fabric) { observe(snapshotOf(f)) }
-	}
-	plan, err := batch.NewPlan(specs, opts)
+	plan, err := batch.NewPlan(specs, batch.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -261,10 +274,10 @@ func first(results []Result, err error) (Result, error) {
 	return results[0], nil
 }
 
-// lower maps the public configuration, and any mid-run remaps, onto the
-// internal fabric configuration. Unset run parameters stay zero; the
-// fabric's WithDefaults fills them.
-func lower(cfg Config, remaps []TrafficRemap) (fabric.Config, error) {
+// lower maps the public configuration onto the internal fabric
+// configuration. Unset run parameters stay zero; the fabric's
+// WithDefaults fills them.
+func lower(cfg Config) (fabric.Config, error) {
 	arch := fabric.DHetPNoC
 	switch cfg.Architecture {
 	case 0, DHetPNoC:
@@ -307,9 +320,10 @@ func lower(cfg Config, remaps []TrafficRemap) (fabric.Config, error) {
 		Seed:            cfg.Seed,
 		IntraCluster:    intra,
 		EventCapacity:   cfg.EventCapacity,
+		ProbeEvery:      cfg.ProbeEvery,
 		ProportionalDBA: cfg.ProportionalDBA,
 	}
-	for _, r := range remaps {
+	for _, r := range cfg.Remaps {
 		pattern, err := r.Traffic.toPattern()
 		if err != nil {
 			return fabric.Config{}, err
@@ -319,17 +333,18 @@ func lower(cfg Config, remaps []TrafficRemap) (fabric.Config, error) {
 	return fc, nil
 }
 
-// toPattern lowers the public traffic description.
+// toPattern lowers the public traffic description. It checks only the
+// fields the traffic's kind reads, the ones Normalized keeps.
 func (t Traffic) toPattern() (traffic.Pattern, error) {
+	if !(t.Burstiness >= 0) || math.IsInf(t.Burstiness, 1) {
+		return nil, fmt.Errorf("hetpnoc: burstiness %g must be finite and non-negative", t.Burstiness)
+	}
 	base, err := t.basePattern()
 	if err != nil {
 		return nil, err
 	}
 	if t.Burstiness > 1 {
 		return traffic.Bursty{Base: base, Factor: t.Burstiness}, nil
-	}
-	if t.Burstiness < 0 {
-		return nil, fmt.Errorf("hetpnoc: negative burstiness %g", t.Burstiness)
 	}
 	return base, nil
 }
@@ -347,7 +362,7 @@ func (t Traffic) basePattern() (traffic.Pattern, error) {
 		if t.SkewLevel < 1 || t.SkewLevel > 3 {
 			return nil, fmt.Errorf("hetpnoc: hotspot base skew level must be 1-3, got %d", t.SkewLevel)
 		}
-		if t.HotspotFraction <= 0 || t.HotspotFraction >= 1 {
+		if !(t.HotspotFraction > 0 && t.HotspotFraction < 1) {
 			return nil, fmt.Errorf("hetpnoc: hotspot fraction must be in (0,1), got %g", t.HotspotFraction)
 		}
 		return traffic.SkewedHotspot{HotFraction: t.HotspotFraction, BaseLevel: t.SkewLevel}, nil
@@ -383,6 +398,9 @@ func customPattern(specs []CoreSpec) (traffic.Pattern, error) {
 	}
 	cores := make([]traffic.CustomCore, len(specs))
 	for c, spec := range specs {
+		if !(spec.RateGbps >= 0 && spec.DemandGbps >= 0) || math.IsInf(spec.RateGbps, 1) || math.IsInf(spec.DemandGbps, 1) {
+			return nil, fmt.Errorf("hetpnoc: core %d: rate %g and demand %g must be finite and non-negative", c, spec.RateGbps, spec.DemandGbps)
+		}
 		core := traffic.CustomCore{RateGbps: spec.RateGbps, DemandGbps: spec.DemandGbps}
 		if core.DemandGbps == 0 {
 			core.DemandGbps = spec.RateGbps * float64(topo.ClusterSize())

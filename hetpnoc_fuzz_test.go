@@ -9,7 +9,9 @@ import (
 // cycle counts, wrong-length custom workloads — it must either return
 // an error or accept a runnable config. It must never panic, and an
 // accepted config must survive normalization and canonical encoding
-// (the path every serving request takes before touching the pool).
+// (the path every serving request takes before touching the pool). The
+// probe interval and a remap are derived from the fuzzed fields, so the
+// committed corpus reaches them without a new argument.
 func FuzzConfigValidate(f *testing.F) {
 	// The Table 3-3 default point and one seed per enum arm.
 	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1.0, 10000, 1000, uint64(1), 0.0, 0.0, 0)
@@ -49,6 +51,12 @@ func FuzzConfigValidate(f *testing.F) {
 			// by the unit suite.
 			cfg.Traffic.Custom = make([]CoreSpec, 64)
 			cfg.Traffic.Custom[0] = CoreSpec{RateGbps: rate, DemandGbps: demand, Dests: []int{dest}}
+		}
+		cfg.ProbeEvery = int64(dest)
+		if seed%2 == 1 {
+			// The run's own traffic again, at a cycle that may lie
+			// outside the run, ahead of a remap to the default.
+			cfg.Remaps = []TrafficRemap{{AtCycle: int64(warmup) + int64(skew), Traffic: cfg.Traffic}, {AtCycle: int64(warmup)}}
 		}
 		if err := cfg.Validate(); err != nil {
 			return // rejected is a fine outcome; panicking is not

@@ -1,6 +1,7 @@
 package hetpnoc
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -105,56 +106,69 @@ func TestCustomTrafficValidation(t *testing.T) {
 	}
 }
 
+// TestRunWithTraceObservesRemap: a run probed every 500 cycles shows the
+// allocation uniform before a remap to skewed traffic and reshaped after
+// it.
 func TestRunWithTraceObservesRemap(t *testing.T) {
-	var snapshots []Snapshot
-	res, err := RunWithTrace(
-		Config{
-			Architecture: DHetPNoC,
-			Traffic:      UniformTraffic(),
-			Cycles:       5000, WarmupCycles: 500, Seed: 1,
-		},
-		[]TrafficRemap{{AtCycle: 2500, Traffic: SkewedTraffic(3)}},
-		500,
-		func(s Snapshot) { snapshots = append(snapshots, s) },
-	)
+	res, err := Run(Config{
+		Architecture: DHetPNoC,
+		Traffic:      UniformTraffic(),
+		Cycles:       5000, WarmupCycles: 500, Seed: 1,
+		Remaps:     []TrafficRemap{{AtCycle: 2500, Traffic: SkewedTraffic(3)}},
+		ProbeEvery: 500,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snapshots) != 10 {
-		t.Fatalf("observed %d snapshots, want 10", len(snapshots))
+	p := res.Probe
+	if p == nil || len(p.TokenRotations) != 10 {
+		t.Fatalf("probe %+v, want 10 rows", p)
 	}
+	allocated := func(row int) []int32 { return p.AllocatedWavelengths[row*p.Clusters : (row+1)*p.Clusters] }
 	// Before the remap the allocation is uniform; at the end it is not.
-	early := snapshots[2]
-	for _, n := range early.AllocatedWavelengths {
+	early := allocated(2)
+	for _, n := range early {
 		if n != 4 {
-			t.Fatalf("allocation %v not uniform before remap", early.AllocatedWavelengths)
+			t.Fatalf("allocation %v not uniform before remap", early)
 		}
 	}
-	last := snapshots[len(snapshots)-1]
+	last := allocated(9)
 	uniform := true
-	for _, n := range last.AllocatedWavelengths {
-		if n != last.AllocatedWavelengths[0] {
+	for _, n := range last {
+		if n != last[0] {
 			uniform = false
 		}
 	}
 	if uniform {
-		t.Fatalf("allocation %v still uniform after remap", last.AllocatedWavelengths)
+		t.Fatalf("allocation %v still uniform after remap", last)
 	}
-	if last.TokenRotations == 0 {
-		t.Fatal("no token rotations observed")
+	if p.TokenRotations[9] == 0 {
+		t.Fatal("no token rotations probed")
 	}
 	if res.PacketsDelivered == 0 {
 		t.Fatal("trace run delivered nothing")
 	}
 }
 
+// TestRunWithTraceValidation: Validate and Run refuse a negative probe
+// interval, a remap to traffic that cannot be built and a remap to
+// non-finite traffic, with one error.
 func TestRunWithTraceValidation(t *testing.T) {
-	if _, err := RunWithTrace(Config{}, nil, 0, nil); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-	if _, err := RunWithTrace(Config{Cycles: 100, WarmupCycles: 10},
-		[]TrafficRemap{{AtCycle: 50, Traffic: SkewedTraffic(9)}}, 10, nil); err == nil {
-		t.Fatal("bad remap traffic accepted")
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative probe interval", Config{ProbeEvery: -1}},
+		{"bad remap traffic", Config{Cycles: 100, WarmupCycles: 10, Remaps: []TrafficRemap{{AtCycle: 50, Traffic: SkewedTraffic(9)}}}},
+		{"non-finite remap traffic", Config{Cycles: 100, WarmupCycles: 10, Remaps: []TrafficRemap{{AtCycle: 50, Traffic: Traffic{Burstiness: math.Inf(1)}}}}},
+	} {
+		err := c.cfg.Validate()
+		if err == nil {
+			t.Errorf("%s accepted by Validate", c.name)
+		}
+		if _, runErr := Run(c.cfg); fmt.Sprint(runErr) != fmt.Sprint(err) {
+			t.Errorf("%s: Run returned %v, Validate %v", c.name, runErr, err)
+		}
 	}
 }
 

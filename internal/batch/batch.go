@@ -1,6 +1,6 @@
 // Package batch executes many near-identical simulations in one pass.
 //
-// Every real consumer of the simulator — parameter sweeps, replicated
+// Each real consumer of the simulator — parameter sweeps, replicated
 // runs, the differential oracles, a service answering misses — runs
 // simulations that differ only in seed or offered load, and naively pays
 // a fabric build for each (~350 µs, 2,307 allocations and ~0.6 MB). A
@@ -35,37 +35,14 @@
 // hold this at worker counts 1, 2 and GOMAXPROCS.
 package batch
 
-import (
-	"fmt"
-	"runtime"
+import "fmt"
 
-	"hetpnoc/internal/fabric"
-)
-
-// Options parameterizes a Plan. The zero value runs GOMAXPROCS workers
-// and observes nothing.
+// Options parameterizes a Plan. The zero value runs GOMAXPROCS workers.
 type Options struct {
 	// Workers bounds the goroutines executing groups (default
 	// GOMAXPROCS, capped at the group count — extra workers would only
 	// idle). One worker is Run's caller itself.
 	Workers int
-
-	// Observe, when set, is called with a member's index and fabric at
-	// every positive multiple of Every cycles within the member's run:
-	// between StepContext windows, at a cycle boundary, on the goroutine
-	// running the member — Run's caller's in a one-worker plan. It must
-	// only read the fabric, and not keep it past the call: the fabric
-	// runs other members and, from the shelf, other plans. Every must then
-	// be positive.
-	Observe func(member int, f *fabric.Fabric)
-	Every   int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // Stats describes a plan's shape after prefix deduplication.

@@ -3,6 +3,7 @@ package batch
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 
 	"hetpnoc/internal/fabric"
 )
@@ -33,10 +34,9 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("batch: empty plan")
 	}
-	if opts.Observe != nil && opts.Every <= 0 {
-		return nil, fmt.Errorf("batch: observer interval must be positive, got %d", opts.Every)
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	opts = opts.withDefaults()
 	p := &Plan{specs: make([]fabric.Config, len(specs)), opts: opts}
 	for i, spec := range specs {
 		p.specs[i] = spec.WithDefaults()
@@ -65,12 +65,13 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 // fabric build. It is the module's one definition of a build prefix:
 // NewPlan groups members by it and take matches shelved builds by it,
 // and no layer above decides what may share — the root package and
-// hetpnocd submit configs and let the plan find the sharing. Everything
-// that shapes the build — topology, bandwidth set, architecture, traffic
-// pattern, router provisioning, DBA parameters, scheduled remaps — must
-// match; only the fields the fork sequence re-applies may differ: the
-// seed and the load scale. Energy constants are not in a config at all:
-// a run counts, and its counts are priced when the result is read.
+// hetpnocd submit configs and let the plan find the sharing. All that
+// shapes the build — topology, bandwidth set, architecture, traffic
+// pattern, router provisioning, DBA parameters, scheduled remaps, the
+// probe interval — must match; only the fields the fork sequence
+// re-applies may differ: the seed and the load scale. Energy constants
+// are not in a config at all: a run counts, and its counts are priced
+// when the result is read.
 //
 // With those two masked, deep structural equality covers every build
 // parameter, so a field added to fabric.Config is conservatively

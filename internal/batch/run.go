@@ -163,24 +163,10 @@ func fork(f *fabric.Fabric, cp *fabric.Checkpoint, spec fabric.Config) error {
 }
 
 // runMember runs member mi's whole budget on f, which must hold the
-// member's pristine cycle-0 state. Without an observer the budget is one
-// StepContext call; with one, it is stepped in windows of Options.Every
-// cycles and the observer sees the fabric at each multiple of Every.
+// member's pristine cycle-0 state: one StepContext and a Finish.
 func (p *Plan) runMember(ctx context.Context, mi int, f *fabric.Fabric) (fabric.Result, error) {
-	cycles, observe, every := p.specs[mi].Cycles, p.opts.Observe, p.opts.Every
-	window := cycles
-	if observe != nil && every < int64(window) {
-		window = int(every)
-	}
-	for done := 0; done < cycles; {
-		n := min(window, cycles-done)
-		if err := f.StepContext(ctx, n); err != nil {
-			return fabric.Result{}, err
-		}
-		done += n
-		if observe != nil && int64(done)%every == 0 {
-			observe(mi, f)
-		}
+	if err := f.StepContext(ctx, p.specs[mi].Cycles); err != nil {
+		return fabric.Result{}, err
 	}
 	return f.Finish()
 }

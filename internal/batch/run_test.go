@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/sim"
 	"hetpnoc/internal/testutil/leakcheck"
+	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -123,26 +125,23 @@ func TestRunSurfacesRemapFailure(t *testing.T) {
 	}
 }
 
-// TestPanicReachesRunsCaller: a panic below Run — here the observer's,
-// on member 1 of a two-group plan — surfaces on Run's caller with its own
-// value, whether the plan runs inline (one worker) or on worker
+// TestPanicReachesRunsCaller: a panic below Run — here a remap
+// pattern's, on member 1 of a two-group plan — surfaces on Run's caller
+// with its own value, whether the plan runs inline (one worker) or on worker
 // goroutines, and no worker outlives it. The caller, like hetpnocd's
 // runRecovered, can then recover it as if it had stepped the fabric.
 func TestPanicReachesRunsCaller(t *testing.T) {
 	leakcheck.Check(t)
 	skewed := spec(2, 1)
 	skewed.Pattern = traffic.Skewed{Level: 2}
+	skewed.Remaps = []fabric.Remap{{At: 100, Pattern: firing(func() { panic("remap poisoned") })}}
 	specs := []fabric.Config{spec(1, 1), skewed}
 	for _, workers := range []int{1, 2} {
-		p := mustPlan(t, specs, Options{Workers: workers, Every: 100, Observe: func(member int, _ *fabric.Fabric) {
-			if member == 1 {
-				panic("observer poisoned")
-			}
-		}})
+		p := mustPlan(t, specs, Options{Workers: workers})
 		func() {
 			defer func() {
-				if r := recover(); r != "observer poisoned" {
-					t.Errorf("%d workers: recovered %v, want the observer's panic", workers, r)
+				if r := recover(); r != "remap poisoned" {
+					t.Errorf("%d workers: recovered %v, want the remap's panic", workers, r)
 				}
 			}()
 			p.Run(context.Background())
@@ -151,20 +150,17 @@ func TestPanicReachesRunsCaller(t *testing.T) {
 	}
 }
 
-// TestGoexitReachesRunsCaller: a runtime.Goexit below Run (t.Fatal in an
-// observer) ends Run's caller, at any worker count, instead of returning
-// a zero result with a nil error.
+// TestGoexitReachesRunsCaller: a runtime.Goexit below Run (as t.Fatal
+// in a remap pattern would call it) ends Run's caller, at any worker
+// count, instead of returning a zero result with a nil error.
 func TestGoexitReachesRunsCaller(t *testing.T) {
 	leakcheck.Check(t)
 	skewed := spec(2, 1)
 	skewed.Pattern = traffic.Skewed{Level: 2}
+	skewed.Remaps = []fabric.Remap{{At: 100, Pattern: firing(runtime.Goexit)}}
 	specs := []fabric.Config{spec(1, 1), skewed}
 	for _, workers := range []int{1, 2} {
-		p := mustPlan(t, specs, Options{Workers: workers, Every: 100, Observe: func(member int, _ *fabric.Fabric) {
-			if member == 1 {
-				runtime.Goexit()
-			}
-		}})
+		p := mustPlan(t, specs, Options{Workers: workers})
 		returned := make(chan bool, 1)
 		go func() {
 			exited := true
@@ -196,4 +192,14 @@ func TestSoloFailureIsUnframed(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "batch: member 1 ") {
 		t.Errorf("two-member plan failed with %v, want it framed as member 1's", err)
 	}
+}
+
+// firing is a remap pattern that calls its func when the remap fires.
+type firing func()
+
+func (firing) Name() string { return "firing" }
+
+func (fire firing) Assign(topology.Topology, traffic.BandwidthSet, *sim.RNG) (traffic.Assignment, error) {
+	fire()
+	return traffic.Assignment{}, errors.New("unreachable: the remap's func did not return")
 }

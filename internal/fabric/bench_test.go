@@ -25,19 +25,31 @@ var bandwidthSets = []struct {
 // what follows measures steady state.
 func warmSaturated(tb testing.TB, set traffic.BandwidthSet, level, warm int) *Fabric {
 	tb.Helper()
-	return warmed(tb, Config{
-		Arch:    DHetPNoC,
-		Set:     set,
-		Pattern: traffic.Skewed{Level: level},
-		Seed:    1,
-	}, warm)
+	return warmed(tb, saturated(set, level, 0), warm)
+}
+
+// saturated is the full chip under saturated skewed traffic, probed
+// every probeEvery cycles (0: off).
+func saturated(set traffic.BandwidthSet, level int, probeEvery int64) Config {
+	return Config{
+		Arch:       DHetPNoC,
+		Set:        set,
+		Pattern:    traffic.Skewed{Level: level},
+		Seed:       1,
+		ProbeEvery: probeEvery,
+	}
 }
 
 // warmed builds cfg with an open-ended cycle budget (the caller steps it
-// manually) and steps it warm cycles.
+// manually) and steps it warm cycles. A probed cfg gets 2^17 cycles
+// instead, which bounds the rows New preallocates; rows past the budget
+// are not written.
 func warmed(tb testing.TB, cfg Config, warm int) *Fabric {
 	tb.Helper()
 	cfg.Cycles = 1 << 30
+	if cfg.ProbeEvery > 0 {
+		cfg.Cycles = 1 << 17
+	}
 	f, err := New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -56,13 +68,17 @@ func warmed(tb testing.TB, cfg Config, warm int) *Fabric {
 // three bandwidth sets. Drops is the same loop at the drop-storm
 // operating point of the "hotspot-drops" golden rows, where roughly one
 // cycle in eleven drops a packet at a receiver and queues its
-// retransmission: the 0 allocs/op covers that path too.
+// retransmission: the 0 allocs/op covers that path too. Probed is BW1
+// with the probe writing a row every cycle.
 func BenchmarkFabricStep(b *testing.B) {
 	for _, tc := range bandwidthSets {
 		b.Run(tc.name, func(b *testing.B) {
 			benchSteps(b, warmSaturated(b, tc.set, 2, 2000))
 		})
 	}
+	b.Run("Probed", func(b *testing.B) {
+		benchSteps(b, warmed(b, saturated(traffic.BWSet1, 2, 1), 2000))
+	})
 	b.Run("Drops", func(b *testing.B) {
 		f := warmed(b, dropStormConfig(DHetPNoC), 6000)
 		// allocs/op rounds down, and a drop is one cycle in eleven: count
@@ -119,11 +135,24 @@ func benchStepContext(b *testing.B, f *Fabric) {
 // one heap allocation. What remains once the start-up transient is over
 // is amortised growth of the packet pool and the source queues under
 // overload, a few allocations per hundred cycles; a kernel that allocates
-// per Tick adds at least one per cycle and fails this.
+// per Tick adds at least one per cycle and fails this. Each case runs
+// again with the probe on (the -Probed cases), which writes into rows
+// New preallocated and so allocates nothing either.
 func TestStepZeroAllocs(t *testing.T) {
+	for _, p := range []struct {
+		suffix string
+		// The probe intervals: every cycle, but the light spans are
+		// probed sparsely, so they still jump between rows.
+		every, lightEvery int64
+	}{{"", 0, 0}, {"-Probed", 1, 100}} {
+		testStepZeroAllocs(t, p.suffix, p.every, p.lightEvery)
+	}
+}
+
+func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 	for _, tc := range bandwidthSets {
-		t.Run(tc.name, func(t *testing.T) {
-			f := warmSaturated(t, tc.set, 3, 8000)
+		t.Run(tc.name+suffix, func(t *testing.T) {
+			f := warmed(t, saturated(tc.set, 3, every), 8000)
 			var stepErr error
 			avg := testing.AllocsPerRun(2000, func() {
 				if err := f.Step(); err != nil {
@@ -143,8 +172,10 @@ func TestStepZeroAllocs(t *testing.T) {
 	// between jumps. Nothing in a warmed light-load fabric grows — a VC
 	// is counters, the pool and the queues peaked long ago — so a span
 	// allocates exactly nothing, however the cycles are stepped.
-	t.Run("Light", func(t *testing.T) {
-		f := warmed(t, lightLoad(Firefly, traffic.BWSet3), 50000)
+	t.Run("Light"+suffix, func(t *testing.T) {
+		cfg := lightLoad(Firefly, traffic.BWSet3)
+		cfg.ProbeEvery = lightEvery
+		f := warmed(t, cfg, 50000)
 		injected, skipped := f.Totals().Injected, f.SkippedCycles()
 		var stepErr error
 		avg := testing.AllocsPerRun(10, func() {
@@ -165,8 +196,10 @@ func TestStepZeroAllocs(t *testing.T) {
 	})
 	// Restoring a drop storm after it ran on: the live fabric's own
 	// storage takes the checkpoint back, whatever grew or shrank since.
-	t.Run("Restore", func(t *testing.T) {
-		f := warmed(t, dropStormConfig(DHetPNoC), 2080)
+	t.Run("Restore"+suffix, func(t *testing.T) {
+		cfg := dropStormConfig(DHetPNoC)
+		cfg.ProbeEvery = every
+		f := warmed(t, cfg, 2080)
 		cp := f.Checkpoint()
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var before, after runtime.MemStats

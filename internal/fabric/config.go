@@ -145,6 +145,10 @@ type Config struct {
 	// that retention bound (most recent events kept).
 	EventCapacity int
 
+	// ProbeEvery, when positive, enables the probe: a row of the run's
+	// state at every positive multiple of ProbeEvery cycles (see Probe).
+	ProbeEvery int64
+
 	Remaps []Remap
 }
 
@@ -217,6 +221,10 @@ func (c Config) WithDefaults() Config {
 // per-cycle injection probabilities.
 const maxLoadScale = 1 << 40
 
+// maxProbeRows bounds the probe, which New preallocates whole: 2^20
+// rows of the default topology are ≈ 80 MB.
+const maxProbeRows = 1 << 20
+
 // checkLoadScale is the one rule for an offered-load multiplier, shared
 // by Validate and SetLoadScale so a solo run and a batch fork refuse the
 // same scales. The negated form also refuses NaN.
@@ -260,6 +268,9 @@ func (c Config) Validate() error {
 	if c.Set.TotalWavelengths%c.Topology.Clusters() != 0 && c.Arch == Firefly {
 		return fmt.Errorf("fabric: %d wavelengths do not divide over %d Firefly channels",
 			c.Set.TotalWavelengths, c.Topology.Clusters())
+	}
+	if c.ProbeEvery < 0 || c.ProbeEvery > 0 && int64(c.Cycles)/c.ProbeEvery > maxProbeRows {
+		return fmt.Errorf("fabric: probe interval %d invalid for %d cycles: negative, or over %d rows", c.ProbeEvery, c.Cycles, maxProbeRows)
 	}
 	for _, r := range c.Remaps {
 		if r.Pattern == nil {

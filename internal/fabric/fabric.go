@@ -99,7 +99,7 @@ func New(cfg Config) (*Fabric, error) {
 		bundle:    bundle,
 		ledger:    photonic.NewLedger(photonic.DefaultEnergyParams()),
 		collector: stats.NewCollector(clock),
-		state:     state{cfg: cfg, rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed},
+		state:     state{cfg: cfg, rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed, probe: newProbe(cfg)},
 	}
 	f.collector.SetClusterCount(cfg.Topology.Clusters())
 	arena, err := router.NewArena(f.ledger, &f.occupancy)
@@ -536,6 +536,9 @@ func (f *Fabric) Step() error {
 	f.ledger.Add(photonic.EnergyBufferResidency, f.occupancy*int64(f.cfg.Set.Format.FlitBits))
 
 	f.now++
+	if f.cfg.ProbeEvery > 0 {
+		f.sample()
+	}
 	return nil
 }
 
@@ -601,8 +604,8 @@ func (f *Fabric) StepContext(ctx context.Context, cycles int) error {
 // activity set, the retransmission queue and the buffers empty and ends
 // at the next cycle with work of its own: a source's next emission
 // (bursty sources draw every cycle, so they allow no span), a task
-// remap, or the start of measurement. The torus keeps no activity set;
-// a fabric that has one is stepped through every cycle.
+// remap, the start of measurement, or a probe row. The torus keeps no
+// activity set; a fabric that has one is stepped through every cycle.
 //
 //hetpnoc:hotpath
 func (f *Fabric) skipIdle(limit sim.Cycle) bool {
@@ -617,6 +620,9 @@ func (f *Fabric) skipIdle(limit sim.Cycle) bool {
 	if warm := sim.Cycle(f.cfg.WarmupCycles); f.now <= warm {
 		limit = min(limit, warm)
 	}
+	if every := sim.Cycle(f.cfg.ProbeEvery); every > 0 {
+		limit = min(limit, (f.now/every+1)*every)
+	}
 	if limit <= f.now {
 		return false
 	}
@@ -624,6 +630,7 @@ func (f *Fabric) skipIdle(limit sim.Cycle) bool {
 	for ; f.now < limit; f.now++ {
 		f.alloc.Tick(f.now)
 	}
+	f.sample()
 	return true
 }
 

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"slices"
+
 	"hetpnoc/internal/event"
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/stats"
@@ -63,6 +65,13 @@ type Result struct {
 	// Events is the retained protocol event log when Config.EventCapacity
 	// enabled it — non-nil, possibly empty — and nil otherwise.
 	Events []event.Event
+
+	// Probe holds the rows sampled so far when Config.ProbeEvery enabled
+	// the probe, and is nil otherwise; it shares nothing with the fabric.
+	Probe *Probe
+
+	// Totals are the whole-run packet counters, warm-up included.
+	Totals Totals
 }
 
 // result assembles the Result after Run completes.
@@ -91,6 +100,12 @@ func (f *Fabric) result() Result {
 		EnergyElectricalPJ: energy.ElectricalPJ,
 		EnergyBreakdownPJ:  make(map[string]units.Picojoule),
 		Events:             f.events.Events(),
+		Totals:             f.collector.Totals(),
+	}
+	if every := f.cfg.ProbeEvery; every > 0 {
+		p, n := &f.probe, min(int(int64(f.now)/every), len(f.probe.TokenRotations))
+		res.Probe = &Probe{p.Clusters, slices.Clone(p.AllocatedWavelengths[:n*p.Clusters]),
+			slices.Clone(p.TokenRotations[:n]), slices.Clone(p.PacketsDelivered[:n])}
 	}
 	for _, comp := range photonic.Components() {
 		res.EnergyBreakdownPJ[comp.String()] = energy.ByComponent[comp]

@@ -159,6 +159,72 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		})
 	}
+	t.Run("reseeded-branches", reseededBranches)
+}
+
+// reseededBranches forks two branches off one older checkpoint under
+// different seeds, with the probe on: restore the older checkpoint,
+// reseed, step and take a newer checkpoint; restore the older one again,
+// reseed otherwise and step; then restore the newer one and finish. A
+// twin that ran the first branch straight through must end the same. A
+// copy that shares a slice with the live fabric (the collector's
+// latencies, the probe's columns) lets the second branch write into the
+// newer checkpoint's storage, which a twin run through the same steps
+// cannot show, since it writes the same values.
+func reseededBranches(t *testing.T) {
+	// Bursty sources keep the network contended, so the two seeds
+	// deliver packets of different latencies within a branch. At cycle
+	// 1800 the collector's latencies have room to grow in place for
+	// longer than a branch: a shared array would be written by both.
+	cfg := Config{
+		Arch: DHetPNoC, Set: traffic.BWSet1, Pattern: traffic.Bursty{Base: traffic.Uniform{}, Factor: 4},
+		Cycles: 3000, WarmupCycles: 500, Seed: 3, EventCapacity: 256, ProbeEvery: 50,
+	}
+	start := func() *Fabric {
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step(t, f, 1800)
+		return f
+	}
+	branch := func(f *Fabric, cp *Checkpoint, seed uint64) {
+		if err := f.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Reseed(seed); err != nil {
+			t.Fatal(err)
+		}
+		step(t, f, 400)
+	}
+	finish := func(f *Fabric) Result {
+		jump(t, f, cfg.Cycles-int(f.Now()))
+		res, err := f.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	f, twin := start(), start()
+	older := f.Checkpoint()
+	branch(f, older, 2)
+	branch(twin, twin.Checkpoint(), 2)
+	newer, twinNewer := f.Checkpoint(), twin.Checkpoint()
+	branch(f, older, 4)
+	if d := stateDiff(newer, twinNewer, false); d != "" {
+		t.Errorf("a branch off the older checkpoint changed the newer one at %s", d)
+	}
+	if err := f.Restore(newer); err != nil {
+		t.Fatal(err)
+	}
+	got, want := finish(f), finish(twin)
+	if len(got.Probe.TokenRotations) != cfg.Cycles/int(cfg.ProbeEvery) || got.Stats.PacketsDelivered == 0 {
+		t.Fatalf("the run probed %d rows and delivered %d packets; want every row and some packets", len(got.Probe.TokenRotations), got.Stats.PacketsDelivered)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("finishing off the restored newer checkpoint gives\n%+v\nthe twin run straight through\n%+v", got, want)
+	}
 }
 
 // step runs f n cycles with Step.

@@ -53,6 +53,9 @@ type state struct {
 	// fired yet.
 	nextRemap int
 
+	// probe is the sampled trace, preallocated at New for the whole run.
+	probe Probe
+
 	// retx holds the dropped packets waiting out their retransmission
 	// back-off (§1.4), oldest drop first. The back-off is one constant,
 	// so due cycles never decrease along the queue.
@@ -69,6 +72,9 @@ func (dst *state) copyFrom(src *state) {
 	dst.txActive = keep.txActive.Refill(src.txActive)
 	dst.injActive = keep.injActive.Refill(src.injActive)
 	dst.ejectActive = keep.ejectActive.Refill(src.ejectActive)
+	dst.probe.AllocatedWavelengths = append(keep.probe.AllocatedWavelengths[:0], src.probe.AllocatedWavelengths...)
+	dst.probe.TokenRotations = append(keep.probe.TokenRotations[:0], src.probe.TokenRotations...)
+	dst.probe.PacketsDelivered = append(keep.probe.PacketsDelivered[:0], src.probe.PacketsDelivered...)
 	clear(keep.retx) // drop the packet pointers past the copy
 	dst.retx = append(keep.retx[:0], src.retx...)
 }

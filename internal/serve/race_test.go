@@ -14,7 +14,12 @@ import (
 	"time"
 
 	"hetpnoc"
+	"hetpnoc/internal/batch"
+	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/sim"
 	"hetpnoc/internal/testutil/leakcheck"
+	"hetpnoc/internal/topology"
+	"hetpnoc/internal/traffic"
 )
 
 // TestSoakConcurrentClients is the service's concurrency proof (run it
@@ -497,13 +502,25 @@ func TestSoakCloseDuringSubmit(t *testing.T) {
 	}
 }
 
+// poisonRemap is a remap pattern that, when it fires, waits for release
+// to close and then panics the way an indexing bug in the simulator
+// would.
+type poisonRemap struct{ release <-chan struct{} }
+
+func (poisonRemap) Name() string { return "poison" }
+
+func (p poisonRemap) Assign(topology.Topology, traffic.BandwidthSet, *sim.RNG) (traffic.Assignment, error) {
+	<-p.release
+	panic("index out of range [64] with length 64")
+}
+
 // TestPanickingJobFailsOnlyItsFlight: a run that panics inside a worker
 // fails that flight — the request that started it and the two coalesced
 // onto it — with ErrSimulation naming the cache key, is counted on
 // /metricsz, and leaves the one-worker pool at strength: the next request
 // is simulated, and the server drains with no goroutine lost. The panic
-// is raised below the batch plan, by a trace observer inside the
-// member's run, where the simulator's own would be.
+// is raised below the batch plan, by a remap pattern inside the member's
+// run, where the simulator's own would be.
 func TestPanickingJobFailsOnlyItsFlight(t *testing.T) {
 	leakcheck.Check(t)
 	const poisonSeed, waiters = 666, 3
@@ -511,10 +528,14 @@ func TestPanickingJobFailsOnlyItsFlight(t *testing.T) {
 	release := make(chan struct{})
 	s.run = func(ctx context.Context, cfg hetpnoc.Config) (hetpnoc.Result, error) {
 		if cfg.Seed == poisonSeed {
-			return hetpnoc.RunWithTrace(cfg, nil, 100, func(hetpnoc.Snapshot) {
-				<-release
-				panic("index out of range [64] with length 64")
-			})
+			plan, err := batch.NewPlan([]fabric.Config{{
+				Pattern: traffic.Uniform{}, Cycles: cfg.Cycles, WarmupCycles: cfg.WarmupCycles, Seed: cfg.Seed,
+				Remaps: []fabric.Remap{{At: 100, Pattern: poisonRemap{release}}},
+			}}, batch.Options{})
+			if err == nil {
+				_, err = plan.Run(ctx)
+			}
+			return hetpnoc.Result{}, err
 		}
 		return hetpnoc.RunContext(ctx, cfg)
 	}

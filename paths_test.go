@@ -22,9 +22,8 @@ import (
 // defaulted into fc, a checkpoint cycle and the guard that makes its
 // cells mean something.
 type scenario struct {
-	name   string
-	cfg    Config
-	remaps []TrafficRemap
+	name string
+	cfg  Config
 	// tweak sets what Config cannot express; a tweaked scenario is a hole
 	// of the public paths.
 	tweak func(*fabric.Config)
@@ -34,9 +33,32 @@ type scenario struct {
 	fc    fabric.Config
 	index int // in the corpus
 
-	once  sync.Once
-	ref   outcome
-	snaps []Snapshot // the reference's snapshot after each cycle: snaps[c-1] at cycle c; nil until it ran
+	once sync.Once
+	ref  outcome
+	rows []row // the reference's probe row after each cycle: rows[c-1] at cycle c; nil until it ran
+}
+
+// row is one probe row, read off a fabric the test steps by hand.
+type row struct {
+	allocated            []int32
+	rotations, delivered int64
+}
+
+// rowOf reads what the probe samples off f, which is built on the
+// default topology.
+func rowOf(f *fabric.Fabric) row {
+	r := row{allocated: make([]int32, topology.Default().Clusters()), delivered: f.DeliveredPackets()}
+	if dba := f.DBA(); dba != nil {
+		r.rotations = dba.Rotations()
+		for cl := range r.allocated {
+			r.allocated[cl] = int32(dba.AllocatedCount(topology.ClusterID(cl)))
+		}
+	} else {
+		for cl := range r.allocated {
+			r.allocated[cl] = int32(len(f.AllocatedOf(topology.ClusterID(cl))))
+		}
+	}
+	return r
 }
 
 func corpus(t *testing.T) []*scenario {
@@ -55,19 +77,19 @@ func corpus(t *testing.T) []*scenario {
 				t.Errorf("skipped %d of %d cycles: want most of the run jumped", f.SkippedCycles(), sc.fc.Cycles)
 			}
 			requireSkipped(t, sc.fc, []int{499, 500, 2499, 2500, 2599, 2600})
-			if sc.snaps[len(sc.snaps)-1].TokenRotations == 0 {
+			if sc.rows[len(sc.rows)-1].rotations == 0 {
 				t.Error("the token never completed a rotation")
 			}
 		}},
 		// A jump must stop for the start of measurement and for a remap
 		// due after the cut, inside the span the cut lies in.
-		{name: "light-remap", cfg: light, remaps: []TrafficRemap{{AtCycle: 2800, Traffic: SkewedTraffic(2)}}, cut: 2600, guard: func(t *testing.T, sc *scenario) {
+		{name: "light-remap", cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
 			requireSkipped(t, sc.fc, []int{999, 1000, 1001, 2599, 2600, 2799, 2800, 2801}, 1000, 2800)
 		}},
 		// Token DBA, selected-wavelength gating and headers blocked on
 		// VC-exhausted outputs live across the cut; a remap follows it.
-		{name: "saturated", cfg: Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256},
-			remaps: []TrafficRemap{{AtCycle: 2000, Traffic: UniformTraffic()}}, cut: 1200, guard: func(t *testing.T, sc *scenario) {
+		{name: "saturated", cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
+			cut: 1200, guard: func(t *testing.T, sc *scenario) {
 				if f := stepped(t, sc.fc, sc.cut); f.BlockedHeaders() == 0 {
 					t.Errorf("no header waits on a VC-exhausted output at cycle %d", sc.cut)
 				}
@@ -76,15 +98,15 @@ func corpus(t *testing.T) []*scenario {
 		// Two VCs per port and half the traffic aimed at one cluster: a few
 		// hundred RX drops. The packet dropped at 2029 is retried at 2093,
 		// the remap's cycle, so both fire on one cycle after the cut.
-		{name: "drop-storm", cfg: Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12},
-			remaps: []TrafficRemap{{AtCycle: 2093, Traffic: UniformTraffic()}}, tweak: func(fc *fabric.Config) { fc.VCsPerPort = 2 }, cut: 2080,
+		{name: "drop-storm", cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
+			tweak: func(fc *fabric.Config) { fc.VCsPerPort = 2 }, cut: 2080,
 			guard: func(t *testing.T, sc *scenario) {
 				for _, at := range []int{sc.cut, 1500} { // 1500: a restore-chain checkpoint
 					if f := stepped(t, sc.fc, at); f.PendingRetransmits() == 0 {
 						t.Errorf("no retransmission is pending at cycle %d", at)
 					}
 				}
-				dropAt := sim.Cycle(sc.remaps[0].AtCycle) - sim.Cycle(sc.fc.RetryBackoffCycles)
+				dropAt := sim.Cycle(sc.cfg.Remaps[0].AtCycle) - sim.Cycle(sc.fc.RetryBackoffCycles)
 				if !slices.ContainsFunc(fullLog(t, sc.fc), func(e event.Event) bool { return e.Kind == event.Retransmit && e.Cycle == dropAt }) {
 					t.Errorf("no packet dropped at cycle %d is retried on the remap's cycle", dropAt)
 				}
@@ -93,8 +115,8 @@ func corpus(t *testing.T) []*scenario {
 		// demand overflows the dynamic pool, so routers scale back to
 		// their token-recorded shares, and a remap re-skews it after the
 		// cut.
-		{name: "proportional", cfg: Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256},
-			remaps: []TrafficRemap{{AtCycle: 1800, Traffic: SkewedTraffic(1)}}, cut: 1400,
+		{name: "proportional", cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
+			cut: 1400,
 			guard: func(t *testing.T, sc *scenario) {
 				greedy := sc.fc
 				greedy.ProportionalDBA = false
@@ -139,7 +161,7 @@ func corpus(t *testing.T) []*scenario {
 		}
 	}
 	for i, sc := range all {
-		fc, err := lower(sc.cfg, sc.remaps)
+		fc, err := lower(sc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,9 +173,14 @@ func corpus(t *testing.T) []*scenario {
 	return all
 }
 
+// remapped returns cfg with one remap to tr at cycle at.
+func remapped(cfg Config, at int64, tr Traffic) Config {
+	cfg.Remaps = []TrafficRemap{{AtCycle: at, Traffic: tr}}
+	return cfg
+}
+
 // outcome is what two paths of one scenario must agree on. totals is nil
-// where a path cannot read them: the public entry points, an observer
-// that does not fire at the run's last cycle.
+// where a path cannot read them: the public entry points.
 type outcome struct {
 	json   []byte
 	events []string
@@ -177,28 +204,28 @@ func finished(t testing.TB, f *fabric.Fabric) outcome {
 }
 
 // reference runs sc by N calls of Step, once per test, recording the
-// snapshot after every cycle for the observer paths.
+// probe row after every cycle for the probed paths.
 func (sc *scenario) reference(t *testing.T) outcome {
 	t.Helper()
-	sc.once.Do(func() { sc.ref, sc.snaps = stepRun(t, sc.fc) })
-	if sc.snaps == nil {
+	sc.once.Do(func() { sc.ref, sc.rows = stepRun(t, sc.fc) })
+	if sc.rows == nil {
 		t.Fatal("the Step reference failed in another cell")
 	}
 	return sc.ref
 }
 
-// stepRun runs fc by N calls of Step, which jumps nothing, taking a
-// snapshot after each.
-func stepRun(t *testing.T, fc fabric.Config) (outcome, []Snapshot) {
+// stepRun runs fc by N calls of Step, which jumps nothing, reading a
+// probe row after each.
+func stepRun(t *testing.T, fc fabric.Config) (outcome, []row) {
 	f := stepped(t, fc, 0)
-	snaps := make([]Snapshot, fc.Cycles)
-	for c := range snaps {
+	rows := make([]row, fc.Cycles)
+	for c := range rows {
 		if err := f.Step(); err != nil || f.SkippedCycles() != 0 {
 			t.Fatalf("cycle %d: Step returned %v and has skipped %d cycles", c, err, f.SkippedCycles())
 		}
-		snaps[c] = snapshotOf(f)
+		rows[c] = rowOf(f)
 	}
-	return finished(t, f), snaps
+	return finished(t, f), rows
 }
 
 // same requires got to be sc's reference outcome.
@@ -225,19 +252,16 @@ func (sc *scenario) same(t *testing.T, what string, got outcome) {
 // path is one way of running a scenario to its outcome. A serial path
 // asserts batch.Counters deltas, so it never runs beside another cell.
 type path struct {
-	name         string
-	serial       bool
-	public, solo bool // takes a public Config; takes no remaps
-	run          func(t *testing.T, sc *scenario) outcome
+	name   string
+	serial bool
+	public bool // takes a public Config
+	run    func(t *testing.T, sc *scenario) outcome
 }
 
 // hole says why sc cannot take p, or "" if it can.
 func (p path) hole(sc *scenario) string {
-	switch {
-	case p.public && sc.tweak != nil:
+	if p.public && sc.tweak != nil {
 		return "Config cannot express the scenario's fabric tweak"
-	case p.solo && len(sc.remaps) > 0:
-		return "only RunWithTrace takes remaps"
 	}
 	return ""
 }
@@ -309,44 +333,40 @@ func paths(all []*scenario) []path {
 			return out
 		})})
 	}
+	// A plan member probed every N cycles: the Observe-N paths.
 	for _, every := range []int64{1, 7, 1000} {
 		ps = append(ps, path{name: fmt.Sprintf("Observe-%d", every), run: func(t *testing.T, sc *scenario) outcome {
-			var seen []int64
-			observe := func(_ int, f *fabric.Fabric) {
-				seen = append(seen, int64(f.Now()))
-				sc.requireSnapshot(t, snapshotOf(f))
-			}
-			got := planned(t, []fabric.Config{sc.fc}, batch.Options{Every: every, Observe: observe}, -1, -1)[0].outcome(t)
-			requireCadence(t, seen, every, sc.fc.Cycles)
-			return got
+			fc := sc.fc
+			fc.ProbeEvery = every
+			m := planned(t, []fabric.Config{fc}, batch.Options{}, -1, -1)[0]
+			return sc.unprobed(t, every, m.res, m.totals)
 		}})
 	}
 	return append(ps,
-		path{name: "Run", public: true, solo: true, run: func(t *testing.T, sc *scenario) outcome {
+		path{name: "Run", public: true, run: func(t *testing.T, sc *scenario) outcome {
 			res, err := Run(sc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return outcomeOf(t, res, nil)
 		}},
+		// Run with the probe on, every 500 cycles: the public trace. The
+		// path keeps the name of the entry point it replaced.
 		path{name: "RunWithTrace", public: true, run: func(t *testing.T, sc *scenario) outcome {
-			var seen []int64
-			res, err := RunWithTrace(sc.cfg, sc.remaps, 500, func(s Snapshot) {
-				seen = append(seen, s.Cycle)
-				sc.requireSnapshot(t, s)
-			})
+			cfg := sc.cfg
+			cfg.ProbeEvery = 500
+			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireCadence(t, seen, 500, sc.fc.Cycles)
-			return outcomeOf(t, res, nil)
+			return sc.unprobed(t, cfg.ProbeEvery, res, nil)
 		}},
 		// Every scenario Run can express, in one RunBatch call.
-		path{name: "RunBatch", public: true, solo: true, run: whole(func(t *testing.T) map[int]outcome {
+		path{name: "RunBatch", public: true, run: whole(func(t *testing.T) map[int]outcome {
 			var cfgs []Config
 			var idx []int
 			for _, s := range all {
-				if (path{public: true, solo: true}).hole(s) == "" {
+				if (path{public: true}).hole(s) == "" {
 					cfgs, idx = append(cfgs, s.cfg), append(idx, s.index)
 				}
 			}
@@ -461,29 +481,33 @@ func (sc *scenario) other() fabric.Config {
 	return fc
 }
 
-// requireSnapshot requires s to be what the hand-stepped reference showed
-// at the same cycle.
-func (sc *scenario) requireSnapshot(t *testing.T, s Snapshot) {
+// unprobed requires res, a run of sc probed every every cycles, to hold
+// one probe row at each multiple of every within the run, each what the
+// hand-stepped reference read at that cycle, and returns its outcome
+// with the probe stripped.
+func (sc *scenario) unprobed(t *testing.T, every int64, res Result, totals *fabric.Totals) outcome {
+	t.Helper()
 	sc.reference(t)
-	if want := sc.snaps[s.Cycle-1]; !reflect.DeepEqual(s, want) {
-		t.Fatalf("the observer saw %+v at cycle %d, the hand-stepped fabric %+v", s, s.Cycle, want)
+	p := res.Probe
+	if p == nil {
+		t.Fatal("the result carries no probe")
 	}
+	n, k := int(int64(sc.fc.Cycles)/every), sc.fc.Topology.Clusters()
+	if p.Clusters != k || len(p.AllocatedWavelengths) != n*k || len(p.TokenRotations) != n || len(p.PacketsDelivered) != n {
+		t.Fatalf("the probe holds %d×%d, %d and %d entries, want %d clusters at each of the %d multiples of %d",
+			p.Clusters, len(p.AllocatedWavelengths), len(p.TokenRotations), len(p.PacketsDelivered), k, n, every)
+	}
+	for i := range n {
+		got, at := row{p.AllocatedWavelengths[i*k : (i+1)*k], p.TokenRotations[i], p.PacketsDelivered[i]}, (int64(i)+1)*every
+		if want := sc.rows[at-1]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("the probe's row at cycle %d is %+v, the hand-stepped fabric's %+v", at, got, want)
+		}
+	}
+	res.Probe = nil
+	return outcomeOf(t, res, totals)
 }
 
-// requireCadence requires an observer to have seen exactly the multiples
-// of every within a run of cycles.
-func requireCadence(t *testing.T, seen []int64, every int64, cycles int) {
-	var want []int64
-	for c := every; c <= int64(cycles); c += every {
-		want = append(want, c)
-	}
-	if !slices.Equal(seen, want) {
-		t.Errorf("the observer fired at %d cycles, want the %d multiples of %d", len(seen), len(want), every)
-	}
-}
-
-// member is one plan member's result and its whole-run Totals, nil
-// unless the plan's observer ran at the member's last cycle.
+// member is one plan member's result and its whole-run Totals.
 type member struct {
 	res    Result
 	totals *fabric.Totals
@@ -492,25 +516,10 @@ type member struct {
 func (m member) outcome(t testing.TB) outcome { return outcomeOf(t, m.res, m.totals) }
 
 // planned runs specs as one plan and requires it to cost builds fabric
-// builds and forks forks, unless they are negative. Without an observer
-// of the caller's, it observes at the largest divisor of every member's
-// run, to read each one's Totals at its last cycle.
+// builds and forks forks, unless they are negative.
 func planned(t *testing.T, specs []fabric.Config, opts batch.Options, builds, forks int64) []member {
 	t.Helper()
 	out := make([]member, len(specs))
-	observe := opts.Observe
-	if observe == nil {
-		for _, s := range specs {
-			opts.Every = gcd(opts.Every, int64(s.Cycles))
-		}
-		observe = func(int, *fabric.Fabric) {}
-	}
-	opts.Observe = func(m int, f *fabric.Fabric) {
-		if observe(m, f); int(f.Now()) == specs[m].Cycles {
-			totals := f.Totals()
-			out[m].totals = &totals
-		}
-	}
 	plan, err := batch.NewPlan(specs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -524,16 +533,9 @@ func planned(t *testing.T, specs []fabric.Config, opts batch.Options, builds, fo
 		t.Errorf("the plan cost %d builds and %d forks, want %d and %d", b1-b0, f1-f0, builds, forks)
 	}
 	for i, r := range res {
-		out[i].res = fromFabricResult(r)
+		out[i] = member{fromFabricResult(r), &r.Totals}
 	}
 	return out
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // unshelve pushes every build off the batch shelf (shelfCapacity is 16)

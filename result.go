@@ -67,11 +67,26 @@ type Result struct {
 	// Events carries the most recent protocol events, formatted one per
 	// line, when Config.EventCapacity was set.
 	Events []string
+
+	// Probe carries the run's sampled trace when Config.ProbeEvery was
+	// set.
+	Probe *Probe `json:",omitempty"`
+}
+
+// Probe is a run's sampled trace: row i is the run at cycle
+// (i+1)*Config.ProbeEvery, and each column holds one entry a row but
+// AllocatedWavelengths, which holds Clusters.
+type Probe struct {
+	Clusters             int
+	AllocatedWavelengths []int32 // each cluster's write-channel allocation
+	TokenRotations       []int64 // completed DBA token rotations (0 without the DBA)
+	PacketsDelivered     []int64 // packets delivered since the warm-up ended
 }
 
 // fromFabricResult lifts a finished run into the public Result.
 // Result.Events is nil exactly when the config left the event log off,
-// and non-nil (possibly empty) otherwise.
+// and non-nil (possibly empty) otherwise; Result.Probe is nil exactly
+// when it left the probe off.
 func fromFabricResult(r fabric.Result) Result {
 	out := Result{
 		Architecture:         r.Arch,
@@ -102,6 +117,7 @@ func fromFabricResult(r fabric.Result) Result {
 		ChannelBusyFraction:  r.ChannelBusyFraction,
 		TorusPathsSetUp:      r.TorusPathsSetUp,
 		TorusSetupsBlocked:   r.TorusSetupsBlocked,
+		Probe:                (*Probe)(r.Probe),
 	}
 	if r.Events != nil {
 		out.Events = make([]string, len(r.Events))

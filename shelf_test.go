@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -29,6 +30,18 @@ func (seedFlakyRemap) Assign(topo topology.Topology, set traffic.BandwidthSet, r
 	return traffic.Uniform{}.Assign(topo, set, rng)
 }
 
+// cancelRemap is a remap pattern that cancels a context when it fires,
+// then assigns uniform traffic. It holds the cancel func by pointer, so
+// two runs given one cancelRemap share a build prefix.
+type cancelRemap struct{ cancel *context.CancelFunc }
+
+func (cancelRemap) Name() string { return "cancel" }
+
+func (c cancelRemap) Assign(topo topology.Topology, set traffic.BandwidthSet, rng *sim.RNG) (traffic.Assignment, error) {
+	(*c.cancel)()
+	return traffic.Uniform{}.Assign(topo, set, rng)
+}
+
 // TestShelfNeitherPoisonsNorAliases: a group that is cancelled or fails
 // drops its fabric instead of shelving it, so the next run of its build
 // prefix, B, builds afresh and is the run N calls of Step give. (That a
@@ -37,8 +50,8 @@ func (seedFlakyRemap) Assign(topo topology.Topology, set traffic.BandwidthSet, r
 func TestShelfNeitherPoisonsNorAliases(t *testing.T) {
 	for _, c := range []struct {
 		name     string
-		flaky    bool  // A fails on a seedFlakyRemap at cycle 2000
-		cancelAt int64 // A is cancelled at this cycle
+		flaky    bool      // A fails on a seedFlakyRemap at cycle 2000
+		cancelAt sim.Cycle // A is cancelled by a cancelRemap at this cycle
 		bSeed    uint64
 	}{
 		{name: "A cancelled mid-run", cancelAt: 1500, bSeed: 2},
@@ -46,20 +59,19 @@ func TestShelfNeitherPoisonsNorAliases(t *testing.T) {
 		{name: "A failed on a remap", flaky: true, bSeed: 7},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			at := func(seed uint64) fabric.Config {
 				fc := lowerAll(t, []Config{{Traffic: SkewedTraffic(3), Cycles: 3000, WarmupCycles: 500, Seed: seed, EventCapacity: 256}})[0]
 				if c.flaky {
 					fc.Remaps = []fabric.Remap{{At: 2000, Pattern: seedFlakyRemap{}}}
 				}
+				if c.cancelAt > 0 {
+					fc.Remaps = []fabric.Remap{{At: c.cancelAt, Pattern: cancelRemap{&cancel}}}
+				}
 				return fc.WithDefaults()
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			opts := batch.Options{}
-			if c.cancelAt > 0 {
-				opts = batch.Options{Every: c.cancelAt, Observe: func(int, *fabric.Fabric) { cancel() }}
-			}
-			plan, err := batch.NewPlan([]fabric.Config{at(1)}, opts)
+			plan, err := batch.NewPlan([]fabric.Config{at(1)}, batch.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,6 +155,40 @@ func BenchmarkRunShelved(b *testing.B) {
 		cfg.Seed = uint64(i) + 2
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunProbed measures Run with the probe off and on (a row every
+// 1,000 cycles) at the run-lightload point (uniform traffic at 5 % load)
+// and the run-saturated one (skewed 3 at full load), BW set 1 and 10,000
+// cycles, each forked off its shelved build. A row's cycle bounds
+// StepContext's idle jump, so the light pair prices the probe where most
+// cycles are jumped.
+func BenchmarkRunProbed(b *testing.B) {
+	for _, point := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"light", Config{Traffic: UniformTraffic(), LoadScale: 0.05}},
+		{"saturated", Config{Traffic: SkewedTraffic(3)}},
+	} {
+		for _, every := range []int64{0, 1000} {
+			b.Run(fmt.Sprintf("%s/probe=%d", point.name, every), func(b *testing.B) {
+				cfg := point.cfg
+				cfg.ProbeEvery = every
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cfg.Seed = uint64(i) + 2
+					if _, err := Run(cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 
 // TestRunWithTraceRejectsRemapOutsideRun: a remap before cycle 0 used to
 // fire at cycle 0 and one at or past the last cycle never fired, both
-// with a nil error; each is now refused with an error naming the cycle.
-// The first and last cycles of the run stay legal.
+// with a nil error; each is now refused by Validate with an error naming
+// the cycle, and Run refuses it with the same error. The first and last
+// cycles of the run stay legal.
 func TestRunWithTraceRejectsRemapOutsideRun(t *testing.T) {
-	cfg := Config{Cycles: 2000, WarmupCycles: 500}
 	for _, tc := range []struct {
 		at int64
 		ok bool
@@ -25,7 +25,8 @@ func TestRunWithTraceRejectsRemapOutsideRun(t *testing.T) {
 		{2000, false},
 		{1 << 40, false},
 	} {
-		_, err := RunWithTrace(cfg, []TrafficRemap{{AtCycle: tc.at, Traffic: SkewedTraffic(3)}}, 1000, nil)
+		cfg := Config{Cycles: 2000, WarmupCycles: 500, Remaps: []TrafficRemap{{AtCycle: tc.at, Traffic: SkewedTraffic(3)}}}
+		err := cfg.Validate()
 		switch {
 		case tc.ok && err != nil:
 			t.Errorf("remap at cycle %d refused: %v", tc.at, err)
@@ -34,6 +35,35 @@ func TestRunWithTraceRejectsRemapOutsideRun(t *testing.T) {
 		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("cycle %d ", tc.at)):
 			t.Errorf("remap at cycle %d: error %q does not name the cycle", tc.at, err)
 		}
+		if _, runErr := Run(cfg); fmt.Sprint(runErr) != fmt.Sprint(err) {
+			t.Errorf("remap at cycle %d: Run returned %v, Validate %v", tc.at, runErr, err)
+		}
+	}
+}
+
+// TestRemapSpellingsShareCanonicalJSON: a remap's traffic is normalized
+// like the run's, so two spellings of one run encode to one cache key,
+// and a config without remaps or probe encodes as it did before either
+// field existed.
+func TestRemapSpellingsShareCanonicalJSON(t *testing.T) {
+	key := func(c Config) string {
+		b, err := c.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	skewed := Traffic{Kind: SkewedKind, SkewLevel: 3}
+	a := Config{Remaps: []TrafficRemap{{AtCycle: 2000}, {AtCycle: 4000, Traffic: skewed}}}
+	b := Config{Remaps: []TrafficRemap{
+		{AtCycle: 2000, Traffic: Traffic{Kind: UniformRandom, SkewLevel: 2, Burstiness: 1}},
+		{AtCycle: 4000, Traffic: Traffic{Kind: SkewedKind, SkewLevel: 3, HotspotFraction: 0.2, Permutation: "shuffle"}},
+	}}
+	if key(a) != key(b) {
+		t.Errorf("two spellings of one remap schedule encode differently:\n%s\n%s", key(a), key(b))
+	}
+	if key(Config{Remaps: []TrafficRemap{}}) != key(Config{}) || strings.Contains(key(Config{}), "Remaps") || strings.Contains(key(Config{}), "ProbeEvery") {
+		t.Errorf("a config without remaps or probe encodes as %s", key(Config{}))
 	}
 }
 
@@ -41,7 +71,7 @@ func TestRunWithTraceRejectsRemapOutsideRun(t *testing.T) {
 // fabric's WithDefaults fill every field they share from the same table,
 // so a zero Config and a zero fabric.Config select the same run.
 func TestNormalizedDefaultsMatchFabric(t *testing.T) {
-	lowered, err := lower(Config{}.Normalized(), nil)
+	lowered, err := lower(Config{}.Normalized())
 	if err != nil {
 		t.Fatal(err)
 	}
