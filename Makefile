@@ -33,14 +33,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# hetpnoclint enforces the simulator's determinism, hot-path,
-# checkpoint-coverage and API-stability invariants with 9 analyzers: the
-# per-package ones (maprange, globalstate, ctxflow, errsink), the
-# whole-program layer (hotpathreach, dettaint), the compiler-evidence
-# layer (allocproof, snapcover) and apistable; any undirected violation
-# exits non-zero. Lock discipline, goroutine lifetime, channel and
-# WaitGroup discipline are dynamic gates: `make race` plus the
-# leakcheck-armed tests. See docs/ANALYSIS.md.
+# hetpnoclint enforces the simulator's determinism, hot-path and
+# API-stability invariants with 8 analyzers: the per-package ones
+# (maprange, globalstate, ctxflow, errsink), the whole-program layer
+# (hotpathreach, dettaint), the compiler-evidence layer (allocproof) and
+# apistable; any undirected violation exits non-zero. Lock discipline,
+# goroutine lifetime, channel and WaitGroup discipline are dynamic
+# gates: `make race` plus the leakcheck-armed tests; checkpoint
+# completeness is TestCheckpointRoundTrip's. See docs/ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/hetpnoclint ./...
 

@@ -50,8 +50,9 @@ func serverConfig(workers, queue, cacheCap, maxCycles int, jobTimeout, retryAfte
 // request line and headers, so one that trickles a partial header
 // (slowloris) cannot hold a goroutine and a file descriptor for ever; a
 // keep-alive connection with no request in flight is closed after
-// idleTimeout. Request bodies are bounded in size by the handlers and are
-// not on this clock, and no deadline covers a simulation.
+// idleTimeout. Request bodies are bounded in size and in time by the
+// handlers (internal/serve's bodyTimeout), and no deadline covers a
+// simulation.
 const (
 	readHeaderTimeout = 5 * time.Second
 	idleTimeout       = 2 * time.Minute

@@ -22,7 +22,7 @@
 //
 // The suite loads and type-checks the module once; per-package
 // analyzers then run over each package, and the whole-program analyzers
-// (hotpathreach, allocproof, snapcover, dettaint) run once over all
+// (hotpathreach, allocproof, dettaint) run once over all
 // packages, sharing a single memoized call graph and hot-path BFS.
 // allocproof additionally shells out one evidence build
 // (go build -gcflags='-m=2 -d=ssa/check_bce'); -gcobsout writes its
@@ -55,7 +55,6 @@ import (
 	"hetpnoc/internal/analysis/hotpathreach"
 	"hetpnoc/internal/analysis/load"
 	"hetpnoc/internal/analysis/maprange"
-	"hetpnoc/internal/analysis/snapcover"
 )
 
 // analyzers is the hetpnoclint suite, in reporting order: the
@@ -68,7 +67,6 @@ var analyzers = []*analysis.Analyzer{
 	errsink.Analyzer,
 	hotpathreach.Analyzer,
 	allocproof.Analyzer,
-	snapcover.Analyzer,
 	dettaint.Analyzer,
 	apistable.Analyzer,
 }

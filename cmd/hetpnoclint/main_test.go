@@ -117,22 +117,6 @@ func Esc() *int {
 	v := 0
 	return &v
 }
-
-type Core struct {
-	ticks int
-	drift int
-}
-
-func (c *Core) Advance() {
-	c.ticks++
-	c.drift++
-}
-
-type CoreSnap struct{ ticks int }
-
-func (c *Core) Snapshot() *CoreSnap { return &CoreSnap{ticks: c.ticks} }
-
-func (c *Core) Restore(s *CoreSnap) { c.ticks = s.ticks }
 `)
 	// Stale API golden: lists one symbol that no longer exists, knows
 	// the rest.
@@ -162,7 +146,6 @@ func (c *Core) Restore(s *CoreSnap) { c.ticks = s.ticks }
 		"errsink":      2, // Step() dropped error in Use and in Drop
 		"hotpathreach": 2, // fmt.Sprintf in root sim.Hot + fabric.Step -> helper.Label reaches fmt.Sprintf
 		"dettaint":     3, // math/rand import + time.Now call in sim + fabric.Sync calls helper.Jitter (taints to time.Now)
-		"snapcover":    2, // Core.Snapshot misses drift, Core.Restore misses drift
 		"apistable":    1, // Gone removed relative to the golden
 	}
 	for a, n := range want {
@@ -199,7 +182,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("empty -only selected %d analyzers, want the full suite of %d", len(full), len(analyzers))
 	}
 
-	active, err := selectAnalyzers("snapcover, maprange ,dettaint")
+	active, err := selectAnalyzers("hotpathreach, maprange ,dettaint")
 	if err != nil {
 		t.Fatalf("subset -only: %v", err)
 	}
@@ -209,7 +192,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	}
 	// Suite order, not flag order: maprange runs first, apistable would
 	// still run last if selected.
-	wantNames := []string{"maprange", "snapcover", "dettaint"}
+	wantNames := []string{"maprange", "hotpathreach", "dettaint"}
 	if len(gotNames) != len(wantNames) {
 		t.Fatalf("selected %v, want %v", gotNames, wantNames)
 	}

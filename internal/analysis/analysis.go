@@ -32,7 +32,7 @@ type Analyzer struct {
 
 	// RunModule, when set, applies the analyzer once to the whole
 	// module instead of package-by-package. The whole-program analyzers
-	// (hotpathreach, dettaint, snapcover, ...) need every package at
+	// (hotpathreach, dettaint, allocproof, ...) need every package at
 	// once to build and traverse the call graph.
 	RunModule func(*ModulePass) error
 }

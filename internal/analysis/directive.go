@@ -38,13 +38,6 @@ const (
 	// samples random inputs and prints any counterexample); dettaint
 	// treats it as clean. Requires a justification.
 	DirectiveDetsafe = "detsafe"
-
-	// DirectiveNosnap marks a struct field as deliberately excluded from
-	// its type's Snapshot/Restore pair: immutable-after-build
-	// configuration, derived caches rebuilt on restore, or state owned
-	// (and checkpointed) by another component. snapcover skips the field
-	// on both the capture and restore side. Requires a justification.
-	DirectiveNosnap = "nosnap"
 )
 
 const directivePrefix = "//hetpnoc:"
@@ -52,14 +45,14 @@ const directivePrefix = "//hetpnoc:"
 // Directive is one parsed //hetpnoc: comment.
 type Directive struct {
 	Pos  token.Pos
-	Name string // e.g. "orderfree", "hotpath", "nosnap"
+	Name string // e.g. "orderfree", "hotpath", "coldcall"
 	// Arg is the text after the name, trimmed: the justification.
 	Arg string
 
 	// Trailing reports that the comment follows code on its own line
-	// (`x int //hetpnoc:nosnap derived`). A trailing directive covers only
-	// that line — it never leaks onto the declaration below it the way
-	// an own-line comment covers the line underneath.
+	// (`setup() //hetpnoc:coldcall one-shot`). A trailing directive
+	// covers only that line — it never leaks onto the declaration below
+	// it the way an own-line comment covers the line underneath.
 	Trailing bool
 }
 

@@ -127,22 +127,21 @@ func TestDirectiveTrailingSameLine(t *testing.T) {
 	// second directive on the same line is not lost.
 	fset, f := parse(t, `package p
 
-type S struct {
-	n int //hetpnoc:nosnap derived
-	m int
+func g() {
+	setup() //hetpnoc:coldcall one-shot
+	step()
 }
 `)
 	dirs := ParseDirectives(fset, f)
-	st := f.Decls[0].(*ast.GenDecl).Specs[0].(*ast.TypeSpec).Type.(*ast.StructType)
-	field := st.Fields.List[0]
-	d, ok := dirs.Covering(field, DirectiveNosnap)
-	if !ok || d.Arg != "derived" {
-		t.Errorf("nosnap on trailing comment: ok=%v arg=%q, want derived", ok, d.Arg)
+	body := f.Decls[0].(*ast.FuncDecl).Body
+	d, ok := dirs.Covering(body.List[0], DirectiveColdcall)
+	if !ok || d.Arg != "one-shot" {
+		t.Errorf("coldcall on trailing comment: ok=%v arg=%q, want one-shot", ok, d.Arg)
 	}
-	// The directive trails field n; it must not leak down onto m via
-	// the line-above rule.
-	if _, ok := dirs.Covering(st.Fields.List[1], DirectiveNosnap); ok {
-		t.Error("trailing directive on field n leaked onto the next field")
+	// The directive trails the call to setup; it must not leak down onto
+	// the call to step via the line-above rule.
+	if _, ok := dirs.Covering(body.List[1], DirectiveColdcall); ok {
+		t.Error("trailing directive on the first statement leaked onto the next one")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"hetpnoc/internal/analysis/globalstate"
 	"hetpnoc/internal/analysis/hotpathreach"
 	"hetpnoc/internal/analysis/maprange"
-	"hetpnoc/internal/analysis/snapcover"
 )
 
 // fixtures lists, per analyzer, the fixture packages under its own
@@ -32,7 +31,6 @@ var fixtures = []struct {
 	{errsink.Analyzer, []string{"eefix"}},
 	{hotpathreach.Analyzer, []string{"reach/hot"}},
 	{hotpathreach.Analyzer, []string{"hfix/hot"}},
-	{snapcover.Analyzer, []string{"snap/sim"}},
 	{dettaint.Analyzer, []string{"dt/internal/sim"}},
 	{dettaint.Analyzer, []string{"simfix/internal/sim", "simfix/cmd/tool"}},
 	{apistable.Analyzer, []string{"apfix"}},

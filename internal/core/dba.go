@@ -131,22 +131,18 @@ type Allocator struct {
 	reservedOwner []int
 
 	// wants[c] is want(c), the greedy aim request[c] implies; SetDemand
-	// refreshes it, so a token visit reads it instead of scanning the row.
-	//
-	//hetpnoc:nosnap derived from request; Restore recomputes it
+	// refreshes it and Restore recomputes it, so a token visit reads it
+	// instead of scanning the row.
 	wants []int
 	// currentFor[c] is the allocation count current[c] was last derived
 	// from, or -1 once request[c] has changed since (SetDemand) or the
 	// tables were rewound (Restore). Request tables move only on a task
 	// remap (§3.2.1), so between remaps a visit that keeps its count finds
 	// current[c] already right and leaves it.
-	//
-	//hetpnoc:nosnap derived from request and acquired; Restore invalidates it
 	currentFor []int
 	// free counts the unowned slots within the budget, so a visit that
-	// wants more of an exhausted pool skips the slot scan.
-	//
-	//hetpnoc:nosnap derived from owner; Restore recounts it
+	// wants more of an exhausted pool skips the slot scan. Restore
+	// recounts it.
 	free int
 
 	// Token sizing and the fault-recovery timeout.

@@ -21,6 +21,7 @@ const (
 	peerWidth   = 1
 	toPRWidth   = 2
 	rxDrainMult = 4
+	ejectWidth  = 2 // flits per cycle a core consumes
 )
 
 // coreState is the per-core runtime: the traffic source, the bounded
@@ -30,8 +31,9 @@ type coreState struct {
 	id    topology.CoreID
 	queue packet.Queue
 
-	injectPort *router.Port //hetpnoc:nosnap topology: port view wired at build; port state lives in the arena
-	ejectPort  *router.Port //hetpnoc:nosnap topology: port view wired at build; port state lives in the arena
+	// Port views wired at build; the ports' state lives in the arena.
+	injectPort *router.Port
+	ejectPort  *router.Port
 
 	coreRun
 }
@@ -79,7 +81,7 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 	c := &cluster{id: cl}
 
 	newPort := func() (*router.Port, error) {
-		return f.arena.NewPort(f.cfg.VCsPerPort, f.cfg.BufferDepthFlits)
+		return f.arena.NewPort(f.cfg.VCsPerPort, bufferDepthFlits)
 	}
 
 	// Pre-create every input port so routers can cross-reference them.
@@ -145,7 +147,7 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sw.AddOutput(ejectPort, f.cfg.EjectWidth, false); err != nil {
+		if _, err := sw.AddOutput(ejectPort, ejectWidth, false); err != nil {
 			return nil, err
 		}
 		for j := 0; j < k; j++ {
@@ -207,7 +209,7 @@ func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
 	c := &cluster{id: cl}
 
 	newPort := func() (*router.Port, error) {
-		return f.arena.NewPort(f.cfg.VCsPerPort, f.cfg.BufferDepthFlits)
+		return f.arena.NewPort(f.cfg.VCsPerPort, bufferDepthFlits)
 	}
 
 	swInputs := make([]*router.Port, k+1)
@@ -252,7 +254,7 @@ func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := sw.AddOutput(ejectPort, f.cfg.EjectWidth, false); err != nil {
+		if _, err := sw.AddOutput(ejectPort, ejectWidth, false); err != nil {
 			return nil, err
 		}
 		core := topo.CoreAt(cl, i)
@@ -337,7 +339,6 @@ func (cs *coreState) pumpInject(now sim.Cycle) error {
 // drain, so neither condition can clear within this call, and reference
 // visits of such VCs have no side effects.
 func (f *Fabric) drainEject(cs *coreState, now sim.Cycle) error {
-	ejectWidth := f.cfg.EjectWidth
 	p := cs.ejectPort
 	m := p.OccupiedMask()
 	if m == 0 {

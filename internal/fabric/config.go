@@ -100,22 +100,19 @@ type Config struct {
 
 	Seed uint64
 
-	// Router provisioning (Table 3-3: 16 VCs/port, 64-flit buffers).
-	VCsPerPort       int
-	BufferDepthFlits int
+	// VCsPerPort is the router provisioning (Table 3-3: 16 VCs/port,
+	// each bufferDepthFlits deep).
+	VCsPerPort int
 
 	// SourceQueueLimit bounds each core's injection queue; packets
 	// offered beyond it are rejected (standard saturation-measurement
 	// practice).
 	SourceQueueLimit int
 
-	// MaxRetries and RetryBackoffCycles govern retransmission of packets
-	// dropped at a receiver with no free VC (§1.4).
-	MaxRetries         int
+	// RetryBackoffCycles is the wait before a packet dropped at a
+	// receiver with no free VC is retransmitted, up to maxRetries
+	// times (§1.4).
 	RetryBackoffCycles int
-
-	// EjectWidth is the flits per cycle a core consumes.
-	EjectWidth int
 
 	IntraCluster IntraCluster
 
@@ -163,6 +160,15 @@ const (
 	DefaultLoadScale    = 1.0
 )
 
+// Router and retransmission parameters that no run varies.
+const (
+	// bufferDepthFlits is each VC's depth (Table 3-3: 64-flit buffers).
+	bufferDepthFlits = 64
+	// maxRetries is how often a dropped packet is retransmitted before
+	// its message is counted lost.
+	maxRetries = 8
+)
+
 // WithDefaults returns the config with unset fields filled from Table 3-3
 // and the implementation defaults documented in DESIGN.md.
 func (c Config) WithDefaults() Config {
@@ -193,20 +199,11 @@ func (c Config) WithDefaults() Config {
 	if c.VCsPerPort == 0 {
 		c.VCsPerPort = 16
 	}
-	if c.BufferDepthFlits == 0 {
-		c.BufferDepthFlits = 64
-	}
 	if c.SourceQueueLimit == 0 {
 		c.SourceQueueLimit = 16
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 8
-	}
 	if c.RetryBackoffCycles == 0 {
 		c.RetryBackoffCycles = 64
-	}
-	if c.EjectWidth == 0 {
-		c.EjectWidth = 2
 	}
 	if c.IntraCluster == 0 {
 		c.IntraCluster = AllToAll
@@ -252,15 +249,15 @@ func (c Config) Validate() error {
 	if c.Cycles <= 0 || c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
 		return fmt.Errorf("fabric: cycles %d / warm-up %d invalid", c.Cycles, c.WarmupCycles)
 	}
-	if c.VCsPerPort <= 0 || c.BufferDepthFlits <= 0 {
-		return fmt.Errorf("fabric: VC count and buffer depth must be positive")
+	if c.VCsPerPort <= 0 {
+		return fmt.Errorf("fabric: VC count must be positive")
 	}
-	if c.BufferDepthFlits < c.Set.Format.Flits {
+	if bufferDepthFlits < c.Set.Format.Flits {
 		return fmt.Errorf("fabric: buffer depth %d flits cannot hold one %d-flit packet",
-			c.BufferDepthFlits, c.Set.Format.Flits)
+			bufferDepthFlits, c.Set.Format.Flits)
 	}
-	if c.SourceQueueLimit <= 0 || c.MaxRetries < 0 || c.RetryBackoffCycles <= 0 || c.EjectWidth <= 0 {
-		return fmt.Errorf("fabric: queue/retry/eject parameters must be positive")
+	if c.SourceQueueLimit <= 0 || c.RetryBackoffCycles <= 0 {
+		return fmt.Errorf("fabric: queue/retry parameters must be positive")
 	}
 	if c.IntraCluster != AllToAll && c.IntraCluster != Concentrated {
 		return fmt.Errorf("fabric: unknown intra-cluster topology %d", c.IntraCluster)

@@ -50,24 +50,19 @@ type Fabric struct {
 	rxs      []*xbar.RX
 
 	// genList holds the cores whose traffic source can emit packets
-	// (rebuilt on every workload assignment); idle sources tick as pure
-	// no-ops and are skipped.
-	//
-	//hetpnoc:nosnap derived from the restored sources; Restore rebuilds it
+	// (rebuilt on every workload assignment and by Restore); idle
+	// sources tick as pure no-ops and are skipped.
 	genList []*coreState
 
 	// nextGen is the earliest NextEmission over genList: no source does
 	// anything before it, so Step leaves the generation walk out until
 	// then and StepContext may jump to it. A bursty source holds it at or
-	// below now.
-	//
-	//hetpnoc:nosnap derived from the restored sources; Restore rebuilds it with genList
+	// below now. Restore rebuilds it with genList.
 	nextGen sim.Cycle
 
 	// remaps is cfg.Remaps in firing order: a copy sorted by cycle, ties
-	// kept in configuration order. state.nextRemap walks it.
-	//
-	//hetpnoc:nosnap build product, never written after New; the nextRemap cursor is the state
+	// kept in configuration order, never written after New.
+	// state.nextRemap walks it.
 	remaps []Remap
 
 	// pool recycles packet structs once their tail is consumed or the
@@ -343,7 +338,7 @@ func (f *Fabric) SetLoadScale(scale float64) error {
 //hetpnoc:hotpath
 func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 	f.collector.OnDropRX()
-	if p.Attempt > f.cfg.MaxRetries {
+	if p.Attempt > maxRetries {
 		f.collector.OnLost()
 		f.pool.Put(p)
 		return

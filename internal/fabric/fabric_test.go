@@ -29,8 +29,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Cycles != 10000 || cfg.WarmupCycles != 1000 {
 		t.Errorf("default run length %d/%d, Table 3-3 says 10000/1000", cfg.Cycles, cfg.WarmupCycles)
 	}
-	if cfg.VCsPerPort != 16 || cfg.BufferDepthFlits != 64 {
-		t.Errorf("default router memory %d VCs x %d flits, Table 3-3 says 16x64", cfg.VCsPerPort, cfg.BufferDepthFlits)
+	if cfg.VCsPerPort != 16 || bufferDepthFlits != 64 {
+		t.Errorf("default router memory %d VCs x %d flits, Table 3-3 says 16x64", cfg.VCsPerPort, bufferDepthFlits)
 	}
 	if cfg.Topology.Cores() != 64 {
 		t.Errorf("default topology has %d cores", cfg.Topology.Cores())
@@ -51,8 +51,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nil pattern", func(c *Config) { c.Pattern = nil }},
 		{"negative load", func(c *Config) { c.LoadScale = -1 }},
 		{"warmup >= cycles", func(c *Config) { c.WarmupCycles = c.Cycles }},
-		{"buffer below packet", func(c *Config) { c.BufferDepthFlits = 8 }}, // BW1 packets are 64 flits
-		{"zero eject", func(c *Config) { c.EjectWidth = -1 }},
+		{"buffer below packet", func(c *Config) { c.Set.Format.Flits = bufferDepthFlits + 1 }},
 		{"bad intra", func(c *Config) { c.IntraCluster = 99 }},
 		{"remap without pattern", func(c *Config) { c.Remaps = []Remap{{At: 100}} }},
 		{"remap before the run", func(c *Config) { c.Remaps = []Remap{{At: -1, Pattern: traffic.Uniform{}}} }},

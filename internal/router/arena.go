@@ -87,16 +87,16 @@ type wakeBit struct {
 type Arena struct {
 	ledger *photonic.Ledger
 
-	// occupancy is the shared fabric-wide buffered-flit counter.
-	//
-	//hetpnoc:nosnap wiring to a counter its owner checkpoints (the fabric's state); the pointer is never reassigned
+	// occupancy is the shared fabric-wide buffered-flit counter. Its
+	// owner (the fabric's state) checkpoints it; the pointer is never
+	// reassigned.
 	occupancy *int64
 
 	// Per-port wiring, indexed by port id, fixed after build.
-	vcBase []int32   //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
-	vcCnt  []int32   //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
-	depth  []int32   //hetpnoc:nosnap topology, fixed once NewPort/Reserve wiring completes
-	wake   []wakeBit //hetpnoc:nosnap wake targets, wired once by WakeIn at build
+	vcBase []int32
+	vcCnt  []int32
+	depth  []int32
+	wake   []wakeBit
 	// consumer/consBase identify the router arbitrating each port (nil
 	// for engine-drained ports) and the port's flat candidate base in
 	// that router, so ownership transitions can maintain the router's
@@ -104,11 +104,12 @@ type Arena struct {
 	// port (those with it as an output destination): draining the port
 	// can unblock their arbitration, so pops wake them from quiescence.
 	// routers lists every router arbitrating ports of this arena, once
-	// each, in construction order.
-	consumer []*Router   //hetpnoc:nosnap router wiring, fixed at build
-	consBase []int32     //hetpnoc:nosnap router wiring, fixed at build
-	watchers [][]*Router //hetpnoc:nosnap router wiring, fixed at build
-	routers  []*Router   //hetpnoc:nosnap router wiring, fixed at build; Restore rebuilds their live masks
+	// each, in construction order; Restore rebuilds their live masks.
+	// All four are fixed at build.
+	consumer []*Router
+	consBase []int32
+	watchers [][]*Router
+	routers  []*Router
 
 	state
 }

@@ -94,9 +94,10 @@ type Router struct {
 	// visiting each one to hear the same refusal.
 	//
 	// outMask, liveMask and hdrMask share the stride and are carved from
-	// one allocation (see growMasks).
-	liveMask []uint64 //hetpnoc:nosnap derived from arena ownership state, rebuilt by rebuildLive
-	hdrMask  []uint64 //hetpnoc:nosnap derived from arena ownership state, rebuilt by rebuildLive
+	// one allocation (see growMasks). An arena Restore rebuilds liveMask
+	// and hdrMask from the restored ownership (rebuildLive).
+	liveMask []uint64
+	hdrMask  []uint64
 	// liveAny is a lazy per-output summary of liveMask: bit o is set
 	// whenever output o might have a contender. Ownership transitions set
 	// it eagerly; Tick clears it when a copy finds the output's words all

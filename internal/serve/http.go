@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -17,6 +19,11 @@ import (
 // maxBodyBytes bounds request bodies; a full 64-core custom workload
 // fits in a few kilobytes, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
+
+// bodyTimeout bounds the time a request body takes to arrive once its
+// headers are in, so a client that trickles its body cannot hold a
+// handler goroutine and a file descriptor for ever.
+const bodyTimeout = 10 * time.Second
 
 // RunResponse is the /v1/run reply. The handlers never encode one: every
 // reply is written from the bytes its cache entry was rendered into
@@ -55,20 +62,35 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// readBody reads a request body of at most maxBodyBytes. When it cannot,
-// it has already answered — 413 for a body over the bound, 400 for one
-// that failed to arrive — and reports false.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// readBody reads a request body of at most maxBodyBytes within the
+// server's body deadline. When it cannot, it has already answered — 413
+// for a body over the bound, 408 for one that did not arrive in time,
+// 400 for one that failed to arrive — and reports false.
+//
+// The deadline is the connection's read deadline, set for the read and
+// cleared once the body is in, so it bounds the body alone and never the
+// simulation that follows (http.Server.ReadTimeout cannot be scoped so).
+// After a failed read it stays, so net/http's drain of the unread body
+// ends at once and the connection closes. A handler served without a
+// connection (httptest.ResponseRecorder) cannot set one and needs none.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
+		switch {
+		case errors.As(err, &tooLarge):
 			status = http.StatusRequestEntityTooLarge
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			status = http.StatusRequestTimeout
+			err = fmt.Errorf("request body did not arrive within %v", s.bodyTimeout)
 		}
 		writeError(w, status, err)
 		return nil, false
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	return body, true
 }
 
@@ -77,7 +99,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // A body is indexed only once it has produced a result, so a body that
 // fails is never indexed and fails the same way every time.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
@@ -101,7 +123,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}

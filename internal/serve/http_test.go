@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -427,5 +428,54 @@ func TestHTTPMethodRouting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Fatal("GET /v1/run should not succeed")
+	}
+}
+
+// TestStalledBodyIsCut: a client that sends its headers and then stops
+// in the middle of its body is answered 408, or cut, once the body
+// deadline has passed, instead of holding its handler for ever.
+func TestStalledBodyIsCut(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.bodyTimeout = deadline
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const head = "POST /v1/run HTTP/1.1\r\nHost: hetpnoc\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n"
+	if _, err := io.WriteString(conn, head+`{"cycles":`); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := conn.SetReadDeadline(start.Add(5 * deadline)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("the stalled body still held the connection after %v: %v", time.Since(start), err)
+	}
+	if len(reply) > 0 && !strings.HasPrefix(string(reply), "HTTP/1.1 408 ") {
+		t.Errorf("the stalled body was answered\n%s\nwant a 408 or a closed connection", reply)
+	}
+}
+
+// TestRunOutlivesBodyDeadline: the body deadline ends with the body, so
+// a run that takes longer than it is still answered.
+func TestRunOutlivesBodyDeadline(t *testing.T) {
+	const deadline = 100 * time.Millisecond
+	s, ts := newTestServer(t, Config{Workers: 1})
+	s.bodyTimeout = deadline
+	s.run = func(ctx context.Context, cfg hetpnoc.Config) (hetpnoc.Result, error) {
+		select {
+		case <-time.After(3 * deadline):
+		case <-ctx.Done():
+			return hetpnoc.Result{}, ctx.Err()
+		}
+		return hetpnoc.RunContext(ctx, cfg)
+	}
+	resp, data := postJSON(t, ts.URL+"/v1/run", `{"cycles":1200,"warmupCycles":1000}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a run longer than the body deadline was answered %d: %s", resp.StatusCode, data)
 	}
 }

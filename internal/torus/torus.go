@@ -126,12 +126,12 @@ type Network struct {
 	ledger *photonic.Ledger
 	onDrop xbar.DropHandler
 
-	linkOwner map[linkID]*path //hetpnoc:nosnap derived: Restore rebuilds it from the restored circuits
+	linkOwner map[linkID]*path // derived: Restore rebuilds it from the restored circuits
 
 	// band is the full DWDM band of one link's waveguide, the gating set
 	// of every torus receive window. It never varies per path, so it is
 	// computed once here instead of allocating per established circuit.
-	band []photonic.WavelengthID //hetpnoc:nosnap immutable full-band table, computed once at build
+	band []photonic.WavelengthID
 
 	state
 }
