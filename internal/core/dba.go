@@ -19,6 +19,7 @@ import (
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
+	"hetpnoc/internal/units"
 	"hetpnoc/internal/xbar"
 )
 
@@ -239,8 +240,9 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	if cfg.TotalWavelengths > cfg.Bundle.Capacity() {
 		return nil, fmt.Errorf("core: budget %d exceeds bundle capacity %d", cfg.TotalWavelengths, cfg.Bundle.Capacity())
 	}
-	if cfg.ClockHz <= 0 {
-		return nil, fmt.Errorf("core: clock frequency must be positive")
+	perWavelength, err := photonic.WavelengthCredit(cfg.ClockHz)
+	if err != nil {
+		return nil, fmt.Errorf("core: clock frequency %g Hz: wavelength rate per cycle: %w", cfg.ClockHz, err)
 	}
 	if cfg.MaxChannelWavelengths < 0 {
 		return nil, fmt.Errorf("core: negative channel cap")
@@ -322,14 +324,7 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	if a.cfg.Policy == PolicyProportional {
 		a.tokenBits += clusters * demandFieldBits
 	}
-	perCycle := photonic.BitsPerCycle(cfg.ClockHz) * float64(cfg.Bundle.WavelengthsPerWaveguide)
-	a.transitCycles = int(float64(a.tokenBits)/perCycle) + 1
-	if float64(a.tokenBits) <= perCycle*float64(a.transitCycles-1) {
-		a.transitCycles--
-	}
-	if a.transitCycles < 1 {
-		a.transitCycles = 1
-	}
+	a.transitCycles = units.CyclesFor(a.tokenBits, perWavelength*units.BitCredit(cfg.Bundle.WavelengthsPerWaveguide))
 	a.transitLeft = a.transitCycles
 	a.regenTimeout = cfg.RegenerationTimeoutCycles
 	if a.regenTimeout == 0 {

@@ -194,6 +194,36 @@ func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 			t.Fatalf("StepContext averages %.0f allocations per 2,500-cycle span at light load, want 0", avg)
 		}
 	})
+	// The corpus scenarios the saturated sets leave out, in their steady
+	// state. A bursty source draws every cycle and allocates nothing. The
+	// drop storm's retransmit queue and overloaded source queues still
+	// grow now and then, far less than once per drop. The torus routes
+	// each setup attempt into a link list of its own, which the circuit
+	// keeps: up to three appends for the four hops of a 4x4 torus, by
+	// design, and none per streamed cycle. Beside those, each may grow a
+	// queue or the pool a few times, as at saturation.
+	bursty, torus := lightLoad(DHetPNoC, traffic.BWSet1), saturated(traffic.BWSet1, 3, 0)
+	bursty.Pattern, bursty.LoadScale, torus.Arch = traffic.Bursty{Base: traffic.Uniform{}, Factor: 4}, 0.25, TorusPNoC
+	for _, sc := range []struct {
+		name   string
+		cfg    Config
+		events func(*Fabric) int64 // what may allocate, so far
+		per    float64             // allocations allowed per event
+	}{
+		{"Bursty", bursty, func(f *Fabric) int64 { return f.Totals().Injected }, 0},
+		{"DropStorm", dropStormConfig(DHetPNoC), func(f *Fabric) int64 { return f.Totals().DroppedRX }, 0.25},
+		{"Torus", torus, func(f *Fabric) int64 { return f.torus.PathsSetUp() + f.torus.SetupsBlocked() }, 3},
+	} {
+		t.Run(sc.name+suffix, func(t *testing.T) {
+			sc.cfg.ProbeEvery = every
+			f := warmed(t, sc.cfg, 8000)
+			before := sc.events(f)
+			n := mallocs(t, func() error { return f.StepContext(context.Background(), 2000) })
+			if events := sc.events(f) - before; events == 0 || float64(n) > sc.per*float64(events)+16 {
+				t.Fatalf("2,000 cycles made %d allocations over %d events, want at most %g per event and 16 more", n, events, sc.per)
+			}
+		})
+	}
 	// Restoring a drop storm after it ran on: the live fabric's own
 	// storage takes the checkpoint back, whatever grew or shrank since.
 	t.Run("Restore"+suffix, func(t *testing.T) {
@@ -201,25 +231,27 @@ func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 		cfg.ProbeEvery = every
 		f := warmed(t, cfg, 2080)
 		cp := f.Checkpoint()
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		var before, after runtime.MemStats
 		for round := range 3 {
-			for range 200 * (round + 1) {
-				if err := f.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runtime.ReadMemStats(&before)
-			err := f.Restore(cp)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := after.Mallocs - before.Mallocs; n != 0 {
+			step(t, f, 200*(round+1))
+			if n := mallocs(t, func() error { return f.Restore(cp) }); n != 0 {
 				t.Fatalf("round %d: Fabric.Restore made %d allocations after the fabric ran on, want 0", round, n)
 			}
 		}
 	})
+}
+
+// mallocs returns the heap allocations fn makes, run on one P.
+func mallocs(t *testing.T, fn func() error) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := fn()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkFabricStepIdle measures one cycle of the chip with zero

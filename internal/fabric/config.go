@@ -232,6 +232,24 @@ func checkLoadScale(scale float64) error {
 	return nil
 }
 
+// checkCustomRates refuses a custom workload, bursty or not, with a core
+// rate no source could hold as credit; a built-in pattern's rates are
+// known only once assigned, so New refuses those.
+func checkCustomRates(p traffic.Pattern, loadScale float64) error {
+	b, bursty := p.(traffic.Bursty)
+	if bursty {
+		p = b.Base
+	}
+	custom, _ := p.(traffic.Custom)
+	for i, cc := range custom.Cores {
+		profile := traffic.CoreProfile{RateGbps: cc.RateGbps, Burstiness: b.Factor}
+		if _, _, err := traffic.CreditRates(topology.CoreID(i), profile, sim.DefaultClock(), loadScale); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Validate reports the first configuration error.
 func (c Config) Validate() error {
 	if err := c.Set.Validate(); err != nil {
@@ -244,6 +262,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fabric: no traffic pattern")
 	}
 	if err := checkLoadScale(c.LoadScale); err != nil {
+		return err
+	}
+	if err := checkCustomRates(c.Pattern, c.LoadScale); err != nil {
 		return err
 	}
 	if c.Cycles <= 0 || c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
@@ -275,6 +296,9 @@ func (c Config) Validate() error {
 		}
 		if r.At < 0 || r.At >= sim.Cycle(c.Cycles) {
 			return fmt.Errorf("fabric: remap at cycle %d is outside the run's %d cycles", r.At, c.Cycles)
+		}
+		if err := checkCustomRates(r.Pattern, c.LoadScale); err != nil {
+			return err
 		}
 	}
 	return nil

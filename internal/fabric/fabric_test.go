@@ -56,6 +56,12 @@ func TestConfigValidation(t *testing.T) {
 		{"remap without pattern", func(c *Config) { c.Remaps = []Remap{{At: 100}} }},
 		{"remap before the run", func(c *Config) { c.Remaps = []Remap{{At: -1, Pattern: traffic.Uniform{}}} }},
 		{"remap past the run", func(c *Config) { c.Remaps = []Remap{{At: sim.Cycle(c.Cycles), Pattern: traffic.Uniform{}}} }},
+		// Custom rates are data, so Validate refuses what a source could
+		// not hold as credit: below one unit, or past 2^30 bits a cycle.
+		{"custom rate rounding to no credit", func(c *Config) { c.Pattern = traffic.Custom{Cores: []traffic.CustomCore{{RateGbps: 1e-12}}} }},
+		{"remap to a bursty custom rate past the credit range", func(c *Config) {
+			c.Remaps = []Remap{{At: 100, Pattern: traffic.Bursty{Base: traffic.Custom{Cores: []traffic.CustomCore{{RateGbps: 1e9}}}, Factor: 4}}}
+		}},
 	}
 	for _, tt := range tests {
 		cfg := base

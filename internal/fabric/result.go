@@ -79,8 +79,9 @@ func (f *Fabric) result() Result {
 	summary := f.collector.Summary()
 
 	var offered float64
-	for _, cs := range f.cores {
-		offered += f.clock.BitsPerCycleToGbps(cs.source.OfferedBitsPerCycle())
+	for _, core := range f.assignment.Cores {
+		bitsPerCycle := f.clock.GbpsToBitsPerCycle(core.RateGbps * f.cfg.LoadScale)
+		offered += f.clock.BitsPerCycleToGbps(bitsPerCycle)
 	}
 
 	energy := f.ledger.Energy()

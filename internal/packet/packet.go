@@ -144,10 +144,11 @@ type Format struct {
 // Bits returns the packet size in bits for this format.
 func (f Format) Bits() int { return f.Flits * f.FlitBits }
 
-// Validate reports an error for non-positive dimensions.
+// Validate reports an error for non-positive dimensions, or a packet
+// above 2^30 bits, the most a credit count (units.BitCredit) can pace.
 func (f Format) Validate() error {
-	if f.Flits <= 0 || f.FlitBits <= 0 {
-		return fmt.Errorf("packet: format %dx%d must have positive dimensions", f.Flits, f.FlitBits)
+	if f.Flits <= 0 || f.FlitBits <= 0 || f.FlitBits > 1<<30/f.Flits {
+		return fmt.Errorf("packet: format %dx%d must have positive dimensions and at most 2^30 bits", f.Flits, f.FlitBits)
 	}
 	return nil
 }

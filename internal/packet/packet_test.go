@@ -74,7 +74,7 @@ func TestPacketBits(t *testing.T) {
 }
 
 func TestFormatValidation(t *testing.T) {
-	for _, f := range []Format{{0, 32}, {64, 0}, {-1, 32}, {64, -1}} {
+	for _, f := range []Format{{0, 32}, {64, 0}, {-1, 32}, {64, -1}, {1 << 20, 1 << 11}} {
 		if err := f.Validate(); err == nil {
 			t.Errorf("format %+v passed validation", f)
 		}

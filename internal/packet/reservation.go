@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/units"
 )
 
 // bitsFor returns the minimum field width that can represent values in
@@ -45,18 +46,11 @@ func ReservationBits(clusters, maxFlits int, bundle photonic.WaveguideBundle, nW
 // maximum DWDM (64 wavelengths at 12.5 Gb/s = 800 Gb/s, i.e. 320 bits per
 // 400 ps cycle at 2.5 GHz), so per §3.4.1.1 bandwidth set 1 needs a single
 // cycle (<= 8 identifiers, 48 bits + header fields) while bandwidth set 3
-// needs two cycles (64 identifiers x 9 bits = 576 bits).
-func ReservationCycles(clusters, maxFlits int, bundle photonic.WaveguideBundle, nWavelengthIDs int, clockHz float64) int {
+// needs two cycles (64 identifiers x 9 bits = 576 bits). perWavelength
+// is what one wavelength carries per cycle.
+func ReservationCycles(clusters, maxFlits int, bundle photonic.WaveguideBundle, nWavelengthIDs int, perWavelength units.BitCredit) int {
 	total := ReservationBits(clusters, maxFlits, bundle, nWavelengthIDs)
-	perCycle := photonic.BitsPerCycle(clockHz) * photonic.MaxWavelengthsPerWaveguide
-	cycles := int(float64(total)/perCycle) + 1
-	if float64(total) == perCycle*float64(cycles-1) && total > 0 {
-		cycles--
-	}
-	if cycles < 1 {
-		cycles = 1
-	}
-	return cycles
+	return units.CyclesFor(total, perWavelength*photonic.MaxWavelengthsPerWaveguide)
 }
 
 // EncodeWavelengths packs wavelength identifiers into the on-wire integer

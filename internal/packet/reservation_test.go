@@ -5,9 +5,11 @@ import (
 	"testing/quick"
 
 	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/units"
 )
 
-const clockHz = 2.5e9
+// perWavelength is what one wavelength carries per 2.5 GHz cycle.
+var perWavelength, _ = photonic.WavelengthCredit(2.5e9)
 
 func bundleFor(total int) photonic.WaveguideBundle {
 	b, err := photonic.NewBundle(total)
@@ -25,7 +27,7 @@ func TestReservationTimingSection3_4_1_1(t *testing.T) {
 	const clusters, maxFlits1, maxFlits3 = 16, 64, 8
 
 	set1 := bundleFor(64)
-	if got := ReservationCycles(clusters, maxFlits1, set1, 8, clockHz); got != 1 {
+	if got := ReservationCycles(clusters, maxFlits1, set1, 8, perWavelength); got != 1 {
 		t.Fatalf("BW set 1 reservation takes %d cycles, want 1 (§3.4.1.1)", got)
 	}
 
@@ -33,7 +35,7 @@ func TestReservationTimingSection3_4_1_1(t *testing.T) {
 	if set3.Waveguides != 8 {
 		t.Fatalf("512 wavelengths need %d waveguides, want 8", set3.Waveguides)
 	}
-	if got := ReservationCycles(clusters, maxFlits3, set3, 64, clockHz); got != 2 {
+	if got := ReservationCycles(clusters, maxFlits3, set3, 64, perWavelength); got != 2 {
 		t.Fatalf("BW set 3 reservation takes %d cycles, want 2 (§3.4.1.1)", got)
 	}
 }
@@ -58,20 +60,19 @@ func TestReservationBitsComposition(t *testing.T) {
 func TestReservationCyclesBoundaries(t *testing.T) {
 	b := bundleFor(64)
 	// 320 bits per cycle on the 64-wavelength reservation waveguide.
-	perCycle := int(photonic.BitsPerCycle(clockHz)) * 64
-	if perCycle != 320 {
-		t.Fatalf("reservation waveguide carries %d bits/cycle, want 320", perCycle)
+	if perWavelength*64 != units.Bits(320) {
+		t.Fatalf("reservation waveguide carries %d credit a cycle, want 320 bits", perWavelength*64)
 	}
 	// Zero identifiers (Firefly) always fits one cycle.
-	if got := ReservationCycles(16, 64, b, 0, clockHz); got != 1 {
+	if got := ReservationCycles(16, 64, b, 0, perWavelength); got != 1 {
 		t.Fatalf("Firefly reservation takes %d cycles, want 1", got)
 	}
 	// 51 IDs x 6 bits + 11 header bits = 317 bits -> still one cycle;
 	// 52 IDs = 323 bits -> two.
-	if got := ReservationCycles(16, 64, b, 51, clockHz); got != 1 {
+	if got := ReservationCycles(16, 64, b, 51, perWavelength); got != 1 {
 		t.Fatalf("317-bit reservation takes %d cycles, want 1", got)
 	}
-	if got := ReservationCycles(16, 64, b, 52, clockHz); got != 2 {
+	if got := ReservationCycles(16, 64, b, 52, perWavelength); got != 2 {
 		t.Fatalf("323-bit reservation takes %d cycles, want 2", got)
 	}
 }

@@ -51,8 +51,8 @@ func TestSlotMappingRoundTrip(t *testing.T) {
 }
 
 func TestBitsPerCycle(t *testing.T) {
-	if got := BitsPerCycle(2.5e9); got != 5 {
-		t.Fatalf("BitsPerCycle(2.5 GHz) = %g, want 5", got)
+	if got, err := WavelengthCredit(2.5e9); got != units.Bits(5) || err != nil {
+		t.Fatalf("WavelengthCredit(2.5 GHz) = %d, %v; want 5 bits", got, err)
 	}
 }
 

@@ -13,6 +13,8 @@ package photonic
 import (
 	"fmt"
 	"sort"
+
+	"hetpnoc/internal/units"
 )
 
 // Constants of the photonic technology assumed throughout the thesis.
@@ -97,9 +99,9 @@ func (b WaveguideBundle) SlotForID(id WavelengthID) int {
 	return id.Waveguide*b.WavelengthsPerWaveguide + id.Wavelength
 }
 
-// BitsPerCycle returns the payload bits one wavelength carries per clock
-// cycle at the given NoC clock frequency. At the thesis's 2.5 GHz clock a
-// 12.5 Gb/s wavelength carries exactly 5 bits per cycle.
-func BitsPerCycle(clockHz float64) float64 {
-	return WavelengthGbps * 1e9 / clockHz
+// WavelengthCredit returns the payload one wavelength carries per clock
+// cycle at the given NoC clock frequency, as credit. At the thesis's
+// 2.5 GHz clock a 12.5 Gb/s wavelength carries exactly 5 bits per cycle.
+func WavelengthCredit(clockHz float64) (units.BitCredit, error) {
+	return units.CreditOf(WavelengthGbps * 1e9 / clockHz)
 }

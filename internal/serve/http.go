@@ -25,6 +25,10 @@ const maxBodyBytes = 1 << 20
 // handler goroutine and a file descriptor for ever.
 const bodyTimeout = 10 * time.Second
 
+// replyTimeout bounds the time a rendered reply takes to leave, so a
+// client that stops reading cannot hold a handler goroutine for ever.
+const replyTimeout = 30 * time.Second
+
 // RunResponse is the /v1/run reply. The handlers never encode one: every
 // reply is written from the bytes its cache entry was rendered into
 // (cache.AppendReply), which are exactly this type's encoding/json form.
@@ -70,11 +74,14 @@ func (s *Server) Handler() http.Handler {
 // The deadline is the connection's read deadline, set for the read and
 // cleared once the body is in, so it bounds the body alone and never the
 // simulation that follows (http.Server.ReadTimeout cannot be scoped so).
+// The write deadline a previous reply on the connection left is lifted
+// first, before a "100 Continue" is written.
 // After a failed read it stays, so net/http's drain of the unread body
 // ends at once and the connection closes. A handler served without a
 // connection (httptest.ResponseRecorder) cannot set one and needs none.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Time{})
 	_ = rc.SetReadDeadline(time.Now().Add(s.bodyTimeout))
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -87,7 +94,7 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 			status = http.StatusRequestTimeout
 			err = fmt.Errorf("request body did not arrive within %v", s.bodyTimeout)
 		}
-		writeError(w, status, err)
+		s.writeError(w, status, err)
 		return nil, false
 	}
 	_ = rc.SetReadDeadline(time.Time{})
@@ -105,12 +112,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	digest := cache.KeyOf(body)
 	if e, ok := s.cache.LookupBody(digest); ok {
-		writeReply(w, e.Reply)
+		s.writeReply(w, e.Reply)
 		return
 	}
 	cfg, err := DecodeRunRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	out, err := s.Submit(r.Context(), cfg)
@@ -119,7 +126,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cache.IndexBody(digest, out.Key)
-	writeReply(w, out.reply())
+	s.writeReply(w, out.reply())
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -129,7 +136,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	configs, err := DecodeSweepRequest(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	outs, err := s.runSweep(r.Context(), configs)
@@ -146,7 +153,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		reply = out.appendReply(reply)
 	}
-	writeReply(w, append(reply, "]}\n"...))
+	s.writeReply(w, append(reply, "]}\n"...))
 }
 
 // runSweep submits every point through Submit, exactly as a /v1/run of
@@ -215,14 +222,14 @@ func (s *Server) submitWithRetry(ctx context.Context, cfg hetpnoc.Config) (Outco
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	s.writeJSON(w, http.StatusOK, s.Metrics())
 }
 
 // writeSubmitError maps Submit failures onto HTTP semantics: full queue
@@ -232,18 +239,18 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, err)
+		s.writeError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
+		s.writeError(w, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
+		s.writeError(w, http.StatusGatewayTimeout, err)
 	case errors.Is(err, context.Canceled):
 		// The client went away; the status is for logs only.
-		writeError(w, 499, err)
+		s.writeError(w, 499, err)
 	case errors.Is(err, ErrSimulation):
-		writeError(w, http.StatusInternalServerError, err)
+		s.writeError(w, http.StatusInternalServerError, err)
 	default:
-		writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -259,19 +266,30 @@ func retryAfterSeconds(d time.Duration) int {
 }
 
 // writeReply writes a 200 JSON reply already rendered to bytes.
-func writeReply(w http.ResponseWriter, reply []byte) {
+func (s *Server) writeReply(w http.ResponseWriter, reply []byte) {
+	s.replyDeadline(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(reply)
 }
 
+// replyDeadline bounds the reply about to be written by the connection's
+// write deadline, which also covers net/http's flush of a short reply
+// after the handler returns. readBody lifts it before the connection's
+// next request runs, so it never bounds a simulation
+// (http.Server.WriteTimeout cannot be scoped so).
+func (s *Server) replyDeadline(w http.ResponseWriter) {
+	_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(s.replyTimeout))
+}
+
 // writeJSON encodes v as the reply: errors, /healthz and /metricsz.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	s.replyDeadline(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+	s.writeJSON(w, status, errorResponse{Error: err.Error()})
 }

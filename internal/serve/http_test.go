@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hetpnoc"
+	"hetpnoc/internal/testutil/leakcheck"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -460,12 +461,49 @@ func TestStalledBodyIsCut(t *testing.T) {
 	}
 }
 
-// TestRunOutlivesBodyDeadline: the body deadline ends with the body, so
-// a run that takes longer than it is still answered.
+// TestStalledReaderIsCut: a client that stops reading a reply larger
+// than the socket buffers (both kept small here) holds the handler for
+// the reply deadline only.
+func TestStalledReaderIsCut(t *testing.T) {
+	leakcheck.Check(t)
+	s := New(Config{Workers: 1})
+	s.replyTimeout = 200 * time.Millisecond
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
+	ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			_ = c.(*net.TCPConn).SetWriteBuffer(4 << 10)
+		}
+	}
+	ts.Start()
+	defer closeServer(t, s)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+	// 256 points of one run: one simulation, a reply of about 330 kB.
+	body := `{"base":{"cycles":1200,"warmupCycles":1000},"seeds":[` + strings.Repeat("1,", 255) + `1]}`
+	fmt.Fprintf(conn, "POST /v1/sweep HTTP/1.1\r\nHost: hetpnoc\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the handler still writes to a client that stopped reading")
+	}
+}
+
+// TestRunOutlivesBodyDeadline: the body deadline ends with the body and
+// the reply deadline starts with the reply, so a run that takes longer
+// than either is still answered.
 func TestRunOutlivesBodyDeadline(t *testing.T) {
 	const deadline = 100 * time.Millisecond
 	s, ts := newTestServer(t, Config{Workers: 1})
-	s.bodyTimeout = deadline
+	s.bodyTimeout, s.replyTimeout = deadline, deadline
 	s.run = func(ctx context.Context, cfg hetpnoc.Config) (hetpnoc.Result, error) {
 		select {
 		case <-time.After(3 * deadline):

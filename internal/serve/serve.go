@@ -115,8 +115,9 @@ type Server struct {
 	// run simulates one flight's config — hetpnoc.RunContext; tests swap
 	// it to inject faults into an admitted job.
 	run func(context.Context, hetpnoc.Config) (hetpnoc.Result, error)
-	// bodyTimeout is the constant of that name; tests shorten it.
-	bodyTimeout time.Duration
+	// bodyTimeout and replyTimeout are the constants of those names;
+	// tests shorten them.
+	bodyTimeout, replyTimeout time.Duration
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -146,15 +147,16 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:         cfg,
-		cache:       cache.New(cfg.CacheCapacity),
-		queue:       make(chan *flight, cfg.QueueDepth),
-		run:         hetpnoc.RunContext,
-		bodyTimeout: bodyTimeout,
-		baseCtx:     ctx,
-		baseCancel:  cancel,
-		started:     time.Now(),
-		pending:     make(map[cache.Key]*flight),
+		cfg:          cfg,
+		cache:        cache.New(cfg.CacheCapacity),
+		queue:        make(chan *flight, cfg.QueueDepth),
+		run:          hetpnoc.RunContext,
+		bodyTimeout:  bodyTimeout,
+		replyTimeout: replyTimeout,
+		baseCtx:      ctx,
+		baseCancel:   cancel,
+		started:      time.Now(),
+		pending:      make(map[cache.Key]*flight),
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {

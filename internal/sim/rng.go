@@ -12,6 +12,8 @@
 // through global state.
 package sim
 
+import "math"
+
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (splitmix64). It is not safe for concurrent use; each simulation run
 // owns its own instance.
@@ -47,10 +49,23 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bernoulli reports true with probability p.
-func (r *RNG) Bernoulli(p float64) bool {
-	return r.Float64() < p
+// Bernoulli reports true with probability p: one Draw against ChanceOf(p).
+func (r *RNG) Bernoulli(p float64) bool { return r.Draw(ChanceOf(p)) }
+
+// Chance is a probability p held as ceil(p·2^53): a Draw against it is
+// exactly Float64() < p, since Float64 is a 53-bit count scaled by 2^-53.
+type Chance uint64
+
+// ChanceOf converts a probability, clamped to [0, 1]; NaN is 0.
+func ChanceOf(p float64) Chance {
+	if !(p > 0) {
+		return 0
+	}
+	return Chance(math.Ceil(math.Ldexp(min(p, 1), 53)))
 }
+
+// Draw reports true with probability c, consuming one Uint64.
+func (r *RNG) Draw(c Chance) bool { return Chance(r.Uint64()>>11) < c }
 
 // Split derives an independent generator from this one. Use it to give
 // each component its own stream so that adding random draws to one

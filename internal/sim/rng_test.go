@@ -102,6 +102,20 @@ func TestBernoulliExtremes(t *testing.T) {
 	}
 }
 
+// TestChanceMatchesFloat64: ChanceOf(p) is the smallest 53-bit count
+// whose Float64 is not below p, so a Draw against it answers as
+// Float64() < p on every draw.
+func TestChanceMatchesFloat64(t *testing.T) {
+	r := NewRNG(7)
+	for i := 0; i < 10000; i++ {
+		p := []float64{r.Float64(), math.Ldexp(r.Float64(), -r.Intn(80)), 0, 1, 1.0 / 3, 1 - 0x1p-53, 0x1p-1074, math.NaN()}[i%8]
+		c := ChanceOf(p)
+		if c > 0 && !(float64(c-1)/(1<<53) < p) || c < 1<<53 && float64(c)/(1<<53) < p || c > 1<<53 {
+			t.Fatalf("ChanceOf(%g) = %d, not ceil(p·2^53)", p, c)
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	parent := NewRNG(11)
 	childA := parent.Split()

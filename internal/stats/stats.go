@@ -38,7 +38,7 @@ type state struct {
 	bitsDelivered  int64
 	flitsDelivered int64
 
-	latencySum   float64
+	latencySum   int64
 	latencyCount int64
 	latencyMax   sim.Cycle
 	latencies    []sim.Cycle
@@ -121,7 +121,7 @@ func (c *Collector) OnDeliverPacket(born, now sim.Cycle) {
 		return
 	}
 	lat := now - born
-	c.latencySum += float64(lat)
+	c.latencySum += int64(lat)
 	c.latencyCount++
 	c.latencies = append(c.latencies, lat)
 	if lat > c.latencyMax {
@@ -220,7 +220,7 @@ func (c *Collector) Summary() Summary {
 		s.DeliveredGbps = units.RateGbps(float64(c.bitsDelivered), seconds)
 	}
 	if c.latencyCount > 0 {
-		s.AvgLatencyCycles = c.latencySum / float64(c.latencyCount)
+		s.AvgLatencyCycles = float64(c.latencySum) / float64(c.latencyCount)
 		sorted := make([]sim.Cycle, len(c.latencies))
 		copy(sorted, c.latencies)
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })

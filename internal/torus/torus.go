@@ -32,6 +32,7 @@ import (
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
+	"hetpnoc/internal/units"
 	"hetpnoc/internal/xbar"
 )
 
@@ -112,7 +113,7 @@ type path struct {
 	// readyAt is when streaming may begin (setup + ack round trip).
 	readyAt sim.Cycle
 	window  xbar.Window
-	credit  float64
+	credit  units.BitCredit
 }
 
 // Network is the torus transport: it drains each cluster's transmit port
@@ -125,6 +126,9 @@ type Network struct {
 	rxs    []*xbar.RX
 	ledger *photonic.Ledger
 	onDrop xbar.DropHandler
+
+	// perCycle is what a circuit, one link's whole band, carries per cycle.
+	perCycle units.BitCredit
 
 	linkOwner map[linkID]*path // derived: Restore rebuilds it from the restored circuits
 
@@ -174,6 +178,10 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 	if cfg.ClockHz <= 0 || cfg.SetupHopCycles <= 0 || cfg.RetryBackoffCycles <= 0 {
 		return nil, fmt.Errorf("torus: timing parameters must be positive")
 	}
+	perWavelength, err := photonic.WavelengthCredit(cfg.ClockHz)
+	if err != nil {
+		return nil, fmt.Errorf("torus: wavelength rate per cycle: %w", err)
+	}
 	band := make([]photonic.WavelengthID, cfg.Bundle.WavelengthsPerWaveguide)
 	for i := range band {
 		band[i] = photonic.WavelengthID{Waveguide: 0, Wavelength: i}
@@ -185,6 +193,7 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 		rxs:       rxs,
 		ledger:    ledger,
 		onDrop:    onDrop,
+		perCycle:  perWavelength * units.BitCredit(cfg.Bundle.WavelengthsPerWaveguide),
 		linkOwner: make(map[linkID]*path),
 		band:      band,
 		state: state{
@@ -356,13 +365,8 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 
 // stream moves flits along the established circuit at the full link rate.
 func (n *Network) stream(p *path, now sim.Cycle) error {
-	// Rounded, so no GOARCH fuses it into the credit sums below.
-	perCycle := float64(photonic.BitsPerCycle(n.cfg.ClockHz) * float64(n.cfg.Bundle.WavelengthsPerWaveguide))
-	flitBits := float64(p.pkt.FlitBits)
-	p.credit += perCycle
-	if maxCredit := flitBits + perCycle; p.credit > maxCredit {
-		p.credit = maxCredit
-	}
+	flitBits := units.Bits(p.pkt.FlitBits)
+	p.credit = min(p.credit, flitBits) + n.perCycle
 	p.window.HoldCost()
 
 	port := n.tx[p.src]

@@ -60,18 +60,18 @@ func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet, rng *sim
 
 	cores := make([]CoreProfile, len(base.Cores))
 	copy(cores, base.Cores)
+	hot := sim.ChanceOf(h.HotFraction)
 	for c := range cores {
 		src := topo.ClusterOf(topology.CoreID(c))
 		baseDest := cores[c].PickDest
 		hotspot := h.Hotspot
-		hotFraction := h.HotFraction
 		if src == hotspot {
 			// The hotspot cluster itself only generates base traffic.
 			continue
 		}
 		clusterSize := topo.ClusterSize()
 		cores[c].PickDest = func(rng *sim.RNG) topology.CoreID {
-			if rng.Bernoulli(hotFraction) {
+			if rng.Draw(hot) {
 				return topo.CoreAt(hotspot, rng.Intn(clusterSize))
 			}
 			return baseDest(rng)

@@ -7,16 +7,17 @@ import (
 	"hetpnoc/internal/packet"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
+	"hetpnoc/internal/units"
 )
 
 // Source turns a CoreProfile into a cycle-by-cycle packet generator. It
-// accumulates bandwidth credit every cycle (rate x load scale, in bits)
-// and emits a packet whenever a full packet's worth has accrued, sampling
-// the destination from the profile. Generation is deterministic given the
-// RNG stream.
+// accumulates bandwidth credit every cycle (rate x load scale, as
+// units.BitCredit) and emits a packet whenever a full packet's worth has
+// accrued, sampling the destination from the profile. Generation is
+// deterministic given the RNG stream.
 //
 // A constant-rate source does not pay for the cycles in between: each
-// emission replays the per-cycle additions up to the next one at once
+// emission computes the cycle of the next one by a division
 // (advanceCredit) and Tick returns nil until that cycle. A bursty source
 // draws one Bernoulli per cycle and so is ticked through every cycle.
 //
@@ -30,25 +31,25 @@ type Source struct {
 	format  packet.Format
 	rng     sim.RNG
 
-	bitsPerCycle float64
+	perCycle units.BitCredit
 
 	// nextEmit is the first cycle whose Tick does anything. For a
-	// constant-rate source it is the cycle of the next packet (never when
-	// the credit has stopped growing) and credit is what the per-cycle
-	// additions will have reached there; for a bursty source it stays at
-	// the cycle the source was built for and credit is the running sum.
+	// constant-rate source it is the cycle of the next packet (never at
+	// zero rate) and credit is what the per-cycle additions will have
+	// reached there; for a bursty source it stays at the cycle the source
+	// was built for and credit is the running sum.
 	nextEmit sim.Cycle
-	credit   float64
+	credit   units.BitCredit
 
 	// On/off burst state (Burstiness > 1): during ON the source earns
-	// burstiness x bitsPerCycle; pOnToOff/pOffToOn are the per-cycle
-	// Markov transition probabilities sized for the configured mean
-	// burst length and the long-run duty cycle 1/burstiness.
+	// burstiness x perCycle; pOnToOff/pOffToOn are the per-cycle Markov
+	// transition probabilities sized for the configured mean burst
+	// length and the long-run duty cycle 1/burstiness.
 	bursty    bool
-	burstRate float64
+	burstRate units.BitCredit
 	on        bool
-	pOnToOff  float64
-	pOffToOn  float64
+	pOnToOff  sim.Chance
+	pOffToOn  sim.Chance
 
 	// The run-wide ID counters and the packet pool belong to the owner,
 	// which checkpoints them itself.
@@ -76,18 +77,23 @@ func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, 
 	if profile.Burstiness < 0 || profile.BurstCycles < 0 {
 		return Source{}, fmt.Errorf("traffic: core %d has negative burst parameters", core)
 	}
-	s := Source{
-		core:         core,
-		profile:      profile,
-		format:       format,
-		rng:          rng,
-		bitsPerCycle: clock.GbpsToBitsPerCycle(profile.RateGbps * loadScale),
-		nextEmit:     start,
-		nextMessage:  messageIDs,
-		nextPacket:   packetIDs,
-		pool:         pool,
+	perCycle, burstRate, err := CreditRates(core, profile, clock, loadScale)
+	if err != nil {
+		return Source{}, err
 	}
-	if profile.Burstiness > 1 && s.bitsPerCycle > 0 {
+	s := Source{
+		core:        core,
+		profile:     profile,
+		format:      format,
+		rng:         rng,
+		perCycle:    perCycle,
+		burstRate:   burstRate,
+		nextEmit:    start,
+		nextMessage: messageIDs,
+		nextPacket:  packetIDs,
+		pool:        pool,
+	}
+	if profile.Burstiness > 1 && perCycle > 0 {
 		burstCycles := profile.BurstCycles
 		if burstCycles == 0 {
 			burstCycles = 256
@@ -96,67 +102,45 @@ func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, 
 		// nominal rate; mean OFF length = burstCycles*(1-d)/d.
 		duty := 1 / profile.Burstiness
 		s.bursty = true
-		s.burstRate = s.bitsPerCycle * profile.Burstiness
-		s.pOnToOff = 1 / float64(burstCycles)
-		s.pOffToOn = duty / ((1 - duty) * float64(burstCycles))
+		s.pOnToOff = sim.ChanceOf(1 / float64(burstCycles))
+		s.pOffToOn = sim.ChanceOf(duty / ((1 - duty) * float64(burstCycles)))
 		s.on = s.rng.Bernoulli(duty)
 	} else {
-		s.nextEmit, s.credit = advanceCredit(start, 0, s.bitsPerCycle, float64(format.Bits()))
+		s.nextEmit, s.credit = advanceCredit(start, 0, perCycle, units.Bits(format.Bits()))
 	}
 	return s, nil
 }
 
-// never is the next emission of a source whose credit has stopped
-// growing short of a packet.
+// CreditRates converts a core's rate at loadScale, and its peak rate when
+// bursty, to credit per cycle: a positive rate outside units.CreditOf's
+// range is refused.
+func CreditRates(core topology.CoreID, profile CoreProfile, clock sim.Clock, loadScale float64) (perCycle, burst units.BitCredit, err error) {
+	bitsPerCycle := clock.GbpsToBitsPerCycle(profile.RateGbps * loadScale)
+	if perCycle, err = units.CreditOf(bitsPerCycle); err == nil && profile.Burstiness > 1 {
+		burst, err = units.CreditOf(bitsPerCycle * profile.Burstiness)
+	}
+	if err != nil {
+		err = fmt.Errorf("traffic: core %d at %g Gb/s x load %g, burstiness %g, per cycle: %w", core, profile.RateGbps, loadScale, profile.Burstiness, err)
+	}
+	return perCycle, burst, err
+}
+
+// never is the next emission of a source that earns no credit.
 const never = sim.Cycle(math.MaxInt64)
 
-// advanceCredit replays the loop "credit += perCycle once per cycle from
-// cycle from on, until credit is a full packet" and returns the cycle it
-// stops on and the credit reached there — bit for bit what the loop
-// computes, without running it. It returns never when the sum stops
-// growing first (perCycle is zero, or below half an ulp of the credit).
-//
-// The additions round, so n of them are not one multiplication. But
-// between two powers of two every float64 is a multiple of one ulp and
-// consecutive ones differ by one in their bit patterns, so a sum that
-// stays inside the binade moves by a whole number of ulps: perCycle
-// rounded to the ulp, the same number every time unless perCycle lies
-// exactly halfway, where ties-to-even picks by the credit's parity and
-// leaves an even credit behind — from which the step repeats too. So of
-// the sums inside one binade the first may start from an odd credit,
-// the second starts from an even one if there are ties, and the step it
-// takes is the step of all further ones: the rest of the binade is an
-// integer division on the bit patterns. The additions that enter a
-// binade, leave it or reach the packet are made for real.
-func advanceCredit(from sim.Cycle, credit, perCycle, bits float64) (sim.Cycle, float64) {
-	const exponent = 52 // a positive float64's bit pattern, shifted right by this, names its binade
-	inBinade := 0       // consecutive sums so far that stayed in credit's binade
-	for at := from; ; at++ {
-		sum := credit + perCycle
-		if !(sum < bits) { // as Tick's own test: a NaN credit emits
-			return at, sum
-		}
-		if !(sum > credit) {
-			return never, credit
-		}
-		was, is := math.Float64bits(credit), math.Float64bits(sum)
-		credit = sum
-		if was>>exponent != is>>exponent {
-			inBinade = 0
-			continue
-		}
-		if inBinade++; inBinade < 2 {
-			continue
-		}
-		// Take every further step that stays below both the packet and
-		// the next binade; the addition after them crosses one of the two.
-		step := is - was
-		limit := min(math.Float64bits(bits), (is>>exponent+1)<<exponent)
-		steps := (limit - is - 1) / step
-		credit = math.Float64frombits(is + steps*step)
-		at += sim.Cycle(steps)
-		inBinade = 0
+// advanceCredit returns the first cycle from `from` on in which credit,
+// plus perCycle earned in every cycle up to and including it, reaches
+// bits, and the credit there; never when perCycle is zero. A credit at
+// or above bits is kept at bits: it is only reached when perCycle >=
+// bits, where every cycle emits whatever the credit, and so the sum
+// stays below 2^63.
+func advanceCredit(from sim.Cycle, credit, perCycle, bits units.BitCredit) (sim.Cycle, units.BitCredit) {
+	if perCycle == 0 {
+		return never, credit
 	}
+	credit = min(credit, bits)
+	n := max(1, (bits-credit+perCycle-1)/perCycle) // cycles of earning, from's included
+	return from + sim.Cycle(n-1), credit + n*perCycle
 }
 
 // NextEmission returns the first cycle at which Tick does anything: the
@@ -166,14 +150,11 @@ func advanceCredit(from sim.Cycle, credit, perCycle, bits float64) (sim.Cycle, f
 // the cycles, until then.
 func (s *Source) NextEmission() sim.Cycle { return s.nextEmit }
 
-// OfferedBitsPerCycle returns the source's scaled injection rate.
-func (s *Source) OfferedBitsPerCycle() float64 { return s.bitsPerCycle }
-
 // Idle reports whether the source can never emit a packet. Its Tick is
 // then a pure no-op (zero credit accrues and the RNG is untouched —
 // bursty state only exists for positive rates), so the fabric may skip
 // it without perturbing determinism.
-func (s *Source) Idle() bool { return s.bitsPerCycle == 0 }
+func (s *Source) Idle() bool { return s.perCycle == 0 }
 
 // Tick advances one cycle and returns a newly generated packet, or nil.
 // At most one packet is generated per cycle; surplus credit carries over,
@@ -184,14 +165,15 @@ func (s *Source) Tick(now sim.Cycle, topo topology.Topology) *packet.Packet {
 	if now < s.nextEmit {
 		return nil
 	}
-	bits := float64(s.format.Bits())
+	bits := units.Bits(s.format.Bits())
 	if s.bursty {
 		if s.on {
-			s.credit += s.burstRate
-			if s.rng.Bernoulli(s.pOnToOff) {
+			// The cap, 2^30 bits banked, only keeps the sum from overflowing.
+			s.credit = min(s.credit+s.burstRate, units.MaxCredit)
+			if s.rng.Draw(s.pOnToOff) {
 				s.on = false
 			}
-		} else if s.rng.Bernoulli(s.pOffToOn) {
+		} else if s.rng.Draw(s.pOffToOn) {
 			s.on = true
 		}
 		if s.credit < bits {
@@ -199,7 +181,7 @@ func (s *Source) Tick(now sim.Cycle, topo topology.Topology) *packet.Packet {
 		}
 		s.credit -= bits
 	} else {
-		s.nextEmit, s.credit = advanceCredit(now+1, s.credit-bits, s.bitsPerCycle, bits)
+		s.nextEmit, s.credit = advanceCredit(now+1, s.credit-bits, s.perCycle, bits)
 	}
 
 	dst := s.profile.PickDest(&s.rng)

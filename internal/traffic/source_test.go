@@ -151,6 +151,12 @@ func TestNewSourceValidation(t *testing.T) {
 	if err == nil {
 		t.Error("zero format accepted")
 	}
+	// A positive rate that rounds to no credit would never emit.
+	dest := func(*sim.RNG) topology.CoreID { return 10 }
+	_, err = NewSource(0, CoreProfile{RateGbps: 12.5, PickDest: dest}, BWSet1.Format, clock, 1e-12, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	if err == nil {
+		t.Error("a rate below one credit unit accepted")
+	}
 }
 
 // TestBurstySourcePreservesAverageRate: the on/off Markov source keeps the

@@ -1,10 +1,11 @@
 // Package units defines the typed physical quantities of the thesis's
 // evaluation model. Each quantity is a defined type over float64 (or
-// reuses sim.Cycle for clock ticks), so arithmetic inside one unit
-// domain is value-preserving — JSON encoding, comparisons and float
-// operations are bit-identical to the bare float64 they replace — while
-// the compiler rejects arithmetic that mixes domains (a dB figure added
-// to a milliwatt figure, a cycle count mixed with wall-clock time).
+// reuses sim.Cycle for clock ticks; BitCredit is a fixed-point integer),
+// so arithmetic inside one unit domain is value-preserving — JSON
+// encoding, comparisons and float operations are bit-identical to the
+// bare float64 they replace — while the compiler rejects arithmetic that
+// mixes domains (a dB figure added to a milliwatt figure, a cycle count
+// mixed with wall-clock time).
 //
 // Conversions between domains are deliberate: they happen only through
 // the blessed helpers below, which encode the paper's actual formulas
@@ -119,3 +120,29 @@ func CyclesToSeconds(n sim.Cycle, clock GHz) float64 {
 // RateGbps derives a bit rate from bits delivered over a measurement
 // window in seconds — the §3.4.1.1 delivered-bandwidth metric.
 func RateGbps(bits, seconds float64) Gbps { return Gbps(bits / seconds / 1e9) }
+
+// BitCredit is what a source or a channel earns per cycle and spends per
+// packet or flit, an exact integer count of 2^-32 bit.
+type BitCredit int64
+
+// MaxCredit bounds what CreditOf accepts, so two such amounts add.
+const MaxCredit BitCredit = 1 << 62
+
+// Bits is n whole bits as credit.
+func Bits(n int) BitCredit { return BitCredit(n) << 32 }
+
+// CyclesFor is how many cycles, at least one, bits take at perCycle.
+func CyclesFor(bits int, perCycle BitCredit) int {
+	return max(1, int((Bits(bits)+perCycle-1)/perCycle))
+}
+
+// CreditOf converts bits (a rate per cycle) to credit, rounded to the
+// nearest unit. It refuses NaN, a negative amount, one of 2^30 bits or
+// more, and a positive one that rounds to no credit at all.
+func CreditOf(bits float64) (BitCredit, error) {
+	c := math.Round(math.Ldexp(bits, 32))
+	if !(bits >= 0 && c < float64(MaxCredit)) || c == 0 && bits > 0 {
+		return 0, fmt.Errorf("%g bits is outside the credit range [2^-33, 2^30)", bits)
+	}
+	return BitCredit(c), nil
+}

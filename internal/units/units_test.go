@@ -11,6 +11,25 @@ import (
 // TestConversionsMatchRawFormulas pins the blessed helpers to the bare
 // float64 formulas they replace: the refactor onto typed quantities must
 // be bit-identical.
+// TestCreditOf: a rate converts to the nearest 2^-32 bit, and one no
+// credit count can pace is refused.
+func TestCreditOf(t *testing.T) {
+	if c, err := CreditOf(5); c != Bits(5) || err != nil {
+		t.Errorf("CreditOf(5) = %d, %v; want 5 bits", c, err)
+	}
+	if c, err := CreditOf(0.2048); c != 879609302 || err != nil {
+		t.Errorf("CreditOf(0.2048) = %d, %v; want round(0.2048·2^32) = 879609302", c, err)
+	}
+	for _, bits := range []float64{-1, math.NaN(), math.Inf(1), 1 << 30, 0x1p-34} {
+		if c, err := CreditOf(bits); err == nil {
+			t.Errorf("CreditOf(%g) = %d, want an error", bits, c)
+		}
+	}
+	if got := CyclesFor(321, Bits(320)); got != 2 || CyclesFor(320, Bits(320)) != 1 || CyclesFor(0, Bits(320)) != 1 {
+		t.Errorf("CyclesFor(321 bits, 320 a cycle) = %d, want 2; 320 and 0 bits want 1", got)
+	}
+}
+
 func TestConversionsMatchRawFormulas(t *testing.T) {
 	if got, want := DBToLinear(10), 10.0; got != want {
 		t.Errorf("DBToLinear(10) = %g, want %g", got, want)

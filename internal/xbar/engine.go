@@ -10,6 +10,7 @@ import (
 	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
+	"hetpnoc/internal/units"
 )
 
 // GatingMode selects which demodulators the destination powers for the
@@ -166,6 +167,9 @@ type TX struct {
 	ledger *photonic.Ledger
 	onDrop DropHandler
 
+	// perWavelength is what one allocated wavelength carries per cycle.
+	perWavelength units.BitCredit
+
 	txState
 }
 
@@ -181,7 +185,7 @@ type txState struct {
 	current *packet.Packet
 	use     []photonic.WavelengthID
 	window  Window
-	credit  float64
+	credit  units.BitCredit
 
 	// next reservation in flight; next.pkt is nil when there is none.
 	next pending
@@ -208,7 +212,11 @@ func NewTX(cfg TXConfig, port *router.Port, alloc Allocator, rxs []*RX, ledger *
 	if cfg.PropagationCycles < 0 {
 		return nil, fmt.Errorf("xbar: negative propagation latency")
 	}
-	return &TX{cfg: cfg, port: port, alloc: alloc, rxs: rxs, ledger: ledger, onDrop: onDrop}, nil
+	perWavelength, err := photonic.WavelengthCredit(cfg.ClockHz)
+	if err != nil {
+		return nil, fmt.Errorf("xbar: TX for cluster %d: wavelength rate per cycle: %w", cfg.Cluster, err)
+	}
+	return &TX{cfg: cfg, port: port, alloc: alloc, rxs: rxs, ledger: ledger, onDrop: onDrop, perWavelength: perWavelength}, nil
 }
 
 // PacketsSent returns completed channel transfers (including ones dropped
@@ -314,7 +322,7 @@ func (tx *TX) admitNext(now sim.Cycle) {
 			if tx.cfg.Gating == GateSelected {
 				ids = len(use)
 			}
-			cycles := packet.ReservationCycles(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids, tx.cfg.ClockHz)
+			cycles := packet.ReservationCycles(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids, tx.perWavelength)
 			resBits := int64(packet.ReservationBits(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids))
 			tx.ledger.AddControlTransmit(resBits)
 			// Every listening cluster decodes the destination-ID field of
@@ -341,15 +349,10 @@ func (tx *TX) admitNext(now sim.Cycle) {
 // credit accrues: k allocated wavelengths earn k x (rate/clock) bits per
 // cycle (5 bits per wavelength at the thesis's operating point).
 func (tx *TX) stream(now sim.Cycle) error {
-	// Rounded, so no GOARCH fuses it into the credit sums below.
-	perCycle := float64(photonic.BitsPerCycle(tx.cfg.ClockHz) * float64(len(tx.use)))
-	flitBits := float64(tx.current.FlitBits)
-	tx.credit += perCycle
+	flitBits := units.Bits(tx.current.FlitBits)
 	// Idle light slots are lost: credit cannot bank more than one cycle
 	// of bandwidth beyond a flit boundary.
-	if maxCredit := flitBits + perCycle; tx.credit > maxCredit {
-		tx.credit = maxCredit
-	}
+	tx.credit = min(tx.credit, flitBits) + tx.perWavelength*units.BitCredit(len(tx.use))
 	tx.window.HoldCost()
 
 	for tx.credit >= flitBits {
