@@ -3,8 +3,8 @@
 #   make check   — build, vet, lint (hetpnoclint), full test suite, a
 #                  race-enabled run of everything, and bench-check (the
 #                  CI gate)
-#   make lint    — run the 9-analyzer suite (cmd/hetpnoclint, see
-#                  docs/ANALYSIS.md)
+#   make lint    — run the 4-analyzer suite (cmd/hetpnoclint: ctxflow,
+#                  errsink, allocproof, apistable; see docs/ANALYSIS.md)
 #   make lint-fix — apply the suite's machine-applicable fixes in place
 #                  (run `make lint-dry` first to preview)
 #   make test    — fast test pass only
@@ -18,12 +18,16 @@
 #                  Run benchmarks at 3 (CI keeps them from rotting)
 #   make fused   — fail on any fused multiply-add the arm64 compiler
 #                  emits in a module function (fused_test.go)
+#   make mutants — apply each entry of the mutant catalogue
+#                  (testdata/mutants) alone to a copy of the module and
+#                  require its killers to fail; writes the tally to
+#                  mutants-tally.txt (not part of check: ~20 min)
 #   make sweep   — quick smoke sweep of every figure
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check bench-smoke fused sweep
+.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check bench-smoke fused mutants sweep
 
 check: build vet lint test race bench-check
 
@@ -33,14 +37,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# hetpnoclint enforces the simulator's determinism, hot-path and
-# API-stability invariants with 8 analyzers: the per-package ones
-# (maprange, globalstate, ctxflow, errsink), the whole-program layer
-# (hotpathreach, dettaint), the compiler-evidence layer (allocproof) and
-# apistable; any undirected violation exits non-zero. Lock discipline,
-# goroutine lifetime, channel and WaitGroup discipline are dynamic
-# gates: `make race` plus the leakcheck-armed tests; checkpoint
-# completeness is TestCheckpointRoundTrip's. See docs/ANALYSIS.md.
+# hetpnoclint checks what no run can see, with 4 analyzers: context
+# threading (ctxflow), dropped errors (errsink), residual bounds checks
+# in the simulator's occupancy scan loops, from the compiler's own output
+# (allocproof), and exported-API stability (apistable); any undirected
+# violation exits non-zero. The rest are dynamic gates: zero allocations
+# (TestStepZeroAllocs, TestRunAllocations) and determinism
+# (TestPathEquivalence's Beside path), shown by `make mutants` to kill
+# the catalogued defects; lock discipline, goroutine lifetime, channel
+# and WaitGroup discipline by `make race` plus the leakcheck-armed tests;
+# checkpoint completeness by TestCheckpointRoundTrip. See
+# docs/ANALYSIS.md.
 lint:
 	$(GO) run ./cmd/hetpnoclint ./...
 
@@ -126,6 +133,17 @@ bench-smoke:
 # test reads the source through a child build the test cache cannot see.
 fused:
 	$(GO) test -tags fused -count=1 -run '^TestNoFusedMultiplyAdd$$/^arm64$$' .
+
+# The mutant catalogue: every entry is one defect (an allocation at the
+# entry or in a branch of a function the cycle reaches, a determinism
+# defect of each class) with the tests that must fail on it. The driver
+# (mutants_run_test.go, build tag mutants) applies each alone to a copy
+# of the module and runs its killers with plain go test; a survivor or a
+# mutant that does not build fails the target. -count=1: the driver
+# reads the tree through child builds the test cache cannot see.
+mutants:
+	$(GO) test -tags mutants -count=1 -timeout 90m -run '^TestMutants$$' -v . > mutants-tally.txt 2>&1; \
+		status=$$?; grep -E '^(--- FAIL|ok|FAIL)|mutants killed|wall time|survived|does not build' mutants-tally.txt; exit $$status
 
 sweep:
 	$(GO) run ./cmd/sweep -quick

@@ -80,11 +80,9 @@ func (t Traffic) normalized() Traffic {
 // Validate reports the first configuration error without building the
 // fabric: it is the lowering and the checks Run performs, remaps
 // included. A nil error means Run will accept the config. It may still
-// fail on resource exhaustion for extreme cycle counts, or at a load
-// scale so extreme that a built-in pattern's per-core rate leaves the
-// credit range, which only the build sees. The fuzz suite holds this to
-// a stronger contract: Validate must return normally on any input,
-// however hostile.
+// fail on resource exhaustion for extreme cycle counts. The fuzz suite
+// holds this to a stronger contract: Validate must return normally on
+// any input, however hostile, and a config it accepts must build.
 func (c Config) Validate() error {
 	fc, err := lower(c)
 	if err != nil {

@@ -8,8 +8,8 @@ import (
 
 // TestRepoLintsClean is the self-gate: the hetpnoclint suite must run
 // clean over the repository that ships it, test files included. A
-// failure here means a determinism or hot-path violation landed without
-// a justified directive.
+// failure here means a violation landed without a justified directive
+// or fix.
 func TestRepoLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -39,28 +39,16 @@ func TestLintFindsViolations(t *testing.T) {
 		}
 	}
 	write("go.mod", "module badmod\n\ngo 1.22\n")
-	write("internal/sim/bad.go", `package sim
+	write("internal/sim/scan.go", `package sim
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
-)
+import "math/bits"
 
-var hits int
-
-func Draw(m map[string]int) int64 {
-	s := 0
-	for _, v := range m {
-		s += v
+func Scan(words []uint64, sink []int) {
+	for _, word := range words {
+		for ; word != 0; word &= word - 1 {
+			sink[bits.TrailingZeros64(word)]++
+		}
 	}
-	hits += s
-	return rand.Int63() + time.Now().UnixNano()
-}
-
-//hetpnoc:hotpath
-func Hot(n int) string {
-	return fmt.Sprintf("%d", n)
 }
 `)
 	write("internal/sim/ctx.go", `package sim
@@ -80,50 +68,11 @@ func Drop() {
 	Step()
 }
 `)
-	// Whole-program layer bait. helper is a non-sim package whose
-	// Jitter launders time.Now; fabric is a sim package (suffix match)
-	// that calls it, and whose hotpath root reaches helper.Label's
-	// fmt.Sprintf two frames down. Neither package has an API golden,
-	// so apistable ignores the exported surface here. fabric also
-	// carries the compiler-evidence bait (Esc's local moved to the heap
-	// on a hot path) and the snapshot-coverage bait (Core's
-	// Snapshot/Restore both miss the mutable drift field).
-	write("internal/helper/helper.go", `package helper
-
-import (
-	"fmt"
-	"time"
-)
-
-func Jitter() int64 { return time.Now().UnixNano() }
-
-func Label(n int) string { return fmt.Sprintf("h%d", n) }
-`)
-	write("internal/fabric/fabric.go", `package fabric
-
-import "badmod/internal/helper"
-
-//hetpnoc:hotpath
-func Step(n int) int {
-	return len(helper.Label(n))
-}
-
-func Sync() int64 {
-	return helper.Jitter()
-}
-
-//hetpnoc:hotpath
-func Esc() *int {
-	v := 0
-	return &v
-}
-`)
 	// Stale API golden: lists one symbol that no longer exists, knows
 	// the rest.
-	write("internal/sim/testdata/api/sim.golden", "Draw\tfunc func(m map[string]int) int64\n"+
-		"Drop\tfunc func()\n"+
+	write("internal/sim/testdata/api/sim.golden", "Drop\tfunc func()\n"+
 		"Gone\tfunc func()\n"+
-		"Hot\tfunc func(n int) string\n"+
+		"Scan\tfunc func(words []uint64, sink []int)\n"+
 		"Step\tfunc func() error\n"+
 		"StepContext\tfunc func(ctx context.Context) error\n"+
 		"Use\tfunc func(ctx context.Context)\n")
@@ -140,29 +89,19 @@ func Esc() *int {
 		}
 	}
 	want := map[string]int{
-		"maprange":     1, // undirected range over m
-		"globalstate":  1, // package-level var hits
-		"ctxflow":      2, // Step() with ctx in scope + context.Background mint
-		"errsink":      2, // Step() dropped error in Use and in Drop
-		"hotpathreach": 2, // fmt.Sprintf in root sim.Hot + fabric.Step -> helper.Label reaches fmt.Sprintf
-		"dettaint":     3, // math/rand import + time.Now call in sim + fabric.Sync calls helper.Jitter (taints to time.Now)
-		"apistable":    1, // Gone removed relative to the golden
+		"ctxflow":    2, // Step() with ctx in scope + context.Background mint
+		"errsink":    2, // Step() dropped error in Use and in Drop
+		"allocproof": 1, // Scan's sink store, which no length check guards
+		"apistable":  1, // Gone removed relative to the golden
 	}
 	for a, n := range want {
 		if got[a] != n {
 			t.Errorf("analyzer %s reported %d diagnostics, want %d", a, got[a], n)
 		}
 	}
-	// Every registered analyzer has bait: want plus allocproof below.
-	if len(want)+1 != len(analyzers) {
-		t.Errorf("bait covers %d analyzers, the suite has %d", len(want)+1, len(analyzers))
-	}
-	// allocproof counts come from the live compiler's -m=2 output, which
-	// shifts with toolchain version (inlining attribution, moved/escape
-	// pairing), so assert a floor: Esc's moved-to-heap local and Hot's
-	// boxed Sprintf operand are unambiguous hot-path allocations.
-	if got["allocproof"] < 2 {
-		t.Errorf("analyzer allocproof reported %d diagnostics, want at least 2", got["allocproof"])
+	// Every registered analyzer has bait.
+	if len(want) != len(analyzers) {
+		t.Errorf("bait covers %d analyzers, the suite has %d", len(want), len(analyzers))
 	}
 	if len(diags) == 0 {
 		t.Fatal("expected diagnostics from the scratch module, got none")
@@ -182,7 +121,7 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("empty -only selected %d analyzers, want the full suite of %d", len(full), len(analyzers))
 	}
 
-	active, err := selectAnalyzers("hotpathreach, maprange ,dettaint")
+	active, err := selectAnalyzers("apistable, errsink ,allocproof")
 	if err != nil {
 		t.Fatalf("subset -only: %v", err)
 	}
@@ -190,9 +129,8 @@ func TestSelectAnalyzers(t *testing.T) {
 	for i, a := range active {
 		gotNames[i] = a.Name
 	}
-	// Suite order, not flag order: maprange runs first, apistable would
-	// still run last if selected.
-	wantNames := []string{"maprange", "hotpathreach", "dettaint"}
+	// Suite order, not flag order: apistable still runs last.
+	wantNames := []string{"errsink", "allocproof", "apistable"}
 	if len(gotNames) != len(wantNames) {
 		t.Fatalf("selected %v, want %v", gotNames, wantNames)
 	}
@@ -202,9 +140,8 @@ func TestSelectAnalyzers(t *testing.T) {
 		}
 	}
 
-	// Names of analyzers folded into dettaint/hotpathreach or removed
-	// are unknown like any other typo.
-	for _, name := range []string{"maprange,nosuch", "detrand", "hotpathalloc", "goleak", "lockguard", "lockorder", "unitsafe"} {
+	// Names of retired analyzers are unknown like any other typo.
+	for _, name := range []string{"errsink,nosuch", "maprange", "globalstate", "hotpathreach", "dettaint", "callgraph", "snapcover", "detrand", "hotpathalloc", "goleak", "lockguard", "lockorder", "unitsafe"} {
 		if _, err := selectAnalyzers(name); err == nil {
 			t.Errorf("-only %s accepted, want an unknown-analyzer error", name)
 		}

@@ -2,6 +2,8 @@ package hetpnoc
 
 import (
 	"testing"
+
+	"hetpnoc/internal/fabric"
 )
 
 // FuzzConfigValidate holds Config.Validate to its contract: on any
@@ -9,7 +11,8 @@ import (
 // cycle counts, wrong-length custom workloads — it must either return
 // an error or accept a runnable config. It must never panic, and an
 // accepted config must survive normalization and canonical encoding
-// (the path every serving request takes before touching the pool). The
+// (the path every serving request takes before touching the pool) and
+// build. The
 // probe interval and a remap are derived from the fuzzed fields, so the
 // committed corpus reaches them without a new argument.
 func FuzzConfigValidate(f *testing.F) {
@@ -25,6 +28,9 @@ func FuzzConfigValidate(f *testing.F) {
 	// A finite load scale past the fabric's bound: a batch fork always
 	// refused it, so Validate must too.
 	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1e13, 2000, 200, uint64(1), 0.0, 0.0, 0)
+	// uniform@1e9: in the scale range, but 5e9 bits a cycle per core is
+	// past the credit range, which Validate must see without a build.
+	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1e9, 2000, 200, uint64(1), 0.0, 0.0, 0)
 
 	f.Fuzz(func(t *testing.T, arch, set, kind, skew int,
 		hotFrac float64, perm string, burst, load float64,
@@ -76,6 +82,16 @@ func FuzzConfigValidate(f *testing.F) {
 		}
 		if string(a) != string(b) {
 			t.Fatalf("canonical encoding is not normalization-stable:\n%s\n%s", a, b)
+		}
+		// An accepted config builds: lowered and passed to fabric.New.
+		// The probe is left off, so a fuzzed interval allocates no rows.
+		fc, err := lower(cfg)
+		if err != nil {
+			t.Fatalf("valid config fails to lower: %v", err)
+		}
+		fc.ProbeEvery = 0
+		if _, err := fabric.New(fc); err != nil {
+			t.Fatalf("config validates but does not build: %v\n%+v", err, cfg)
 		}
 	})
 }

@@ -10,33 +10,27 @@ import (
 )
 
 // TestAllocproof feeds the analyzer a canned compiler report keyed to
-// the fixture's line numbers: escapes and bounds checks on hot lines
-// must be reported, while panic-argument spans, coldcall-covered lines
-// and bounds checks outside occupancy scan loops stay silent.
+// the fixtures' line numbers: a bounds check inside a simulator
+// package's occupancy scan loop is reported, while one outside the loop
+// and one in a non-simulator package's loop stay silent.
 func TestAllocproof(t *testing.T) {
 	testdata, err := filepath.Abs("testdata")
 	if err != nil {
 		t.Fatal(err)
 	}
-	file := filepath.Join(testdata, "src", "ap", "hot", "hot.go")
+	router := filepath.Join(testdata, "src", "ap", "internal", "router", "router.go")
+	tool := filepath.Join(testdata, "src", "ap", "cmd", "tool", "tool.go")
 	report := &gcobs.Report{
-		Dir:     filepath.Join(testdata, "src", "ap", "hot"),
-		GcFlags: "-m=2 -d=ssa/check_bce",
+		Dir:     filepath.Join(testdata, "src", "ap"),
+		GcFlags: "-d=ssa/check_bce",
 		Facts: []gcobs.Fact{
-			// Silent: inside Step but not in a TrailingZeros scan loop.
-			{File: file, Line: 13, Col: 15, Kind: gcobs.KindBoundsCheck, KindName: "bounds-check", Text: "Found IsInBounds"},
-			// Reported: sink[i] store inside tick's occupancy scan loop.
-			{File: file, Line: 22, Col: 4, Kind: gcobs.KindBoundsCheck, KindName: "bounds-check", Text: "Found IsInBounds"},
-			// Silent: escape inside panic's argument span.
-			{File: file, Line: 26, Col: 9, Kind: gcobs.KindEscape, KindName: "escape", Text: "newMsg(sink) escapes to heap"},
-			// Silent: line covered by a //hetpnoc:coldcall directive.
-			{File: file, Line: 29, Col: 2, Kind: gcobs.KindEscape, KindName: "escape", Text: "grown buffer escapes to heap"},
-			// Reported: compiler-proven escape in hot-reachable leak.
-			{File: file, Line: 34, Col: 9, Kind: gcobs.KindEscape, KindName: "escape", Text: "&v escapes to heap"},
+			{File: router, Line: 11, Col: 17, Text: "Found IsInBounds"}, // silent: outside the loop
+			{File: router, Line: 15, Col: 8, Text: "Found IsInBounds"},  // reported
+			{File: tool, Line: 10, Col: 9, Text: "Found IsInBounds"},    // silent: not a simulator package
 		},
 	}
 	analysistest.RunModuleCache(t, testdata, allocproof.Analyzer,
 		map[string]any{allocproof.ReportKey: report},
-		"ap/hot",
+		"ap/internal/router", "ap/cmd/tool",
 	)
 }

@@ -31,9 +31,8 @@ type Analyzer struct {
 	Run func(*Pass) error
 
 	// RunModule, when set, applies the analyzer once to the whole
-	// module instead of package-by-package. The whole-program analyzers
-	// (hotpathreach, dettaint, allocproof, ...) need every package at
-	// once to build and traverse the call graph.
+	// module instead of package-by-package: allocproof matches one
+	// compiler build's facts against every package.
 	RunModule func(*ModulePass) error
 }
 
@@ -113,10 +112,7 @@ type PackageUnit struct {
 }
 
 // ModulePass hands a whole-program analyzer every package of the module
-// at once. Packages share one FileSet and one type-checker run, so a
-// *types.Func object is identical whether reached from its defining
-// package or through an importer — which is what makes a cross-package
-// call graph possible.
+// at once. Packages share one FileSet and one type-checker run.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -126,9 +122,9 @@ type ModulePass struct {
 	Report func(Diagnostic)
 
 	// Cache, when non-nil, is shared by every module analyzer of one
-	// lint invocation so expensive derived structures (the call graph)
-	// are built once and reused. Keys are owned by the package that
-	// computes the value (e.g. "callgraph").
+	// lint invocation so expensive derived structures (the compiler
+	// evidence) are built once and reused. Keys are owned by the package
+	// that computes the value (allocproof's DirKey and ReportKey).
 	Cache map[string]any
 }
 
@@ -136,20 +132,6 @@ type ModulePass struct {
 // Pass.Reportf for module-level analyzers.
 func (mp *ModulePass) Reportf(pos token.Pos, msg, suggestion string) {
 	mp.Report(Diagnostic{Pos: pos, Message: msg, Suggestion: suggestion})
-}
-
-// PassFor builds a per-package Pass over unit u that shares mp's
-// reporter, so a module analyzer can run intraprocedural checkers
-// (hotpathreach's body checks, dettaint's map-range check).
-func (mp *ModulePass) PassFor(u *PackageUnit) *Pass {
-	return &Pass{
-		Analyzer:  mp.Analyzer,
-		Fset:      mp.Fset,
-		Files:     u.Files,
-		Pkg:       u.Pkg,
-		TypesInfo: u.TypesInfo,
-		Report:    mp.Report,
-	}
 }
 
 // Reportf reports a formatted diagnostic at pos. It keeps analyzer
@@ -161,17 +143,4 @@ func (p *Pass) Reportf(pos token.Pos, msg, suggestion string) {
 // TypeOf returns the type of expression e, or nil if not found.
 func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
-}
-
-// PkgNameOf resolves ident to the imported package it names, or nil when
-// ident is not a package qualifier (or is shadowed by a local
-// declaration). Analyzers use it to match qualified calls like time.Now
-// without being fooled by a local variable named "time".
-func (p *Pass) PkgNameOf(ident *ast.Ident) *types.PkgName {
-	obj := p.TypesInfo.Uses[ident]
-	pn, ok := obj.(*types.PkgName)
-	if !ok {
-		return nil
-	}
-	return pn
 }

@@ -60,21 +60,13 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 	}
 }
 
-// RunModule loads every fixture package in pkgPaths into one shared
-// type universe, applies module analyzer a once over all of them
-// (packages pulled in through fixture imports included), and matches
-// diagnostics against the want comments of every loaded file. This is
-// the fixture entry point for the whole-program analyzers, whose
-// findings span package boundaries.
-func RunModule(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	RunModuleCache(t, testdata, a, nil, pkgPaths...)
-}
-
-// RunModuleCache is RunModule with a driver-style shared cache: analyzers
-// that read configuration or precomputed facts from ModulePass.Cache
-// (allocproof's gcobs report) get cache handed through verbatim. A nil
-// cache behaves like RunModule.
+// RunModuleCache loads every fixture package in pkgPaths into one
+// shared type universe, applies module analyzer a once over all of them
+// (packages pulled in through fixture imports included) with a
+// driver-style shared cache, and matches diagnostics against the want
+// comments of every loaded file. Analyzers that read configuration or
+// precomputed facts from ModulePass.Cache (allocproof's gcobs report)
+// get cache handed through verbatim.
 func RunModuleCache(t *testing.T, testdata string, a *analysis.Analyzer, cache map[string]any, pkgPaths ...string) {
 	t.Helper()
 	stdMu.Lock()

@@ -9,30 +9,19 @@ import (
 	"hetpnoc/internal/analysis/analysistest"
 	"hetpnoc/internal/analysis/apistable"
 	"hetpnoc/internal/analysis/ctxflow"
-	"hetpnoc/internal/analysis/dettaint"
 	"hetpnoc/internal/analysis/errsink"
-	"hetpnoc/internal/analysis/globalstate"
-	"hetpnoc/internal/analysis/hotpathreach"
-	"hetpnoc/internal/analysis/maprange"
 )
 
 // fixtures lists, per analyzer, the fixture packages under its own
 // <name>/testdata/src whose // want comments it must reproduce exactly.
-// A row of a module analyzer is one whole-program run over the listed
-// packages and everything they import. allocproof is absent: its
-// fixture needs a canned compiler report (allocproof_test.go).
+// allocproof is absent: its fixture needs a canned compiler report
+// (allocproof_test.go).
 var fixtures = []struct {
 	analyzer *analysis.Analyzer
 	pkgs     []string
 }{
-	{maprange.Analyzer, []string{"mfix/internal/fabric", "mfix/internal/report"}},
-	{globalstate.Analyzer, []string{"gfix/internal/router"}},
 	{ctxflow.Analyzer, []string{"cxfix"}},
 	{errsink.Analyzer, []string{"eefix"}},
-	{hotpathreach.Analyzer, []string{"reach/hot"}},
-	{hotpathreach.Analyzer, []string{"hfix/hot"}},
-	{dettaint.Analyzer, []string{"dt/internal/sim"}},
-	{dettaint.Analyzer, []string{"simfix/internal/sim", "simfix/cmd/tool"}},
 	{apistable.Analyzer, []string{"apfix"}},
 }
 
@@ -46,11 +35,7 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.RunModule != nil {
-				analysistest.RunModule(t, testdata, a, fx.pkgs...)
-			} else {
-				analysistest.Run(t, testdata, a, fx.pkgs...)
-			}
+			analysistest.Run(t, testdata, a, fx.pkgs...)
 		})
 	}
 }

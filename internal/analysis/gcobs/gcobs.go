@@ -1,18 +1,15 @@
 // Package gcobs collects ground-truth optimization evidence from the Go
 // compiler itself: it builds the module with
 //
-//	go build -gcflags='-m=2 -d=ssa/check_bce' <patterns>
+//	go build -gcflags='-d=ssa/check_bce' <patterns>
 //
-// and parses the resulting escape-analysis and bounds-check-elimination
-// diagnostics into position-keyed facts. Where the hotpathreach analyzer
-// pattern-matches syntax that usually allocates, these facts are what the
-// compiler actually decided: a value "escapes to heap" is a heap
-// allocation at that site no matter how innocent the syntax looks, and a
-// "Found IsInBounds" is a bounds check the BCE pass failed to eliminate.
+// and parses the resulting bounds-check-elimination diagnostics into
+// position-keyed facts: each "Found IsInBounds" (or IsSliceInBounds) is
+// a bounds check the BCE pass failed to eliminate.
 //
 // The go build cache stores and replays compiler diagnostics, so repeat
-// collections after the first are cheap; the flag combination gets its
-// own cache entries and never pollutes regular builds.
+// collections after the first are cheap; the flag gets its own cache
+// entries and never pollutes regular builds.
 package gcobs
 
 import (
@@ -24,44 +21,13 @@ import (
 	"strings"
 )
 
-// Kind classifies one compiler fact.
-type Kind uint8
-
-const (
-	// KindEscape is a value the escape analysis sent to the heap
-	// ("escapes to heap"): a heap allocation at the site.
-	KindEscape Kind = iota
-	// KindMoved is a local variable moved to the heap ("moved to heap"):
-	// the enclosing function allocates it on every call.
-	KindMoved
-	// KindBoundsCheck is a bounds check the BCE pass could not eliminate
-	// ("Found IsInBounds" / "Found IsSliceInBounds").
-	KindBoundsCheck
-)
-
-// String returns the kind name used in reports.
-func (k Kind) String() string {
-	switch k {
-	case KindEscape:
-		return "escape"
-	case KindMoved:
-		return "moved"
-	case KindBoundsCheck:
-		return "bounds-check"
-	}
-	return "?"
-}
-
-// Fact is one position-keyed compiler diagnostic.
+// Fact is one position-keyed bounds check the compiler left in.
 type Fact struct {
 	// File is the absolute path of the source file.
 	File string `json:"file"`
 	Line int    `json:"line"`
 	Col  int    `json:"col"`
-	Kind Kind   `json:"kind"`
-	// KindName is Kind rendered for the JSON artifact.
-	KindName string `json:"kindName"`
-	// Text is the compiler's message, e.g. "&path{...} escapes to heap".
+	// Text is the compiler's message, e.g. "Found IsInBounds".
 	Text string `json:"text"`
 }
 
@@ -75,9 +41,8 @@ type Report struct {
 	Facts   []Fact `json:"facts"`
 }
 
-// gcflags is the flag set handed to the compiler: full escape-analysis
-// traces plus BCE debugging output.
-const gcflags = "-m=2 -d=ssa/check_bce"
+// gcflags is the flag set handed to the compiler: BCE debugging output.
+const gcflags = "-d=ssa/check_bce"
 
 // Collect builds patterns (default ./...) in the module containing dir
 // (resolved via `go list -m`, so tests running from a subdirectory still
@@ -119,12 +84,8 @@ func moduleRoot(dir string) (string, error) {
 
 // Parse extracts facts from compiler stderr output. File paths are
 // reported relative to the build directory; dir makes them absolute.
-// The -m=2 trace prints most escape notes twice (once as a bare note,
-// once as a trace header ending in ":"), so facts are deduplicated by
-// position and kind.
 func Parse(dir string, stderr []byte) []Fact {
 	var facts []Fact
-	seen := make(map[string]bool)
 	for _, line := range strings.Split(string(stderr), "\n") {
 		f, ok := parseLine(line)
 		if !ok {
@@ -133,20 +94,14 @@ func Parse(dir string, stderr []byte) []Fact {
 		if !filepath.IsAbs(f.File) {
 			f.File = filepath.Join(dir, f.File)
 		}
-		key := fmt.Sprintf("%s:%d:%d:%d", f.File, f.Line, f.Col, f.Kind)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		f.KindName = f.Kind.String()
 		facts = append(facts, f)
 	}
 	return facts
 }
 
-// parseLine parses one "file.go:line:col: message" diagnostic, returning
-// false for package headers, indented trace detail and messages of kinds
-// gcobs does not track (inlining decisions, parameter leaks).
+// parseLine parses one "file.go:line:col: message" bounds-check
+// diagnostic, returning false for package headers, indented detail and
+// any other message.
 func parseLine(line string) (Fact, bool) {
 	if line == "" || line[0] == '#' || line[0] == ' ' || line[0] == '\t' {
 		return Fact{}, false
@@ -167,19 +122,10 @@ func parseLine(line string) (Fact, bool) {
 		return Fact{}, false
 	}
 	msg := strings.TrimSpace(fields[2])
-
-	var kind Kind
-	switch {
-	case strings.HasSuffix(msg, "escapes to heap") || strings.HasSuffix(msg, "escapes to heap:"):
-		kind = KindEscape
-	case strings.HasPrefix(msg, "moved to heap"):
-		kind = KindMoved
-	case msg == "Found IsInBounds" || msg == "Found IsSliceInBounds":
-		kind = KindBoundsCheck
-	default:
+	if msg != "Found IsInBounds" && msg != "Found IsSliceInBounds" {
 		return Fact{}, false
 	}
-	return Fact{File: file, Line: lineNo, Col: col, Kind: kind, Text: strings.TrimSuffix(msg, ":")}, true
+	return Fact{File: file, Line: lineNo, Col: col, Text: msg}, true
 }
 
 // tail returns at most n trailing bytes of b, for error messages.

@@ -5,32 +5,25 @@ import (
 	"testing"
 )
 
-// TestParse covers the -m=2 stderr dialect: package headers and indented
-// flow traces are skipped, escape trace headers (trailing ":") dedup
-// against their bare note, moved-to-heap and BCE lines are classified,
-// and relative paths are joined with the build directory.
+// TestParse covers the check_bce stderr dialect: package headers,
+// indented detail and other compiler notes are skipped, both bounds-check
+// messages are kept, and relative paths are joined with the build
+// directory.
 func TestParse(t *testing.T) {
 	stderr := "" +
 		"# hetpnoc/internal/sim\n" +
 		"internal/sim/bitset.go:10:6: can inline (*Bitset).Set\n" +
-		"internal/fabric/fabric.go:42:9: &pending{...} escapes to heap:\n" +
-		"  flow: ~r0 = &{storage for &pending{...}}:\n" +
-		"    from &pending{...} (spill) at internal/fabric/fabric.go:42:9\n" +
 		"internal/fabric/fabric.go:42:9: &pending{...} escapes to heap\n" +
-		"internal/router/router.go:77:2: moved to heap: buf\n" +
 		"internal/router/router.go:201:14: Found IsInBounds\n" +
 		"internal/router/router.go:203:10: Found IsSliceInBounds\n" +
-		"/abs/elsewhere/hot.go:5:3: x escapes to heap\n" +
-		"internal/sim/rng.go:31:7: parameter r leaks to ~r0 with derefs=0:\n" +
+		"/abs/elsewhere/hot.go:5:3: Found IsInBounds\n" +
 		"\tindented continuation is skipped\n"
 
 	got := Parse("/mod", []byte(stderr))
 	want := []Fact{
-		{File: "/mod/internal/fabric/fabric.go", Line: 42, Col: 9, Kind: KindEscape, KindName: "escape", Text: "&pending{...} escapes to heap"},
-		{File: "/mod/internal/router/router.go", Line: 77, Col: 2, Kind: KindMoved, KindName: "moved", Text: "moved to heap: buf"},
-		{File: "/mod/internal/router/router.go", Line: 201, Col: 14, Kind: KindBoundsCheck, KindName: "bounds-check", Text: "Found IsInBounds"},
-		{File: "/mod/internal/router/router.go", Line: 203, Col: 10, Kind: KindBoundsCheck, KindName: "bounds-check", Text: "Found IsSliceInBounds"},
-		{File: "/abs/elsewhere/hot.go", Line: 5, Col: 3, Kind: KindEscape, KindName: "escape", Text: "x escapes to heap"},
+		{File: "/mod/internal/router/router.go", Line: 201, Col: 14, Text: "Found IsInBounds"},
+		{File: "/mod/internal/router/router.go", Line: 203, Col: 10, Text: "Found IsSliceInBounds"},
+		{File: "/abs/elsewhere/hot.go", Line: 5, Col: 3, Text: "Found IsInBounds"},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Parse mismatch:\n got: %#v\nwant: %#v", got, want)

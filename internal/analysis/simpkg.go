@@ -2,10 +2,8 @@ package analysis
 
 import "strings"
 
-// SimPackages are the package-path suffixes that form the deterministic
-// simulator core. dettaint, maprange and globalstate report only inside
-// these packages; tooling (cmd/*, internal/report, examples) is free to
-// use wall-clock time, global flags and unordered iteration.
+// simPackages are the package-path suffixes that form the deterministic
+// simulator core, whose occupancy scan loops allocproof checks.
 var simPackages = []string{
 	"internal/sim",
 	"internal/fabric",
@@ -20,7 +18,7 @@ var simPackages = []string{
 
 // IsSimPackage reports whether the package at path is part of the
 // deterministic simulator core. A path matches when one of the
-// SimPackages suffixes is a whole-segment suffix of it (so
+// simPackages suffixes is a whole-segment suffix of it (so
 // "hetpnoc/internal/sim" matches "internal/sim" but
 // "hetpnoc/internal/simtools" does not). Fixture packages under
 // analysistest testdata re-use the same suffixes.

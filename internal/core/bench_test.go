@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"hetpnoc/internal/photonic"
@@ -22,34 +23,7 @@ func BenchmarkTokenTick(b *testing.B) {
 		demand int
 	}{{"Contended", 64}, {"Settled", 32}} {
 		b.Run(c.name, func(b *testing.B) {
-			bundle, err := photonic.NewBundle(512)
-			if err != nil {
-				b.Fatal(err)
-			}
-			topo := topology.Default()
-			a, err := NewAllocator(Config{
-				Topology:              topo,
-				Bundle:                bundle,
-				TotalWavelengths:      512,
-				ReservedPerCluster:    1,
-				MaxChannelWavelengths: 64,
-				ClockHz:               2.5e9,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			table := make([]int, topo.Clusters())
-			for d := range table {
-				table[d] = c.demand
-			}
-			for core := 0; core < topo.Cores(); core++ {
-				a.SetDemand(topology.CoreID(core), table)
-			}
-			// Converge: 64 rotations acquire at most 8 wavelengths per visit.
-			now := sim.Cycle(0)
-			for ; now < sim.Cycle(64*topo.Clusters()*a.TransitCycles()); now++ {
-				a.Tick(now)
-			}
+			a, now := converged(b, c.demand)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -57,6 +31,112 @@ func BenchmarkTokenTick(b *testing.B) {
 			}
 		})
 	}
+}
+
+// converged builds the 512-wavelength allocator with every core asking
+// demand toward every cluster and ticks it until the allocation has
+// converged: 64 rotations acquire at most 8 wavelengths per visit. It
+// returns the allocator and the next cycle.
+func converged(tb testing.TB, demand int) (*Allocator, sim.Cycle) {
+	tb.Helper()
+	bundle, err := photonic.NewBundle(512)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	topo := topology.Default()
+	a, err := NewAllocator(Config{
+		Topology:              topo,
+		Bundle:                bundle,
+		TotalWavelengths:      512,
+		ReservedPerCluster:    1,
+		MaxChannelWavelengths: 64,
+		ClockHz:               2.5e9,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	setDemand(a, demand)
+	now := sim.Cycle(0)
+	for ; now < sim.Cycle(64*topo.Clusters()*a.TransitCycles()); now++ {
+		a.Tick(now)
+	}
+	return a, now
+}
+
+// setDemand has every core of a's topology ask demand toward every
+// cluster.
+func setDemand(a *Allocator, demand int) {
+	topo := a.cfg.Topology
+	table := make([]int, topo.Clusters())
+	for d := range table {
+		table[d] = demand
+	}
+	for core := 0; core < topo.Cores(); core++ {
+		a.SetDemand(topology.CoreID(core), table)
+	}
+}
+
+// TestTickAllocatesNothing: token circulation allocates nothing, whether
+// the pool is contended or settled, while the token is lost and when
+// cluster 0 regenerates it. A visit that moves a cluster's count
+// allocates once, the copy-on-write of its wavelength IDs (engines hold
+// views of the old ones), and nothing else: so while every cluster gives
+// its dynamic wavelengths back, down to its reserved one, the ticks
+// allocate exactly once a move.
+func TestTickAllocatesNothing(t *testing.T) {
+	for _, demand := range []int{64, 32} {
+		a, now := converged(t, demand)
+		if n := mallocs(func() {
+			for i := range 4096 {
+				a.Tick(now + sim.Cycle(i))
+			}
+		}); n != 0 {
+			t.Errorf("demand %d: 4,096 converged ticks made %d allocations, want 0", demand, n)
+		}
+	}
+	a, now := converged(t, 64)
+	a.DropToken()
+	cycles := a.regenTimeout + 64*a.TransitCycles()
+	if n := mallocs(func() {
+		for range cycles {
+			a.Tick(now)
+			now++
+		}
+	}); n != 0 || a.TokenRegenerations() != 1 {
+		t.Errorf("a lost token and its regeneration made %d allocations and %d regenerations, want 0 and 1", n, a.TokenRegenerations())
+	}
+	setDemand(a, 0)
+	// One cluster at most is visited a tick, so the total moves with it.
+	counts := func() (sum int) {
+		for c := range a.clusters {
+			sum += a.AllocatedCount(topology.ClusterID(c))
+		}
+		return sum
+	}
+	var moves uint64
+	n := mallocs(func() {
+		for range 2 * a.clusters * a.TransitCycles() {
+			before := counts()
+			a.Tick(now)
+			now++
+			if counts() != before {
+				moves++
+			}
+		}
+	})
+	if n != moves || moves == 0 || a.AllocatedCount(0) != 1 {
+		t.Errorf("giving the dynamic wavelengths back made %d allocations in %d moves and left cluster 0 %d wavelengths; want one a move and 1", n, moves, a.AllocatedCount(0))
+	}
+}
+
+// mallocs returns the heap allocations fn makes, run on one P.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkSetDemand measures the demand-table update path (runs on every

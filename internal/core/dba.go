@@ -563,7 +563,6 @@ func (a *Allocator) process(c int, now sim.Cycle) {
 	// visit. The cache must never be mutated in place: transmit engines
 	// and open receive windows hold views of it across cycles.
 	if have != before {
-		//hetpnoc:coldcall allocation-epoch copy-on-write: runs only when a token visit moves the count; engines hold views of the old slice
 		a.rebuildIDs(c)
 		a.cfg.Events.AppendInts(now, event.AllocationChanged, c, 0,
 			"%d -> %d wavelengths (target %d)", int64(before), int64(have), int64(target))

@@ -19,7 +19,8 @@ import (
 // double-owned, every cluster keeps its reserved minimum, caps and budget
 // hold, and the ID caches stay consistent.
 //
-//hetpnoc:detsafe property test samples random activity on purpose; quick prints the counterexample and no entropy reaches simulator state
+// The property test samples random activity on purpose; quick prints
+// the counterexample and no entropy reaches simulator state.
 func TestInvariantsUnderRandomProtocolActivity(t *testing.T) {
 	topo := topology.Default()
 
@@ -93,7 +94,8 @@ func TestInvariantsUnderRandomProtocolActivity(t *testing.T) {
 // convergence, the sum of allocations plus free wavelengths equals the
 // budget.
 //
-//hetpnoc:detsafe property test samples random demand patterns on purpose; quick prints the counterexample and no entropy reaches simulator state
+// The property test samples random demand patterns on purpose; quick
+// prints the counterexample and no entropy reaches simulator state.
 func TestAllocationConservesWavelengths(t *testing.T) {
 	topo := topology.Default()
 	f := func(seed uint64) bool {
@@ -154,7 +156,8 @@ func TestAllocationConservesWavelengths(t *testing.T) {
 // acquired lists, the current tables, the token's demand field, the token
 // position and the event log must agree after every step.
 //
-//hetpnoc:detsafe property test samples random activity on purpose; quick prints the counterexample and no entropy reaches simulator state
+// The property test samples random activity on purpose; quick prints
+// the counterexample and no entropy reaches simulator state.
 func TestSettledVisitsMatchReference(t *testing.T) {
 	topo := topology.Default()
 	build := func(total int, policy Policy) (*Allocator, *event.Log) {

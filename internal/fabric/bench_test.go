@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
@@ -204,6 +205,12 @@ func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 	// queue or the pool a few times, as at saturation.
 	bursty, torus := lightLoad(DHetPNoC, traffic.BWSet1), saturated(traffic.BWSet1, 3, 0)
 	bursty.Pattern, bursty.LoadScale, torus.Arch = traffic.Bursty{Base: traffic.Uniform{}, Factor: 4}, 0.25, TorusPNoC
+	proportional, remapped, chapter4 := saturated(traffic.BWSet1, 3, 0), saturated(traffic.BWSet1, 3, 0), saturated(traffic.BWSet3, 3, 0)
+	proportional.ProportionalDBA = true
+	chapter4.WaveguidesPerCluster, chapter4.ReservedPerCluster = 2, 2
+	for i, p := range []traffic.Pattern{traffic.Uniform{}, traffic.Skewed{Level: 1}, traffic.Skewed{Level: 3}, traffic.Uniform{}} {
+		remapped.Remaps = append(remapped.Remaps, Remap{At: sim.Cycle(8200 + 500*i), Pattern: p})
+	}
 	for _, sc := range []struct {
 		name   string
 		cfg    Config
@@ -212,7 +219,11 @@ func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 	}{
 		{"Bursty", bursty, func(f *Fabric) int64 { return f.Totals().Injected }, 0},
 		{"DropStorm", dropStormConfig(DHetPNoC), func(f *Fabric) int64 { return f.Totals().DroppedRX }, 0.25},
-		{"Torus", torus, func(f *Fabric) int64 { return f.torus.PathsSetUp() + f.torus.SetupsBlocked() }, 3},
+		{"Torus", torus, func(f *Fabric) int64 { return f.torus.PathsSetUp() + f.torus.SetupsBlocked() }, 0},
+		{"TorusDropStorm", dropStormConfig(TorusPNoC), func(f *Fabric) int64 { return f.Totals().DroppedRX }, 0.25},
+		{"Proportional", proportional, func(f *Fabric) int64 { return f.Totals().Injected }, 0},
+		{"Chapter4", chapter4, func(f *Fabric) int64 { return f.Totals().Injected }, 0},
+		{"Remap", remapped, func(f *Fabric) int64 { return int64(f.nextRemap) }, 170},
 	} {
 		t.Run(sc.name+suffix, func(t *testing.T) {
 			sc.cfg.ProbeEvery = every
@@ -224,6 +235,19 @@ func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 			}
 		})
 	}
+	// A packet dropped for the last time is lost, which no corpus run
+	// reaches in its steady state: losing it allocates nothing either.
+	t.Run("Lost"+suffix, func(t *testing.T) {
+		cfg := dropStormConfig(DHetPNoC)
+		cfg.ProbeEvery = every
+		f := warmed(t, cfg, 2000)
+		p := f.pool.Get()
+		p.Attempt = maxRetries + 1
+		lost := f.Totals().Lost
+		if n := mallocs(t, func() error { f.handleDrop(p, f.now); return nil }); n != 0 || f.Totals().Lost != lost+1 {
+			t.Fatalf("losing a packet made %d allocations and counted %d losses, want 0 and 1", n, f.Totals().Lost-lost)
+		}
+	})
 	// Restoring a drop storm after it ran on: the live fabric's own
 	// storage takes the checkpoint back, whatever grew or shrank since.
 	t.Run("Restore"+suffix, func(t *testing.T) {

@@ -314,9 +314,8 @@ func (cs *coreState) pumpInject(now sim.Cycle) error {
 			cs.inVC = vc
 			cs.inNext = 0
 		}
-		if cs.injectPort.Space(cs.inVC) == 0 {
-			return nil
-		}
+		// The VC was free when the packet took it, and it holds a whole
+		// packet (Validate), so it has room for every flit.
 		fl := packet.FlitAt(cs.inFlight, cs.inNext)
 		if err := cs.injectPort.Enqueue(cs.inVC, fl, now); err != nil {
 			return err
@@ -341,9 +340,6 @@ func (cs *coreState) pumpInject(now sim.Cycle) error {
 func (f *Fabric) drainEject(cs *coreState, now sim.Cycle) error {
 	p := cs.ejectPort
 	m := p.OccupiedMask()
-	if m == 0 {
-		return nil
-	}
 	n := p.VCCount()
 	drained := 0
 	for scan := 0; scan < n && drained < ejectWidth; {

@@ -222,28 +222,20 @@ const maxLoadScale = 1 << 40
 // rows of the default topology are ≈ 80 MB.
 const maxProbeRows = 1 << 20
 
-// checkLoadScale is the one rule for an offered-load multiplier, shared
-// by Validate and SetLoadScale so a solo run and a batch fork refuse the
-// same scales. The negated form also refuses NaN.
-func checkLoadScale(scale float64) error {
+// checkLoad is the one rule for an offered-load multiplier, shared by
+// Validate and SetLoadScale so a solo run and a batch fork refuse the
+// same scales: the scale lies in [0, 2^40] (the negated form also
+// refuses NaN), and every source of the run's pattern and of each
+// remap's can hold its rate at that scale as credit.
+func (c Config) checkLoad(scale float64) error {
 	if !(scale >= 0 && scale <= maxLoadScale) {
 		return fmt.Errorf("fabric: load scale %g out of range [0, 2^40]", scale)
 	}
-	return nil
-}
-
-// checkCustomRates refuses a custom workload, bursty or not, with a core
-// rate no source could hold as credit; a built-in pattern's rates are
-// known only once assigned, so New refuses those.
-func checkCustomRates(p traffic.Pattern, loadScale float64) error {
-	b, bursty := p.(traffic.Bursty)
-	if bursty {
-		p = b.Base
+	if err := traffic.CheckLoad(c.Pattern, c.Topology, c.Set, sim.DefaultClock(), scale); err != nil {
+		return err
 	}
-	custom, _ := p.(traffic.Custom)
-	for i, cc := range custom.Cores {
-		profile := traffic.CoreProfile{RateGbps: cc.RateGbps, Burstiness: b.Factor}
-		if _, _, err := traffic.CreditRates(topology.CoreID(i), profile, sim.DefaultClock(), loadScale); err != nil {
+	for _, r := range c.Remaps {
+		if err := traffic.CheckLoad(r.Pattern, c.Topology, c.Set, sim.DefaultClock(), scale); err != nil {
 			return err
 		}
 	}
@@ -261,10 +253,7 @@ func (c Config) Validate() error {
 	if c.Pattern == nil {
 		return fmt.Errorf("fabric: no traffic pattern")
 	}
-	if err := checkLoadScale(c.LoadScale); err != nil {
-		return err
-	}
-	if err := checkCustomRates(c.Pattern, c.LoadScale); err != nil {
+	if err := c.checkLoad(c.LoadScale); err != nil {
 		return err
 	}
 	if c.Cycles <= 0 || c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
@@ -296,9 +285,6 @@ func (c Config) Validate() error {
 		}
 		if r.At < 0 || r.At >= sim.Cycle(c.Cycles) {
 			return fmt.Errorf("fabric: remap at cycle %d is outside the run's %d cycles", r.At, c.Cycles)
-		}
-		if err := checkCustomRates(r.Pattern, c.LoadScale); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -23,7 +23,9 @@ import (
 // counter all unbalance the equation. The same sweep also checks the
 // Table 3-3 photonic caps via checkWavelengthCaps.
 //
-//hetpnoc:detsafe property test samples random configs on purpose; each trial seeds its own sim from quick's arguments, so the run stays replayable from the printed counterexample
+// The property test samples random configs on purpose; each trial
+// seeds its own sim from quick's arguments, so the run stays
+// replayable from the printed counterexample.
 func TestFlitConservationUnderRandomConfigs(t *testing.T) {
 	maxCount := 10
 	if testing.Short() {

@@ -100,7 +100,7 @@ func TestSkipIdleGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []struct {
+	guards := []struct {
 		name       string
 		set, clear func()
 	}{
@@ -108,14 +108,22 @@ func TestSkipIdleGuards(t *testing.T) {
 		{"txActive", func() { f.txActive.Set(3) }, func() { f.txActive.Clear(3) }},
 		{"routerActive", func() { f.routerActive.Set(70) }, func() { f.routerActive.Clear(70) }},
 		{"ejectActive", func() { f.ejectActive.Set(3) }, func() { f.ejectActive.Clear(3) }},
-		{"retx", func() { f.retx = append(f.retx, retransmit{due: 50, pkt: f.pool.Get()}) }, func() { f.pool.Put(f.retx[0].pkt); f.retx = f.retx[:0] }},
+		{"retx", func() { f.retx = append(f.retx, retransmit{due: f.now + 50, pkt: f.pool.Get()}) }, func() { f.pool.Put(f.retx[0].pkt); f.retx = f.retx[:0] }},
 		{"occupancy", func() { f.occupancy = 1 }, func() { f.occupancy = 0 }},
-	} {
+	}
+	// Up to cycle 900 the token settles every cluster's allocation and no
+	// source has emitted yet (the first emits at 1023). From there each
+	// refusal, and the step after it, allocates nothing.
+	if err := f.StepContext(context.Background(), 900); err != nil {
+		t.Fatal(err)
+	}
+	skipped := f.SkippedCycles()
+	for _, g := range guards {
 		g.set()
-		if err := f.StepContext(context.Background(), 1); err != nil {
-			t.Fatal(err)
+		if n := mallocs(t, func() error { return f.StepContext(context.Background(), 1) }); n != 0 {
+			t.Fatalf("stepping past %s made %d allocations, want 0", g.name, n)
 		}
-		if f.SkippedCycles() != 0 {
+		if f.SkippedCycles() != skipped {
 			t.Fatalf("cycle %d skipped with %s not idle", f.Now()-1, g.name)
 		}
 		g.clear()
@@ -123,7 +131,7 @@ func TestSkipIdleGuards(t *testing.T) {
 	if err := f.StepContext(context.Background(), 10); err != nil {
 		t.Fatal(err)
 	}
-	if f.SkippedCycles() != 10 {
-		t.Fatalf("skipped %d of 10 idle cycles", f.SkippedCycles())
+	if f.SkippedCycles() != skipped+10 {
+		t.Fatalf("skipped %d of 10 idle cycles", f.SkippedCycles()-skipped)
 	}
 }

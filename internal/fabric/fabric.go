@@ -324,7 +324,7 @@ func (f *Fabric) Reseed(seed uint64) error {
 // it, so forking across load scales never leaks one member's load into
 // the next.
 func (f *Fabric) SetLoadScale(scale float64) error {
-	if err := checkLoadScale(scale); err != nil {
+	if err := f.cfg.checkLoad(scale); err != nil {
 		return err
 	}
 	f.cfg.LoadScale = scale
@@ -334,8 +334,6 @@ func (f *Fabric) SetLoadScale(scale float64) error {
 // handleDrop is the TX engines' drop callback: the receiver had no free
 // VC, the packet's flits were discarded, and the source must retransmit
 // after a back-off (§1.4), up to the retry budget.
-//
-//hetpnoc:hotpath
 func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 	f.collector.OnDropRX()
 	if p.Attempt > maxRetries {
@@ -366,7 +364,8 @@ func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 // the order observable and must pin it with a test.
 func (f *Fabric) fireDue(now sim.Cycle) error {
 	for ; f.nextRemap < len(f.remaps) && f.remaps[f.nextRemap].At <= now; f.nextRemap++ {
-		//hetpnoc:coldcall a task remap rebuilds every source and demand table; a run schedules a handful
+		// A task remap rebuilds every source and demand table; a run
+		// schedules a handful.
 		if err := f.remap(f.remaps[f.nextRemap].Pattern, now); err != nil {
 			return fmt.Errorf("remap: %w", err)
 		}
@@ -419,8 +418,6 @@ func (f *Fabric) DBA() *core.Allocator { return f.dba }
 // ports, idle engines, zero-rate sources and sources before their next
 // emission), so the result is bit-identical to ticking everything —
 // TestGoldenResults enforces this.
-//
-//hetpnoc:hotpath
 func (f *Fabric) Step() error {
 	now := f.now
 	if int(now) == f.cfg.WarmupCycles {
@@ -601,8 +598,6 @@ func (f *Fabric) StepContext(ctx context.Context, cycles int) error {
 // (bursty sources draw every cycle, so they allow no span), a task
 // remap, the start of measurement, or a probe row. The torus keeps no
 // activity set; a fabric that has one is stepped through every cycle.
-//
-//hetpnoc:hotpath
 func (f *Fabric) skipIdle(limit sim.Cycle) bool {
 	if len(f.retx) != 0 || f.torus != nil ||
 		!empty(&f.injActive) || !empty(&f.txActive) || !empty(&f.routerActive) || !empty(&f.ejectActive) {

@@ -62,6 +62,19 @@ func TestConfigValidation(t *testing.T) {
 		{"remap to a bursty custom rate past the credit range", func(c *Config) {
 			c.Remaps = []Remap{{At: 100, Pattern: traffic.Bursty{Base: traffic.Custom{Cores: []traffic.CustomCore{{RateGbps: 1e9}}}, Factor: 4}}}
 		}},
+		// A built-in pattern's rates follow from the set, so Validate
+		// refuses a load scale that puts its heaviest or its lightest
+		// source outside the credit range, as New would.
+		{"uniform at 5e9 bits a cycle", func(c *Config) { c.Pattern, c.LoadScale = traffic.Uniform{}, 1e9 }},
+		{"uniform rounding to no credit", func(c *Config) { c.Pattern, c.LoadScale = traffic.Uniform{}, 1e-12 }},
+		{"skewed lightest class rounding to no credit", func(c *Config) { c.Pattern, c.LoadScale = traffic.Skewed{Level: 3}, 2e-11 }},
+		{"bursty peak past the credit range", func(c *Config) {
+			c.Pattern, c.LoadScale = traffic.Bursty{Base: traffic.Uniform{}, Factor: 1e6}, 1e7
+		}},
+		{"remap to a hotspot past the credit range", func(c *Config) {
+			c.Pattern, c.LoadScale = traffic.Uniform{}, 2e8
+			c.Remaps = []Remap{{At: 100, Pattern: traffic.SkewedHotspot{HotFraction: 0.2, BaseLevel: 3}}}
+		}},
 	}
 	for _, tt := range tests {
 		cfg := base
@@ -69,6 +82,23 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s passed validation", tt.name)
 		}
+	}
+	// A batch fork refuses the load scales Validate refuses, and takes
+	// the one the remap's heavier pattern still holds.
+	cfg := base
+	cfg.Pattern = traffic.Uniform{}
+	cfg.Remaps = []Remap{{At: 100, Pattern: traffic.Skewed{Level: 3}}}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{1e9, 2e8, 1e-12} {
+		if err := f.SetLoadScale(scale); err == nil {
+			t.Errorf("SetLoadScale(%g) accepted a load Validate refuses", scale)
+		}
+	}
+	if err := f.SetLoadScale(1e8); err != nil {
+		t.Errorf("SetLoadScale(1e8): %v", err)
 	}
 }
 
@@ -412,7 +442,8 @@ func TestEnergyBreakdownConsistent(t *testing.T) {
 		Cycles: 3000, WarmupCycles: 500, Seed: 19,
 	})
 	var sum units.Picojoule
-	//hetpnoc:orderfree floating-point sum of a few components, compared with a relative tolerance
+	// A floating-point sum of a few components, compared with a relative
+	// tolerance, so its order does not matter.
 	for _, v := range res.EnergyBreakdownPJ {
 		sum += v
 	}

@@ -25,8 +25,6 @@ func newProbe(cfg Config) Probe {
 // at, when that is a positive multiple of ProbeEvery inside the run.
 // Step and skipIdle call it on every boundary they reach, and skipIdle
 // never jumps across one.
-//
-//hetpnoc:hotpath
 func (f *Fabric) sample() {
 	every, p := f.cfg.ProbeEvery, &f.probe
 	if every <= 0 || int64(f.now)%every != 0 {

@@ -89,7 +89,6 @@ func TestFlitTypeStrings(t *testing.T) {
 		HeaderTail:  "header+tail",
 		FlitType(0): "unknown",
 	}
-	//hetpnoc:orderfree each entry is asserted independently
 	for ft, want := range tests {
 		if got := ft.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", ft, got, want)

@@ -55,8 +55,6 @@ func (dst *state) copyFrom(src *state) {
 
 // Get returns a zeroed packet: the most recently recycled slot when
 // there is one, the next unused slot otherwise.
-//
-//hetpnoc:hotpath
 func (pl *Pool) Get() *Packet {
 	pl.gets++
 	var p *Packet
@@ -76,8 +74,8 @@ func (pl *Pool) Get() *Packet {
 
 // grow adds a chunk. Splitting it out keeps the heap allocation off
 // Get's fast path: once the pool warms up, every Get recycles.
+// It runs once per 64 packets of peak occupancy.
 //
-//hetpnoc:coldcall one chunk per 64 packets of peak occupancy; steady state recycles and never reaches it
 //go:noinline
 func (pl *Pool) grow() { pl.chunks = append(pl.chunks, new([poolChunk]Packet)) }
 
@@ -85,12 +83,7 @@ func (pl *Pool) grow() { pl.chunks = append(pl.chunks, new([poolChunk]Packet)) }
 // other way would sit outside the slab a checkpoint copies. The caller
 // must hold the only remaining reference: after the next Get the slot is
 // rewritten in place.
-//
-//hetpnoc:hotpath
 func (pl *Pool) Put(p *Packet) {
-	if p == nil {
-		return
-	}
 	pl.puts++
 	pl.free = append(pl.free, p)
 }
@@ -148,11 +141,9 @@ func (q *Queue) Head() *Packet {
 }
 
 // Push appends p, growing the ring as needed.
-//
-//hetpnoc:hotpath
 func (q *Queue) Push(p *Packet) {
 	if q.count == len(q.buf) {
-		//hetpnoc:coldcall amortized ring growth, O(log capacity) times per queue, never steady-state
+		// Amortized: O(log capacity) times per queue, never in steady state.
 		q.grow()
 	}
 	slot := q.head + q.count
@@ -164,8 +155,6 @@ func (q *Queue) Push(p *Packet) {
 }
 
 // Pop removes and returns the oldest packet, or nil when empty.
-//
-//hetpnoc:hotpath
 func (q *Queue) Pop() *Packet {
 	if q.count == 0 {
 		return nil

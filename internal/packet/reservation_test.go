@@ -114,7 +114,8 @@ func TestEncodeRejectsOutOfRange(t *testing.T) {
 // TestEncodeDecodeProperty: any valid identifier survives the on-wire
 // round trip for any bundle size.
 //
-//hetpnoc:detsafe property test samples random identifiers on purpose; the round trip is pure and quick prints any counterexample
+// The property test samples random identifiers on purpose; the round
+// trip is pure and quick prints any counterexample.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(rawTotal uint16, rawWG, rawLambda uint8) bool {
 		total := int(rawTotal)%1024 + 1

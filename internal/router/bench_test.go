@@ -1,6 +1,7 @@
 package router
 
 import (
+	"runtime"
 	"testing"
 
 	"hetpnoc/internal/packet"
@@ -172,4 +173,69 @@ func BenchmarkRouterTickBlocked(b *testing.B) {
 		}
 	}
 	pumpStream(b, r, inputs[0], streamVC, out, out.VCCount()-1)
+}
+
+// TestTickAllocatesNothing: a Tick allocates nothing, when it forwards
+// a stream into a downstream VC that fills up and stays full, and when
+// every input VC holds a header waiting for a downstream VC that never
+// frees.
+func TestTickAllocatesNothing(t *testing.T) {
+	ledger := photonic.NewLedger(photonic.DefaultEnergyParams())
+	var occ int64
+	arena, err := NewArena(ledger, &occ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]*Port, 3)
+	widths := make([]int, 3)
+	for i := range inputs {
+		if inputs[i], err = arena.NewPort(4, 8); err != nil {
+			t.Fatal(err)
+		}
+		widths[i] = 2
+	}
+	r, err := New("alloc", inputs, widths, func(packet.Flit) int { return 0 }, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := arena.NewPort(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.AddOutput(out, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	// Every input VC holds the first 8 flits of a 16-flit packet: two
+	// win the downstream VCs and stream until those are full, with flits
+	// left behind; the rest wait for a VC that never frees.
+	id := packet.ID(1)
+	for _, in := range inputs {
+		for in.FreeVCs() > 0 {
+			pkt := &packet.Packet{ID: id, Flits: 16, FlitBits: 32}
+			id++
+			vc, _ := in.AllocVC(pkt.ID)
+			for seq := 0; in.Space(vc) > 0; seq++ {
+				if err := in.Enqueue(vc, packet.FlitAt(pkt, seq), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// Counted from the first Tick: once blocked, the router goes quiet
+	// and skips the Ticks that would grant nothing.
+	var tickErr error
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for now := range sim.Cycle(20) {
+		if err := r.Tick(now); err != nil {
+			tickErr = err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 || tickErr != nil {
+		t.Fatalf("a blocked router's Ticks made %d allocations (error %v), want 0", n, tickErr)
+	}
+	if out.Space(0) != 0 || out.Space(1) != 0 {
+		t.Fatal("the downstream VCs never filled")
+	}
 }

@@ -61,7 +61,9 @@ func newChain(t testing.TB, vcs, depth int) *chainFabric {
 // flit is either still buffered or has arrived, per-packet FIFO order
 // survives two hops, and nothing is duplicated.
 //
-//hetpnoc:detsafe property test samples random workloads on purpose; each trial re-seeds from quick's seed argument, so any failure replays from the printed counterexample
+// The property test samples random workloads on purpose; each trial
+// re-seeds from quick's seed argument, so any failure replays from
+// the printed counterexample.
 func TestChainConservesAndOrdersFlits(t *testing.T) {
 	run := func(seed uint64, nPackets uint8) bool {
 		f := newChain(t, 8, 32)
@@ -118,7 +120,6 @@ func TestChainConservesAndOrdersFlits(t *testing.T) {
 					active[p] = true
 				}
 			}
-			//hetpnoc:orderfree flit conservation holds under any enqueue interleaving; the property, not a trace, is asserted
 			for p := range active {
 				for moved := 0; moved < 2 && p.next < p.pkt.Flits && f.in.Space(p.vc) > 0; moved++ {
 					if err := f.in.Enqueue(p.vc, packet.FlitAt(p.pkt, p.next), now); err != nil {
@@ -145,7 +146,6 @@ func TestChainConservesAndOrdersFlits(t *testing.T) {
 		// Everything injected must have arrived (the run is long enough
 		// to drain), and nothing beyond it.
 		got := 0
-		//hetpnoc:orderfree integer sum is commutative
 		for _, n := range arrived {
 			got += n
 		}

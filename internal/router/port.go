@@ -63,8 +63,6 @@ func (p *Port) Len(i int) int { return int(p.a.hot[p.a.vcBase[p.id]+int32(i)].co
 // It reports false when every VC is busy — the §1.4 condition under which
 // a header flit is dropped. The free set is a bitmask, so the scan is a
 // single trailing-zeros instruction.
-//
-//hetpnoc:hotpath
 func (p *Port) AllocVC(owner packet.ID) (int, bool) {
 	a := p.a
 	id := int(p.id)
@@ -126,8 +124,6 @@ func (p *Port) Space(i int) int {
 // header bit: the flits behind it are taken to be the packet's next ones,
 // in order (a VC holds consecutive flits of one packet), and now must not
 // run backwards.
-//
-//hetpnoc:hotpath
 func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 	a := p.a
 	g := a.vcBase[p.id] + int32(i)
@@ -186,8 +182,6 @@ func (p *Port) Enqueue(i int, f packet.Flit, now sim.Cycle) error {
 // pkt is the packet occupying the VC and isHeader whether the head flit
 // opens it; both are zero when ok is false. Everything comes from the
 // per-VC descriptor, so an eligibility scan stays on one cache line.
-//
-//hetpnoc:hotpath
 func (p *Port) HeadReady(i int, now sim.Cycle) (pkt *packet.Packet, isHeader, ok bool) {
 	a := p.a
 	id := int(p.id)
@@ -207,8 +201,6 @@ func (p *Port) HeadReady(i int, now sim.Cycle) (pkt *packet.Packet, isHeader, ok
 
 // Pop dequeues the head flit of VC i, charging the buffer-read energy and
 // releasing the VC when the tail departs.
-//
-//hetpnoc:hotpath
 func (p *Port) Pop(i int) (packet.Flit, error) {
 	a := p.a
 	g := a.vcBase[p.id] + int32(i)

@@ -249,8 +249,6 @@ func (r *Router) Outputs() int { return len(r.outputs) }
 // per-output masks by their route (visits of candidates targeting another
 // output have no side effects in the reference), so each output only
 // walks its own contenders.
-//
-//hetpnoc:hotpath
 func (r *Router) Tick(now sim.Cycle) error {
 	if r.quiet {
 		if now < r.wakeAt {

@@ -52,8 +52,6 @@ func (b Bitset) Refill(src Bitset) Bitset {
 // arbitration and scheduling kernels: circular round-robin scans call it
 // twice (once from the cursor, once from zero) instead of walking
 // per-object state.
-//
-//hetpnoc:hotpath
 func NextSet(words []uint64, from int) int {
 	// The unsigned compare also rejects a negative from, so the first-word
 	// access below needs no bounds check even when inlined into a caller's

@@ -18,7 +18,7 @@ func (n *Network) checkInvariants() error {
 	for src := range n.active {
 		p := &n.active[src]
 		if p.pkt == nil {
-			if p.links != nil {
+			if len(n.routes[src]) != 0 {
 				return errf("idle slot %d still lists links", src)
 			}
 			continue
@@ -27,13 +27,12 @@ func (n *Network) checkInvariants() error {
 			return errf("path at slot %d claims source %d", src, p.src)
 		}
 		activePaths[p] = true
-		for _, l := range p.links {
+		for _, l := range n.routes[src] {
 			if n.linkOwner[l] != p {
 				return errf("path %d->%d link %v not held by it", p.src, p.dst, l)
 			}
 		}
 	}
-	//hetpnoc:orderfree every link is checked against the same invariant; no entry depends on another
 	for l, p := range n.linkOwner {
 		if p == nil {
 			return errf("nil owner recorded for link %v", l)
@@ -59,7 +58,9 @@ func (e *invariantError) Error() string { return e.msg }
 // TestTorusInvariantsUnderRandomTraffic drives randomized packet
 // workloads and checks the circuit bookkeeping every cycle.
 //
-//hetpnoc:detsafe property test samples random workloads on purpose; each trial re-seeds from quick's seed argument, so any failure replays from the printed counterexample
+// The property test samples random workloads on purpose; each trial
+// re-seeds from quick's seed argument, so any failure replays from
+// the printed counterexample.
 func TestTorusInvariantsUnderRandomTraffic(t *testing.T) {
 	run := func(seed uint64) bool {
 		r := newRig(t)

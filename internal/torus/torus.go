@@ -107,7 +107,6 @@ type path struct {
 	src, dst int
 	pkt      *packet.Packet
 	vc       int
-	links    []linkID
 	turns    int
 	state    phase
 	// readyAt is when streaming may begin (setup + ack round trip).
@@ -132,6 +131,13 @@ type Network struct {
 
 	linkOwner map[linkID]*path // derived: Restore rebuilds it from the restored circuits
 
+	// routes holds each source node's route, written by Route into an
+	// array sized at build for the longest one. A source routes only
+	// while it holds no circuit, so its circuit's links stay put until
+	// teardown empties them; Restore recomputes them from the restored
+	// circuits.
+	routes [][]linkID
+
 	// band is the full DWDM band of one link's waveguide, the gating set
 	// of every torus receive window. It never varies per path, so it is
 	// computed once here instead of allocating per established circuit.
@@ -141,10 +147,9 @@ type Network struct {
 }
 
 // state is the network's checkpointed part: the per-node circuits (from
-// which the link ownership map is rebuilt), the per-node retry and
-// arbitration state, and the counters. A circuit is a plain value; its
-// link list is shared with the live path — Route builds it once and
-// never mutates it afterwards.
+// which the routes and the link ownership map are rebuilt), the per-node
+// retry and arbitration state, and the counters. A circuit is a plain
+// value.
 type state struct {
 	active  []path // per source node, sized at build; linkOwner points into it
 	retryAt []sim.Cycle
@@ -186,6 +191,10 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 	for i := range band {
 		band[i] = photonic.WavelengthID{Waveguide: 0, Wavelength: i}
 	}
+	routes := make([][]linkID, cfg.Nodes)
+	for src := range routes {
+		routes[src] = make([]linkID, 0, 2*(side/2))
+	}
 	return &Network{
 		cfg:       cfg,
 		side:      side,
@@ -195,6 +204,7 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 		onDrop:    onDrop,
 		perCycle:  perWavelength * units.BitCredit(cfg.Bundle.WavelengthsPerWaveguide),
 		linkOwner: make(map[linkID]*path),
+		routes:    routes,
 		band:      band,
 		state: state{
 			active:  make([]path, cfg.Nodes),
@@ -224,8 +234,10 @@ func (n *Network) PacketsSent() int64 { return n.packetsSent }
 
 // Route computes the dimension-order (X then Y) folded-torus route from
 // src to dst: the directed links traversed and the number of 90-degree
-// turns the light makes through PSEs.
+// turns the light makes through PSEs. The links are src's route buffer,
+// which the next Route from src overwrites.
 func (n *Network) Route(src, dst int) (links []linkID, turns int) {
+	links = n.routes[src][:0]
 	sx, sy := src%n.side, src/n.side
 	dx, dy := dst%n.side, dst/n.side
 
@@ -291,7 +303,7 @@ func (n *Network) Tick(now sim.Cycle) error {
 				p.state = phaseStreaming
 				p.credit = 0
 				n.cfg.Events.AppendInts(now, event.StreamStarted, src, int64(p.pkt.ID),
-					"torus path to %d, %d hops", int64(p.dst), int64(len(p.links)))
+					"torus path to %d, %d hops", int64(p.dst), int64(len(n.routes[src])))
 			}
 		case phaseStreaming:
 			if err := n.stream(p, now); err != nil {
@@ -329,12 +341,14 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 		setupBits := packet.ReservationBits(n.cfg.Nodes, n.cfg.MaxFlits, n.cfg.Bundle, 0)
 		n.ledger.Add(photonic.EnergyRouter, int64(setupBits*len(links)))
 
+		n.routes[src] = links
 		for _, l := range links {
 			if n.linkOwner[l] != nil {
 				// Blocked: a path-blocked packet returns to the source
 				// (already-checked links were provisionally held and
 				// release immediately in this atomic model).
 				n.setupsBlocked++
+				n.routes[src] = links[:0]
 				n.retryAt[src] = now + sim.Cycle(n.cfg.RetryBackoffCycles)
 				n.cfg.Events.AppendInts(now, event.ReservationSent, src, int64(pkt.ID),
 					"torus setup to %d BLOCKED at node %d dir %d", int64(dst), int64(l.node), int64(l.dir))
@@ -347,7 +361,6 @@ func (n *Network) trySetup(src int, now sim.Cycle) {
 			dst:   dst,
 			pkt:   pkt,
 			vc:    vc,
-			links: links,
 			turns: turns,
 			state: phaseSetup,
 			// Setup walks to the destination and the ACK returns.
@@ -412,8 +425,9 @@ func (n *Network) teardown(p *path, now sim.Cycle) {
 		n.cfg.Events.AppendInts(now, event.PacketArrived, p.dst, int64(p.pkt.ID),
 			"torus, from node %d", int64(p.src))
 	}
-	for _, l := range p.links {
+	for _, l := range n.routes[p.src] {
 		delete(n.linkOwner, l)
 	}
+	n.routes[p.src] = n.routes[p.src][:0]
 	*p = path{}
 }

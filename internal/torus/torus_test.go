@@ -124,7 +124,8 @@ func TestRouteDimensionOrder(t *testing.T) {
 // TestRouteNeverExceedsDiameter: any route on a 4x4 torus is at most 4
 // hops (2 per dimension).
 //
-//hetpnoc:detsafe property test samples random node pairs on purpose; routing is pure and quick prints any counterexample
+// The property test samples random node pairs on purpose; routing is
+// pure and quick prints any counterexample.
 func TestRouteNeverExceedsDiameter(t *testing.T) {
 	r := newRig(t)
 	f := func(rawSrc, rawDst uint8) bool {
@@ -151,7 +152,6 @@ func TestTorusDeliversPacket(t *testing.T) {
 		t.Fatalf("sent %d packets over %d paths", r.net.PacketsSent(), r.net.PathsSetUp())
 	}
 	// Circuit released after the tail.
-	//hetpnoc:orderfree asserts all owners are nil; order cannot matter
 	for _, owner := range r.net.linkOwner {
 		if owner != nil {
 			t.Fatal("links still held after teardown")
@@ -251,7 +251,6 @@ func TestTorusConfigValidation(t *testing.T) {
 }
 
 func TestDirectionNames(t *testing.T) {
-	//hetpnoc:orderfree each direction name is asserted independently
 	for d, want := range map[Direction]string{East: "east", West: "west", North: "north", South: "south"} {
 		if d.String() != want {
 			t.Fatalf("direction %d = %q", d, d.String())

@@ -32,9 +32,9 @@ type BandwidthSet struct {
 	Format packet.Format
 }
 
-// The three bandwidth sets of the evaluation.
-//
-//hetpnoc:immutable Table 3-1/3-3 provisioning points; written only here, every consumer copies the struct
+// The three bandwidth sets of the evaluation, the provisioning points
+// of Tables 3-1 and 3-3. They are written only here; every consumer
+// copies the struct.
 var (
 	// BWSet1: classes 12.5-100 Gb/s, 64 wavelengths, 64x32 b packets.
 	BWSet1 = BandwidthSet{

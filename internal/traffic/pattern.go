@@ -137,8 +137,7 @@ func (Uniform) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG) (Ass
 	if err := set.Validate(); err != nil {
 		return Assignment{}, err
 	}
-	aggregateGbps := float64(set.TotalWavelengths) * 12.5
-	perCore := aggregateGbps / float64(topo.Cores())
+	perCore := fairShare(topo, set)
 	perCluster := perCore * float64(topo.ClusterSize())
 
 	cores := make([]CoreProfile, topo.Cores())
@@ -151,6 +150,12 @@ func (Uniform) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG) (Ass
 		}
 	}
 	return Assignment{Name: "uniform", Cores: cores}, nil
+}
+
+// fairShare is each core's equal share of the set's aggregate photonic
+// bandwidth, in Gb/s.
+func fairShare(topo topology.Topology, set BandwidthSet) float64 {
+	return float64(set.TotalWavelengths) * 12.5 / float64(topo.Cores())
 }
 
 // Bursty wraps a pattern so every core injects through an on/off Markov
@@ -249,4 +254,61 @@ func (f Fixed) Assign(topo topology.Topology, _ BandwidthSet, _ *sim.RNG) (Assig
 			len(f.Assignment.Cores), topo.Cores())
 	}
 	return f.Assignment, nil
+}
+
+// CheckLoad refuses a load scale at which a source p assigns could not
+// hold its rate as credit (CreditRates), without assigning p. A custom
+// or fixed workload lists its rates; a built-in pattern's lightest and
+// heaviest per-core rates follow from the topology and the bandwidth
+// set, and credit is monotone in the rate, so those two bound every
+// source. The check walks at most one entry per core and allocates
+// nothing unless it fails. A pattern of another type, and a real-app
+// workload's lightest rate, are checked when the pattern is assigned.
+func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, clock sim.Clock, loadScale float64) error {
+	b, bursty := p.(Bursty)
+	if bursty {
+		p = b.Base
+	}
+	check := func(core int, profile CoreProfile) error {
+		if bursty {
+			profile.Burstiness = b.Factor
+		}
+		_, _, err := CreditRates(topology.CoreID(core), profile, clock, loadScale)
+		return err
+	}
+	perCore := func(rates ...float64) error {
+		for _, r := range rates {
+			if err := check(0, CoreProfile{RateGbps: r}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	size := float64(topo.ClusterSize())
+	switch p := p.(type) {
+	case Uniform:
+		return perCore(fairShare(topo, set))
+	case Permutation:
+		if p.RateGbps != 0 {
+			return perCore(p.RateGbps)
+		}
+		return perCore(fairShare(topo, set))
+	case Skewed, SkewedHotspot:
+		return perCore(set.ClassGbps[0]/size, set.ClassGbps[len(set.ClassGbps)-1]/size)
+	case RealApp:
+		return perCore(set.ClassGbps[0] / size)
+	case Custom:
+		for i, cc := range p.Cores {
+			if err := check(i, CoreProfile{RateGbps: cc.RateGbps}); err != nil {
+				return err
+			}
+		}
+	case Fixed:
+		for i, profile := range p.Assignment.Cores {
+			if err := check(i, profile); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -69,7 +69,7 @@ func (p Permutation) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG
 	}
 	perCore := p.RateGbps
 	if perCore == 0 {
-		perCore = float64(set.TotalWavelengths) * 12.5 / float64(topo.Cores())
+		perCore = fairShare(topo, set)
 	}
 	if perCore < 0 {
 		return Assignment{}, fmt.Errorf("traffic: negative permutation rate %g", perCore)

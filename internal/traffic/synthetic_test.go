@@ -43,7 +43,6 @@ func TestTransposePartners(t *testing.T) {
 func TestBitComplementPartners(t *testing.T) {
 	a := assignPermutation(t, BitComplement)
 	tests := map[int]topology.CoreID{0: 63, 63: 0, 21: 42, 1: 62}
-	//hetpnoc:orderfree each partner pair is asserted independently
 	for c, want := range tests {
 		if dst, ok := destOf(a, c); !ok || dst != want {
 			t.Fatalf("complement(%d) = %v, want %d", c, dst, want)
@@ -55,7 +54,6 @@ func TestBitReversePartners(t *testing.T) {
 	a := assignPermutation(t, BitReverse)
 	// 6-bit reversal: 000001 -> 100000 (32); 011000 (24) -> 000110 (6).
 	tests := map[int]topology.CoreID{1: 32, 24: 6, 0: 0}
-	//hetpnoc:orderfree each partner pair is asserted independently
 	for c, want := range tests {
 		dst, ok := destOf(a, c)
 		if c == int(want) {
@@ -74,7 +72,6 @@ func TestShufflePartners(t *testing.T) {
 	a := assignPermutation(t, Shuffle)
 	// rotate-left-by-1 in 6 bits: 100000 (32) -> 000001 (1); 3 -> 6.
 	tests := map[int]topology.CoreID{32: 1, 3: 6, 17: 34}
-	//hetpnoc:orderfree each partner pair is asserted independently
 	for c, want := range tests {
 		if dst, ok := destOf(a, c); !ok || dst != want {
 			t.Fatalf("shuffle(%d) = %v, want %d", c, dst, want)
@@ -119,7 +116,8 @@ func TestPermutationsAreInjective(t *testing.T) {
 // TestPermutationDestinationsStable: the destination is deterministic
 // regardless of the RNG stream.
 //
-//hetpnoc:detsafe property test samples random RNG streams on purpose, to prove the destination ignores them; quick prints any counterexample
+// The property test samples random RNG streams on purpose, to prove
+// the destination ignores them; quick prints any counterexample.
 func TestPermutationDestinationsStable(t *testing.T) {
 	a := assignPermutation(t, BitComplement)
 	f := func(seed uint64, rawCore uint8) bool {

@@ -240,8 +240,6 @@ func (tx *TX) Busy() bool {
 // separate waveguides, so the next packet's reservation broadcasts while
 // the current packet streams — the channel switches packets back-to-back
 // once the pipeline is warm.
-//
-//hetpnoc:hotpath
 func (tx *TX) Tick(now sim.Cycle) error {
 	// Advance the in-flight reservation.
 	if tx.next.pkt != nil && !tx.next.window.open() {
@@ -294,8 +292,6 @@ func (tx *TX) Tick(now sim.Cycle) error {
 // admitNext scans the transmit VCs round-robin for a ready packet header
 // (other than the one currently streaming), selects its wavelengths and
 // begins its reservation broadcast.
-//
-//hetpnoc:hotpath
 func (tx *TX) admitNext(now sim.Cycle) {
 	// Visit occupied VCs in the reference round-robin order — positions
 	// tx.rr..n-1, then 0..tx.rr-1 — jumping over empty ones with the

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -29,6 +32,9 @@ type scenario struct {
 	tweak func(*fabric.Config)
 	cut   int // 0 < cut < Cycles
 	guard func(t *testing.T, sc *scenario)
+	// allocs is the heap allocations of the whole run, New to Finish
+	// (TestRunAllocations).
+	allocs uint64
 
 	fc    fabric.Config
 	index int // in the corpus
@@ -72,7 +78,7 @@ func corpus(t *testing.T) []*scenario {
 		// BENCHMARK.json's run-lightload point: every source emits in step
 		// once in 1,024 cycles (first at 1023) and the chip drains within a
 		// hundred, so cycles 500, 2500 and 2600 lie inside jumped spans.
-		{name: "light", cfg: light, cut: 2600, guard: func(t *testing.T, sc *scenario) {
+		{name: "light", allocs: 3777, cfg: light, cut: 2600, guard: func(t *testing.T, sc *scenario) {
 			if f := stepped(t, sc.fc, sc.fc.Cycles); 2*f.SkippedCycles() < int64(sc.fc.Cycles) {
 				t.Errorf("skipped %d of %d cycles: want most of the run jumped", f.SkippedCycles(), sc.fc.Cycles)
 			}
@@ -83,12 +89,12 @@ func corpus(t *testing.T) []*scenario {
 		}},
 		// A jump must stop for the start of measurement and for a remap
 		// due after the cut, inside the span the cut lies in.
-		{name: "light-remap", cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
+		{name: "light-remap", allocs: 4022, cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
 			requireSkipped(t, sc.fc, []int{999, 1000, 1001, 2599, 2600, 2799, 2800, 2801}, 1000, 2800)
 		}},
 		// Token DBA, selected-wavelength gating and headers blocked on
 		// VC-exhausted outputs live across the cut; a remap follows it.
-		{name: "saturated", cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
+		{name: "saturated", allocs: 2891, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
 			cut: 1200, guard: func(t *testing.T, sc *scenario) {
 				if f := stepped(t, sc.fc, sc.cut); f.BlockedHeaders() == 0 {
 					t.Errorf("no header waits on a VC-exhausted output at cycle %d", sc.cut)
@@ -98,7 +104,7 @@ func corpus(t *testing.T) []*scenario {
 		// Two VCs per port and half the traffic aimed at one cluster: a few
 		// hundred RX drops. The packet dropped at 2029 is retried at 2093,
 		// the remap's cycle, so both fire on one cycle after the cut.
-		{name: "drop-storm", cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
+		{name: "drop-storm", allocs: 4614, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
 			tweak: func(fc *fabric.Config) { fc.VCsPerPort = 2 }, cut: 2080,
 			guard: func(t *testing.T, sc *scenario) {
 				for _, at := range []int{sc.cut, 1500} { // 1500: a restore-chain checkpoint
@@ -115,7 +121,7 @@ func corpus(t *testing.T) []*scenario {
 		// demand overflows the dynamic pool, so routers scale back to
 		// their token-recorded shares, and a remap re-skews it after the
 		// cut.
-		{name: "proportional", cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
+		{name: "proportional", allocs: 2895, cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
 			cut: 1400,
 			guard: func(t *testing.T, sc *scenario) {
 				greedy := sc.fc
@@ -132,19 +138,38 @@ func corpus(t *testing.T) []*scenario {
 				}
 				requireTransfersAcross(t, sc.fc, sim.Cycle(sc.cut))
 			}},
-		{name: "bursty", cfg: Config{Traffic: Traffic{Kind: UniformRandom, Burstiness: 4}, LoadScale: 0.5, Cycles: 3000, WarmupCycles: 500, Seed: 2, EventCapacity: 256}, cut: 1300},
+		// The thesis's Chapter 4 area restriction: each cluster acquires
+		// only on its two home waveguides and holds two reserved
+		// wavelengths, which the public Config cannot set.
+		{name: "chapter4", allocs: 2873, cfg: Config{Architecture: DHetPNoC, BandwidthSet: 3, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 17, EventCapacity: 256},
+			tweak: func(fc *fabric.Config) { fc.WaveguidesPerCluster, fc.ReservedPerCluster = 2, 2 }, cut: 1200,
+			guard: func(t *testing.T, sc *scenario) {
+				free := sc.fc
+				free.WaveguidesPerCluster = 0
+				r, f := stepped(t, sc.fc, sc.cut).DBA(), stepped(t, free, sc.cut).DBA()
+				differ := 0
+				for c := range topology.ClusterID(sc.fc.Topology.Clusters()) {
+					if r.AllocatedCount(c) != f.AllocatedCount(c) {
+						differ++
+					}
+				}
+				if differ == 0 {
+					t.Errorf("at cycle %d every cluster holds what it holds unrestricted: the waveguide restriction never binds", sc.cut)
+				}
+			}},
+		{name: "bursty", allocs: 2630, cfg: Config{Traffic: Traffic{Kind: UniformRandom, Burstiness: 4}, LoadScale: 0.5, Cycles: 3000, WarmupCycles: 500, Seed: 2, EventCapacity: 256}, cut: 1300},
 		// Circuit switching: link ownership and path setups cross the cut.
-		{name: "torus", cfg: Config{Architecture: TorusPNoC, Traffic: UniformTraffic(), LoadScale: 1.5, Cycles: 2500, WarmupCycles: 500, Seed: 11, EventCapacity: 1 << 12}, cut: 1300,
+		{name: "torus", allocs: 4611, cfg: Config{Architecture: TorusPNoC, Traffic: UniformTraffic(), LoadScale: 1.5, Cycles: 2500, WarmupCycles: 500, Seed: 11, EventCapacity: 1 << 12}, cut: 1300,
 			guard: func(t *testing.T, sc *scenario) {
 				requireTransfersAcross(t, sc.fc, sim.Cycle(sc.cut))
 				if f := stepped(t, sc.fc, sc.fc.Cycles); f.SkippedCycles() != 0 {
 					t.Errorf("StepContext jumped %d torus cycles; the torus keeps no activity set", f.SkippedCycles())
 				}
 			}},
-		{name: "custom", cfg: Config{Traffic: CustomTraffic(custom), Cycles: 3000, WarmupCycles: 500, Seed: 9, EventCapacity: 256}, cut: 1500},
+		{name: "custom", allocs: 2443, cfg: Config{Traffic: CustomTraffic(custom), Cycles: 3000, WarmupCycles: 500, Seed: 9, EventCapacity: 256}, cut: 1500},
 		// The cut lies in the warm-up, inside the span before the first
 		// packet (8191): the jump must stop for measurement after a restore.
-		{name: "prewarmup", cfg: Config{Architecture: Firefly, Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 9000, WarmupCycles: 1000, Seed: 3, EventCapacity: 256}, cut: 600,
+		{name: "prewarmup", allocs: 2549, cfg: Config{Architecture: Firefly, Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 9000, WarmupCycles: 1000, Seed: 3, EventCapacity: 256}, cut: 600,
 			guard: func(t *testing.T, sc *scenario) {
 				if f := stepped(t, sc.fc, sc.fc.WarmupCycles+1); sc.cut >= sc.fc.WarmupCycles || f.Totals().Injected != 0 {
 					t.Errorf("want cut %d < warm-up %d < first packet; %d injected by cycle %d", sc.cut, sc.fc.WarmupCycles, f.Totals().Injected, f.Now())
@@ -154,9 +179,10 @@ func corpus(t *testing.T) []*scenario {
 	}
 	// Every architecture at every bandwidth set under load, cut in the
 	// warm-up with transfers in flight.
-	for _, arch := range []Architecture{Firefly, DHetPNoC, TorusPNoC} {
+	allocs := [][3]uint64{{2369, 2522, 2523}, {2522, 2675, 2694}, {2473, 2525, 2565}}
+	for i, arch := range []Architecture{Firefly, DHetPNoC, TorusPNoC} {
 		for set := 1; set <= 3; set++ {
-			all = append(all, &scenario{name: fmt.Sprintf("uniform-%v-bw%d", arch, set), cut: 100,
+			all = append(all, &scenario{name: fmt.Sprintf("uniform-%v-bw%d", arch, set), cut: 100, allocs: allocs[i][set-1],
 				cfg: Config{Architecture: arch, BandwidthSet: set, Traffic: UniformTraffic(), LoadScale: 1, Cycles: 600, WarmupCycles: 150, Seed: 7, EventCapacity: 256}})
 		}
 	}
@@ -342,6 +368,9 @@ func paths(all []*scenario) []path {
 			return sc.unprobed(t, every, m.res, m.totals)
 		}})
 	}
+	ps = append(ps, path{name: "Beside", run: func(t *testing.T, sc *scenario) outcome {
+		return besidePath(t, sc, all[(sc.index+1)%len(all)])
+	}})
 	return append(ps,
 		path{name: "Run", public: true, run: func(t *testing.T, sc *scenario) outcome {
 			res, err := Run(sc.cfg)
@@ -421,6 +450,117 @@ func checkpointPath(t *testing.T, sc *scenario) outcome {
 	}
 	sc.same(t, "restored", restored())
 	return restored() // the checkpoint survives its first use
+}
+
+// besidePath runs sc twice, probed every 100 cycles: alone, and again
+// while other runs on a second goroutine. The two runs must leave equal
+// checkpoints at the cut and at the end — every packet, message ID and
+// counter, which no result shows — and equal results, event logs and
+// probes; the second is then held to the reference like any path. A
+// package-level variable the runs share, the wall clock, an unseeded
+// random source, map order or a goroutine inside a step would part them.
+func besidePath(t *testing.T, sc, other *scenario) outcome {
+	const every = 100
+	fc := sc.fc
+	fc.ProbeEvery = every
+	run := func() (fabric.Result, [2]*fabric.Checkpoint) {
+		f := stepped(t, fc, sc.cut)
+		mid := f.Checkpoint()
+		advance(t, f, fc.Cycles-sc.cut)
+		end := f.Checkpoint()
+		res, err := f.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, [2]*fabric.Checkpoint{mid, end}
+	}
+	alone, aloneCPs := run()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f, err := fabric.New(other.fc)
+		if err == nil {
+			err = f.StepContext(context.Background(), other.fc.Cycles)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}()
+	defer func() { <-done }() // a failed run ends the cell; the goroutine must not outlive it
+	beside, besideCPs := run()
+	for i, at := range []int{sc.cut, sc.fc.Cycles} {
+		if d := heldDiff(reflect.ValueOf(aloneCPs[i]).Elem(), reflect.ValueOf(besideCPs[i]).Elem(), "cp"); d != "" {
+			t.Errorf("the checkpoints at cycle %d differ between the run alone and the run beside %s at %s", at, other.name, d)
+		}
+	}
+	a, b := fromFabricResult(alone), fromFabricResult(beside)
+	if !bytes.Equal(canonical(t, a), canonical(t, b)) || !slices.Equal(a.Events, b.Events) {
+		t.Errorf("the result or the event log differs between the run alone and the run beside %s", other.name)
+	}
+	return sc.unprobed(t, every, b, &beside.Totals)
+}
+
+// heldDiff names the first place a and b, values of one type, differ in
+// what they hold themselves, or returns "". It is reflect.DeepEqual but
+// for pointers and maps, which it does not follow (two fabrics'
+// checkpoints point into different fabrics), and funcs, compared by code
+// pointer.
+func heldDiff(a, b reflect.Value, path string) string {
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Func, reflect.Chan, reflect.UnsafePointer, reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Kind() == reflect.Func && a.Pointer() != b.Pointer() {
+			return path
+		}
+	case reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				return path
+			}
+			return ""
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			return path
+		}
+		return heldDiff(a.Elem(), b.Elem(), path)
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if d := heldDiff(a.Field(i), b.Field(i), path+"."+a.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s (length %d, %d)", path, a.Len(), b.Len())
+		}
+		for i := range a.Len() {
+			if d := heldDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return path
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			return fmt.Sprintf("%s (%d, %d)", path, a.Int(), b.Int())
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		if a.Uint() != b.Uint() {
+			return fmt.Sprintf("%s (%d, %d)", path, a.Uint(), b.Uint())
+		}
+	case reflect.Float32, reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			return fmt.Sprintf("%s (%v, %v)", path, a.Float(), b.Float())
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			return path
+		}
+	default:
+		return path + " (a kind the comparison does not know)"
+	}
+	return ""
 }
 
 // TestPathEquivalence: a run's result depends on its config alone, not on
@@ -625,4 +765,56 @@ func requireTransfersAcross(t *testing.T, fc fabric.Config, cut sim.Cycle) {
 	if streaming == 0 || reserved == 0 {
 		t.Errorf("%d packets stream and %d reservations or setups are in flight across cycle %d: want both > 0", streaming, reserved, cut)
 	}
+}
+
+// TestRunAllocations pins the heap allocations of each corpus scenario's
+// whole run, New to StepContext to Finish, exactly. A run is
+// deterministic, and so is its count once the garbage collector is off
+// and the scenario has run once in the process (the runtime and the
+// standard library allocate on first use), but for the runtime's own
+// allocations, which the least of three runs leaves out. TestStepZeroAllocs holds the
+// steady state to zero; this holds every branch that only the build, the
+// warm-up, a remap or Finish takes, where one allocation more is a
+// change. The counts are a 64-bit build's without the race detector,
+// whose runtime allocates on its own; a toolchain upgrade may move them,
+// and the failure prints each scenario's new count.
+func TestRunAllocations(t *testing.T) {
+	if strconv.IntSize != 64 || raceEnabled() {
+		t.Skip("the pinned counts are a 64-bit build's without -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, sc := range corpus(t) {
+		run := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f, err := fabric.New(sc.fc)
+			if err == nil {
+				err = f.StepContext(context.Background(), sc.fc.Cycles)
+			}
+			if err == nil {
+				_, err = f.Finish()
+			}
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return after.Mallocs - before.Mallocs
+		}
+		// The runtime allocates now and then on its own, which a run may
+		// count; it only ever adds, so the least of three runs is the
+		// run's own.
+		run()
+		if n := min(run(), run(), run()); n != sc.allocs {
+			t.Errorf("%s: the run made %d heap allocations, want %d", sc.name, n, sc.allocs)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	info, _ := debug.ReadBuildInfo()
+	return info != nil && slices.ContainsFunc(info.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	})
 }
