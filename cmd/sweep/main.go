@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -31,14 +32,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
+// run parses args and prints what they select to stdout.
+//
 //hetpnoc:ctxroot process entry point
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	ctx := context.Background()
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
@@ -60,7 +63,7 @@ func run(args []string) error {
 	if *tables {
 		var buf bytes.Buffer
 		printTables(&buf)
-		_, err := os.Stdout.Write(buf.Bytes())
+		_, err := stdout.Write(buf.Bytes())
 		return err
 	}
 
@@ -105,18 +108,18 @@ func run(args []string) error {
 		add(func(w *bytes.Buffer) error { return printSensitivity(ctx, w, opts) })
 	}
 
-	return runFigures(figures)
+	return runFigures(stdout, figures)
 }
 
 // runFigures executes the figures in order. Every figure writes into its
 // own buffer — an in-memory sink that cannot fail, so table rendering
 // needs no per-line error handling — which is flushed to stdout before a
 // failure is reported, so a failing figure still shows what it printed.
-func runFigures(figures []func(*bytes.Buffer) error) error {
+func runFigures(stdout io.Writer, figures []func(*bytes.Buffer) error) error {
 	for _, fn := range figures {
 		var buf bytes.Buffer
 		err := fn(&buf)
-		if _, werr := os.Stdout.Write(buf.Bytes()); werr != nil {
+		if _, werr := stdout.Write(buf.Bytes()); werr != nil {
 			return werr
 		}
 		if err != nil {

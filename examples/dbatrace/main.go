@@ -45,13 +45,13 @@ func run(w io.Writer) error {
 	fmt.Fprintln(&b, "------+-----------------+--------------------------------------")
 	var last string
 	p := res.Probe
-	for i, rotations := range p.TokenRotations {
+	for i, row := range p.Rows {
 		line := fmt.Sprintf("%v", p.AllocatedWavelengths[i*p.Clusters:(i+1)*p.Clusters])
 		if line == last {
 			continue // only print when the allocation changes
 		}
 		last = line
-		fmt.Fprintf(&b, "%5d | %15d | %s\n", (i+1)*every, rotations, line)
+		fmt.Fprintf(&b, "%5d | %15d | %s\n", row.Cycle, row.TokenRotations, line)
 	}
 
 	fmt.Fprintf(&b, "\nFinal allocation: %v\n", res.AllocatedWavelengths)

@@ -31,6 +31,11 @@ func FuzzConfigValidate(f *testing.F) {
 	// uniform@1e9: in the scale range, but 5e9 bits a cycle per core is
 	// past the credit range, which Validate must see without a build.
 	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1e9, 2000, 200, uint64(1), 0.0, 0.0, 0)
+	// The probe at its byte bound: 238,312 rows of 352 B (the row width
+	// of 16 clusters when the bound was set) fit in 80 MiB, one more
+	// does not.
+	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1.0, 238312, 1000, uint64(2), 0.0, 0.0, 1)
+	f.Add(int(DHetPNoC), 1, int(UniformRandom), 0, 0.0, "", 0.0, 1.0, 238313, 1000, uint64(2), 0.0, 0.0, 1)
 
 	f.Fuzz(func(t *testing.T, arch, set, kind, skew int,
 		hotFrac float64, perm string, burst, load float64,

@@ -121,7 +121,7 @@ func TestRunWithTraceObservesRemap(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := res.Probe
-	if p == nil || len(p.TokenRotations) != 10 {
+	if p == nil || len(p.Rows) != 10 {
 		t.Fatalf("probe %+v, want 10 rows", p)
 	}
 	allocated := func(row int) []int32 { return p.AllocatedWavelengths[row*p.Clusters : (row+1)*p.Clusters] }
@@ -142,7 +142,7 @@ func TestRunWithTraceObservesRemap(t *testing.T) {
 	if uniform {
 		t.Fatalf("allocation %v still uniform after remap", last)
 	}
-	if p.TokenRotations[9] == 0 {
+	if p.Rows[9].TokenRotations == 0 {
 		t.Fatal("no token rotations probed")
 	}
 	if res.PacketsDelivered == 0 {

@@ -111,15 +111,6 @@ type Config struct {
 	// Policy selects the allocation rule; zero means PolicyGreedy, the
 	// thesis's behaviour.
 	Policy Policy
-
-	// RegenerationTimeoutCycles is how long the routers wait without
-	// seeing the token before cluster 0 regenerates it (fault
-	// tolerance: a transient control-waveguide fault must not freeze
-	// bandwidth allocation forever). Zero selects the default of two
-	// full rotation times. The wavelength-status bitmap is recovered
-	// from the routers' current tables, which in this model is exactly
-	// the owner state.
-	RegenerationTimeoutCycles int
 }
 
 // Allocator is the token-passing DBA engine. It implements xbar.Allocator.
@@ -146,10 +137,9 @@ type Allocator struct {
 	// recounts it.
 	free int
 
-	// Token sizing and the fault-recovery timeout.
+	// Token sizing.
 	transitCycles int
 	tokenBits     int
-	regenTimeout  int
 
 	state
 }
@@ -163,12 +153,6 @@ type state struct {
 	pos         int
 	transitLeft int
 	rotations   int64
-
-	// Fault-injection and recovery state.
-	tokenLost     bool
-	lostForCycles int
-	losses        int64
-	regenerations int64
 
 	// owner[slot] is the cluster owning wavelength slot, or -1.
 	owner []int
@@ -326,13 +310,6 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 	}
 	a.transitCycles = units.CyclesFor(a.tokenBits, perWavelength*units.BitCredit(cfg.Bundle.WavelengthsPerWaveguide))
 	a.transitLeft = a.transitCycles
-	a.regenTimeout = cfg.RegenerationTimeoutCycles
-	if a.regenTimeout == 0 {
-		a.regenTimeout = 2 * clusters * a.transitCycles
-	}
-	if a.regenTimeout < 1 {
-		return nil, fmt.Errorf("core: regeneration timeout must be positive, got %d", a.regenTimeout)
-	}
 	return a, nil
 }
 
@@ -347,28 +324,6 @@ func (a *Allocator) TransitCycles() int { return a.transitCycles }
 
 // Rotations returns how many full token rotations have completed.
 func (a *Allocator) Rotations() int64 { return a.rotations }
-
-// DropToken injects a control-waveguide fault: the circulating token is
-// lost. Allocation freezes (every cluster keeps what it holds, including
-// its reserved minimum) until the regeneration timeout elapses and
-// cluster 0 rebuilds the token. For fault-tolerance testing.
-func (a *Allocator) DropToken() {
-	if a.tokenLost {
-		return
-	}
-	a.tokenLost = true
-	a.lostForCycles = 0
-	a.losses++
-}
-
-// TokenLost reports whether the token is currently missing.
-func (a *Allocator) TokenLost() bool { return a.tokenLost }
-
-// TokenLosses and TokenRegenerations count injected faults and recoveries.
-func (a *Allocator) TokenLosses() int64 { return a.losses }
-
-// TokenRegenerations counts completed token recoveries.
-func (a *Allocator) TokenRegenerations() int64 { return a.regenerations }
 
 // SetDemand implements xbar.Allocator: core reports its per-destination
 // wavelength demand. The request table updates immediately — the thesis
@@ -416,21 +371,6 @@ func (a *Allocator) resetDerived() {
 // request table, stamps its current table, and releases the token to the
 // next cluster.
 func (a *Allocator) Tick(now sim.Cycle) {
-	if a.tokenLost {
-		a.lostForCycles++
-		if a.lostForCycles < a.regenTimeout {
-			return
-		}
-		// Cluster 0 regenerates the token from the routers' recorded
-		// allocations and circulation resumes.
-		a.tokenLost = false
-		a.lostForCycles = 0
-		a.pos = 0
-		a.transitLeft = a.transitCycles
-		a.regenerations++
-		a.cfg.Events.AppendInts(now, event.AllocationChanged, 0, 0, "token regenerated")
-		return
-	}
 	a.transitLeft--
 	if a.transitLeft > 0 {
 		return

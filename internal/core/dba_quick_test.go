@@ -147,7 +147,7 @@ func TestAllocationConservesWavelengths(t *testing.T) {
 // TestSettledVisitsMatchReference: the cached aim (wants), the settled
 // current rows (currentFor) and the free-pool count are derived state and
 // change no decision. Two allocators receive the same random sequence of
-// demand updates, token bursts, token losses and Snapshot/Restore round
+// demand updates, token bursts and Snapshot/Restore round
 // trips under either policy. Before each of its ticks the reference
 // forgets all three — it recomputes every aim from its request table with
 // referenceWant, marks every current row stale and recounts the free
@@ -226,14 +226,9 @@ func TestSettledVisitsMatchReference(t *testing.T) {
 					now++
 				}
 			case op == 8:
-				if rng.Intn(4) == 0 {
-					sub.DropToken()
-					ref.DropToken()
-				} else {
-					sub.Snapshot(&subSnap)
-					ref.Snapshot(&refSnap)
-					snapped = true
-				}
+				sub.Snapshot(&subSnap)
+				ref.Snapshot(&refSnap)
+				snapped = true
 			default:
 				if snapped {
 					if err := sub.Restore(&subSnap); err != nil {
@@ -302,7 +297,7 @@ func settledDiff(a, b *Allocator) string {
 		return "acquired"
 	case !slices.Equal(a.tokenDemand, b.tokenDemand):
 		return "token demand field"
-	case a.rotations != b.rotations || a.pos != b.pos || a.tokenLost != b.tokenLost:
+	case a.rotations != b.rotations || a.pos != b.pos:
 		return "token position"
 	}
 	for c := range a.clusters {

@@ -118,7 +118,7 @@ func TestPeerLinksCarryTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.DeliveredPackets(); got != 1 {
+	if got := f.Totals().Delivered; got != 1 {
 		t.Fatalf("delivered %d packets, want the peer packet", got)
 	}
 	// Nothing photonic was involved.
@@ -205,5 +205,35 @@ func TestRoutesMatchWiring(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIntraClusterLatencyIsOneHop: a same-cluster packet crosses exactly
+// one electrical switch hop, so at light load its latency is far below the
+// photonic serialization bound.
+func TestIntraClusterLatencyIsOneHop(t *testing.T) {
+	topo := Config{}.WithDefaults().Topology
+	cores := make([]traffic.CoreProfile, topo.Cores())
+	// Only core 0 sends, to its cluster peer core 1.
+	cores[0] = traffic.CoreProfile{
+		RateGbps:   10,
+		DemandGbps: 40,
+		PickDest:   func(*sim.RNG) topology.CoreID { return 1 },
+	}
+	res := runConfig(t, Config{
+		Arch:    DHetPNoC,
+		Pattern: traffic.Fixed{Assignment: traffic.Assignment{Name: "peer", Cores: cores}},
+		Cycles:  4000, WarmupCycles: 500, Seed: 31,
+	})
+	if res.Stats.PacketsDelivered == 0 {
+		t.Fatal("no peer packets delivered")
+	}
+	// 64 flits entering at 2/cycle (32 cycles) plus two router
+	// traversals and the 2-flit/cycle ejection: ~70 cycles end to end.
+	// The photonic path would additionally pay >102 cycles of 20 b/cycle
+	// serialization, so anything below that proves the electrical
+	// shortcut was taken.
+	if res.Stats.AvgLatencyCycles > 100 {
+		t.Fatalf("intra-cluster latency %.1f cycles, want a single electrical hop", res.Stats.AvgLatencyCycles)
 	}
 }

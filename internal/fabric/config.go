@@ -10,6 +10,7 @@ package fabric
 
 import (
 	"fmt"
+	"unsafe"
 
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
@@ -218,9 +219,13 @@ func (c Config) WithDefaults() Config {
 // per-cycle injection probabilities.
 const maxLoadScale = 1 << 40
 
-// maxProbeRows bounds the probe, which New preallocates whole: 2^20
-// rows of the default topology are ≈ 80 MB.
-const maxProbeRows = 1 << 20
+// maxProbeBytes bounds the probe, which New preallocates whole, at
+// 80 MiB: 2^20 rows of the three columns it first had.
+const maxProbeBytes = 80 << 20
+
+// probeRowBytes is the width of one probe row on k clusters: the
+// Counters and a λ count (int32) and busy cycles (int64) per cluster.
+func probeRowBytes(k int) int64 { return int64(unsafe.Sizeof(Counters{})) + int64(k)*(4+8) }
 
 // checkLoad is the one rule for an offered-load multiplier, shared by
 // Validate and SetLoadScale so a solo run and a batch fork refuse the
@@ -276,8 +281,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fabric: %d wavelengths do not divide over %d Firefly channels",
 			c.Set.TotalWavelengths, c.Topology.Clusters())
 	}
-	if c.ProbeEvery < 0 || c.ProbeEvery > 0 && int64(c.Cycles)/c.ProbeEvery > maxProbeRows {
-		return fmt.Errorf("fabric: probe interval %d invalid for %d cycles: negative, or over %d rows", c.ProbeEvery, c.Cycles, maxProbeRows)
+	if maxRows := maxProbeBytes / probeRowBytes(c.Topology.Clusters()); c.ProbeEvery < 0 || c.ProbeEvery > 0 && int64(c.Cycles)/c.ProbeEvery > maxRows {
+		return fmt.Errorf("fabric: probe interval %d invalid for %d cycles: negative, or over %d rows", c.ProbeEvery, c.Cycles, maxRows)
 	}
 	for _, r := range c.Remaps {
 		if r.Pattern == nil {

@@ -651,11 +651,6 @@ func (f *Fabric) Finish() (Result, error) {
 	return f.result(), nil
 }
 
-// DeliveredPackets returns the packets delivered since warm-up ended.
-func (f *Fabric) DeliveredPackets() int64 {
-	return f.collector.Delivered()
-}
-
 // Totals returns the un-gated whole-run packet counters.
 func (f *Fabric) Totals() Totals { return f.collector.Totals() }
 

@@ -56,6 +56,9 @@ func TestConfigValidation(t *testing.T) {
 		{"remap without pattern", func(c *Config) { c.Remaps = []Remap{{At: 100}} }},
 		{"remap before the run", func(c *Config) { c.Remaps = []Remap{{At: -1, Pattern: traffic.Uniform{}}} }},
 		{"remap past the run", func(c *Config) { c.Remaps = []Remap{{At: sim.Cycle(c.Cycles), Pattern: traffic.Uniform{}}} }},
+		{"probe one row over its bytes", func(c *Config) {
+			c.ProbeEvery, c.Cycles = 1, int(maxProbeBytes/probeRowBytes(c.Topology.Clusters()))+1
+		}},
 		// Custom rates are data, so Validate refuses what a source could
 		// not hold as credit: below one unit, or past 2^30 bits a cycle.
 		{"custom rate rounding to no credit", func(c *Config) { c.Pattern = traffic.Custom{Cores: []traffic.CustomCore{{RateGbps: 1e-12}}} }},
@@ -82,6 +85,13 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s passed validation", tt.name)
 		}
+	}
+	// The largest probe Validate takes is no larger than the 2^20 rows
+	// of 80 B the probe's first three columns allowed.
+	edge := base
+	edge.ProbeEvery, edge.Cycles = 1, int(maxProbeBytes/probeRowBytes(edge.Topology.Clusters()))
+	if err := edge.Validate(); err != nil || int64(edge.Cycles)*probeRowBytes(16) > (1<<20)*80 {
+		t.Errorf("a probe of %d rows of %d B: %v; want it taken, and within 80 MiB", edge.Cycles, probeRowBytes(16), err)
 	}
 	// A batch fork refuses the load scales Validate refuses, and takes
 	// the one the remap's heavier pattern still holds.
@@ -467,5 +477,33 @@ func TestTokenRotatesContinuously(t *testing.T) {
 	})
 	if res.TokenRotations < 190 || res.TokenRotations > 200 {
 		t.Fatalf("token rotated %d times in 3200 cycles, want ~200", res.TokenRotations)
+	}
+}
+
+// TestBusyFractionOfCyclesRun: a fabric finished by hand at cycle 1,000
+// of a 3,000-cycle run reports each write channel's busy share of the
+// 1,000 cycles it ran, not of the 3,000 it was configured for.
+func TestBusyFractionOfCyclesRun(t *testing.T) {
+	f, err := New(Config{
+		Arch: DHetPNoC, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 3}, LoadScale: 2,
+		Cycles: 3000, WarmupCycles: 500, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(t, f, 1000)
+	res, err := f.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	busiest := 0.0
+	for i, tx := range f.txs {
+		if got, want := res.ChannelBusyFraction[i], float64(tx.BusyCycles())/1000; got != want {
+			t.Errorf("channel %d: busy fraction %v, want %d busy cycles of 1,000 run = %v", i, got, tx.BusyCycles(), want)
+		}
+		busiest = max(busiest, res.ChannelBusyFraction[i])
+	}
+	if busiest < 0.5 {
+		t.Errorf("the busiest channel was busy %.2f of the cycles run; want a saturated one", busiest)
 	}
 }

@@ -1,12 +1,9 @@
 package fabric
 
 import (
-	"slices"
-
 	"hetpnoc/internal/event"
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/stats"
-	"hetpnoc/internal/topology"
 	"hetpnoc/internal/units"
 )
 
@@ -29,10 +26,10 @@ type Result struct {
 	// maximized over the load sweep).
 	PerCoreGbps units.Gbps
 
-	// EnergyCounts is the ledger's exact per-component tally of the
-	// measurement window; EnergyParams.Price re-prices it under any
-	// energy constants.
-	EnergyCounts photonic.Counts
+	// Counters is the run's row at its last cycle, read by the same
+	// gather as the probe's rows: a run whose length is a multiple of
+	// Config.ProbeEvery ends on a probe row equal to it.
+	Counters
 
 	// EnergyPerMessagePJ is the total dissipated energy divided by
 	// delivered packets — "the energy dissipated in transferring one
@@ -49,18 +46,9 @@ type Result struct {
 	// AllocatedWavelengths is the final per-cluster allocation.
 	AllocatedWavelengths []int
 
-	// TokenRotations counts completed DBA token rotations (0 for
-	// Firefly).
-	TokenRotations int64
-
-	// ChannelBusyFraction is each write channel's busy share of the full
-	// run (crossbar architectures only).
+	// ChannelBusyFraction is each write channel's busy share of the
+	// cycles run (crossbar architectures only).
 	ChannelBusyFraction []float64
-
-	// TorusPathsSetUp and TorusSetupsBlocked count circuit
-	// establishments and blocked setups (torus baseline only).
-	TorusPathsSetUp    int64
-	TorusSetupsBlocked int64
 
 	// Events is the retained protocol event log when Config.EventCapacity
 	// enabled it — non-nil, possibly empty — and nil otherwise.
@@ -69,12 +57,11 @@ type Result struct {
 	// Probe holds the rows sampled so far when Config.ProbeEvery enabled
 	// the probe, and is nil otherwise; it shares nothing with the fabric.
 	Probe *Probe
-
-	// Totals are the whole-run packet counters, warm-up included.
-	Totals Totals
 }
 
-// result assembles the Result after Run completes.
+// result assembles the Result after Run completes: the last row and the
+// collector's read-out of the window, with the ratios and the priced
+// energy computed from them.
 func (f *Fabric) result() Result {
 	summary := f.collector.Summary()
 
@@ -84,49 +71,35 @@ func (f *Fabric) result() Result {
 		offered += f.clock.BitsPerCycleToGbps(bitsPerCycle)
 	}
 
-	energy := f.ledger.Energy()
 	res := Result{
-		Arch:               f.cfg.Arch.String(),
-		Pattern:            f.cfg.Pattern.Name(),
-		Set:                f.cfg.Set.Name,
-		IntraCluster:       f.cfg.IntraCluster.String(),
-		LoadScale:          f.cfg.LoadScale,
-		Seed:               f.seed,
-		Stats:              summary,
-		OfferedGbps:        units.Gbps(offered),
-		EnergyCounts:       f.ledger.Counts(),
-		EnergyPerMessagePJ: energy.PerMessage(summary.PacketsDelivered),
-		EnergyTotalPJ:      energy.TotalPJ,
-		EnergyPhotonicPJ:   energy.PhotonicPJ,
-		EnergyElectricalPJ: energy.ElectricalPJ,
-		EnergyBreakdownPJ:  make(map[string]units.Picojoule),
-		Events:             f.events.Events(),
-		Totals:             f.collector.Totals(),
+		Arch:                 f.cfg.Arch.String(),
+		Pattern:              f.cfg.Pattern.Name(),
+		Set:                  f.cfg.Set.Name,
+		IntraCluster:         f.cfg.IntraCluster.String(),
+		LoadScale:            f.cfg.LoadScale,
+		Seed:                 f.seed,
+		Stats:                summary,
+		OfferedGbps:          units.Gbps(offered),
+		PerCoreGbps:          summary.DeliveredGbps.Div(float64(f.cfg.Topology.Cores())),
+		AllocatedWavelengths: make([]int, f.cfg.Topology.Clusters()),
+		ChannelBusyFraction:  make([]float64, len(f.txs)),
+		EnergyBreakdownPJ:    make(map[string]units.Picojoule),
+		Events:               f.events.Events(),
 	}
-	if every := f.cfg.ProbeEvery; every > 0 {
-		p, n := &f.probe, min(int(int64(f.now)/every), len(f.probe.TokenRotations))
-		res.Probe = &Probe{p.Clusters, slices.Clone(p.AllocatedWavelengths[:n*p.Clusters]),
-			slices.Clone(p.TokenRotations[:n]), slices.Clone(p.PacketsDelivered[:n])}
+	gather(f, &res.Counters, res.AllocatedWavelengths, res.ChannelBusyFraction)
+	for i, busy := range res.ChannelBusyFraction {
+		if busy > 0 { // a fabric finished at cycle 0 reports 0, not 0/0
+			res.ChannelBusyFraction[i] = busy / float64(res.Cycle)
+		}
 	}
+	energy := photonic.DefaultEnergyParams().Price(res.EnergyCounts)
+	res.EnergyPerMessagePJ = energy.PerMessage(summary.PacketsDelivered)
+	res.EnergyTotalPJ, res.EnergyPhotonicPJ, res.EnergyElectricalPJ = energy.TotalPJ, energy.PhotonicPJ, energy.ElectricalPJ
 	for _, comp := range photonic.Components() {
 		res.EnergyBreakdownPJ[comp.String()] = energy.ByComponent[comp]
 	}
-	res.PerCoreGbps = summary.DeliveredGbps.Div(float64(f.cfg.Topology.Cores()))
-
-	res.AllocatedWavelengths = make([]int, f.cfg.Topology.Clusters())
-	for cl := range res.AllocatedWavelengths {
-		res.AllocatedWavelengths[cl] = len(f.alloc.Allocated(topology.ClusterID(cl)))
-	}
-	if f.dba != nil {
-		res.TokenRotations = f.dba.Rotations()
-	}
-	res.ChannelBusyFraction = make([]float64, len(f.txs))
-	for i, tx := range f.txs {
-		res.ChannelBusyFraction[i] = float64(tx.BusyCycles()) / float64(f.cfg.Cycles)
-	}
-	if f.torus != nil {
-		res.TorusPathsSetUp = f.torus.PathsSetUp()
-		res.TorusSetupsBlocked = f.torus.SetupsBlocked()
+	if every := f.cfg.ProbeEvery; every > 0 {
+		res.Probe = f.probe.clone(min(int(int64(f.now)/every), len(f.probe.Rows)))
 	}
 	return res
 }

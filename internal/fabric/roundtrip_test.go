@@ -30,14 +30,12 @@ type roundTripCase struct {
 
 // roundTripCases: a drop storm with a small event ring and short source
 // queues (retransmissions, ring evictions, source-queue rejects, a
-// remap), the proportional policy
-// forked to another load and seed, a d-HetPNoC run whose token is lost
-// at the cut and lost and regenerated again before the restore, stepped
-// by StepContext so cycles are jumped, the torus's circuits, and a
-// probed bursty run cut in the warm-up and finished past it before the
-// restore (the measuring flags, the window's start and end, the probe
-// columns). Between them they move every field of every component's
-// state.
+// remap), the proportional policy forked to a light load and another
+// seed and stepped by StepContext so cycles are jumped, the torus's
+// circuits, and a probed bursty run cut in the warm-up and finished past
+// it before the restore (the measuring flags, the window's start and
+// end, the probe's rows and columns). Between them they move every field
+// of every component's state.
 func roundTripCases() []roundTripCase {
 	storm := dropStormConfig(DHetPNoC)
 	storm.EventCapacity = 64
@@ -50,8 +48,6 @@ func roundTripCases() []roundTripCase {
 		Remaps:       []Remap{{At: 1500, Pattern: traffic.Skewed{Level: 1}}},
 		WarmupCycles: 500, Seed: 13, EventCapacity: 256,
 	}
-
-	tokenLoss := lightLoad(DHetPNoC, traffic.BWSet1)
 
 	circuits := Config{Arch: TorusPNoC, Set: traffic.BWSet1, Pattern: traffic.Uniform{}, LoadScale: 1.5, Seed: 11, EventCapacity: 256}
 
@@ -81,33 +77,17 @@ func roundTripCases() []roundTripCase {
 		{name: "proportional", cfg: proportional, cut: 1400,
 			ahead: func(t *testing.T, f *Fabric) error {
 				tokenDemand := func() string { return fmt.Sprint(field(reflect.ValueOf(f), "dba", "tokenDemand")) }
-				demand := tokenDemand()
-				if err := f.SetLoadScale(0.8); err != nil {
+				demand, skipped := tokenDemand(), f.SkippedCycles()
+				if err := f.SetLoadScale(0.05); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.Reseed(99); err != nil {
 					t.Fatal(err)
 				}
-				step(t, f, 600)
-				if tokenDemand() == demand {
-					return fmt.Errorf("the token's demand field did not change after the cut")
-				}
-				return nil
-			}},
-		{name: "token-loss", cfg: tokenLoss, cut: 2600,
-			beforeCut: func(f *Fabric) { f.DBA().DropToken() },
-			ahead: func(t *testing.T, f *Fabric) error {
-				if !f.DBA().TokenLost() {
-					return fmt.Errorf("the token is not lost at the cut")
-				}
-				skipped := f.SkippedCycles()
-				jump(t, f, 200)
-				f.DBA().DropToken()
-				jump(t, f, 3000)
+				jump(t, f, 4000) // the skewed backlog drains for ~3,000 cycles first
 				switch {
-				case f.DBA().TokenLost() || f.DBA().TokenLosses() != 2 || f.DBA().TokenRegenerations() != 2:
-					return fmt.Errorf("want the token lost twice and regenerated twice, got lost=%v, %d losses, %d regenerations",
-						f.DBA().TokenLost(), f.DBA().TokenLosses(), f.DBA().TokenRegenerations())
+				case tokenDemand() == demand:
+					return fmt.Errorf("the token's demand field did not change after the cut")
 				case f.SkippedCycles() == skipped:
 					return fmt.Errorf("StepContext jumped no cycle after the cut")
 				}
@@ -132,7 +112,7 @@ func roundTripCases() []roundTripCase {
 				switch row := int(f.Now())/100 - 1; {
 				case res.Stats.PacketsDelivered == 0:
 					return fmt.Errorf("no packet was delivered in the measured window after the cut")
-				case res.Probe.PacketsDelivered[row] == 0 || res.Probe.TokenRotations[row] == res.Probe.TokenRotations[row-6]:
+				case res.Probe.Rows[row].PacketsDelivered == 0 || res.Probe.Rows[row].TokenRotations == res.Probe.Rows[row-6].TokenRotations:
 					return fmt.Errorf("the probe rows written after the cut recorded no delivery or no token rotation")
 				}
 				return nil
@@ -250,8 +230,8 @@ func reseededBranches(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, want := finish(f), finish(twin)
-	if len(got.Probe.TokenRotations) != cfg.Cycles/int(cfg.ProbeEvery) || got.Stats.PacketsDelivered == 0 {
-		t.Fatalf("the run probed %d rows and delivered %d packets; want every row and some packets", len(got.Probe.TokenRotations), got.Stats.PacketsDelivered)
+	if len(got.Probe.Rows) != cfg.Cycles/int(cfg.ProbeEvery) || got.Stats.PacketsDelivered == 0 {
+		t.Fatalf("the run probed %d rows and delivered %d packets; want every row and some packets", len(got.Probe.Rows), got.Stats.PacketsDelivered)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("finishing off the restored newer checkpoint gives\n%+v\nthe twin run straight through\n%+v", got, want)

@@ -72,9 +72,9 @@ func (dst *state) copyFrom(src *state) {
 	dst.txActive = keep.txActive.Refill(src.txActive)
 	dst.injActive = keep.injActive.Refill(src.injActive)
 	dst.ejectActive = keep.ejectActive.Refill(src.ejectActive)
+	dst.probe.Rows = append(keep.probe.Rows[:0], src.probe.Rows...)
 	dst.probe.AllocatedWavelengths = append(keep.probe.AllocatedWavelengths[:0], src.probe.AllocatedWavelengths...)
-	dst.probe.TokenRotations = append(keep.probe.TokenRotations[:0], src.probe.TokenRotations...)
-	dst.probe.PacketsDelivered = append(keep.probe.PacketsDelivered[:0], src.probe.PacketsDelivered...)
+	dst.probe.BusyCycles = append(keep.probe.BusyCycles[:0], src.probe.BusyCycles...)
 	clear(keep.retx) // drop the packet pointers past the copy
 	dst.retx = append(keep.retx[:0], src.retx...)
 }

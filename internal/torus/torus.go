@@ -157,7 +157,6 @@ type state struct {
 
 	pathsSetUp    int64
 	setupsBlocked int64
-	packetsSent   int64
 }
 
 // copyFrom makes dst a copy of src that shares no backing array with it,
@@ -228,9 +227,6 @@ func (n *Network) PathsSetUp() int64 { return n.pathsSetUp }
 
 // SetupsBlocked returns setups abandoned because a link was held.
 func (n *Network) SetupsBlocked() int64 { return n.setupsBlocked }
-
-// PacketsSent returns packets fully streamed.
-func (n *Network) PacketsSent() int64 { return n.packetsSent }
 
 // Route computes the dimension-order (X then Y) folded-torus route from
 // src to dst: the directed links traversed and the number of 90-degree
@@ -414,7 +410,6 @@ func (n *Network) stream(p *path, now sim.Cycle) error {
 
 // teardown releases the circuit after the tail flit.
 func (n *Network) teardown(p *path, now sim.Cycle) {
-	n.packetsSent++
 	if p.window.Dropped() {
 		n.cfg.Events.AppendInts(now, event.PacketDropped, p.dst, int64(p.pkt.ID),
 			"torus, from node %d", int64(p.src))

@@ -192,9 +192,7 @@ type txState struct {
 
 	rr int
 
-	packetsSent  int64
-	reservations int64
-	busyCycles   int64
+	busyCycles int64
 }
 
 // NewTX builds the transmit engine draining port. rxs must be indexed by
@@ -218,13 +216,6 @@ func NewTX(cfg TXConfig, port *router.Port, alloc Allocator, rxs []*RX, ledger *
 	}
 	return &TX{cfg: cfg, port: port, alloc: alloc, rxs: rxs, ledger: ledger, onDrop: onDrop, perWavelength: perWavelength}, nil
 }
-
-// PacketsSent returns completed channel transfers (including ones dropped
-// at the receiver — the channel time was spent either way).
-func (tx *TX) PacketsSent() int64 { return tx.packetsSent }
-
-// Reservations returns the number of reservation flits broadcast.
-func (tx *TX) Reservations() int64 { return tx.reservations }
 
 // BusyCycles returns cycles the channel spent reserving or streaming.
 func (tx *TX) BusyCycles() int64 { return tx.busyCycles }
@@ -333,7 +324,6 @@ func (tx *TX) admitNext(now sim.Cycle) {
 				use:     use,
 				resLeft: cycles + tx.cfg.PropagationCycles,
 			}
-			tx.reservations++
 			tx.cfg.Events.AppendInts(now, event.ReservationSent, int(tx.cfg.Cluster), int64(pkt.ID),
 				"to cluster %d, %d ids, %d cycles", int64(pkt.DstCluster), int64(ids), int64(cycles))
 			return
@@ -380,7 +370,6 @@ func (tx *TX) stream(now sim.Cycle) error {
 // finish closes the transfer: receive window closed, drop notification
 // if the receiver had refused the packet, channel back to idle.
 func (tx *TX) finish(now sim.Cycle) {
-	tx.packetsSent++
 	if tx.window.dropped {
 		tx.cfg.Events.AppendInts(now, event.PacketDropped, int(tx.current.DstCluster), int64(tx.current.ID),
 			"from cluster %d, attempt %d", int64(tx.cfg.Cluster), int64(tx.current.Attempt))

@@ -169,8 +169,8 @@ func TestTXDeliversPacket(t *testing.T) {
 	if got := rig.rxPort.BufferedFlits(); got != 8 {
 		t.Fatalf("destination holds %d flits, want 8", got)
 	}
-	if rig.tx.PacketsSent() != 1 {
-		t.Fatalf("PacketsSent = %d, want 1", rig.tx.PacketsSent())
+	if rig.tx.Busy() {
+		t.Fatal("the channel is still busy after the packet arrived")
 	}
 	for i := 0; i < 8; i++ {
 		fl, err := rig.rxPort.Pop(0)
@@ -241,8 +241,11 @@ func TestTXPipelinedReservation(t *testing.T) {
 	if gap > 15 {
 		t.Fatalf("second packet finished %d cycles after the first; reservation not pipelined", gap)
 	}
-	if rig.tx.Reservations() != 2 {
-		t.Fatalf("Reservations = %d, want 2", rig.tx.Reservations())
+	// A reservation flit is launched but, unlike data, needs no tuning.
+	counts := rig.ledger.Counts()
+	resBits := int64(packet.ReservationBits(16, 64, mustBundle(t, 64), 0))
+	if got := counts[photonic.EnergyLaunch] - counts[photonic.EnergyTuning]; got != 2*resBits {
+		t.Fatalf("%d reservation bits launched, want two reservations of %d", got, resBits)
 	}
 }
 
@@ -330,9 +333,9 @@ func TestRXDropWhenNoVC(t *testing.T) {
 	if rig.rx.FlitsDiscarded() != 8 {
 		t.Fatalf("RX discarded %d flits, want 8", rig.rx.FlitsDiscarded())
 	}
-	// The channel time was still spent.
-	if rig.tx.PacketsSent() != 2 {
-		t.Fatalf("PacketsSent = %d, want 2 (drops still occupy the channel)", rig.tx.PacketsSent())
+	// The channel time was still spent: both packets' bits were streamed.
+	if got := rig.ledger.Counts()[photonic.EnergyTuning]; got != 2*8*32 {
+		t.Fatalf("%d data bits streamed, want both packets' %d (drops still occupy the channel)", got, 2*8*32)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/event"
 	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
@@ -39,32 +40,9 @@ type scenario struct {
 	fc    fabric.Config
 	index int // in the corpus
 
-	once sync.Once
-	ref  outcome
-	rows []row // the reference's probe row after each cycle: rows[c-1] at cycle c; nil until it ran
-}
-
-// row is one probe row, read off a fabric the test steps by hand.
-type row struct {
-	allocated            []int32
-	rotations, delivered int64
-}
-
-// rowOf reads what the probe samples off f, which is built on the
-// default topology.
-func rowOf(f *fabric.Fabric) row {
-	r := row{allocated: make([]int32, topology.Default().Clusters()), delivered: f.DeliveredPackets()}
-	if dba := f.DBA(); dba != nil {
-		r.rotations = dba.Rotations()
-		for cl := range r.allocated {
-			r.allocated[cl] = int32(dba.AllocatedCount(topology.ClusterID(cl)))
-		}
-	} else {
-		for cl := range r.allocated {
-			r.allocated[cl] = int32(len(f.AllocatedOf(topology.ClusterID(cl))))
-		}
-	}
-	return r
+	once  sync.Once
+	ref   outcome
+	probe *fabric.Probe // the reference's probe, a row every cycle: row c-1 at cycle c; nil until it ran
 }
 
 func corpus(t *testing.T) []*scenario {
@@ -83,7 +61,7 @@ func corpus(t *testing.T) []*scenario {
 				t.Errorf("skipped %d of %d cycles: want most of the run jumped", f.SkippedCycles(), sc.fc.Cycles)
 			}
 			requireSkipped(t, sc.fc, []int{499, 500, 2499, 2500, 2599, 2600})
-			if sc.rows[len(sc.rows)-1].rotations == 0 {
+			if sc.probe.Rows[len(sc.probe.Rows)-1].TokenRotations == 0 {
 				t.Error("the token never completed a rotation")
 			}
 		}},
@@ -225,33 +203,41 @@ func finished(t testing.TB, f *fabric.Fabric) outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals := f.Totals()
-	return outcomeOf(t, fromFabricResult(res), &totals)
+	return outcomeOf(t, fromFabricResult(res), &res.Totals)
 }
 
-// reference runs sc by N calls of Step, once per test, recording the
-// probe row after every cycle for the probed paths.
+// reference runs sc by N calls of Step, once per test, probed every
+// cycle for the probed paths.
 func (sc *scenario) reference(t *testing.T) outcome {
 	t.Helper()
-	sc.once.Do(func() { sc.ref, sc.rows = stepRun(t, sc.fc) })
-	if sc.rows == nil {
+	sc.once.Do(func() {
+		fc := sc.fc
+		fc.ProbeEvery = 1
+		sc.ref, sc.probe = stepRun(t, fc)
+	})
+	if sc.probe == nil {
 		t.Fatal("the Step reference failed in another cell")
 	}
 	return sc.ref
 }
 
-// stepRun runs fc by N calls of Step, which jumps nothing, reading a
-// probe row after each.
-func stepRun(t *testing.T, fc fabric.Config) (outcome, []row) {
+// stepRun runs fc by N calls of Step, which jumps nothing, and returns
+// its outcome and its probe, which the outcome leaves out (nil when fc
+// does not probe).
+func stepRun(t *testing.T, fc fabric.Config) (outcome, *fabric.Probe) {
 	f := stepped(t, fc, 0)
-	rows := make([]row, fc.Cycles)
-	for c := range rows {
+	for c := range fc.Cycles {
 		if err := f.Step(); err != nil || f.SkippedCycles() != 0 {
 			t.Fatalf("cycle %d: Step returned %v and has skipped %d cycles", c, err, f.SkippedCycles())
 		}
-		rows[c] = rowOf(f)
 	}
-	return finished(t, f), rows
+	res, err := f.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := res.Probe
+	res.Probe = nil
+	return outcomeOf(t, fromFabricResult(res), &res.Totals), probe
 }
 
 // same requires got to be sc's reference outcome.
@@ -365,7 +351,7 @@ func paths(all []*scenario) []path {
 			fc := sc.fc
 			fc.ProbeEvery = every
 			m := planned(t, []fabric.Config{fc}, batch.Options{}, -1, -1)[0]
-			return sc.unprobed(t, every, m.res, m.totals)
+			return sc.unprobed(t, every, m.res, m.last)
 		}})
 	}
 	ps = append(ps, path{name: "Beside", run: func(t *testing.T, sc *scenario) outcome {
@@ -497,7 +483,7 @@ func besidePath(t *testing.T, sc, other *scenario) outcome {
 	if !bytes.Equal(canonical(t, a), canonical(t, b)) || !slices.Equal(a.Events, b.Events) {
 		t.Errorf("the result or the event log differs between the run alone and the run beside %s", other.name)
 	}
-	return sc.unprobed(t, every, b, &beside.Totals)
+	return sc.unprobed(t, every, b, &beside.Counters)
 }
 
 // heldDiff names the first place a and b, values of one type, differ in
@@ -622,38 +608,76 @@ func (sc *scenario) other() fabric.Config {
 }
 
 // unprobed requires res, a run of sc probed every every cycles, to hold
-// one probe row at each multiple of every within the run, each what the
-// hand-stepped reference read at that cycle, and returns its outcome
-// with the probe stripped.
-func (sc *scenario) unprobed(t *testing.T, every int64, res Result, totals *fabric.Totals) outcome {
+// one probe row at each multiple of every within the run, each, every
+// column of it, what the hand-stepped reference's probe holds at that
+// cycle. When the run ends on a probe row, that row must be the counters
+// the result reports: last, a fabric-level result's row, when the path
+// has one, and the public result's counters and the ratios and energy
+// computed from them. It returns the outcome with the probe stripped.
+func (sc *scenario) unprobed(t *testing.T, every int64, res Result, last *fabric.Counters) outcome {
 	t.Helper()
 	sc.reference(t)
-	p := res.Probe
+	p, ref := res.Probe, sc.probe
 	if p == nil {
 		t.Fatal("the result carries no probe")
 	}
 	n, k := int(int64(sc.fc.Cycles)/every), sc.fc.Topology.Clusters()
-	if p.Clusters != k || len(p.AllocatedWavelengths) != n*k || len(p.TokenRotations) != n || len(p.PacketsDelivered) != n {
-		t.Fatalf("the probe holds %d×%d, %d and %d entries, want %d clusters at each of the %d multiples of %d",
-			p.Clusters, len(p.AllocatedWavelengths), len(p.TokenRotations), len(p.PacketsDelivered), k, n, every)
+	if p.Clusters != k || len(p.Rows) != n || len(p.AllocatedWavelengths) != n*k || len(p.BusyCycles) != n*k {
+		t.Fatalf("the probe holds %d, %d×%d and %d entries, want %d clusters at each of the %d multiples of %d",
+			len(p.Rows), p.Clusters, len(p.AllocatedWavelengths), len(p.BusyCycles), k, n, every)
 	}
 	for i := range n {
-		got, at := row{p.AllocatedWavelengths[i*k : (i+1)*k], p.TokenRotations[i], p.PacketsDelivered[i]}, (int64(i)+1)*every
-		if want := sc.rows[at-1]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("the probe's row at cycle %d is %+v, the hand-stepped fabric's %+v", at, got, want)
+		j := int((int64(i)+1)*every) - 1
+		if p.Rows[i] != ref.Rows[j] ||
+			!slices.Equal(p.AllocatedWavelengths[i*k:(i+1)*k], ref.AllocatedWavelengths[j*k:(j+1)*k]) ||
+			!slices.Equal(p.BusyCycles[i*k:(i+1)*k], ref.BusyCycles[j*k:(j+1)*k]) {
+			t.Fatalf("the probe's row at cycle %d is %+v, λ %v, busy %v; the hand-stepped fabric's %+v, λ %v, busy %v", j+1,
+				p.Rows[i], p.AllocatedWavelengths[i*k:(i+1)*k], p.BusyCycles[i*k:(i+1)*k],
+				ref.Rows[j], ref.AllocatedWavelengths[j*k:(j+1)*k], ref.BusyCycles[j*k:(j+1)*k])
+		}
+	}
+	if int64(sc.fc.Cycles)%every == 0 {
+		row, allocated, busy := p.Rows[n-1], p.AllocatedWavelengths[(n-1)*k:], p.BusyCycles[(n-1)*k:]
+		if last != nil && *last != row {
+			t.Fatalf("the result's counters are %+v, the probe's last row %+v", *last, row)
+		}
+		fractions := make([]float64, len(res.ChannelBusyFraction))
+		for i := range fractions {
+			fractions[i] = float64(busy[i]) / float64(row.Cycle)
+		}
+		if res.TokenRotations != row.TokenRotations || res.PacketsDelivered != row.PacketsDelivered ||
+			res.TorusPathsSetUp != row.TorusPathsSetUp || res.TorusSetupsBlocked != row.TorusSetupsBlocked ||
+			!slices.Equal(res.AllocatedWavelengths, widen(allocated)) || !slices.Equal(res.ChannelBusyFraction, fractions) ||
+			res.EnergyTotalPJ != photonic.DefaultEnergyParams().Price(row.EnergyCounts).TotalPJ {
+			t.Fatalf("the result reports %d rotations, %d packets, %d/%d torus setups, λ %v, busy %v and %v; the probe's last row %+v, λ %v, busy %v",
+				res.TokenRotations, res.PacketsDelivered, res.TorusPathsSetUp, res.TorusSetupsBlocked,
+				res.AllocatedWavelengths, res.ChannelBusyFraction, res.EnergyTotalPJ, row, allocated, busy)
 		}
 	}
 	res.Probe = nil
+	var totals *fabric.Totals
+	if last != nil {
+		totals = &last.Totals
+	}
 	return outcomeOf(t, res, totals)
 }
 
-// member is one plan member's result and its whole-run Totals.
-type member struct {
-	res    Result
-	totals *fabric.Totals
+// widen returns xs as ints.
+func widen(xs []int32) []int {
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[i] = int(x)
+	}
+	return out
 }
 
-func (m member) outcome(t testing.TB) outcome { return outcomeOf(t, m.res, m.totals) }
+// member is one plan member's result and its last row of counters.
+type member struct {
+	res  Result
+	last *fabric.Counters
+}
+
+func (m member) outcome(t testing.TB) outcome { return outcomeOf(t, m.res, &m.last.Totals) }
 
 // planned runs specs as one plan and requires it to cost builds fabric
 // builds and forks forks, unless they are negative.
@@ -673,7 +697,7 @@ func planned(t *testing.T, specs []fabric.Config, opts batch.Options, builds, fo
 		t.Errorf("the plan cost %d builds and %d forks, want %d and %d", b1-b0, f1-f0, builds, forks)
 	}
 	for i, r := range res {
-		out[i] = member{fromFabricResult(r), &r.Totals}
+		out[i] = member{fromFabricResult(r), &r.Counters}
 	}
 	return out
 }

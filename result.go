@@ -74,14 +74,9 @@ type Result struct {
 }
 
 // Probe is a run's sampled trace: row i is the run at cycle
-// (i+1)*Config.ProbeEvery, and each column holds one entry a row but
-// AllocatedWavelengths, which holds Clusters.
-type Probe struct {
-	Clusters             int
-	AllocatedWavelengths []int32 // each cluster's write-channel allocation
-	TokenRotations       []int64 // completed DBA token rotations (0 without the DBA)
-	PacketsDelivered     []int64 // packets delivered since the warm-up ended
-}
+// (i+1)*Config.ProbeEvery, Rows holding its counters and each other
+// column Clusters entries of it. It has fabric.Probe's layout.
+type Probe fabric.Probe
 
 // fromFabricResult lifts a finished run into the public Result.
 // Result.Events is nil exactly when the config left the event log off,
