@@ -3,8 +3,8 @@
 #   make check   — build, vet, lint (hetpnoclint), full test suite, a
 #                  race-enabled run of everything, and bench-check (the
 #                  CI gate)
-#   make lint    — run the 4-analyzer suite (cmd/hetpnoclint: ctxflow,
-#                  errsink, allocproof, apistable; see docs/ANALYSIS.md)
+#   make lint    — run the 3-analyzer suite (cmd/hetpnoclint: errsink,
+#                  allocproof, apistable; see docs/ANALYSIS.md)
 #   make lint-fix — apply the suite's machine-applicable fixes in place
 #                  (run `make lint-dry` first to preview)
 #   make test    — fast test pass only
@@ -37,14 +37,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# hetpnoclint checks what no run can see, with 4 analyzers: context
-# threading (ctxflow), dropped errors (errsink), residual bounds checks
-# in the simulator's occupancy scan loops, from the compiler's own output
-# (allocproof), and exported-API stability (apistable); any undirected
-# violation exits non-zero. The rest are dynamic gates: zero allocations
-# (TestStepZeroAllocs, TestRunAllocations) and determinism
-# (TestPathEquivalence's Beside path), shown by `make mutants` to kill
-# the catalogued defects; lock discipline, goroutine lifetime, channel
+# hetpnoclint checks what no run can see, with 3 analyzers: dropped
+# errors (errsink), residual bounds checks in the simulator's occupancy
+# scan loops, from the compiler's own output (allocproof), and
+# exported-API stability (apistable); any violation exits non-zero. The
+# rest are dynamic gates: zero allocations (TestStepZeroAllocs,
+# TestRunAllocations), determinism (TestPathEquivalence's Beside path)
+# and cancellation (the runners' cancellation tests), shown by `make
+# mutants` to kill the catalogued defects; lock discipline, goroutine lifetime, channel
 # and WaitGroup discipline by `make race` plus the leakcheck-armed tests;
 # checkpoint completeness by TestCheckpointRoundTrip. See
 # docs/ANALYSIS.md.
@@ -136,7 +136,8 @@ fused:
 
 # The mutant catalogue: every entry is one defect (an allocation at the
 # entry or in a branch of a function the cycle reaches, a determinism
-# defect of each class) with the tests that must fail on it. The driver
+# defect of each class, a severed cancellation edge) with the tests
+# that must fail on it. The driver
 # (mutants_run_test.go, build tag mutants) applies each alone to a copy
 # of the module and runs its killers with plain go test; a survivor or a
 # mutant that does not build fails the target. -count=1: the driver

@@ -16,8 +16,6 @@ import "context"
 // so batching is purely a performance choice: a 256-point sweep stops
 // paying 256 builds. docs/BATCHING.md documents the plan model and the
 // determinism contract.
-//
-//hetpnoc:ctxroot synchronous public entry point, wraps RunBatchContext
 func RunBatch(cfgs []Config) ([]Result, error) {
 	return RunBatchContext(context.Background(), cfgs)
 }

@@ -66,8 +66,6 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 
 // run is the daemon body: flag parsing, server construction, signal
 // handling and graceful drain.
-//
-//hetpnoc:ctxroot process entry point; signal and drain contexts are minted here
 func run(args []string) error {
 	fs := flag.NewFlagSet("hetpnocd", flag.ContinueOnError)
 	var (

@@ -1,9 +1,15 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -93,4 +99,69 @@ func TestStalledHeaderIsCut(t *testing.T) {
 	if waited := time.Since(start); waited < readHeaderTimeout/2 {
 		t.Errorf("the server hung up after %v, well before the %v header deadline", waited, readHeaderTimeout)
 	}
+}
+
+// TestRunDrainDeadlineBoundsShutdown: on SIGINT the drain deadline bounds
+// both halves of the shutdown. A request waiting on a simulation of 2^30
+// cycles holds its connection open, so the HTTP shutdown runs out of
+// time; the pool's drain, out of time too, cancels the simulation; and
+// run returns the deadline's error soon after the deadline instead of
+// hours later.
+func TestRunDrainDeadlineBoundsShutdown(t *testing.T) {
+	leakcheck.Check(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan error, 1)
+	go func() {
+		ran <- run([]string{"-addr", addr, "-workers", "1", "-max-cycles", "1073741824", "-job-timeout", "1h", "-drain-timeout", "200ms"})
+	}()
+
+	base := "http://" + addr
+	replied := make(chan struct{})
+	go func() {
+		defer close(replied)
+		for start := time.Now(); time.Since(start) < 5*time.Second; time.Sleep(10 * time.Millisecond) {
+			resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(`{"cycles":1073741824}`))
+			if err == nil {
+				resp.Body.Close()
+				return
+			}
+		}
+	}()
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the simulation never started")
+		}
+		resp, err := http.Get(base + "/metricsz")
+		if err != nil {
+			continue
+		}
+		var m serve.Metrics
+		err = json.NewDecoder(resp.Body).Decode(&m)
+		resp.Body.Close()
+		if err == nil && m.InFlight == 1 {
+			break
+		}
+	}
+
+	// run is waiting for a signal, so it catches this one: the test
+	// process lives on.
+	if err := syscall.Kill(os.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-ran:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("run returned %v, want the drain deadline's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still draining 10s after a 200ms drain deadline")
+	}
+	<-replied
 }

@@ -1,19 +1,17 @@
-// Command hetpnoclint runs the repo's four analyzers
+// Command hetpnoclint runs the repo's three analyzers
 // (internal/analysis/...) over module packages and fails on any
-// undirected violation: context threading (ctxflow), dropped errors
-// (errsink), residual bounds checks in the simulator's occupancy scan
-// loops (allocproof) and exported-API stability (apistable). `make lint`
-// wires it into the tier-1 gate. Zero allocations and determinism are
-// checked by running, not here (docs/ANALYSIS.md).
+// violation: dropped errors (errsink), residual bounds checks in the
+// simulator's occupancy scan loops (allocproof) and exported-API
+// stability (apistable). `make lint` wires it into the tier-1 gate. Zero
+// allocations, determinism and cancellation are checked by running, not
+// here (docs/ANALYSIS.md).
 //
 // Usage:
 //
 //	hetpnoclint [-json] [-tests=false] [-fix [-dry]] [-update] [-timing] [-only a,b] [-gcobsout file] [packages ...]
 //
 // Packages default to ./... . Each diagnostic carries a -fix-style
-// suggestion: either the directive that would silence it (with its
-// required justification placeholder) or the mechanical rewrite that
-// removes the violation. Diagnostics with machine-applicable rewrites
+// suggestion: the rewrite that removes the violation. Diagnostics with machine-applicable rewrites
 // are applied in place by -fix (atomically per fix, conflicting fixes
 // dropped); -fix -dry reports what would change without writing.
 // -update regenerates the API golden snapshots checked by apistable.
@@ -47,7 +45,6 @@ import (
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/allocproof"
 	"hetpnoc/internal/analysis/apistable"
-	"hetpnoc/internal/analysis/ctxflow"
 	"hetpnoc/internal/analysis/errsink"
 	"hetpnoc/internal/analysis/fix"
 	"hetpnoc/internal/analysis/gcobs"
@@ -58,7 +55,6 @@ import (
 // per-package analyzers first, then allocproof's whole-module pass, with
 // apistable last (it only gates exported API goldens).
 var analyzers = []*analysis.Analyzer{
-	ctxflow.Analyzer,
 	errsink.Analyzer,
 	allocproof.Analyzer,
 	apistable.Analyzer,

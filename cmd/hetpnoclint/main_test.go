@@ -8,8 +8,7 @@ import (
 
 // TestRepoLintsClean is the self-gate: the hetpnoclint suite must run
 // clean over the repository that ships it, test files included. A
-// failure here means a violation landed without a justified directive
-// or fix.
+// failure here means a violation landed without its fix.
 func TestRepoLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
@@ -51,17 +50,12 @@ func Scan(words []uint64, sink []int) {
 	}
 }
 `)
-	write("internal/sim/ctx.go", `package sim
-
-import "context"
-
-func StepContext(ctx context.Context) error { return ctx.Err() }
+	write("internal/sim/step.go", `package sim
 
 func Step() error { return nil }
 
-func Use(ctx context.Context) {
+func Use() {
 	Step()
-	_ = context.Background()
 }
 
 func Drop() {
@@ -74,8 +68,7 @@ func Drop() {
 		"Gone\tfunc func()\n"+
 		"Scan\tfunc func(words []uint64, sink []int)\n"+
 		"Step\tfunc func() error\n"+
-		"StepContext\tfunc func(ctx context.Context) error\n"+
-		"Use\tfunc func(ctx context.Context)\n")
+		"Use\tfunc func()\n")
 
 	diags, _, err := lint(dir, true, []string{"./..."}, analyzers)
 	if err != nil {
@@ -89,7 +82,6 @@ func Drop() {
 		}
 	}
 	want := map[string]int{
-		"ctxflow":    2, // Step() with ctx in scope + context.Background mint
 		"errsink":    2, // Step() dropped error in Use and in Drop
 		"allocproof": 1, // Scan's sink store, which no length check guards
 		"apistable":  1, // Gone removed relative to the golden
@@ -141,7 +133,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	}
 
 	// Names of retired analyzers are unknown like any other typo.
-	for _, name := range []string{"errsink,nosuch", "maprange", "globalstate", "hotpathreach", "dettaint", "callgraph", "snapcover", "detrand", "hotpathalloc", "goleak", "lockguard", "lockorder", "unitsafe"} {
+	for _, name := range []string{"errsink,nosuch", "ctxflow", "maprange", "globalstate", "hotpathreach", "dettaint", "callgraph", "snapcover", "detrand", "hotpathalloc", "goleak", "lockguard", "lockorder", "unitsafe"} {
 		if _, err := selectAnalyzers(name); err == nil {
 			t.Errorf("-only %s accepted, want an unknown-analyzer error", name)
 		}
@@ -178,8 +170,8 @@ func TestFixProducesGoldenTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("applying fixes: %v", err)
 	}
-	if applied != 4 || dropped != 0 || files != 2 {
-		t.Errorf("applied=%d dropped=%d files=%d, want 4/0/2", applied, dropped, files)
+	if applied != 3 || dropped != 0 || files != 2 {
+		t.Errorf("applied=%d dropped=%d files=%d, want 3/0/2", applied, dropped, files)
 	}
 
 	for _, name := range []string{"fixme.go", "errs.go"} {

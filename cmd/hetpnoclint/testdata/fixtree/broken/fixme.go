@@ -3,20 +3,17 @@
 // the byte-exact output `hetpnoclint -fix` must produce.
 package fixtree
 
-import "context"
-
-// Fab has a Step / StepContext method pair.
+// Fab steps a simulated fabric.
 type Fab struct{}
 
-// StepContext is the cancellable variant.
-func (f *Fab) StepContext(ctx context.Context, n int) error { return ctx.Err() }
-
-// Step is the context-less variant.
+// Step advances n cycles.
 func (f *Fab) Step(n int) error { return nil }
 
-// Run drops an error, drops the in-scope context, and mints a fresh
-// Background inside a non-root function.
-func Run(ctx context.Context, f *Fab) error {
+// Drain empties the fabric and reports how many packets it dropped.
+func (f *Fab) Drain() (int, error) { return 0, nil }
+
+// Run drops one error, and another beside a second result.
+func Run(f *Fab) {
 	f.Step(1)
-	return f.StepContext(context.Background(), 2)
+	f.Drain()
 }

@@ -23,14 +23,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(context.Background(), os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "report:", err)
 		os.Exit(1)
 	}
 }
 
-//hetpnoc:ctxroot process entry point
-func run(args []string) error {
+// run parses args and writes the report they select. Every simulation
+// runs under ctx.
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	var (
 		out       = fs.String("o", "report.html", "output file")
@@ -67,7 +68,7 @@ func run(args []string) error {
 		return err
 	}
 
-	rows, err := experiments.PeakBandwidth(opts, traffic.BandwidthSets())
+	rows, err := experiments.PeakBandwidth(ctx, opts, traffic.BandwidthSets())
 	if err != nil {
 		return err
 	}
@@ -82,7 +83,7 @@ func run(args []string) error {
 	}
 
 	if *ablations {
-		ab, err := experiments.AllAblations(context.Background(), opts)
+		ab, err := experiments.AllAblations(ctx, opts)
 		if err != nil {
 			return err
 		}

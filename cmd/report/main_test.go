@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +17,7 @@ func TestRunWritesReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report generation in -short mode")
 	}
-	if err := run([]string{"-o", out, "-quick"}); err != nil {
+	if err := run(context.Background(), []string{"-o", out, "-quick"}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -31,13 +33,24 @@ func TestRunWritesReport(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-seed", "notanumber"}); err == nil {
+	if err := run(context.Background(), []string{"-seed", "notanumber"}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }
 
 func TestRunRejectsUnwritableOutput(t *testing.T) {
-	if err := run([]string{"-o", "/nonexistent-dir/x.html", "-quick"}); err == nil {
+	if err := run(context.Background(), []string{"-o", "/nonexistent-dir/x.html", "-quick"}); err == nil {
 		t.Fatal("unwritable output accepted")
+	}
+}
+
+// TestRunHonorsCancellation: the simulations run under run's context, so
+// a canceled one fails the report with its error.
+func TestRunHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out := filepath.Join(t.TempDir(), "report.html")
+	if err := run(ctx, []string{"-o", out, "-quick"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -32,17 +32,15 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
 }
 
-// run parses args and prints what they select to stdout.
-//
-//hetpnoc:ctxroot process entry point
-func run(args []string, stdout io.Writer) error {
-	ctx := context.Background()
+// run parses args and prints what they select to stdout. Every
+// simulation runs under ctx.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
 		fig         = fs.String("fig", "", "figure to regenerate (1-1, 3-3, 3-5, 3-6, 3-7, 3-8, 3-10); empty = all")
@@ -81,22 +79,22 @@ func run(args []string, stdout io.Writer) error {
 		add(printFig1_1)
 	}
 	if all || *fig == "3-3" || *fig == "3-4" {
-		add(func(w *bytes.Buffer) error { return printFig3_3(w, opts, *csvDir) })
+		add(func(w *bytes.Buffer) error { return printFig3_3(ctx, w, opts, *csvDir) })
 	}
 	if all || *fig == "3-5" {
-		add(func(w *bytes.Buffer) error { return printFig3_5(w, opts, *csvDir) })
+		add(func(w *bytes.Buffer) error { return printFig3_5(ctx, w, opts, *csvDir) })
 	}
 	if all || *fig == "3-6" {
 		add(func(w *bytes.Buffer) error { printFig3_6(w); return nil })
 	}
 	if all || *fig == "3-7" {
-		add(func(w *bytes.Buffer) error { return printScaling(w, opts, fabric.DHetPNoC, "3-7") })
+		add(func(w *bytes.Buffer) error { return printScaling(ctx, w, opts, fabric.DHetPNoC, "3-7") })
 	}
 	if all || *fig == "3-8" || *fig == "3-9" {
-		add(func(w *bytes.Buffer) error { return printFig3_8(w, opts) })
+		add(func(w *bytes.Buffer) error { return printFig3_8(ctx, w, opts) })
 	}
 	if all || *fig == "3-10" {
-		add(func(w *bytes.Buffer) error { return printScaling(w, opts, fabric.Firefly, "3-10") })
+		add(func(w *bytes.Buffer) error { return printScaling(ctx, w, opts, fabric.Firefly, "3-10") })
 	}
 	if *ablations {
 		add(func(w *bytes.Buffer) error { return printAblations(ctx, w, opts) })
@@ -196,8 +194,8 @@ func printFig1_1(w *bytes.Buffer) error {
 	return nil
 }
 
-func printFig3_3(w *bytes.Buffer, opts experiments.Options, csvDir string) error {
-	rows, err := experiments.PeakBandwidth(opts, traffic.BandwidthSets())
+func printFig3_3(ctx context.Context, w *bytes.Buffer, opts experiments.Options, csvDir string) error {
+	rows, err := experiments.PeakBandwidth(ctx, opts, traffic.BandwidthSets())
 	if err != nil {
 		return err
 	}
@@ -236,8 +234,8 @@ func writeRowsCSV(w *bytes.Buffer, dir, name string, rows []experiments.Row) err
 	return nil
 }
 
-func printFig3_5(w *bytes.Buffer, opts experiments.Options, csvDir string) error {
-	rows, err := experiments.CaseStudies(opts, traffic.BWSet1)
+func printFig3_5(ctx context.Context, w *bytes.Buffer, opts experiments.Options, csvDir string) error {
+	rows, err := experiments.CaseStudies(ctx, opts, traffic.BWSet1)
 	if err != nil {
 		return err
 	}
@@ -264,8 +262,8 @@ func printFig3_6(w *bytes.Buffer) {
 	fmt.Fprintln(w)
 }
 
-func printScaling(w *bytes.Buffer, opts experiments.Options, arch fabric.Arch, figName string) error {
-	rows, err := experiments.ScalingSeries(opts, arch)
+func printScaling(ctx context.Context, w *bytes.Buffer, opts experiments.Options, arch fabric.Arch, figName string) error {
+	rows, err := experiments.ScalingSeries(ctx, opts, arch)
 	if err != nil {
 		return err
 	}
@@ -279,8 +277,8 @@ func printScaling(w *bytes.Buffer, opts experiments.Options, arch fabric.Arch, f
 	return nil
 }
 
-func printFig3_8(w *bytes.Buffer, opts experiments.Options) error {
-	points, err := experiments.WavelengthScaling(opts, fabric.DHetPNoC)
+func printFig3_8(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
+	points, err := experiments.WavelengthScaling(ctx, opts, fabric.DHetPNoC)
 	if err != nil {
 		return err
 	}

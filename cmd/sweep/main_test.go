@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,19 +15,19 @@ import (
 
 func TestRunTables(t *testing.T) {
 	leakcheck.Check(t)
-	if err := run([]string{"-tables"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-tables"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig1_1(t *testing.T) {
-	if err := run([]string{"-fig", "1-1"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "1-1"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunFig3_6(t *testing.T) {
-	if err := run([]string{"-fig", "3-6"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "3-6"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,13 +37,13 @@ func TestRunQuickSimulationFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation figure in -short mode")
 	}
-	if err := run([]string{"-fig", "3-8", "-quick"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "3-8", "-quick"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-cycles", "abc"}, os.Stdout); err == nil {
+	if err := run(context.Background(), []string{"-cycles", "abc"}, os.Stdout); err == nil {
 		t.Fatal("non-numeric cycles accepted")
 	}
 }
@@ -52,7 +54,7 @@ func TestRunFig3_3WithCSV(t *testing.T) {
 		t.Skip("simulation figure in -short mode")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"-fig", "3-3", "-quick", "-cycles", "2000", "-warmup", "400", "-csv", dir}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "3-3", "-quick", "-cycles", "2000", "-warmup", "400", "-csv", dir}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "fig3-3_peak_bandwidth.csv"))
@@ -68,7 +70,7 @@ func TestRunFig3_3RejectsBadCSVDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation figure in -short mode")
 	}
-	err := run([]string{"-fig", "3-3", "-quick", "-cycles", "1500", "-warmup", "300", "-csv", "/nonexistent-dir"}, os.Stdout)
+	err := run(context.Background(), []string{"-fig", "3-3", "-quick", "-cycles", "1500", "-warmup", "300", "-csv", "/nonexistent-dir"}, os.Stdout)
 	if err == nil {
 		t.Fatal("unwritable CSV dir accepted")
 	}
@@ -78,13 +80,13 @@ func TestRunCaseStudiesAndExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation figures in -short mode")
 	}
-	if err := run([]string{"-fig", "3-5", "-cycles", "2000", "-warmup", "400"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "3-5", "-cycles", "2000", "-warmup", "400"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-fig", "none", "-latency", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "none", "-latency", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-fig", "none", "-sensitivity", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "none", "-sensitivity", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,11 +96,28 @@ func TestRunScalingFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation figures in -short mode")
 	}
-	if err := run([]string{"-fig", "3-7", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "3-7", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-fig", "3-10", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
+	if err := run(context.Background(), []string{"-fig", "3-10", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunHonorsCancellation: every simulating selection runs under run's
+// context, so a canceled one fails each with its error before any
+// simulation starts.
+func TestRunHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-fig", "3-3"}, {"-fig", "3-5"}, {"-fig", "3-7"}, {"-fig", "3-8"}, {"-fig", "3-10"},
+		{"-fig", "none", "-ablations"}, {"-fig", "none", "-latency"}, {"-fig", "none", "-sensitivity"},
+	} {
+		var out bytes.Buffer
+		if err := run(ctx, append(args, "-cycles", "1500", "-warmup", "300"), &out); !errors.Is(err, context.Canceled) {
+			t.Errorf("sweep %s with a canceled context: want context.Canceled, got %v", strings.Join(args, " "), err)
+		}
 	}
 }
 
@@ -112,7 +131,7 @@ func TestQuickGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	if err := run([]string{"-quick"}, &got); err != nil {
+	if err := run(context.Background(), []string{"-quick"}, &got); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(got.Bytes(), want) {

@@ -220,8 +220,6 @@ type TrafficRemap struct {
 
 // Run simulates the configured network for the configured cycles and
 // returns its measured results.
-//
-//hetpnoc:ctxroot synchronous public entry point, wraps RunContext
 func Run(cfg Config) (Result, error) {
 	return RunContext(context.Background(), cfg)
 }

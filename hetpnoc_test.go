@@ -1,10 +1,13 @@
 package hetpnoc
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunDefaults(t *testing.T) {
@@ -23,6 +26,48 @@ func TestRunDefaults(t *testing.T) {
 	}
 	if res.PacketsDelivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestRunHonorsCancellation: RunContext and RunBatchContext thread ctx
+// into the cycle loop, so a run of 2^30 cycles returns the context's
+// error soon after its deadline, and a canceled context refuses the run.
+func TestRunHonorsCancellation(t *testing.T) {
+	endless := Config{Cycles: 1 << 30}
+	for _, r := range []struct {
+		name string
+		run  func(context.Context) error
+	}{
+		{"RunContext", func(ctx context.Context) error {
+			_, err := RunContext(ctx, endless)
+			return err
+		}},
+		{"RunBatchContext", func(ctx context.Context) error {
+			other := endless
+			other.Seed = 2
+			_, err := RunBatchContext(ctx, []Config{endless, other})
+			return err
+		}},
+	} {
+		deadline, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		canceled, cancelNow := context.WithCancel(context.Background())
+		cancelNow()
+		for _, c := range []struct {
+			ctx  context.Context
+			want error
+		}{{deadline, context.DeadlineExceeded}, {canceled, context.Canceled}} {
+			done := make(chan error, 1)
+			go func() { done <- r.run(c.ctx) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, c.want) {
+					t.Errorf("%s: want %v, got %v", r.name, c.want, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: still running 5s after its context ended", r.name)
+			}
+		}
+		cancel()
 	}
 }
 

@@ -64,16 +64,13 @@ type Diagnostic struct {
 	Category string
 	Message  string
 
-	// Suggestion, when non-empty, is a -fix-style hint: either the
-	// directive that would silence the diagnostic (with its required
-	// justification placeholder) or the mechanical rewrite that removes
-	// the violation.
+	// Suggestion, when non-empty, is a -fix-style hint: the rewrite
+	// that removes the violation.
 	Suggestion string
 
 	// Fixes are machine-applicable rewrites that remove the violation.
 	// cmd/hetpnoclint -fix applies them across the repo; a diagnostic
-	// without fixes needs a human (restructure the code or add a
-	// justified directive).
+	// without fixes needs a human to restructure the code.
 	Fixes []SuggestedFix
 }
 
@@ -81,7 +78,7 @@ type Diagnostic struct {
 // applied together or not at all (the fix engine drops the whole fix on
 // a conflict with another fix's edits).
 type SuggestedFix struct {
-	// Message describes the rewrite, e.g. "thread ctx into RunContext".
+	// Message describes the rewrite, e.g. "make the dropped error explicit".
 	Message string
 
 	// TextEdits are the byte-range replacements. Ranges within one fix

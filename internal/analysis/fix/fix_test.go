@@ -68,7 +68,7 @@ func TestMultiEditFixIsAtomic(t *testing.T) {
 }
 
 func TestMultiEditWithinFix(t *testing.T) {
-	// ctxflow's rule-2 rewrite: rename callee + insert first arg.
+	// One fix may rename a callee and insert its first argument.
 	r := apply(t, "f.Step(1)", Fix{Edits: []Edit{
 		{Start: 2, End: 6, New: "StepContext"},
 		{Start: 7, End: 7, New: "ctx, "},

@@ -8,7 +8,6 @@ import (
 	"hetpnoc/internal/analysis"
 	"hetpnoc/internal/analysis/analysistest"
 	"hetpnoc/internal/analysis/apistable"
-	"hetpnoc/internal/analysis/ctxflow"
 	"hetpnoc/internal/analysis/errsink"
 )
 
@@ -20,7 +19,6 @@ var fixtures = []struct {
 	analyzer *analysis.Analyzer
 	pkgs     []string
 }{
-	{ctxflow.Analyzer, []string{"cxfix"}},
 	{errsink.Analyzer, []string{"eefix"}},
 	{apistable.Analyzer, []string{"apfix"}},
 }

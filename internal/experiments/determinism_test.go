@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -21,12 +22,12 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 	opts := quickOpts()
 	opts.Parallelism = 4
 
-	a, err := RunMatrix(opts, points)
+	a, err := RunMatrix(context.Background(), opts, points)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 1
-	b, err := RunMatrix(opts, points)
+	b, err := RunMatrix(context.Background(), opts, points)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -160,21 +160,13 @@ func runPlan(ctx context.Context, opts Options, specs []fabric.Config) ([]fabric
 }
 
 // RunMatrix executes every point, in parallel up to opts.Parallelism, and
-// returns rows in point order.
-//
-//hetpnoc:ctxroot synchronous public wrapper over RunMatrixContext
-func RunMatrix(opts Options, points []Point) ([]Row, error) {
-	return RunMatrixContext(context.Background(), opts, points)
-}
-
-// RunMatrixContext is RunMatrix with cancellation: when ctx is done, the
-// in-flight points abort at the fabric's next cancellation check and the
-// first error returned is ctx's. The serving layer and long sweeps use
-// this to make whole matrices abortable.
+// returns rows in point order. When ctx is done, the in-flight points
+// abort at the fabric's next cancellation check and the error returned
+// is ctx's.
 //
 // Every (point, load scale) pair is one plan member, so a load sweep
 // builds one fabric per point instead of one per scale.
-func RunMatrixContext(ctx context.Context, opts Options, points []Point) ([]Row, error) {
+func RunMatrix(ctx context.Context, opts Options, points []Point) ([]Row, error) {
 	opts = opts.withDefaults()
 	rows := make([]Row, len(points))
 	if len(points) == 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"hetpnoc/internal/fabric"
@@ -17,7 +18,7 @@ func TestRunMatrixOrderAndFields(t *testing.T) {
 		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
 		{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC},
 	}
-	rows, err := RunMatrix(quickOpts(), points)
+	rows, err := RunMatrix(context.Background(), quickOpts(), points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRunMatrixOrderAndFields(t *testing.T) {
 func TestRunMatrixLoadSweepKeepsBest(t *testing.T) {
 	opts := quickOpts()
 	opts.LoadScales = []float64{0.5, 1.0}
-	rows, err := RunMatrix(opts, []Point{
+	rows, err := RunMatrix(context.Background(), opts, []Point{
 		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
 	})
 	if err != nil {
@@ -56,7 +57,7 @@ func TestRunMatrixLoadSweepKeepsBest(t *testing.T) {
 }
 
 func TestPeakBandwidthMatrixShape(t *testing.T) {
-	rows, err := PeakBandwidth(quickOpts(), []traffic.BandwidthSet{traffic.BWSet1})
+	rows, err := PeakBandwidth(context.Background(), quickOpts(), []traffic.BandwidthSet{traffic.BWSet1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPeakBandwidthMatrixShape(t *testing.T) {
 }
 
 func TestCaseStudiesShape(t *testing.T) {
-	rows, err := CaseStudies(quickOpts(), traffic.BWSet1)
+	rows, err := CaseStudies(context.Background(), quickOpts(), traffic.BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestAreaSweepDefaults(t *testing.T) {
 }
 
 func TestWavelengthScalingSeries(t *testing.T) {
-	points, err := WavelengthScaling(quickOpts(), fabric.DHetPNoC)
+	points, err := WavelengthScaling(context.Background(), quickOpts(), fabric.DHetPNoC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"hetpnoc/internal/area"
@@ -24,7 +25,7 @@ func standardPatterns() []traffic.Pattern {
 // PeakBandwidth reproduces Figures 3-3 (peak bandwidth) and 3-4 (packet
 // energy): both architectures under uniform and skewed traffic, for each
 // requested bandwidth set. The returned rows carry both metrics.
-func PeakBandwidth(opts Options, sets []traffic.BandwidthSet) ([]Row, error) {
+func PeakBandwidth(ctx context.Context, opts Options, sets []traffic.BandwidthSet) ([]Row, error) {
 	var points []Point
 	for _, set := range sets {
 		for _, p := range standardPatterns() {
@@ -33,13 +34,13 @@ func PeakBandwidth(opts Options, sets []traffic.BandwidthSet) ([]Row, error) {
 			}
 		}
 	}
-	return RunMatrix(opts, points)
+	return RunMatrix(ctx, opts, points)
 }
 
 // CaseStudies reproduces Figure 3-5: the four skewed-hotspot synthetic
 // patterns of §3.4.2 plus the real-application GPU/memory traffic, for
 // both architectures at the given bandwidth set.
-func CaseStudies(opts Options, set traffic.BandwidthSet) ([]Row, error) {
+func CaseStudies(ctx context.Context, opts Options, set traffic.BandwidthSet) ([]Row, error) {
 	var patterns []traffic.Pattern
 	for _, h := range traffic.CaseStudies() {
 		patterns = append(patterns, h)
@@ -52,7 +53,7 @@ func CaseStudies(opts Options, set traffic.BandwidthSet) ([]Row, error) {
 			points = append(points, Point{Set: set, Pattern: p, Arch: arch})
 		}
 	}
-	return RunMatrix(opts, points)
+	return RunMatrix(ctx, opts, points)
 }
 
 // AreaSweep reproduces Figure 3-6: total electro-optic device area of both
@@ -82,14 +83,14 @@ type ScalingRow struct {
 // (arch = Firefly): peak core bandwidth and energy per message across the
 // three bandwidth sets for uniform and skewed traffic, with the analytic
 // area attached.
-func ScalingSeries(opts Options, arch fabric.Arch) ([]ScalingRow, error) {
+func ScalingSeries(ctx context.Context, opts Options, arch fabric.Arch) ([]ScalingRow, error) {
 	var points []Point
 	for _, set := range traffic.BandwidthSets() {
 		for _, p := range standardPatterns() {
 			points = append(points, Point{Set: set, Pattern: p, Arch: arch})
 		}
 	}
-	rows, err := RunMatrix(opts, points)
+	rows, err := RunMatrix(ctx, opts, points)
 	if err != nil {
 		return nil, err
 	}
@@ -127,12 +128,12 @@ type WavelengthPoint struct {
 // WavelengthScaling reproduces Figures 3-8 and 3-9: the effect of growing
 // the total wavelength count (64 -> 256 -> 512) on peak bandwidth, energy
 // per message and area for the given architecture under Skewed 3 traffic.
-func WavelengthScaling(opts Options, arch fabric.Arch) ([]WavelengthPoint, error) {
+func WavelengthScaling(ctx context.Context, opts Options, arch fabric.Arch) ([]WavelengthPoint, error) {
 	var points []Point
 	for _, set := range traffic.BandwidthSets() {
 		points = append(points, Point{Set: set, Pattern: traffic.Skewed{Level: 3}, Arch: arch})
 	}
-	rows, err := RunMatrix(opts, points)
+	rows, err := RunMatrix(ctx, opts, points)
 	if err != nil {
 		return nil, err
 	}

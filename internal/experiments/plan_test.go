@@ -203,16 +203,43 @@ func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 	}
 }
 
-// TestRunnersHonorCancellation: every runner threads its context into the
-// cycle loop, so a run that would take hours returns the context's error
-// about one fabric.CancelCheckInterval after the deadline fires.
+// TestRunnersHonorCancellation: every simulating runner threads its
+// context into the cycle loop, so a run that would take hours returns the
+// context's error about one fabric.CancelCheckInterval after the deadline
+// fires, and a context that is already canceled aborts the run before
+// it simulates anything.
 func TestRunnersHonorCancellation(t *testing.T) {
 	endless := Options{Cycles: 1 << 30, WarmupCycles: 1000, Parallelism: 2}
+	point := Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}
 	type runner struct {
 		name string
 		run  func(context.Context) error
 	}
 	runners := []runner{
+		{"RunMatrix", func(ctx context.Context) error {
+			_, err := RunMatrix(ctx, endless, []Point{point, {Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}})
+			return err
+		}},
+		{"RunReplicated", func(ctx context.Context) error {
+			_, err := RunReplicated(ctx, endless, point, 2)
+			return err
+		}},
+		{"PeakBandwidth", func(ctx context.Context) error {
+			_, err := PeakBandwidth(ctx, endless, []traffic.BandwidthSet{traffic.BWSet1})
+			return err
+		}},
+		{"CaseStudies", func(ctx context.Context) error {
+			_, err := CaseStudies(ctx, endless, traffic.BWSet1)
+			return err
+		}},
+		{"ScalingSeries", func(ctx context.Context) error {
+			_, err := ScalingSeries(ctx, endless, fabric.DHetPNoC)
+			return err
+		}},
+		{"WavelengthScaling", func(ctx context.Context) error {
+			_, err := WavelengthScaling(ctx, endless, fabric.DHetPNoC)
+			return err
+		}},
 		{"LoadLatencyCurve", func(ctx context.Context) error {
 			_, err := LoadLatencyCurve(ctx, endless, fabric.DHetPNoC, traffic.Uniform{}, traffic.BWSet1, nil)
 			return err
@@ -236,25 +263,37 @@ func TestRunnersHonorCancellation(t *testing.T) {
 		"BurstinessAblation":            BurstinessAblation,
 		"AllAblations":                  AllAblations,
 	} {
-		ablation := ablation
 		runners = append(runners, runner{name, func(ctx context.Context) error {
 			_, err := ablation(ctx, endless)
 			return err
 		}})
 	}
+	// finish runs r and fails the test if it is still running after
+	// 5 s: one check interval is well under a millisecond of stepping,
+	// and the bound only has to separate "aborted" from "ran 2^30
+	// cycles".
+	finish := func(r runner, ctx context.Context) error {
+		done := make(chan error, 1)
+		go func() { done <- r.run(ctx) }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: still running 5s after its context ended", r.name)
+			return nil
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	for _, r := range runners {
-		name, run := r.name, r.run
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-		start := time.Now()
-		err := run(ctx)
+		err := finish(r, ctx)
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("%s: want context.DeadlineExceeded, got %v", name, err)
+			t.Errorf("%s: want context.DeadlineExceeded, got %v", r.name, err)
 		}
-		// One check interval is well under a millisecond of stepping; the
-		// bound only has to separate "aborted" from "ran 2^30 cycles".
-		if took := time.Since(start); took > 5*time.Second {
-			t.Errorf("%s: returned %v after a 20ms deadline", name, took)
+		if err := finish(r, canceled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s with a canceled context: want context.Canceled, got %v", r.name, err)
 		}
 	}
 }

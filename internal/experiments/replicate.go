@@ -28,22 +28,15 @@ type Replicated struct {
 }
 
 // RunReplicated executes the point once per seed (opts.Seed, opts.Seed+1,
-// ...) and aggregates the results.
-//
-//hetpnoc:ctxroot synchronous public wrapper over RunReplicatedContext, mirrors RunMatrix
-func RunReplicated(opts Options, p Point, seeds int) (Replicated, error) {
-	return RunReplicatedContext(context.Background(), opts, p, seeds)
-}
-
-// RunReplicatedContext is RunReplicated with cancellation: ctx reaches
-// every replicate's fabric, so canceling aborts the whole replication at
-// the next cancellation check instead of leaking seeds.
+// ...) and aggregates the results. ctx reaches every replicate's fabric,
+// so canceling aborts the whole replication at the next cancellation
+// check.
 //
 // Every (seed, load scale) pair is one member of a single batch plan, so
 // replica i is byte-identical to a solo run at opts.Seed+i
 // (TestReplicasMatchSoloRuns) and the whole replication builds one
 // fabric.
-func RunReplicatedContext(ctx context.Context, opts Options, p Point, seeds int) (Replicated, error) {
+func RunReplicated(ctx context.Context, opts Options, p Point, seeds int) (Replicated, error) {
 	if seeds < 2 {
 		return Replicated{}, fmt.Errorf("experiments: replication needs >= 2 seeds, got %d", seeds)
 	}

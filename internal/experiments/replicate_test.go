@@ -26,7 +26,7 @@ func TestMeanStd(t *testing.T) {
 
 func TestRunReplicatedValidation(t *testing.T) {
 	p := Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}
-	if _, err := RunReplicated(quickOpts(), p, 1); err == nil {
+	if _, err := RunReplicated(context.Background(), quickOpts(), p, 1); err == nil {
 		t.Fatal("single-seed replication accepted")
 	}
 }
@@ -87,11 +87,11 @@ func TestSkewedGainIsStatisticallySignificant(t *testing.T) {
 	opts := quickOpts()
 	const seeds = 5
 
-	ff, err := RunReplicated(opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.Firefly}, seeds)
+	ff, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.Firefly}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dh, err := RunReplicated(opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC}, seeds)
+	dh, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestSkewedGainIsStatisticallySignificant(t *testing.T) {
 // crossbar architectures tie for every seed, so their means coincide.
 func TestUniformEqualityHoldsAcrossSeeds(t *testing.T) {
 	opts := quickOpts()
-	ff, err := RunReplicated(opts, Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}, 3)
+	ff, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dh, err := RunReplicated(opts, Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}, 3)
+	dh, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,11 @@ import (
 
 // Fabric is one fully-assembled chip ready to simulate.
 type Fabric struct {
+	// cfg is the defaulted configuration the fabric was built from,
+	// never written after New. Its LoadScale is the build's: the
+	// current one is state.loadScale.
+	cfg Config
+
 	clock  sim.Clock
 	bundle photonic.WaveguideBundle
 
@@ -90,11 +95,12 @@ func New(cfg Config) (*Fabric, error) {
 	clock := sim.DefaultClock()
 
 	f := &Fabric{
+		cfg:       cfg,
 		clock:     clock,
 		bundle:    bundle,
 		ledger:    photonic.NewLedger(photonic.DefaultEnergyParams()),
 		collector: stats.NewCollector(clock),
-		state:     state{cfg: cfg, rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed, probe: newProbe(cfg)},
+		state:     state{rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed, loadScale: cfg.LoadScale, probe: newProbe(cfg)},
 	}
 	f.collector.SetClusterCount(cfg.Topology.Clusters())
 	arena, err := router.NewArena(f.ledger, &f.occupancy)
@@ -271,7 +277,7 @@ func (f *Fabric) applyAssignment(a traffic.Assignment) error {
 		coreID := topology.CoreID(c)
 		profile := a.Cores[c]
 		src, err := traffic.NewSource(coreID, profile, f.cfg.Set.Format, f.clock,
-			f.cfg.LoadScale, f.now, *f.rng.Split(), &f.pool, &f.msgIDs, &f.pktIDs)
+			f.loadScale, f.now, *f.rng.Split(), &f.pool, &f.msgIDs, &f.pktIDs)
 		if err != nil {
 			return err
 		}
@@ -317,7 +323,7 @@ func (f *Fabric) Reseed(seed uint64) error {
 
 // SetLoadScale replaces the offered-load multiplier. It only takes
 // effect on the next Reseed (or task remap), which rebuilds every
-// traffic source from the current configuration — so the canonical fork
+// traffic source at the current scale — so the canonical fork
 // sequence Restore → SetLoadScale → Reseed reproduces, bit for bit, a
 // fabric freshly built at the new load: nothing else in the build
 // consumes the scale. Checkpoints capture the scale and Restore rewinds
@@ -327,7 +333,7 @@ func (f *Fabric) SetLoadScale(scale float64) error {
 	if err := f.cfg.checkLoad(scale); err != nil {
 		return err
 	}
-	f.cfg.LoadScale = scale
+	f.loadScale = scale
 	return nil
 }
 
@@ -635,8 +641,6 @@ func empty(b *sim.Bitset) bool {
 }
 
 // Run simulates the configured number of cycles and returns the result.
-//
-//hetpnoc:ctxroot synchronous wrapper over StepContext for tests and CLI sweeps
 func (f *Fabric) Run() (Result, error) {
 	if err := f.StepContext(context.Background(), f.cfg.Cycles); err != nil {
 		return Result{}, err

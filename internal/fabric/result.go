@@ -67,7 +67,7 @@ func (f *Fabric) result() Result {
 
 	var offered float64
 	for _, core := range f.assignment.Cores {
-		bitsPerCycle := f.clock.GbpsToBitsPerCycle(core.RateGbps * f.cfg.LoadScale)
+		bitsPerCycle := f.clock.GbpsToBitsPerCycle(core.RateGbps * f.loadScale)
 		offered += f.clock.BitsPerCycleToGbps(bitsPerCycle)
 	}
 
@@ -76,7 +76,7 @@ func (f *Fabric) result() Result {
 		Pattern:              f.cfg.Pattern.Name(),
 		Set:                  f.cfg.Set.Name,
 		IntraCluster:         f.cfg.IntraCluster.String(),
-		LoadScale:            f.cfg.LoadScale,
+		LoadScale:            f.loadScale,
 		Seed:                 f.seed,
 		Stats:                summary,
 		OfferedGbps:          units.Gbps(offered),

@@ -11,19 +11,17 @@ import (
 // Everything else a checkpoint carries is a component's state (see
 // Checkpoint).
 type state struct {
-	// cfg is saved whole because SetLoadScale mutates it between a
-	// checkpoint and a restore (the batch engine's fork sequence);
-	// restoring copies it back so a restored fabric re-steps under the
-	// exact configuration it was checkpointed with. The shallow copy is
-	// sound: nothing mutates the Remaps slice contents after build.
-	cfg Config
-
 	now sim.Cycle
 	rng sim.RNG
 
 	// seed is the seed the result reports. It starts as cfg.Seed and is
 	// replaced by Reseed when a restored checkpoint forks a replica.
 	seed uint64
+
+	// loadScale is the offered-load multiplier. It starts as
+	// cfg.LoadScale and is replaced by SetLoadScale when a restored
+	// checkpoint forks a member at another load.
+	loadScale float64
 
 	// assignment is the installed workload mapping. A remap replaces it
 	// whole and never mutates one in place, so a copy shares its tables.

@@ -194,19 +194,23 @@ func TestProfileCasingConvention(t *testing.T) {
 	}
 }
 
-// TestSpeedupCurveShape: the curve is monotone in flit size with
-// diminishing returns (concave in the bandwidth ratio), starting at 0%.
+// TestSpeedupCurveShape: the speedup over the 32 B baseline is monotone
+// in flit size with diminishing returns (concave in the bandwidth
+// ratio), starting at 0% — the curve behind Figure 1-1's 1024 B
+// endpoint.
 func TestSpeedupCurveShape(t *testing.T) {
 	p, ok := ProfileByName("BFS")
 	if !ok {
 		t.Fatal("no BFS profile")
 	}
-	points, err := SpeedupCurve(p, DefaultLink(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 6 {
-		t.Fatalf("got %d points, want 6", len(points))
+	type point struct{ FlitBytes, SpeedupPct float64 }
+	var points []point
+	for _, size := range []float64{32, 64, 128, 256, 512, 1024} {
+		s, err := Speedup(p, DefaultLink(), 32, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, point{size, (s - 1) * 100})
 	}
 	if points[0].SpeedupPct != 0 {
 		t.Fatalf("baseline point = %.2f%%, want 0", points[0].SpeedupPct)

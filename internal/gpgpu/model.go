@@ -95,30 +95,6 @@ func Figure1_1() ([]SpeedupPoint, error) {
 	return points, nil
 }
 
-// CurvePoint is one flit size of a benchmark's speedup curve.
-type CurvePoint struct {
-	FlitBytes  float64
-	SpeedupPct float64
-}
-
-// SpeedupCurve evaluates a benchmark's speedup over the 32 B baseline at
-// each flit size — the full curve behind Figure 1-1's 1024 B endpoint.
-// Sizes default to the powers of two from 32 B to 1024 B.
-func SpeedupCurve(p Profile, link LinkModel, sizes []float64) ([]CurvePoint, error) {
-	if len(sizes) == 0 {
-		sizes = []float64{32, 64, 128, 256, 512, 1024}
-	}
-	points := make([]CurvePoint, 0, len(sizes))
-	for _, size := range sizes {
-		s, err := Speedup(p, link, 32, size)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, CurvePoint{FlitBytes: size, SpeedupPct: (s - 1) * 100})
-	}
-	return points, nil
-}
-
 // Placement maps an application onto GPU clusters for the real-application
 // traffic scenario of §3.4.2.
 type Placement struct {

@@ -1,6 +1,7 @@
 package photonic
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +64,7 @@ func TestWavelengthIDOrdering(t *testing.T) {
 		{Waveguide: 0, Wavelength: 2},
 		{Waveguide: 1, Wavelength: 0}, // duplicate keeps order stable
 	}
-	SortWavelengths(ids)
+	sort.SliceStable(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 	want := []WavelengthID{{0, 2}, {0, 5}, {1, 0}, {1, 0}}
 	for i := range want {
 		if ids[i] != want[i] {

@@ -12,7 +12,6 @@ package photonic
 
 import (
 	"fmt"
-	"sort"
 
 	"hetpnoc/internal/units"
 )
@@ -52,11 +51,6 @@ func (w WavelengthID) Less(o WavelengthID) bool {
 		return w.Waveguide < o.Waveguide
 	}
 	return w.Wavelength < o.Wavelength
-}
-
-// SortWavelengths sorts ids in place by (waveguide, wavelength).
-func SortWavelengths(ids []WavelengthID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 }
 
 // WaveguideBundle describes the data-waveguide bundle shared by all

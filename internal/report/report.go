@@ -5,7 +5,6 @@ import (
 	"html/template"
 	"io"
 	"sort"
-	"strings"
 
 	"hetpnoc/internal/area"
 	"hetpnoc/internal/experiments"
@@ -222,15 +221,6 @@ func (r *Report) Render(w io.Writer) error {
 		Sections []section
 	}{r.Title, r.Subtitle, r.sections}
 	return pageTemplate.Execute(w, data)
-}
-
-// RenderString returns the document as a string (for tests).
-func (r *Report) RenderString() (string, error) {
-	var b strings.Builder
-	if err := r.Render(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }
 
 func contains(xs []string, x string) bool {

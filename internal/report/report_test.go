@@ -96,10 +96,11 @@ func TestFullReportRenders(t *testing.T) {
 		{Study: "s", Variant: "v", PeakBandwidthGbps: 1, EnergyPerMessagePJ: 2, AreaMM2: 3},
 	})
 
-	doc, err := r.RenderString()
-	if err != nil {
+	var b strings.Builder
+	if err := r.Render(&b); err != nil {
 		t.Fatal(err)
 	}
+	doc := b.String()
 	for _, want := range []string{
 		"<!DOCTYPE html>", "Title", "Subtitle",
 		"Figure 3-3", "Figure 3-6", "Figure 1-1",

@@ -166,6 +166,51 @@ func TestHTTPSweepEndpoint(t *testing.T) {
 // forked point is byte-identical to the standalone /v1/run of its config.
 // One worker keeps the points sequential, so each takes the one kept
 // build in turn instead of a concurrent point building its own.
+// TestHTTPSweepClientCancellation: a sweep whose client disconnects
+// gives up its points, so the simulation it started is canceled and the
+// worker comes back, where it would otherwise run 2^30 cycles.
+func TestHTTPSweepClientCancellation(t *testing.T) {
+	leakcheck.Check(t)
+	s := New(Config{Workers: 1, MaxCycles: 1 << 30})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// The pool closes first, so a point left running is canceled rather
+	// than waited out by the HTTP server's Close.
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sweep",
+		strings.NewReader(`{"base":{"cycles":1073741824,"warmupCycles":1000},"seeds":[120,121]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		if resp != nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	waitFor(t, "sweep point in flight", func() bool { return s.Metrics().InFlight == 1 })
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v", err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for m := s.Metrics(); m.InFlight != 0 || m.Canceled < 1; m = s.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("10s after its client left, the sweep's point still runs: %+v", m)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func TestHTTPSweepForksTheKeptBuild(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 

@@ -140,9 +140,8 @@ type Server struct {
 }
 
 // New starts a server: cfg.Workers goroutines consuming the admission
-// queue. Stop it with Close.
-//
-//hetpnoc:ctxroot baseCtx is the server's lifetime root; per-request contexts derive from it
+// queue. Stop it with Close. Every job's context derives from the
+// server's base context, which Close cancels.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())

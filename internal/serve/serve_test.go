@@ -361,6 +361,38 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	closeServer(t, s)
 }
 
+// TestCloseCancelsJobInFlight: a drain whose context ends cancels the
+// job still running, with or without a job timeout, so Close returns
+// soon after its deadline instead of when a 2^30-cycle run would end.
+// Zero takes the default timeout, so a negative JobTimeout is the one
+// that sets none.
+func TestCloseCancelsJobInFlight(t *testing.T) {
+	for _, timeout := range []time.Duration{time.Hour, -1} {
+		s := New(Config{Workers: 1, JobTimeout: timeout, MaxCycles: 1 << 30})
+		submitted := make(chan error, 1)
+		go func() {
+			_, err := s.Submit(context.Background(), hetpnoc.Config{Cycles: 1 << 30, WarmupCycles: 1000, Seed: 110})
+			submitted <- err
+		}()
+		waitFor(t, "job in flight", func() bool { return s.Metrics().InFlight == 1 })
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		closed := make(chan error, 1)
+		go func() { closed <- s.Close(ctx) }()
+		select {
+		case err := <-closed:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("job timeout %v: Close returned %v, want its deadline's error", timeout, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job timeout %v: Close still waiting 10s after a 50ms deadline", timeout)
+		}
+		cancel()
+		if err := <-submitted; !errors.Is(err, context.Canceled) {
+			t.Errorf("job timeout %v: the cut job returned %v, want context.Canceled", timeout, err)
+		}
+	}
+}
+
 // TestUnencodableResultFailsTheRun: a result encoding/json cannot write
 // (a NaN) cannot be rendered into a reply, so its run fails with
 // ErrSimulation — a 500 — and nothing is cached, where it used to be

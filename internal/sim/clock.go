@@ -16,11 +16,6 @@ func DefaultClock() Clock {
 	return Clock{FrequencyHz: 2.5e9}
 }
 
-// PeriodSeconds returns the duration of one cycle in seconds.
-func (c Clock) PeriodSeconds() float64 {
-	return 1.0 / c.FrequencyHz
-}
-
 // Seconds returns the wall-clock time spanned by n cycles.
 func (c Clock) Seconds(n Cycle) float64 {
 	return float64(n) / c.FrequencyHz

@@ -4,9 +4,6 @@ import "testing"
 
 func TestClockConversions(t *testing.T) {
 	c := DefaultClock()
-	if got := c.PeriodSeconds(); got != 400e-12 {
-		t.Fatalf("period = %g s, want 400 ps", got)
-	}
 	// One 12.5 Gb/s wavelength carries exactly 5 bits per 2.5 GHz cycle.
 	if got := c.GbpsToBitsPerCycle(12.5); got != 5 {
 		t.Fatalf("12.5 Gb/s = %g bits/cycle, want 5", got)

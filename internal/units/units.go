@@ -99,10 +99,6 @@ func (v Picojoule) Div(n float64) Picojoule { return v / Picojoule(n) }
 // per-item rate in the same unit.
 func (v Gbps) Div(n float64) Gbps { return v / Gbps(n) }
 
-// DBToLinear converts a relative dB figure into a linear power ratio,
-// 10^(dB/10).
-func DBToLinear(db DB) float64 { return math.Pow(10, float64(db)/10) }
-
 // DBmToMilliWatt converts an absolute dBm-referenced level into linear
 // milliwatts — the launch-power step of the §3 link budget.
 func DBmToMilliWatt(dbm DB) MilliWatt { return MilliWatt(math.Pow(10, float64(dbm)/10)) }

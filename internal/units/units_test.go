@@ -31,9 +31,6 @@ func TestCreditOf(t *testing.T) {
 }
 
 func TestConversionsMatchRawFormulas(t *testing.T) {
-	if got, want := DBToLinear(10), 10.0; got != want {
-		t.Errorf("DBToLinear(10) = %g, want %g", got, want)
-	}
 	if got, want := float64(DBmToMilliWatt(0)), 1.0; got != want {
 		t.Errorf("DBmToMilliWatt(0) = %g, want %g", got, want)
 	}
