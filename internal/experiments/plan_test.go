@@ -297,3 +297,22 @@ func TestRunnersHonorCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMatrixContextCanceled: a dead context aborts a finite matrix
+// with its error instead of running the points, and returns no rows.
+func TestRunMatrixContextCanceled(t *testing.T) {
+	opts := Options{Cycles: 1500, WarmupCycles: 500, LoadScales: []float64{1.0}, Parallelism: 2}
+	points := []Point{
+		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
+		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := RunMatrix(ctx, opts, points)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if rows != nil {
+		t.Fatalf("a canceled matrix returned rows: %+v", rows)
+	}
+}
