@@ -13,35 +13,6 @@ import (
 	"hetpnoc/internal/testutil/leakcheck"
 )
 
-func TestRunTables(t *testing.T) {
-	leakcheck.Check(t)
-	if err := run(context.Background(), []string{"-tables"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFig1_1(t *testing.T) {
-	if err := run(context.Background(), []string{"-fig", "1-1"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunFig3_6(t *testing.T) {
-	if err := run(context.Background(), []string{"-fig", "3-6"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunQuickSimulationFigure(t *testing.T) {
-	leakcheck.Check(t)
-	if testing.Short() {
-		t.Skip("simulation figure in -short mode")
-	}
-	if err := run(context.Background(), []string{"-fig", "3-8", "-quick"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-cycles", "abc"}, os.Stdout); err == nil {
 		t.Fatal("non-numeric cycles accepted")
@@ -76,34 +47,6 @@ func TestRunFig3_3RejectsBadCSVDir(t *testing.T) {
 	}
 }
 
-func TestRunCaseStudiesAndExtensions(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation figures in -short mode")
-	}
-	if err := run(context.Background(), []string{"-fig", "3-5", "-cycles", "2000", "-warmup", "400"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-fig", "none", "-latency", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-fig", "none", "-sensitivity", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunScalingFigures(t *testing.T) {
-	leakcheck.Check(t)
-	if testing.Short() {
-		t.Skip("simulation figures in -short mode")
-	}
-	if err := run(context.Background(), []string{"-fig", "3-7", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-fig", "3-10", "-cycles", "1500", "-warmup", "300"}, os.Stdout); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunHonorsCancellation: every simulating selection runs under run's
 // context, so a canceled one fails each with its error before any
 // simulation starts.
@@ -121,31 +64,47 @@ func TestRunHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestQuickGolden: `sweep -quick` prints testdata/quick.golden byte for
-// byte, every figure's numbers at 4,000 cycles. After an intended change
-// regenerate it with `go run ./cmd/sweep -quick >
-// cmd/sweep/testdata/quick.golden` and review the diff.
-func TestQuickGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
-	if err != nil {
-		t.Fatal(err)
+// TestGolden: each selection prints its golden byte for byte.
+// quick.golden is every figure at 4,000 cycles, figures.golden every
+// figure at the full 10,000, extensions.golden the ablation,
+// load-latency and energy-sensitivity tables, tables.golden the input
+// tables. After an intended change regenerate one with `go run
+// ./cmd/sweep <args> > cmd/sweep/testdata/<golden>` and review the diff.
+func TestGolden(t *testing.T) {
+	leakcheck.Check(t)
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"quick.golden", []string{"-quick"}},
+		{"figures.golden", nil},
+		{"extensions.golden", []string{"-quick", "-fig", "none", "-ablations", "-latency", "-sensitivity"}},
+		{"tables.golden", []string{"-tables"}},
+	} {
+		t.Run(strings.TrimSuffix(c.golden, ".golden"), func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(context.Background(), c.args, &got); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(got.Bytes(), want) {
+				return
+			}
+			gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			var diff strings.Builder
+			for i := range max(len(gotLines), len(wantLines)) {
+				g, w := line(gotLines, i), line(wantLines, i)
+				if g != w {
+					fmt.Fprintf(&diff, "line %d:\n-%s\n+%s\n", i+1, w, g)
+				}
+			}
+			t.Errorf("sweep %s drifted from testdata/%s (-golden +now):\n%s", strings.Join(c.args, " "), c.golden, diff.String())
+		})
 	}
-	var got bytes.Buffer
-	if err := run(context.Background(), []string{"-quick"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got.Bytes(), want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	var diff strings.Builder
-	for i := range max(len(gotLines), len(wantLines)) {
-		g, w := line(gotLines, i), line(wantLines, i)
-		if g != w {
-			fmt.Fprintf(&diff, "line %d:\n-%s\n+%s\n", i+1, w, g)
-		}
-	}
-	t.Errorf("sweep -quick drifted from testdata/quick.golden (-golden +now):\n%s", diff.String())
 }
 
 // line returns lines[i], or "" past the end.
