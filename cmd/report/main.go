@@ -83,7 +83,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	if *ablations {
-		ab, err := experiments.AllAblations(ctx, opts)
+		ab, err := experiments.Ablations(ctx, opts)
 		if err != nil {
 			return err
 		}

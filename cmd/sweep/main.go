@@ -25,10 +25,12 @@ import (
 	"os"
 	"path/filepath"
 
+	"hetpnoc/internal/area"
 	"hetpnoc/internal/experiments"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/traffic"
+	"hetpnoc/internal/units"
 )
 
 func main() {
@@ -142,25 +144,33 @@ func printSensitivity(ctx context.Context, w *bytes.Buffer, opts experiments.Opt
 	return nil
 }
 
+// printLatencyCurves prints the classic NoC latency-throughput curve of
+// each architecture, one config per offered load: latency rises gently
+// until the network saturates, then climbs steeply while delivered
+// bandwidth flattens. The thesis reports only the saturation point.
 func printLatencyCurves(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
+	var cfgs []fabric.Config
+	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
+		for _, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2} {
+			cfgs = append(cfgs, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, LoadScale: load})
+		}
+	}
+	rows, err := experiments.RunMatrix(ctx, opts, cfgs)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "== Load-latency curves (extension), BW set 1, skewed 2 ==")
 	fmt.Fprintf(w, "%-10s %6s %12s %14s %12s\n", "arch", "load", "offered", "delivered", "avg latency")
-	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
-		points, err := experiments.LoadLatencyCurve(ctx, opts, arch, traffic.Skewed{Level: 2}, traffic.BWSet1, nil)
-		if err != nil {
-			return err
-		}
-		for _, p := range points {
-			fmt.Fprintf(w, "%-10s %6.2f %10.1f G %12.1f G %10.1f c\n",
-				arch, p.LoadScale, p.OfferedGbps, p.DeliveredGbps, p.AvgLatencyCycles)
-		}
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-10s %6.2f %10.1f G %12.1f G %10.1f c\n",
+			r.Arch, r.AtLoad, r.OfferedGbps, r.PeakBandwidthGbps, r.AvgLatencyCycles)
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
 func printAblations(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
-	rows, err := experiments.AllAblations(ctx, opts)
+	rows, err := experiments.Ablations(ctx, opts)
 	if err != nil {
 		return err
 	}
@@ -262,8 +272,36 @@ func printFig3_6(w *bytes.Buffer) {
 	fmt.Fprintln(w)
 }
 
+// standardPatterns are Figures 3-7/3-10's patterns: uniform-random plus
+// the three skewed levels of Table 3-1.
+var standardPatterns = []traffic.Pattern{
+	traffic.Uniform{}, traffic.Skewed{Level: 1}, traffic.Skewed{Level: 2}, traffic.Skewed{Level: 3},
+}
+
+// acrossSets lists one arch config per bandwidth set and pattern, set by
+// set.
+func acrossSets(arch fabric.Arch, patterns ...traffic.Pattern) []fabric.Config {
+	var cfgs []fabric.Config
+	for _, set := range traffic.BandwidthSets() {
+		for _, p := range patterns {
+			cfgs = append(cfgs, fabric.Config{Set: set, Pattern: p, Arch: arch})
+		}
+	}
+	return cfgs
+}
+
+// areaOf is the analytic electro-optic area of arch at a wavelength
+// budget.
+func areaOf(arch string, wavelengths int) units.SquareMillimeter {
+	cfg := area.DefaultConfig(wavelengths)
+	if arch == fabric.Firefly.String() {
+		return cfg.FireflyAreaMM2()
+	}
+	return cfg.DynamicAreaMM2()
+}
+
 func printScaling(ctx context.Context, w *bytes.Buffer, opts experiments.Options, arch fabric.Arch, figName string) error {
-	rows, err := experiments.ScalingSeries(ctx, opts, arch)
+	rows, err := experiments.RunMatrix(ctx, opts, acrossSets(arch, standardPatterns...))
 	if err != nil {
 		return err
 	}
@@ -271,24 +309,33 @@ func printScaling(ctx context.Context, w *bytes.Buffer, opts experiments.Options
 	fmt.Fprintf(w, "%-5s %-10s %6s %15s %14s %12s\n", "set", "traffic", "total", "per-core Gb/s", "EPM pJ", "area mm^2")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-5s %-10s %6d %15.2f %14.1f %12.3f\n",
-			r.Set, r.Pattern, r.TotalWavelengths, r.PerCoreGbps, r.EnergyPerMessagePJ, r.AreaMM2)
+			r.Set, r.Pattern, r.TotalWavelengths, r.PerCoreGbps, r.EnergyPerMessagePJ, areaOf(r.Arch, r.TotalWavelengths))
 	}
 	fmt.Fprintln(w)
 	return nil
 }
 
+// printFig3_8 prints Figures 3-8 and 3-9: the effect of growing the total
+// wavelength count (64 -> 256 -> 512) on d-HetPNoC's peak bandwidth,
+// energy per message and area under skewed 3 traffic, each as a change
+// from the first set (the thesis: +751.31% bandwidth, +70% area, -10.89%
+// energy per message from 64 to 512 wavelengths).
 func printFig3_8(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
-	points, err := experiments.WavelengthScaling(ctx, opts, fabric.DHetPNoC)
+	rows, err := experiments.RunMatrix(ctx, opts, acrossSets(fabric.DHetPNoC, traffic.Skewed{Level: 3}))
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "== Figures 3-8 / 3-9: d-HetPNoC, skewed 3 — wavelengths vs peak bandwidth, EPM, area ==")
 	fmt.Fprintf(w, "%12s %12s %12s %11s %9s %9s %9s\n",
 		"wavelengths", "peak Gb/s", "EPM pJ", "area mm^2", "dBW%", "dEPM%", "dArea%")
-	for _, p := range points {
+	base, baseArea := rows[0], areaOf(rows[0].Arch, rows[0].TotalWavelengths)
+	for _, r := range rows {
+		a := areaOf(r.Arch, r.TotalWavelengths)
 		fmt.Fprintf(w, "%12d %12.1f %12.1f %11.3f %+8.1f%% %+8.1f%% %+8.1f%%\n",
-			p.TotalWavelengths, p.PeakBandwidthGbps, p.EnergyPerMessagePJ, p.AreaMM2,
-			p.BandwidthChangePct, p.EPMChangePct, p.AreaChangePct)
+			r.TotalWavelengths, r.PeakBandwidthGbps, r.EnergyPerMessagePJ, a,
+			(r.PeakBandwidthGbps/base.PeakBandwidthGbps-1)*100,
+			(r.EnergyPerMessagePJ/base.EnergyPerMessagePJ-1)*100,
+			(a/baseArea-1)*100)
 	}
 	fmt.Fprintln(w)
 	return nil

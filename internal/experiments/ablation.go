@@ -10,181 +10,84 @@ import (
 	"hetpnoc/internal/units"
 )
 
-// AblationRow is one variant of an ablation study.
-type AblationRow struct {
-	Study   string `json:"study"`
-	Variant string `json:"variant"`
-
-	PeakBandwidthGbps  units.Gbps      `json:"peakBandwidthGbps"`
-	EnergyPerMessagePJ units.Picojoule `json:"energyPerMessagePJ"`
-	AvgLatencyCycles   float64         `json:"avgLatencyCycles"`
-	// FairnessJain is Jain's index over the clusters' delivered bits.
-	FairnessJain float64                `json:"fairnessJain"`
-	AreaMM2      units.SquareMillimeter `json:"areaMM2,omitempty"`
-}
-
-// ablationCase is one simulated variant.
+// ablationCase is one simulated variant of an ablation study.
 type ablationCase struct {
 	study, variant string
 	cfg            fabric.Config
 	areaMM2        units.SquareMillimeter
 }
 
-// runAblation executes the cases as one batch plan and collects one row
-// per case, in case order.
-func runAblation(ctx context.Context, opts Options, cases []ablationCase) ([]AblationRow, error) {
-	opts = opts.withDefaults()
-	specs := make([]fabric.Config, len(cases))
-	for i, c := range cases {
-		cfg := c.cfg
-		cfg.Topology = opts.Topology
-		cfg.Cycles = opts.Cycles
-		cfg.WarmupCycles = opts.WarmupCycles
-		cfg.Seed = opts.Seed
-		specs[i] = cfg
-	}
-	out, err := runPlan(ctx, opts, specs)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablation %s: %w", cases[0].study, err)
-	}
-	rows := make([]AblationRow, len(cases))
-	for i, c := range cases {
-		res := out[i]
-		rows[i] = AblationRow{
-			Study:              c.study,
-			Variant:            c.variant,
-			PeakBandwidthGbps:  res.Stats.DeliveredGbps,
-			EnergyPerMessagePJ: res.EnergyPerMessagePJ,
-			AvgLatencyCycles:   res.Stats.AvgLatencyCycles,
-			FairnessJain:       res.Stats.FairnessJain,
-			AreaMM2:            c.areaMM2,
-		}
-	}
-	return rows, nil
-}
-
-// ReservationPipeliningAblation quantifies the design decision to overlap
-// the next packet's reservation with the current packet's streaming
-// (DESIGN.md §4): without it, short packets on wide channels pay the
-// reservation round-trip between every transfer.
-func ReservationPipeliningAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
-	base := fabric.Config{
-		Arch:    fabric.DHetPNoC,
-		Set:     traffic.BWSet3, // 8-flit packets: the worst case
-		Pattern: traffic.Skewed{Level: 2},
-	}
-	off := base
-	off.DisableReservationPipelining = true
-	return runAblation(ctx, opts, []ablationCase{
-		{study: "reservation-pipelining", variant: "pipelined", cfg: base},
-		{study: "reservation-pipelining", variant: "serialized", cfg: off},
-	})
-}
-
-// AcquisitionChunkAblation sweeps the per-token-visit acquisition bound:
-// 1 converges slowest but most fairly; unlimited lets the first visitor
-// drain the pool (the starvation mode DESIGN.md §4 calls out).
-func AcquisitionChunkAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
+// ablationCases lists every study's variants, study by study.
+func ablationCases() []ablationCase {
 	var cases []ablationCase
+	add := func(study, variant string, cfg fabric.Config) {
+		cases = append(cases, ablationCase{study: study, variant: variant, cfg: cfg})
+	}
+	dhet := func(set traffic.BandwidthSet, level int) fabric.Config {
+		return fabric.Config{Arch: fabric.DHetPNoC, Set: set, Pattern: traffic.Skewed{Level: level}}
+	}
+
+	// Overlapping the next packet's reservation with the current
+	// packet's streaming (DESIGN.md §4): without it, short packets on
+	// wide channels pay the reservation round-trip between every
+	// transfer. BW set 3's 8-flit packets are the worst case.
+	serialized := dhet(traffic.BWSet3, 2)
+	serialized.DisableReservationPipelining = true
+	add("reservation-pipelining", "pipelined", dhet(traffic.BWSet3, 2))
+	add("reservation-pipelining", "serialized", serialized)
+
+	// The per-token-visit acquisition bound: 1 converges slowest but most
+	// fairly; unlimited lets the first visitor drain the pool (the
+	// starvation mode DESIGN.md §4 calls out).
 	for _, chunk := range []int{1, 2, 4, 8, 64} {
-		cfg := fabric.Config{
-			Arch:               fabric.DHetPNoC,
-			Set:                traffic.BWSet3,
-			Pattern:            traffic.Skewed{Level: 3},
-			MaxAcquirePerVisit: chunk,
-		}
-		cases = append(cases, ablationCase{
-			study:   "acquisition-chunk",
-			variant: fmt.Sprintf("chunk-%d", chunk),
-			cfg:     cfg,
-		})
+		cfg := dhet(traffic.BWSet3, 3)
+		cfg.MaxAcquirePerVisit = chunk
+		add("acquisition-chunk", fmt.Sprintf("chunk-%d", chunk), cfg)
 	}
-	return runAblation(ctx, opts, cases)
-}
 
-// ReservedMinimumAblation sweeps the per-cluster reserved wavelength count
-// (§3.2.1 guarantees at least 1): larger reserves improve worst-case
-// fairness but shrink the dynamically shareable pool.
-func ReservedMinimumAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
-	var cases []ablationCase
+	// The per-cluster reserved wavelength count (§3.2.1 guarantees at
+	// least 1): larger reserves improve worst-case fairness but shrink
+	// the dynamically shareable pool.
 	for _, reserve := range []int{1, 2, 4} {
-		cfg := fabric.Config{
-			Arch:               fabric.DHetPNoC,
-			Set:                traffic.BWSet1,
-			Pattern:            traffic.Skewed{Level: 3},
-			ReservedPerCluster: reserve,
-		}
-		cases = append(cases, ablationCase{
-			study:   "reserved-minimum",
-			variant: fmt.Sprintf("reserve-%d", reserve),
-			cfg:     cfg,
-		})
+		cfg := dhet(traffic.BWSet1, 3)
+		cfg.ReservedPerCluster = reserve
+		add("reserved-minimum", fmt.Sprintf("reserve-%d", reserve), cfg)
 	}
-	return runAblation(ctx, opts, cases)
-}
 
-// IntraClusterAblation compares the §3.1 all-to-all intra-cluster wiring
-// with Firefly's concentrated switch [20].
-func IntraClusterAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
-	var cases []ablationCase
+	// The §3.1 all-to-all intra-cluster wiring against Firefly's
+	// concentrated switch [20].
 	for _, intra := range []fabric.IntraCluster{fabric.AllToAll, fabric.Concentrated} {
-		cfg := fabric.Config{
-			Arch:         fabric.DHetPNoC,
-			Set:          traffic.BWSet1,
-			Pattern:      traffic.Skewed{Level: 2},
-			IntraCluster: intra,
-		}
-		cases = append(cases, ablationCase{
-			study:   "intra-cluster",
-			variant: intra.String(),
-			cfg:     cfg,
-		})
+		cfg := dhet(traffic.BWSet1, 2)
+		cfg.IntraCluster = intra
+		add("intra-cluster", intra.String(), cfg)
 	}
-	return runAblation(ctx, opts, cases)
-}
 
-// WaveguideRestrictionAblation evaluates the thesis's Chapter 4 proposal:
-// restricting each photonic router to a few waveguides "would ... reduce
-// the number of modulators and de-modulators" at some bandwidth cost. Run
-// at bandwidth set 3 (8 waveguides), where the restriction actually
-// binds, and annotate each variant with its modulator area.
-func WaveguideRestrictionAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
+	// The thesis's Chapter 4 proposal: restricting each photonic router
+	// to a few waveguides "would ... reduce the number of modulators and
+	// de-modulators" at some bandwidth cost. BW set 3 (8 waveguides) is
+	// where the restriction binds; each variant carries its modulator
+	// area.
 	areaCfg := area.DefaultConfig(traffic.BWSet3.TotalWavelengths)
-	var cases []ablationCase
 	for _, wgs := range []int{0, 2, 4} {
-		cfg := fabric.Config{
-			Arch:                 fabric.DHetPNoC,
-			Set:                  traffic.BWSet3,
-			Pattern:              traffic.Skewed{Level: 3},
-			WaveguidesPerCluster: wgs,
-		}
-		variant := "unrestricted"
-		mm2 := areaCfg.DynamicAreaMM2()
+		cfg := dhet(traffic.BWSet3, 3)
+		cfg.WaveguidesPerCluster = wgs
+		c := ablationCase{study: "waveguide-restriction", variant: "unrestricted", cfg: cfg, areaMM2: areaCfg.DynamicAreaMM2()}
 		if wgs > 0 {
-			variant = fmt.Sprintf("%d-waveguides", wgs)
-			mm2 = areaCfg.RestrictedDynamicAreaMM2(wgs)
+			c.variant = fmt.Sprintf("%d-waveguides", wgs)
+			c.areaMM2 = areaCfg.RestrictedDynamicAreaMM2(wgs)
 		}
-		cases = append(cases, ablationCase{
-			study:   "waveguide-restriction",
-			variant: variant,
-			cfg:     cfg,
-			areaMM2: mm2,
-		})
+		cases = append(cases, c)
 	}
-	return runAblation(ctx, opts, cases)
-}
 
-// AllocationPolicyAblation compares the thesis's greedy §3.2.1 allocation
-// rule with the demand-proportional policy (the repository's take on the
-// thesis's stated future work) under heavy contention: skewed 3 at
-// bandwidth set 3, where eleven clusters each want 64 of 496 dynamic
-// wavelengths. Each policy runs both with the default per-visit
-// acquisition chunk and with unbounded acquisition: chunking is the
-// greedy policy's crutch against first-come capture, while the
-// proportional policy's share bound makes it chunk-independent.
-func AllocationPolicyAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
-	var cases []ablationCase
-	for _, variant := range []struct {
+	// The thesis's greedy §3.2.1 allocation rule against the
+	// demand-proportional policy (the repository's take on the thesis's
+	// stated future work) under heavy contention: skewed 3 at BW set 3,
+	// where eleven clusters each want 64 of 496 dynamic wavelengths. Each
+	// policy runs with the default per-visit acquisition chunk and with
+	// unbounded acquisition: chunking is the greedy policy's crutch
+	// against first-come capture, while the proportional policy's share
+	// bound makes it chunk-independent.
+	for _, v := range []struct {
 		name         string
 		proportional bool
 		chunk        int
@@ -194,80 +97,52 @@ func AllocationPolicyAblation(ctx context.Context, opts Options) ([]AblationRow,
 		{"proportional-chunked", true, 0},
 		{"proportional-unbounded", true, 512},
 	} {
-		cases = append(cases, ablationCase{
-			study:   "allocation-policy",
-			variant: variant.name,
-			cfg: fabric.Config{
-				Arch:               fabric.DHetPNoC,
-				Set:                traffic.BWSet3,
-				Pattern:            traffic.Skewed{Level: 3},
-				ProportionalDBA:    variant.proportional,
-				MaxAcquirePerVisit: variant.chunk,
-			},
-		})
+		cfg := dhet(traffic.BWSet3, 3)
+		cfg.ProportionalDBA, cfg.MaxAcquirePerVisit = v.proportional, v.chunk
+		add("allocation-policy", v.name, cfg)
 	}
-	return runAblation(ctx, opts, cases)
-}
 
-// ArchitectureComparison runs all three modeled photonic NoCs — the
-// Firefly baseline, d-HetPNoC and the related-work circuit-switched torus
-// (§2.1.3) — under the same traffic. Note that the torus's per-link
-// full-DWDM provisioning gives it far more photonic hardware than the
-// budget-normalized crossbars; it is a protocol comparison, not an
-// equal-area one.
-func ArchitectureComparison(ctx context.Context, opts Options, set traffic.BandwidthSet, pattern traffic.Pattern) ([]AblationRow, error) {
-	var cases []ablationCase
-	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC, fabric.TorusPNoC} {
-		cases = append(cases, ablationCase{
-			study:   "architecture",
-			variant: arch.String(),
-			cfg:     fabric.Config{Arch: arch, Set: set, Pattern: pattern},
-		})
-	}
-	return runAblation(ctx, opts, cases)
-}
-
-// BurstinessAblation measures how traffic burstiness (on/off sources at
-// the same average rate) degrades both architectures: bursts deepen
-// queues, so drops, latency and the congestion-energy term all grow.
-func BurstinessAblation(ctx context.Context, opts Options) ([]AblationRow, error) {
-	var cases []ablationCase
+	// Traffic burstiness (on/off sources at the same average rate) on
+	// both architectures: bursts deepen queues, so drops, latency and the
+	// congestion-energy term all grow.
 	for _, factor := range []float64{1, 4, 16} {
 		var pattern traffic.Pattern = traffic.Skewed{Level: 2}
 		if factor > 1 {
 			pattern = traffic.Bursty{Base: pattern, Factor: factor}
 		}
 		for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
-			cases = append(cases, ablationCase{
-				study:   "burstiness",
-				variant: fmt.Sprintf("%s-x%g", arch, factor),
-				cfg:     fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: pattern},
-			})
+			add("burstiness", fmt.Sprintf("%s-x%g", arch, factor),
+				fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: pattern})
 		}
 	}
-	return runAblation(ctx, opts, cases)
+
+	// All three modeled photonic NoCs — the Firefly baseline, d-HetPNoC
+	// and the related-work circuit-switched torus (§2.1.3) — under the
+	// same traffic. The torus's per-link full-DWDM provisioning gives it
+	// far more photonic hardware than the budget-normalized crossbars: a
+	// protocol comparison, not an equal-area one.
+	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC, fabric.TorusPNoC} {
+		add("architecture", arch.String(),
+			fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}})
+	}
+	return cases
 }
 
-// AllAblations runs every ablation study.
-func AllAblations(ctx context.Context, opts Options) ([]AblationRow, error) {
-	var all []AblationRow
-	for _, run := range []func(context.Context, Options) ([]AblationRow, error){
-		ReservationPipeliningAblation,
-		AcquisitionChunkAblation,
-		ReservedMinimumAblation,
-		IntraClusterAblation,
-		WaveguideRestrictionAblation,
-		AllocationPolicyAblation,
-		BurstinessAblation,
-		func(ctx context.Context, o Options) ([]AblationRow, error) {
-			return ArchitectureComparison(ctx, o, traffic.BWSet1, traffic.Skewed{Level: 2})
-		},
-	} {
-		rows, err := run(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, rows...)
+// Ablations runs every ablation study (DESIGN.md §4, EXPERIMENTS.md) as
+// one batch plan and returns one row per variant, labeled with its study
+// and variant, study by study.
+func Ablations(ctx context.Context, opts Options) ([]Row, error) {
+	cases := ablationCases()
+	cfgs := make([]fabric.Config, len(cases))
+	for i, c := range cases {
+		cfgs[i] = c.cfg
 	}
-	return all, nil
+	rows, err := RunMatrix(ctx, opts, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cases {
+		rows[i].Study, rows[i].Variant, rows[i].AreaMM2 = c.study, c.variant, c.areaMM2
+	}
+	return rows, nil
 }

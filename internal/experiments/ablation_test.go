@@ -2,17 +2,39 @@ package experiments
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
 )
 
-func TestReservationPipeliningAblationDirection(t *testing.T) {
-	rows, err := ReservationPipeliningAblation(context.Background(), quickOpts())
+// ablations runs every study once, at quickOpts, for all the tests below.
+var ablations = sync.OnceValues(func() ([]Row, error) {
+	return Ablations(context.Background(), quickOpts())
+})
+
+// study returns one study's rows in variant order, and the same rows by
+// variant.
+func study(t *testing.T, name string) ([]Row, map[string]Row) {
+	t.Helper()
+	all, err := ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rows []Row
+	byVariant := map[string]Row{}
+	for _, r := range all {
+		if r.Study == name {
+			rows = append(rows, r)
+			byVariant[r.Variant] = r
+		}
+	}
+	return rows, byVariant
+}
+
+func TestReservationPipeliningAblationDirection(t *testing.T) {
+	rows, _ := study(t, "reservation-pipelining")
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -31,14 +53,7 @@ func TestReservationPipeliningAblationDirection(t *testing.T) {
 }
 
 func TestAcquisitionChunkAblationAvoidsStarvation(t *testing.T) {
-	rows, err := AcquisitionChunkAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byVariant := make(map[string]AblationRow, len(rows))
-	for _, r := range rows {
-		byVariant[r.Variant] = r
-	}
+	_, byVariant := study(t, "acquisition-chunk")
 	// The default chunk (8) must beat unlimited acquisition (64), which
 	// lets the first token holders starve the rest.
 	if byVariant["chunk-8"].PeakBandwidthGbps <= byVariant["chunk-64"].PeakBandwidthGbps {
@@ -48,9 +63,9 @@ func TestAcquisitionChunkAblationAvoidsStarvation(t *testing.T) {
 }
 
 func TestReservedMinimumAblationTradeoff(t *testing.T) {
-	rows, err := ReservedMinimumAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
+	rows, _ := study(t, "reserved-minimum")
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows", len(rows))
 	}
 	// A larger reserve shrinks the dynamically shareable pool, so peak
 	// bandwidth under skew must not increase.
@@ -64,14 +79,7 @@ func TestReservedMinimumAblationTradeoff(t *testing.T) {
 }
 
 func TestWaveguideRestrictionAblationTradesAreaForBandwidth(t *testing.T) {
-	rows, err := WaveguideRestrictionAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byVariant := make(map[string]AblationRow, len(rows))
-	for _, r := range rows {
-		byVariant[r.Variant] = r
-	}
+	_, byVariant := study(t, "waveguide-restriction")
 	unrestricted := byVariant["unrestricted"]
 	restricted := byVariant["2-waveguides"]
 	if restricted.AreaMM2 >= unrestricted.AreaMM2 {
@@ -90,10 +98,7 @@ func TestWaveguideRestrictionAblationTradesAreaForBandwidth(t *testing.T) {
 }
 
 func TestIntraClusterAblationRuns(t *testing.T) {
-	rows, err := IntraClusterAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, _ := study(t, "intra-cluster")
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -105,19 +110,14 @@ func TestIntraClusterAblationRuns(t *testing.T) {
 }
 
 func TestArchitectureComparisonRuns(t *testing.T) {
-	rows, err := ArchitectureComparison(context.Background(), quickOpts(), traffic.BWSet1, traffic.Skewed{Level: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, byVariant := study(t, "architecture")
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3 architectures", len(rows))
 	}
-	byVariant := make(map[string]AblationRow, len(rows))
 	for _, r := range rows {
 		if r.PeakBandwidthGbps <= 0 {
 			t.Fatalf("%s delivered nothing", r.Variant)
 		}
-		byVariant[r.Variant] = r
 	}
 	// The headline claim must survive the three-way comparison too.
 	if byVariant["d-hetpnoc"].PeakBandwidthGbps <= byVariant["firefly"].PeakBandwidthGbps {
@@ -126,41 +126,35 @@ func TestArchitectureComparisonRuns(t *testing.T) {
 }
 
 func TestLoadLatencyCurveShape(t *testing.T) {
-	points, err := LoadLatencyCurve(context.Background(), quickOpts(), fabric.DHetPNoC, traffic.Uniform{},
-		traffic.BWSet1, []float64{0.4, 1.0})
+	cfg := fabric.Config{Arch: fabric.DHetPNoC, Set: traffic.BWSet1, Pattern: traffic.Uniform{}, LoadScale: 0.4}
+	saturatedCfg := cfg
+	saturatedCfg.LoadScale = 1.0
+	rows, err := RunMatrix(context.Background(), quickOpts(), []fabric.Config{cfg, saturatedCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points", len(points))
-	}
-	light, saturated := points[0], points[1]
+	light, saturated := rows[0], rows[1]
 	// Latency must rise toward saturation; delivered bandwidth must grow
 	// with offered load below saturation.
 	if saturated.AvgLatencyCycles <= light.AvgLatencyCycles {
 		t.Fatalf("latency did not rise with load: %.1f -> %.1f",
 			light.AvgLatencyCycles, saturated.AvgLatencyCycles)
 	}
-	if saturated.DeliveredGbps <= light.DeliveredGbps {
+	if saturated.PeakBandwidthGbps <= light.PeakBandwidthGbps {
 		t.Fatalf("throughput did not rise with load: %.1f -> %.1f",
-			light.DeliveredGbps, saturated.DeliveredGbps)
+			light.PeakBandwidthGbps, saturated.PeakBandwidthGbps)
 	}
 }
 
 func TestAllocationPolicyAblation(t *testing.T) {
-	rows, err := AllocationPolicyAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, byVariant := study(t, "allocation-policy")
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	byVariant := make(map[string]AblationRow, len(rows))
 	for _, r := range rows {
 		if r.PeakBandwidthGbps <= 0 {
 			t.Fatalf("%s delivered nothing", r.Variant)
 		}
-		byVariant[r.Variant] = r
 	}
 	// With the default chunking the proportional policy must be at least
 	// competitive (it removes first-come starvation at a small
@@ -174,16 +168,9 @@ func TestAllocationPolicyAblation(t *testing.T) {
 }
 
 func TestBurstinessAblationDegradesLatency(t *testing.T) {
-	rows, err := BurstinessAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, byVariant := study(t, "burstiness")
 	if len(rows) != 6 {
 		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	byVariant := make(map[string]AblationRow, len(rows))
-	for _, r := range rows {
-		byVariant[r.Variant] = r
 	}
 	// Burstier traffic at the same average rate must not improve latency.
 	smooth := byVariant["d-hetpnoc-x1"].AvgLatencyCycles
@@ -200,16 +187,11 @@ func TestBurstinessAblationDegradesLatency(t *testing.T) {
 // bound prevents that, winning both service fairness and bandwidth in the
 // unbounded configuration.
 func TestProportionalFixesUnboundedGreedyStarvation(t *testing.T) {
-	rows, err := AllocationPolicyAblation(context.Background(), quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byVariant := make(map[string]AblationRow, len(rows))
+	rows, byVariant := study(t, "allocation-policy")
 	for _, r := range rows {
 		if r.FairnessJain <= 0 || r.FairnessJain > 1 {
 			t.Fatalf("%s fairness %g outside (0,1]", r.Variant, r.FairnessJain)
 		}
-		byVariant[r.Variant] = r
 	}
 	greedy := byVariant["greedy-unbounded"]
 	prop := byVariant["proportional-unbounded"]

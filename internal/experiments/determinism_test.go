@@ -13,7 +13,7 @@ import (
 // goroutines, but each run's state is isolated and seeded, so two
 // executions produce identical rows regardless of scheduling.
 func TestRunMatrixParallelDeterminism(t *testing.T) {
-	points := []Point{
+	cfgs := []fabric.Config{
 		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
 		{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC},
 		{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 3}, Arch: fabric.Firefly},
@@ -22,12 +22,12 @@ func TestRunMatrixParallelDeterminism(t *testing.T) {
 	opts := quickOpts()
 	opts.Parallelism = 4
 
-	a, err := RunMatrix(context.Background(), opts, points)
+	a, err := RunMatrix(context.Background(), opts, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 1
-	b, err := RunMatrix(context.Background(), opts, points)
+	b, err := RunMatrix(context.Background(), opts, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}

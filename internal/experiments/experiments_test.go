@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"hetpnoc/internal/area"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
+	"hetpnoc/internal/units"
 )
 
 // quickOpts shrinks the runs so the whole package tests in seconds.
@@ -14,11 +16,11 @@ func quickOpts() Options {
 }
 
 func TestRunMatrixOrderAndFields(t *testing.T) {
-	points := []Point{
+	cfgs := []fabric.Config{
 		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
 		{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC},
 	}
-	rows, err := RunMatrix(context.Background(), quickOpts(), points)
+	rows, err := RunMatrix(context.Background(), quickOpts(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,24 +37,29 @@ func TestRunMatrixOrderAndFields(t *testing.T) {
 		if r.PeakBandwidthGbps <= 0 || r.EnergyPerMessagePJ <= 0 || r.PacketsDelivered <= 0 {
 			t.Fatalf("row has empty metrics: %+v", r)
 		}
-		if r.AtLoad != 1.0 {
-			t.Fatalf("default sweep should settle at load 1.0, got %g", r.AtLoad)
+		if r.AtLoad != 1.0 || r.TotalWavelengths != traffic.BWSet1.TotalWavelengths {
+			t.Fatalf("a config's defaults are load 1.0 and BW1's wavelengths, got %+v", r)
 		}
 	}
 }
 
+// TestRunMatrixLoadSweepKeepsBest: a load sweep is one config per load,
+// each row reports its config's load, and the peak of a uniform sweep is
+// at the highest load, since delivered bandwidth grows with it.
 func TestRunMatrixLoadSweepKeepsBest(t *testing.T) {
-	opts := quickOpts()
-	opts.LoadScales = []float64{0.5, 1.0}
-	rows, err := RunMatrix(context.Background(), opts, []Point{
-		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
-	})
+	var cfgs []fabric.Config
+	for _, load := range []float64{0.5, 1.0} {
+		cfgs = append(cfgs, fabric.Config{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly, LoadScale: load})
+	}
+	rows, err := RunMatrix(context.Background(), quickOpts(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Uniform delivered bandwidth grows with load, so the peak is at 1.0.
-	if rows[0].AtLoad != 1.0 {
-		t.Fatalf("peak found at load %g, want 1.0", rows[0].AtLoad)
+	if rows[0].AtLoad != 0.5 || rows[1].AtLoad != 1.0 {
+		t.Fatalf("rows at loads %g, %g, want 0.5, 1.0", rows[0].AtLoad, rows[1].AtLoad)
+	}
+	if rows[1].PeakBandwidthGbps <= rows[0].PeakBandwidthGbps {
+		t.Fatalf("peak at load 0.5 (%.1f Gb/s), not 1.0 (%.1f)", rows[0].PeakBandwidthGbps, rows[1].PeakBandwidthGbps)
 	}
 }
 
@@ -98,33 +105,30 @@ func TestAreaSweepDefaults(t *testing.T) {
 	}
 }
 
+// TestWavelengthScalingSeries: Figures 3-8/3-9's series, d-HetPNoC at
+// skewed 3 across the three bandwidth sets, grows bandwidth by multiples
+// and area by the thesis's 70%.
 func TestWavelengthScalingSeries(t *testing.T) {
-	points, err := WavelengthScaling(context.Background(), quickOpts(), fabric.DHetPNoC)
+	var cfgs []fabric.Config
+	for _, set := range traffic.BandwidthSets() {
+		cfgs = append(cfgs, fabric.Config{Set: set, Pattern: traffic.Skewed{Level: 3}, Arch: fabric.DHetPNoC})
+	}
+	rows, err := RunMatrix(context.Background(), quickOpts(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("got %d points, want 3 (the three bandwidth sets)", len(points))
+	if len(rows) != 3 {
+		t.Fatalf("got %d rows, want 3 (the three bandwidth sets)", len(rows))
 	}
-	if points[0].BandwidthChangePct != 0 || points[0].AreaChangePct != 0 {
-		t.Fatalf("base point deltas not zero: %+v", points[0])
+	first, last := rows[0], rows[len(rows)-1]
+	if first.TotalWavelengths != 64 || last.TotalWavelengths != 512 {
+		t.Fatalf("series spans %d..%d wavelengths, want 64..512", first.TotalWavelengths, last.TotalWavelengths)
 	}
-	// Bandwidth must grow dramatically with the wavelength budget; area
-	// grows ~70% (the analytic model).
-	last := points[len(points)-1]
-	if last.BandwidthChangePct < 300 {
-		t.Fatalf("64->512 bandwidth change %.1f%%, want a multi-x increase", last.BandwidthChangePct)
+	if bw := (last.PeakBandwidthGbps/first.PeakBandwidthGbps - 1) * 100; bw < 300 {
+		t.Fatalf("64->512 bandwidth change %.1f%%, want a multi-x increase", bw)
 	}
-	if last.AreaChangePct < 69 || last.AreaChangePct > 71 {
-		t.Fatalf("64->512 area change %.1f%%, thesis says 70%%", last.AreaChangePct)
-	}
-}
-
-func TestSetByName(t *testing.T) {
-	if _, err := setByName("BW2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := setByName("nope"); err == nil {
-		t.Fatal("unknown set accepted")
+	areaAt := func(r Row) units.SquareMillimeter { return area.DefaultConfig(r.TotalWavelengths).DynamicAreaMM2() }
+	if a := (areaAt(last)/areaAt(first) - 1) * 100; a < 69 || a > 71 {
+		t.Fatalf("64->512 area change %.1f%%, thesis says 70%%", a)
 	}
 }

@@ -13,22 +13,24 @@ import (
 	"hetpnoc/internal/units"
 )
 
-// The runners in this package all execute through runPlan. These tests
-// hold them to the solo path: every row must equal the one computed here
-// from a fresh fabric.New + Run per case. The case tables below restate,
-// independently of the runners, which simulations each study consists
-// of.
+// Every runner in this package executes through runPlan. These tests
+// hold it to the solo path: a row must equal the one computed here from
+// a fresh fabric.New + Run of its config.
 
 func referenceOpts() Options {
 	return Options{Cycles: 1500, WarmupCycles: 300, Seed: 3, Parallelism: 2}
 }
 
-// soloRun is the reference: one fabric per config, no batch engine.
+// soloRun is the reference: one fabric per config, no batch engine. opts
+// fills the cycles, warm-up and seed that cfg leaves zero.
 func soloRun(t *testing.T, opts Options, cfg fabric.Config) fabric.Result {
 	t.Helper()
-	cfg.Cycles = opts.Cycles
-	cfg.WarmupCycles = opts.WarmupCycles
-	cfg.Seed = opts.Seed
+	if cfg.Cycles == 0 {
+		cfg.Cycles, cfg.WarmupCycles = opts.Cycles, opts.WarmupCycles
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = opts.Seed
+	}
 	f, err := fabric.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,123 +39,63 @@ func soloRun(t *testing.T, opts Options, cfg fabric.Config) fabric.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Seed != cfg.Seed {
+		t.Fatalf("solo run reports seed %d, want %d", res.Seed, cfg.Seed)
+	}
 	return res
 }
 
-func dhet(set traffic.BandwidthSet, pattern traffic.Pattern) fabric.Config {
-	return fabric.Config{Arch: fabric.DHetPNoC, Set: set, Pattern: pattern}
-}
-
-func TestAblationsMatchSoloRuns(t *testing.T) {
-	skewed := func(level int) traffic.Pattern { return traffic.Skewed{Level: level} }
-	with := func(cfg fabric.Config, edit func(*fabric.Config)) fabric.Config {
-		edit(&cfg)
-		return cfg
+// TestRowsMatchSoloRuns runs one mixed list through RunMatrix — a figure
+// point, an ablation variant, two loads of a latency curve (one on the
+// torus) and a second seed — and holds every row to its solo run.
+func TestRowsMatchSoloRuns(t *testing.T) {
+	skewed2 := func(arch fabric.Arch, set traffic.BandwidthSet) fabric.Config {
+		return fabric.Config{Arch: arch, Set: set, Pattern: traffic.Skewed{Level: 2}}
 	}
-	bursty := func(arch fabric.Arch, factor float64) fabric.Config {
-		return fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Bursty{Base: skewed(2), Factor: factor}}
-	}
-	plain := func(arch fabric.Arch) fabric.Config {
-		return fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: skewed(2)}
-	}
-
-	studies := []struct {
-		name  string
-		run   func(context.Context, Options) ([]AblationRow, error)
-		cases []fabric.Config
-	}{
-		{"reservation-pipelining", ReservationPipeliningAblation, []fabric.Config{
-			dhet(traffic.BWSet3, skewed(2)),
-			with(dhet(traffic.BWSet3, skewed(2)), func(c *fabric.Config) { c.DisableReservationPipelining = true }),
-		}},
-		{"acquisition-chunk", AcquisitionChunkAblation, []fabric.Config{
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 1 }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 2 }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 4 }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 8 }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 64 }),
-		}},
-		{"reserved-minimum", ReservedMinimumAblation, []fabric.Config{
-			with(dhet(traffic.BWSet1, skewed(3)), func(c *fabric.Config) { c.ReservedPerCluster = 1 }),
-			with(dhet(traffic.BWSet1, skewed(3)), func(c *fabric.Config) { c.ReservedPerCluster = 2 }),
-			with(dhet(traffic.BWSet1, skewed(3)), func(c *fabric.Config) { c.ReservedPerCluster = 4 }),
-		}},
-		{"intra-cluster", IntraClusterAblation, []fabric.Config{
-			with(dhet(traffic.BWSet1, skewed(2)), func(c *fabric.Config) { c.IntraCluster = fabric.AllToAll }),
-			with(dhet(traffic.BWSet1, skewed(2)), func(c *fabric.Config) { c.IntraCluster = fabric.Concentrated }),
-		}},
-		{"waveguide-restriction", WaveguideRestrictionAblation, []fabric.Config{
-			dhet(traffic.BWSet3, skewed(3)),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.WaveguidesPerCluster = 2 }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.WaveguidesPerCluster = 4 }),
-		}},
-		{"allocation-policy", AllocationPolicyAblation, []fabric.Config{
-			dhet(traffic.BWSet3, skewed(3)),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.MaxAcquirePerVisit = 512 }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.ProportionalDBA = true }),
-			with(dhet(traffic.BWSet3, skewed(3)), func(c *fabric.Config) { c.ProportionalDBA, c.MaxAcquirePerVisit = true, 512 }),
-		}},
-		{"burstiness", BurstinessAblation, []fabric.Config{
-			plain(fabric.Firefly), plain(fabric.DHetPNoC),
-			bursty(fabric.Firefly, 4), bursty(fabric.DHetPNoC, 4),
-			bursty(fabric.Firefly, 16), bursty(fabric.DHetPNoC, 16),
-		}},
-		{"architecture", func(ctx context.Context, o Options) ([]AblationRow, error) {
-			return ArchitectureComparison(ctx, o, traffic.BWSet2, traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1})
-		}, []fabric.Config{
-			{Arch: fabric.Firefly, Set: traffic.BWSet2, Pattern: traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1}},
-			{Arch: fabric.DHetPNoC, Set: traffic.BWSet2, Pattern: traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1}},
-			{Arch: fabric.TorusPNoC, Set: traffic.BWSet2, Pattern: traffic.SkewedHotspot{HotFraction: 0.1, BaseLevel: 1}},
-		}},
-	}
+	serialized := skewed2(fabric.DHetPNoC, traffic.BWSet3)
+	serialized.DisableReservationPipelining = true
+	light := skewed2(fabric.DHetPNoC, traffic.BWSet1)
+	light.LoadScale = 0.3
+	torus := skewed2(fabric.TorusPNoC, traffic.BWSet1)
+	torus.LoadScale = 1.4
+	reseeded := skewed2(fabric.DHetPNoC, traffic.BWSet1)
+	reseeded.Seed = 7
+	cfgs := []fabric.Config{skewed2(fabric.Firefly, traffic.BWSet1), serialized, light, torus, reseeded}
 
 	opts := referenceOpts()
-	for _, study := range studies {
-		rows, err := study.run(context.Background(), opts)
-		if err != nil {
-			t.Fatalf("%s: %v", study.name, err)
-		}
-		if len(rows) != len(study.cases) {
-			t.Fatalf("%s: %d rows for %d cases", study.name, len(rows), len(study.cases))
-		}
-		for i, cfg := range study.cases {
-			res := soloRun(t, opts, cfg)
-			want := AblationRow{
-				Study:              study.name,
-				Variant:            rows[i].Variant, // labels are checked by the per-study tests
-				PeakBandwidthGbps:  res.Stats.DeliveredGbps,
-				EnergyPerMessagePJ: res.EnergyPerMessagePJ,
-				AvgLatencyCycles:   res.Stats.AvgLatencyCycles,
-				FairnessJain:       res.Stats.FairnessJain,
-				AreaMM2:            rows[i].AreaMM2, // analytic, not simulated
-			}
-			if rows[i] != want {
-				t.Errorf("%s case %d (%s) diverges from its solo run:\nplan: %+v\nsolo: %+v", study.name, i, rows[i].Variant, rows[i], want)
-			}
-		}
+	rows, err := RunMatrix(context.Background(), opts, cfgs)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestLoadLatencyCurveMatchesSoloRuns(t *testing.T) {
-	opts := referenceOpts()
-	loads := []float64{0.3, 1.0, 1.4}
-	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC, fabric.TorusPNoC} {
-		points, err := LoadLatencyCurve(context.Background(), opts, arch, traffic.Skewed{Level: 2}, traffic.BWSet1, loads)
-		if err != nil {
-			t.Fatal(err)
+	if len(rows) != len(cfgs) {
+		t.Fatalf("%d rows for %d configs", len(rows), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		res := soloRun(t, opts, cfg)
+		load := cfg.LoadScale
+		if load == 0 {
+			load = 1
 		}
-		for i, load := range loads {
-			res := soloRun(t, opts, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, LoadScale: load})
-			want := LatencyPoint{
-				LoadScale:        load,
-				OfferedGbps:      res.OfferedGbps,
-				DeliveredGbps:    res.Stats.DeliveredGbps,
-				AvgLatencyCycles: res.Stats.AvgLatencyCycles,
-				MaxLatencyCycles: int64(res.Stats.MaxLatencyCycles),
-			}
-			if points[i] != want {
-				t.Errorf("%s at load %g diverges from its solo run:\nplan: %+v\nsolo: %+v", arch, load, points[i], want)
-			}
+		want := Row{
+			Set:                  cfg.Set.Name,
+			Pattern:              cfg.Pattern.Name(),
+			Arch:                 cfg.Arch.String(),
+			AtLoad:               load,
+			TotalWavelengths:     cfg.Set.TotalWavelengths,
+			PeakBandwidthGbps:    res.Stats.DeliveredGbps,
+			PerCoreGbps:          res.PerCoreGbps,
+			EnergyPerMessagePJ:   res.EnergyPerMessagePJ,
+			OfferedGbps:          res.OfferedGbps,
+			PacketsDelivered:     res.Stats.PacketsDelivered,
+			PacketsDropped:       res.Stats.PacketsDroppedRX,
+			Retransmissions:      res.Stats.Retransmissions,
+			AvgLatencyCycles:     res.Stats.AvgLatencyCycles,
+			MaxLatencyCycles:     int64(res.Stats.MaxLatencyCycles),
+			FairnessJain:         res.Stats.FairnessJain,
+			AllocatedWavelengths: res.AllocatedWavelengths,
+		}
+		if !reflect.DeepEqual(rows[i], want) {
+			t.Errorf("config %d diverges from its solo run:\nplan: %+v\nsolo: %+v", i, rows[i], want)
 		}
 	}
 }
@@ -210,18 +152,16 @@ func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 // it simulates anything.
 func TestRunnersHonorCancellation(t *testing.T) {
 	endless := Options{Cycles: 1 << 30, WarmupCycles: 1000, Parallelism: 2}
-	point := Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}
 	type runner struct {
 		name string
 		run  func(context.Context) error
 	}
 	runners := []runner{
 		{"RunMatrix", func(ctx context.Context) error {
-			_, err := RunMatrix(ctx, endless, []Point{point, {Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}})
-			return err
-		}},
-		{"RunReplicated", func(ctx context.Context) error {
-			_, err := RunReplicated(ctx, endless, point, 2)
+			_, err := RunMatrix(ctx, endless, []fabric.Config{
+				{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC},
+				{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
+			})
 			return err
 		}},
 		{"PeakBandwidth", func(ctx context.Context) error {
@@ -232,41 +172,14 @@ func TestRunnersHonorCancellation(t *testing.T) {
 			_, err := CaseStudies(ctx, endless, traffic.BWSet1)
 			return err
 		}},
-		{"ScalingSeries", func(ctx context.Context) error {
-			_, err := ScalingSeries(ctx, endless, fabric.DHetPNoC)
-			return err
-		}},
-		{"WavelengthScaling", func(ctx context.Context) error {
-			_, err := WavelengthScaling(ctx, endless, fabric.DHetPNoC)
-			return err
-		}},
-		{"LoadLatencyCurve", func(ctx context.Context) error {
-			_, err := LoadLatencyCurve(ctx, endless, fabric.DHetPNoC, traffic.Uniform{}, traffic.BWSet1, nil)
+		{"Ablations", func(ctx context.Context) error {
+			_, err := Ablations(ctx, endless)
 			return err
 		}},
 		{"EnergySensitivity", func(ctx context.Context) error {
 			_, err := EnergySensitivity(ctx, endless, nil)
 			return err
 		}},
-		{"ArchitectureComparison", func(ctx context.Context) error {
-			_, err := ArchitectureComparison(ctx, endless, traffic.BWSet1, traffic.Uniform{})
-			return err
-		}},
-	}
-	for name, ablation := range map[string]func(context.Context, Options) ([]AblationRow, error){
-		"ReservationPipeliningAblation": ReservationPipeliningAblation,
-		"AcquisitionChunkAblation":      AcquisitionChunkAblation,
-		"ReservedMinimumAblation":       ReservedMinimumAblation,
-		"IntraClusterAblation":          IntraClusterAblation,
-		"WaveguideRestrictionAblation":  WaveguideRestrictionAblation,
-		"AllocationPolicyAblation":      AllocationPolicyAblation,
-		"BurstinessAblation":            BurstinessAblation,
-		"AllAblations":                  AllAblations,
-	} {
-		runners = append(runners, runner{name, func(ctx context.Context) error {
-			_, err := ablation(ctx, endless)
-			return err
-		}})
 	}
 	// finish runs r and fails the test if it is still running after
 	// 5 s: one check interval is well under a millisecond of stepping,
@@ -301,14 +214,14 @@ func TestRunnersHonorCancellation(t *testing.T) {
 // TestRunMatrixContextCanceled: a dead context aborts a finite matrix
 // with its error instead of running the points, and returns no rows.
 func TestRunMatrixContextCanceled(t *testing.T) {
-	opts := Options{Cycles: 1500, WarmupCycles: 500, LoadScales: []float64{1.0}, Parallelism: 2}
-	points := []Point{
+	opts := Options{Cycles: 1500, WarmupCycles: 500, Parallelism: 2}
+	cfgs := []fabric.Config{
 		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
 		{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := RunMatrix(ctx, opts, points)
+	rows, err := RunMatrix(ctx, opts, cfgs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

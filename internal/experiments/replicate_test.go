@@ -3,12 +3,28 @@ package experiments
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/traffic"
 )
+
+// meanStd returns the sample mean and (n-1) standard deviation.
+func meanStd(xs []float64) (mean, std float64) {
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	if len(xs) < 2 {
+		return mean, 0
+	}
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += float64(d * d) // rounded: no fused multiply-add on any GOARCH
+	}
+	return mean, math.Sqrt(ss / float64(len(xs)-1))
+}
 
 func TestMeanStd(t *testing.T) {
 	mean, std := meanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
@@ -24,59 +40,40 @@ func TestMeanStd(t *testing.T) {
 	}
 }
 
-func TestRunReplicatedValidation(t *testing.T) {
-	p := Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}
-	if _, err := RunReplicated(context.Background(), quickOpts(), p, 1); err == nil {
-		t.Fatal("single-seed replication accepted")
-	}
+// replicated is one config's delivered bandwidth over several seeds.
+type replicated struct {
+	mean, ci95 float64 // Gb/s; ci95 is the normal-approximation half-width
 }
 
-// TestReplicasMatchSoloRuns holds replication to the one batch contract:
-// replica i is the best-over-the-load-sweep row of solo runs at
-// opts.Seed+i, each written out here as fabric.New + StepContext +
-// Finish on its own fresh fabric.
-func TestReplicasMatchSoloRuns(t *testing.T) {
-	opts := quickOpts()
-	opts.LoadScales = []float64{0.5, 1.0}
-	opts = opts.withDefaults()
-	p := Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC}
-	const seeds = 3
-	ctx := context.Background()
-
-	rows, err := replicateRows(ctx, opts, p, seeds)
+// replicate runs cfg at seeds 1..seeds, each seed one config of a single
+// list, and aggregates the delivered bandwidth.
+func replicate(t *testing.T, cfg fabric.Config, seeds int) replicated {
+	t.Helper()
+	cfgs := make([]fabric.Config, seeds)
+	for i := range cfgs {
+		cfgs[i] = cfg
+		cfgs[i].Seed = uint64(i + 1)
+	}
+	rows, err := RunMatrix(context.Background(), quickOpts(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != seeds {
-		t.Fatalf("got %d rows, want %d", len(rows), seeds)
+		t.Fatalf("%d rows for %d seeds", len(rows), seeds)
 	}
-	for i := 0; i < seeds; i++ {
-		var want Row
-		for _, scale := range opts.LoadScales {
-			cfg := pointConfig(opts, p, scale)
-			cfg.Seed = opts.Seed + uint64(i)
-			f, err := fabric.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.StepContext(ctx, opts.Cycles); err != nil {
-				t.Fatal(err)
-			}
-			res, err := f.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Seed != cfg.Seed {
-				t.Fatalf("solo run reports seed %d, want %d", res.Seed, cfg.Seed)
-			}
-			if row := rowAtPeak(p, scale, res); row.PeakBandwidthGbps > want.PeakBandwidthGbps {
-				want = row
-			}
-		}
-		if !reflect.DeepEqual(rows[i], want) {
-			t.Fatalf("replica %d diverged from the solo runs at seed %d:\nreplica: %+v\nsolo:    %+v", i, opts.Seed+uint64(i), rows[i], want)
-		}
+	bandwidths := make([]float64, seeds)
+	for i, r := range rows {
+		bandwidths[i] = float64(r.PeakBandwidthGbps)
 	}
+	mean, std := meanStd(bandwidths)
+	return replicated{mean: mean, ci95: 1.96 / math.Sqrt(float64(seeds)) * std}
+}
+
+// significantGain reports whether b's mean exceeds a's beyond the sum of
+// their confidence half-widths — a conservative "the gain is not seed
+// noise" check.
+func significantGain(a, b replicated) bool {
+	return b.mean-a.mean > a.ci95+b.ci95
 }
 
 // TestSkewedGainIsStatisticallySignificant replicates the headline result
@@ -84,44 +81,24 @@ func TestReplicasMatchSoloRuns(t *testing.T) {
 // exceed the combined 95% confidence half-widths — it is an architectural
 // effect, not seed noise.
 func TestSkewedGainIsStatisticallySignificant(t *testing.T) {
-	opts := quickOpts()
 	const seeds = 5
-
-	ff, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.Firefly}, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dh, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC}, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("firefly  %.1f +- %.1f Gb/s; d-hetpnoc %.1f +- %.1f Gb/s",
-		ff.BandwidthMeanGbps, ff.BandwidthCI95Gbps, dh.BandwidthMeanGbps, dh.BandwidthCI95Gbps)
-	if !SignificantGain(ff, dh) {
-		t.Fatalf("gain not significant: firefly %.1f+-%.1f vs d-het %.1f+-%.1f",
-			ff.BandwidthMeanGbps, ff.BandwidthCI95Gbps, dh.BandwidthMeanGbps, dh.BandwidthCI95Gbps)
-	}
-	if ff.Seeds != seeds || dh.Seeds != seeds {
-		t.Fatal("seed counts wrong")
+	ff := replicate(t, fabric.Config{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.Firefly}, seeds)
+	dh := replicate(t, fabric.Config{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: fabric.DHetPNoC}, seeds)
+	t.Logf("firefly  %.1f +- %.1f Gb/s; d-hetpnoc %.1f +- %.1f Gb/s", ff.mean, ff.ci95, dh.mean, dh.ci95)
+	if !significantGain(ff, dh) {
+		t.Fatalf("gain not significant: firefly %.1f+-%.1f vs d-het %.1f+-%.1f", ff.mean, ff.ci95, dh.mean, dh.ci95)
 	}
 }
 
 // TestUniformEqualityHoldsAcrossSeeds: at uniform traffic the two
 // crossbar architectures tie for every seed, so their means coincide.
 func TestUniformEqualityHoldsAcrossSeeds(t *testing.T) {
-	opts := quickOpts()
-	ff, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}, 3)
-	if err != nil {
-		t.Fatal(err)
+	ff := replicate(t, fabric.Config{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly}, 3)
+	dh := replicate(t, fabric.Config{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}, 3)
+	if math.Abs(ff.mean-dh.mean) > 1e-9 {
+		t.Fatalf("uniform means differ: %.3f vs %.3f", ff.mean, dh.mean)
 	}
-	dh, err := RunReplicated(context.Background(), opts, Point{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ff.BandwidthMeanGbps-dh.BandwidthMeanGbps) > 1e-9 {
-		t.Fatalf("uniform means differ: %.3f vs %.3f", ff.BandwidthMeanGbps, dh.BandwidthMeanGbps)
-	}
-	if SignificantGain(ff, dh) || SignificantGain(dh, ff) {
+	if significantGain(ff, dh) || significantGain(dh, ff) {
 		t.Fatal("uniform traffic reported a significant gain")
 	}
 }

@@ -33,7 +33,6 @@ type SensitivityRow struct {
 // simulation, so Firefly and d-HetPNoC run once each and every row prices
 // their ledger counts.
 func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]SensitivityRow, error) {
-	opts = opts.withDefaults()
 	if len(scales) == 0 {
 		scales = []float64{0.25, 0.5, 1.0, 2.0, 4.0}
 	}
@@ -43,13 +42,12 @@ func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]S
 		}
 	}
 
-	var specs []fabric.Config
-	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
-		specs = append(specs, pointConfig(opts, Point{Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, Arch: arch}, fabric.DefaultLoadScale))
-	}
-	out, err := runPlan(ctx, opts, specs)
+	out, err := runPlan(ctx, opts, []fabric.Config{
+		{Arch: fabric.Firefly, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}},
+		{Arch: fabric.DHetPNoC, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: energy sensitivity: %w", err)
+		return nil, err
 	}
 	epm := func(res fabric.Result, energy photonic.EnergyParams) units.Picojoule {
 		return energy.Price(res.EnergyCounts).PerMessage(res.Stats.PacketsDelivered)

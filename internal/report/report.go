@@ -159,7 +159,7 @@ func (r *Report) AddGPUSpeedups(points []gpgpu.SpeedupPoint) error {
 }
 
 // AddAblations renders the extension studies as a table.
-func (r *Report) AddAblations(rows []experiments.AblationRow) {
+func (r *Report) AddAblations(rows []experiments.Row) {
 	table := &tableData{Header: []string{"study", "variant",
 		"BW " + units.Gbps(0).Unit(), "EPM " + units.Picojoule(0).Unit(), "area " + units.SquareMillimeter(0).Unit()}}
 	for _, row := range rows {

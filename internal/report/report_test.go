@@ -92,7 +92,7 @@ func TestFullReportRenders(t *testing.T) {
 	if err := r.AddGPUSpeedups(gpu); err != nil {
 		t.Fatal(err)
 	}
-	r.AddAblations([]experiments.AblationRow{
+	r.AddAblations([]experiments.Row{
 		{Study: "s", Variant: "v", PeakBandwidthGbps: 1, EnergyPerMessagePJ: 2, AreaMM2: 3},
 	})
 
