@@ -36,8 +36,8 @@ var ErrDraining = errors.New("serve: server is draining")
 var ErrSimulation = errors.New("serve: simulation failed")
 
 // Config parameterizes a Server. The zero value serves with
-// GOMAXPROCS workers, a queue twice that deep, a 1024-entry cache and a
-// 2-minute per-job timeout.
+// GOMAXPROCS workers, a queue twice that deep and a 1024-entry cache,
+// and limits neither a job's lifetime nor a request's cycles.
 type Config struct {
 	// Workers is the number of concurrent simulations (default
 	// GOMAXPROCS).
@@ -51,12 +51,11 @@ type Config struct {
 	CacheCapacity int
 
 	// JobTimeout caps one simulation's lifetime from admission to
-	// completion; 0 means no limit (default 2 minutes).
+	// completion; 0 means no limit.
 	JobTimeout time.Duration
 
 	// MaxCycles rejects configs asking for more simulated cycles than
-	// the service is willing to spend on one request; 0 means no limit
-	// (default 10,000,000).
+	// the service is willing to spend on one request; 0 means no limit.
 	MaxCycles int
 
 	// RetryAfter is the backoff hint returned with ErrBusy responses
@@ -73,12 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 1024
-	}
-	if c.JobTimeout == 0 {
-		c.JobTimeout = 2 * time.Minute
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 10_000_000
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second

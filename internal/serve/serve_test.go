@@ -334,6 +334,22 @@ func TestSubmitMaxCycles(t *testing.T) {
 	}
 }
 
+// TestZeroConfigLimitsNothing: the zero Config sets no cycle limit, so a
+// 20M-cycle request gets past validation and is refused for its canceled
+// context, not for its size.
+func TestZeroConfigLimitsNothing(t *testing.T) {
+	s := New(Config{})
+	defer closeServer(t, s)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Submit(ctx, hetpnoc.Config{Cycles: 20_000_000}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a 20M-cycle submit on the zero Config returned %v, want context.Canceled", err)
+	}
+	if s.cfg.JobTimeout != 0 {
+		t.Fatalf("the zero Config's job timeout is %v, want none", s.cfg.JobTimeout)
+	}
+}
+
 func TestSubmitInvalidConfig(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer closeServer(t, s)
@@ -364,10 +380,8 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 // TestCloseCancelsJobInFlight: a drain whose context ends cancels the
 // job still running, with or without a job timeout, so Close returns
 // soon after its deadline instead of when a 2^30-cycle run would end.
-// Zero takes the default timeout, so a negative JobTimeout is the one
-// that sets none.
 func TestCloseCancelsJobInFlight(t *testing.T) {
-	for _, timeout := range []time.Duration{time.Hour, -1} {
+	for _, timeout := range []time.Duration{time.Hour, 0} {
 		s := New(Config{Workers: 1, JobTimeout: timeout, MaxCycles: 1 << 30})
 		submitted := make(chan error, 1)
 		go func() {
