@@ -1,7 +1,6 @@
 package photonic
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -54,25 +53,6 @@ func TestSlotMappingRoundTrip(t *testing.T) {
 func TestBitsPerCycle(t *testing.T) {
 	if got, err := WavelengthCredit(2.5e9); got != units.Bits(5) || err != nil {
 		t.Fatalf("WavelengthCredit(2.5 GHz) = %d, %v; want 5 bits", got, err)
-	}
-}
-
-func TestWavelengthIDOrdering(t *testing.T) {
-	ids := []WavelengthID{
-		{Waveguide: 1, Wavelength: 0},
-		{Waveguide: 0, Wavelength: 5},
-		{Waveguide: 0, Wavelength: 2},
-		{Waveguide: 1, Wavelength: 0}, // duplicate keeps order stable
-	}
-	sort.SliceStable(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	want := []WavelengthID{{0, 2}, {0, 5}, {1, 0}, {1, 0}}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("sorted %v, want %v", ids, want)
-		}
-	}
-	if s := ids[0].String(); s != "w0:l2" {
-		t.Fatalf("String() = %q", s)
 	}
 }
 

@@ -45,14 +45,6 @@ func (w WavelengthID) String() string {
 	return fmt.Sprintf("w%d:l%d", w.Waveguide, w.Wavelength)
 }
 
-// Less orders identifiers by (waveguide, wavelength).
-func (w WavelengthID) Less(o WavelengthID) bool {
-	if w.Waveguide != o.Waveguide {
-		return w.Waveguide < o.Waveguide
-	}
-	return w.Wavelength < o.Wavelength
-}
-
 // WaveguideBundle describes the data-waveguide bundle shared by all
 // photonic routers: how many waveguides exist and how many DWDM
 // wavelengths each carries.
