@@ -21,7 +21,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
@@ -41,22 +40,6 @@ type Options struct {
 
 	// Parallelism bounds concurrent simulations (default: GOMAXPROCS).
 	Parallelism int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Cycles == 0 {
-		o.Cycles = fabric.DefaultCycles
-	}
-	if o.WarmupCycles == 0 {
-		o.WarmupCycles = fabric.DefaultWarmupCycles
-	}
-	if o.Seed == 0 {
-		o.Seed = fabric.DefaultSeed
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // Row is the outcome of one simulated config: the delivered ("peak")
@@ -98,10 +81,10 @@ type Row struct {
 // supplies the cycles, warm-up and seed of each config that leaves them
 // zero, the configs become one batch plan bounded by opts.Parallelism,
 // configs sharing a build prefix share one fabric, and the results come
-// back in config order. Each result is bit-identical to a solo
-// fabric.New + Run of its config (the batch contract, docs/BATCHING.md).
+// back in config order. A value left zero in both takes the fabric's
+// default. Each result is bit-identical to a solo fabric.New + Run of
+// its config (the batch contract, docs/BATCHING.md).
 func runPlan(ctx context.Context, opts Options, cfgs []fabric.Config) ([]fabric.Result, error) {
-	opts = opts.withDefaults()
 	specs := make([]fabric.Config, len(cfgs))
 	for i, cfg := range cfgs {
 		if cfg.Cycles == 0 {
