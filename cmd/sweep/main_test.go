@@ -64,46 +64,114 @@ func TestRunHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestGolden: each selection prints its golden byte for byte.
-// quick.golden is every figure at 4,000 cycles, figures.golden every
-// figure at the full 10,000, extensions.golden the ablation,
-// load-latency and energy-sensitivity tables, tables.golden the input
-// tables. After an intended change regenerate one with `go run
-// ./cmd/sweep <args> > cmd/sweep/testdata/<golden>` and review the diff.
+// TestQuickGolden: sweep -quick, every figure at 4,000 cycles, prints
+// testdata/quick.golden byte for byte.
+func TestQuickGolden(t *testing.T) {
+	leakcheck.Check(t)
+	checkGolden(t, "quick.golden", []string{"-quick"})
+}
+
+// TestGolden: each further selection prints its golden byte for byte.
+// figures.golden is every figure at the full 10,000 cycles,
+// extensions.golden the ablation, load-latency and energy-sensitivity
+// tables, tables.golden the input tables. After an intended change
+// regenerate one with `go run ./cmd/sweep <args> >
+// cmd/sweep/testdata/<golden>` and review the diff.
 func TestGolden(t *testing.T) {
 	leakcheck.Check(t)
 	for _, c := range []struct {
 		golden string
 		args   []string
 	}{
-		{"quick.golden", []string{"-quick"}},
 		{"figures.golden", nil},
 		{"extensions.golden", []string{"-quick", "-fig", "none", "-ablations", "-latency", "-sensitivity"}},
 		{"tables.golden", []string{"-tables"}},
 	} {
 		t.Run(strings.TrimSuffix(c.golden, ".golden"), func(t *testing.T) {
 			t.Parallel()
-			want, err := os.ReadFile(filepath.Join("testdata", c.golden))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got bytes.Buffer
-			if err := run(context.Background(), c.args, &got); err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(got.Bytes(), want) {
-				return
-			}
-			gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-			var diff strings.Builder
-			for i := range max(len(gotLines), len(wantLines)) {
-				g, w := line(gotLines, i), line(wantLines, i)
-				if g != w {
-					fmt.Fprintf(&diff, "line %d:\n-%s\n+%s\n", i+1, w, g)
-				}
-			}
-			t.Errorf("sweep %s drifted from testdata/%s (-golden +now):\n%s", strings.Join(c.args, " "), c.golden, diff.String())
+			checkGolden(t, c.golden, c.args)
 		})
+	}
+}
+
+// The single-figure tests hold one -fig selection to its section of the
+// golden that prints every figure at the same cycle count.
+
+func TestRunFig1_1(t *testing.T) {
+	checkSection(t, "figures.golden", []string{"-fig", "1-1"})
+}
+
+func TestRunFig3_6(t *testing.T) {
+	checkSection(t, "figures.golden", []string{"-fig", "3-6"})
+}
+
+func TestRunQuickSimulationFigure(t *testing.T) {
+	leakcheck.Check(t)
+	if testing.Short() {
+		t.Skip("simulation figure in -short mode")
+	}
+	checkSection(t, "quick.golden", []string{"-fig", "3-8", "-quick"})
+}
+
+func TestRunScalingFigures(t *testing.T) {
+	leakcheck.Check(t)
+	if testing.Short() {
+		t.Skip("simulation figures in -short mode")
+	}
+	checkSection(t, "figures.golden", []string{"-fig", "3-7"})
+	checkSection(t, "figures.golden", []string{"-fig", "3-10"})
+}
+
+// sweep runs sweep with args and returns what it printed.
+func sweep(t *testing.T, args []string) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(context.Background(), args, &out); err != nil {
+		t.Fatalf("sweep %s: %v", strings.Join(args, " "), err)
+	}
+	return out.Bytes()
+}
+
+// golden reads testdata/<name>.
+func golden(t *testing.T, name string) []byte {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// checkGolden fails with the differing lines unless sweep args prints
+// testdata/<name> byte for byte.
+func checkGolden(t *testing.T, name string, args []string) {
+	t.Helper()
+	want, got := golden(t, name), sweep(t, args)
+	if bytes.Equal(got, want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	var diff strings.Builder
+	for i := range max(len(gotLines), len(wantLines)) {
+		g, w := line(gotLines, i), line(wantLines, i)
+		if g != w {
+			fmt.Fprintf(&diff, "line %d:\n-%s\n+%s\n", i+1, w, g)
+		}
+	}
+	t.Errorf("sweep %s drifted from testdata/%s (-golden +now):\n%s", strings.Join(args, " "), name, diff.String())
+}
+
+// checkSection fails unless sweep args prints a non-empty run of whole
+// lines found as they stand in testdata/<name>.
+func checkSection(t *testing.T, name string, args []string) {
+	t.Helper()
+	got := sweep(t, args)
+	if len(got) == 0 || got[len(got)-1] != '\n' {
+		t.Fatalf("sweep %s printed %q, want whole lines", strings.Join(args, " "), got)
+	}
+	want := golden(t, name)
+	if !bytes.HasPrefix(want, got) && !bytes.Contains(want, append([]byte("\n"), got...)) {
+		t.Errorf("sweep %s printed a section not in testdata/%s:\n%s", strings.Join(args, " "), name, got)
 	}
 }
 

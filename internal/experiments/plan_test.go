@@ -45,23 +45,39 @@ func soloRun(t *testing.T, opts Options, cfg fabric.Config) fabric.Result {
 	return res
 }
 
-// TestRowsMatchSoloRuns runs one mixed list through RunMatrix — a figure
-// point, an ablation variant, two loads of a latency curve (one on the
-// torus) and a second seed — and holds every row to its solo run.
-func TestRowsMatchSoloRuns(t *testing.T) {
-	skewed2 := func(arch fabric.Arch, set traffic.BandwidthSet) fabric.Config {
-		return fabric.Config{Arch: arch, Set: set, Pattern: traffic.Skewed{Level: 2}}
+// soloRow is the Row that RunMatrix must return for cfg: its solo run's
+// figures under cfg's labels.
+func soloRow(t *testing.T, opts Options, cfg fabric.Config) Row {
+	t.Helper()
+	res := soloRun(t, opts, cfg)
+	load := cfg.LoadScale
+	if load == 0 {
+		load = 1
 	}
-	serialized := skewed2(fabric.DHetPNoC, traffic.BWSet3)
-	serialized.DisableReservationPipelining = true
-	light := skewed2(fabric.DHetPNoC, traffic.BWSet1)
-	light.LoadScale = 0.3
-	torus := skewed2(fabric.TorusPNoC, traffic.BWSet1)
-	torus.LoadScale = 1.4
-	reseeded := skewed2(fabric.DHetPNoC, traffic.BWSet1)
-	reseeded.Seed = 7
-	cfgs := []fabric.Config{skewed2(fabric.Firefly, traffic.BWSet1), serialized, light, torus, reseeded}
+	return Row{
+		Set:                  cfg.Set.Name,
+		Pattern:              cfg.Pattern.Name(),
+		Arch:                 cfg.Arch.String(),
+		AtLoad:               load,
+		TotalWavelengths:     cfg.Set.TotalWavelengths,
+		PeakBandwidthGbps:    res.Stats.DeliveredGbps,
+		PerCoreGbps:          res.PerCoreGbps,
+		EnergyPerMessagePJ:   res.EnergyPerMessagePJ,
+		OfferedGbps:          res.OfferedGbps,
+		PacketsDelivered:     res.Stats.PacketsDelivered,
+		PacketsDropped:       res.Stats.PacketsDroppedRX,
+		Retransmissions:      res.Stats.Retransmissions,
+		AvgLatencyCycles:     res.Stats.AvgLatencyCycles,
+		MaxLatencyCycles:     int64(res.Stats.MaxLatencyCycles),
+		FairnessJain:         res.Stats.FairnessJain,
+		AllocatedWavelengths: res.AllocatedWavelengths,
+	}
+}
 
+// matrixMatchesSoloRuns runs cfgs through RunMatrix as one list and holds
+// every row to soloRow of its config.
+func matrixMatchesSoloRuns(t *testing.T, cfgs []fabric.Config) {
+	t.Helper()
 	opts := referenceOpts()
 	rows, err := RunMatrix(context.Background(), opts, cfgs)
 	if err != nil {
@@ -71,33 +87,76 @@ func TestRowsMatchSoloRuns(t *testing.T) {
 		t.Fatalf("%d rows for %d configs", len(rows), len(cfgs))
 	}
 	for i, cfg := range cfgs {
-		res := soloRun(t, opts, cfg)
-		load := cfg.LoadScale
-		if load == 0 {
-			load = 1
-		}
-		want := Row{
-			Set:                  cfg.Set.Name,
-			Pattern:              cfg.Pattern.Name(),
-			Arch:                 cfg.Arch.String(),
-			AtLoad:               load,
-			TotalWavelengths:     cfg.Set.TotalWavelengths,
-			PeakBandwidthGbps:    res.Stats.DeliveredGbps,
-			PerCoreGbps:          res.PerCoreGbps,
-			EnergyPerMessagePJ:   res.EnergyPerMessagePJ,
-			OfferedGbps:          res.OfferedGbps,
-			PacketsDelivered:     res.Stats.PacketsDelivered,
-			PacketsDropped:       res.Stats.PacketsDroppedRX,
-			Retransmissions:      res.Stats.Retransmissions,
-			AvgLatencyCycles:     res.Stats.AvgLatencyCycles,
-			MaxLatencyCycles:     int64(res.Stats.MaxLatencyCycles),
-			FairnessJain:         res.Stats.FairnessJain,
-			AllocatedWavelengths: res.AllocatedWavelengths,
-		}
-		if !reflect.DeepEqual(rows[i], want) {
+		if want := soloRow(t, opts, cfg); !reflect.DeepEqual(rows[i], want) {
 			t.Errorf("config %d diverges from its solo run:\nplan: %+v\nsolo: %+v", i, rows[i], want)
 		}
 	}
+}
+
+func skewed2(arch fabric.Arch, set traffic.BandwidthSet) fabric.Config {
+	return fabric.Config{Arch: arch, Set: set, Pattern: traffic.Skewed{Level: 2}}
+}
+
+// TestRowsMatchSoloRuns runs one mixed list through RunMatrix — a figure
+// point, an ablation variant, two loads of a latency curve (one on the
+// torus) and a second seed — and holds every row to its solo run.
+func TestRowsMatchSoloRuns(t *testing.T) {
+	serialized := skewed2(fabric.DHetPNoC, traffic.BWSet3)
+	serialized.DisableReservationPipelining = true
+	light := skewed2(fabric.DHetPNoC, traffic.BWSet1)
+	light.LoadScale = 0.3
+	torus := skewed2(fabric.TorusPNoC, traffic.BWSet1)
+	torus.LoadScale = 1.4
+	reseeded := skewed2(fabric.DHetPNoC, traffic.BWSet1)
+	reseeded.Seed = 7
+	matrixMatchesSoloRuns(t, []fabric.Config{skewed2(fabric.Firefly, traffic.BWSet1), serialized, light, torus, reseeded})
+}
+
+// TestAblationsMatchSoloRuns: every row of Ablations is its case's solo
+// run, labeled with the case's study, variant and analytic area.
+func TestAblationsMatchSoloRuns(t *testing.T) {
+	opts := referenceOpts()
+	rows, err := Ablations(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := ablationCases()
+	if len(rows) != len(cases) {
+		t.Fatalf("%d rows for %d ablation cases", len(rows), len(cases))
+	}
+	for i, c := range cases {
+		want := soloRow(t, opts, c.cfg)
+		want.Study, want.Variant, want.AreaMM2 = c.study, c.variant, c.areaMM2
+		if !reflect.DeepEqual(rows[i], want) {
+			t.Errorf("%s/%s diverges from its solo run:\nplan: %+v\nsolo: %+v", c.study, c.variant, rows[i], want)
+		}
+	}
+}
+
+// TestLoadLatencyCurveMatchesSoloRuns: a load-latency curve is one config
+// per load; each architecture's curve, run as one list, is its solo runs.
+func TestLoadLatencyCurveMatchesSoloRuns(t *testing.T) {
+	var cfgs []fabric.Config
+	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC, fabric.TorusPNoC} {
+		for _, load := range []float64{0.3, 1.0, 1.4} {
+			cfg := skewed2(arch, traffic.BWSet1)
+			cfg.LoadScale = load
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	matrixMatchesSoloRuns(t, cfgs)
+}
+
+// TestReplicasMatchSoloRuns: replicas are one config per seed; each
+// replica, run in one list with the others, is its solo run at that seed.
+func TestReplicasMatchSoloRuns(t *testing.T) {
+	var cfgs []fabric.Config
+	for i := range uint64(3) {
+		cfg := skewed2(fabric.DHetPNoC, traffic.BWSet1)
+		cfg.Seed = referenceOpts().Seed + i
+		cfgs = append(cfgs, cfg)
+	}
+	matrixMatchesSoloRuns(t, cfgs)
 }
 
 // TestEnergySensitivityMatchesSoloRuns: each row is the solo runs' ledger
