@@ -11,9 +11,10 @@
 //	sweep -fig 3-10     # Firefly scaling across bandwidth sets
 //	sweep -tables       # the input tables (3-1..3-5)
 //
-// Simulation figures honour -cycles/-warmup/-seed; -quick shrinks runs for
-// a fast smoke pass. -parallel bounds concurrent simulations; figures run
-// one after another, each as one batch plan.
+// Simulation figures honour -cycles/-warmup/-seed; -quick shrinks the run
+// lengths that -cycles and -warmup do not set, for a fast smoke pass.
+// -parallel bounds concurrent simulations; figures run one after another,
+// each as one batch plan.
 package main
 
 import (
@@ -53,7 +54,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cycles      = fs.Int("cycles", fabric.DefaultCycles, "simulated cycles per run")
 		warmup      = fs.Int("warmup", fabric.DefaultWarmupCycles, "warm-up cycles per run")
 		seed        = fs.Uint64("seed", fabric.DefaultSeed, "simulation seed")
-		quick       = fs.Bool("quick", false, "short runs (4000 cycles) for a fast pass")
+		quick       = fs.Bool("quick", false, "short runs (4000 cycles, 800 warm-up) unless -cycles or -warmup says otherwise")
 		parallel    = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		csvDir      = fs.String("csv", "", "also write machine-readable CSV files into this directory")
 	)
@@ -69,8 +70,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	opts := experiments.Options{Cycles: *cycles, WarmupCycles: *warmup, Seed: *seed, Parallelism: *parallel}
 	if *quick {
-		opts.Cycles = 4000
-		opts.WarmupCycles = 800
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if !set["cycles"] {
+			opts.Cycles = 4000
+		}
+		if !set["warmup"] {
+			opts.WarmupCycles = 800
+		}
 	}
 
 	var figures []func(*bytes.Buffer) error
@@ -205,11 +212,16 @@ func printFig1_1(w *bytes.Buffer) error {
 }
 
 func printFig3_3(ctx context.Context, w *bytes.Buffer, opts experiments.Options, csvDir string) error {
+	csv, err := createCSV(csvDir, "fig3-3_peak_bandwidth.csv")
+	if err != nil {
+		return err
+	}
+	defer csv.Close()
 	rows, err := experiments.PeakBandwidth(ctx, opts, traffic.BandwidthSets())
 	if err != nil {
 		return err
 	}
-	if err := writeRowsCSV(w, csvDir, "fig3-3_peak_bandwidth.csv", rows); err != nil {
+	if err := writeRowsCSV(w, csv, rows); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "== Figures 3-3 / 3-4: peak bandwidth and packet energy, Firefly vs d-HetPNoC ==")
@@ -223,33 +235,43 @@ func printFig3_3(ctx context.Context, w *bytes.Buffer, opts experiments.Options,
 	return nil
 }
 
-// writeRowsCSV writes rows into dir/name when dir is set.
-func writeRowsCSV(w *bytes.Buffer, dir, name string, rows []experiments.Row) error {
+// createCSV creates dir/name, or returns a nil file when dir is not set.
+// A figure calls it before it simulates, so a bad directory fails at once,
+// and defers the file's Close for its error paths (a second Close is
+// harmless).
+func createCSV(dir, name string) (*os.File, error) {
 	if dir == "" {
+		return nil, nil
+	}
+	return os.Create(filepath.Join(dir, name))
+}
+
+// writeRowsCSV writes rows into f and closes it; a nil f writes nothing.
+func writeRowsCSV(w *bytes.Buffer, f *os.File, rows []experiments.Row) error {
+	if f == nil {
 		return nil
 	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	if err := experiments.WriteRowsCSV(f, rows); err != nil {
-		_ = f.Close() // the write error is the one worth returning
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "wrote", path)
+	fmt.Fprintln(w, "wrote", f.Name())
 	return nil
 }
 
 func printFig3_5(ctx context.Context, w *bytes.Buffer, opts experiments.Options, csvDir string) error {
+	csv, err := createCSV(csvDir, "fig3-5_case_studies.csv")
+	if err != nil {
+		return err
+	}
+	defer csv.Close()
 	rows, err := experiments.CaseStudies(ctx, opts, traffic.BWSet1)
 	if err != nil {
 		return err
 	}
-	if err := writeRowsCSV(w, csvDir, "fig3-5_case_studies.csv", rows); err != nil {
+	if err := writeRowsCSV(w, csv, rows); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "== Figure 3-5: case studies (skewed hotspot + real application), BW set 1 ==")

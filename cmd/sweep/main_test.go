@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +46,32 @@ func TestRunFig3_3RejectsBadCSVDir(t *testing.T) {
 	err := run(context.Background(), []string{"-fig", "3-3", "-quick", "-cycles", "1500", "-warmup", "300", "-csv", "/nonexistent-dir"}, os.Stdout)
 	if err == nil {
 		t.Fatal("unwritable CSV dir accepted")
+	}
+}
+
+// TestRunCSVFailsBeforeSimulating: a figure creates its CSV file before it
+// simulates, so a bad -csv directory is reported even when the context is
+// canceled and no simulation could run.
+func TestRunCSVFailsBeforeSimulating(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fig := range []string{"3-3", "3-5"} {
+		err := run(ctx, []string{"-fig", fig, "-csv", "/nonexistent-dir"}, io.Discard)
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("sweep -fig %s -csv /nonexistent-dir with a canceled context: want fs.ErrNotExist, got %v", fig, err)
+		}
+	}
+}
+
+// TestRunQuickKeepsExplicitCycles: -quick shortens only the run lengths
+// the caller did not set.
+func TestRunQuickKeepsExplicitCycles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation figure in -short mode")
+	}
+	explicit := []string{"-fig", "3-5", "-cycles", "2000", "-warmup", "400"}
+	if quick, plain := sweep(t, append([]string{"-quick"}, explicit...)), sweep(t, explicit); !bytes.Equal(quick, plain) {
+		t.Errorf("sweep -quick %s printed\n%s\nwithout -quick it printed\n%s", strings.Join(explicit, " "), quick, plain)
 	}
 }
 
