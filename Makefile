@@ -1,13 +1,10 @@
 # Tier-1 verification and perf tooling for the hetpnoc simulator.
 #
-#   make check   — build, vet, lint (hetpnoclint), full test suite, a
-#                  race-enabled run of everything, and bench-check (the
-#                  CI gate)
-#   make lint    — run the 3-analyzer suite (cmd/hetpnoclint: errsink,
-#                  allocproof, apistable; see docs/ANALYSIS.md)
-#   make lint-fix — apply the suite's machine-applicable fixes in place
-#                  (run `make lint-dry` first to preview)
-#   make test    — fast test pass only
+#   make check   — build, vet, full test suite, a race-enabled run of
+#                  everything, and bench-check (the CI gate)
+#   make test    — fast test pass only; it includes the static checks of
+#                  static_test.go (API goldens, dropped errors, scan-loop
+#                  bounds checks; see docs/ANALYSIS.md)
 #   make fuzz-smoke — 10s-per-target native fuzz pass (CI smoke gate)
 #   make bench-check — vet, test and smoke-run the bench/ module (the
 #                  BENCHMARK.json load generator), which root `go test
@@ -27,9 +24,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet lint lint-fix lint-dry lint-update test race race-quick fuzz-smoke bench-check bench-smoke fused mutants sweep
+.PHONY: check build vet test race race-quick fuzz-smoke bench-check bench-smoke fused mutants sweep
 
-check: build vet lint test race bench-check
+check: build vet test race bench-check
 
 build:
 	$(GO) build ./...
@@ -37,34 +34,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# hetpnoclint checks what no run can see, with 3 analyzers: dropped
-# errors (errsink), residual bounds checks in the simulator's occupancy
-# scan loops, from the compiler's own output (allocproof), and
-# exported-API stability (apistable); any violation exits non-zero. The
-# rest are dynamic gates: zero allocations (TestStepZeroAllocs,
+# The root package's static_test.go checks what no run can see: the
+# exported API against testdata/api goldens (regenerate with `go test -run
+# '^TestAPIGolden$' -update .`), dropped errors, and the bounds checks
+# the compiler leaves in the simulator's occupancy scan loops. The rest
+# are dynamic gates: zero allocations (TestStepZeroAllocs,
 # TestRunAllocations), determinism (TestPathEquivalence's Beside path)
 # and cancellation (the runners' cancellation tests), shown by `make
-# mutants` to kill the catalogued defects; lock discipline, goroutine lifetime, channel
-# and WaitGroup discipline by `make race` plus the leakcheck-armed tests;
-# checkpoint completeness by TestCheckpointRoundTrip. See
-# docs/ANALYSIS.md.
-lint:
-	$(GO) run ./cmd/hetpnoclint ./...
-
-# Apply the suite's machine-applicable SuggestedFix rewrites in place.
-# Conflicting fixes are dropped, not merged; re-run after reviewing.
-lint-fix:
-	$(GO) run ./cmd/hetpnoclint -fix ./...
-
-# Preview what lint-fix would rewrite without touching files.
-lint-dry:
-	$(GO) run ./cmd/hetpnoclint -fix -dry ./...
-
-# Regenerate the apistable API golden snapshots (testdata/api/*.golden)
-# after an intentional exported-API change, then review the diff.
-lint-update:
-	$(GO) run ./cmd/hetpnoclint -update ./...
-
+# mutants` to kill the catalogued defects; lock discipline, goroutine
+# lifetime, channel and WaitGroup discipline by `make race` plus the
+# leakcheck-armed tests; checkpoint completeness by
+# TestCheckpointRoundTrip. See docs/ANALYSIS.md.
 test:
 	$(GO) test ./...
 
