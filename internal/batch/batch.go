@@ -3,13 +3,13 @@
 // Each real consumer of the simulator — parameter sweeps, replicated
 // runs, the differential oracles, a service answering misses — runs
 // simulations that differ only in seed or offered load, and naively pays
-// a fabric build for each (~350 µs, 2,307 allocations and ~0.6 MB). A
+// a fabric build for each (~450 µs, ~2,100 allocations and ~0.6 MB). A
 // Plan deduplicates its job list by configuration prefix (topology,
 // photonic model, architecture, traffic pattern and every other
 // build-time parameter are shared; seed and load scale vary) and runs
 // each group of members on ONE fabric: every member but the one that
 // built it starts by Restore + SetLoadScale + Reseed off the build's
-// cycle-0 checkpoint (~45 µs, ~210 allocations) — cache-hot stepping, no
+// cycle-0 checkpoint (~25 µs, no allocations) — cache-hot stepping, no
 // rebuilds.
 //
 // Builds outlive their plan. After a group finishes without error its

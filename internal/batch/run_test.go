@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hetpnoc/internal/fabric"
-	"hetpnoc/internal/sim"
 	"hetpnoc/internal/testutil/leakcheck"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
@@ -199,7 +198,7 @@ type firing func()
 
 func (firing) Name() string { return "firing" }
 
-func (fire firing) Assign(topology.Topology, traffic.BandwidthSet, *sim.RNG) (traffic.Assignment, error) {
+func (fire firing) Assign(topology.Topology, traffic.BandwidthSet) (traffic.Assignment, error) {
 	fire()
 	return traffic.Assignment{}, errors.New("unreachable: the remap's func did not return")
 }

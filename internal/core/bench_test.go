@@ -77,11 +77,11 @@ func setDemand(a *Allocator, demand int) {
 }
 
 // TestTickAllocatesNothing: token circulation allocates nothing, whether
-// the pool is contended or settled. A visit that moves a cluster's count
-// allocates once, the copy-on-write of its wavelength IDs (engines hold
-// views of the old ones), and nothing else: so while every cluster gives
-// its dynamic wavelengths back, down to its reserved one, the ticks
-// allocate exactly once a move.
+// the pool is contended or settled, and neither does a visit that moves
+// a cluster's count: engines count wavelengths, so a move only rewrites
+// the cluster's fixed-width acquired row. So while every cluster gives
+// its dynamic wavelengths back, down to its reserved one, and while it
+// takes them again, the ticks allocate nothing.
 func TestTickAllocatesNothing(t *testing.T) {
 	for _, demand := range []int{64, 32} {
 		a, now := converged(t, demand)
@@ -94,7 +94,6 @@ func TestTickAllocatesNothing(t *testing.T) {
 		}
 	}
 	a, now := converged(t, 64)
-	setDemand(a, 0)
 	// One cluster at most is visited a tick, so the total moves with it.
 	counts := func() (sum int) {
 		for c := range a.clusters {
@@ -102,19 +101,24 @@ func TestTickAllocatesNothing(t *testing.T) {
 		}
 		return sum
 	}
-	var moves uint64
-	n := mallocs(func() {
-		for range 2 * a.clusters * a.TransitCycles() {
-			before := counts()
-			a.Tick(now)
-			now++
-			if counts() != before {
-				moves++
+	for _, c := range []struct {
+		demand, rotations, want int
+	}{{0, 2, 1}, {32, 8, 32}} {
+		setDemand(a, c.demand)
+		var moves int
+		n := mallocs(func() {
+			for range c.rotations * a.clusters * a.TransitCycles() {
+				before := counts()
+				a.Tick(now)
+				now++
+				if counts() != before {
+					moves++
+				}
 			}
+		})
+		if n != 0 || moves == 0 || a.AllocatedCount(0) != c.want {
+			t.Errorf("demand %d: %d moves made %d allocations and left cluster 0 %d wavelengths; want none and %d", c.demand, moves, n, a.AllocatedCount(0), c.want)
 		}
-	})
-	if n != moves || moves == 0 || a.AllocatedCount(0) != 1 {
-		t.Errorf("giving the dynamic wavelengths back made %d allocations in %d moves and left cluster 0 %d wavelengths; want one a move and 1", n, moves, a.AllocatedCount(0))
 	}
 }
 

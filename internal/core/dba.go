@@ -141,6 +141,10 @@ type Allocator struct {
 	transitCycles int
 	tokenBits     int
 
+	// stride is the width of one cluster's acquired row: the most
+	// wavelengths one channel can hold.
+	stride int
+
 	state
 }
 
@@ -156,13 +160,11 @@ type state struct {
 
 	// owner[slot] is the cluster owning wavelength slot, or -1.
 	owner []int
-	// acquired[c] lists the slots cluster c owns, reserved slots first,
+	// held[c] is how many wavelengths cluster c owns, and
+	// acquired[c*stride:][:held[c]] lists them: reserved slots first,
 	// then dynamic slots in acquisition order.
-	acquired [][]int
-	// ids[c] caches acquired[c] as WavelengthIDs. The cache is replaced,
-	// never mutated in place (see process), so a copy of the row headers
-	// stays valid however far the run advances.
-	ids [][]photonic.WavelengthID
+	held     []int
+	acquired []int
 
 	// demand row c*K+i is the wavelength demand core i of cluster c
 	// reports toward each destination cluster (K cores per cluster).
@@ -180,20 +182,13 @@ type state struct {
 }
 
 // copyFrom makes dst a copy of src that shares no backing array with it,
-// reusing dst's arrays. Only the acquired rows vary in length; each is
-// copied into the row it replaces.
+// reusing dst's arrays.
 func (dst *state) copyFrom(src *state) {
 	keep := *dst
 	*dst = *src
 	dst.owner = append(keep.owner[:0], src.owner...)
-	dst.acquired = keep.acquired
-	if len(dst.acquired) != len(src.acquired) {
-		dst.acquired = make([][]int, len(src.acquired))
-	}
-	for c, row := range src.acquired {
-		dst.acquired[c] = append(dst.acquired[c][:0], row...)
-	}
-	dst.ids = append(keep.ids[:0], src.ids...)
+	dst.held = append(keep.held[:0], src.held...)
+	dst.acquired = append(keep.acquired[:0], src.acquired...)
 	dst.demand = append(keep.demand[:0], src.demand...)
 	dst.request = append(keep.request[:0], src.request...)
 	dst.current = append(keep.current[:0], src.current...)
@@ -259,16 +254,21 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 		}
 	}
 
+	stride := cfg.TotalWavelengths
+	if cfg.MaxChannelWavelengths > 0 {
+		stride = min(stride, max(cfg.MaxChannelWavelengths, cfg.ReservedPerCluster))
+	}
 	a := &Allocator{
 		cfg:           cfg,
 		clusters:      clusters,
 		reservedOwner: make([]int, cfg.Bundle.Capacity()),
 		wants:         make([]int, clusters),
 		currentFor:    make([]int, clusters),
+		stride:        stride,
 		state: state{
 			owner:       make([]int, cfg.Bundle.Capacity()),
-			acquired:    make([][]int, clusters),
-			ids:         make([][]photonic.WavelengthID, clusters),
+			held:        make([]int, clusters),
+			acquired:    make([]int, clusters*stride),
 			demand:      make([]int, clusters*cfg.Topology.ClusterSize()*clusters),
 			request:     make([]int, clusters*clusters),
 			current:     make([]int, clusters*clusters),
@@ -287,9 +287,9 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 			}
 			a.reservedOwner[slot] = c
 			a.owner[slot] = c
-			a.acquired[c] = append(a.acquired[c], slot)
+			a.acquired[c*stride+k] = slot
 		}
-		a.rebuildIDs(c)
+		a.held[c] = cfg.ReservedPerCluster
 	}
 
 	if cfg.Policy == 0 {
@@ -454,8 +454,9 @@ func (a *Allocator) target(c int) int {
 // while it holds the token.
 func (a *Allocator) process(c int, now sim.Cycle) {
 	target := a.target(c)
-	have := len(a.acquired[c])
+	have := a.held[c]
 	before := have
+	row := a.acquired[c*a.stride : (c+1)*a.stride]
 
 	switch {
 	case have < target:
@@ -472,23 +473,23 @@ func (a *Allocator) process(c int, now sim.Cycle) {
 			}
 			a.owner[slot] = c
 			a.free--
-			a.acquired[c] = append(a.acquired[c], slot)
+			row[have] = slot
 			have++
 		}
 	case have > target:
 		// Relinquish surplus dynamic wavelengths, most recently acquired
 		// first; reserved slots are never released.
 		for have > target {
-			last := a.acquired[c][have-1]
+			last := row[have-1]
 			if a.reservedOwner[last] == c {
 				break
 			}
 			a.owner[last] = -1
 			a.free++
-			a.acquired[c] = a.acquired[c][:have-1]
 			have--
 		}
 	}
+	a.held[c] = have
 
 	if have != a.currentFor[c] {
 		current := a.row(a.current, c)
@@ -497,13 +498,7 @@ func (a *Allocator) process(c int, now sim.Cycle) {
 		}
 		a.currentFor[c] = have
 	}
-	// The acquired list only changed if the count moved (a visit either
-	// appends or trims, never both), so an unchanged allocation keeps its
-	// cached IDs — rebuilding would allocate a fresh slice per token
-	// visit. The cache must never be mutated in place: transmit engines
-	// and open receive windows hold views of it across cycles.
 	if have != before {
-		a.rebuildIDs(c)
 		a.cfg.Events.AppendInts(now, event.AllocationChanged, c, 0,
 			"%d -> %d wavelengths (target %d)", int64(before), int64(have), int64(target))
 	}
@@ -542,37 +537,32 @@ func (a *Allocator) slotAllowed(slot, c int) bool {
 	return false
 }
 
-func (a *Allocator) rebuildIDs(c int) {
-	ids := make([]photonic.WavelengthID, len(a.acquired[c]))
-	for i, slot := range a.acquired[c] {
+// slots returns the slots cluster c owns, in acquisition order.
+func (a *Allocator) slots(c int) []int {
+	return a.acquired[c*a.stride:][:a.held[c]]
+}
+
+// Allocated implements xbar.Allocator, building the IDs on every call.
+func (a *Allocator) Allocated(c topology.ClusterID) []photonic.WavelengthID {
+	ids := make([]photonic.WavelengthID, a.held[c])
+	for i, slot := range a.slots(int(c)) {
 		ids[i] = a.cfg.Bundle.IDForSlot(slot)
 	}
-	a.ids[c] = ids
+	return ids
 }
 
-// Allocated implements xbar.Allocator.
-func (a *Allocator) Allocated(c topology.ClusterID) []photonic.WavelengthID {
-	return a.ids[c]
-}
-
-// AllocatedCount returns the size of cluster c's current allocation.
+// AllocatedCount implements xbar.Allocator.
 func (a *Allocator) AllocatedCount(c topology.ClusterID) int {
-	return len(a.acquired[c])
+	return a.held[c]
 }
 
-// SelectForPacket implements xbar.Allocator: the wavelengths for a packet
-// are chosen among the allocated ones according to the current table entry
-// for the destination (§3.3.1). A packet toward a destination with no
-// recorded demand still gets the reserved minimum.
-func (a *Allocator) SelectForPacket(src, dst topology.ClusterID) []photonic.WavelengthID {
-	want := a.current[int(src)*a.clusters+int(dst)]
-	if want < a.cfg.ReservedPerCluster {
-		want = a.cfg.ReservedPerCluster
-	}
-	if have := len(a.ids[src]); want > have {
-		want = have
-	}
-	return a.ids[src][:want]
+// SelectForPacket implements xbar.Allocator: a packet uses the first of
+// the allocated wavelengths, as many as the current table entry for the
+// destination (§3.3.1). A packet toward a destination with no recorded
+// demand still gets the reserved minimum.
+func (a *Allocator) SelectForPacket(src, dst topology.ClusterID) int {
+	want := max(a.current[int(src)*a.clusters+int(dst)], a.cfg.ReservedPerCluster)
+	return min(want, a.held[src])
 }
 
 // RequestTable returns a copy of cluster c's request table.
@@ -589,14 +579,14 @@ func (a *Allocator) CheckInvariants() error {
 	seen := make(map[int]int)
 	total := 0
 	for c := 0; c < a.clusters; c++ {
-		if len(a.acquired[c]) < a.cfg.ReservedPerCluster {
+		if a.held[c] < a.cfg.ReservedPerCluster {
 			return fmt.Errorf("core: cluster %d holds %d < reserved %d wavelengths",
-				c, len(a.acquired[c]), a.cfg.ReservedPerCluster)
+				c, a.held[c], a.cfg.ReservedPerCluster)
 		}
-		if limit := a.cfg.MaxChannelWavelengths; limit > 0 && len(a.acquired[c]) > limit {
-			return fmt.Errorf("core: cluster %d holds %d > cap %d wavelengths", c, len(a.acquired[c]), limit)
+		if limit := a.cfg.MaxChannelWavelengths; limit > 0 && a.held[c] > limit {
+			return fmt.Errorf("core: cluster %d holds %d > cap %d wavelengths", c, a.held[c], limit)
 		}
-		for _, slot := range a.acquired[c] {
+		for _, slot := range a.slots(c) {
 			if prev, dup := seen[slot]; dup {
 				return fmt.Errorf("core: slot %d owned by both cluster %d and %d", slot, prev, c)
 			}
@@ -614,10 +604,7 @@ func (a *Allocator) CheckInvariants() error {
 				return fmt.Errorf("core: cluster %d holds slot %d outside its allowed waveguides", c, slot)
 			}
 		}
-		if len(a.ids[c]) != len(a.acquired[c]) {
-			return fmt.Errorf("core: cluster %d ID cache out of sync", c)
-		}
-		total += len(a.acquired[c])
+		total += a.held[c]
 	}
 	if total > a.cfg.TotalWavelengths {
 		return fmt.Errorf("core: %d wavelengths allocated, budget is %d", total, a.cfg.TotalWavelengths)

@@ -73,7 +73,7 @@ func TestInvariantsUnderRandomProtocolActivity(t *testing.T) {
 					continue
 				}
 				use := a.SelectForPacket(src, dst)
-				if len(use) == 0 || len(use) > a.AllocatedCount(src) {
+				if use == 0 || use > a.AllocatedCount(src) {
 					return false
 				}
 			}
@@ -278,8 +278,8 @@ func referenceWant(a *Allocator, c int) int {
 // ownedCount is the number of wavelengths every cluster holds together.
 func ownedCount(a *Allocator) int {
 	n := 0
-	for _, slots := range a.acquired {
-		n += len(slots)
+	for _, held := range a.held {
+		n += held
 	}
 	return n
 }
@@ -293,14 +293,17 @@ func settledDiff(a, b *Allocator) string {
 	switch {
 	case !slices.Equal(a.owner, b.owner):
 		return "owner"
-	case !reflect.DeepEqual(a.acquired, b.acquired):
-		return "acquired"
+	case !slices.Equal(a.held, b.held):
+		return "held"
 	case !slices.Equal(a.tokenDemand, b.tokenDemand):
 		return "token demand field"
 	case a.rotations != b.rotations || a.pos != b.pos:
 		return "token position"
 	}
 	for c := range a.clusters {
+		if !slices.Equal(a.slots(c), b.slots(c)) {
+			return fmt.Sprintf("acquired[%d]: %v vs %v", c, a.slots(c), b.slots(c))
+		}
 		if !slices.Equal(a.row(a.current, c), b.row(b.current, c)) {
 			return fmt.Sprintf("current[%d]: %v vs %v", c, a.row(a.current, c), b.row(b.current, c))
 		}

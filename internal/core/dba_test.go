@@ -220,14 +220,14 @@ func TestSelectForPacketUsesDemand(t *testing.T) {
 	}
 	rotate(a, 8)
 
-	if got := len(a.SelectForPacket(0, 1)); got != 8 {
+	if got := a.SelectForPacket(0, 1); got != 8 {
 		t.Fatalf("packet to cluster 1 uses %d wavelengths, want 8", got)
 	}
-	if got := len(a.SelectForPacket(0, 2)); got != 2 {
+	if got := a.SelectForPacket(0, 2); got != 2 {
 		t.Fatalf("packet to cluster 2 uses %d wavelengths, want 2", got)
 	}
 	// No recorded demand: still at least the reserved wavelength.
-	if got := len(a.SelectForPacket(0, 9)); got != 1 {
+	if got := a.SelectForPacket(0, 9); got != 1 {
 		t.Fatalf("packet to undemanded cluster uses %d wavelengths, want 1", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestSelectNeverEmpty(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			if len(a.SelectForPacket(topology.ClusterID(src), topology.ClusterID(dst))) == 0 {
+			if a.SelectForPacket(topology.ClusterID(src), topology.ClusterID(dst)) == 0 {
 				t.Fatalf("SelectForPacket(%d,%d) returned no wavelengths", src, dst)
 			}
 		}

@@ -15,7 +15,7 @@ func (a *Allocator) Snapshot(dst *AllocatorSnapshot) { dst.copyFrom(&a.state) }
 // intact for repeated restores, and rebuilds the caches derived from it.
 func (a *Allocator) Restore(s *AllocatorSnapshot) error {
 	if len(s.owner) != len(a.owner) || len(s.acquired) != len(a.acquired) {
-		return fmt.Errorf("core: snapshot shape does not match allocator (%d/%d slots, %d/%d clusters)",
+		return fmt.Errorf("core: snapshot shape does not match allocator (%d/%d slots, %d/%d acquired entries)",
 			len(s.owner), len(a.owner), len(s.acquired), len(a.acquired))
 	}
 	a.state.copyFrom(s)

@@ -262,6 +262,30 @@ func testStepZeroAllocs(t *testing.T, suffix string, every, lightEvery int64) {
 			}
 		}
 	})
+	// The token's acquisition ramp: a skewed d-HetPNoC fabric taken back
+	// to cycle 0, where every cluster holds only its reserved wavelength,
+	// and stepped while the token hands out the demand. Its queues and
+	// pool peaked in the run before the restore, so the visits that move
+	// a cluster's count are what could allocate, and they allocate
+	// nothing: the engines count wavelengths.
+	t.Run("Ramp"+suffix, func(t *testing.T) {
+		f := warmed(t, saturated(traffic.BWSet1, 3, every), 0)
+		cp := f.Checkpoint()
+		step(t, f, 8000)
+		if err := f.Restore(cp); err != nil {
+			t.Fatal(err)
+		}
+		held := func() (n int) {
+			for c := range f.clusters {
+				n += f.dba.AllocatedCount(topology.ClusterID(c))
+			}
+			return n
+		}
+		before := held()
+		if n := mallocs(t, func() error { return f.StepContext(context.Background(), 2000) }); n != 0 || held() <= before {
+			t.Fatalf("2,000 cycles from cycle 0 made %d allocations while the clusters went from %d to %d wavelengths, want 0 and a ramp", n, before, held())
+		}
+	})
 }
 
 // mallocs returns the heap allocations fn makes, run on one P.
@@ -342,7 +366,8 @@ func BenchmarkFabricRestore(b *testing.B) {
 
 // BenchmarkFabricReseed measures the batch engine's whole fork sequence
 // off a pristine (cycle-0) checkpoint: Restore, SetLoadScale and Reseed,
-// which re-assigns the pattern and rebuilds all 64 sources.
+// which reinstalls the build's assignment, rebuilds all 64 sources and
+// refills every core's demand row, allocating nothing.
 func BenchmarkFabricReseed(b *testing.B) {
 	f := warmed(b, dropStormConfig(DHetPNoC), 0)
 	cp := f.Checkpoint()

@@ -70,6 +70,15 @@ type Fabric struct {
 	// state.nextRemap walks it.
 	remaps []Remap
 
+	// built is the build's workload mapping, never written after New:
+	// Reseed reinstalls it.
+	built traffic.Assignment
+
+	// demandRow is applyAssignment's scratch demand table. The allocator
+	// copies each row it is given, and applyAssignment clears it after
+	// use, so it holds no state a checkpoint would miss.
+	demandRow []int
+
 	// pool recycles packet structs once their tail is consumed or the
 	// packet is lost; sources draw from it when generating.
 	pool packet.Pool
@@ -251,12 +260,15 @@ func New(cfg Config) (*Fabric, error) {
 		f.clusters[i].txPort.WakeIn(&f.txActive, i)
 	}
 
-	// Initial workload mapping.
-	assignment, err := cfg.Pattern.Assign(cfg.Topology, cfg.Set, f.rng.Split())
-	if err != nil {
+	// Initial workload mapping. An assignment draws nothing; the split
+	// ahead of it only keeps each source's stream where the goldens pin
+	// it, and Reseed and remap skip one at the same point.
+	f.rng.Split()
+	if f.built, err = cfg.Pattern.Assign(cfg.Topology, cfg.Set); err != nil {
 		return nil, err
 	}
-	if err := f.applyAssignment(assignment); err != nil {
+	f.demandRow = make([]int, cfg.Topology.Clusters())
+	if err := f.applyAssignment(f.built); err != nil {
 		return nil, err
 	}
 
@@ -282,8 +294,10 @@ func (f *Fabric) applyAssignment(a traffic.Assignment) error {
 			return err
 		}
 		f.cores[c].source = src
-		f.alloc.SetDemand(coreID, profile.DemandTable(f.cfg.Topology, f.cfg.Topology.ClusterOf(coreID)))
+		profile.DemandTable(f.demandRow, f.cfg.Topology.ClusterOf(coreID))
+		f.alloc.SetDemand(coreID, f.demandRow)
 	}
+	clear(f.demandRow)
 	f.rebuildGenList()
 	return nil
 }
@@ -304,8 +318,8 @@ func (f *Fabric) rebuildGenList() {
 const noCycle = sim.Cycle(math.MaxInt64)
 
 // Reseed restarts the fabric's randomness from seed at the current cycle
-// boundary: the run RNG is reset and the active workload pattern is
-// re-assigned so every source draws from the new stream. Combined with
+// boundary: the run RNG is reset and the build's workload mapping is
+// reinstalled, so every source draws from the new stream. Combined with
 // Checkpoint/Restore this forks divergent replicas off one warmed-up
 // prefix — buffers, allocations and in-flight packets carry over while
 // all future random draws follow the new seed, and the result reports
@@ -314,11 +328,8 @@ const noCycle = sim.Cycle(math.MaxInt64)
 func (f *Fabric) Reseed(seed uint64) error {
 	f.seed = seed
 	f.rng = *sim.NewRNG(seed)
-	a, err := f.cfg.Pattern.Assign(f.cfg.Topology, f.cfg.Set, f.rng.Split())
-	if err != nil {
-		return err
-	}
-	return f.applyAssignment(a)
+	f.rng.Split() // as New does before its assignment
+	return f.applyAssignment(f.built)
 }
 
 // SetLoadScale replaces the offered-load multiplier. It only takes
@@ -394,7 +405,8 @@ func (f *Fabric) fireDue(now sim.Cycle) error {
 // remap re-assigns the workload from pattern (§3.2): new sources drawn
 // from the run RNG and a fresh demand table for every core.
 func (f *Fabric) remap(pattern traffic.Pattern, now sim.Cycle) error {
-	a, err := pattern.Assign(f.cfg.Topology, f.cfg.Set, f.rng.Split())
+	f.rng.Split() // as New does before its assignment
+	a, err := pattern.Assign(f.cfg.Topology, f.cfg.Set)
 	if err != nil {
 		return err
 	}

@@ -95,7 +95,7 @@ func gather[L ~int | ~int32, B ~int64 | ~float64](f *Fabric, row *Counters, allo
 		row.TorusPathsSetUp, row.TorusSetupsBlocked = f.torus.PathsSetUp(), f.torus.SetupsBlocked()
 	}
 	for cl := range allocated {
-		allocated[cl] = L(len(f.alloc.Allocated(topology.ClusterID(cl))))
+		allocated[cl] = L(f.alloc.AllocatedCount(topology.ClusterID(cl)))
 	}
 	for i, tx := range f.txs {
 		busy[i] = B(tx.BusyCycles())

@@ -16,7 +16,6 @@ import (
 	"hetpnoc"
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
-	"hetpnoc/internal/sim"
 	"hetpnoc/internal/testutil/leakcheck"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
@@ -509,7 +508,7 @@ type poisonRemap struct{ release <-chan struct{} }
 
 func (poisonRemap) Name() string { return "poison" }
 
-func (p poisonRemap) Assign(topology.Topology, traffic.BandwidthSet, *sim.RNG) (traffic.Assignment, error) {
+func (p poisonRemap) Assign(topology.Topology, traffic.BandwidthSet) (traffic.Assignment, error) {
 	<-p.release
 	panic("index out of range [64] with length 64")
 }

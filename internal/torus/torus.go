@@ -138,11 +138,6 @@ type Network struct {
 	// circuits.
 	routes [][]linkID
 
-	// band is the full DWDM band of one link's waveguide, the gating set
-	// of every torus receive window. It never varies per path, so it is
-	// computed once here instead of allocating per established circuit.
-	band []photonic.WavelengthID
-
 	state
 }
 
@@ -186,10 +181,6 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 	if err != nil {
 		return nil, fmt.Errorf("torus: wavelength rate per cycle: %w", err)
 	}
-	band := make([]photonic.WavelengthID, cfg.Bundle.WavelengthsPerWaveguide)
-	for i := range band {
-		band[i] = photonic.WavelengthID{Waveguide: 0, Wavelength: i}
-	}
 	routes := make([][]linkID, cfg.Nodes)
 	for src := range routes {
 		routes[src] = make([]linkID, 0, 2*(side/2))
@@ -204,7 +195,6 @@ func New(cfg Config, tx []*router.Port, rxs []*xbar.RX, ledger *photonic.Ledger,
 		perCycle:  perWavelength * units.BitCredit(cfg.Bundle.WavelengthsPerWaveguide),
 		linkOwner: make(map[linkID]*path),
 		routes:    routes,
-		band:      band,
 		state: state{
 			active:  make([]path, cfg.Nodes),
 			retryAt: make([]sim.Cycle, cfg.Nodes),
@@ -295,7 +285,7 @@ func (n *Network) Tick(now sim.Cycle) error {
 			if now >= p.readyAt {
 				// Acknowledgement arrived: gate the destination's
 				// detectors on the full link DWDM and stream.
-				p.window = n.rxs[p.dst].Begin(p.pkt, n.band)
+				p.window = n.rxs[p.dst].Begin(p.pkt, n.cfg.Bundle.WavelengthsPerWaveguide)
 				p.state = phaseStreaming
 				p.credit = 0
 				n.cfg.Events.AppendInts(now, event.StreamStarted, src, int64(p.pkt.ID),

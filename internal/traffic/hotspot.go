@@ -45,7 +45,7 @@ func CaseStudies() []SkewedHotspot {
 func (h SkewedHotspot) Name() string { return fmt.Sprintf("skewed-hotspot%d", h.Index) }
 
 // Assign implements Pattern.
-func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet, rng *sim.RNG) (Assignment, error) {
+func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
 	if h.HotFraction < 0 || h.HotFraction >= 1 {
 		return Assignment{}, fmt.Errorf("traffic: hotspot fraction %g outside [0,1)", h.HotFraction)
 	}
@@ -53,7 +53,7 @@ func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet, rng *sim
 		return Assignment{}, fmt.Errorf("traffic: hotspot cluster %d outside topology", h.Hotspot)
 	}
 
-	base, err := Skewed{Level: h.BaseLevel}.Assign(topo, set, rng)
+	base, err := Skewed{Level: h.BaseLevel}.Assign(topo, set)
 	if err != nil {
 		return Assignment{}, err
 	}

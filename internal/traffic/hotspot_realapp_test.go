@@ -32,7 +32,7 @@ func TestCaseStudiesConfiguration(t *testing.T) {
 func TestHotspotFraction(t *testing.T) {
 	topo := topology.Default()
 	h := SkewedHotspot{Index: 3, HotFraction: 0.20, BaseLevel: 2}
-	a, err := h.Assign(topo, BWSet1, sim.NewRNG(3))
+	a, err := h.Assign(topo, BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHotspotFraction(t *testing.T) {
 func TestHotspotClusterKeepsBaseTraffic(t *testing.T) {
 	topo := topology.Default()
 	h := SkewedHotspot{Index: 1, HotFraction: 0.10, BaseLevel: 2, Hotspot: 0}
-	a, err := h.Assign(topo, BWSet1, sim.NewRNG(3))
+	a, err := h.Assign(topo, BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,20 +76,20 @@ func TestHotspotClusterKeepsBaseTraffic(t *testing.T) {
 
 func TestHotspotValidation(t *testing.T) {
 	topo := topology.Default()
-	if _, err := (SkewedHotspot{HotFraction: 1.2, BaseLevel: 2}).Assign(topo, BWSet1, sim.NewRNG(1)); err == nil {
+	if _, err := (SkewedHotspot{HotFraction: 1.2, BaseLevel: 2}).Assign(topo, BWSet1); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
-	if _, err := (SkewedHotspot{HotFraction: 0.1, BaseLevel: 9}).Assign(topo, BWSet1, sim.NewRNG(1)); err == nil {
+	if _, err := (SkewedHotspot{HotFraction: 0.1, BaseLevel: 9}).Assign(topo, BWSet1); err == nil {
 		t.Error("bad base level accepted")
 	}
-	if _, err := (SkewedHotspot{HotFraction: 0.1, BaseLevel: 2, Hotspot: 99}).Assign(topo, BWSet1, sim.NewRNG(1)); err == nil {
+	if _, err := (SkewedHotspot{HotFraction: 0.1, BaseLevel: 2, Hotspot: 99}).Assign(topo, BWSet1); err == nil {
 		t.Error("out-of-range hotspot cluster accepted")
 	}
 }
 
 func TestRealAppPlacement(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1, sim.NewRNG(1))
+	a, err := RealApp{}.Assign(topo, BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,13 @@ func TestRealAppPlacement(t *testing.T) {
 
 func TestRealAppDemandRestriction(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1, sim.NewRNG(1))
+	a, err := RealApp{}.Assign(topo, BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// GPU cores only demand bandwidth toward the memory clusters.
-	table := a.Cores[0].DemandTable(topo, topo.ClusterOf(0))
+	table := make([]int, topo.Clusters())
+	a.Cores[0].DemandTable(table, topo.ClusterOf(0))
 	for d := 0; d < 12; d++ {
 		if table[d] != 0 {
 			t.Fatalf("GPU core demands %d wavelengths toward GPU cluster %d", table[d], d)
@@ -141,7 +142,7 @@ func TestRealAppDemandRestriction(t *testing.T) {
 
 func TestRealAppResponseTrafficBalancesRequests(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1, sim.NewRNG(1))
+	a, err := RealApp{}.Assign(topo, BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRealAppResponseTrafficBalancesRequests(t *testing.T) {
 
 func TestRealAppMemoryResponsesWeightedByDemand(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1, sim.NewRNG(1))
+	a, err := RealApp{}.Assign(topo, BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}

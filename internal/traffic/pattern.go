@@ -48,25 +48,22 @@ type CoreProfile struct {
 	BurstCycles int
 }
 
-// DemandTable expands the profile into the per-destination wavelength
-// demand table the core reports to its photonic router (§3.2.1).
-func (p CoreProfile) DemandTable(topo topology.Topology, self topology.ClusterID) []int {
-	table := make([]int, topo.Clusters())
+// DemandTable fills table, one entry per cluster, with the
+// per-destination wavelength demand the core reports to its photonic
+// router (§3.2.1).
+func (p CoreProfile) DemandTable(table []int, self topology.ClusterID) {
 	need := WavelengthsFor(p.DemandGbps)
 	if p.DemandDests != nil {
+		clear(table)
 		for _, d := range p.DemandDests {
-			if d != self {
-				table[d] = need
-			}
+			table[d] = need
 		}
-		return table
-	}
-	for d := range table {
-		if topology.ClusterID(d) != self {
+	} else {
+		for d := range table {
 			table[d] = need
 		}
 	}
-	return table
+	table[self] = 0
 }
 
 // Assignment is a full workload mapping: one profile per core.
@@ -76,14 +73,15 @@ type Assignment struct {
 }
 
 // Pattern generates an Assignment for a topology. Patterns are pure
-// descriptions; all randomness comes from the provided RNG so assignments
-// are reproducible.
+// descriptions: an assignment depends only on the pattern, the topology
+// and the bandwidth set, and the randomness of a run is drawn by its
+// sources' destination samplers.
 type Pattern interface {
 	// Name identifies the pattern in results ("uniform", "skewed3", ...).
 	Name() string
 
 	// Assign maps the workload onto the topology.
-	Assign(topo topology.Topology, set BandwidthSet, rng *sim.RNG) (Assignment, error)
+	Assign(topo topology.Topology, set BandwidthSet) (Assignment, error)
 }
 
 // uniformDest returns a destination sampler drawing uniformly from all
@@ -111,7 +109,7 @@ type Uniform struct{}
 func (Uniform) Name() string { return "uniform" }
 
 // Assign implements Pattern.
-func (Uniform) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG) (Assignment, error) {
+func (Uniform) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
 	if err := set.Validate(); err != nil {
 		return Assignment{}, err
 	}
@@ -154,14 +152,14 @@ func (b Bursty) Name() string {
 }
 
 // Assign implements Pattern.
-func (b Bursty) Assign(topo topology.Topology, set BandwidthSet, rng *sim.RNG) (Assignment, error) {
+func (b Bursty) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
 	if b.Base == nil {
 		return Assignment{}, fmt.Errorf("traffic: bursty wrapper needs a base pattern")
 	}
 	if b.Factor < 0 {
 		return Assignment{}, fmt.Errorf("traffic: negative burstiness %g", b.Factor)
 	}
-	a, err := b.Base.Assign(topo, set, rng)
+	a, err := b.Base.Assign(topo, set)
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -196,7 +194,7 @@ func (Custom) Name() string { return "custom" }
 // Assign implements Pattern. A core with no rate gets no sampler; a core
 // with a destination list demands bandwidth only toward its destinations'
 // clusters (DemandTable skips the core's own and tolerates repeats).
-func (c Custom) Assign(topo topology.Topology, _ BandwidthSet, _ *sim.RNG) (Assignment, error) {
+func (c Custom) Assign(topo topology.Topology, _ BandwidthSet) (Assignment, error) {
 	if len(c.Cores) != topo.Cores() {
 		return Assignment{}, fmt.Errorf("traffic: custom workload has %d cores, topology has %d", len(c.Cores), topo.Cores())
 	}
@@ -226,7 +224,7 @@ type Fixed struct {
 func (f Fixed) Name() string { return f.Assignment.Name }
 
 // Assign implements Pattern.
-func (f Fixed) Assign(topo topology.Topology, _ BandwidthSet, _ *sim.RNG) (Assignment, error) {
+func (f Fixed) Assign(topo topology.Topology, _ BandwidthSet) (Assignment, error) {
 	if len(f.Assignment.Cores) != topo.Cores() {
 		return Assignment{}, fmt.Errorf("traffic: fixed assignment has %d cores, topology has %d",
 			len(f.Assignment.Cores), topo.Cores())

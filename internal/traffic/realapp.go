@@ -20,7 +20,7 @@ type RealApp struct{}
 func (RealApp) Name() string { return "realapp" }
 
 // Assign implements Pattern.
-func (RealApp) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG) (Assignment, error) {
+func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
 	if err := set.Validate(); err != nil {
 		return Assignment{}, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 )
 
@@ -44,7 +43,7 @@ type Skewed struct {
 func (s Skewed) Name() string { return fmt.Sprintf("skewed%d", s.Level) }
 
 // Assign implements Pattern.
-func (s Skewed) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG) (Assignment, error) {
+func (s Skewed) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
 	if err := set.Validate(); err != nil {
 		return Assignment{}, err
 	}

@@ -63,7 +63,7 @@ type Permutation struct {
 func (p Permutation) Name() string { return p.Kind.String() }
 
 // Assign implements Pattern.
-func (p Permutation) Assign(topo topology.Topology, set BandwidthSet, _ *sim.RNG) (Assignment, error) {
+func (p Permutation) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
 	if err := set.Validate(); err != nil {
 		return Assignment{}, err
 	}

@@ -10,7 +10,7 @@ import (
 
 func assignPermutation(t *testing.T, kind PermutationKind) Assignment {
 	t.Helper()
-	a, err := Permutation{Kind: kind}.Assign(topology.Default(), BWSet1, sim.NewRNG(1))
+	a, err := Permutation{Kind: kind}.Assign(topology.Default(), BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +154,10 @@ func TestPermutationNames(t *testing.T) {
 
 func TestPermutationValidation(t *testing.T) {
 	topo := topology.Default()
-	if _, err := (Permutation{Kind: PermutationKind(99)}).Assign(topo, BWSet1, sim.NewRNG(1)); err == nil {
+	if _, err := (Permutation{Kind: PermutationKind(99)}).Assign(topo, BWSet1); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := (Permutation{Kind: Neighbor, RateGbps: -1}).Assign(topo, BWSet1, sim.NewRNG(1)); err == nil {
+	if _, err := (Permutation{Kind: Neighbor, RateGbps: -1}).Assign(topo, BWSet1); err == nil {
 		t.Error("negative rate accepted")
 	}
 	// Non-power-of-two core counts reject the bit patterns.
@@ -165,11 +165,11 @@ func TestPermutationValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Permutation{Kind: BitComplement}).Assign(smallTopo, BWSet1, sim.NewRNG(1)); err == nil {
+	if _, err := (Permutation{Kind: BitComplement}).Assign(smallTopo, BWSet1); err == nil {
 		t.Error("bit-complement on 36 cores accepted")
 	}
 	// 36 is a perfect square though: transpose works.
-	if _, err := (Permutation{Kind: Transpose}).Assign(smallTopo, BWSet1, sim.NewRNG(1)); err != nil {
+	if _, err := (Permutation{Kind: Transpose}).Assign(smallTopo, BWSet1); err != nil {
 		t.Errorf("transpose on 36 cores rejected: %v", err)
 	}
 }

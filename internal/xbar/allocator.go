@@ -19,7 +19,10 @@ import (
 )
 
 // Allocator decides which data wavelengths each cluster's write channel
-// owns, and which subset a given packet uses.
+// owns, and how many of them a given packet uses. The engines only count
+// wavelengths: a packet streams on the first SelectForPacket of its
+// channel's wavelengths, and the IDs matter only to tests and
+// diagnostics.
 type Allocator interface {
 	// Name identifies the policy ("firefly-static", "token-dba").
 	Name() string
@@ -28,14 +31,18 @@ type Allocator interface {
 	// the dynamic allocator; a no-op for the static one).
 	Tick(now sim.Cycle)
 
-	// Allocated returns the wavelengths currently owned by cluster c's
-	// write channel. Callers must not mutate the returned slice.
+	// AllocatedCount returns how many wavelengths cluster c's write
+	// channel currently owns.
+	AllocatedCount(c topology.ClusterID) int
+
+	// Allocated returns those wavelengths in a new slice, for tests and
+	// diagnostics.
 	Allocated(c topology.ClusterID) []photonic.WavelengthID
 
-	// SelectForPacket returns the wavelengths a packet from src to dst
-	// will use, chosen among the allocated ones based on the demand
-	// toward dst (§3.3.1). The result is never empty.
-	SelectForPacket(src, dst topology.ClusterID) []photonic.WavelengthID
+	// SelectForPacket returns how many of the allocated wavelengths a
+	// packet from src to dst uses, based on the demand toward dst
+	// (§3.3.1). It is never 0.
+	SelectForPacket(src, dst topology.ClusterID) int
 
 	// SetDemand records that the application on core reports a
 	// wavelength demand toward each destination cluster (the demand
@@ -49,7 +56,8 @@ type Allocator interface {
 // wavelength set, regardless of the flow's bandwidth requirement — the
 // inefficiency §2.2.1 calls out.
 type Static struct {
-	perCluster [][]photonic.WavelengthID
+	bundle     photonic.WaveguideBundle
+	perCluster int
 }
 
 var _ Allocator = (*Static)(nil)
@@ -63,18 +71,7 @@ func NewStatic(topo topology.Topology, bundle photonic.WaveguideBundle, totalWav
 	if totalWavelengths%clusters != 0 {
 		return nil, fmt.Errorf("xbar: %d wavelengths do not divide evenly over %d clusters", totalWavelengths, clusters)
 	}
-	per := totalWavelengths / clusters
-	alloc := make([][]photonic.WavelengthID, clusters)
-	slot := 0
-	for c := range alloc {
-		ids := make([]photonic.WavelengthID, per)
-		for i := range ids {
-			ids[i] = bundle.IDForSlot(slot)
-			slot++
-		}
-		alloc[c] = ids
-	}
-	return &Static{perCluster: alloc}, nil
+	return &Static{bundle: bundle, perCluster: totalWavelengths / clusters}, nil
 }
 
 // Name implements Allocator.
@@ -83,16 +80,22 @@ func (s *Static) Name() string { return "firefly-static" }
 // Tick implements Allocator.
 func (s *Static) Tick(sim.Cycle) {}
 
-// Allocated implements Allocator.
+// AllocatedCount implements Allocator.
+func (s *Static) AllocatedCount(topology.ClusterID) int { return s.perCluster }
+
+// Allocated implements Allocator: cluster c owns the c-th run of
+// consecutive slots.
 func (s *Static) Allocated(c topology.ClusterID) []photonic.WavelengthID {
-	return s.perCluster[c]
+	ids := make([]photonic.WavelengthID, s.perCluster)
+	for i := range ids {
+		ids[i] = s.bundle.IDForSlot(int(c)*s.perCluster + i)
+	}
+	return ids
 }
 
 // SelectForPacket implements Allocator: Firefly always transmits on the
 // channel's full wavelength set.
-func (s *Static) SelectForPacket(src, _ topology.ClusterID) []photonic.WavelengthID {
-	return s.perCluster[src]
-}
+func (s *Static) SelectForPacket(topology.ClusterID, topology.ClusterID) int { return s.perCluster }
 
 // SetDemand implements Allocator; the static allocation ignores demand.
 func (s *Static) SetDemand(topology.CoreID, []int) {}

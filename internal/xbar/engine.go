@@ -74,7 +74,7 @@ func (rx *RX) FlitsDiscarded() int64 { return rx.flitsDiscarded }
 type Window struct {
 	rx      *RX
 	vc      int
-	power   []photonic.WavelengthID
+	power   int // demodulator rows powered
 	dropped bool
 }
 
@@ -84,14 +84,14 @@ func (w *Window) Dropped() bool { return w.dropped }
 // open reports whether Begin has opened the window.
 func (w *Window) open() bool { return w.rx != nil }
 
-// Begin opens a receive window: the destination gates the demodulators for
-// power and, when a VC is free, holds it for the incoming packet. When
+// Begin opens a receive window: the destination powers power demodulator
+// rows and, when a VC is free, holds it for the incoming packet. When
 // every VC of the photonic input port is busy, the window is marked
 // dropped: the transfer still occupies the channel (the source cannot
 // know), but the flits are discarded and the source must retransmit.
 // Exported so other inter-cluster transports (the torus baseline) can
 // reuse the receive engine.
-func (rx *RX) Begin(p *packet.Packet, power []photonic.WavelengthID) Window {
+func (rx *RX) Begin(p *packet.Packet, power int) Window {
 	w := Window{rx: rx, power: power}
 	vc, ok := rx.port.AllocVC(p.ID)
 	if !ok {
@@ -117,7 +117,7 @@ func (w *Window) Deliver(f packet.Flit, now sim.Cycle) error {
 // it every cycle it holds the window; un-gating the rows is no longer
 // calling it.
 func (w *Window) HoldCost() {
-	w.rx.ledger.Add(photonic.EnergyIdleDetector, int64(len(w.power)))
+	w.rx.ledger.Add(photonic.EnergyIdleDetector, int64(w.power))
 }
 
 // pending is a reservation in flight for the next packet: broadcast on the
@@ -127,7 +127,7 @@ func (w *Window) HoldCost() {
 type pending struct {
 	pkt     *packet.Packet
 	vc      int
-	use     []photonic.WavelengthID
+	use     int // wavelengths the packet streams on
 	resLeft int
 	window  Window
 }
@@ -175,15 +175,14 @@ type TX struct {
 
 // txState is a transmit engine's checkpointed part: the streaming
 // transfer and the in-flight reservation with their receive windows, and
-// the counters. Everything it points at is shared, never owned:
-// wavelength lists (allocation ID caches are replaced, never mutated in
-// place) and packets (slots of the fabric's pool, whose snapshot restores
-// their contents). A struct copy is therefore the whole checkpoint.
+// the counters. The packets it points at are shared, never owned: slots
+// of the fabric's pool, whose snapshot restores their contents. A struct
+// copy is therefore the whole checkpoint.
 type txState struct {
 	// current transfer being streamed, if any.
 	vcIdx   int
 	current *packet.Packet
-	use     []photonic.WavelengthID
+	use     int
 	window  Window
 	credit  units.BitCredit
 
@@ -238,7 +237,7 @@ func (tx *TX) Tick(now sim.Cycle) error {
 		if tx.next.resLeft <= 0 {
 			power := tx.next.use
 			if tx.cfg.Gating == GateChannel {
-				power = tx.alloc.Allocated(tx.cfg.Cluster)
+				power = tx.alloc.AllocatedCount(tx.cfg.Cluster)
 			}
 			tx.next.window = tx.rxs[tx.next.pkt.DstCluster].Begin(tx.next.pkt, power)
 		}
@@ -253,7 +252,7 @@ func (tx *TX) Tick(now sim.Cycle) error {
 		tx.credit = 0
 		tx.next = pending{}
 		tx.cfg.Events.AppendInts(now, event.StreamStarted, int(tx.cfg.Cluster), int64(tx.current.ID),
-			"to cluster %d on %d wavelengths", int64(tx.current.DstCluster), int64(len(tx.use)))
+			"to cluster %d on %d wavelengths", int64(tx.current.DstCluster), int64(tx.use))
 	}
 
 	// Stream the current packet.
@@ -307,7 +306,7 @@ func (tx *TX) admitNext(now sim.Cycle) {
 			// channels need none.
 			ids := 0
 			if tx.cfg.Gating == GateSelected {
-				ids = len(use)
+				ids = use
 			}
 			cycles := packet.ReservationCycles(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids, tx.perWavelength)
 			resBits := int64(packet.ReservationBits(tx.cfg.Clusters, tx.cfg.MaxFlits, tx.cfg.Bundle, ids))
@@ -338,7 +337,7 @@ func (tx *TX) stream(now sim.Cycle) error {
 	flitBits := units.Bits(tx.current.FlitBits)
 	// Idle light slots are lost: credit cannot bank more than one cycle
 	// of bandwidth beyond a flit boundary.
-	tx.credit = min(tx.credit, flitBits) + tx.perWavelength*units.BitCredit(len(tx.use))
+	tx.credit = min(tx.credit, flitBits) + tx.perWavelength*units.BitCredit(tx.use)
 	tx.window.HoldCost()
 
 	for tx.credit >= flitBits {
@@ -382,5 +381,5 @@ func (tx *TX) finish(now sim.Cycle) {
 	}
 	tx.window = Window{}
 	tx.current = nil
-	tx.use = nil
+	tx.use = 0
 }

@@ -20,14 +20,15 @@ type narrowAllocator struct {
 
 var _ Allocator = (*narrowAllocator)(nil)
 
-func (n *narrowAllocator) Name() string                     { return "narrow" }
-func (n *narrowAllocator) Tick(sim.Cycle)                   {}
-func (n *narrowAllocator) SetDemand(topology.CoreID, []int) {}
+func (n *narrowAllocator) Name() string                            { return "narrow" }
+func (n *narrowAllocator) Tick(sim.Cycle)                          {}
+func (n *narrowAllocator) SetDemand(topology.CoreID, []int)        {}
+func (n *narrowAllocator) AllocatedCount(c topology.ClusterID) int { return n.inner.AllocatedCount(c) }
 func (n *narrowAllocator) Allocated(c topology.ClusterID) []photonic.WavelengthID {
 	return n.inner.Allocated(c)
 }
-func (n *narrowAllocator) SelectForPacket(src, dst topology.ClusterID) []photonic.WavelengthID {
-	return n.inner.Allocated(src)[:n.narrow]
+func (n *narrowAllocator) SelectForPacket(topology.ClusterID, topology.ClusterID) int {
+	return n.narrow
 }
 
 // TestSelectiveGatingPowersFewerDetectors: with GateSelected (d-HetPNoC)

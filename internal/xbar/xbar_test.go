@@ -43,9 +43,8 @@ func TestStaticAllocatorPartition(t *testing.T) {
 		t.Fatalf("partition covers %d wavelengths, want 64", len(seen))
 	}
 	// Firefly always transmits on the full channel.
-	use := s.SelectForPacket(3, 9)
-	if len(use) != 4 {
-		t.Fatalf("SelectForPacket returned %d wavelengths, want the full channel (4)", len(use))
+	if use := s.SelectForPacket(3, 9); use != 4 || s.AllocatedCount(3) != 4 {
+		t.Fatalf("SelectForPacket returned %d wavelengths of %d, want the full channel (4)", use, s.AllocatedCount(3))
 	}
 }
 

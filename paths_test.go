@@ -56,7 +56,7 @@ func corpus(t *testing.T) []*scenario {
 		// BENCHMARK.json's run-lightload point: every source emits in step
 		// once in 1,024 cycles (first at 1023) and the chip drains within a
 		// hundred, so cycles 500, 2500 and 2600 lie inside jumped spans.
-		{name: "light", allocs: 3777, cfg: light, cut: 2600, guard: func(t *testing.T, sc *scenario) {
+		{name: "light", allocs: 3537, cfg: light, cut: 2600, guard: func(t *testing.T, sc *scenario) {
 			if f := stepped(t, sc.fc, sc.fc.Cycles); 2*f.SkippedCycles() < int64(sc.fc.Cycles) {
 				t.Errorf("skipped %d of %d cycles: want most of the run jumped", f.SkippedCycles(), sc.fc.Cycles)
 			}
@@ -67,12 +67,12 @@ func corpus(t *testing.T) []*scenario {
 		}},
 		// A jump must stop for the start of measurement and for a remap
 		// due after the cut, inside the span the cut lies in.
-		{name: "light-remap", allocs: 4022, cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
+		{name: "light-remap", allocs: 3684, cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
 			requireSkipped(t, sc.fc, []int{999, 1000, 1001, 2599, 2600, 2799, 2800, 2801}, 1000, 2800)
 		}},
 		// Token DBA, selected-wavelength gating and headers blocked on
 		// VC-exhausted outputs live across the cut; a remap follows it.
-		{name: "saturated", allocs: 2891, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
+		{name: "saturated", allocs: 2617, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
 			cut: 1200, guard: func(t *testing.T, sc *scenario) {
 				if f := stepped(t, sc.fc, sc.cut); f.BlockedHeaders() == 0 {
 					t.Errorf("no header waits on a VC-exhausted output at cycle %d", sc.cut)
@@ -82,7 +82,7 @@ func corpus(t *testing.T) []*scenario {
 		// Two VCs per port and half the traffic aimed at one cluster: a few
 		// hundred RX drops. The packet dropped at 2029 is retried at 2093,
 		// the remap's cycle, so both fire on one cycle after the cut.
-		{name: "drop-storm", allocs: 4614, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
+		{name: "drop-storm", allocs: 4340, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
 			tweak: func(fc *fabric.Config) { fc.VCsPerPort = 2 }, cut: 2080,
 			guard: func(t *testing.T, sc *scenario) {
 				for _, at := range []int{sc.cut, 1500} { // 1500: a restore-chain checkpoint
@@ -99,7 +99,7 @@ func corpus(t *testing.T) []*scenario {
 		// demand overflows the dynamic pool, so routers scale back to
 		// their token-recorded shares, and a remap re-skews it after the
 		// cut.
-		{name: "proportional", allocs: 2895, cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
+		{name: "proportional", allocs: 2634, cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
 			cut: 1400,
 			guard: func(t *testing.T, sc *scenario) {
 				greedy := sc.fc
@@ -119,7 +119,7 @@ func corpus(t *testing.T) []*scenario {
 		// The thesis's Chapter 4 area restriction: each cluster acquires
 		// only on its two home waveguides and holds two reserved
 		// wavelengths, which the public Config cannot set.
-		{name: "chapter4", allocs: 2873, cfg: Config{Architecture: DHetPNoC, BandwidthSet: 3, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 17, EventCapacity: 256},
+		{name: "chapter4", allocs: 2634, cfg: Config{Architecture: DHetPNoC, BandwidthSet: 3, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 17, EventCapacity: 256},
 			tweak: func(fc *fabric.Config) { fc.WaveguidesPerCluster, fc.ReservedPerCluster = 2, 2 }, cut: 1200,
 			guard: func(t *testing.T, sc *scenario) {
 				free := sc.fc
@@ -135,19 +135,19 @@ func corpus(t *testing.T) []*scenario {
 					t.Errorf("at cycle %d every cluster holds what it holds unrestricted: the waveguide restriction never binds", sc.cut)
 				}
 			}},
-		{name: "bursty", allocs: 2630, cfg: Config{Traffic: Traffic{Kind: UniformRandom, Burstiness: 4}, LoadScale: 0.5, Cycles: 3000, WarmupCycles: 500, Seed: 2, EventCapacity: 256}, cut: 1300},
+		{name: "bursty", allocs: 2454, cfg: Config{Traffic: Traffic{Kind: UniformRandom, Burstiness: 4}, LoadScale: 0.5, Cycles: 3000, WarmupCycles: 500, Seed: 2, EventCapacity: 256}, cut: 1300},
 		// Circuit switching: link ownership and path setups cross the cut.
-		{name: "torus", allocs: 4611, cfg: Config{Architecture: TorusPNoC, Traffic: UniformTraffic(), LoadScale: 1.5, Cycles: 2500, WarmupCycles: 500, Seed: 11, EventCapacity: 1 << 12}, cut: 1300,
+		{name: "torus", allocs: 4529, cfg: Config{Architecture: TorusPNoC, Traffic: UniformTraffic(), LoadScale: 1.5, Cycles: 2500, WarmupCycles: 500, Seed: 11, EventCapacity: 1 << 12}, cut: 1300,
 			guard: func(t *testing.T, sc *scenario) {
 				requireTransfersAcross(t, sc.fc, sim.Cycle(sc.cut))
 				if f := stepped(t, sc.fc, sc.fc.Cycles); f.SkippedCycles() != 0 {
 					t.Errorf("StepContext jumped %d torus cycles; the torus keeps no activity set", f.SkippedCycles())
 				}
 			}},
-		{name: "custom", allocs: 2443, cfg: Config{Traffic: CustomTraffic(custom), Cycles: 3000, WarmupCycles: 500, Seed: 9, EventCapacity: 256}, cut: 1500},
+		{name: "custom", allocs: 2323, cfg: Config{Traffic: CustomTraffic(custom), Cycles: 3000, WarmupCycles: 500, Seed: 9, EventCapacity: 256}, cut: 1500},
 		// The cut lies in the warm-up, inside the span before the first
 		// packet (8191): the jump must stop for measurement after a restore.
-		{name: "prewarmup", allocs: 2549, cfg: Config{Architecture: Firefly, Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 9000, WarmupCycles: 1000, Seed: 3, EventCapacity: 256}, cut: 600,
+		{name: "prewarmup", allocs: 2468, cfg: Config{Architecture: Firefly, Traffic: UniformTraffic(), LoadScale: 0.05, Cycles: 9000, WarmupCycles: 1000, Seed: 3, EventCapacity: 256}, cut: 600,
 			guard: func(t *testing.T, sc *scenario) {
 				if f := stepped(t, sc.fc, sc.fc.WarmupCycles+1); sc.cut >= sc.fc.WarmupCycles || f.Totals().Injected != 0 {
 					t.Errorf("want cut %d < warm-up %d < first packet; %d injected by cycle %d", sc.cut, sc.fc.WarmupCycles, f.Totals().Injected, f.Now())
@@ -157,7 +157,7 @@ func corpus(t *testing.T) []*scenario {
 	}
 	// Every architecture at every bandwidth set under load, cut in the
 	// warm-up with transfers in flight.
-	allocs := [][3]uint64{{2369, 2522, 2523}, {2522, 2675, 2694}, {2473, 2525, 2565}}
+	allocs := [][3]uint64{{2288, 2441, 2442}, {2346, 2451, 2454}, {2391, 2443, 2483}}
 	for i, arch := range []Architecture{Firefly, DHetPNoC, TorusPNoC} {
 		for set := 1; set <= 3; set++ {
 			all = append(all, &scenario{name: fmt.Sprintf("uniform-%v-bw%d", arch, set), cut: 100, allocs: allocs[i][set-1],
@@ -802,16 +802,29 @@ func requireTransfersAcross(t *testing.T, fc fabric.Config, cut sim.Cycle) {
 // change. The counts are a 64-bit build's without the race detector,
 // whose runtime allocates on its own; a toolchain upgrade may move them,
 // and the failure prints each scenario's new count.
+//
+// Its second column is a fork of the run: Restore of the checkpoint at
+// the cut after the run went on, SetLoadScale and Reseed, as a batch
+// member forks a shelved build. A fork reinstalls what the build made,
+// so it allocates nothing, on every architecture and word size.
 func TestRunAllocations(t *testing.T) {
-	if strconv.IntSize != 64 || raceEnabled() {
-		t.Skip("the pinned counts are a 64-bit build's without -race")
+	if raceEnabled() {
+		t.Skip("the race detector's runtime allocates on its own")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(fn func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := fn()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
 	for _, sc := range corpus(t) {
-		run := func() uint64 {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+		run := func() error {
 			f, err := fabric.New(sc.fc)
 			if err == nil {
 				err = f.StepContext(context.Background(), sc.fc.Cycles)
@@ -819,18 +832,42 @@ func TestRunAllocations(t *testing.T) {
 			if err == nil {
 				_, err = f.Finish()
 			}
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return after.Mallocs - before.Mallocs
+			return err
 		}
 		// The runtime allocates now and then on its own, which a run may
 		// count; it only ever adds, so the least of three runs is the
 		// run's own.
-		run()
-		if n := min(run(), run(), run()); n != sc.allocs {
-			t.Errorf("%s: the run made %d heap allocations, want %d", sc.name, n, sc.allocs)
+		if strconv.IntSize == 64 {
+			mallocs(run)
+			if n := min(mallocs(run), mallocs(run), mallocs(run)); n != sc.allocs {
+				t.Errorf("%s: the run made %d heap allocations, want %d", sc.name, n, sc.allocs)
+			}
+		}
+
+		f, err := fabric.New(sc.fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.StepContext(context.Background(), sc.cut); err != nil {
+			t.Fatal(err)
+		}
+		cp := f.Checkpoint()
+		if err := f.StepContext(context.Background(), sc.fc.Cycles-sc.cut); err != nil {
+			t.Fatal(err)
+		}
+		seed := sc.fc.Seed
+		fork := func() error {
+			seed++
+			if err := f.Restore(cp); err != nil {
+				return err
+			}
+			if err := f.SetLoadScale(sc.fc.LoadScale / 2); err != nil {
+				return err
+			}
+			return f.Reseed(seed)
+		}
+		if n := min(mallocs(fork), mallocs(fork), mallocs(fork)); n != 0 {
+			t.Errorf("%s: a fork made %d heap allocations, want 0", sc.name, n)
 		}
 	}
 }

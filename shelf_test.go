@@ -16,18 +16,20 @@ import (
 	"hetpnoc/internal/traffic"
 )
 
-// seedFlakyRemap is a remap pattern whose assignment is refused when the
-// run's RNG, at the remap, draws an odd number: whether a run fails is up
-// to its seed, so a failing A and a succeeding B share one build prefix.
-type seedFlakyRemap struct{}
+// flakyRemap is a remap pattern whose assignment is refused while its
+// counter is positive, and counts it down. It holds the counter by
+// pointer, so a failing run A and a succeeding run B given one flakyRemap
+// share a build prefix.
+type flakyRemap struct{ refusals *int }
 
-func (seedFlakyRemap) Name() string { return "seed-flaky" }
+func (flakyRemap) Name() string { return "flaky" }
 
-func (seedFlakyRemap) Assign(topo topology.Topology, set traffic.BandwidthSet, rng *sim.RNG) (traffic.Assignment, error) {
-	if rng.Uint64()%2 == 1 {
-		return traffic.Assignment{}, errors.New("seed-flaky remap refused")
+func (r flakyRemap) Assign(topo topology.Topology, set traffic.BandwidthSet) (traffic.Assignment, error) {
+	if *r.refusals > 0 {
+		*r.refusals--
+		return traffic.Assignment{}, errors.New("flaky remap refused")
 	}
-	return traffic.Uniform{}.Assign(topo, set, rng)
+	return traffic.Uniform{}.Assign(topo, set)
 }
 
 // cancelRemap is a remap pattern that cancels a context when it fires,
@@ -37,9 +39,9 @@ type cancelRemap struct{ cancel *context.CancelFunc }
 
 func (cancelRemap) Name() string { return "cancel" }
 
-func (c cancelRemap) Assign(topo topology.Topology, set traffic.BandwidthSet, rng *sim.RNG) (traffic.Assignment, error) {
+func (c cancelRemap) Assign(topo topology.Topology, set traffic.BandwidthSet) (traffic.Assignment, error) {
 	(*c.cancel)()
-	return traffic.Uniform{}.Assign(topo, set, rng)
+	return traffic.Uniform{}.Assign(topo, set)
 }
 
 // TestShelfNeitherPoisonsNorAliases: a group that is cancelled or fails
@@ -50,21 +52,21 @@ func (c cancelRemap) Assign(topo topology.Topology, set traffic.BandwidthSet, rn
 func TestShelfNeitherPoisonsNorAliases(t *testing.T) {
 	for _, c := range []struct {
 		name     string
-		flaky    bool      // A fails on a seedFlakyRemap at cycle 2000
+		flaky    bool      // A fails on a flakyRemap at cycle 2000
 		cancelAt sim.Cycle // A is cancelled by a cancelRemap at this cycle
 		bSeed    uint64
 	}{
 		{name: "A cancelled mid-run", cancelAt: 1500, bSeed: 2},
-		// Seed 1 draws odd at the remap, seed 7 even.
 		{name: "A failed on a remap", flaky: true, bSeed: 7},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
+			refusals := 1 // A's remap only
 			at := func(seed uint64) fabric.Config {
 				fc := lowerAll(t, []Config{{Traffic: SkewedTraffic(3), Cycles: 3000, WarmupCycles: 500, Seed: seed, EventCapacity: 256}})[0]
 				if c.flaky {
-					fc.Remaps = []fabric.Remap{{At: 2000, Pattern: seedFlakyRemap{}}}
+					fc.Remaps = []fabric.Remap{{At: 2000, Pattern: flakyRemap{&refusals}}}
 				}
 				if c.cancelAt > 0 {
 					fc.Remaps = []fabric.Remap{{At: c.cancelAt, Pattern: cancelRemap{&cancel}}}
@@ -76,7 +78,7 @@ func TestShelfNeitherPoisonsNorAliases(t *testing.T) {
 				t.Fatal(err)
 			}
 			switch _, err := plan.Run(ctx); {
-			case c.flaky && (err == nil || !strings.Contains(err.Error(), "seed-flaky remap refused")):
+			case c.flaky && (err == nil || !strings.Contains(err.Error(), "flaky remap refused")):
 				t.Fatalf("A returned %v, want its remap refused", err)
 			case !c.flaky && !errors.Is(err, context.Canceled):
 				t.Fatalf("A returned %v, want context.Canceled", err)
