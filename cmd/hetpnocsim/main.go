@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -21,13 +22,16 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hetpnocsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args, simulates the configuration they select and writes
+// the result to stdout: as JSON under -json, else as text that ends with
+// the run's protocol events whenever it captured any.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("hetpnocsim", flag.ContinueOnError)
 	var (
 		configPath = fs.String("config", "", "load the full configuration from a JSON file (flags override)")
@@ -42,7 +46,7 @@ func run(args []string) error {
 		prop       = fs.Bool("proportional", false, "use the demand-proportional DBA policy (d-hetpnoc only)")
 		jsonOut    = fs.Bool("json", false, "emit the result as JSON")
 		breakdown  = fs.Bool("energy-breakdown", false, "print the per-component energy breakdown")
-		events     = fs.Int("events", 0, "capture and print the last N protocol events")
+		events     = fs.Int("events", 0, "capture and print the last N protocol events (overrides the file's EventCapacity)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -112,48 +116,50 @@ func run(args []string) error {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
 
-	fmt.Printf("architecture      %s\n", res.Architecture)
-	fmt.Printf("traffic           %s (load x%.2f)\n", res.Traffic, res.LoadScale)
-	fmt.Printf("bandwidth set     %s\n", res.BandwidthSet)
-	fmt.Printf("offered           %.1f Gb/s\n", res.OfferedGbps)
-	fmt.Printf("delivered         %.1f Gb/s (%.2f Gb/s per core)\n", res.DeliveredGbps, res.PerCoreGbps)
-	fmt.Printf("energy/message    %.1f pJ\n", res.EnergyPerMessagePJ)
-	fmt.Printf("packets           delivered %d, dropped %d, rejected %d, lost %d, retransmitted %d\n",
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "architecture      %s\n", res.Architecture)
+	fmt.Fprintf(&b, "traffic           %s (load x%.2f)\n", res.Traffic, res.LoadScale)
+	fmt.Fprintf(&b, "bandwidth set     %s\n", res.BandwidthSet)
+	fmt.Fprintf(&b, "offered           %.1f Gb/s\n", res.OfferedGbps)
+	fmt.Fprintf(&b, "delivered         %.1f Gb/s (%.2f Gb/s per core)\n", res.DeliveredGbps, res.PerCoreGbps)
+	fmt.Fprintf(&b, "energy/message    %.1f pJ\n", res.EnergyPerMessagePJ)
+	fmt.Fprintf(&b, "packets           delivered %d, dropped %d, rejected %d, lost %d, retransmitted %d\n",
 		res.PacketsDelivered, res.PacketsDroppedRX, res.PacketsRejected, res.PacketsLost, res.Retransmissions)
-	fmt.Printf("latency           avg %.1f cycles, p50 %d, p99 %d, max %d\n",
+	fmt.Fprintf(&b, "latency           avg %.1f cycles, p50 %d, p99 %d, max %d\n",
 		res.AvgLatencyCycles, res.P50LatencyCycles, res.P99LatencyCycles, res.MaxLatencyCycles)
-	fmt.Printf("service fairness  %.3f (Jain, over source clusters)\n", res.FairnessJain)
-	fmt.Printf("wavelengths       %v\n", res.AllocatedWavelengths)
+	fmt.Fprintf(&b, "service fairness  %.3f (Jain, over source clusters)\n", res.FairnessJain)
+	fmt.Fprintf(&b, "wavelengths       %v\n", res.AllocatedWavelengths)
 	if res.TokenRotations > 0 {
-		fmt.Printf("token rotations   %d\n", res.TokenRotations)
+		fmt.Fprintf(&b, "token rotations   %d\n", res.TokenRotations)
 	}
 	if res.TorusPathsSetUp > 0 {
-		fmt.Printf("torus circuits    %d set up, %d setups blocked\n",
+		fmt.Fprintf(&b, "torus circuits    %d set up, %d setups blocked\n",
 			res.TorusPathsSetUp, res.TorusSetupsBlocked)
 	}
 	if *breakdown {
-		fmt.Println("energy breakdown:")
+		fmt.Fprintln(&b, "energy breakdown:")
 		names := make([]string, 0, len(res.EnergyBreakdownPJ))
 		for name := range res.EnergyBreakdownPJ {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Printf("  %-18s %14.0f pJ\n", name, res.EnergyBreakdownPJ[name])
+			fmt.Fprintf(&b, "  %-18s %14.0f pJ\n", name, res.EnergyBreakdownPJ[name])
 		}
 	}
-	if *events > 0 {
-		fmt.Printf("last %d protocol events:\n", len(res.Events))
+	if len(res.Events) > 0 {
+		fmt.Fprintf(&b, "last %d protocol events:\n", len(res.Events))
 		for _, e := range res.Events {
-			fmt.Println(" ", e)
+			fmt.Fprintln(&b, " ", e)
 		}
 	}
-	return nil
+	_, err = stdout.Write(b.Bytes())
+	return err
 }
 
 // loadConfig reads a hetpnoc.Config from a JSON file. Unknown fields are

@@ -11,9 +11,7 @@ import (
 
 func TestRunWritesReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.html")
-	// The full matrix is slow; shrink it by reusing the -quick path but
-	// with very short runs via seed-stable defaults is not available, so
-	// gate on -short.
+	// Even the -quick matrix runs every figure, so -short skips it.
 	if testing.Short() {
 		t.Skip("report generation in -short mode")
 	}

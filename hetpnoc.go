@@ -23,8 +23,8 @@
 //
 // Lower-level building blocks (the router microarchitecture, the DBA
 // token protocol, the photonic crossbar engines, the analytic area model)
-// live under internal/ and are exercised through this API, the example
-// programs and the benchmark harness.
+// live under internal/ and are exercised through this API, its examples
+// (example_test.go, checked by go test) and the benchmark harness.
 package hetpnoc
 
 import (

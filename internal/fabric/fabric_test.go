@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"hetpnoc/internal/sim"
@@ -190,6 +191,46 @@ func TestSkewedAdvantage(t *testing.T) {
 		}
 		if maxA <= 4 || minA >= 4 {
 			t.Errorf("skewed%d: allocation %v not demand-shaped", level, dh.AllocatedWavelengths)
+		}
+	}
+}
+
+// TestFireflyIgnoresDBAKnobs: the DBA parameters configure d-HetPNoC's
+// token allocator only, so a Firefly run returns the same result whatever
+// they are set to. The knobs marked live move the d-HetPNoC run, so the
+// Firefly comparison is not vacuous.
+func TestFireflyIgnoresDBAKnobs(t *testing.T) {
+	knobs := []struct {
+		name string
+		set  func(*Config)
+		live bool // moves the d-HetPNoC run here
+	}{
+		{"proportional", func(c *Config) { c.ProportionalDBA = true }, true},
+		{"reserved-3", func(c *Config) { c.ReservedPerCluster = 3 }, true},
+		// Leaves this d-HetPNoC run as it is (BW1's default bound is 1).
+		{"acquire-4", func(c *Config) { c.MaxAcquirePerVisit = 4 }, false},
+		// BW1 has one data waveguide, so d-HetPNoC refuses this one.
+		{"waveguides-2", func(c *Config) { c.WaveguidesPerCluster = 2 }, false},
+	}
+	mk := func(arch Arch, set func(*Config)) Result {
+		cfg := Config{
+			Arch: arch, Pattern: traffic.Skewed{Level: 3},
+			Cycles: 3000, WarmupCycles: 500, Seed: 5,
+		}
+		if set != nil {
+			set(&cfg)
+		}
+		return runConfig(t, cfg)
+	}
+	ff, dh := mk(Firefly, nil), mk(DHetPNoC, nil)
+	for _, k := range knobs {
+		if got := mk(Firefly, k.set); !reflect.DeepEqual(got, ff) {
+			t.Errorf("%s: Firefly result moved: %d -> %d packets delivered, %.1f -> %.1f pJ/message",
+				k.name, ff.Stats.PacketsDelivered, got.Stats.PacketsDelivered,
+				ff.EnergyPerMessagePJ, got.EnergyPerMessagePJ)
+		}
+		if k.live && reflect.DeepEqual(mk(DHetPNoC, k.set), dh) {
+			t.Errorf("%s: the d-HetPNoC result did not move, so the knob is not live", k.name)
 		}
 	}
 }

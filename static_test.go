@@ -219,7 +219,7 @@ type finding struct {
 }
 
 // TestNoDroppedErrors fails on every call statement in non-test code,
-// cmd/ and examples/ included, that drops an error: a simulator that
+// cmd/ included, that drops an error: a simulator that
 // swallows one keeps producing wrong numbers. `_ = f()`, defer and go pass.
 func TestNoDroppedErrors(t *testing.T) {
 	for _, p := range mustLoadModule(t) {
