@@ -19,7 +19,7 @@
 #                  (testdata/mutants) alone to a copy of the module and
 #                  require its killers to fail; writes the tally to
 #                  mutants-tally.txt (not part of check: ~20 min)
-#   make sweep   — quick smoke sweep of every figure
+#   make sweep   — quick smoke sweep of every figure, HTML report included
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -127,4 +127,4 @@ mutants:
 		status=$$?; grep -E '^(--- FAIL|ok|FAIL)|mutants killed|wall time|survived|does not build' mutants-tally.txt; exit $$status
 
 sweep:
-	$(GO) run ./cmd/sweep -quick
+	$(GO) run ./cmd/sweep -quick -html sweep.html

@@ -7,7 +7,10 @@ import "context"
 // — they differ at most in Seed and LoadScale; internal/batch alone
 // decides what that means — share one build: the first runs on it
 // and every other member forks off its pristine checkpoint via
-// restore-and-reseed instead of paying its own build. Builds are kept
+// restore-and-reseed instead of paying its own build, and a config equal
+// to an earlier one, seed and load included, runs once and gets its own
+// Finish of that run: an equal result that shares nothing with the
+// earlier one. Builds are kept
 // across calls, so a prefix run before — by RunBatch, Run or any other
 // entry point — costs no build at all. Each result is
 // byte-identical (Result.CanonicalJSON and the event log) to what

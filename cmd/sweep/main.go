@@ -13,8 +13,10 @@
 //
 // Simulation figures honour -cycles/-warmup/-seed; -quick shrinks the run
 // lengths that -cycles and -warmup do not set, for a fast smoke pass.
-// -parallel bounds concurrent simulations; figures run one after another,
-// each as one batch plan.
+// All selected figures' configs run as one batch plan, in which a config
+// listed twice runs once; -parallel bounds concurrent simulations. -csv
+// dir also writes Figs 3-3 and 3-5 as CSV, -html file a self-contained
+// HTML report with SVG charts of Figs 1-1, 3-3/3-4, 3-6 and the ablations.
 package main
 
 import (
@@ -29,7 +31,9 @@ import (
 	"hetpnoc/internal/area"
 	"hetpnoc/internal/experiments"
 	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/gpgpu"
 	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/report"
 	"hetpnoc/internal/traffic"
 	"hetpnoc/internal/units"
 )
@@ -39,6 +43,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
+}
+
+// figure is one selected section of the output: its configs, the printer
+// of their rows and, if it has them, its -csv file name and HTML report
+// section. run sets rows (those of cfgs) and file (the -csv file).
+type figure struct {
+	cfgs    []fabric.Config
+	print   func(w *bytes.Buffer, rows []experiments.Row) error
+	csv     string
+	section func(r *report.Report, rows []experiments.Row) error
+
+	rows []experiments.Row
+	file *os.File
 }
 
 // run parses args and prints what they select to stdout. Every
@@ -57,15 +74,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		quick       = fs.Bool("quick", false, "short runs (4000 cycles, 800 warm-up) unless -cycles or -warmup says otherwise")
 		parallel    = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
 		csvDir      = fs.String("csv", "", "also write machine-readable CSV files into this directory")
+		htmlPath    = fs.String("html", "", "also write the selected figures as an HTML report to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *tables {
-		var buf bytes.Buffer
-		printTables(&buf)
-		_, err := stdout.Write(buf.Bytes())
-		return err
+		return runFigures(stdout, []figure{{print: printTables}})
 	}
 
 	opts := experiments.Options{Cycles: *cycles, WarmupCycles: *warmup, Seed: *seed, Parallelism: *parallel}
@@ -80,52 +95,97 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	var figures []func(*bytes.Buffer) error
-	add := func(fn func(*bytes.Buffer) error) { figures = append(figures, fn) }
+	var figures []figure
+	add := func(f figure) { figures = append(figures, f) }
 
 	all := *fig == ""
 	if all || *fig == "1-1" {
-		add(printFig1_1)
+		add(figure{print: printFig1_1, section: addFig1_1})
 	}
 	if all || *fig == "3-3" || *fig == "3-4" {
-		add(func(w *bytes.Buffer) error { return printFig3_3(ctx, w, opts, *csvDir) })
+		add(figure{cfgs: experiments.PeakBandwidth(traffic.BandwidthSets()), print: printFig3_3, csv: "fig3-3_peak_bandwidth.csv", section: addFig3_3})
 	}
 	if all || *fig == "3-5" {
-		add(func(w *bytes.Buffer) error { return printFig3_5(ctx, w, opts, *csvDir) })
+		add(figure{cfgs: experiments.CaseStudies(traffic.BWSet1), print: printFig3_5, csv: "fig3-5_case_studies.csv"})
 	}
 	if all || *fig == "3-6" {
-		add(func(w *bytes.Buffer) error { printFig3_6(w); return nil })
+		add(figure{print: printFig3_6, section: addFig3_6})
 	}
 	if all || *fig == "3-7" {
-		add(func(w *bytes.Buffer) error { return printScaling(ctx, w, opts, fabric.DHetPNoC, "3-7") })
+		add(scaling(fabric.DHetPNoC, "3-7"))
 	}
 	if all || *fig == "3-8" || *fig == "3-9" {
-		add(func(w *bytes.Buffer) error { return printFig3_8(ctx, w, opts) })
+		add(figure{cfgs: acrossSets(fabric.DHetPNoC, traffic.Skewed{Level: 3}), print: printFig3_8})
 	}
 	if all || *fig == "3-10" {
-		add(func(w *bytes.Buffer) error { return printScaling(ctx, w, opts, fabric.Firefly, "3-10") })
+		add(scaling(fabric.Firefly, "3-10"))
 	}
 	if *ablations {
-		add(func(w *bytes.Buffer) error { return printAblations(ctx, w, opts) })
+		add(figure{cfgs: experiments.Ablations(), print: printAblations, section: addAblations})
 	}
 	if *latency {
-		add(func(w *bytes.Buffer) error { return printLatencyCurves(ctx, w, opts) })
+		add(figure{cfgs: latencyCurves(), print: printLatencyCurves})
 	}
 	if *sensitivity {
-		add(func(w *bytes.Buffer) error { return printSensitivity(ctx, w, opts) })
+		add(figure{cfgs: experiments.SensitivityRuns(), print: printSensitivity})
 	}
 
-	return runFigures(stdout, figures)
+	// Every output file is created before anything simulates, so a bad
+	// path fails at once; the deferred Close covers the error paths.
+	var page *os.File
+	if *htmlPath != "" {
+		var err error
+		if page, err = os.Create(*htmlPath); err != nil {
+			return err
+		}
+		defer page.Close()
+	}
+	var cfgs []fabric.Config
+	for i, f := range figures {
+		cfgs = append(cfgs, f.cfgs...)
+		if f.csv != "" && *csvDir != "" {
+			var err error
+			if figures[i].file, err = os.Create(filepath.Join(*csvDir, f.csv)); err != nil {
+				return err
+			}
+			defer figures[i].file.Close()
+		}
+	}
+	// NewPlan refuses an empty list: -fig 1-1 or 3-6 alone runs nothing.
+	if len(cfgs) > 0 {
+		rows, err := experiments.RunMatrix(ctx, opts, cfgs)
+		if err != nil {
+			return err
+		}
+		for i := range figures {
+			n := len(figures[i].cfgs)
+			figures[i].rows, rows = rows[:n], rows[n:]
+		}
+	}
+	if err := runFigures(stdout, figures); err != nil {
+		return err
+	}
+	if page == nil {
+		return nil
+	}
+	return writeReport(stdout, page, figures)
 }
 
-// runFigures executes the figures in order. Every figure writes into its
-// own buffer — an in-memory sink that cannot fail, so table rendering
-// needs no per-line error handling — which is flushed to stdout before a
-// failure is reported, so a failing figure still shows what it printed.
-func runFigures(stdout io.Writer, figures []func(*bytes.Buffer) error) error {
-	for _, fn := range figures {
+// runFigures prints the figures in order, each after writing its CSV
+// file. Every figure writes into its own buffer — an in-memory sink that
+// cannot fail, so table rendering needs no per-line error handling —
+// which is flushed to stdout before a failure is reported, so a failing
+// figure still shows what it printed.
+func runFigures(stdout io.Writer, figures []figure) error {
+	for _, f := range figures {
 		var buf bytes.Buffer
-		err := fn(&buf)
+		var err error
+		if f.file != nil {
+			err = write(&buf, f.file, func(w io.Writer) error { return experiments.WriteRowsCSV(w, f.rows) })
+		}
+		if err == nil {
+			err = f.print(&buf, f.rows)
+		}
 		if _, werr := stdout.Write(buf.Bytes()); werr != nil {
 			return werr
 		}
@@ -136,8 +196,63 @@ func runFigures(stdout io.Writer, figures []func(*bytes.Buffer) error) error {
 	return nil
 }
 
-func printSensitivity(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
-	rows, err := experiments.EnergySensitivity(ctx, opts, nil)
+// writeReport renders the sections of the figures that have one into
+// page, in figure order, and closes it.
+func writeReport(stdout io.Writer, page *os.File, figures []figure) error {
+	r := report.New(
+		"d-HetPNoC reproduction report",
+		"Heterogeneous Photonic Network-on-Chip with Dynamic Bandwidth Allocation (Shah, RIT/SOCC 2014) — simulated with the hetpnoc package")
+	for _, f := range figures {
+		if f.section == nil {
+			continue
+		}
+		if err := f.section(r, f.rows); err != nil {
+			return err
+		}
+	}
+	return write(stdout, page, r.Render)
+}
+
+// write renders into f, closes it and says so on w.
+func write(w io.Writer, f *os.File, render func(io.Writer) error) error {
+	if err := render(f); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w, "wrote", f.Name())
+	return err
+}
+
+func addFig1_1(r *report.Report, _ []experiments.Row) error {
+	points, err := gpgpu.Figure1_1()
+	if err != nil {
+		return err
+	}
+	return r.AddGPUSpeedups(points)
+}
+
+func addFig3_3(r *report.Report, rows []experiments.Row) error {
+	for _, set := range traffic.BandwidthSets() {
+		if err := r.AddPeakBandwidth(set.Name, rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func addFig3_6(r *report.Report, _ []experiments.Row) error {
+	return r.AddAreaModel(experiments.AreaSweep(nil))
+}
+
+func addAblations(r *report.Report, rows []experiments.Row) error {
+	r.AddAblations(experiments.LabelAblations(rows))
+	return nil
+}
+
+func printSensitivity(w *bytes.Buffer, runs []experiments.Row) error {
+	rows, err := experiments.EnergySensitivity(runs[0], runs[1], nil)
 	if err != nil {
 		return err
 	}
@@ -151,21 +266,21 @@ func printSensitivity(ctx context.Context, w *bytes.Buffer, opts experiments.Opt
 	return nil
 }
 
-// printLatencyCurves prints the classic NoC latency-throughput curve of
-// each architecture, one config per offered load: latency rises gently
-// until the network saturates, then climbs steeply while delivered
-// bandwidth flattens. The thesis reports only the saturation point.
-func printLatencyCurves(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
+// latencyCurves lists the classic NoC latency-throughput curve of each
+// architecture, one config per offered load: latency rises gently until
+// the network saturates, then climbs steeply while delivered bandwidth
+// flattens. The thesis reports only the saturation point.
+func latencyCurves() []fabric.Config {
 	var cfgs []fabric.Config
 	for _, arch := range []fabric.Arch{fabric.Firefly, fabric.DHetPNoC} {
 		for _, load := range []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2} {
 			cfgs = append(cfgs, fabric.Config{Arch: arch, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}, LoadScale: load})
 		}
 	}
-	rows, err := experiments.RunMatrix(ctx, opts, cfgs)
-	if err != nil {
-		return err
-	}
+	return cfgs
+}
+
+func printLatencyCurves(w *bytes.Buffer, rows []experiments.Row) error {
 	fmt.Fprintln(w, "== Load-latency curves (extension), BW set 1, skewed 2 ==")
 	fmt.Fprintf(w, "%-10s %6s %12s %14s %12s\n", "arch", "load", "offered", "delivered", "avg latency")
 	for _, r := range rows {
@@ -176,11 +291,8 @@ func printLatencyCurves(ctx context.Context, w *bytes.Buffer, opts experiments.O
 	return nil
 }
 
-func printAblations(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
-	rows, err := experiments.Ablations(ctx, opts)
-	if err != nil {
-		return err
-	}
+func printAblations(w *bytes.Buffer, rows []experiments.Row) error {
+	rows = experiments.LabelAblations(rows)
 	fmt.Fprintln(w, "== Ablation studies (extensions; see DESIGN.md §4 and EXPERIMENTS.md) ==")
 	fmt.Fprintf(w, "%-24s %-24s %12s %14s %12s %9s %10s\n",
 		"study", "variant", "BW Gb/s", "EPM pJ", "latency cyc", "fairness", "area mm^2")
@@ -197,8 +309,8 @@ func printAblations(ctx context.Context, w *bytes.Buffer, opts experiments.Optio
 	return nil
 }
 
-func printFig1_1(w *bytes.Buffer) error {
-	points, err := experiments.Figure1_1()
+func printFig1_1(w *bytes.Buffer, _ []experiments.Row) error {
+	points, err := gpgpu.Figure1_1()
 	if err != nil {
 		return err
 	}
@@ -211,19 +323,7 @@ func printFig1_1(w *bytes.Buffer) error {
 	return nil
 }
 
-func printFig3_3(ctx context.Context, w *bytes.Buffer, opts experiments.Options, csvDir string) error {
-	csv, err := createCSV(csvDir, "fig3-3_peak_bandwidth.csv")
-	if err != nil {
-		return err
-	}
-	defer csv.Close()
-	rows, err := experiments.PeakBandwidth(ctx, opts, traffic.BandwidthSets())
-	if err != nil {
-		return err
-	}
-	if err := writeRowsCSV(w, csv, rows); err != nil {
-		return err
-	}
+func printFig3_3(w *bytes.Buffer, rows []experiments.Row) error {
 	fmt.Fprintln(w, "== Figures 3-3 / 3-4: peak bandwidth and packet energy, Firefly vs d-HetPNoC ==")
 	fmt.Fprintf(w, "%-5s %-10s %-10s %12s %14s %10s\n", "set", "traffic", "arch", "peak Gb/s", "EPM pJ", "drops")
 	for _, r := range rows {
@@ -235,45 +335,7 @@ func printFig3_3(ctx context.Context, w *bytes.Buffer, opts experiments.Options,
 	return nil
 }
 
-// createCSV creates dir/name, or returns a nil file when dir is not set.
-// A figure calls it before it simulates, so a bad directory fails at once,
-// and defers the file's Close for its error paths (a second Close is
-// harmless).
-func createCSV(dir, name string) (*os.File, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	return os.Create(filepath.Join(dir, name))
-}
-
-// writeRowsCSV writes rows into f and closes it; a nil f writes nothing.
-func writeRowsCSV(w *bytes.Buffer, f *os.File, rows []experiments.Row) error {
-	if f == nil {
-		return nil
-	}
-	if err := experiments.WriteRowsCSV(f, rows); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wrote", f.Name())
-	return nil
-}
-
-func printFig3_5(ctx context.Context, w *bytes.Buffer, opts experiments.Options, csvDir string) error {
-	csv, err := createCSV(csvDir, "fig3-5_case_studies.csv")
-	if err != nil {
-		return err
-	}
-	defer csv.Close()
-	rows, err := experiments.CaseStudies(ctx, opts, traffic.BWSet1)
-	if err != nil {
-		return err
-	}
-	if err := writeRowsCSV(w, csv, rows); err != nil {
-		return err
-	}
+func printFig3_5(w *bytes.Buffer, rows []experiments.Row) error {
 	fmt.Fprintln(w, "== Figure 3-5: case studies (skewed hotspot + real application), BW set 1 ==")
 	fmt.Fprintf(w, "%-17s %-10s %15s %14s %10s\n", "traffic", "arch", "per-core Gb/s", "EPM pJ", "drops")
 	for _, r := range rows {
@@ -285,13 +347,14 @@ func printFig3_5(ctx context.Context, w *bytes.Buffer, opts experiments.Options,
 	return nil
 }
 
-func printFig3_6(w *bytes.Buffer) {
+func printFig3_6(w *bytes.Buffer, _ []experiments.Row) error {
 	fmt.Fprintln(w, "== Figure 3-6: total electro-optic device area vs aggregate bandwidth ==")
 	fmt.Fprintf(w, "%12s %15s %13s %10s\n", "wavelengths", "d-HetPNoC mm^2", "Firefly mm^2", "overhead")
 	for _, p := range experiments.AreaSweep(nil) {
 		fmt.Fprintf(w, "%12d %15.3f %13.3f %9.1f%%\n", p.DataWavelengths, p.DynamicMM2, p.FireflyMM2, p.OverheadPct)
 	}
 	fmt.Fprintln(w)
+	return nil
 }
 
 // standardPatterns are Figures 3-7/3-10's patterns: uniform-random plus
@@ -322,19 +385,19 @@ func areaOf(arch string, wavelengths int) units.SquareMillimeter {
 	return cfg.DynamicAreaMM2()
 }
 
-func printScaling(ctx context.Context, w *bytes.Buffer, opts experiments.Options, arch fabric.Arch, figName string) error {
-	rows, err := experiments.RunMatrix(ctx, opts, acrossSets(arch, standardPatterns...))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== Figure %s: %s peak core bandwidth and EPM across bandwidth sets ==\n", figName, arch)
-	fmt.Fprintf(w, "%-5s %-10s %6s %15s %14s %12s\n", "set", "traffic", "total", "per-core Gb/s", "EPM pJ", "area mm^2")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-5s %-10s %6d %15.2f %14.1f %12.3f\n",
-			r.Set, r.Pattern, r.TotalWavelengths, r.PerCoreGbps, r.EnergyPerMessagePJ, areaOf(r.Arch, r.TotalWavelengths))
-	}
-	fmt.Fprintln(w)
-	return nil
+// scaling is Figure 3-7 (d-HetPNoC) or 3-10 (Firefly): arch's runs under
+// the standard patterns across the bandwidth sets.
+func scaling(arch fabric.Arch, figName string) figure {
+	return figure{cfgs: acrossSets(arch, standardPatterns...), print: func(w *bytes.Buffer, rows []experiments.Row) error {
+		fmt.Fprintf(w, "== Figure %s: %s peak core bandwidth and EPM across bandwidth sets ==\n", figName, arch)
+		fmt.Fprintf(w, "%-5s %-10s %6s %15s %14s %12s\n", "set", "traffic", "total", "per-core Gb/s", "EPM pJ", "area mm^2")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%-5s %-10s %6d %15.2f %14.1f %12.3f\n",
+				r.Set, r.Pattern, r.TotalWavelengths, r.PerCoreGbps, r.EnergyPerMessagePJ, areaOf(r.Arch, r.TotalWavelengths))
+		}
+		fmt.Fprintln(w)
+		return nil
+	}}
 }
 
 // printFig3_8 prints Figures 3-8 and 3-9: the effect of growing the total
@@ -342,11 +405,7 @@ func printScaling(ctx context.Context, w *bytes.Buffer, opts experiments.Options
 // energy per message and area under skewed 3 traffic, each as a change
 // from the first set (the thesis: +751.31% bandwidth, +70% area, -10.89%
 // energy per message from 64 to 512 wavelengths).
-func printFig3_8(ctx context.Context, w *bytes.Buffer, opts experiments.Options) error {
-	rows, err := experiments.RunMatrix(ctx, opts, acrossSets(fabric.DHetPNoC, traffic.Skewed{Level: 3}))
-	if err != nil {
-		return err
-	}
+func printFig3_8(w *bytes.Buffer, rows []experiments.Row) error {
 	fmt.Fprintln(w, "== Figures 3-8 / 3-9: d-HetPNoC, skewed 3 — wavelengths vs peak bandwidth, EPM, area ==")
 	fmt.Fprintf(w, "%12s %12s %12s %11s %9s %9s %9s\n",
 		"wavelengths", "peak Gb/s", "EPM pJ", "area mm^2", "dBW%", "dEPM%", "dArea%")
@@ -381,7 +440,7 @@ func printPairGains(w *bytes.Buffer, rows []experiments.Row) {
 	}
 }
 
-func printTables(w *bytes.Buffer) {
+func printTables(w *bytes.Buffer, _ []experiments.Row) error {
 	fmt.Fprintln(w, "== Table 3-1: bandwidth sets ==")
 	for _, s := range traffic.BandwidthSets() {
 		fmt.Fprintf(w, "%s: classes %v Gb/s, %d wavelengths, packets %dx%d b\n",
@@ -400,4 +459,5 @@ func printTables(w *bytes.Buffer) {
 	p := photonic.DefaultEnergyParams()
 	fmt.Fprintf(w, "modulation %.3g pJ/b, tuning %.3g pJ/b, launch %.3g pJ/b, buffer %.6g pJ/b, router %.3g pJ/b\n",
 		p.ModulationPJPerBit, p.TuningPJPerBit, p.LaunchPJPerBit, p.BufferPJPerBit, p.RouterPJPerBit)
+	return nil
 }

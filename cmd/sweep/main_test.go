@@ -49,16 +49,43 @@ func TestRunFig3_3RejectsBadCSVDir(t *testing.T) {
 	}
 }
 
-// TestRunCSVFailsBeforeSimulating: a figure creates its CSV file before it
-// simulates, so a bad -csv directory is reported even when the context is
-// canceled and no simulation could run.
+// TestRunCSVFailsBeforeSimulating: sweep creates its CSV files and its
+// HTML report before it simulates, so a bad -csv directory or -html path
+// is reported even when the context is canceled and no simulation could
+// run.
 func TestRunCSVFailsBeforeSimulating(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, fig := range []string{"3-3", "3-5"} {
-		err := run(ctx, []string{"-fig", fig, "-csv", "/nonexistent-dir"}, io.Discard)
-		if !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("sweep -fig %s -csv /nonexistent-dir with a canceled context: want fs.ErrNotExist, got %v", fig, err)
+	for _, args := range [][]string{
+		{"-fig", "3-3", "-csv", "/nonexistent-dir"},
+		{"-fig", "3-5", "-csv", "/nonexistent-dir"},
+		{"-html", "/nonexistent-dir/x.html"},
+	} {
+		if err := run(ctx, args, io.Discard); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("sweep %s with a canceled context: want fs.ErrNotExist, got %v", strings.Join(args, " "), err)
+		}
+	}
+}
+
+// TestRunWritesHTMLReport: -html renders every figure the report draws
+// into one self-contained page, and says where it wrote it.
+func TestRunWritesHTMLReport(t *testing.T) {
+	leakcheck.Check(t)
+	if testing.Short() {
+		t.Skip("simulation figures in -short mode")
+	}
+	page := filepath.Join(t.TempDir(), "report.html")
+	out := sweep(t, []string{"-cycles", "1500", "-warmup", "300", "-html", page})
+	if want := "wrote " + page + "\n"; !bytes.HasSuffix(out, []byte(want)) {
+		t.Errorf("sweep -html printed %q last, want %q", out[max(0, len(out)-len(want)):], want)
+	}
+	data, err := os.ReadFile(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"<!DOCTYPE html>", "Figure 1-1", "Figure 3-3", "Figure 3-6", "BW3"} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("the report lacks %q", want)
 		}
 	}
 }
@@ -75,15 +102,16 @@ func TestRunQuickKeepsExplicitCycles(t *testing.T) {
 	}
 }
 
-// TestRunHonorsCancellation: every simulating selection runs under run's
-// context, so a canceled one fails each with its error before any
-// simulation starts.
+// TestRunHonorsCancellation: the one plan of every simulating selection
+// runs under run's context, so a canceled one fails each with its error
+// before any simulation starts.
 func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, args := range [][]string{
 		{"-fig", "3-3"}, {"-fig", "3-5"}, {"-fig", "3-7"}, {"-fig", "3-8"}, {"-fig", "3-10"},
 		{"-fig", "none", "-ablations"}, {"-fig", "none", "-latency"}, {"-fig", "none", "-sensitivity"},
+		{"-fig", "none", "-ablations", "-html", filepath.Join(t.TempDir(), "report.html")},
 	} {
 		var out bytes.Buffer
 		if err := run(ctx, append(args, "-cycles", "1500", "-warmup", "300"), &out); !errors.Is(err, context.Canceled) {

@@ -27,6 +27,12 @@
 // TestPathEquivalence, and TestShelfNeitherPoisonsNorAliases for builds
 // of failed groups).
 //
+// A member whose config equals an earlier member's, seed and load
+// included, is run once: its twin runs as usual, and the repeat gets its
+// own Finish of that run before the fabric forks again — a fresh result,
+// byte-identical to the twin's and sharing no slice or map with it
+// (TestPathEquivalence's Twin path).
+//
 // A checkpoint only restores onto the fabric it was taken from, so the
 // members of one group run sequentially on their shared fabric; Run's
 // workers claim whole groups off one shared cursor. Results land by
@@ -60,9 +66,7 @@ type Stats struct {
 func (p *Plan) Stats() Stats {
 	s := Stats{Members: len(p.specs), Groups: len(p.groups)}
 	for _, g := range p.groups {
-		if len(g.members) > s.LargestGroup {
-			s.LargestGroup = len(g.members)
-		}
+		s.LargestGroup = max(s.LargestGroup, len(g.members)+len(g.repeats))
 	}
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 
 	"hetpnoc/internal/fabric"
 )
@@ -20,12 +21,16 @@ type Plan struct {
 	opts   Options
 }
 
-// group is one shared-prefix partition. members holds spec indices in
-// submission order; members[0] is the base: its full config builds the
-// group's fabric.
+// group is one shared-prefix partition. members holds the spec indices
+// of its distinct configs in submission order; members[0] is the base:
+// its full config builds the group's fabric. Each repeat is a member
+// whose config is an earlier member's, its twin's.
 type group struct {
 	members []int
+	repeats []repeat
 }
+
+type repeat struct{ slot, twin int }
 
 // NewPlan validates the member configs, applies the fabric defaults to
 // each, and partitions them into shared-prefix groups. Member order is
@@ -45,20 +50,27 @@ func NewPlan(specs []fabric.Config, opts Options) (*Plan, error) {
 		}
 	}
 	for i := range p.specs {
-		placed := false
-		for gi := range p.groups {
-			base := p.specs[p.groups[gi].members[0]]
-			if sharablePrefix(base, p.specs[i]) {
-				p.groups[gi].members = append(p.groups[gi].members, i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
+		gi := slices.IndexFunc(p.groups, func(g group) bool { return sharablePrefix(p.specs[g.members[0]], p.specs[i]) })
+		if gi < 0 {
 			p.groups = append(p.groups, group{members: []int{i}})
+		} else {
+			p.groups[gi].add(p.specs, i)
 		}
 	}
 	return p, nil
+}
+
+// add puts member i, which shares g's prefix, into g: the prefix masks
+// only the seed and the load scale, so i repeats the first member with
+// its seed and load, if there is one.
+func (g *group) add(specs []fabric.Config, i int) {
+	for _, mi := range g.members {
+		if specs[mi].Seed == specs[i].Seed && specs[mi].LoadScale == specs[i].LoadScale {
+			g.repeats = append(g.repeats, repeat{slot: i, twin: mi})
+			return
+		}
+	}
+	g.members = append(g.members, i)
 }
 
 // sharablePrefix reports whether two defaulted configs may share one

@@ -1,6 +1,9 @@
 package batch
 
 import (
+	"bytes"
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -65,6 +68,32 @@ func TestPlanRemapGrouping(t *testing.T) {
 	}
 }
 
+// TestPlanRunsEachConfigOnce: a member with the seed and load of an
+// earlier member of its group is a repeat and is not run, and every
+// member's result, repeats included, is its solo run's. A member that
+// shares only its seed, or only its load, with another is run.
+func TestPlanRunsEachConfigOnce(t *testing.T) {
+	specs := []fabric.Config{spec(1, 1), spec(1, 2), spec(1, 1), spec(2, 1), spec(1, 2), spec(1, 1)}
+	p := mustPlan(t, specs, Options{Workers: 1})
+	if st, g := p.Stats(), p.groups[0]; st.Groups != 1 || st.LargestGroup != 6 ||
+		!slices.Equal(g.members, []int{0, 1, 3}) || !slices.Equal(g.repeats, []repeat{{2, 0}, {4, 1}, {5, 0}}) {
+		t.Fatalf("stats %+v, members %v, repeats %v; want one group of 6 that runs members 0, 1 and 3", st, g.members, g.repeats)
+	}
+	got, err := p.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range specs {
+		want, err := mustPlan(t, []fabric.Config{s}, Options{}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resultJSON(t, got[i]), resultJSON(t, want[0])) {
+			t.Errorf("member %d (seed %d, load %g) differs from its solo run", i, s.Seed, s.LoadScale)
+		}
+	}
+}
+
 func TestPlanMemberOrderPreserved(t *testing.T) {
 	specs := []fabric.Config{spec(3, 1), spec(1, 2), spec(2, 1)}
 	p := mustPlan(t, specs, Options{})
@@ -92,13 +121,14 @@ func TestPlanRejectsEmptyAndInvalid(t *testing.T) {
 
 // FuzzBatchPlan holds NewPlan's partition invariants on arbitrary job
 // lists: every member lands in exactly one group, every member shares a
-// prefix with its group's base, and grouping is deterministic. The
-// inputs drive the config fields the prefix comparison masks or splits
-// on.
+// prefix with its group's base, a group runs each of its configs once and
+// grouping is deterministic. The inputs drive the config fields the
+// prefix comparison masks or splits on.
 func FuzzBatchPlan(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{0xff, 0x00, 0x7f, 0x80, 0x41})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add([]byte{0x00, 0x04, 0x00, 0x04}) // one seed at two loads, each twice
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 || len(raw) > 32 {
 			t.Skip()
@@ -130,13 +160,30 @@ func FuzzBatchPlan(f *testing.F) {
 				t.Fatal("empty group")
 			}
 			base := p.specs[g.members[0]]
-			for _, mi := range g.members {
+			for j, mi := range g.members {
 				if seen[mi] {
 					t.Fatalf("member %d appears in two groups", mi)
 				}
 				seen[mi] = true
 				if !sharablePrefix(base, p.specs[mi]) {
 					t.Fatalf("member %d grouped with a base it may not share a fabric with", mi)
+				}
+				for _, mj := range g.members[:j] {
+					if p.specs[mj].Seed == p.specs[mi].Seed && p.specs[mj].LoadScale == p.specs[mi].LoadScale {
+						t.Fatalf("members %d and %d both run one config", mj, mi)
+					}
+				}
+			}
+			// A repeat is a later member with its twin's config, and its
+			// twin runs.
+			for _, r := range g.repeats {
+				if seen[r.slot] {
+					t.Fatalf("member %d appears twice", r.slot)
+				}
+				seen[r.slot] = true
+				if r.twin >= r.slot || !slices.Contains(g.members, r.twin) || !sharablePrefix(base, p.specs[r.slot]) ||
+					p.specs[r.twin].Seed != p.specs[r.slot].Seed || p.specs[r.twin].LoadScale != p.specs[r.slot].LoadScale {
+					t.Fatalf("member %d repeats member %d, which is not an earlier run of its config", r.slot, r.twin)
 				}
 			}
 		}
@@ -153,13 +200,8 @@ func FuzzBatchPlan(f *testing.F) {
 			t.Fatalf("replay built %d groups, first plan %d", len(q.groups), len(p.groups))
 		}
 		for gi := range p.groups {
-			if len(q.groups[gi].members) != len(p.groups[gi].members) {
-				t.Fatalf("group %d size differs between identical plans", gi)
-			}
-			for mi := range p.groups[gi].members {
-				if q.groups[gi].members[mi] != p.groups[gi].members[mi] {
-					t.Fatalf("group %d member %d differs between identical plans", gi, mi)
-				}
+			if !slices.Equal(q.groups[gi].members, p.groups[gi].members) || !slices.Equal(q.groups[gi].repeats, p.groups[gi].repeats) {
+				t.Fatalf("group %d differs between identical plans", gi)
 			}
 		}
 	})

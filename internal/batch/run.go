@@ -114,7 +114,8 @@ func spawn(n int, work, abort func()) {
 // fabric from the first member's config and checkpoints it at cycle 0;
 // the build is the first member's pristine state — a fork off that
 // checkpoint reproduces exactly it (TestPathEquivalence's PristineFork
-// path) — so the first member runs as built. The build goes on the shelf
+// path) — so the first member runs as built. A member whose config
+// repeats an earlier one's is not run again. The build goes on the shelf
 // only once every member has finished without error; a group that fails,
 // is cancelled or panics drops its fabric.
 func (p *Plan) runGroup(ctx context.Context, g group, results []fabric.Result) error {
@@ -143,6 +144,16 @@ func (p *Plan) runGroup(ctx context.Context, g group, results []fabric.Result) e
 		var err error
 		if results[mi], err = p.runMember(ctx, mi, pr.f); err != nil {
 			return p.memberError(mi, err)
+		}
+		// A repeat of mi is one more Finish of mi's run, before the next
+		// fork: Finish builds every result afresh, so the two are
+		// byte-identical and share nothing.
+		for _, r := range g.repeats {
+			if r.twin == mi {
+				if results[r.slot], err = pr.f.Finish(); err != nil {
+					return p.memberError(r.slot, err)
+				}
+			}
 		}
 	}
 	shelve(pr)

@@ -202,55 +202,68 @@ func (a *Allocator) row(table []int, r int) []int {
 
 var _ xbar.Allocator = (*Allocator)(nil)
 
-// NewAllocator validates cfg and builds the allocator with every cluster
-// holding exactly its reserved wavelengths and the token at cluster 0.
-func NewAllocator(cfg Config) (*Allocator, error) {
+// Check reports why NewAllocator would refuse cfg's topology, budget
+// and knobs, without building anything; fabric.Config.Validate asks it
+// of every d-HetPNoC config.
+func (cfg Config) Check() error {
 	clusters := cfg.Topology.Clusters()
 	if clusters == 0 {
-		return nil, fmt.Errorf("core: topology has no clusters")
+		return fmt.Errorf("core: topology has no clusters")
 	}
 	if cfg.ReservedPerCluster < 1 {
-		return nil, fmt.Errorf("core: reserved wavelengths per cluster must be >= 1, got %d", cfg.ReservedPerCluster)
+		return fmt.Errorf("core: reserved wavelengths per cluster must be >= 1, got %d", cfg.ReservedPerCluster)
 	}
 	if cfg.TotalWavelengths < clusters*cfg.ReservedPerCluster {
-		return nil, fmt.Errorf("core: %d wavelengths cannot reserve %d for each of %d clusters",
+		return fmt.Errorf("core: %d wavelengths cannot reserve %d for each of %d clusters",
 			cfg.TotalWavelengths, cfg.ReservedPerCluster, clusters)
 	}
 	if cfg.TotalWavelengths > cfg.Bundle.Capacity() {
-		return nil, fmt.Errorf("core: budget %d exceeds bundle capacity %d", cfg.TotalWavelengths, cfg.Bundle.Capacity())
+		return fmt.Errorf("core: budget %d exceeds bundle capacity %d", cfg.TotalWavelengths, cfg.Bundle.Capacity())
 	}
+	if cfg.MaxChannelWavelengths < 0 {
+		return fmt.Errorf("core: negative channel cap")
+	}
+	if cfg.MaxAcquirePerVisit < 0 {
+		return fmt.Errorf("core: negative per-visit acquisition bound")
+	}
+	if cfg.WaveguidesPerCluster < 0 {
+		return fmt.Errorf("core: negative waveguide restriction")
+	}
+	if cfg.WaveguidesPerCluster > 0 {
+		if cfg.TotalWavelengths%cfg.Bundle.WavelengthsPerWaveguide != 0 {
+			return fmt.Errorf("core: waveguide restriction needs a whole-waveguide budget, got %d wavelengths",
+				cfg.TotalWavelengths)
+		}
+		if cfg.WaveguidesPerCluster > cfg.Bundle.Waveguides {
+			return fmt.Errorf("core: restriction to %d waveguides exceeds the %d available",
+				cfg.WaveguidesPerCluster, cfg.Bundle.Waveguides)
+		}
+		perWaveguideReserve := (clusters + cfg.Bundle.Waveguides - 1) / cfg.Bundle.Waveguides * cfg.ReservedPerCluster
+		if perWaveguideReserve > cfg.Bundle.WavelengthsPerWaveguide {
+			return fmt.Errorf("core: reserved wavelengths do not fit the home waveguides")
+		}
+	}
+	if cfg.Policy != 0 && cfg.Policy != PolicyGreedy && cfg.Policy != PolicyProportional {
+		return fmt.Errorf("core: unknown allocation policy %d", cfg.Policy)
+	}
+	return nil
+}
+
+// NewAllocator validates cfg and builds the allocator with every cluster
+// holding exactly its reserved wavelengths and the token at cluster 0.
+func NewAllocator(cfg Config) (*Allocator, error) {
+	if err := cfg.Check(); err != nil {
+		return nil, err
+	}
+	clusters := cfg.Topology.Clusters()
 	perWavelength, err := photonic.WavelengthCredit(cfg.ClockHz)
 	if err != nil {
 		return nil, fmt.Errorf("core: clock frequency %g Hz: wavelength rate per cycle: %w", cfg.ClockHz, err)
-	}
-	if cfg.MaxChannelWavelengths < 0 {
-		return nil, fmt.Errorf("core: negative channel cap")
-	}
-	if cfg.MaxAcquirePerVisit < 0 {
-		return nil, fmt.Errorf("core: negative per-visit acquisition bound")
 	}
 	if cfg.MaxAcquirePerVisit == 0 {
 		cfg.MaxAcquirePerVisit = cfg.MaxChannelWavelengths / 8
 		if cfg.MaxAcquirePerVisit < 1 {
 			cfg.MaxAcquirePerVisit = 1
-		}
-	}
-
-	if cfg.WaveguidesPerCluster < 0 {
-		return nil, fmt.Errorf("core: negative waveguide restriction")
-	}
-	if cfg.WaveguidesPerCluster > 0 {
-		if cfg.TotalWavelengths%cfg.Bundle.WavelengthsPerWaveguide != 0 {
-			return nil, fmt.Errorf("core: waveguide restriction needs a whole-waveguide budget, got %d wavelengths",
-				cfg.TotalWavelengths)
-		}
-		if cfg.WaveguidesPerCluster > cfg.Bundle.Waveguides {
-			return nil, fmt.Errorf("core: restriction to %d waveguides exceeds the %d available",
-				cfg.WaveguidesPerCluster, cfg.Bundle.Waveguides)
-		}
-		perWaveguideReserve := (clusters + cfg.Bundle.Waveguides - 1) / cfg.Bundle.Waveguides * cfg.ReservedPerCluster
-		if perWaveguideReserve > cfg.Bundle.WavelengthsPerWaveguide {
-			return nil, fmt.Errorf("core: reserved wavelengths do not fit the home waveguides")
 		}
 	}
 
@@ -294,9 +307,6 @@ func NewAllocator(cfg Config) (*Allocator, error) {
 
 	if cfg.Policy == 0 {
 		a.cfg.Policy = PolicyGreedy
-	}
-	if a.cfg.Policy != PolicyGreedy && a.cfg.Policy != PolicyProportional {
-		return nil, fmt.Errorf("core: unknown allocation policy %d", cfg.Policy)
 	}
 	a.resetDerived()
 

@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
+	"slices"
 
 	"hetpnoc/internal/area"
 	"hetpnoc/internal/fabric"
@@ -128,21 +128,24 @@ func ablationCases() []ablationCase {
 	return cases
 }
 
-// Ablations runs every ablation study (DESIGN.md §4, EXPERIMENTS.md) as
-// one batch plan and returns one row per variant, labeled with its study
-// and variant, study by study.
-func Ablations(ctx context.Context, opts Options) ([]Row, error) {
+// Ablations lists every ablation study's variants (DESIGN.md §4,
+// EXPERIMENTS.md), study by study; LabelAblations names their rows.
+func Ablations() []fabric.Config {
 	cases := ablationCases()
 	cfgs := make([]fabric.Config, len(cases))
 	for i, c := range cases {
 		cfgs[i] = c.cfg
 	}
-	rows, err := RunMatrix(ctx, opts, cfgs)
-	if err != nil {
-		return nil, err
+	return cfgs
+}
+
+// LabelAblations returns rows, the rows of Ablations' configs in order,
+// each labeled with its study, its variant and the variant's analytic
+// area where it has one.
+func LabelAblations(rows []Row) []Row {
+	out := slices.Clone(rows)
+	for i, c := range ablationCases() {
+		out[i].Study, out[i].Variant, out[i].AreaMM2 = c.study, c.variant, c.areaMM2
 	}
-	for i, c := range cases {
-		rows[i].Study, rows[i].Variant, rows[i].AreaMM2 = c.study, c.variant, c.areaMM2
-	}
-	return rows, nil
+	return out
 }

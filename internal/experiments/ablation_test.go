@@ -11,7 +11,11 @@ import (
 
 // ablations runs every study once, at quickOpts, for all the tests below.
 var ablations = sync.OnceValues(func() ([]Row, error) {
-	return Ablations(context.Background(), quickOpts())
+	rows, err := RunMatrix(context.Background(), quickOpts(), Ablations())
+	if err != nil {
+		return nil, err
+	}
+	return LabelAblations(rows), nil
 })
 
 // study returns one study's rows in variant order, and the same rows by

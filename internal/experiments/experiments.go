@@ -1,21 +1,23 @@
 // Package experiments reproduces every table and figure of the thesis's
 // evaluation (§3.4). A simulated figure is a list of fabric configs:
-// RunMatrix runs any list as one batch plan and returns one Row per
-// config; cmd/sweep builds the lists and prints the rows.
+// RunMatrix, the one function here that simulates, runs any list as one
+// batch plan and returns one Row per config; the rest build lists and
+// read rows without simulating. cmd/sweep joins the lists of everything
+// it prints into one and hands each printer its rows.
 //
 // Experiment index (see DESIGN.md §3 for the full mapping):
 //
-//	Figure 1-1   — GPU flit-size speedups            (Figure1_1)
+//	Figure 1-1   — GPU flit-size speedups            (gpgpu.Figure1_1)
 //	Figure 3-3   — peak bandwidth matrix             (PeakBandwidth)
 //	Figure 3-4   — packet energy matrix              (PeakBandwidth, EPM column)
 //	Figure 3-5   — hotspot + real-application cases  (CaseStudies)
 //	Figure 3-6   — area vs aggregate bandwidth       (AreaSweep)
-//	Figure 3-7   — d-HetPNoC scaling across BW sets  (RunMatrix, cmd/sweep's list)
-//	Figure 3-8/9 — wavelengths vs BW / EPM / area    (RunMatrix, cmd/sweep's list)
-//	Figure 3-10  — Firefly scaling across BW sets    (RunMatrix, cmd/sweep's list)
-//	Extensions   — ablation studies                  (Ablations)
-//	               load-latency curves               (RunMatrix, one config per load)
-//	               energy-model sensitivity          (EnergySensitivity)
+//	Figure 3-7   — d-HetPNoC scaling across BW sets  (cmd/sweep's list)
+//	Figure 3-8/9 — wavelengths vs BW / EPM / area    (cmd/sweep's list)
+//	Figure 3-10  — Firefly scaling across BW sets    (cmd/sweep's list)
+//	Extensions   — ablation studies                  (Ablations, LabelAblations)
+//	               load-latency curves               (cmd/sweep's list, one config per load)
+//	               energy-model sensitivity          (SensitivityRuns, EnergySensitivity)
 package experiments
 
 import (
@@ -24,6 +26,7 @@ import (
 
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
+	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/units"
 )
 
@@ -75,16 +78,23 @@ type Row struct {
 	AreaMM2 units.SquareMillimeter `json:"areaMM2,omitempty"`
 
 	AllocatedWavelengths []int `json:"allocatedWavelengths"`
+
+	// EnergyCounts is the run's energy ledger, which EnergyPerMessagePJ
+	// prices at the default constants and EnergySensitivity at others.
+	EnergyCounts photonic.Counts `json:"energyCounts"`
 }
 
-// runPlan is how every runner in this package executes simulations: opts
-// supplies the cycles, warm-up and seed of each config that leaves them
-// zero, the configs become one batch plan bounded by opts.Parallelism,
-// configs sharing a build prefix share one fabric, and the results come
-// back in config order. A value left zero in both takes the fabric's
-// default. Each result is bit-identical to a solo fabric.New + Run of
-// its config (the batch contract, docs/BATCHING.md).
-func runPlan(ctx context.Context, opts Options, cfgs []fabric.Config) ([]fabric.Result, error) {
+// RunMatrix runs every config, in parallel up to opts.Parallelism, and
+// returns one row per config in config order. It is how this package
+// simulates: opts supplies the cycles, warm-up and seed of each config
+// that leaves them zero (a value zero in both takes the fabric's
+// default), and the configs become one batch plan, in which configs
+// sharing a build prefix share one fabric and a config listed twice runs
+// once. Each row is bit-identical to a solo fabric.New + Run of its
+// config (the batch contract, docs/BATCHING.md). When ctx is done, the
+// in-flight configs abort at the fabric's next cancellation check and
+// the error returned is ctx's.
+func RunMatrix(ctx context.Context, opts Options, cfgs []fabric.Config) ([]Row, error) {
 	specs := make([]fabric.Config, len(cfgs))
 	for i, cfg := range cfgs {
 		if cfg.Cycles == 0 {
@@ -106,19 +116,6 @@ func runPlan(ctx context.Context, opts Options, cfgs []fabric.Config) ([]fabric.
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	return out, nil
-}
-
-// RunMatrix runs every config, in parallel up to opts.Parallelism, and
-// returns one row per config in config order. A config's zero cycles,
-// warm-up and seed come from opts. When ctx is done, the in-flight
-// configs abort at the fabric's next cancellation check and the error
-// returned is ctx's.
-func RunMatrix(ctx context.Context, opts Options, cfgs []fabric.Config) ([]Row, error) {
-	out, err := runPlan(ctx, opts, cfgs)
-	if err != nil {
-		return nil, err
-	}
 	rows := make([]Row, len(out))
 	for i, res := range out {
 		rows[i] = Row{
@@ -138,6 +135,7 @@ func RunMatrix(ctx context.Context, opts Options, cfgs []fabric.Config) ([]Row, 
 			MaxLatencyCycles:     int64(res.Stats.MaxLatencyCycles),
 			FairnessJain:         res.Stats.FairnessJain,
 			AllocatedWavelengths: res.AllocatedWavelengths,
+			EnergyCounts:         res.EnergyCounts,
 		}
 	}
 	return rows, nil

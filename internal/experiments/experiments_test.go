@@ -64,7 +64,7 @@ func TestRunMatrixLoadSweepKeepsBest(t *testing.T) {
 }
 
 func TestPeakBandwidthMatrixShape(t *testing.T) {
-	rows, err := PeakBandwidth(context.Background(), quickOpts(), []traffic.BandwidthSet{traffic.BWSet1})
+	rows, err := RunMatrix(context.Background(), quickOpts(), PeakBandwidth([]traffic.BandwidthSet{traffic.BWSet1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestPeakBandwidthMatrixShape(t *testing.T) {
 }
 
 func TestCaseStudiesShape(t *testing.T) {
-	rows, err := CaseStudies(context.Background(), quickOpts(), traffic.BWSet1)
+	rows, err := RunMatrix(context.Background(), quickOpts(), CaseStudies(traffic.BWSet1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 	"hetpnoc/internal/units"
 )
 
-// Every runner in this package executes through runPlan. These tests
-// hold it to the solo path: a row must equal the one computed here from
+// RunMatrix is the one function in this package that simulates. These
+// tests hold it to the solo path: a row must equal the one computed here from
 // a fresh fabric.New + Run of its config.
 
 func referenceOpts() Options {
@@ -71,6 +71,7 @@ func soloRow(t *testing.T, opts Options, cfg fabric.Config) Row {
 		MaxLatencyCycles:     int64(res.Stats.MaxLatencyCycles),
 		FairnessJain:         res.Stats.FairnessJain,
 		AllocatedWavelengths: res.AllocatedWavelengths,
+		EnergyCounts:         res.EnergyCounts,
 	}
 }
 
@@ -112,14 +113,16 @@ func TestRowsMatchSoloRuns(t *testing.T) {
 	matrixMatchesSoloRuns(t, []fabric.Config{skewed2(fabric.Firefly, traffic.BWSet1), serialized, light, torus, reseeded})
 }
 
-// TestAblationsMatchSoloRuns: every row of Ablations is its case's solo
-// run, labeled with the case's study, variant and analytic area.
+// TestAblationsMatchSoloRuns: every labeled row of Ablations' configs is
+// its case's solo run, labeled with the case's study, variant and
+// analytic area.
 func TestAblationsMatchSoloRuns(t *testing.T) {
 	opts := referenceOpts()
-	rows, err := Ablations(context.Background(), opts)
+	rows, err := RunMatrix(context.Background(), opts, Ablations())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows = LabelAblations(rows)
 	cases := ablationCases()
 	if len(rows) != len(cases) {
 		t.Fatalf("%d rows for %d ablation cases", len(rows), len(cases))
@@ -165,7 +168,11 @@ func TestReplicasMatchSoloRuns(t *testing.T) {
 func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 	opts := referenceOpts()
 	scales := []float64{0.5, 1.0, 3.0}
-	rows, err := EnergySensitivity(context.Background(), opts, scales)
+	runs, err := RunMatrix(context.Background(), opts, SensitivityRuns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := EnergySensitivity(runs[0], runs[1], scales)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,41 +211,35 @@ func TestEnergySensitivityMatchesSoloRuns(t *testing.T) {
 	}
 }
 
-// TestRunnersHonorCancellation: every simulating runner threads its
-// context into the cycle loop, so a run that would take hours returns the
-// context's error about one fabric.CancelCheckInterval after the deadline
-// fires, and a context that is already canceled aborts the run before
-// it simulates anything.
+// TestRunnersHonorCancellation: RunMatrix threads its context into the
+// cycle loop, so every list this package builds, run for hours, returns
+// the context's error about one fabric.CancelCheckInterval after the
+// deadline fires, and a context that is already canceled aborts the run
+// before it simulates anything.
 func TestRunnersHonorCancellation(t *testing.T) {
 	endless := Options{Cycles: 1 << 30, WarmupCycles: 1000, Parallelism: 2}
 	type runner struct {
 		name string
 		run  func(context.Context) error
 	}
-	runners := []runner{
-		{"RunMatrix", func(ctx context.Context) error {
-			_, err := RunMatrix(ctx, endless, []fabric.Config{
-				{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC},
-				{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
-			})
-			return err
+	var runners []runner
+	for _, list := range []struct {
+		name string
+		cfgs []fabric.Config
+	}{
+		{"RunMatrix", []fabric.Config{
+			{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.DHetPNoC},
+			{Set: traffic.BWSet1, Pattern: traffic.Uniform{}, Arch: fabric.Firefly},
 		}},
-		{"PeakBandwidth", func(ctx context.Context) error {
-			_, err := PeakBandwidth(ctx, endless, []traffic.BandwidthSet{traffic.BWSet1})
+		{"PeakBandwidth", PeakBandwidth([]traffic.BandwidthSet{traffic.BWSet1})},
+		{"CaseStudies", CaseStudies(traffic.BWSet1)},
+		{"Ablations", Ablations()},
+		{"SensitivityRuns", SensitivityRuns()},
+	} {
+		runners = append(runners, runner{list.name, func(ctx context.Context) error {
+			_, err := RunMatrix(ctx, endless, list.cfgs)
 			return err
-		}},
-		{"CaseStudies", func(ctx context.Context) error {
-			_, err := CaseStudies(ctx, endless, traffic.BWSet1)
-			return err
-		}},
-		{"Ablations", func(ctx context.Context) error {
-			_, err := Ablations(ctx, endless)
-			return err
-		}},
-		{"EnergySensitivity", func(ctx context.Context) error {
-			_, err := EnergySensitivity(ctx, endless, nil)
-			return err
-		}},
+		}})
 	}
 	// finish runs r and fails the test if it is still running after
 	// 5 s: one check interval is well under a millisecond of stepping,

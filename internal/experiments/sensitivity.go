@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"hetpnoc/internal/fabric"
@@ -23,6 +22,15 @@ type SensitivityRow struct {
 	DHetSavingPct float64 `json:"dhetSavingPct"`
 }
 
+// SensitivityRuns lists the two runs EnergySensitivity prices: Firefly
+// and d-HetPNoC under skewed-2 traffic at BW set 1, a Figure 3-4 point.
+func SensitivityRuns() []fabric.Config {
+	return []fabric.Config{
+		{Arch: fabric.Firefly, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}},
+		{Arch: fabric.DHetPNoC, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}},
+	}
+}
+
 // EnergySensitivity sweeps the two calibrated (non-Table-3-4) energy
 // constants — the congestion-sensitive buffer-retention term and the
 // idle-detector term — and re-prices the Figure 3-4 comparison at each
@@ -30,9 +38,9 @@ type SensitivityRow struct {
 // message under skewed traffic) should not depend on our calibration;
 // this experiment demonstrates that, quantifying EXPERIMENTS.md's
 // deviation discussion. The constants never feed back into the
-// simulation, so Firefly and d-HetPNoC run once each and every row prices
-// their ledger counts.
-func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]SensitivityRow, error) {
+// simulation, so every row prices the ledger counts of the same two
+// rows: firefly and dhet, the rows of SensitivityRuns' configs.
+func EnergySensitivity(firefly, dhet Row, scales []float64) ([]SensitivityRow, error) {
 	if len(scales) == 0 {
 		scales = []float64{0.25, 0.5, 1.0, 2.0, 4.0}
 	}
@@ -41,16 +49,8 @@ func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]S
 			return nil, fmt.Errorf("experiments: sensitivity scale must be positive, got %g", scale)
 		}
 	}
-
-	out, err := runPlan(ctx, opts, []fabric.Config{
-		{Arch: fabric.Firefly, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}},
-		{Arch: fabric.DHetPNoC, Set: traffic.BWSet1, Pattern: traffic.Skewed{Level: 2}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	epm := func(res fabric.Result, energy photonic.EnergyParams) units.Picojoule {
-		return energy.Price(res.EnergyCounts).PerMessage(res.Stats.PacketsDelivered)
+	epm := func(r Row, energy photonic.EnergyParams) units.Picojoule {
+		return energy.Price(r.EnergyCounts).PerMessage(r.PacketsDelivered)
 	}
 
 	var rows []SensitivityRow
@@ -63,7 +63,7 @@ func EnergySensitivity(ctx context.Context, opts Options, scales []float64) ([]S
 			case "idle-detector":
 				energy.IdleDetectorPJPerWavelengthCycle = energy.IdleDetectorPJPerWavelengthCycle.Times(scale)
 			}
-			ff, dh := epm(out[0], energy), epm(out[1], energy)
+			ff, dh := epm(firefly, energy), epm(dhet, energy)
 			rows = append(rows, SensitivityRow{
 				Parameter: param, Scale: scale,
 				FireflyEPMPJ: ff, DHetPNoCEPMPJ: dh,

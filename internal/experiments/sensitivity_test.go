@@ -5,11 +5,22 @@ import (
 	"testing"
 )
 
+// sensitivity prices the rows of SensitivityRuns, run at quickOpts, at
+// scales.
+func sensitivity(t *testing.T, scales []float64) ([]SensitivityRow, error) {
+	t.Helper()
+	rows, err := RunMatrix(context.Background(), quickOpts(), SensitivityRuns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return EnergySensitivity(rows[0], rows[1], scales)
+}
+
 // TestEPMConclusionRobustToCalibration: the Figure 3-4 sign — d-HetPNoC
 // dissipates less per message under skewed traffic — must hold across a
 // 16x range of the calibrated congestion-energy constant.
 func TestEPMConclusionRobustToCalibration(t *testing.T) {
-	rows, err := EnergySensitivity(context.Background(), quickOpts(), []float64{0.25, 1.0, 4.0})
+	rows, err := sensitivity(t, []float64{0.25, 1.0, 4.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +39,7 @@ func TestEPMConclusionRobustToCalibration(t *testing.T) {
 // congestion term amplifies the saving (Firefly's queues are deeper), so
 // the saving must be monotone in the buffer-residency scale.
 func TestSensitivitySavingGrowsWithCongestionWeight(t *testing.T) {
-	rows, err := EnergySensitivity(context.Background(), quickOpts(), []float64{0.5, 2.0})
+	rows, err := sensitivity(t, []float64{0.5, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +61,7 @@ func TestSensitivitySavingGrowsWithCongestionWeight(t *testing.T) {
 }
 
 func TestSensitivityValidation(t *testing.T) {
-	if _, err := EnergySensitivity(context.Background(), quickOpts(), []float64{-1}); err == nil {
+	if _, err := EnergySensitivity(Row{}, Row{}, []float64{-1}); err == nil {
 		t.Fatal("negative scale accepted")
 	}
 }

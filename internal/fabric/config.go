@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"unsafe"
 
+	"hetpnoc/internal/core"
+	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
@@ -292,5 +294,32 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fabric: remap at cycle %d is outside the run's %d cycles", r.At, c.Cycles)
 		}
 	}
-	return nil
+	if c.Arch != DHetPNoC {
+		return nil // the DBA knobs configure d-HetPNoC's allocator only
+	}
+	bundle, err := photonic.NewBundle(c.Set.TotalWavelengths)
+	if err != nil {
+		return err
+	}
+	return c.dbaConfig(bundle).Check()
+}
+
+// dbaConfig is d-HetPNoC's token allocator configuration for c, on
+// bundle, without its ledger and event log.
+func (c Config) dbaConfig(bundle photonic.WaveguideBundle) core.Config {
+	policy := core.PolicyGreedy
+	if c.ProportionalDBA {
+		policy = core.PolicyProportional
+	}
+	return core.Config{
+		Policy:                policy,
+		Topology:              c.Topology,
+		Bundle:                bundle,
+		TotalWavelengths:      c.Set.TotalWavelengths,
+		ReservedPerCluster:    c.ReservedPerCluster,
+		MaxChannelWavelengths: c.Set.MaxChannelWavelengths(),
+		MaxAcquirePerVisit:    c.MaxAcquirePerVisit,
+		WaveguidesPerCluster:  c.WaveguidesPerCluster,
+		ClockHz:               sim.DefaultClock().FrequencyHz,
+	}
 }

@@ -145,23 +145,9 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		f.alloc = alloc
 	case DHetPNoC:
-		policy := core.PolicyGreedy
-		if cfg.ProportionalDBA {
-			policy = core.PolicyProportional
-		}
-		dba, err := core.NewAllocator(core.Config{
-			Policy:                policy,
-			Topology:              cfg.Topology,
-			Bundle:                bundle,
-			TotalWavelengths:      cfg.Set.TotalWavelengths,
-			ReservedPerCluster:    cfg.ReservedPerCluster,
-			MaxChannelWavelengths: cfg.Set.MaxChannelWavelengths(),
-			MaxAcquirePerVisit:    cfg.MaxAcquirePerVisit,
-			WaveguidesPerCluster:  cfg.WaveguidesPerCluster,
-			ClockHz:               clock.FrequencyHz,
-			Ledger:                f.ledger,
-			Events:                f.events,
-		})
+		dcfg := cfg.dbaConfig(bundle)
+		dcfg.Ledger, dcfg.Events = f.ledger, f.events
+		dba, err := core.NewAllocator(dcfg)
 		if err != nil {
 			return nil, err
 		}

@@ -235,6 +235,33 @@ func TestFireflyIgnoresDBAKnobs(t *testing.T) {
 	}
 }
 
+// TestValidateAgreesWithNew: Validate accepts a config exactly when New
+// builds it, over the DBA knobs at every bandwidth set, so a plan or a
+// request refuses a d-HetPNoC allocator that cannot be built before
+// anything runs. Firefly ignores the knobs and builds at every value.
+func TestValidateAgreesWithNew(t *testing.T) {
+	for _, arch := range []Arch{DHetPNoC, Firefly} {
+		for _, set := range traffic.BandwidthSets() {
+			for _, waveguides := range []int{-1, 0, 2, 9} {
+				for _, reserved := range []int{-1, 1, 5, 32} {
+					for _, acquire := range []int{-1, 0} {
+						cfg := Config{
+							Arch: arch, Set: set, Pattern: traffic.Uniform{},
+							WaveguidesPerCluster: waveguides, ReservedPerCluster: reserved, MaxAcquirePerVisit: acquire,
+						}.WithDefaults()
+						verr := cfg.Validate()
+						_, nerr := New(cfg)
+						if (verr == nil) != (nerr == nil) || arch == Firefly && nerr != nil {
+							t.Errorf("%s at %s, %d waveguides, %d reserved, acquire %d: Validate says %v, New %v",
+								arch, set.Name, waveguides, reserved, acquire, verr, nerr)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestLowLoadDeliversEverything: with light offered load nothing is
 // rejected or dropped, and almost everything in flight drains.
 func TestLowLoadDeliversEverything(t *testing.T) {

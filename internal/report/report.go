@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"html/template"
 	"io"
+	"slices"
 	"sort"
 
 	"hetpnoc/internal/area"
@@ -47,10 +48,10 @@ func (r *Report) AddPeakBandwidth(setName string, rows []experiments.Row) error 
 		if row.Set != setName {
 			continue
 		}
-		if len(series[row.Arch]) == 0 && !contains(archOrder, row.Arch) {
+		if len(series[row.Arch]) == 0 && !slices.Contains(archOrder, row.Arch) {
 			archOrder = append(archOrder, row.Arch)
 		}
-		if !contains(groups, row.Pattern) {
+		if !slices.Contains(groups, row.Pattern) {
 			groups = append(groups, row.Pattern)
 		}
 		series[row.Arch] = append(series[row.Arch], float64(row.PeakBandwidthGbps))
@@ -132,8 +133,7 @@ func (r *Report) AddAreaModel(points []area.Point) error {
 
 // AddGPUSpeedups renders the Figure 1-1 motivation bars.
 func (r *Report) AddGPUSpeedups(points []gpgpu.SpeedupPoint) error {
-	sorted := make([]gpgpu.SpeedupPoint, len(points))
-	copy(sorted, points)
+	sorted := slices.Clone(points)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].SpeedupPct > sorted[j].SpeedupPct })
 
 	chart := BarChart{
@@ -221,13 +221,4 @@ func (r *Report) Render(w io.Writer) error {
 		Sections []section
 	}{r.Title, r.Subtitle, r.sections}
 	return pageTemplate.Execute(w, data)
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

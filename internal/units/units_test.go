@@ -102,7 +102,7 @@ func TestJSONIsBitIdenticalToFloat64(t *testing.T) {
 }
 
 // TestLabels: the String/Unit methods are the single source of unit
-// labels for cmd/report and the examples.
+// labels for the HTML report and the examples.
 func TestLabels(t *testing.T) {
 	cases := []struct {
 		str, unit string

@@ -331,6 +331,18 @@ func paths(all []*scenario) []path {
 			unshelve(t)
 			return planned(t, []fabric.Config{sc.other(), sc.fc}, batch.Options{}, 1, 1)[1].outcome(t)
 		}},
+		// Two members of one config: the second is not run but finished
+		// once more on the first's fabric. Both are the reference, and
+		// they share no slice, map or probe row.
+		path{name: "Twin", serial: true, run: func(t *testing.T, sc *scenario) outcome {
+			unshelve(t)
+			fc := sc.fc
+			fc.ProbeEvery = 100
+			twins := planned(t, []fabric.Config{fc, fc}, batch.Options{}, 1, 0)
+			unaliased(t, twins[0].fab, twins[1].fab)
+			sc.same(t, "the first twin", sc.unprobed(t, fc.ProbeEvery, twins[0].res, &twins[0].fab.Counters))
+			return sc.unprobed(t, fc.ProbeEvery, twins[1].res, &twins[1].fab.Counters)
+		}},
 	)
 	for i, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		ps = append(ps, path{name: []string{"Corpus-w1", "Corpus-w2", "Corpus-wmax"}[i], run: whole(func(t *testing.T) map[int]outcome {
@@ -351,7 +363,7 @@ func paths(all []*scenario) []path {
 			fc := sc.fc
 			fc.ProbeEvery = every
 			m := planned(t, []fabric.Config{fc}, batch.Options{}, -1, -1)[0]
-			return sc.unprobed(t, every, m.res, m.last)
+			return sc.unprobed(t, every, m.res, &m.fab.Counters)
 		}})
 	}
 	ps = append(ps, path{name: "Beside", run: func(t *testing.T, sc *scenario) outcome {
@@ -671,13 +683,42 @@ func widen(xs []int32) []int {
 	return out
 }
 
-// member is one plan member's result and its last row of counters.
+// member is one plan member's result, public and as the plan returned it.
 type member struct {
-	res  Result
-	last *fabric.Counters
+	res Result
+	fab *fabric.Result
 }
 
-func (m member) outcome(t testing.TB) outcome { return outcomeOf(t, m.res, &m.last.Totals) }
+func (m member) outcome(t testing.TB) outcome { return outcomeOf(t, m.res, &m.fab.Totals) }
+
+// unaliased fails if the results a and b, both probed, share a slice, a
+// map or the probe.
+func unaliased(t *testing.T, a, b *fabric.Result) {
+	t.Helper()
+	if a.Probe == nil || b.Probe == nil || a.Probe == b.Probe {
+		t.Fatalf("the results carry probes %p and %p, want two", a.Probe, b.Probe)
+	}
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"AllocatedWavelengths", a.AllocatedWavelengths, b.AllocatedWavelengths},
+		{"ChannelBusyFraction", a.ChannelBusyFraction, b.ChannelBusyFraction},
+		{"Events", a.Events, b.Events},
+		{"EnergyBreakdownPJ", a.EnergyBreakdownPJ, b.EnergyBreakdownPJ},
+		{"Probe.Rows", a.Probe.Rows, b.Probe.Rows},
+		{"Probe.AllocatedWavelengths", a.Probe.AllocatedWavelengths, b.Probe.AllocatedWavelengths},
+		{"Probe.BusyCycles", a.Probe.BusyCycles, b.Probe.BusyCycles},
+	} {
+		x, y := reflect.ValueOf(f.a), reflect.ValueOf(f.b)
+		if x.Kind() == reflect.Slice && (x.Cap() == 0 || y.Cap() == 0) {
+			continue // nothing to share
+		}
+		if x.Pointer() == y.Pointer() {
+			t.Errorf("the two results share %s", f.name)
+		}
+	}
+}
 
 // planned runs specs as one plan and requires it to cost builds fabric
 // builds and forks forks, unless they are negative.
@@ -696,8 +737,8 @@ func planned(t *testing.T, specs []fabric.Config, opts batch.Options, builds, fo
 	if b1, f1 := batch.Counters(); builds >= 0 && (b1-b0 != builds || f1-f0 != forks) {
 		t.Errorf("the plan cost %d builds and %d forks, want %d and %d", b1-b0, f1-f0, builds, forks)
 	}
-	for i, r := range res {
-		out[i] = member{fromFabricResult(r), &r.Counters}
+	for i := range res {
+		out[i] = member{fromFabricResult(res[i]), &res[i]}
 	}
 	return out
 }
