@@ -69,6 +69,7 @@ race-quick:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigValidate$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRestore$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzFabricValidateBuilds$$' -fuzztime $(FUZZTIME) ./internal/fabric
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequestDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepDecode$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchPlan$$' -fuzztime $(FUZZTIME) ./internal/batch

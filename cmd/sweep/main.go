@@ -10,6 +10,9 @@
 //	sweep -fig 3-8      # wavelengths vs bandwidth/EPM/area (also Fig 3-9)
 //	sweep -fig 3-10     # Firefly scaling across bandwidth sets
 //	sweep -tables       # the input tables (3-1..3-5)
+//	sweep -fig none -ablations  # an extension without the figures
+//
+// Any other -fig value is refused.
 //
 // Simulation figures honour -cycles/-warmup/-seed; -quick shrinks the run
 // lengths that -cycles and -warmup do not set, for a fast smoke pass.
@@ -27,6 +30,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"hetpnoc/internal/area"
 	"hetpnoc/internal/experiments"
@@ -63,7 +68,7 @@ type figure struct {
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	var (
-		fig         = fs.String("fig", "", "figure to regenerate (1-1, 3-3, 3-5, 3-6, 3-7, 3-8, 3-10); empty = all")
+		fig         = fs.String("fig", "", "figure to regenerate (1-1, 3-3, 3-5, 3-6, 3-7, 3-8, 3-10); empty = all, none = no figure")
 		tables      = fs.Bool("tables", false, "print the input tables (3-1..3-5) and exit")
 		ablations   = fs.Bool("ablations", false, "run the ablation studies (extensions beyond the paper)")
 		latency     = fs.Bool("latency", false, "print load-latency curves (extension)")
@@ -78,6 +83,32 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+
+	// Every figure in output order, under the -fig names that select it:
+	// 3-3 carries Fig 3-4's EPM and 3-8 carries Fig 3-9.
+	catalogue := []struct {
+		names []string
+		fig   figure
+	}{
+		{[]string{"1-1"}, figure{print: printFig1_1, section: addFig1_1}},
+		{[]string{"3-3", "3-4"}, figure{cfgs: experiments.PeakBandwidth(traffic.BandwidthSets()), print: printFig3_3, csv: "fig3-3_peak_bandwidth.csv", section: addFig3_3}},
+		{[]string{"3-5"}, figure{cfgs: experiments.CaseStudies(traffic.BWSet1), print: printFig3_5, csv: "fig3-5_case_studies.csv"}},
+		{[]string{"3-6"}, figure{print: printFig3_6, section: addFig3_6}},
+		{[]string{"3-7"}, scaling(fabric.DHetPNoC, "3-7")},
+		{[]string{"3-8", "3-9"}, figure{cfgs: acrossSets(fabric.DHetPNoC, traffic.Skewed{Level: 3}), print: printFig3_8}},
+		{[]string{"3-10"}, scaling(fabric.Firefly, "3-10")},
+	}
+	var figures []figure
+	var names []string
+	for _, c := range catalogue {
+		if *fig == "" || slices.Contains(c.names, *fig) {
+			figures = append(figures, c.fig)
+		}
+		names = append(names, c.names...)
+	}
+	if *fig != "" && *fig != "none" && !slices.Contains(names, *fig) {
+		return fmt.Errorf("unknown figure %q: want one of %s or none", *fig, strings.Join(names, ", "))
 	}
 	if *tables {
 		return runFigures(stdout, []figure{{print: printTables}})
@@ -95,39 +126,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	var figures []figure
-	add := func(f figure) { figures = append(figures, f) }
-
-	all := *fig == ""
-	if all || *fig == "1-1" {
-		add(figure{print: printFig1_1, section: addFig1_1})
-	}
-	if all || *fig == "3-3" || *fig == "3-4" {
-		add(figure{cfgs: experiments.PeakBandwidth(traffic.BandwidthSets()), print: printFig3_3, csv: "fig3-3_peak_bandwidth.csv", section: addFig3_3})
-	}
-	if all || *fig == "3-5" {
-		add(figure{cfgs: experiments.CaseStudies(traffic.BWSet1), print: printFig3_5, csv: "fig3-5_case_studies.csv"})
-	}
-	if all || *fig == "3-6" {
-		add(figure{print: printFig3_6, section: addFig3_6})
-	}
-	if all || *fig == "3-7" {
-		add(scaling(fabric.DHetPNoC, "3-7"))
-	}
-	if all || *fig == "3-8" || *fig == "3-9" {
-		add(figure{cfgs: acrossSets(fabric.DHetPNoC, traffic.Skewed{Level: 3}), print: printFig3_8})
-	}
-	if all || *fig == "3-10" {
-		add(scaling(fabric.Firefly, "3-10"))
-	}
 	if *ablations {
-		add(figure{cfgs: experiments.Ablations(), print: printAblations, section: addAblations})
+		figures = append(figures, figure{cfgs: experiments.Ablations(), print: printAblations, section: addAblations})
 	}
 	if *latency {
-		add(figure{cfgs: latencyCurves(), print: printLatencyCurves})
+		figures = append(figures, figure{cfgs: latencyCurves(), print: printLatencyCurves})
 	}
 	if *sensitivity {
-		add(figure{cfgs: experiments.SensitivityRuns(), print: printSensitivity})
+		figures = append(figures, figure{cfgs: experiments.SensitivityRuns(), print: printSensitivity})
 	}
 
 	// Every output file is created before anything simulates, so a bad
@@ -378,7 +384,7 @@ func acrossSets(arch fabric.Arch, patterns ...traffic.Pattern) []fabric.Config {
 // areaOf is the analytic electro-optic area of arch at a wavelength
 // budget.
 func areaOf(arch string, wavelengths int) units.SquareMillimeter {
-	cfg := area.DefaultConfig(wavelengths)
+	cfg := area.Config{DataWavelengths: wavelengths}
 	if arch == fabric.Firefly.String() {
 		return cfg.FireflyAreaMM2()
 	}

@@ -19,6 +19,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-cycles", "abc"}, os.Stdout); err == nil {
 		t.Fatal("non-numeric cycles accepted")
 	}
+	// An unknown figure is refused by name, before any output file is
+	// created.
+	page := filepath.Join(t.TempDir(), "report.html")
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-fig", "3-11", "-html", page}, &out)
+	if err == nil || !strings.Contains(err.Error(), "3-10") {
+		t.Fatalf("-fig 3-11: error %v, want one naming the valid figures", err)
+	}
+	if _, statErr := os.Stat(page); !os.IsNotExist(statErr) || out.Len() > 0 {
+		t.Fatalf("-fig 3-11 wrote output: %q, report %v", out.String(), statErr)
+	}
 }
 
 func TestRunFig3_3WithCSV(t *testing.T) {

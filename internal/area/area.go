@@ -16,46 +16,28 @@ import (
 	"hetpnoc/internal/units"
 )
 
-// Config holds the parameters of the area model.
-type Config struct {
-	// PhotonicRouters is N_PR, one per cluster (16 in the thesis).
-	PhotonicRouters int
+// The chip the model prices: the 64-core, 16-cluster design point of
+// Table 3-3, with 5 um rings (§3.4.3).
+const (
+	// nPR is N_PR, the photonic routers, one per cluster.
+	nPR = 16
+	// lambdaW is the DWDM density, wavelengths per waveguide.
+	lambdaW = photonic.MaxWavelengthsPerWaveguide
+	// mrrAreaSquareMicron is the footprint of one MRR device, pi*r^2.
+	mrrAreaSquareMicron = math.Pi * photonic.MRRRadiusMicron * photonic.MRRRadiusMicron
+)
 
+// Config is the area model at one aggregate bandwidth.
+type Config struct {
 	// DataWavelengths is N_lambda, the total wavelengths provisioned for
 	// data communication (64, 256 or 512 in the evaluation).
 	DataWavelengths int
-
-	// WavelengthsPerWaveguide is lambda_W, the DWDM density (64).
-	WavelengthsPerWaveguide int
-
-	// MRRRadiusMicron is the micro-ring radius (5 um).
-	MRRRadiusMicron float64
 }
 
-// DefaultConfig returns the 64-core / 16-cluster configuration of the
-// thesis with the given total data wavelengths.
-func DefaultConfig(dataWavelengths int) Config {
-	return Config{
-		PhotonicRouters:         16,
-		DataWavelengths:         dataWavelengths,
-		WavelengthsPerWaveguide: photonic.MaxWavelengthsPerWaveguide,
-		MRRRadiusMicron:         photonic.MRRRadiusMicron,
-	}
-}
-
-// Validate reports an error for non-positive parameters.
+// Validate reports an error for a non-positive wavelength count.
 func (c Config) Validate() error {
-	if c.PhotonicRouters <= 0 {
-		return fmt.Errorf("area: photonic routers must be positive, got %d", c.PhotonicRouters)
-	}
 	if c.DataWavelengths <= 0 {
 		return fmt.Errorf("area: data wavelengths must be positive, got %d", c.DataWavelengths)
-	}
-	if c.WavelengthsPerWaveguide <= 0 {
-		return fmt.Errorf("area: wavelengths per waveguide must be positive, got %d", c.WavelengthsPerWaveguide)
-	}
-	if c.MRRRadiusMicron <= 0 {
-		return fmt.Errorf("area: MRR radius must be positive, got %g", c.MRRRadiusMicron)
 	}
 	return nil
 }
@@ -63,7 +45,7 @@ func (c Config) Validate() error {
 // DataWaveguides returns N_WD = ceil(N_lambda / lambda_W), the number of
 // data waveguides of the dynamic architecture.
 func (c Config) DataWaveguides() int {
-	return (c.DataWavelengths + c.WavelengthsPerWaveguide - 1) / c.WavelengthsPerWaveguide
+	return (c.DataWavelengths + lambdaW - 1) / lambdaW
 }
 
 // FireflyWavelengthsPerChannel returns N_Flambda = ceil(N_lambda / N_WF):
@@ -71,15 +53,13 @@ func (c Config) DataWaveguides() int {
 // per-channel wavelength count divides the same aggregate bandwidth
 // uniformly (Eq. preceding Eq. 10).
 func (c Config) FireflyWavelengthsPerChannel() int {
-	return (c.DataWavelengths + c.PhotonicRouters - 1) / c.PhotonicRouters
+	return (c.DataWavelengths + nPR - 1) / nPR
 }
 
 // DynamicModulators returns T_MD (Eq. 9): data modulators (every router
 // can modulate any wavelength of any data waveguide, Eq. 6) plus the
 // reservation (Eq. 7) and token control (Eq. 8) waveguide modulators.
 func (c Config) DynamicModulators() int {
-	nPR := c.PhotonicRouters
-	lambdaW := c.WavelengthsPerWaveguide
 	data := nPR * lambdaW * c.DataWaveguides() // Eq. 6
 	reservation := nPR * lambdaW               // Eq. 7
 	control := nPR * lambdaW                   // Eq. 8
@@ -90,9 +70,8 @@ func (c Config) DynamicModulators() int {
 // data channels on its dedicated waveguide (Eq. 11) plus a full-DWDM
 // reservation waveguide (Eq. 12).
 func (c Config) FireflyModulators() int {
-	nPR := c.PhotonicRouters
 	data := nPR * c.FireflyWavelengthsPerChannel() // Eq. 11
-	reservation := nPR * c.WavelengthsPerWaveguide // Eq. 12
+	reservation := nPR * lambdaW                   // Eq. 12
 	return data + reservation
 }
 
@@ -101,8 +80,6 @@ func (c Config) FireflyModulators() int {
 // other router's reservation waveguide (Eq. 16), and the 64-wavelength
 // token control waveguide (Eq. 17).
 func (c Config) DynamicDetectors() int {
-	nPR := c.PhotonicRouters
-	lambdaW := c.WavelengthsPerWaveguide
 	data := nPR * lambdaW * c.DataWaveguides()           // Eq. 15
 	reservation := nPR * lambdaW * (nPR - 1)             // Eq. 16
 	control := nPR * photonic.MaxWavelengthsPerWaveguide // Eq. 17
@@ -112,9 +89,8 @@ func (c Config) DynamicDetectors() int {
 // FireflyDetectors returns T_DMF (Eq. 22): N_Flambda data detectors per
 // foreign write channel (Eq. 20) plus reservation detectors (Eq. 21).
 func (c Config) FireflyDetectors() int {
-	nPR := c.PhotonicRouters
 	data := nPR * c.FireflyWavelengthsPerChannel() * (nPR - 1) // Eq. 20
-	reservation := nPR * c.WavelengthsPerWaveguide * (nPR - 1) // Eq. 21
+	reservation := nPR * lambdaW * (nPR - 1)                   // Eq. 21
 	return data + reservation
 }
 
@@ -128,8 +104,6 @@ func (c Config) RestrictedDynamicModulators(waveguides int) int {
 	if waveguides <= 0 || waveguides > c.DataWaveguides() {
 		waveguides = c.DataWaveguides()
 	}
-	nPR := c.PhotonicRouters
-	lambdaW := c.WavelengthsPerWaveguide
 	data := nPR * lambdaW * waveguides
 	reservation := nPR * lambdaW
 	control := nPR * lambdaW
@@ -150,26 +124,21 @@ func (c Config) RestrictedDynamicDetectors(int) int {
 // restricted variant.
 func (c Config) RestrictedDynamicAreaMM2(waveguides int) units.SquareMillimeter {
 	devices := float64(c.RestrictedDynamicModulators(waveguides) + c.RestrictedDynamicDetectors(waveguides))
-	return units.SquareMillimeter(devices * c.mrrAreaSquareMicron() / 1e6)
-}
-
-// mrrAreaSquareMicron returns the footprint of one MRR device, pi*r^2.
-func (c Config) mrrAreaSquareMicron() float64 {
-	return math.Pi * c.MRRRadiusMicron * c.MRRRadiusMicron
+	return units.SquareMillimeter(devices * mrrAreaSquareMicron / 1e6)
 }
 
 // DynamicAreaMM2 returns A_D (Eq. 23), the total d-HetPNoC electro-optic
 // device area in mm^2.
 func (c Config) DynamicAreaMM2() units.SquareMillimeter {
 	devices := float64(c.DynamicModulators() + c.DynamicDetectors())
-	return units.SquareMillimeter(devices * c.mrrAreaSquareMicron() / 1e6)
+	return units.SquareMillimeter(devices * mrrAreaSquareMicron / 1e6)
 }
 
 // FireflyAreaMM2 returns A_F (Eq. 24), the total Firefly electro-optic
 // device area in mm^2.
 func (c Config) FireflyAreaMM2() units.SquareMillimeter {
 	devices := float64(c.FireflyModulators() + c.FireflyDetectors())
-	return units.SquareMillimeter(devices * c.mrrAreaSquareMicron() / 1e6)
+	return units.SquareMillimeter(devices * mrrAreaSquareMicron / 1e6)
 }
 
 // Point is one row of the Figure 3-6 comparison.
@@ -186,7 +155,7 @@ type Point struct {
 func Sweep(wavelengths []int) []Point {
 	points := make([]Point, 0, len(wavelengths))
 	for _, n := range wavelengths {
-		cfg := DefaultConfig(n)
+		cfg := Config{DataWavelengths: n}
 		d := cfg.DynamicAreaMM2()
 		f := cfg.FireflyAreaMM2()
 		points = append(points, Point{

@@ -11,7 +11,7 @@ import (
 // modulator/demodulator area for d-HetPNoC and Firefly are 1.608 mm2 and
 // 1.367 mm2 respectively".
 func TestPaperHeadlineAreas(t *testing.T) {
-	cfg := DefaultConfig(64)
+	cfg := Config{DataWavelengths: 64}
 	if got := cfg.DynamicAreaMM2(); math.Abs(float64(got)-1.608) > 0.002 {
 		t.Errorf("d-HetPNoC area = %.4f mm^2, thesis says 1.608", got)
 	}
@@ -23,7 +23,7 @@ func TestPaperHeadlineAreas(t *testing.T) {
 // TestDeviceCountEquations verifies the closed forms of Equations 5-22 at
 // the 64-wavelength design point.
 func TestDeviceCountEquations(t *testing.T) {
-	cfg := DefaultConfig(64)
+	cfg := Config{DataWavelengths: 64}
 	// Eq. 9: 16*64*1 + 16*64 + 16*64 = 3072 dynamic modulators.
 	if got := cfg.DynamicModulators(); got != 3072 {
 		t.Errorf("T_MD = %d, want 3072", got)
@@ -46,8 +46,8 @@ func TestDeviceCountEquations(t *testing.T) {
 // 64 to 512 wavelengths the d-HetPNoC area grows by 70% (Figures 3-8/3-9)
 // and the Firefly area by 41.17% (Figure 3-10 discussion).
 func TestScalingPercentages(t *testing.T) {
-	small := DefaultConfig(64)
-	large := DefaultConfig(512)
+	small := Config{DataWavelengths: 64}
+	large := Config{DataWavelengths: 512}
 
 	dGrowth := float64((large.DynamicAreaMM2()/small.DynamicAreaMM2() - 1) * 100)
 	if math.Abs(dGrowth-70.0) > 0.5 {
@@ -64,7 +64,7 @@ func TestDataWaveguides(t *testing.T) {
 		{64, 1}, {65, 2}, {128, 2}, {256, 4}, {512, 8},
 	}
 	for _, tt := range tests {
-		cfg := DefaultConfig(tt.wavelengths)
+		cfg := Config{DataWavelengths: tt.wavelengths}
 		if got := cfg.DataWaveguides(); got != tt.want {
 			t.Errorf("DataWaveguides(%d) = %d, want %d", tt.wavelengths, got, tt.want)
 		}
@@ -77,7 +77,7 @@ func TestFireflyWavelengthsPerChannel(t *testing.T) {
 		{64, 4}, {256, 16}, {512, 32},
 	}
 	for _, tt := range tests {
-		cfg := DefaultConfig(tt.wavelengths)
+		cfg := Config{DataWavelengths: tt.wavelengths}
 		if got := cfg.FireflyWavelengthsPerChannel(); got != tt.want {
 			t.Errorf("FireflyWavelengthsPerChannel(%d) = %d, want %d", tt.wavelengths, got, tt.want)
 		}
@@ -89,7 +89,7 @@ func TestFireflyWavelengthsPerChannel(t *testing.T) {
 func TestDynamicAlwaysCostsMore(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw)%2048 + 16
-		cfg := DefaultConfig(n)
+		cfg := Config{DataWavelengths: n}
 		return cfg.DynamicAreaMM2() >= cfg.FireflyAreaMM2()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -100,9 +100,9 @@ func TestDynamicAlwaysCostsMore(t *testing.T) {
 // TestAreaMonotoneInBandwidth: more provisioned bandwidth never shrinks
 // either architecture's device area.
 func TestAreaMonotoneInBandwidth(t *testing.T) {
-	prev := DefaultConfig(64)
+	prev := Config{DataWavelengths: 64}
 	for n := 128; n <= 1024; n += 64 {
-		cur := DefaultConfig(n)
+		cur := Config{DataWavelengths: n}
 		if cur.DynamicAreaMM2() < prev.DynamicAreaMM2() {
 			t.Fatalf("d-HetPNoC area shrank from %d to %d wavelengths", n-64, n)
 		}
@@ -126,19 +126,13 @@ func TestSweepOverheadGrows(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := DefaultConfig(64)
+	good := Config{DataWavelengths: 64}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bads := []Config{
-		{PhotonicRouters: 0, DataWavelengths: 64, WavelengthsPerWaveguide: 64, MRRRadiusMicron: 5},
-		{PhotonicRouters: 16, DataWavelengths: 0, WavelengthsPerWaveguide: 64, MRRRadiusMicron: 5},
-		{PhotonicRouters: 16, DataWavelengths: 64, WavelengthsPerWaveguide: 0, MRRRadiusMicron: 5},
-		{PhotonicRouters: 16, DataWavelengths: 64, WavelengthsPerWaveguide: 64, MRRRadiusMicron: 0},
-	}
-	for i, cfg := range bads {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("bad config %d passed validation", i)
+	for _, n := range []int{0, -64} {
+		if err := (Config{DataWavelengths: n}).Validate(); err == nil {
+			t.Errorf("%d data wavelengths passed validation", n)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import "testing"
 // router restricted to W waveguides needs lambda_W x W data modulators
 // instead of lambda_W x N_WD.
 func TestRestrictedModulatorCounts(t *testing.T) {
-	cfg := DefaultConfig(512) // 8 waveguides
+	cfg := Config{DataWavelengths: 512} // 8 waveguides
 	// Unrestricted: 16*64*8 + 2*16*64 = 10240.
 	if got := cfg.DynamicModulators(); got != 10240 {
 		t.Fatalf("unrestricted modulators = %d, want 10240", got)
@@ -22,7 +22,7 @@ func TestRestrictedModulatorCounts(t *testing.T) {
 }
 
 func TestRestrictedAreaBetweenFireflyAndDynamic(t *testing.T) {
-	cfg := DefaultConfig(512)
+	cfg := Config{DataWavelengths: 512}
 	full := cfg.DynamicAreaMM2()
 	restricted := cfg.RestrictedDynamicAreaMM2(2)
 	firefly := cfg.FireflyAreaMM2()
@@ -35,7 +35,7 @@ func TestRestrictedAreaBetweenFireflyAndDynamic(t *testing.T) {
 }
 
 func TestRestrictedDegenerateArguments(t *testing.T) {
-	cfg := DefaultConfig(512)
+	cfg := Config{DataWavelengths: 512}
 	// Zero or over-wide restrictions degrade to the unrestricted model.
 	if got, want := cfg.RestrictedDynamicModulators(0), cfg.DynamicModulators(); got != want {
 		t.Fatalf("restriction 0 gave %d modulators, want unrestricted %d", got, want)
@@ -48,7 +48,7 @@ func TestRestrictedDegenerateArguments(t *testing.T) {
 // TestRestrictedMonotoneInWaveguides: more allowed waveguides means more
 // modulators.
 func TestRestrictedMonotoneInWaveguides(t *testing.T) {
-	cfg := DefaultConfig(512)
+	cfg := Config{DataWavelengths: 512}
 	prev := 0
 	for w := 1; w <= cfg.DataWaveguides(); w++ {
 		got := cfg.RestrictedDynamicModulators(w)

@@ -161,25 +161,10 @@ func (l *Log) Append(e Event) {
 	l.dropped++
 }
 
-// Appendf records an event with a formatted detail string. The formatting
-// cost is only paid when the log is enabled.
-func (l *Log) Appendf(cycle sim.Cycle, kind Kind, cluster int, pkt int64, format string, args ...any) {
-	if l == nil {
-		return
-	}
-	l.Append(Event{
-		Cycle:   cycle,
-		Kind:    kind,
-		Cluster: cluster,
-		Packet:  pkt,
-		Detail:  fmt.Sprintf(format, args...),
-	})
-}
-
 // AppendInts records an event whose detail formats only integers (%d
-// verbs, at most four). Unlike Appendf it defers the fmt work to read
-// time: a disabled log or an event evicted before Events is called costs
-// no formatting and no allocation.
+// verbs, at most four; a format without arguments is the detail itself).
+// It defers the fmt work to read time: a disabled log or an event
+// evicted before Events is called costs no formatting and no allocation.
 func (l *Log) AppendInts(cycle sim.Cycle, kind Kind, cluster int, pkt int64, format string, args ...int64) {
 	if l == nil {
 		return

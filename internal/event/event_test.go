@@ -10,7 +10,7 @@ import (
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Append(Event{Kind: ReservationSent})
-	l.Appendf(1, PacketDropped, 0, 1, "x %d", 5)
+	l.AppendInts(1, PacketDropped, 0, 1, "x %d", 5)
 	if l.Events() != nil {
 		t.Fatal("nil log returned events")
 	}
@@ -25,7 +25,7 @@ func TestLogOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		l.Appendf(sim.Cycle(i), ReservationSent, i, int64(i), "e%d", i)
+		l.AppendInts(sim.Cycle(i), ReservationSent, i, int64(i), "e%d", int64(i))
 	}
 	events := l.Events()
 	if len(events) != 5 {
@@ -44,7 +44,7 @@ func TestLogEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 7; i++ {
-		l.Appendf(0, PacketArrived, i, 0, "")
+		l.AppendInts(0, PacketArrived, i, 0, "")
 	}
 	events := l.Events()
 	if len(events) != 3 {
@@ -69,9 +69,9 @@ func TestOfKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Appendf(1, ReservationSent, 0, 1, "")
-	l.Appendf(2, PacketDropped, 1, 2, "")
-	l.Appendf(3, ReservationSent, 2, 3, "")
+	l.AppendInts(1, ReservationSent, 0, 1, "")
+	l.AppendInts(2, PacketDropped, 1, 2, "")
+	l.AppendInts(3, ReservationSent, 2, 3, "")
 	if got := len(l.OfKind(ReservationSent)); got != 2 {
 		t.Fatalf("OfKind found %d reservations, want 2", got)
 	}

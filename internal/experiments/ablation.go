@@ -67,7 +67,7 @@ func ablationCases() []ablationCase {
 	// de-modulators" at some bandwidth cost. BW set 3 (8 waveguides) is
 	// where the restriction binds; each variant carries its modulator
 	// area.
-	areaCfg := area.DefaultConfig(traffic.BWSet3.TotalWavelengths)
+	areaCfg := area.Config{DataWavelengths: traffic.BWSet3.TotalWavelengths}
 	for _, wgs := range []int{0, 2, 4} {
 		cfg := dhet(traffic.BWSet3, 3)
 		cfg.WaveguidesPerCluster = wgs

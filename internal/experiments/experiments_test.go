@@ -127,7 +127,9 @@ func TestWavelengthScalingSeries(t *testing.T) {
 	if bw := (last.PeakBandwidthGbps/first.PeakBandwidthGbps - 1) * 100; bw < 300 {
 		t.Fatalf("64->512 bandwidth change %.1f%%, want a multi-x increase", bw)
 	}
-	areaAt := func(r Row) units.SquareMillimeter { return area.DefaultConfig(r.TotalWavelengths).DynamicAreaMM2() }
+	areaAt := func(r Row) units.SquareMillimeter {
+		return area.Config{DataWavelengths: r.TotalWavelengths}.DynamicAreaMM2()
+	}
 	if a := (areaAt(last)/areaAt(first) - 1) * 100; a < 69 || a > 71 {
 		t.Fatalf("64->512 area change %.1f%%, thesis says 70%%", a)
 	}

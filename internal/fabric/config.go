@@ -14,6 +14,7 @@ import (
 
 	"hetpnoc/internal/core"
 	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/router"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
@@ -112,11 +113,6 @@ type Config struct {
 	// practice).
 	SourceQueueLimit int
 
-	// RetryBackoffCycles is the wait before a packet dropped at a
-	// receiver with no free VC is retransmitted, up to maxRetries
-	// times (§1.4).
-	RetryBackoffCycles int
-
 	IntraCluster IntraCluster
 
 	// ReservedPerCluster is the DBA minimum guarantee (d-HetPNoC only).
@@ -170,6 +166,9 @@ const (
 	// maxRetries is how often a dropped packet is retransmitted before
 	// its message is counted lost.
 	maxRetries = 8
+	// RetryBackoffCycles is the wait before a packet dropped at a
+	// receiver with no free VC is retransmitted (§1.4).
+	RetryBackoffCycles = 64
 )
 
 // WithDefaults returns the config with unset fields filled from Table 3-3
@@ -205,9 +204,6 @@ func (c Config) WithDefaults() Config {
 	if c.SourceQueueLimit == 0 {
 		c.SourceQueueLimit = 16
 	}
-	if c.RetryBackoffCycles == 0 {
-		c.RetryBackoffCycles = 64
-	}
 	if c.IntraCluster == 0 {
 		c.IntraCluster = AllToAll
 	}
@@ -238,11 +234,11 @@ func (c Config) checkLoad(scale float64) error {
 	if !(scale >= 0 && scale <= maxLoadScale) {
 		return fmt.Errorf("fabric: load scale %g out of range [0, 2^40]", scale)
 	}
-	if err := traffic.CheckLoad(c.Pattern, c.Topology, c.Set, sim.DefaultClock(), scale); err != nil {
+	if err := traffic.CheckLoad(c.Pattern, c.Topology, c.Set, scale); err != nil {
 		return err
 	}
 	for _, r := range c.Remaps {
-		if err := traffic.CheckLoad(r.Pattern, c.Topology, c.Set, sim.DefaultClock(), scale); err != nil {
+		if err := traffic.CheckLoad(r.Pattern, c.Topology, c.Set, scale); err != nil {
 			return err
 		}
 	}
@@ -266,15 +262,15 @@ func (c Config) Validate() error {
 	if c.Cycles <= 0 || c.WarmupCycles < 0 || c.WarmupCycles >= c.Cycles {
 		return fmt.Errorf("fabric: cycles %d / warm-up %d invalid", c.Cycles, c.WarmupCycles)
 	}
-	if c.VCsPerPort <= 0 {
-		return fmt.Errorf("fabric: VC count must be positive")
+	if c.VCsPerPort <= 0 || c.VCsPerPort > router.MaxVCsPerPort {
+		return fmt.Errorf("fabric: VC count %d outside [1, %d]", c.VCsPerPort, router.MaxVCsPerPort)
 	}
 	if bufferDepthFlits < c.Set.Format.Flits {
 		return fmt.Errorf("fabric: buffer depth %d flits cannot hold one %d-flit packet",
 			bufferDepthFlits, c.Set.Format.Flits)
 	}
-	if c.SourceQueueLimit <= 0 || c.RetryBackoffCycles <= 0 {
-		return fmt.Errorf("fabric: queue/retry parameters must be positive")
+	if c.SourceQueueLimit <= 0 {
+		return fmt.Errorf("fabric: source queue limit must be positive")
 	}
 	if c.IntraCluster != AllToAll && c.IntraCluster != Concentrated {
 		return fmt.Errorf("fabric: unknown intra-cluster topology %d", c.IntraCluster)
@@ -320,6 +316,6 @@ func (c Config) dbaConfig(bundle photonic.WaveguideBundle) core.Config {
 		MaxChannelWavelengths: c.Set.MaxChannelWavelengths(),
 		MaxAcquirePerVisit:    c.MaxAcquirePerVisit,
 		WaveguidesPerCluster:  c.WaveguidesPerCluster,
-		ClockHz:               sim.DefaultClock().FrequencyHz,
+		ClockHz:               sim.ClockHz,
 	}
 }

@@ -28,7 +28,6 @@ type Fabric struct {
 	// current one is state.loadScale.
 	cfg Config
 
-	clock  sim.Clock
 	bundle photonic.WaveguideBundle
 
 	ledger    *photonic.Ledger
@@ -101,14 +100,12 @@ func New(cfg Config) (*Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := sim.DefaultClock()
 
 	f := &Fabric{
 		cfg:       cfg,
-		clock:     clock,
 		bundle:    bundle,
 		ledger:    photonic.NewLedger(photonic.DefaultEnergyParams()),
-		collector: stats.NewCollector(clock),
+		collector: stats.NewCollector(),
 		state:     state{rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed, loadScale: cfg.LoadScale, probe: newProbe(cfg)},
 	}
 	f.collector.SetClusterCount(cfg.Topology.Clusters())
@@ -195,9 +192,9 @@ func New(cfg Config) (*Fabric, error) {
 		net, err := torus.New(torus.Config{
 			Nodes:              cfg.Topology.Clusters(),
 			Bundle:             bundle,
-			ClockHz:            clock.FrequencyHz,
+			ClockHz:            sim.ClockHz,
 			SetupHopCycles:     int(router.PipelineDelay) + 2,
-			RetryBackoffCycles: cfg.RetryBackoffCycles,
+			RetryBackoffCycles: RetryBackoffCycles,
 			MaxFlits:           cfg.Set.Format.Flits,
 			Events:             f.events,
 		}, txPorts, f.rxs, f.ledger, f.handleDrop)
@@ -217,8 +214,6 @@ func New(cfg Config) (*Fabric, error) {
 				MaxFlits:          cfg.Set.Format.Flits,
 				Bundle:            bundle,
 				Gating:            gating,
-				ClockHz:           clock.FrequencyHz,
-				PropagationCycles: 1,
 				DisablePipelining: cfg.DisableReservationPipelining,
 				Events:            f.events,
 			}, c.txPort, f.alloc, f.rxs, f.ledger, f.handleDrop)
@@ -274,7 +269,7 @@ func (f *Fabric) applyAssignment(a traffic.Assignment) error {
 	for c := range f.cores {
 		coreID := topology.CoreID(c)
 		profile := a.Cores[c]
-		src, err := traffic.NewSource(coreID, profile, f.cfg.Set.Format, f.clock,
+		src, err := traffic.NewSource(coreID, profile, f.cfg.Set.Format,
 			f.loadScale, f.now, *f.rng.Split(), &f.pool, &f.msgIDs, &f.pktIDs)
 		if err != nil {
 			return err
@@ -346,8 +341,8 @@ func (f *Fabric) handleDrop(p *packet.Packet, now sim.Cycle) {
 	}
 	f.collector.OnRetransmit()
 	f.events.AppendInts(now, event.Retransmit, int(p.SrcCluster), int64(p.ID),
-		"attempt %d, back-off %d cycles", int64(p.Attempt), int64(f.cfg.RetryBackoffCycles))
-	f.retx = append(f.retx, retransmit{due: now + sim.Cycle(f.cfg.RetryBackoffCycles), pkt: p})
+		"attempt %d, back-off %d cycles", int64(p.Attempt), RetryBackoffCycles)
+	f.retx = append(f.retx, retransmit{due: now + RetryBackoffCycles, pkt: p})
 }
 
 // fireDue runs the work scheduled for cycle now: task remaps first, then
@@ -399,7 +394,10 @@ func (f *Fabric) remap(pattern traffic.Pattern, now sim.Cycle) error {
 	if err := f.applyAssignment(a); err != nil {
 		return err
 	}
-	f.events.Appendf(now, event.TaskRemap, -1, 0, "workload -> %s", pattern.Name())
+	if f.events != nil {
+		// A format without arguments is the detail as it stands.
+		f.events.AppendInts(now, event.TaskRemap, -1, 0, fmt.Sprintf("workload -> %s", pattern.Name()))
+	}
 	return nil
 }
 

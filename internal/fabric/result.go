@@ -3,6 +3,7 @@ package fabric
 import (
 	"hetpnoc/internal/event"
 	"hetpnoc/internal/photonic"
+	"hetpnoc/internal/sim"
 	"hetpnoc/internal/stats"
 	"hetpnoc/internal/units"
 )
@@ -67,8 +68,8 @@ func (f *Fabric) result() Result {
 
 	var offered float64
 	for _, core := range f.assignment.Cores {
-		bitsPerCycle := f.clock.GbpsToBitsPerCycle(core.RateGbps * f.loadScale)
-		offered += f.clock.BitsPerCycleToGbps(bitsPerCycle)
+		bitsPerCycle := sim.GbpsToBitsPerCycle(core.RateGbps * f.loadScale)
+		offered += sim.BitsPerCycleToGbps(bitsPerCycle)
 	}
 
 	res := Result{

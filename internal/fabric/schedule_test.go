@@ -65,7 +65,7 @@ func TestRetransmitsWaitOutTheBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backoff := sim.Cycle(f.cfg.RetryBackoffCycles)
+	backoff := sim.Cycle(RetryBackoffCycles)
 	var due []sim.Cycle // model: due cycle per pending retransmission, FIFO
 	maxPending := 0
 	for c := sim.Cycle(0); c < sim.Cycle(cfg.Cycles); c++ {

@@ -67,10 +67,9 @@ func TestBandwidthHungryOrdering(t *testing.T) {
 }
 
 func TestEffectiveBandwidthMonotone(t *testing.T) {
-	link := DefaultLink()
 	prev := 0.0
 	for _, flit := range []float64{32, 64, 128, 256, 512, 1024} {
-		bw, err := link.EffectiveBandwidth(flit)
+		bw, err := EffectiveBandwidth(flit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +78,7 @@ func TestEffectiveBandwidthMonotone(t *testing.T) {
 		}
 		prev = bw
 	}
-	if _, err := link.EffectiveBandwidth(0); err == nil {
+	if _, err := EffectiveBandwidth(0); err == nil {
 		t.Fatal("zero flit size accepted")
 	}
 }
@@ -87,12 +86,11 @@ func TestEffectiveBandwidthMonotone(t *testing.T) {
 // TestSpeedupRooflineProperties: speedup is 1 for compute-bound kernels,
 // bounded by the bandwidth ratio, and monotone in memory-boundedness.
 func TestSpeedupRooflineProperties(t *testing.T) {
-	link := DefaultLink()
-	base, err := link.EffectiveBandwidth(32)
+	base, err := EffectiveBandwidth(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := link.EffectiveBandwidth(1024)
+	wide, err := EffectiveBandwidth(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestSpeedupRooflineProperties(t *testing.T) {
 	f := func(rawM uint16) bool {
 		m := float64(rawM%1001) / 1000
 		p := Profile{Name: "x", MemoryFraction: m}
-		s, err := Speedup(p, link, 32, 1024)
+		s, err := Speedup(p, 32, 1024)
 		if err != nil {
 			return false
 		}
@@ -124,11 +122,10 @@ func TestSpeedupRooflineProperties(t *testing.T) {
 }
 
 func TestSpeedupValidation(t *testing.T) {
-	link := DefaultLink()
-	if _, err := Speedup(Profile{MemoryFraction: 1.5}, link, 32, 1024); err == nil {
+	if _, err := Speedup(Profile{MemoryFraction: 1.5}, 32, 1024); err == nil {
 		t.Error("memory fraction > 1 accepted")
 	}
-	if _, err := Speedup(Profile{MemoryFraction: -0.1}, link, 32, 1024); err == nil {
+	if _, err := Speedup(Profile{MemoryFraction: -0.1}, 32, 1024); err == nil {
 		t.Error("negative memory fraction accepted")
 	}
 }
@@ -206,7 +203,7 @@ func TestSpeedupCurveShape(t *testing.T) {
 	type point struct{ FlitBytes, SpeedupPct float64 }
 	var points []point
 	for _, size := range []float64{32, 64, 128, 256, 512, 1024} {
-		s, err := Speedup(p, DefaultLink(), 32, size)
+		s, err := Speedup(p, 32, size)
 		if err != nil {
 			t.Fatal(err)
 		}

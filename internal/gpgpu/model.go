@@ -5,35 +5,28 @@ import (
 	"math"
 )
 
-// LinkModel describes the GPU-memory interconnect used by the Figure 1-1
-// study: a 700 MHz link whose flit size is varied from 32 B to 1024 B.
-// Each flit carries a fixed header (routing, sequencing, ECC), so the
-// usable fraction of the raw bandwidth grows with flit size.
-type LinkModel struct {
-	// ClockMHz is the interconnect clock (700 MHz in Fig. 1-1).
-	ClockMHz float64
-
-	// HeaderBytes is the per-flit protocol overhead amortized by larger
+// The GPU-memory interconnect of the Figure 1-1 study: a 700 MHz link
+// whose flit size is varied from 32 B to 1024 B. Each flit carries a
+// fixed header (routing, sequencing, ECC), so the usable fraction of the
+// raw bandwidth grows with flit size.
+const (
+	// linkClockMHz is the interconnect clock.
+	linkClockMHz = 700
+	// headerBytes is the per-flit protocol overhead amortized by larger
 	// flits.
-	HeaderBytes float64
+	headerBytes = 32
+	// rawBytesPerCycle is the physical channel width.
+	rawBytesPerCycle = 32
+)
 
-	// RawBytesPerCycle is the physical channel width.
-	RawBytesPerCycle float64
-}
-
-// DefaultLink returns the Figure 1-1 link configuration.
-func DefaultLink() LinkModel {
-	return LinkModel{ClockMHz: 700, HeaderBytes: 32, RawBytesPerCycle: 32}
-}
-
-// EffectiveBandwidth returns the usable bandwidth in GB/s for a given flit
-// size in bytes.
-func (l LinkModel) EffectiveBandwidth(flitBytes float64) (float64, error) {
+// EffectiveBandwidth returns the usable bandwidth in GB/s of the Figure
+// 1-1 link for a given flit size in bytes.
+func EffectiveBandwidth(flitBytes float64) (float64, error) {
 	if flitBytes <= 0 {
 		return 0, fmt.Errorf("gpgpu: flit size must be positive, got %g", flitBytes)
 	}
-	raw := l.RawBytesPerCycle * l.ClockMHz * 1e6 / 1e9
-	useful := flitBytes / (flitBytes + l.HeaderBytes)
+	raw := rawBytesPerCycle * linkClockMHz * 1e6 / 1e9
+	useful := flitBytes / (flitBytes + headerBytes)
 	return raw * useful, nil
 }
 
@@ -44,15 +37,15 @@ func (l LinkModel) EffectiveBandwidth(flitBytes float64) (float64, error) {
 //	speedup = T(baseline) / T(flit) = 1 / ((1-m) + m/r)
 //
 // where m is the memory-bound runtime fraction and r the bandwidth ratio.
-func Speedup(p Profile, link LinkModel, baselineBytes, flitBytes float64) (float64, error) {
+func Speedup(p Profile, baselineBytes, flitBytes float64) (float64, error) {
 	if p.MemoryFraction < 0 || p.MemoryFraction > 1 {
 		return 0, fmt.Errorf("gpgpu: %s: memory fraction %g outside [0,1]", p.Name, p.MemoryFraction)
 	}
-	base, err := link.EffectiveBandwidth(baselineBytes)
+	base, err := EffectiveBandwidth(baselineBytes)
 	if err != nil {
 		return 0, err
 	}
-	wide, err := link.EffectiveBandwidth(flitBytes)
+	wide, err := EffectiveBandwidth(flitBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -77,11 +70,10 @@ type SpeedupPoint struct {
 // Figure1_1 evaluates the speedup of a 1024 B flit size over the 32 B
 // baseline for every profiled benchmark, reproducing Figure 1-1.
 func Figure1_1() ([]SpeedupPoint, error) {
-	link := DefaultLink()
 	profiles := Profiles()
 	points := make([]SpeedupPoint, 0, len(profiles))
 	for _, p := range profiles {
-		s, err := Speedup(p, link, 32, 1024)
+		s, err := Speedup(p, 32, 1024)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"fmt"
 	"math/bits"
 
 	"hetpnoc/internal/photonic"
@@ -51,41 +50,4 @@ func ReservationBits(clusters, maxFlits int, bundle photonic.WaveguideBundle, nW
 func ReservationCycles(clusters, maxFlits int, bundle photonic.WaveguideBundle, nWavelengthIDs int, perWavelength units.BitCredit) int {
 	total := ReservationBits(clusters, maxFlits, bundle, nWavelengthIDs)
 	return units.CyclesFor(total, perWavelength*photonic.MaxWavelengthsPerWaveguide)
-}
-
-// EncodeWavelengths packs wavelength identifiers into the on-wire integer
-// form used by the reservation flit: waveguide number concatenated with
-// wavelength number. DecodeWavelengths inverts it. The codec exists so the
-// protocol's field widths are exercised by tests, exactly as a hardware
-// implementation would serialize them.
-func EncodeWavelengths(bundle photonic.WaveguideBundle, ids []photonic.WavelengthID) ([]uint32, error) {
-	lambdaBits := bitsFor(bundle.WavelengthsPerWaveguide)
-	out := make([]uint32, len(ids))
-	for i, id := range ids {
-		if id.Waveguide < 0 || id.Waveguide >= bundle.Waveguides {
-			return nil, fmt.Errorf("packet: waveguide %d out of range [0,%d)", id.Waveguide, bundle.Waveguides)
-		}
-		if id.Wavelength < 0 || id.Wavelength >= bundle.WavelengthsPerWaveguide {
-			return nil, fmt.Errorf("packet: wavelength %d out of range [0,%d)", id.Wavelength, bundle.WavelengthsPerWaveguide)
-		}
-		out[i] = uint32(id.Waveguide)<<lambdaBits | uint32(id.Wavelength)
-	}
-	return out, nil
-}
-
-// DecodeWavelengths unpacks identifiers encoded by EncodeWavelengths.
-func DecodeWavelengths(bundle photonic.WaveguideBundle, words []uint32) []photonic.WavelengthID {
-	lambdaBits := bitsFor(bundle.WavelengthsPerWaveguide)
-	mask := uint32(1)<<lambdaBits - 1
-	if lambdaBits == 0 {
-		mask = 0
-	}
-	ids := make([]photonic.WavelengthID, len(words))
-	for i, w := range words {
-		ids[i] = photonic.WavelengthID{
-			Waveguide:  int(w >> lambdaBits),
-			Wavelength: int(w & mask),
-		}
-	}
-	return ids
 }

@@ -2,7 +2,6 @@ package packet
 
 import (
 	"testing"
-	"testing/quick"
 
 	"hetpnoc/internal/photonic"
 	"hetpnoc/internal/units"
@@ -74,64 +73,6 @@ func TestReservationCyclesBoundaries(t *testing.T) {
 	}
 	if got := ReservationCycles(16, 64, b, 52, perWavelength); got != 2 {
 		t.Fatalf("323-bit reservation takes %d cycles, want 2", got)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	b := bundleFor(512)
-	ids := []photonic.WavelengthID{
-		{Waveguide: 0, Wavelength: 0},
-		{Waveguide: 7, Wavelength: 63},
-		{Waveguide: 3, Wavelength: 17},
-	}
-	words, err := EncodeWavelengths(b, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := DecodeWavelengths(b, words)
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Fatalf("round trip: got %v, want %v", got[i], ids[i])
-		}
-	}
-}
-
-func TestEncodeRejectsOutOfRange(t *testing.T) {
-	b := bundleFor(64)
-	bad := [][]photonic.WavelengthID{
-		{{Waveguide: 1, Wavelength: 0}},  // only one waveguide
-		{{Waveguide: 0, Wavelength: 64}}, // wavelength out of range
-		{{Waveguide: -1, Wavelength: 0}},
-		{{Waveguide: 0, Wavelength: -1}},
-	}
-	for _, ids := range bad {
-		if _, err := EncodeWavelengths(b, ids); err == nil {
-			t.Errorf("EncodeWavelengths accepted %v", ids)
-		}
-	}
-}
-
-// TestEncodeDecodeProperty: any valid identifier survives the on-wire
-// round trip for any bundle size.
-//
-// The property test samples random identifiers on purpose; the round
-// trip is pure and quick prints any counterexample.
-func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(rawTotal uint16, rawWG, rawLambda uint8) bool {
-		total := int(rawTotal)%1024 + 1
-		b := bundleFor(total)
-		id := photonic.WavelengthID{
-			Waveguide:  int(rawWG) % b.Waveguides,
-			Wavelength: int(rawLambda) % b.WavelengthsPerWaveguide,
-		}
-		words, err := EncodeWavelengths(b, []photonic.WavelengthID{id})
-		if err != nil {
-			return false
-		}
-		return DecodeWavelengths(b, words)[0] == id
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }
 

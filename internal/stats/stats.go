@@ -18,7 +18,6 @@ import (
 // thesis's 1,000 reset cycles) are counted separately and excluded from
 // reported rates.
 type Collector struct {
-	clock sim.Clock
 	state
 }
 
@@ -71,9 +70,9 @@ type Totals struct {
 	Retransmitted int64
 }
 
-// NewCollector returns a collector for the given clock.
-func NewCollector(clock sim.Clock) *Collector {
-	return &Collector{clock: clock}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
+	return &Collector{}
 }
 
 // SetClusterCount sizes the per-cluster delivery accounting.
@@ -200,7 +199,7 @@ type Summary struct {
 // Summary computes the read-out; Finish must have been called.
 func (c *Collector) Summary() Summary {
 	cycles := c.endAt - c.startAt
-	seconds := units.CyclesToSeconds(cycles, units.ClockGHz(c.clock))
+	seconds := units.CyclesToSeconds(cycles)
 	warm := c.warmup()
 	s := Summary{
 		MeasuredCycles:   cycles,

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWarmupEventsExcluded(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	// Events before StartMeasurement must not count.
 	c.OnInject()
 	c.OnDeliverFlit(32, 0)
@@ -31,7 +31,7 @@ func TestWarmupEventsExcluded(t *testing.T) {
 }
 
 func TestDeliveredBandwidth(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	c.StartMeasurement(1000)
 	// 2048-bit packets, 100 of them over 9000 cycles at 2.5 GHz.
 	for i := 0; i < 100; i++ {
@@ -60,7 +60,7 @@ func TestDeliveredBandwidth(t *testing.T) {
 }
 
 func TestLatencyStats(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	c.StartMeasurement(0)
 	c.OnDeliverPacket(0, 100)
 	c.OnDeliverPacket(0, 300)
@@ -75,7 +75,7 @@ func TestLatencyStats(t *testing.T) {
 }
 
 func TestLatencyPercentiles(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	c.StartMeasurement(0)
 	// Deliver 100 packets with latencies 1..100 (in shuffled-ish order).
 	for i := 100; i >= 1; i-- {
@@ -101,7 +101,7 @@ func TestPercentileEdgeCases(t *testing.T) {
 }
 
 func TestDeliveredCounter(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	c.StartMeasurement(0)
 	if c.Delivered() != 0 {
 		t.Fatal("fresh collector has deliveries")
@@ -114,7 +114,7 @@ func TestDeliveredCounter(t *testing.T) {
 }
 
 func TestDropAccounting(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	c.StartMeasurement(0)
 	c.OnDropRX()
 	c.OnDropRX()
@@ -148,7 +148,7 @@ func TestJainIndex(t *testing.T) {
 }
 
 func TestPerClusterFairnessInSummary(t *testing.T) {
-	c := NewCollector(sim.DefaultClock())
+	c := NewCollector()
 	c.SetClusterCount(4)
 	c.StartMeasurement(0)
 	// Clusters 0 and 1 each receive one flit; 2 and 3 nothing.

@@ -82,8 +82,3 @@ func (t Topology) CoresOf(cl ClusterID) []CoreID {
 func (t Topology) ValidCore(c CoreID) bool {
 	return c >= 0 && int(c) < t.cores
 }
-
-// ValidCluster reports whether cl is a cluster of this topology.
-func (t Topology) ValidCluster(cl ClusterID) bool {
-	return cl >= 0 && int(cl) < t.Clusters()
-}

@@ -108,10 +108,4 @@ func TestValidity(t *testing.T) {
 	if topo.ValidCore(-1) || topo.ValidCore(64) {
 		t.Fatal("out-of-range cores reported valid")
 	}
-	if !topo.ValidCluster(0) || !topo.ValidCluster(15) {
-		t.Fatal("boundary clusters reported invalid")
-	}
-	if topo.ValidCluster(-1) || topo.ValidCluster(16) {
-		t.Fatal("out-of-range clusters reported valid")
-	}
 }

@@ -7,7 +7,7 @@ import (
 	"hetpnoc/internal/topology"
 )
 
-// SkewedHotspot is the synthetic case-study pattern of §3.4.2: one cluster
+// SkewedHotspot is the synthetic case-study pattern of §3.4.2: cluster 0
 // is the hotspot (a scheduler or controller), every core sends a fixed
 // fraction of its traffic there, and the remainder follows a skewed
 // pattern.
@@ -26,9 +26,10 @@ type SkewedHotspot struct {
 	HotFraction float64
 	// BaseLevel is the skew level of the remaining traffic (2 or 3).
 	BaseLevel int
-	// Hotspot is the hotspot cluster (cluster 0 in our runs).
-	Hotspot topology.ClusterID
 }
+
+// hotspotCluster is the hotspot of every SkewedHotspot.
+const hotspotCluster topology.ClusterID = 0
 
 // CaseStudies returns the four skewed-hotspot configurations of §3.4.2
 // with cluster 0 as the hotspot.
@@ -49,9 +50,6 @@ func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet) (Assignm
 	if h.HotFraction < 0 || h.HotFraction >= 1 {
 		return Assignment{}, fmt.Errorf("traffic: hotspot fraction %g outside [0,1)", h.HotFraction)
 	}
-	if !topo.ValidCluster(h.Hotspot) {
-		return Assignment{}, fmt.Errorf("traffic: hotspot cluster %d outside topology", h.Hotspot)
-	}
 
 	base, err := Skewed{Level: h.BaseLevel}.Assign(topo, set)
 	if err != nil {
@@ -64,15 +62,14 @@ func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet) (Assignm
 	for c := range cores {
 		src := topo.ClusterOf(topology.CoreID(c))
 		baseDest := cores[c].PickDest
-		hotspot := h.Hotspot
-		if src == hotspot {
+		if src == hotspotCluster {
 			// The hotspot cluster itself only generates base traffic.
 			continue
 		}
 		clusterSize := topo.ClusterSize()
 		cores[c].PickDest = func(rng *sim.RNG) topology.CoreID {
 			if rng.Draw(hot) {
-				return topo.CoreAt(hotspot, rng.Intn(clusterSize))
+				return topo.CoreAt(hotspotCluster, rng.Intn(clusterSize))
 			}
 			return baseDest(rng)
 		}

@@ -40,12 +40,8 @@ type CoreProfile struct {
 	// constant-rate one: during ON periods it injects at
 	// Burstiness x RateGbps; OFF periods are sized so the long-run
 	// average stays RateGbps. 0 or 1 means constant-rate injection.
-	// Mean burst length is BurstCycles (default 256) when bursty.
+	// Mean burst length is meanBurstCycles when bursty.
 	Burstiness float64
-
-	// BurstCycles is the mean ON-period length in cycles for bursty
-	// sources (0 selects the default).
-	BurstCycles int
 }
 
 // DemandTable fills table, one entry per cluster, with the
@@ -142,8 +138,6 @@ type Bursty struct {
 	Base Pattern
 	// Factor is the peak-to-average ratio during bursts.
 	Factor float64
-	// MeanBurstCycles sizes the ON periods (0 = the source default).
-	MeanBurstCycles int
 }
 
 // Name implements Pattern.
@@ -166,7 +160,6 @@ func (b Bursty) Assign(topo topology.Topology, set BandwidthSet) (Assignment, er
 	a.Name = b.Name()
 	for i := range a.Cores {
 		a.Cores[i].Burstiness = b.Factor
-		a.Cores[i].BurstCycles = b.MeanBurstCycles
 	}
 	return a, nil
 }
@@ -240,7 +233,7 @@ func (f Fixed) Assign(topo topology.Topology, _ BandwidthSet) (Assignment, error
 // source. The check walks at most one entry per core and allocates
 // nothing unless it fails. A pattern of another type, and a real-app
 // workload's lightest rate, are checked when the pattern is assigned.
-func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, clock sim.Clock, loadScale float64) error {
+func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, loadScale float64) error {
 	b, bursty := p.(Bursty)
 	if bursty {
 		p = b.Base
@@ -249,7 +242,7 @@ func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, clock sim.Cl
 		if bursty {
 			profile.Burstiness = b.Factor
 		}
-		_, _, err := CreditRates(topology.CoreID(core), profile, clock, loadScale)
+		_, _, err := CreditRates(topology.CoreID(core), profile, loadScale)
 		return err
 	}
 	perCore := func(rates ...float64) error {
@@ -262,12 +255,7 @@ func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, clock sim.Cl
 	}
 	size := float64(topo.ClusterSize())
 	switch p := p.(type) {
-	case Uniform:
-		return perCore(fairShare(topo, set))
-	case Permutation:
-		if p.RateGbps != 0 {
-			return perCore(p.RateGbps)
-		}
+	case Uniform, Permutation:
 		return perCore(fairShare(topo, set))
 	case Skewed, SkewedHotspot:
 		return perCore(set.ClassGbps[0]/size, set.ClassGbps[len(set.ClassGbps)-1]/size)

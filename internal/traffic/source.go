@@ -43,8 +43,8 @@ type Source struct {
 
 	// On/off burst state (Burstiness > 1): during ON the source earns
 	// burstiness x perCycle; pOnToOff/pOffToOn are the per-cycle Markov
-	// transition probabilities sized for the configured mean burst
-	// length and the long-run duty cycle 1/burstiness.
+	// transition probabilities sized for the mean burst length
+	// (meanBurstCycles) and the long-run duty cycle 1/burstiness.
 	bursty    bool
 	burstRate units.BitCredit
 	on        bool
@@ -63,7 +63,7 @@ type Source struct {
 // the first cycle the source will be ticked: credit accrues from there.
 // messageIDs and packetIDs are shared run-wide counters so every packet
 // in a run gets a unique identity.
-func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, clock sim.Clock,
+func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format,
 	loadScale float64, start sim.Cycle, rng sim.RNG, pool *packet.Pool, messageIDs *packet.MessageID, packetIDs *packet.ID) (Source, error) {
 	if err := format.Validate(); err != nil {
 		return Source{}, err
@@ -74,10 +74,10 @@ func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, 
 	if profile.RateGbps > 0 && profile.PickDest == nil {
 		return Source{}, fmt.Errorf("traffic: core %d has a rate but no destination sampler", core)
 	}
-	if profile.Burstiness < 0 || profile.BurstCycles < 0 {
-		return Source{}, fmt.Errorf("traffic: core %d has negative burst parameters", core)
+	if profile.Burstiness < 0 {
+		return Source{}, fmt.Errorf("traffic: core %d has negative burstiness", core)
 	}
-	perCycle, burstRate, err := CreditRates(core, profile, clock, loadScale)
+	perCycle, burstRate, err := CreditRates(core, profile, loadScale)
 	if err != nil {
 		return Source{}, err
 	}
@@ -94,16 +94,12 @@ func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, 
 		pool:        pool,
 	}
 	if profile.Burstiness > 1 && perCycle > 0 {
-		burstCycles := profile.BurstCycles
-		if burstCycles == 0 {
-			burstCycles = 256
-		}
 		// Duty cycle d = 1/burstiness keeps the long-run average at the
-		// nominal rate; mean OFF length = burstCycles*(1-d)/d.
+		// nominal rate; mean OFF length = meanBurstCycles*(1-d)/d.
 		duty := 1 / profile.Burstiness
 		s.bursty = true
-		s.pOnToOff = sim.ChanceOf(1 / float64(burstCycles))
-		s.pOffToOn = sim.ChanceOf(duty / ((1 - duty) * float64(burstCycles)))
+		s.pOnToOff = sim.ChanceOf(1 / float64(meanBurstCycles))
+		s.pOffToOn = sim.ChanceOf(duty / ((1 - duty) * float64(meanBurstCycles)))
 		s.on = s.rng.Bernoulli(duty)
 	} else {
 		s.nextEmit, s.credit = advanceCredit(start, 0, perCycle, units.Bits(format.Bits()))
@@ -114,8 +110,8 @@ func NewSource(core topology.CoreID, profile CoreProfile, format packet.Format, 
 // CreditRates converts a core's rate at loadScale, and its peak rate when
 // bursty, to credit per cycle: a positive rate outside units.CreditOf's
 // range is refused.
-func CreditRates(core topology.CoreID, profile CoreProfile, clock sim.Clock, loadScale float64) (perCycle, burst units.BitCredit, err error) {
-	bitsPerCycle := clock.GbpsToBitsPerCycle(profile.RateGbps * loadScale)
+func CreditRates(core topology.CoreID, profile CoreProfile, loadScale float64) (perCycle, burst units.BitCredit, err error) {
+	bitsPerCycle := sim.GbpsToBitsPerCycle(profile.RateGbps * loadScale)
 	if perCycle, err = units.CreditOf(bitsPerCycle); err == nil && profile.Burstiness > 1 {
 		burst, err = units.CreditOf(bitsPerCycle * profile.Burstiness)
 	}
@@ -124,6 +120,9 @@ func CreditRates(core topology.CoreID, profile CoreProfile, clock sim.Clock, loa
 	}
 	return perCycle, burst, err
 }
+
+// meanBurstCycles is the mean ON-period length of a bursty source.
+const meanBurstCycles = 256
 
 // never is the next emission of a source that earns no credit.
 const never = sim.Cycle(math.MaxInt64)

@@ -22,7 +22,7 @@ func newTestSource(t *testing.T, rateGbps, loadScale float64) (*Source, *packet.
 			return topo.CoreAt(5, rng.Intn(4))
 		},
 	}
-	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), loadScale, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	src, err := NewSource(0, profile, BWSet1.Format, loadScale, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestSourceZeroRateGeneratesNothing(t *testing.T) {
 	topo := topology.Default()
 	var msgs packet.MessageID
 	var pkts packet.ID
-	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,25 +135,24 @@ func TestRetransmitPreservesMessage(t *testing.T) {
 func TestNewSourceValidation(t *testing.T) {
 	var msgs packet.MessageID
 	var pkts packet.ID
-	clock := sim.DefaultClock()
 	// A rate without a destination sampler is a configuration bug.
-	_, err := NewSource(0, CoreProfile{RateGbps: 10}, BWSet1.Format, clock, 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err := NewSource(0, CoreProfile{RateGbps: 10}, BWSet1.Format, 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("source with rate but no sampler accepted")
 	}
 	// Negative load scale.
-	_, err = NewSource(0, CoreProfile{}, BWSet1.Format, clock, -1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{}, BWSet1.Format, -1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("negative load scale accepted")
 	}
 	// Bad format.
-	_, err = NewSource(0, CoreProfile{}, packet.Format{}, clock, 1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{}, packet.Format{}, 1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("zero format accepted")
 	}
 	// A positive rate that rounds to no credit would never emit.
 	dest := func(*sim.RNG) topology.CoreID { return 10 }
-	_, err = NewSource(0, CoreProfile{RateGbps: 12.5, PickDest: dest}, BWSet1.Format, clock, 1e-12, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
+	_, err = NewSource(0, CoreProfile{RateGbps: 12.5, PickDest: dest}, BWSet1.Format, 1e-12, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
 	if err == nil {
 		t.Error("a rate below one credit unit accepted")
 	}
@@ -173,7 +172,7 @@ func TestBurstySourcePreservesAverageRate(t *testing.T) {
 			return topo.CoreAt(5, rng.Intn(4))
 		},
 	}
-	src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(3), &packet.Pool{}, &msgs, &pkts)
+	src, err := NewSource(0, profile, BWSet1.Format, 1.0, 0, *sim.NewRNG(3), &packet.Pool{}, &msgs, &pkts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 				return topo.CoreAt(5, rng.Intn(4))
 			},
 		}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(7), &packet.Pool{}, &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, 1.0, 0, *sim.NewRNG(7), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +244,7 @@ func TestBurstyValidation(t *testing.T) {
 	var pkts packet.ID
 	profile := CoreProfile{RateGbps: 10, Burstiness: -1,
 		PickDest: func(*sim.RNG) topology.CoreID { return 10 }}
-	if _, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts); err == nil {
+	if _, err := NewSource(0, profile, BWSet1.Format, 1, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts); err == nil {
 		t.Fatal("negative burstiness accepted")
 	}
 }
@@ -273,7 +272,7 @@ func TestSourceCopyIsCheckpoint(t *testing.T) {
 				return topo.CoreAt(5, rng.Intn(4))
 			},
 		}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1.0, 0, *sim.NewRNG(11), &packet.Pool{}, &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, 1.0, 0, *sim.NewRNG(11), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +316,7 @@ func TestSourceNextEmission(t *testing.T) {
 		var pkts packet.ID
 		profile := CoreProfile{RateGbps: rateGbps, Burstiness: burstiness,
 			PickDest: func(*sim.RNG) topology.CoreID { return 10 }}
-		src, err := NewSource(0, profile, BWSet1.Format, sim.DefaultClock(), 1, start, *sim.NewRNG(5), &packet.Pool{}, &msgs, &pkts)
+		src, err := NewSource(0, profile, BWSet1.Format, 1, start, *sim.NewRNG(5), &packet.Pool{}, &msgs, &pkts)
 		if err != nil {
 			t.Fatal(err)
 		}

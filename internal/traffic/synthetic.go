@@ -51,12 +51,10 @@ func (k PermutationKind) String() string {
 }
 
 // Permutation is a deterministic-destination synthetic pattern: every core
-// offers the same rate to one fixed partner.
+// offers the fair share of the bandwidth set's aggregate capacity to one
+// fixed partner.
 type Permutation struct {
 	Kind PermutationKind
-	// RateGbps is the per-core offered rate; zero selects the fair share
-	// of the bandwidth set's aggregate capacity.
-	RateGbps float64
 }
 
 // Name implements Pattern.
@@ -67,13 +65,7 @@ func (p Permutation) Assign(topo topology.Topology, set BandwidthSet) (Assignmen
 	if err := set.Validate(); err != nil {
 		return Assignment{}, err
 	}
-	perCore := p.RateGbps
-	if perCore == 0 {
-		perCore = fairShare(topo, set)
-	}
-	if perCore < 0 {
-		return Assignment{}, fmt.Errorf("traffic: negative permutation rate %g", perCore)
-	}
+	perCore := fairShare(topo, set)
 
 	cores := make([]CoreProfile, topo.Cores())
 	for c := range cores {

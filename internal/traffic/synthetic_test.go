@@ -157,9 +157,6 @@ func TestPermutationValidation(t *testing.T) {
 	if _, err := (Permutation{Kind: PermutationKind(99)}).Assign(topo, BWSet1); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := (Permutation{Kind: Neighbor, RateGbps: -1}).Assign(topo, BWSet1); err == nil {
-		t.Error("negative rate accepted")
-	}
 	// Non-power-of-two core counts reject the bit patterns.
 	smallTopo, err := topology.New(36, 4)
 	if err != nil {

@@ -48,10 +48,6 @@ type Gbps float64
 // the propagation-loss rate multiplies.
 type Centimeter float64
 
-// GHz is a clock frequency in gigahertz (the modeled 2.5 GHz core
-// clock).
-type GHz float64
-
 // SquareMillimeter is silicon area in mm², the unit of the §3.4.3 area
 // model (Figure 3-6).
 type SquareMillimeter float64
@@ -64,7 +60,6 @@ func (MilliWatt) Unit() string        { return "mW" }
 func (Picojoule) Unit() string        { return "pJ" }
 func (Gbps) Unit() string             { return "Gb/s" }
 func (Centimeter) Unit() string       { return "cm" }
-func (GHz) Unit() string              { return "GHz" }
 func (SquareMillimeter) Unit() string { return "mm^2" }
 
 // String renders the value with its unit label.
@@ -74,7 +69,6 @@ func (v MilliWatt) String() string        { return fmt.Sprintf("%g %s", float64(
 func (v Picojoule) String() string        { return fmt.Sprintf("%g %s", float64(v), v.Unit()) }
 func (v Gbps) String() string             { return fmt.Sprintf("%g %s", float64(v), v.Unit()) }
 func (v Centimeter) String() string       { return fmt.Sprintf("%g %s", float64(v), v.Unit()) }
-func (v GHz) String() string              { return fmt.Sprintf("%g %s", float64(v), v.Unit()) }
 func (v SquareMillimeter) String() string { return fmt.Sprintf("%g %s", float64(v), v.Unit()) }
 
 // Times scales a loss by a dimensionless element count (rings passed,
@@ -103,14 +97,10 @@ func (v Gbps) Div(n float64) Gbps { return v / Gbps(n) }
 // milliwatts — the launch-power step of the §3 link budget.
 func DBmToMilliWatt(dbm DB) MilliWatt { return MilliWatt(math.Pow(10, float64(dbm)/10)) }
 
-// ClockGHz extracts a clock's frequency as a typed GHz quantity.
-func ClockGHz(c sim.Clock) GHz { return GHz(c.FrequencyHz / 1e9) }
-
-// CyclesToSeconds converts a cycle count at the given clock into
-// wall-clock seconds. For the modeled 2.5 GHz clock this is exactly
-// sim.Clock.Seconds: the GHz round trip through 1e9 is lossless.
-func CyclesToSeconds(n sim.Cycle, clock GHz) float64 {
-	return float64(n) / (float64(clock) * 1e9)
+// CyclesToSeconds converts a cycle count at the modeled clock
+// (sim.ClockHz) into wall-clock seconds.
+func CyclesToSeconds(n sim.Cycle) float64 {
+	return float64(n) / sim.ClockHz
 }
 
 // RateGbps derives a bit rate from bits delivered over a measurement

@@ -140,10 +140,6 @@ type TXConfig struct {
 	MaxFlits int
 	Bundle   photonic.WaveguideBundle
 	Gating   GatingMode
-	ClockHz  float64
-	// PropagationCycles is the light-propagation latency added to every
-	// reservation (1 cycle across the 20 mm die).
-	PropagationCycles int
 
 	// DisablePipelining serializes reservations behind data transfers
 	// (the next packet's reservation starts only after the current
@@ -154,6 +150,10 @@ type TXConfig struct {
 	// Events, when non-nil, receives protocol events.
 	Events *event.Log
 }
+
+// propagationCycles is the light-propagation latency added to every
+// reservation (1 cycle across the 20 mm die).
+const propagationCycles = 1
 
 // TX is the transmit side of one cluster's write channel: it drains the
 // photonic router's transmit port, broadcasts reservations on the
@@ -197,7 +197,7 @@ type txState struct {
 // NewTX builds the transmit engine draining port. rxs must be indexed by
 // cluster; onDrop may be nil.
 func NewTX(cfg TXConfig, port *router.Port, alloc Allocator, rxs []*RX, ledger *photonic.Ledger, onDrop DropHandler) (*TX, error) {
-	if cfg.Clusters <= 0 || cfg.MaxFlits <= 0 || cfg.ClockHz <= 0 {
+	if cfg.Clusters <= 0 || cfg.MaxFlits <= 0 {
 		return nil, fmt.Errorf("xbar: TX config for cluster %d has non-positive parameters", cfg.Cluster)
 	}
 	if cfg.Gating != GateChannel && cfg.Gating != GateSelected {
@@ -206,10 +206,7 @@ func NewTX(cfg TXConfig, port *router.Port, alloc Allocator, rxs []*RX, ledger *
 	if len(rxs) != cfg.Clusters {
 		return nil, fmt.Errorf("xbar: TX for cluster %d given %d receivers for %d clusters", cfg.Cluster, len(rxs), cfg.Clusters)
 	}
-	if cfg.PropagationCycles < 0 {
-		return nil, fmt.Errorf("xbar: negative propagation latency")
-	}
-	perWavelength, err := photonic.WavelengthCredit(cfg.ClockHz)
+	perWavelength, err := photonic.WavelengthCredit(sim.ClockHz)
 	if err != nil {
 		return nil, fmt.Errorf("xbar: TX for cluster %d: wavelength rate per cycle: %w", cfg.Cluster, err)
 	}
@@ -321,7 +318,7 @@ func (tx *TX) admitNext(now sim.Cycle) {
 				pkt:     pkt,
 				vc:      vc,
 				use:     use,
-				resLeft: cycles + tx.cfg.PropagationCycles,
+				resLeft: cycles + propagationCycles,
 			}
 			tx.cfg.Events.AppendInts(now, event.ReservationSent, int(tx.cfg.Cluster), int64(pkt.ID),
 				"to cluster %d, %d ids, %d cycles", int64(pkt.DstCluster), int64(ids), int64(cycles))

@@ -61,7 +61,7 @@ func TestSelectiveGatingPowersFewerDetectors(t *testing.T) {
 		}
 		tx, err := NewTX(TXConfig{
 			Cluster: 0, Clusters: topo.Clusters(), MaxFlits: 64, Bundle: bundle,
-			Gating: gating, ClockHz: 2.5e9, PropagationCycles: 1,
+			Gating: gating,
 		}, txPort, alloc, rxs, ledger, nil)
 		if err != nil {
 			t.Fatal(err)

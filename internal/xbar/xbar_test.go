@@ -112,13 +112,11 @@ func newTXRig(t *testing.T, gating GatingMode, rxVCs int) *txRig {
 	rig.rx = rxs[1]
 
 	rig.tx, err = NewTX(TXConfig{
-		Cluster:           0,
-		Clusters:          topo.Clusters(),
-		MaxFlits:          64,
-		Bundle:            bundle,
-		Gating:            gating,
-		ClockHz:           2.5e9,
-		PropagationCycles: 1,
+		Cluster:  0,
+		Clusters: topo.Clusters(),
+		MaxFlits: 64,
+		Bundle:   bundle,
+		Gating:   gating,
 	}, rig.txPort, alloc, rxs, rig.ledger, func(p *packet.Packet, _ sim.Cycle) {
 		rig.dropped = append(rig.dropped, p)
 	})
@@ -276,7 +274,7 @@ func TestTXSerializedReservation(t *testing.T) {
 		}
 		rig.tx, err = NewTX(TXConfig{
 			Cluster: 0, Clusters: topo.Clusters(), MaxFlits: 64, Bundle: bundle,
-			Gating: GateChannel, ClockHz: 2.5e9, PropagationCycles: 1,
+			Gating:            GateChannel,
 			DisablePipelining: disable,
 		}, rig.txPort, alloc, rxs, rig.ledger, nil)
 		if err != nil {
@@ -388,11 +386,9 @@ func TestTXConfigValidation(t *testing.T) {
 	}
 
 	bad := []TXConfig{
-		{Cluster: 0, Clusters: 0, MaxFlits: 64, Bundle: bundle, Gating: GateChannel, ClockHz: 2.5e9},
-		{Cluster: 0, Clusters: 16, MaxFlits: 0, Bundle: bundle, Gating: GateChannel, ClockHz: 2.5e9},
-		{Cluster: 0, Clusters: 16, MaxFlits: 64, Bundle: bundle, Gating: 0, ClockHz: 2.5e9},
-		{Cluster: 0, Clusters: 16, MaxFlits: 64, Bundle: bundle, Gating: GateChannel, ClockHz: 0},
-		{Cluster: 0, Clusters: 16, MaxFlits: 64, Bundle: bundle, Gating: GateChannel, ClockHz: 2.5e9, PropagationCycles: -1},
+		{Cluster: 0, Clusters: 0, MaxFlits: 64, Bundle: bundle, Gating: GateChannel},
+		{Cluster: 0, Clusters: 16, MaxFlits: 0, Bundle: bundle, Gating: GateChannel},
+		{Cluster: 0, Clusters: 16, MaxFlits: 64, Bundle: bundle, Gating: 0},
 	}
 	for i, cfg := range bad {
 		if _, err := NewTX(cfg, port, alloc, rxs, ledger, nil); err == nil {
@@ -400,7 +396,7 @@ func TestTXConfigValidation(t *testing.T) {
 		}
 	}
 	if _, err := NewTX(TXConfig{Cluster: 0, Clusters: 16, MaxFlits: 64, Bundle: bundle,
-		Gating: GateChannel, ClockHz: 2.5e9}, port, alloc, rxs[:3], ledger, nil); err == nil {
+		Gating: GateChannel}, port, alloc, rxs[:3], ledger, nil); err == nil {
 		t.Error("short RX slice accepted")
 	}
 }

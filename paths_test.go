@@ -90,7 +90,7 @@ func corpus(t *testing.T) []*scenario {
 						t.Errorf("no retransmission is pending at cycle %d", at)
 					}
 				}
-				dropAt := sim.Cycle(sc.cfg.Remaps[0].AtCycle) - sim.Cycle(sc.fc.RetryBackoffCycles)
+				dropAt := sim.Cycle(sc.cfg.Remaps[0].AtCycle) - fabric.RetryBackoffCycles
 				if !slices.ContainsFunc(fullLog(t, sc.fc), func(e event.Event) bool { return e.Kind == event.Retransmit && e.Cycle == dropAt }) {
 					t.Errorf("no packet dropped at cycle %d is retried on the remap's cycle", dropAt)
 				}

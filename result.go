@@ -139,7 +139,7 @@ type AreaEstimate struct {
 // EstimateArea evaluates the §3.4.3 analytic area model (Equations 5-24)
 // for a 64-core, 16-cluster chip with the given total data wavelengths.
 func EstimateArea(dataWavelengths int) (AreaEstimate, error) {
-	cfg := area.DefaultConfig(dataWavelengths)
+	cfg := area.Config{DataWavelengths: dataWavelengths}
 	if err := cfg.Validate(); err != nil {
 		return AreaEstimate{}, err
 	}
