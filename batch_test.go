@@ -7,7 +7,6 @@ import (
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/testutil/leakcheck"
-	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -250,6 +249,6 @@ type poisonedRemap struct{}
 
 func (poisonedRemap) Name() string { return "poisoned" }
 
-func (poisonedRemap) Assign(topology.Topology, traffic.BandwidthSet) (traffic.Assignment, error) {
+func (poisonedRemap) Assign(traffic.BandwidthSet) (traffic.Assignment, error) {
 	panic("remap poisoned")
 }

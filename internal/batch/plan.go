@@ -78,7 +78,7 @@ func (g *group) add(specs []fabric.Config, i int) {
 // NewPlan groups members by it and take matches shelved builds by it,
 // and no layer above decides what may share — the root package and
 // hetpnocd submit configs and let the plan find the sharing. All that
-// shapes the build — topology, bandwidth set, architecture, traffic
+// shapes the build — bandwidth set, architecture, traffic
 // pattern, router provisioning, DBA parameters, scheduled remaps, the
 // probe interval — must match; only the fields the fork sequence
 // re-applies may differ: the seed and the load scale. Energy constants
@@ -89,10 +89,10 @@ func (g *group) add(specs []fabric.Config, i int) {
 // parameter, so a field added to fabric.Config is conservatively
 // prefix-splitting by default. Patterns
 // (the traffic and every remap's) compare by type and contents: one
-// carrying closures, like a traffic.Fixed assignment, never equals a
-// separately built one — a missed dedup is a lost optimization, a false
-// merge would be a wrong result. The public API's custom traffic is
-// traffic.Custom, plain data, so equal custom workloads do share.
+// carrying a closure would never equal a separately built one — a
+// missed dedup is a lost optimization, a false merge would be a wrong
+// result. The public API's custom traffic is traffic.Custom, plain
+// data, so equal custom workloads do share.
 func sharablePrefix(a, b fabric.Config) bool {
 	if reflect.TypeOf(a.Pattern) != reflect.TypeOf(b.Pattern) || a.Arch != b.Arch ||
 		a.Set.Name != b.Set.Name || a.Cycles != b.Cycles || a.WarmupCycles != b.WarmupCycles {

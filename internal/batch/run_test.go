@@ -12,7 +12,6 @@ import (
 
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/testutil/leakcheck"
-	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -115,11 +114,11 @@ func TestRunReportsRootCause(t *testing.T) {
 func TestRunSurfacesRemapFailure(t *testing.T) {
 	leakcheck.Check(t)
 	bad := spec(1, 1)
-	short := traffic.Fixed{Assignment: traffic.Assignment{Name: "short", Cores: make([]traffic.CoreProfile, 3)}}
+	short := traffic.Custom{Cores: make([]traffic.CustomCore, 3)}
 	bad.Remaps = []fabric.Remap{{At: 300, Pattern: short}}
 	p := mustPlan(t, []fabric.Config{spec(1, 1), bad}, Options{Workers: 1})
 	_, err := p.Run(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "member 1") || !strings.Contains(err.Error(), "cycle 300: remap: traffic: fixed assignment has 3 cores") {
+	if err == nil || !strings.Contains(err.Error(), "member 1") || !strings.Contains(err.Error(), "cycle 300: remap: traffic: custom workload has 3 cores") {
 		t.Fatalf("Run returned %v, want member 1's remap failure at cycle 300", err)
 	}
 }
@@ -198,7 +197,7 @@ type firing func()
 
 func (firing) Name() string { return "firing" }
 
-func (fire firing) Assign(topology.Topology, traffic.BandwidthSet) (traffic.Assignment, error) {
+func (fire firing) Assign(traffic.BandwidthSet) (traffic.Assignment, error) {
 	fire()
 	return traffic.Assignment{}, errors.New("unreachable: the remap's func did not return")
 }

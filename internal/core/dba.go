@@ -62,6 +62,8 @@ const demandFieldBits = 10
 
 // Config parameterizes the allocator.
 type Config struct {
+	// Topology is the Table 3-3 chip, its only value; the field stays
+	// for the callers that name it.
 	Topology topology.Topology
 	Bundle   photonic.WaveguideBundle
 
@@ -202,14 +204,11 @@ func (a *Allocator) row(table []int, r int) []int {
 
 var _ xbar.Allocator = (*Allocator)(nil)
 
-// Check reports why NewAllocator would refuse cfg's topology, budget
-// and knobs, without building anything; fabric.Config.Validate asks it
+// Check reports why NewAllocator would refuse cfg's budget and knobs,
+// without building anything; fabric.Config.Validate asks it
 // of every d-HetPNoC config.
 func (cfg Config) Check() error {
 	clusters := cfg.Topology.Clusters()
-	if clusters == 0 {
-		return fmt.Errorf("core: topology has no clusters")
-	}
 	if cfg.ReservedPerCluster < 1 {
 		return fmt.Errorf("core: reserved wavelengths per cluster must be >= 1, got %d", cfg.ReservedPerCluster)
 	}

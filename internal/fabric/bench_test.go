@@ -307,12 +307,10 @@ func mallocs(t *testing.T, fn func() error) uint64 {
 // traffic, every router, TX engine and core stays off the active lists
 // and a cycle costs only the torus/allocator housekeeping.
 func BenchmarkFabricStepIdle(b *testing.B) {
-	topo := topology.Default()
-	silent := traffic.Assignment{Name: "silent", Cores: make([]traffic.CoreProfile, topo.Cores())}
 	f, err := New(Config{
 		Arch:    DHetPNoC,
 		Set:     traffic.BWSet1,
-		Pattern: traffic.Fixed{Assignment: silent},
+		Pattern: traffic.Custom{Cores: make([]traffic.CustomCore, chip.Cores())},
 		Cycles:  1 << 30, // stepped manually
 		Seed:    1,
 	})

@@ -76,8 +76,7 @@ type cluster struct {
 //	inputs:  0..K-1 = from switches, K = photonic receive
 //	outputs: 0..K-1 = to switches, K = transmit port
 func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
-	topo := f.cfg.Topology
-	k := topo.ClusterSize()
+	k := chip.ClusterSize()
 	c := &cluster{id: cl}
 
 	newPort := func() (*router.Port, error) {
@@ -120,14 +119,14 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 	}
 
 	for i := 0; i < k; i++ {
-		core := topo.CoreAt(cl, i)
+		core := chip.CoreAt(cl, i)
 		localIdx := i
 		route := func(fl packet.Flit) int {
 			if fl.Packet.Dst == core {
 				return 0
 			}
 			if fl.Packet.DstCluster == cl {
-				return peerSlot(localIdx, topo.LocalIndex(fl.Packet.Dst))
+				return peerSlot(localIdx, chip.LocalIndex(fl.Packet.Dst))
 			}
 			return k
 		}
@@ -172,7 +171,7 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 		if fl.Packet.DstCluster != cl {
 			return k
 		}
-		return topo.LocalIndex(fl.Packet.Dst)
+		return chip.LocalIndex(fl.Packet.Dst)
 	}
 	prWidths := make([]int, k+1)
 	for p := 0; p < k; p++ {
@@ -204,8 +203,7 @@ func (f *Fabric) buildAllToAll(cl topology.ClusterID) (*cluster, error) {
 // Photonic router: input 0 = from switch, 1 = receive;
 // outputs 0 = to switch, 1 = transmit port.
 func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
-	topo := f.cfg.Topology
-	k := topo.ClusterSize()
+	k := chip.ClusterSize()
 	c := &cluster{id: cl}
 
 	newPort := func() (*router.Port, error) {
@@ -236,7 +234,7 @@ func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
 
 	route := func(fl packet.Flit) int {
 		if fl.Packet.DstCluster == cl {
-			return topo.LocalIndex(fl.Packet.Dst)
+			return chip.LocalIndex(fl.Packet.Dst)
 		}
 		return k
 	}
@@ -257,7 +255,7 @@ func (f *Fabric) buildConcentrated(cl topology.ClusterID) (*cluster, error) {
 		if _, err := sw.AddOutput(ejectPort, ejectWidth, false); err != nil {
 			return nil, err
 		}
-		core := topo.CoreAt(cl, i)
+		core := chip.CoreAt(cl, i)
 		cs := &f.cores[core]
 		cs.injectPort = swInputs[i]
 		cs.ejectPort = ejectPort

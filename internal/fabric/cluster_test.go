@@ -91,11 +91,9 @@ func TestEveryCoreHasPorts(t *testing.T) {
 // cluster) through the all-to-all peer wiring and watches it arrive
 // without touching the photonic channels.
 func TestPeerLinksCarryTraffic(t *testing.T) {
-	topo := Config{}.WithDefaults().Topology
-	silent := traffic.Assignment{Name: "silent", Cores: make([]traffic.CoreProfile, topo.Cores())}
 	f, err := New(Config{
 		Arch:    DHetPNoC,
-		Pattern: traffic.Fixed{Assignment: silent},
+		Pattern: traffic.Custom{Cores: make([]traffic.CustomCore, chip.Cores())},
 		Cycles:  300, WarmupCycles: 10, Seed: 1,
 	})
 	if err != nil {
@@ -142,13 +140,12 @@ func TestPeerLinksCarryTraffic(t *testing.T) {
 func TestRoutesMatchWiring(t *testing.T) {
 	for _, intra := range []IntraCluster{AllToAll, Concentrated} {
 		f := buildTestFabric(t, intra)
-		topo := f.cfg.Topology
 		now := sim.Cycle(0)
 		var ids packet.ID
 		for _, c := range f.clusters {
 			routers := append([]*router.Router{c.photonic}, c.switches...)
 			terminals := []*router.Port{c.txPort}
-			for _, core := range topo.CoresOf(c.id) {
+			for _, core := range chip.CoresOf(c.id) {
 				terminals = append(terminals, f.cores[core].ejectPort)
 			}
 			// walk buffers a packet for dst at from, ticks the cluster's
@@ -157,7 +154,7 @@ func TestRoutesMatchWiring(t *testing.T) {
 				t.Helper()
 				ids++
 				pkt := f.pool.Get()
-				*pkt = packet.Packet{ID: ids, Dst: dst, DstCluster: topo.ClusterOf(dst), Flits: 1, FlitBits: 32}
+				*pkt = packet.Packet{ID: ids, Dst: dst, DstCluster: chip.ClusterOf(dst), Flits: 1, FlitBits: 32}
 				vc, ok := from.AllocVC(pkt.ID)
 				if !ok {
 					t.Fatal("no free VC on an idle fabric")
@@ -187,19 +184,19 @@ func TestRoutesMatchWiring(t *testing.T) {
 				t.Fatalf("%v: packet for core %d is not out of cluster %d's routers after two hops", intra, dst, c.id)
 				return nil
 			}
-			for dst := topology.CoreID(0); int(dst) < topo.Cores(); dst++ {
-				local := topo.ClusterOf(dst) == c.id
+			for dst := topology.CoreID(0); int(dst) < chip.Cores(); dst++ {
+				local := chip.ClusterOf(dst) == c.id
 				want, name := c.txPort, "the transmit port"
 				if local {
 					want, name = f.cores[dst].ejectPort, "its eject port"
 				}
-				for _, src := range topo.CoresOf(c.id) {
+				for _, src := range chip.CoresOf(c.id) {
 					if got := walk(f.cores[src].injectPort, dst); got != want {
 						t.Fatalf("%v: core %d -> core %d did not reach %s", intra, src, dst, name)
 					}
 				}
 				if local {
-					if got := walk(c.rxInputPort(topo.ClusterSize(), intra), dst); got != want {
+					if got := walk(c.rxInputPort(chip.ClusterSize(), intra), dst); got != want {
 						t.Fatalf("%v: received packet for core %d did not reach %s", intra, dst, name)
 					}
 				}
@@ -212,17 +209,12 @@ func TestRoutesMatchWiring(t *testing.T) {
 // one electrical switch hop, so at light load its latency is far below the
 // photonic serialization bound.
 func TestIntraClusterLatencyIsOneHop(t *testing.T) {
-	topo := Config{}.WithDefaults().Topology
-	cores := make([]traffic.CoreProfile, topo.Cores())
+	cores := make([]traffic.CustomCore, chip.Cores())
 	// Only core 0 sends, to its cluster peer core 1.
-	cores[0] = traffic.CoreProfile{
-		RateGbps:   10,
-		DemandGbps: 40,
-		PickDest:   func(*sim.RNG) topology.CoreID { return 1 },
-	}
+	cores[0] = traffic.CustomCore{RateGbps: 10, DemandGbps: 40, Dests: []topology.CoreID{1}}
 	res := runConfig(t, Config{
 		Arch:    DHetPNoC,
-		Pattern: traffic.Fixed{Assignment: traffic.Assignment{Name: "peer", Cores: cores}},
+		Pattern: traffic.Custom{Cores: cores},
 		Cycles:  4000, WarmupCycles: 500, Seed: 31,
 	})
 	if res.Stats.PacketsDelivered == 0 {

@@ -85,13 +85,12 @@ type Remap struct {
 	Pattern traffic.Pattern
 }
 
-// Config parameterizes one simulation run. Zero fields are filled with the
-// Table 3-3 defaults by WithDefaults.
+// Config parameterizes one simulation run on the chip of Table 3-3.
+// Zero fields are filled with the Table 3-3 defaults by WithDefaults.
 type Config struct {
-	Topology topology.Topology
-	Set      traffic.BandwidthSet
-	Arch     Arch
-	Pattern  traffic.Pattern
+	Set     traffic.BandwidthSet
+	Arch    Arch
+	Pattern traffic.Pattern
 
 	// LoadScale multiplies every source's offered rate; the peak
 	// bandwidth experiments sweep it to find network saturation.
@@ -148,6 +147,9 @@ type Config struct {
 	Remaps []Remap
 }
 
+// chip is the Table 3-3 topology every fabric builds.
+var chip topology.Topology
+
 // The Table 3-3 run defaults. Every layer that fills an unset run
 // parameter — WithDefaults here, hetpnoc.Config.Normalized,
 // experiments.Options and the CLI flag defaults — reads these, so the
@@ -174,9 +176,6 @@ const (
 // WithDefaults returns the config with unset fields filled from Table 3-3
 // and the implementation defaults documented in DESIGN.md.
 func (c Config) WithDefaults() Config {
-	if c.Topology.Cores() == 0 {
-		c.Topology = topology.Default()
-	}
 	if c.Set.Name == "" {
 		c.Set = traffic.BWSet1
 	}
@@ -234,22 +233,20 @@ func (c Config) checkLoad(scale float64) error {
 	if !(scale >= 0 && scale <= maxLoadScale) {
 		return fmt.Errorf("fabric: load scale %g out of range [0, 2^40]", scale)
 	}
-	if err := traffic.CheckLoad(c.Pattern, c.Topology, c.Set, scale); err != nil {
+	if err := traffic.CheckLoad(c.Pattern, c.Set, scale); err != nil {
 		return err
 	}
 	for _, r := range c.Remaps {
-		if err := traffic.CheckLoad(r.Pattern, c.Topology, c.Set, scale); err != nil {
+		if err := traffic.CheckLoad(r.Pattern, c.Set, scale); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Validate reports the first configuration error.
+// Validate reports the first configuration error. Set is one of
+// traffic's three sets, which nothing re-checks.
 func (c Config) Validate() error {
-	if err := c.Set.Validate(); err != nil {
-		return err
-	}
 	if c.Arch != Firefly && c.Arch != DHetPNoC && c.Arch != TorusPNoC {
 		return fmt.Errorf("fabric: unknown architecture %d", c.Arch)
 	}
@@ -265,21 +262,13 @@ func (c Config) Validate() error {
 	if c.VCsPerPort <= 0 || c.VCsPerPort > router.MaxVCsPerPort {
 		return fmt.Errorf("fabric: VC count %d outside [1, %d]", c.VCsPerPort, router.MaxVCsPerPort)
 	}
-	if bufferDepthFlits < c.Set.Format.Flits {
-		return fmt.Errorf("fabric: buffer depth %d flits cannot hold one %d-flit packet",
-			bufferDepthFlits, c.Set.Format.Flits)
-	}
 	if c.SourceQueueLimit <= 0 {
 		return fmt.Errorf("fabric: source queue limit must be positive")
 	}
 	if c.IntraCluster != AllToAll && c.IntraCluster != Concentrated {
 		return fmt.Errorf("fabric: unknown intra-cluster topology %d", c.IntraCluster)
 	}
-	if c.Set.TotalWavelengths%c.Topology.Clusters() != 0 && c.Arch == Firefly {
-		return fmt.Errorf("fabric: %d wavelengths do not divide over %d Firefly channels",
-			c.Set.TotalWavelengths, c.Topology.Clusters())
-	}
-	if maxRows := maxProbeBytes / probeRowBytes(c.Topology.Clusters()); c.ProbeEvery < 0 || c.ProbeEvery > 0 && int64(c.Cycles)/c.ProbeEvery > maxRows {
+	if maxRows := maxProbeBytes / probeRowBytes(chip.Clusters()); c.ProbeEvery < 0 || c.ProbeEvery > 0 && int64(c.Cycles)/c.ProbeEvery > maxRows {
 		return fmt.Errorf("fabric: probe interval %d invalid for %d cycles: negative, or over %d rows", c.ProbeEvery, c.Cycles, maxRows)
 	}
 	for _, r := range c.Remaps {
@@ -309,7 +298,6 @@ func (c Config) dbaConfig(bundle photonic.WaveguideBundle) core.Config {
 	}
 	return core.Config{
 		Policy:                policy,
-		Topology:              c.Topology,
 		Bundle:                bundle,
 		TotalWavelengths:      c.Set.TotalWavelengths,
 		ReservedPerCluster:    c.ReservedPerCluster,

@@ -103,7 +103,7 @@ func TestFlitConservationUnderRandomConfigs(t *testing.T) {
 // the 64-wavelength DWDM cap.
 func checkWavelengthCaps(t *testing.T, f *Fabric, cfg Config) bool {
 	t.Helper()
-	clusters := f.cfg.Topology.Clusters()
+	clusters := chip.Clusters()
 	bundle := f.bundle
 	owned := make([]bool, bundle.Capacity())
 	perWaveguide := make([]int, bundle.Waveguides)

@@ -108,7 +108,7 @@ func New(cfg Config) (*Fabric, error) {
 		collector: stats.NewCollector(),
 		state:     state{rng: *sim.NewRNG(cfg.Seed), seed: cfg.Seed, loadScale: cfg.LoadScale, probe: newProbe(cfg)},
 	}
-	f.collector.SetClusterCount(cfg.Topology.Clusters())
+	f.collector.SetClusterCount(chip.Clusters())
 	arena, err := router.NewArena(f.ledger, &f.occupancy)
 	if err != nil {
 		return nil, err
@@ -118,12 +118,12 @@ func New(cfg Config) (*Fabric, error) {
 	// router inputs, 1 transmit and k eject ports per cluster;
 	// concentrated uses k+1 switch inputs, 2 photonic router inputs,
 	// 1 transmit and k eject ports.
-	k := cfg.Topology.ClusterSize()
+	k := chip.ClusterSize()
 	portsPerCluster := (k + 1) * (k + 2)
 	if cfg.IntraCluster == Concentrated {
 		portsPerCluster = 2*k + 4
 	}
-	totalPorts := cfg.Topology.Clusters() * portsPerCluster
+	totalPorts := chip.Clusters() * portsPerCluster
 	arena.Reserve(totalPorts, totalPorts*cfg.VCsPerPort)
 	f.arena = arena
 	if cfg.EventCapacity > 0 {
@@ -136,7 +136,7 @@ func New(cfg Config) (*Fabric, error) {
 
 	switch cfg.Arch {
 	case Firefly, TorusPNoC:
-		alloc, err := xbar.NewStatic(cfg.Topology, bundle, cfg.Set.TotalWavelengths)
+		alloc, err := xbar.NewStatic(bundle, cfg.Set.TotalWavelengths)
 		if err != nil {
 			return nil, err
 		}
@@ -153,14 +153,14 @@ func New(cfg Config) (*Fabric, error) {
 	}
 
 	// Core states first so cluster builders can fill their ports.
-	f.cores = make([]coreState, cfg.Topology.Cores())
+	f.cores = make([]coreState, chip.Cores())
 	for c := range f.cores {
 		f.cores[c].id = topology.CoreID(c)
 	}
 
 	// Clusters, electrical routers and crossbar engines.
-	f.rxs = make([]*xbar.RX, cfg.Topology.Clusters())
-	for cl := 0; cl < cfg.Topology.Clusters(); cl++ {
+	f.rxs = make([]*xbar.RX, chip.Clusters())
+	for cl := 0; cl < chip.Clusters(); cl++ {
 		var (
 			built *cluster
 			err   error
@@ -174,7 +174,7 @@ func New(cfg Config) (*Fabric, error) {
 			return nil, err
 		}
 		f.clusters = append(f.clusters, built)
-		rxPort := built.rxInputPort(cfg.Topology.ClusterSize(), cfg.IntraCluster)
+		rxPort := built.rxInputPort(chip.ClusterSize(), cfg.IntraCluster)
 		f.rxs[cl] = xbar.NewRX(rxPort, f.ledger)
 	}
 	for _, c := range f.clusters {
@@ -190,7 +190,7 @@ func New(cfg Config) (*Fabric, error) {
 			txPorts[cl] = c.txPort
 		}
 		net, err := torus.New(torus.Config{
-			Nodes:              cfg.Topology.Clusters(),
+			Nodes:              chip.Clusters(),
 			Bundle:             bundle,
 			ClockHz:            sim.ClockHz,
 			SetupHopCycles:     int(router.PipelineDelay) + 2,
@@ -210,7 +210,7 @@ func New(cfg Config) (*Fabric, error) {
 		for cl, c := range f.clusters {
 			tx, err := xbar.NewTX(xbar.TXConfig{
 				Cluster:           topology.ClusterID(cl),
-				Clusters:          cfg.Topology.Clusters(),
+				Clusters:          chip.Clusters(),
 				MaxFlits:          cfg.Set.Format.Flits,
 				Bundle:            bundle,
 				Gating:            gating,
@@ -245,10 +245,10 @@ func New(cfg Config) (*Fabric, error) {
 	// ahead of it only keeps each source's stream where the goldens pin
 	// it, and Reseed and remap skip one at the same point.
 	f.rng.Split()
-	if f.built, err = cfg.Pattern.Assign(cfg.Topology, cfg.Set); err != nil {
+	if f.built, err = cfg.Pattern.Assign(cfg.Set); err != nil {
 		return nil, err
 	}
-	f.demandRow = make([]int, cfg.Topology.Clusters())
+	f.demandRow = make([]int, chip.Clusters())
 	if err := f.applyAssignment(f.built); err != nil {
 		return nil, err
 	}
@@ -275,7 +275,7 @@ func (f *Fabric) applyAssignment(a traffic.Assignment) error {
 			return err
 		}
 		f.cores[c].source = src
-		profile.DemandTable(f.demandRow, f.cfg.Topology.ClusterOf(coreID))
+		profile.DemandTable(f.demandRow, chip.ClusterOf(coreID))
 		f.alloc.SetDemand(coreID, f.demandRow)
 	}
 	clear(f.demandRow)
@@ -387,7 +387,7 @@ func (f *Fabric) fireDue(now sim.Cycle) error {
 // from the run RNG and a fresh demand table for every core.
 func (f *Fabric) remap(pattern traffic.Pattern, now sim.Cycle) error {
 	f.rng.Split() // as New does before its assignment
-	a, err := pattern.Assign(f.cfg.Topology, f.cfg.Set)
+	a, err := pattern.Assign(f.cfg.Set)
 	if err != nil {
 		return err
 	}
@@ -395,8 +395,7 @@ func (f *Fabric) remap(pattern traffic.Pattern, now sim.Cycle) error {
 		return err
 	}
 	if f.events != nil {
-		// A format without arguments is the detail as it stands.
-		f.events.AppendInts(now, event.TaskRemap, -1, 0, fmt.Sprintf("workload -> %s", pattern.Name()))
+		f.events.AppendInts(now, event.TaskRemap, -1, 0, "workload -> "+pattern.Name())
 	}
 	return nil
 }
@@ -541,7 +540,7 @@ func (f *Fabric) Step() error {
 func (f *Fabric) generate(now sim.Cycle) {
 	next := noCycle
 	for _, cs := range f.genList {
-		p := cs.source.Tick(now, f.cfg.Topology)
+		p := cs.source.Tick(now)
 		next = min(next, cs.source.NextEmission())
 		if p == nil {
 			continue

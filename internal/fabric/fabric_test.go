@@ -33,9 +33,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.VCsPerPort != 16 || bufferDepthFlits != 64 {
 		t.Errorf("default router memory %d VCs x %d flits, Table 3-3 says 16x64", cfg.VCsPerPort, bufferDepthFlits)
 	}
-	if cfg.Topology.Cores() != 64 {
-		t.Errorf("default topology has %d cores", cfg.Topology.Cores())
-	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
@@ -52,13 +49,12 @@ func TestConfigValidation(t *testing.T) {
 		{"nil pattern", func(c *Config) { c.Pattern = nil }},
 		{"negative load", func(c *Config) { c.LoadScale = -1 }},
 		{"warmup >= cycles", func(c *Config) { c.WarmupCycles = c.Cycles }},
-		{"buffer below packet", func(c *Config) { c.Set.Format.Flits = bufferDepthFlits + 1 }},
 		{"bad intra", func(c *Config) { c.IntraCluster = 99 }},
 		{"remap without pattern", func(c *Config) { c.Remaps = []Remap{{At: 100}} }},
 		{"remap before the run", func(c *Config) { c.Remaps = []Remap{{At: -1, Pattern: traffic.Uniform{}}} }},
 		{"remap past the run", func(c *Config) { c.Remaps = []Remap{{At: sim.Cycle(c.Cycles), Pattern: traffic.Uniform{}}} }},
 		{"probe one row over its bytes", func(c *Config) {
-			c.ProbeEvery, c.Cycles = 1, int(maxProbeBytes/probeRowBytes(c.Topology.Clusters()))+1
+			c.ProbeEvery, c.Cycles = 1, int(maxProbeBytes/probeRowBytes(chip.Clusters()))+1
 		}},
 		// Custom rates are data, so Validate refuses what a source could
 		// not hold as credit: below one unit, or past 2^30 bits a cycle.
@@ -90,7 +86,7 @@ func TestConfigValidation(t *testing.T) {
 	// The largest probe Validate takes is no larger than the 2^20 rows
 	// of 80 B the probe's first three columns allowed.
 	edge := base
-	edge.ProbeEvery, edge.Cycles = 1, int(maxProbeBytes/probeRowBytes(edge.Topology.Clusters()))
+	edge.ProbeEvery, edge.Cycles = 1, int(maxProbeBytes/probeRowBytes(chip.Clusters()))
 	if err := edge.Validate(); err != nil || int64(edge.Cycles)*probeRowBytes(16) > (1<<20)*80 {
 		t.Errorf("a probe of %d rows of %d B: %v; want it taken, and within 80 MiB", edge.Cycles, probeRowBytes(16), err)
 	}
@@ -293,28 +289,19 @@ func TestLowLoadDeliversEverything(t *testing.T) {
 // TestIntraClusterTraffic: destinations inside the source cluster travel
 // the electrical network only — the photonic channels stay idle.
 func TestIntraClusterTraffic(t *testing.T) {
-	topo := topology.Default()
-	cores := make([]traffic.CoreProfile, topo.Cores())
+	cores := make([]traffic.CustomCore, chip.Cores())
 	for c := range cores {
-		c := c
 		src := topology.CoreID(c)
-		cores[c] = traffic.CoreProfile{
-			RateGbps:   10,
-			DemandGbps: 40,
-			PickDest: func(rng *sim.RNG) topology.CoreID {
-				cl := topo.ClusterOf(src)
-				for {
-					dst := topo.CoreAt(cl, rng.Intn(topo.ClusterSize()))
-					if dst != src {
-						return dst
-					}
-				}
-			},
+		cores[c] = traffic.CustomCore{RateGbps: 10, DemandGbps: 40}
+		for _, peer := range chip.CoresOf(chip.ClusterOf(src)) {
+			if peer != src {
+				cores[c].Dests = append(cores[c].Dests, peer)
+			}
 		}
 	}
 	res := runConfig(t, Config{
 		Arch:    DHetPNoC,
-		Pattern: traffic.Fixed{Assignment: traffic.Assignment{Name: "intra", Cores: cores}},
+		Pattern: traffic.Custom{Cores: cores},
 		Cycles:  3000, WarmupCycles: 500, Seed: 9,
 	})
 	if res.Stats.PacketsDelivered == 0 {
@@ -373,7 +360,7 @@ func TestRemapReshapesAllocation(t *testing.T) {
 // it fires — Config.Validate cannot see inside a pattern — stops the run
 // with the cycle and the cause instead of being skipped in silence.
 func TestRemapFailureFailsStep(t *testing.T) {
-	short := traffic.Fixed{Assignment: traffic.Assignment{Name: "short", Cores: make([]traffic.CoreProfile, 3)}}
+	short := traffic.Custom{Cores: make([]traffic.CustomCore, 3)}
 	f, err := New(Config{
 		Pattern: traffic.Uniform{},
 		Remaps:  []Remap{{At: 300, Pattern: short}},
@@ -383,7 +370,7 @@ func TestRemapFailureFailsStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = f.StepContext(context.Background(), 2000)
-	const want = "cycle 300: remap: traffic: fixed assignment has 3 cores, topology has 64"
+	const want = "cycle 300: remap: traffic: custom workload has 3 cores, topology has 64"
 	if err == nil || err.Error() != want {
 		t.Fatalf("StepContext returned %v, want %q", err, want)
 	}
@@ -452,37 +439,6 @@ func TestConcentratedIntraCluster(t *testing.T) {
 	}
 	if res.IntraCluster != "concentrated" {
 		t.Fatalf("result says intra-cluster %q", res.IntraCluster)
-	}
-}
-
-// TestAlternativeTopologies: the fabric is parameterized by topology, not
-// hardwired to the thesis's 64-core chip.
-func TestAlternativeTopologies(t *testing.T) {
-	tests := []struct {
-		cores, clusterSize int
-	}{
-		{16, 4},  // 4 clusters
-		{32, 4},  // 8 clusters
-		{128, 4}, // 32 clusters (2 wavelengths per Firefly channel)
-		{64, 8},  // 8 clusters of 8 cores
-	}
-	for _, tt := range tests {
-		topo, err := topology.New(tt.cores, tt.clusterSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, arch := range []Arch{Firefly, DHetPNoC} {
-			res := runConfig(t, Config{
-				Topology: topo,
-				Arch:     arch,
-				Pattern:  traffic.Uniform{},
-				Cycles:   2500, WarmupCycles: 500, Seed: 41,
-			})
-			if res.Stats.PacketsDelivered == 0 {
-				t.Fatalf("%d cores / %d per cluster / %s: nothing delivered",
-					tt.cores, tt.clusterSize, arch)
-			}
-		}
 	}
 }
 

@@ -47,7 +47,7 @@ func newProbe(cfg Config) Probe {
 	if cfg.ProbeEvery <= 0 {
 		return Probe{}
 	}
-	rows, k := int(int64(cfg.Cycles)/cfg.ProbeEvery), cfg.Topology.Clusters()
+	rows, k := int(int64(cfg.Cycles)/cfg.ProbeEvery), chip.Clusters()
 	return Probe{k, make([]Counters, rows), make([]int32, rows*k), make([]int64, rows*k)}
 }
 

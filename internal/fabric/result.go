@@ -81,8 +81,8 @@ func (f *Fabric) result() Result {
 		Seed:                 f.seed,
 		Stats:                summary,
 		OfferedGbps:          units.Gbps(offered),
-		PerCoreGbps:          summary.DeliveredGbps.Div(float64(f.cfg.Topology.Cores())),
-		AllocatedWavelengths: make([]int, f.cfg.Topology.Clusters()),
+		PerCoreGbps:          summary.DeliveredGbps.Div(float64(chip.Cores())),
+		AllocatedWavelengths: make([]int, chip.Clusters()),
 		ChannelBusyFraction:  make([]float64, len(f.txs)),
 		EnergyBreakdownPJ:    make(map[string]units.Picojoule),
 		Events:               f.events.Events(),

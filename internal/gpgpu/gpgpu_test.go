@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"hetpnoc/internal/topology"
 )
 
 // TestFigure1_1Shape checks the Figure 1-1 claims: "most of the benchmarks
@@ -139,15 +141,23 @@ func TestRealAppPlacementsMatchSection3_4_2(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int{"MUM": 20, "BFS": 4, "CP": 4, "RAY": 4, "LPS": 16}
+	chip := topology.Default()
 	total := 0
 	for _, p := range placements {
 		if want[p.Profile.Name] != p.Cores {
 			t.Errorf("%s mapped to %d cores, §3.4.2 says %d", p.Profile.Name, p.Cores, want[p.Profile.Name])
 		}
+		// traffic.RealApp maps each application onto whole clusters.
+		if p.Cores%chip.ClusterSize() != 0 {
+			t.Errorf("%s spans %d cores, not a whole number of clusters", p.Profile.Name, p.Cores)
+		}
 		total += p.Cores
 	}
+	if chip.Cores()-total < chip.ClusterSize() {
+		t.Errorf("placements use %d of %d cores, leaving no memory cluster", total, chip.Cores())
+	}
 	if total != 48 {
-		t.Fatalf("placements cover %d cores, want 48 (12 clusters)", total)
+		t.Errorf("placements cover %d cores, want 48 (12 clusters)", total)
 	}
 }
 

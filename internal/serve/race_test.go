@@ -17,7 +17,6 @@ import (
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/testutil/leakcheck"
-	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -508,7 +507,7 @@ type poisonRemap struct{ release <-chan struct{} }
 
 func (poisonRemap) Name() string { return "poison" }
 
-func (p poisonRemap) Assign(topology.Topology, traffic.BandwidthSet) (traffic.Assignment, error) {
+func (p poisonRemap) Assign(traffic.BandwidthSet) (traffic.Assignment, error) {
 	<-p.release
 	panic("index out of range [64] with length 64")
 }

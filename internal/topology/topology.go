@@ -7,8 +7,6 @@
 // links and to the cluster's photonic router.
 package topology
 
-import "fmt"
-
 // CoreID identifies a processing core, 0 <= CoreID < Cores.
 type CoreID int
 
@@ -16,69 +14,54 @@ type CoreID int
 // 0 <= ClusterID < Clusters.
 type ClusterID int
 
-// Topology is an immutable description of the chip layout.
-type Topology struct {
-	cores       int
-	clusterSize int
-}
+// The chip of Table 3-3.
+const (
+	cores       = 64
+	clusterSize = 4
+)
 
-// New returns a topology with the given total core count and cluster
-// size. It returns an error when the core count is not a positive
-// multiple of the cluster size.
-func New(cores, clusterSize int) (Topology, error) {
-	if cores <= 0 || clusterSize <= 0 {
-		return Topology{}, fmt.Errorf("topology: cores (%d) and cluster size (%d) must be positive", cores, clusterSize)
-	}
-	if cores%clusterSize != 0 {
-		return Topology{}, fmt.Errorf("topology: cores (%d) must be a multiple of cluster size (%d)", cores, clusterSize)
-	}
-	return Topology{cores: cores, clusterSize: clusterSize}, nil
-}
+// Topology is the chip of Table 3-3: 64 cores in 16 clusters of 4. It
+// holds nothing, so its zero value is the chip.
+type Topology struct{}
 
 // Default returns the 64-core, 16-cluster topology of Table 3-3.
-func Default() Topology {
-	t, err := New(64, 4)
-	if err != nil {
-		panic(err) // statically correct arguments
-	}
-	return t
-}
+func Default() Topology { return Topology{} }
 
 // Cores returns the total number of cores.
-func (t Topology) Cores() int { return t.cores }
+func (Topology) Cores() int { return cores }
 
 // Clusters returns the number of clusters (= photonic routers).
-func (t Topology) Clusters() int { return t.cores / t.clusterSize }
+func (Topology) Clusters() int { return cores / clusterSize }
 
 // ClusterSize returns the number of cores per cluster.
-func (t Topology) ClusterSize() int { return t.clusterSize }
+func (Topology) ClusterSize() int { return clusterSize }
 
 // ClusterOf returns the cluster that core c belongs to.
-func (t Topology) ClusterOf(c CoreID) ClusterID {
-	return ClusterID(int(c) / t.clusterSize)
+func (Topology) ClusterOf(c CoreID) ClusterID {
+	return ClusterID(int(c) / clusterSize)
 }
 
 // LocalIndex returns the index of core c within its cluster,
 // 0 <= index < ClusterSize.
-func (t Topology) LocalIndex(c CoreID) int {
-	return int(c) % t.clusterSize
+func (Topology) LocalIndex(c CoreID) int {
+	return int(c) % clusterSize
 }
 
 // CoreAt returns the core at local index i of cluster cl.
-func (t Topology) CoreAt(cl ClusterID, i int) CoreID {
-	return CoreID(int(cl)*t.clusterSize + i)
+func (Topology) CoreAt(cl ClusterID, i int) CoreID {
+	return CoreID(int(cl)*clusterSize + i)
 }
 
 // CoresOf returns the cores of cluster cl in local-index order.
 func (t Topology) CoresOf(cl ClusterID) []CoreID {
-	cores := make([]CoreID, t.clusterSize)
-	for i := range cores {
-		cores[i] = t.CoreAt(cl, i)
+	ids := make([]CoreID, clusterSize)
+	for i := range ids {
+		ids[i] = t.CoreAt(cl, i)
 	}
-	return cores
+	return ids
 }
 
 // ValidCore reports whether c is a core of this topology.
-func (t Topology) ValidCore(c CoreID) bool {
-	return c >= 0 && int(c) < t.cores
+func (Topology) ValidCore(c CoreID) bool {
+	return c >= 0 && int(c) < cores
 }

@@ -18,27 +18,6 @@ func TestDefaultTopology(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	tests := []struct {
-		cores, size int
-		wantErr     bool
-	}{
-		{64, 4, false},
-		{4, 4, false},
-		{16, 8, false},
-		{0, 4, true},
-		{64, 0, true},
-		{-4, 4, true},
-		{63, 4, true}, // not a multiple
-	}
-	for _, tt := range tests {
-		_, err := New(tt.cores, tt.size)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("New(%d, %d) error = %v, wantErr %v", tt.cores, tt.size, err, tt.wantErr)
-		}
-	}
-}
-
 func TestClusterMapping(t *testing.T) {
 	topo := Default()
 	tests := []struct {

@@ -6,8 +6,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"hetpnoc/internal/packet"
 	"hetpnoc/internal/photonic"
 )
@@ -34,7 +32,8 @@ type BandwidthSet struct {
 
 // The three bandwidth sets of the evaluation, the provisioning points
 // of Tables 3-1 and 3-3. They are written only here; every consumer
-// copies the struct.
+// copies the struct, and no other set exists, so nothing re-checks one
+// (TestBandwidthSetsMatchTable3_3 holds their invariants).
 var (
 	// BWSet1: classes 12.5-100 Gb/s, 64 wavelengths, 64x32 b packets.
 	BWSet1 = BandwidthSet{
@@ -78,28 +77,6 @@ func WavelengthsFor(gbps float64) int {
 		n++
 	}
 	return n
-}
-
-// Validate reports an error if the set is internally inconsistent.
-func (s BandwidthSet) Validate() error {
-	if err := s.Format.Validate(); err != nil {
-		return err
-	}
-	if s.TotalWavelengths <= 0 {
-		return fmt.Errorf("traffic: %s: total wavelengths must be positive", s.Name)
-	}
-	for i, g := range s.ClassGbps {
-		if g <= 0 {
-			return fmt.Errorf("traffic: %s: class %d bandwidth must be positive", s.Name, i)
-		}
-		if i > 0 && g >= s.ClassGbps[i-1] {
-			return fmt.Errorf("traffic: %s: classes must be strictly decreasing", s.Name)
-		}
-	}
-	if max := WavelengthsFor(s.ClassGbps[0]); max > s.TotalWavelengths {
-		return fmt.Errorf("traffic: %s: top class needs %d wavelengths, budget is %d", s.Name, max, s.TotalWavelengths)
-	}
-	return nil
 }
 
 // MaxChannelWavelengths returns the d-HetPNoC per-channel ceiling for this

@@ -46,12 +46,12 @@ func CaseStudies() []SkewedHotspot {
 func (h SkewedHotspot) Name() string { return fmt.Sprintf("skewed-hotspot%d", h.Index) }
 
 // Assign implements Pattern.
-func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
+func (h SkewedHotspot) Assign(set BandwidthSet) (Assignment, error) {
 	if h.HotFraction < 0 || h.HotFraction >= 1 {
 		return Assignment{}, fmt.Errorf("traffic: hotspot fraction %g outside [0,1)", h.HotFraction)
 	}
 
-	base, err := Skewed{Level: h.BaseLevel}.Assign(topo, set)
+	base, err := Skewed{Level: h.BaseLevel}.Assign(set)
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -60,16 +60,15 @@ func (h SkewedHotspot) Assign(topo topology.Topology, set BandwidthSet) (Assignm
 	copy(cores, base.Cores)
 	hot := sim.ChanceOf(h.HotFraction)
 	for c := range cores {
-		src := topo.ClusterOf(topology.CoreID(c))
+		src := chip.ClusterOf(topology.CoreID(c))
 		baseDest := cores[c].PickDest
 		if src == hotspotCluster {
 			// The hotspot cluster itself only generates base traffic.
 			continue
 		}
-		clusterSize := topo.ClusterSize()
 		cores[c].PickDest = func(rng *sim.RNG) topology.CoreID {
 			if rng.Draw(hot) {
-				return topo.CoreAt(hotspotCluster, rng.Intn(clusterSize))
+				return chip.CoreAt(hotspotCluster, rng.Intn(chip.ClusterSize()))
 			}
 			return baseDest(rng)
 		}

@@ -32,7 +32,7 @@ func TestCaseStudiesConfiguration(t *testing.T) {
 func TestHotspotFraction(t *testing.T) {
 	topo := topology.Default()
 	h := SkewedHotspot{Index: 3, HotFraction: 0.20, BaseLevel: 2}
-	a, err := h.Assign(topo, BWSet1)
+	a, err := h.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHotspotFraction(t *testing.T) {
 func TestHotspotClusterKeepsBaseTraffic(t *testing.T) {
 	topo := topology.Default()
 	h := SkewedHotspot{Index: 1, HotFraction: 0.10, BaseLevel: 2}
-	a, err := h.Assign(topo, BWSet1)
+	a, err := h.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,18 +75,17 @@ func TestHotspotClusterKeepsBaseTraffic(t *testing.T) {
 }
 
 func TestHotspotValidation(t *testing.T) {
-	topo := topology.Default()
-	if _, err := (SkewedHotspot{HotFraction: 1.2, BaseLevel: 2}).Assign(topo, BWSet1); err == nil {
+	if _, err := (SkewedHotspot{HotFraction: 1.2, BaseLevel: 2}).Assign(BWSet1); err == nil {
 		t.Error("fraction > 1 accepted")
 	}
-	if _, err := (SkewedHotspot{HotFraction: 0.1, BaseLevel: 9}).Assign(topo, BWSet1); err == nil {
+	if _, err := (SkewedHotspot{HotFraction: 0.1, BaseLevel: 9}).Assign(BWSet1); err == nil {
 		t.Error("bad base level accepted")
 	}
 }
 
 func TestRealAppPlacement(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1)
+	a, err := RealApp{}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestRealAppPlacement(t *testing.T) {
 
 func TestRealAppDemandRestriction(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1)
+	a, err := RealApp{}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestRealAppDemandRestriction(t *testing.T) {
 
 func TestRealAppResponseTrafficBalancesRequests(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1)
+	a, err := RealApp{}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestRealAppResponseTrafficBalancesRequests(t *testing.T) {
 
 func TestRealAppMemoryResponsesWeightedByDemand(t *testing.T) {
 	topo := topology.Default()
-	a, err := RealApp{}.Assign(topo, BWSet1)
+	a, err := RealApp{}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,25 +68,28 @@ type Assignment struct {
 	Cores []CoreProfile
 }
 
-// Pattern generates an Assignment for a topology. Patterns are pure
-// descriptions: an assignment depends only on the pattern, the topology
-// and the bandwidth set, and the randomness of a run is drawn by its
-// sources' destination samplers.
+// Pattern generates an Assignment for the chip. Patterns are pure
+// descriptions: an assignment depends only on the pattern and the
+// bandwidth set, and the randomness of a run is drawn by its sources'
+// destination samplers.
 type Pattern interface {
 	// Name identifies the pattern in results ("uniform", "skewed3", ...).
 	Name() string
 
-	// Assign maps the workload onto the topology.
-	Assign(topo topology.Topology, set BandwidthSet) (Assignment, error)
+	// Assign maps the workload onto the chip.
+	Assign(set BandwidthSet) (Assignment, error)
 }
+
+// chip is the Table 3-3 topology every workload maps onto.
+var chip topology.Topology
 
 // uniformDest returns a destination sampler drawing uniformly from all
 // cores outside the source cluster.
-func uniformDest(topo topology.Topology, src topology.ClusterID) func(*sim.RNG) topology.CoreID {
+func uniformDest(src topology.ClusterID) func(*sim.RNG) topology.CoreID {
 	return func(rng *sim.RNG) topology.CoreID {
 		for {
-			dst := topology.CoreID(rng.Intn(topo.Cores()))
-			if topo.ClusterOf(dst) != src {
+			dst := topology.CoreID(rng.Intn(chip.Cores()))
+			if chip.ClusterOf(dst) != src {
 				return dst
 			}
 		}
@@ -105,20 +108,17 @@ type Uniform struct{}
 func (Uniform) Name() string { return "uniform" }
 
 // Assign implements Pattern.
-func (Uniform) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
-	if err := set.Validate(); err != nil {
-		return Assignment{}, err
-	}
-	perCore := fairShare(topo, set)
-	perCluster := perCore * float64(topo.ClusterSize())
+func (Uniform) Assign(set BandwidthSet) (Assignment, error) {
+	perCore := fairShare(set)
+	perCluster := perCore * float64(chip.ClusterSize())
 
-	cores := make([]CoreProfile, topo.Cores())
+	cores := make([]CoreProfile, chip.Cores())
 	for c := range cores {
-		src := topo.ClusterOf(topology.CoreID(c))
+		src := chip.ClusterOf(topology.CoreID(c))
 		cores[c] = CoreProfile{
 			RateGbps:   perCore,
 			DemandGbps: perCluster,
-			PickDest:   uniformDest(topo, src),
+			PickDest:   uniformDest(src),
 		}
 	}
 	return Assignment{Name: "uniform", Cores: cores}, nil
@@ -126,8 +126,8 @@ func (Uniform) Assign(topo topology.Topology, set BandwidthSet) (Assignment, err
 
 // fairShare is each core's equal share of the set's aggregate photonic
 // bandwidth, in Gb/s.
-func fairShare(topo topology.Topology, set BandwidthSet) float64 {
-	return float64(set.TotalWavelengths) * 12.5 / float64(topo.Cores())
+func fairShare(set BandwidthSet) float64 {
+	return float64(set.TotalWavelengths) * 12.5 / float64(chip.Cores())
 }
 
 // Bursty wraps a pattern so every core injects through an on/off Markov
@@ -146,14 +146,14 @@ func (b Bursty) Name() string {
 }
 
 // Assign implements Pattern.
-func (b Bursty) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
+func (b Bursty) Assign(set BandwidthSet) (Assignment, error) {
 	if b.Base == nil {
 		return Assignment{}, fmt.Errorf("traffic: bursty wrapper needs a base pattern")
 	}
 	if b.Factor < 0 {
 		return Assignment{}, fmt.Errorf("traffic: negative burstiness %g", b.Factor)
 	}
-	a, err := b.Base.Assign(topo, set)
+	a, err := b.Base.Assign(set)
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -165,9 +165,9 @@ func (b Bursty) Assign(topo topology.Topology, set BandwidthSet) (Assignment, er
 }
 
 // Custom is a per-core workload given as data, the public API's custom
-// traffic. Unlike a Fixed assignment it holds no closure — Assign builds
-// the destination samplers — so two equal Custom patterns compare equal
-// and the batch engine can share one fabric build between them.
+// traffic. It holds no closure — Assign builds the destination samplers
+// — so two equal Custom patterns compare equal and the batch engine can
+// share one fabric build between them.
 type Custom struct {
 	Cores []CustomCore
 }
@@ -187,9 +187,9 @@ func (Custom) Name() string { return "custom" }
 // Assign implements Pattern. A core with no rate gets no sampler; a core
 // with a destination list demands bandwidth only toward its destinations'
 // clusters (DemandTable skips the core's own and tolerates repeats).
-func (c Custom) Assign(topo topology.Topology, _ BandwidthSet) (Assignment, error) {
-	if len(c.Cores) != topo.Cores() {
-		return Assignment{}, fmt.Errorf("traffic: custom workload has %d cores, topology has %d", len(c.Cores), topo.Cores())
+func (c Custom) Assign(BandwidthSet) (Assignment, error) {
+	if len(c.Cores) != chip.Cores() {
+		return Assignment{}, fmt.Errorf("traffic: custom workload has %d cores, topology has %d", len(c.Cores), chip.Cores())
 	}
 	cores := make([]CoreProfile, len(c.Cores))
 	for i, cc := range c.Cores {
@@ -198,42 +198,25 @@ func (c Custom) Assign(topo topology.Topology, _ BandwidthSet) (Assignment, erro
 			p.PickDest = func(rng *sim.RNG) topology.CoreID { return dests[rng.Intn(len(dests))] }
 			p.DemandDests = make([]topology.ClusterID, len(dests))
 			for j, d := range dests {
-				p.DemandDests[j] = topo.ClusterOf(d)
+				p.DemandDests[j] = chip.ClusterOf(d)
 			}
 		} else if cc.RateGbps > 0 {
-			p.PickDest = uniformDest(topo, topo.ClusterOf(topology.CoreID(i)))
+			p.PickDest = uniformDest(chip.ClusterOf(topology.CoreID(i)))
 		}
 		cores[i] = p
 	}
 	return Assignment{Name: "custom", Cores: cores}, nil
 }
 
-// Fixed wraps a pre-built assignment as a Pattern, for tests.
-type Fixed struct {
-	Assignment Assignment
-}
-
-// Name implements Pattern.
-func (f Fixed) Name() string { return f.Assignment.Name }
-
-// Assign implements Pattern.
-func (f Fixed) Assign(topo topology.Topology, _ BandwidthSet) (Assignment, error) {
-	if len(f.Assignment.Cores) != topo.Cores() {
-		return Assignment{}, fmt.Errorf("traffic: fixed assignment has %d cores, topology has %d",
-			len(f.Assignment.Cores), topo.Cores())
-	}
-	return f.Assignment, nil
-}
-
 // CheckLoad refuses a load scale at which a source p assigns could not
 // hold its rate as credit (CreditRates), without assigning p. A custom
-// or fixed workload lists its rates; a built-in pattern's lightest and
-// heaviest per-core rates follow from the topology and the bandwidth
-// set, and credit is monotone in the rate, so those two bound every
-// source. The check walks at most one entry per core and allocates
-// nothing unless it fails. A pattern of another type, and a real-app
-// workload's lightest rate, are checked when the pattern is assigned.
-func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, loadScale float64) error {
+// workload lists its rates; a built-in pattern's lightest and heaviest
+// per-core rates follow from the bandwidth set, and credit is monotone
+// in the rate, so those two bound every source. The check walks at most
+// one entry per core and allocates nothing unless it fails. A pattern of
+// another type, and a real-app workload's lightest rate, are checked
+// when the pattern is assigned.
+func CheckLoad(p Pattern, set BandwidthSet, loadScale float64) error {
 	b, bursty := p.(Bursty)
 	if bursty {
 		p = b.Base
@@ -253,10 +236,10 @@ func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, loadScale fl
 		}
 		return nil
 	}
-	size := float64(topo.ClusterSize())
+	size := float64(chip.ClusterSize())
 	switch p := p.(type) {
 	case Uniform, Permutation:
-		return perCore(fairShare(topo, set))
+		return perCore(fairShare(set))
 	case Skewed, SkewedHotspot:
 		return perCore(set.ClassGbps[0]/size, set.ClassGbps[len(set.ClassGbps)-1]/size)
 	case RealApp:
@@ -264,12 +247,6 @@ func CheckLoad(p Pattern, topo topology.Topology, set BandwidthSet, loadScale fl
 	case Custom:
 		for i, cc := range p.Cores {
 			if err := check(i, CoreProfile{RateGbps: cc.RateGbps}); err != nil {
-				return err
-			}
-		}
-	case Fixed:
-		for i, profile := range p.Assignment.Cores {
-			if err := check(i, profile); err != nil {
 				return err
 			}
 		}

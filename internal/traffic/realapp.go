@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"hetpnoc/internal/gpgpu"
 	"hetpnoc/internal/sim"
 	"hetpnoc/internal/topology"
@@ -20,30 +18,20 @@ type RealApp struct{}
 func (RealApp) Name() string { return "realapp" }
 
 // Assign implements Pattern.
-func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
-	if err := set.Validate(); err != nil {
-		return Assignment{}, err
-	}
+func (RealApp) Assign(set BandwidthSet) (Assignment, error) {
 	placements, err := gpgpu.RealAppPlacements()
 	if err != nil {
 		return Assignment{}, err
 	}
 
+	// The placements fill whole clusters and leave at least one for
+	// memory (TestRealAppPlacementsMatchSection3_4_2).
 	gpuCores := 0
 	for _, p := range placements {
-		if p.Cores%topo.ClusterSize() != 0 {
-			return Assignment{}, fmt.Errorf("traffic: %s spans %d cores, not a whole number of clusters",
-				p.Profile.Name, p.Cores)
-		}
 		gpuCores += p.Cores
 	}
-	memCores := topo.Cores() - gpuCores
-	if memCores < topo.ClusterSize() {
-		return Assignment{}, fmt.Errorf("traffic: placements use %d of %d cores, leaving no memory cluster",
-			gpuCores, topo.Cores())
-	}
-	memClusters := memCores / topo.ClusterSize()
-	firstMemCluster := topo.Clusters() - memClusters
+	memClusters := (chip.Cores() - gpuCores) / chip.ClusterSize()
+	firstMemCluster := chip.Clusters() - memClusters
 
 	// Cap per-cluster demand at the top bandwidth class of the set: the
 	// photonic provisioning cannot express more (§3.4.1, Table 3-3).
@@ -51,14 +39,14 @@ func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, err
 
 	// clusterDemand[cl] is the per-cluster request bandwidth of the app
 	// on cluster cl (zero for memory clusters, filled below).
-	clusterDemand := make([]float64, topo.Clusters())
+	clusterDemand := make([]float64, chip.Clusters())
 	cluster := 0
 	for _, p := range placements {
 		demand := p.Profile.MemoryDemandGbps
 		if demand > capGbps {
 			demand = capGbps
 		}
-		for i := 0; i < p.Cores/topo.ClusterSize(); i++ {
+		for i := 0; i < p.Cores/chip.ClusterSize(); i++ {
 			clusterDemand[cluster] = demand
 			cluster++
 		}
@@ -74,7 +62,7 @@ func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, err
 	if memDemand > capGbps {
 		memDemand = capGbps
 	}
-	for cl := firstMemCluster; cl < topo.Clusters(); cl++ {
+	for cl := firstMemCluster; cl < chip.Clusters(); cl++ {
 		clusterDemand[cl] = memDemand
 	}
 
@@ -83,7 +71,7 @@ func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, err
 	gpuWeights := make([]float64, 0, gpuCores)
 	gpuTargets := make([]topology.CoreID, 0, gpuCores)
 	for cl := 0; cl < firstMemCluster; cl++ {
-		for _, core := range topo.CoresOf(topology.ClusterID(cl)) {
+		for _, core := range chip.CoresOf(topology.ClusterID(cl)) {
 			gpuWeights = append(gpuWeights, clusterDemand[cl])
 			gpuTargets = append(gpuTargets, core)
 		}
@@ -105,11 +93,11 @@ func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, err
 	}
 	pickMemCore := func(rng *sim.RNG) topology.CoreID {
 		cl := topology.ClusterID(firstMemCluster + rng.Intn(memClusters))
-		return topo.CoreAt(cl, rng.Intn(topo.ClusterSize()))
+		return chip.CoreAt(cl, rng.Intn(chip.ClusterSize()))
 	}
 
 	memClusterIDs := make([]topology.ClusterID, 0, memClusters)
-	for cl := firstMemCluster; cl < topo.Clusters(); cl++ {
+	for cl := firstMemCluster; cl < chip.Clusters(); cl++ {
 		memClusterIDs = append(memClusterIDs, topology.ClusterID(cl))
 	}
 	gpuClusterIDs := make([]topology.ClusterID, 0, firstMemCluster)
@@ -117,12 +105,12 @@ func (RealApp) Assign(topo topology.Topology, set BandwidthSet) (Assignment, err
 		gpuClusterIDs = append(gpuClusterIDs, topology.ClusterID(cl))
 	}
 
-	cores := make([]CoreProfile, topo.Cores())
+	cores := make([]CoreProfile, chip.Cores())
 	for c := range cores {
-		cl := topo.ClusterOf(topology.CoreID(c))
+		cl := chip.ClusterOf(topology.CoreID(c))
 		demand := clusterDemand[cl]
 		profile := CoreProfile{
-			RateGbps:   demand / float64(topo.ClusterSize()),
+			RateGbps:   demand / float64(chip.ClusterSize()),
 			DemandGbps: demand,
 		}
 		if int(cl) < firstMemCluster {

@@ -43,31 +43,28 @@ type Skewed struct {
 func (s Skewed) Name() string { return fmt.Sprintf("skewed%d", s.Level) }
 
 // Assign implements Pattern.
-func (s Skewed) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
-	if err := set.Validate(); err != nil {
-		return Assignment{}, err
-	}
+func (s Skewed) Assign(set BandwidthSet) (Assignment, error) {
 	freq, ok := SkewFrequencies(s.Level)
 	if !ok {
 		return Assignment{}, fmt.Errorf("traffic: unknown skew level %d", s.Level)
 	}
 
-	counts, err := apportionClusters(topo.Clusters(), freq, set.ClassGbps)
+	counts, err := apportionClusters(chip.Clusters(), freq, set.ClassGbps)
 	if err != nil {
 		return Assignment{}, err
 	}
 
-	cores := make([]CoreProfile, topo.Cores())
+	cores := make([]CoreProfile, chip.Cores())
 	cluster := 0
 	for class, n := range counts {
 		for i := 0; i < n; i++ {
 			cl := topology.ClusterID(cluster)
 			rate := set.ClassGbps[class]
-			for _, core := range topo.CoresOf(cl) {
+			for _, core := range chip.CoresOf(cl) {
 				cores[core] = CoreProfile{
-					RateGbps:   rate / float64(topo.ClusterSize()),
+					RateGbps:   rate / float64(chip.ClusterSize()),
 					DemandGbps: rate,
-					PickDest:   uniformDest(topo, cl),
+					PickDest:   uniformDest(cl),
 				}
 			}
 			cluster++

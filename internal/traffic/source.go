@@ -160,7 +160,7 @@ func (s *Source) Idle() bool { return s.perCycle == 0 }
 // so the long-run rate matches the profile even if it briefly exceeds one
 // packet per cycle. Ticks before NextEmission return nil and may be
 // left out; from there on every cycle must be ticked, in order.
-func (s *Source) Tick(now sim.Cycle, topo topology.Topology) *packet.Packet {
+func (s *Source) Tick(now sim.Cycle) *packet.Packet {
 	if now < s.nextEmit {
 		return nil
 	}
@@ -192,8 +192,8 @@ func (s *Source) Tick(now sim.Cycle, topo topology.Topology) *packet.Packet {
 		Message:    *s.nextMessage,
 		Src:        s.core,
 		Dst:        dst,
-		SrcCluster: topo.ClusterOf(s.core),
-		DstCluster: topo.ClusterOf(dst),
+		SrcCluster: chip.ClusterOf(s.core),
+		DstCluster: chip.ClusterOf(dst),
 		Flits:      s.format.Flits,
 		FlitBits:   s.format.FlitBits,
 		Created:    now,

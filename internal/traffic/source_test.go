@@ -32,13 +32,12 @@ func newTestSource(t *testing.T, rateGbps, loadScale float64) (*Source, *packet.
 // TestSourceRateAccuracy: over a long window the generated bit rate
 // matches the profile's offered rate.
 func TestSourceRateAccuracy(t *testing.T) {
-	topo := topology.Default()
 	for _, rate := range []float64{12.5, 25, 100} {
 		src, _, _ := newTestSource(t, rate, 1.0)
 		const cycles = 100000
 		bits := 0
 		for i := 0; i < cycles; i++ {
-			if p := src.Tick(sim.Cycle(i), topo); p != nil {
+			if p := src.Tick(sim.Cycle(i)); p != nil {
 				bits += p.Bits()
 			}
 		}
@@ -50,12 +49,11 @@ func TestSourceRateAccuracy(t *testing.T) {
 }
 
 func TestSourceLoadScale(t *testing.T) {
-	topo := topology.Default()
 	src, _, _ := newTestSource(t, 100, 0.5)
 	const cycles = 50000
 	bits := 0
 	for i := 0; i < cycles; i++ {
-		if p := src.Tick(sim.Cycle(i), topo); p != nil {
+		if p := src.Tick(sim.Cycle(i)); p != nil {
 			bits += p.Bits()
 		}
 	}
@@ -66,7 +64,6 @@ func TestSourceLoadScale(t *testing.T) {
 }
 
 func TestSourceZeroRateGeneratesNothing(t *testing.T) {
-	topo := topology.Default()
 	var msgs packet.MessageID
 	var pkts packet.ID
 	src, err := NewSource(0, CoreProfile{}, BWSet1.Format, 1.0, 0, *sim.NewRNG(1), &packet.Pool{}, &msgs, &pkts)
@@ -74,7 +71,7 @@ func TestSourceZeroRateGeneratesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10000; i++ {
-		if p := src.Tick(sim.Cycle(i), topo); p != nil {
+		if p := src.Tick(sim.Cycle(i)); p != nil {
 			t.Fatal("zero-rate source generated a packet")
 		}
 	}
@@ -86,7 +83,7 @@ func TestSourcePacketIdentity(t *testing.T) {
 	seenIDs := make(map[packet.ID]bool)
 	seenMsgs := make(map[packet.MessageID]bool)
 	for i := 0; i < 5000; i++ {
-		p := src.Tick(sim.Cycle(i), topo)
+		p := src.Tick(sim.Cycle(i))
 		if p == nil {
 			continue
 		}
@@ -108,11 +105,10 @@ func TestSourcePacketIdentity(t *testing.T) {
 }
 
 func TestRetransmitPreservesMessage(t *testing.T) {
-	topo := topology.Default()
 	src, _, pkts := newTestSource(t, 100, 1.0)
 	var orig *packet.Packet
 	for i := 0; orig == nil; i++ {
-		orig = src.Tick(sim.Cycle(i), topo)
+		orig = src.Tick(sim.Cycle(i))
 	}
 	retry := RetransmitFrom(&packet.Pool{}, orig, 500, pkts)
 	if retry.Message != orig.Message {
@@ -179,7 +175,7 @@ func TestBurstySourcePreservesAverageRate(t *testing.T) {
 	const cycles = 400000
 	bits := 0
 	for i := 0; i < cycles; i++ {
-		if p := src.Tick(sim.Cycle(i), topo); p != nil {
+		if p := src.Tick(sim.Cycle(i)); p != nil {
 			bits += p.Bits()
 		}
 	}
@@ -211,7 +207,7 @@ func TestBurstySourceIsActuallyBursty(t *testing.T) {
 		var gaps []float64
 		last := -1
 		for i := 0; i < 200000; i++ {
-			if p := src.Tick(sim.Cycle(i), topo); p != nil {
+			if p := src.Tick(sim.Cycle(i)); p != nil {
 				if last >= 0 {
 					gaps = append(gaps, float64(i-last))
 				}
@@ -280,14 +276,14 @@ func TestSourceCopyIsCheckpoint(t *testing.T) {
 		record := func() []emission {
 			var out []emission
 			for now := sim.Cycle(start); now < start+window; now++ {
-				if p := src.Tick(now, topo); p != nil {
+				if p := src.Tick(now); p != nil {
 					out = append(out, emission{now, p.ID, p.Dst})
 				}
 			}
 			return out
 		}
 		for now := sim.Cycle(0); now < start; now++ {
-			src.Tick(now, topo)
+			src.Tick(now)
 		}
 		saved, savedMsgs, savedPkts := src, msgs, pkts
 		want := record()
@@ -310,7 +306,6 @@ func TestSourceCopyIsCheckpoint(t *testing.T) {
 // the next; a bursty source never names a cycle after the one it is at;
 // a source whose credit cannot reach a packet names none.
 func TestSourceNextEmission(t *testing.T) {
-	topo := topology.Default()
 	build := func(rateGbps, burstiness float64, start sim.Cycle) Source {
 		var msgs packet.MessageID
 		var pkts packet.ID
@@ -333,11 +328,11 @@ func TestSourceNextEmission(t *testing.T) {
 			t.Fatalf("packet %d: NextEmission() = %d, want %d", k, got, want)
 		}
 		for now := want - 50; now < want; now++ {
-			if every.Tick(now, topo) != nil {
+			if every.Tick(now) != nil {
 				t.Fatalf("packet %d left at cycle %d, before NextEmission", k, now)
 			}
 		}
-		a, b := every.Tick(want, topo), sparse.Tick(want, topo)
+		a, b := every.Tick(want), sparse.Tick(want)
 		if a == nil || b == nil {
 			t.Fatalf("packet %d did not leave at cycle %d", k, want)
 		}
@@ -348,7 +343,7 @@ func TestSourceNextEmission(t *testing.T) {
 
 	bursty := build(12.5, 4, start)
 	for now := sim.Cycle(start); now < start+5000; now++ {
-		bursty.Tick(now, topo)
+		bursty.Tick(now)
 		if got := bursty.NextEmission(); got > now {
 			t.Fatalf("bursty source at cycle %d names cycle %d: its draws in between would be lost", now, got)
 		}

@@ -61,15 +61,12 @@ type Permutation struct {
 func (p Permutation) Name() string { return p.Kind.String() }
 
 // Assign implements Pattern.
-func (p Permutation) Assign(topo topology.Topology, set BandwidthSet) (Assignment, error) {
-	if err := set.Validate(); err != nil {
-		return Assignment{}, err
-	}
-	perCore := fairShare(topo, set)
+func (p Permutation) Assign(set BandwidthSet) (Assignment, error) {
+	perCore := fairShare(set)
 
-	cores := make([]CoreProfile, topo.Cores())
+	cores := make([]CoreProfile, chip.Cores())
 	for c := range cores {
-		dst, err := p.partner(topo, topology.CoreID(c))
+		dst, err := p.partner(topology.CoreID(c))
 		if err != nil {
 			return Assignment{}, err
 		}
@@ -80,13 +77,13 @@ func (p Permutation) Assign(topo topology.Topology, set BandwidthSet) (Assignmen
 			continue
 		}
 		target := dst
-		self := topo.ClusterOf(topology.CoreID(c))
+		self := chip.ClusterOf(topology.CoreID(c))
 		profile := CoreProfile{
 			RateGbps:   perCore,
-			DemandGbps: perCore * float64(topo.ClusterSize()),
+			DemandGbps: perCore * float64(chip.ClusterSize()),
 			PickDest:   func(*sim.RNG) topology.CoreID { return target },
 		}
-		if dstCl := topo.ClusterOf(target); dstCl != self {
+		if dstCl := chip.ClusterOf(target); dstCl != self {
 			profile.DemandDests = []topology.ClusterID{dstCl}
 		}
 		cores[c] = profile
@@ -94,48 +91,30 @@ func (p Permutation) Assign(topo topology.Topology, set BandwidthSet) (Assignmen
 	return Assignment{Name: p.Name(), Cores: cores}, nil
 }
 
-// partner returns the fixed destination of core c.
-func (p Permutation) partner(topo topology.Topology, c topology.CoreID) (topology.CoreID, error) {
-	n := topo.Cores()
+// transposeSide is the side of the logical core grid Transpose mirrors:
+// the 64 cores as 8 x 8.
+const transposeSide = 8
+
+// partner returns the fixed destination of core c. The bit patterns act
+// on the core index's width: 64 cores are 6 bits.
+func (p Permutation) partner(c topology.CoreID) (topology.CoreID, error) {
+	n := chip.Cores()
+	width := bits.Len(uint(n)) - 1
 	switch p.Kind {
 	case Transpose:
-		side := intSqrt(n)
-		if side == 0 {
-			return 0, fmt.Errorf("traffic: transpose needs a square core count, got %d", n)
-		}
-		x, y := int(c)%side, int(c)/side
-		return topology.CoreID(x*side + y), nil
+		x, y := int(c)%transposeSide, int(c)/transposeSide
+		return topology.CoreID(x*transposeSide + y), nil
 	case BitComplement:
-		if n&(n-1) != 0 {
-			return 0, fmt.Errorf("traffic: bit-complement needs a power-of-two core count, got %d", n)
-		}
 		return topology.CoreID(int(c) ^ (n - 1)), nil
 	case BitReverse:
-		if n&(n-1) != 0 {
-			return 0, fmt.Errorf("traffic: bit-reverse needs a power-of-two core count, got %d", n)
-		}
-		width := bits.Len(uint(n)) - 1
 		return topology.CoreID(int(bits.Reverse(uint(c)) >> (bits.UintSize - width))), nil
 	case Shuffle:
-		if n&(n-1) != 0 {
-			return 0, fmt.Errorf("traffic: shuffle needs a power-of-two core count, got %d", n)
-		}
-		width := bits.Len(uint(n)) - 1
 		v := int(c) << 1
 		return topology.CoreID((v | (v >> width)) & (n - 1)), nil
 	case Neighbor:
-		next := (int(topo.ClusterOf(c)) + 1) % topo.Clusters()
-		return topo.CoreAt(topology.ClusterID(next), topo.LocalIndex(c)), nil
+		next := (int(chip.ClusterOf(c)) + 1) % chip.Clusters()
+		return chip.CoreAt(topology.ClusterID(next), chip.LocalIndex(c)), nil
 	default:
 		return 0, fmt.Errorf("traffic: unknown permutation kind %d", p.Kind)
 	}
-}
-
-func intSqrt(n int) int {
-	for s := 0; s*s <= n; s++ {
-		if s*s == n {
-			return s
-		}
-	}
-	return 0
 }

@@ -10,7 +10,7 @@ import (
 
 func assignPermutation(t *testing.T, kind PermutationKind) Assignment {
 	t.Helper()
-	a, err := Permutation{Kind: kind}.Assign(topology.Default(), BWSet1)
+	a, err := Permutation{Kind: kind}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +153,7 @@ func TestPermutationNames(t *testing.T) {
 }
 
 func TestPermutationValidation(t *testing.T) {
-	topo := topology.Default()
-	if _, err := (Permutation{Kind: PermutationKind(99)}).Assign(topo, BWSet1); err == nil {
+	if _, err := (Permutation{Kind: PermutationKind(99)}).Assign(BWSet1); err == nil {
 		t.Error("unknown kind accepted")
-	}
-	// Non-power-of-two core counts reject the bit patterns.
-	smallTopo, err := topology.New(36, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Permutation{Kind: BitComplement}).Assign(smallTopo, BWSet1); err == nil {
-		t.Error("bit-complement on 36 cores accepted")
-	}
-	// 36 is a perfect square though: transpose works.
-	if _, err := (Permutation{Kind: Transpose}).Assign(smallTopo, BWSet1); err != nil {
-		t.Errorf("transpose on 36 cores rejected: %v", err)
 	}
 }

@@ -39,8 +39,20 @@ func TestBandwidthSetsMatchTable3_3(t *testing.T) {
 		{BWSet3, 32, 64, 8, 256},
 	}
 	for _, tt := range tests {
-		if err := tt.set.Validate(); err != nil {
-			t.Fatalf("%s invalid: %v", tt.set.Name, err)
+		// The invariants the builders rely on without checking them.
+		for i, g := range tt.set.ClassGbps {
+			if g <= 0 || i > 0 && g >= tt.set.ClassGbps[i-1] {
+				t.Errorf("%s classes %v are not positive and strictly decreasing", tt.set.Name, tt.set.ClassGbps)
+			}
+		}
+		if need := WavelengthsFor(tt.set.ClassGbps[0]); need > tt.set.TotalWavelengths {
+			t.Errorf("%s top class needs %d wavelengths, budget is %d", tt.set.Name, need, tt.set.TotalWavelengths)
+		}
+		if tt.set.TotalWavelengths%chip.Clusters() != 0 {
+			t.Errorf("%s: %d wavelengths do not divide over %d Firefly channels", tt.set.Name, tt.set.TotalWavelengths, chip.Clusters())
+		}
+		if tt.set.Format.Flits > 64 { // a VC buffer is 64 flits deep
+			t.Errorf("%s: a %d-flit packet does not fit a 64-flit VC buffer", tt.set.Name, tt.set.Format.Flits)
 		}
 		if got := tt.set.TotalWavelengths / 16; got != tt.fireflyPerChan {
 			t.Errorf("%s Firefly channel = %d wavelengths, Table 3-3 says %d", tt.set.Name, got, tt.fireflyPerChan)
@@ -55,23 +67,8 @@ func TestBandwidthSetsMatchTable3_3(t *testing.T) {
 	}
 }
 
-func TestBandwidthSetValidation(t *testing.T) {
-	bad := BWSet1
-	bad.Name = "bad"
-	bad.ClassGbps = [4]float64{100, 200, 25, 12.5} // not decreasing
-	if err := bad.Validate(); err == nil {
-		t.Error("non-decreasing classes passed validation")
-	}
-	bad = BWSet1
-	bad.TotalWavelengths = 4 // top class needs 8
-	if err := bad.Validate(); err == nil {
-		t.Error("insufficient budget passed validation")
-	}
-}
-
 func TestUniformAssignment(t *testing.T) {
-	topo := topology.Default()
-	a, err := Uniform{}.Assign(topo, BWSet1)
+	a, err := Uniform{}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +91,7 @@ func TestUniformAssignment(t *testing.T) {
 
 func TestUniformDestinationsAreForeign(t *testing.T) {
 	topo := topology.Default()
-	a, err := Uniform{}.Assign(topo, BWSet1)
+	a, err := Uniform{}.Assign(BWSet1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +108,8 @@ func TestUniformDestinationsAreForeign(t *testing.T) {
 }
 
 func TestApportionmentMatchesFrequencies(t *testing.T) {
-	topo := topology.Default()
 	for level := 1; level <= 3; level++ {
-		a, err := Skewed{Level: level}.Assign(topo, BWSet1)
+		a, err := Skewed{Level: level}.Assign(BWSet1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +138,7 @@ func TestApportionmentMatchesFrequencies(t *testing.T) {
 func TestApportionmentCoversAllClusters(t *testing.T) {
 	topo := topology.Default()
 	for level := 1; level <= 3; level++ {
-		a, err := Skewed{Level: level}.Assign(topo, BWSet1)
+		a, err := Skewed{Level: level}.Assign(BWSet1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +181,7 @@ func TestApportionExact(t *testing.T) {
 }
 
 func TestSkewedUnknownLevel(t *testing.T) {
-	if _, err := (Skewed{Level: 4}).Assign(topology.Default(), BWSet1); err == nil {
+	if _, err := (Skewed{Level: 4}).Assign(BWSet1); err == nil {
 		t.Fatal("unknown skew level accepted")
 	}
 }
@@ -222,11 +218,10 @@ func TestDemandTable(t *testing.T) {
 	}
 }
 
-func TestFixedPatternValidation(t *testing.T) {
-	topo := topology.Default()
-	_, err := Fixed{Assignment: Assignment{Cores: make([]CoreProfile, 3)}}.Assign(topo, BWSet1)
+func TestCustomPatternValidation(t *testing.T) {
+	_, err := Custom{Cores: make([]CustomCore, 3)}.Assign(BWSet1)
 	if err == nil {
-		t.Fatal("short fixed assignment accepted")
+		t.Fatal("short custom workload accepted")
 	}
 }
 

@@ -62,9 +62,9 @@ type Static struct {
 
 var _ Allocator = (*Static)(nil)
 
-// NewStatic divides totalWavelengths evenly over the topology's clusters.
-func NewStatic(topo topology.Topology, bundle photonic.WaveguideBundle, totalWavelengths int) (*Static, error) {
-	clusters := topo.Clusters()
+// NewStatic divides totalWavelengths evenly over the chip's clusters.
+func NewStatic(bundle photonic.WaveguideBundle, totalWavelengths int) (*Static, error) {
+	clusters := topology.Default().Clusters()
 	if totalWavelengths < clusters {
 		return nil, fmt.Errorf("xbar: %d wavelengths cannot cover %d clusters", totalWavelengths, clusters)
 	}

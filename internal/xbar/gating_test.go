@@ -50,7 +50,7 @@ func TestSelectiveGatingPowersFewerDetectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		static, err := NewStatic(topo, bundle, 128)
+		static, err := NewStatic(bundle, 128)
 		if err != nil {
 			t.Fatal(err)
 		}

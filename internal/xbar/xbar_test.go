@@ -22,7 +22,7 @@ func mustBundle(t *testing.T, total int) photonic.WaveguideBundle {
 func TestStaticAllocatorPartition(t *testing.T) {
 	topo := topology.Default()
 	bundle := mustBundle(t, 64)
-	s, err := NewStatic(topo, bundle, 64)
+	s, err := NewStatic(bundle, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +49,11 @@ func TestStaticAllocatorPartition(t *testing.T) {
 }
 
 func TestStaticAllocatorValidation(t *testing.T) {
-	topo := topology.Default()
 	bundle := mustBundle(t, 64)
-	if _, err := NewStatic(topo, bundle, 8); err == nil {
+	if _, err := NewStatic(bundle, 8); err == nil {
 		t.Error("budget below cluster count accepted")
 	}
-	if _, err := NewStatic(topo, bundle, 63); err == nil {
+	if _, err := NewStatic(bundle, 63); err == nil {
 		t.Error("non-divisible budget accepted")
 	}
 }
@@ -93,7 +92,7 @@ func newTXRig(t *testing.T, gating GatingMode, rxVCs int) *txRig {
 		t.Fatal(err)
 	}
 
-	alloc, err := NewStatic(topo, bundle, 64)
+	alloc, err := NewStatic(bundle, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +263,7 @@ func TestTXSerializedReservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alloc, err := NewStatic(topo, bundle, 64)
+		alloc, err := NewStatic(bundle, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +374,7 @@ func TestTXConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := topology.Default()
-	alloc, err := NewStatic(topo, bundle, 64)
+	alloc, err := NewStatic(bundle, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,12 +67,12 @@ func corpus(t *testing.T) []*scenario {
 		}},
 		// A jump must stop for the start of measurement and for a remap
 		// due after the cut, inside the span the cut lies in.
-		{name: "light-remap", allocs: 3684, cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
+		{name: "light-remap", allocs: 3667, cfg: remapped(light, 2800, SkewedTraffic(2)), cut: 2600, guard: func(t *testing.T, sc *scenario) {
 			requireSkipped(t, sc.fc, []int{999, 1000, 1001, 2599, 2600, 2799, 2800, 2801}, 1000, 2800)
 		}},
 		// Token DBA, selected-wavelength gating and headers blocked on
 		// VC-exhausted outputs live across the cut; a remap follows it.
-		{name: "saturated", allocs: 2617, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
+		{name: "saturated", allocs: 2600, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 7, EventCapacity: 256}, 2000, UniformTraffic()),
 			cut: 1200, guard: func(t *testing.T, sc *scenario) {
 				if f := stepped(t, sc.fc, sc.cut); f.BlockedHeaders() == 0 {
 					t.Errorf("no header waits on a VC-exhausted output at cycle %d", sc.cut)
@@ -82,7 +82,7 @@ func corpus(t *testing.T) []*scenario {
 		// Two VCs per port and half the traffic aimed at one cluster: a few
 		// hundred RX drops. The packet dropped at 2029 is retried at 2093,
 		// the remap's cycle, so both fire on one cycle after the cut.
-		{name: "drop-storm", allocs: 4340, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
+		{name: "drop-storm", allocs: 4323, cfg: remapped(Config{Architecture: DHetPNoC, Traffic: HotspotTraffic(0.5, 3), LoadScale: 1.5, Cycles: 3000, WarmupCycles: 1000, Seed: 11, EventCapacity: 1 << 12}, 2093, UniformTraffic()),
 			tweak: func(fc *fabric.Config) { fc.VCsPerPort = 2 }, cut: 2080,
 			guard: func(t *testing.T, sc *scenario) {
 				for _, at := range []int{sc.cut, 1500} { // 1500: a restore-chain checkpoint
@@ -99,14 +99,14 @@ func corpus(t *testing.T) []*scenario {
 		// demand overflows the dynamic pool, so routers scale back to
 		// their token-recorded shares, and a remap re-skews it after the
 		// cut.
-		{name: "proportional", allocs: 2634, cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
+		{name: "proportional", allocs: 2601, cfg: remapped(Config{Architecture: DHetPNoC, ProportionalDBA: true, Traffic: SkewedTraffic(3), LoadScale: 1, Cycles: 3000, WarmupCycles: 500, Seed: 13, EventCapacity: 256}, 1800, SkewedTraffic(1)),
 			cut: 1400,
 			guard: func(t *testing.T, sc *scenario) {
 				greedy := sc.fc
 				greedy.ProportionalDBA = false
 				p, g := stepped(t, sc.fc, sc.cut).DBA(), stepped(t, greedy, sc.cut).DBA()
 				differ := 0
-				for c := range topology.ClusterID(sc.fc.Topology.Clusters()) {
+				for c := range topology.ClusterID(topology.Default().Clusters()) {
 					if p.AllocatedCount(c) != g.AllocatedCount(c) {
 						differ++
 					}
@@ -119,14 +119,14 @@ func corpus(t *testing.T) []*scenario {
 		// The thesis's Chapter 4 area restriction: each cluster acquires
 		// only on its two home waveguides and holds two reserved
 		// wavelengths, which the public Config cannot set.
-		{name: "chapter4", allocs: 2634, cfg: Config{Architecture: DHetPNoC, BandwidthSet: 3, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 17, EventCapacity: 256},
+		{name: "chapter4", allocs: 2618, cfg: Config{Architecture: DHetPNoC, BandwidthSet: 3, Traffic: SkewedTraffic(3), LoadScale: 2, Cycles: 3000, WarmupCycles: 500, Seed: 17, EventCapacity: 256},
 			tweak: func(fc *fabric.Config) { fc.WaveguidesPerCluster, fc.ReservedPerCluster = 2, 2 }, cut: 1200,
 			guard: func(t *testing.T, sc *scenario) {
 				free := sc.fc
 				free.WaveguidesPerCluster = 0
 				r, f := stepped(t, sc.fc, sc.cut).DBA(), stepped(t, free, sc.cut).DBA()
 				differ := 0
-				for c := range topology.ClusterID(sc.fc.Topology.Clusters()) {
+				for c := range topology.ClusterID(topology.Default().Clusters()) {
 					if r.AllocatedCount(c) != f.AllocatedCount(c) {
 						differ++
 					}
@@ -633,7 +633,7 @@ func (sc *scenario) unprobed(t *testing.T, every int64, res Result, last *fabric
 	if p == nil {
 		t.Fatal("the result carries no probe")
 	}
-	n, k := int(int64(sc.fc.Cycles)/every), sc.fc.Topology.Clusters()
+	n, k := int(int64(sc.fc.Cycles)/every), topology.Default().Clusters()
 	if p.Clusters != k || len(p.Rows) != n || len(p.AllocatedWavelengths) != n*k || len(p.BusyCycles) != n*k {
 		t.Fatalf("the probe holds %d, %d×%d and %d entries, want %d clusters at each of the %d multiples of %d",
 			len(p.Rows), p.Clusters, len(p.AllocatedWavelengths), len(p.BusyCycles), k, n, every)

@@ -12,7 +12,6 @@ import (
 	"hetpnoc/internal/batch"
 	"hetpnoc/internal/fabric"
 	"hetpnoc/internal/sim"
-	"hetpnoc/internal/topology"
 	"hetpnoc/internal/traffic"
 )
 
@@ -24,12 +23,12 @@ type flakyRemap struct{ refusals *int }
 
 func (flakyRemap) Name() string { return "flaky" }
 
-func (r flakyRemap) Assign(topo topology.Topology, set traffic.BandwidthSet) (traffic.Assignment, error) {
+func (r flakyRemap) Assign(set traffic.BandwidthSet) (traffic.Assignment, error) {
 	if *r.refusals > 0 {
 		*r.refusals--
 		return traffic.Assignment{}, errors.New("flaky remap refused")
 	}
-	return traffic.Uniform{}.Assign(topo, set)
+	return traffic.Uniform{}.Assign(set)
 }
 
 // cancelRemap is a remap pattern that cancels a context when it fires,
@@ -39,9 +38,9 @@ type cancelRemap struct{ cancel *context.CancelFunc }
 
 func (cancelRemap) Name() string { return "cancel" }
 
-func (c cancelRemap) Assign(topo topology.Topology, set traffic.BandwidthSet) (traffic.Assignment, error) {
+func (c cancelRemap) Assign(set traffic.BandwidthSet) (traffic.Assignment, error) {
 	(*c.cancel)()
-	return traffic.Uniform{}.Assign(topo, set)
+	return traffic.Uniform{}.Assign(set)
 }
 
 // TestShelfNeitherPoisonsNorAliases: a group that is cancelled or fails
